@@ -5,36 +5,4 @@ control logic (tree drafting, greedy verification, entropy binning, and
 per-bin depth/budget adaptation) can be studied exactly and cheaply.
 """
 
-from .binning import (BinningModel, CALIBRATION_FILTERS, CalibrationSample,
-                      MIN_DISTINCT_ENTROPIES, Split, best_split,
-                      check_calibration_diversity, collect_calibration,
-                      fit_binning, load_bins, save_bins, train_cart)
-from .config import (CalibrationSpec, DraftSpec, ExperimentConfig, ModelSpec,
-                     PromptSpec, config_from_dict, load_config, rng_for,
-                     save_config)
-from .control import (AdaptDecision, ArmResult, ComparisonResult, GAMMAS,
-                      GenerationResult, HeteroConfig, adapt, decode_adaptive,
-                      decode_baseline, default_alpha, greedy_reference,
-                      round_half_up, run_arm, run_comparison)
-from .corpus import PlantedCorpusSpec, gen_corpus, prompts_from, split_docs
-from .entropy import MetaPath, select_meta_path, topk_step_entropy, tree_entropy_signal
-from .errors import (BinsFileError, CalibrationError, ConfigError,
-                     HeteroSpecError, OutputMismatchError)
-from .metrics import (CostModel, IterationRecord, RunSummary, per_bin_stats,
-                      quantile_nearest_rank, read_iterations_csv,
-                      read_summary_csv, summarize, tcr_bands, tcr_histogram,
-                      tcr_quantiles, validate_run, write_bin_occupancy_csv,
-                      write_iterations_csv, write_summary_csv,
-                      write_tcr_by_accepted_csv, write_tcr_histogram_csv)
-from .models import (LanguageModel, NGramModel, PerturbedDraftModel,
-                     PlantedTemplateModel, is_valid_dist, load_model, perturb,
-                     save_model, train_ngram)
-from .tree import (DraftNode, DraftTree, RerankedTree, expand, extend,
-                   render_tree, rerank)
-from .verify import (AcceptResult, ChainResult, accept_prob, argmax_token,
-                     residual_dist, sample_chain, sample_from,
-                     verify_greedy, verify_stochastic_chain)
-from .vocab import (UNK, Vocabulary, build_vocab, encode_corpus, read_corpus,
-                    split_symbols, write_corpus)
-
 __version__ = "0.1.0"

@@ -275,7 +275,10 @@ def load_bins(path: str) -> BinningModel:
 
     def opt_int(key: str) -> int | None:
         value = meta.get(key, "-")
-        return None if value == "-" else int(value)
+        try:
+            return None if value == "-" else int(value)
+        except ValueError:
+            raise _bins_err(path, 1, f"bad {key}: {value!r}") from None
 
     if not rows:
         raise _bins_err(path, len(raw), "no bin lines")
@@ -298,8 +301,7 @@ def load_bins(path: str) -> BinningModel:
         if hi_list[i] != lo_list[i + 1]:
             raise _bins_err(path, rows[i + 1][0],
                             "bins must be contiguous: lo != previous hi")
-    nbins_meta = meta.get("num_bins")
-    if nbins_meta is not None and int(nbins_meta) != len(rows):
+    if "num_bins" in meta and opt_int("num_bins") != len(rows):
         raise _bins_err(path, 1, "num_bins does not match bin line count")
     try:
         return BinningModel(thresholds=tuple(hi_list[:-1]), means=tuple(means),

@@ -156,23 +156,9 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    out = {
-        "version": config.version,
-        "seed": config.seed,
-        "out_dir": config.out_dir,
-        "corpus": ({"path": config.corpus_path} if config.corpus_path
-                   else {"planted": dataclasses.asdict(config.planted)}),
-        "tokenization": config.tokenization,
-        "model": dataclasses.asdict(config.model),
-        "draft": dataclasses.asdict(config.draft),
-        "controller": dataclasses.asdict(config.controller),
-        "prompts": dataclasses.asdict(config.prompts),
-        "calibration": dataclasses.asdict(config.calibration),
-        "cost": dataclasses.asdict(config.cost),
-    }
-    ctl = out["controller"]
-    if ctl.get("low_bins") is not None:
-        ctl["low_bins"] = list(ctl["low_bins"])
+    out = dataclasses.asdict(config)
+    path, planted = out.pop("corpus_path"), out.pop("planted")
+    out["corpus"] = {"path": path} if path else {"planted": planted}
     return out
 
 

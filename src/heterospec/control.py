@@ -1,10 +1,10 @@
-"""Decoding loops: static draft-tree baseline and the entropy-adaptive arm.
+"""The decoding loop, run by the static baseline and the entropy-adaptive arm.
 
 Both arms use greedy (argmax) verification, so for a fixed target model
 and prompt they emit the same token sequence as plain greedy decoding;
 adaptivity only changes how many verification calls that takes.
 
-The adaptive arm measures the meta-path entropy of the freshly expanded
+Each iteration measures the meta-path entropy of the freshly expanded
 tree, assigns it to a calibrated bin, and for low-entropy bins drafts
 deeper and reshapes the verification budget:
 
@@ -12,6 +12,7 @@ deeper and reshapes the verification budget:
     top_n for bin  = max(1, round_half_up(gamma[bin] * top_n) + (alpha - bin))
 
 with gamma = (0.3, 0.6, 1.0) for the three lowest bins and 1.0 beyond.
+The baseline is the same loop with no low bins.
 """
 
 from __future__ import annotations
@@ -67,9 +68,6 @@ class HeteroConfig:
     low_bins: tuple[int, ...] | None = None  # None: binning model default
     max_new_tokens: int = 200
     terminator: int | None = None
-    # extra layers are grown in one batch after the bin decision; an
-    # iteratively deepened variant is reserved but not implemented
-    extension: str = "single-shot"
 
     def __post_init__(self):
         if self.depth < 1 or self.top_k < 1 or self.top_n < 1:
@@ -82,9 +80,6 @@ class HeteroConfig:
             raise ConfigError("expand_width must be >= 1")
         if self.entropy_k is not None and self.entropy_k < 1:
             raise ConfigError("entropy_k must be >= 1")
-        if self.extension != "single-shot":
-            raise ConfigError(f"extension mode {self.extension!r} is not "
-                              "implemented; only 'single-shot' is available")
 
     def resolved(self) -> "HeteroConfig":
         return replace(
@@ -142,14 +137,12 @@ def _emit(result: AcceptResult, tree2: RerankedTree, remaining: int,
     return emit, k, tcr, stop
 
 
-def decode_baseline(target_model: LanguageModel, draft_model: LanguageModel,
-                    prompt: Context, config: HeteroConfig,
-                    bins: BinningModel | None = None,
-                    prompt_index: int = 0) -> GenerationResult:
-    """Static drafting: fixed depth and verification budget every
-    iteration. The entropy signal is still recorded (it feeds
-    calibration); bins label iterations when a binning model is given but
-    never change behavior. bin = -1 means no binning model was consulted."""
+def _decode(target_model: LanguageModel, draft_model: LanguageModel,
+            prompt: Context, config: HeteroConfig, bins: BinningModel | None,
+            low_bins: tuple[int, ...], prompt_index: int) -> GenerationResult:
+    """Draft, rerank and verify until the token budget or the terminator.
+    Only iterations whose bin is in ``low_bins`` change the tree shape.
+    bin = -1 means no binning model was consulted."""
     _check_pair(target_model, draft_model)
     cfg = config.resolved()
     ctx = tuple(prompt)
@@ -161,40 +154,7 @@ def decode_baseline(target_model: LanguageModel, draft_model: LanguageModel,
         tree = expand(draft_model, ctx, cfg.depth, cfg.top_k, cfg.expand_width)
         entropy = tree_entropy_signal(tree, cfg.entropy_k)
         bin_index = bins.assign_bin(entropy) if bins is not None else -1
-        tree2 = rerank(tree, cfg.top_n)
-        result = verify_greedy(tree2, target_model, ctx)
-        emit, k, tcr, stop = _emit(result, tree2, remaining, cfg.terminator)
-        records.append(IterationRecord(
-            prompt=prompt_index, iteration=iteration, entropy=entropy,
-            bin=bin_index, draft_depth=cfg.depth, top_n=cfg.top_n,
-            tree_size=len(tree2), accepted_len=k, emitted=len(emit), tcr=tcr))
-        out.extend(emit)
-        ctx = ctx + tuple(emit)
-        iteration += 1
-        if stop:
-            break
-    return GenerationResult(tokens=out, records=records)
-
-
-def decode_adaptive(target_model: LanguageModel, draft_model: LanguageModel,
-                    prompt: Context, config: HeteroConfig, bins: BinningModel,
-                    prompt_index: int = 0) -> GenerationResult:
-    """Entropy-adaptive drafting: low-entropy iterations draft deeper and
-    get a reshaped verification budget. With an empty low-bin set this
-    reduces exactly to the baseline loop."""
-    _check_pair(target_model, draft_model)
-    cfg = config.resolved()
-    low_bins = cfg.low_bins if cfg.low_bins is not None else bins.default_low_bins()
-    ctx = tuple(prompt)
-    out: list[int] = []
-    records: list[IterationRecord] = []
-    iteration = 0
-    while len(out) < cfg.max_new_tokens:
-        remaining = cfg.max_new_tokens - len(out)
-        tree = expand(draft_model, ctx, cfg.depth, cfg.top_k, cfg.expand_width)
-        entropy = tree_entropy_signal(tree, cfg.entropy_k)
-        bin_index = bins.assign_bin(entropy)
-        decision = adapt(bin_index, cfg.alpha, cfg.top_n, tuple(low_bins))
+        decision = adapt(bin_index, cfg.alpha, cfg.top_n, low_bins)
         if decision.extra_layers > 0:
             extend(tree, draft_model, decision.extra_layers)
         tree2 = rerank(tree, decision.top_n)
@@ -211,6 +171,28 @@ def decode_adaptive(target_model: LanguageModel, draft_model: LanguageModel,
         if stop:
             break
     return GenerationResult(tokens=out, records=records)
+
+
+def decode_baseline(target_model: LanguageModel, draft_model: LanguageModel,
+                    prompt: Context, config: HeteroConfig,
+                    bins: BinningModel | None = None,
+                    prompt_index: int = 0) -> GenerationResult:
+    """Static drafting: fixed depth and verification budget every
+    iteration. Bins, when given, label iterations (the entropy signal
+    feeds calibration) but never change behavior."""
+    return _decode(target_model, draft_model, prompt, config, bins, (),
+                   prompt_index)
+
+
+def decode_adaptive(target_model: LanguageModel, draft_model: LanguageModel,
+                    prompt: Context, config: HeteroConfig, bins: BinningModel,
+                    prompt_index: int = 0) -> GenerationResult:
+    """Entropy-adaptive drafting over the configured low bins, or the
+    binning model's default ones."""
+    low_bins = (config.low_bins if config.low_bins is not None
+                else bins.default_low_bins())
+    return _decode(target_model, draft_model, prompt, config, bins,
+                   tuple(low_bins), prompt_index)
 
 
 @dataclass

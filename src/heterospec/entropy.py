@@ -13,8 +13,6 @@ built, so the signal is free of extra model calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
@@ -43,20 +41,8 @@ def topk_step_entropy(dist: ProbDist, k: int) -> float:
     return float(-(nz * np.log(nz)).sum()) + 0.0
 
 
-@dataclass
-class MetaPath:
-    nodes: list[DraftNode]
-    step_entropies: list[float]
-    entropy: float  # sum of step entropies
-    final_top1: float  # top-1 probability of the last step distribution
-
-    @property
-    def leaf(self) -> DraftNode:
-        return self.nodes[-1]
-
-
-def select_meta_path(tree: DraftTree, k: int) -> MetaPath:
-    """Pick the meta path of a draft tree and sum its step entropies.
+def select_meta_path(tree: DraftTree) -> DraftNode:
+    """Leaf of the meta path of a draft tree.
 
     Candidates are the nodes of the deepest layer. The winner maximizes
     the top-1 probability of its final step distribution; ties prefer the
@@ -70,13 +56,10 @@ def select_meta_path(tree: DraftTree, k: int) -> MetaPath:
         return (-float(np.max(node.step_dist)), -node.log_value,
                 node.insertion_index)
 
-    leaf = min(candidates, key=key)
-    nodes = leaf.path()
-    steps = [topk_step_entropy(n.step_dist, k) for n in nodes]
-    return MetaPath(nodes=nodes, step_entropies=steps,
-                    entropy=float(sum(steps)),
-                    final_top1=float(np.max(leaf.step_dist)))
+    return min(candidates, key=key)
 
 
 def tree_entropy_signal(tree: DraftTree, k: int) -> float:
-    return select_meta_path(tree, k).entropy
+    """Sum of the top-k step entropies along the meta path."""
+    leaf = select_meta_path(tree)
+    return float(sum(topk_step_entropy(n.step_dist, k) for n in leaf.path()))

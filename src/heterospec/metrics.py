@@ -76,10 +76,6 @@ class RunSummary:
     tcr_p75: int | None
     tcr_p95: int | None
     sentinels: int
-    # (rank, count) over accepting iterations, ascending rank
-    tcr_histogram: tuple[tuple[int, int], ...] = ()
-    # (bin, count, mean accepted length) per observed bin, ascending bin
-    per_bin: tuple[tuple[int, int, float], ...] = ()
 
 
 def quantile_nearest_rank(values: list[float], p: float) -> float:
@@ -155,8 +151,6 @@ def summarize(records: list[IterationRecord],
         tcr_p75=quants.get("p75"),
         tcr_p95=quants.get("p95"),
         sentinels=sum(1 for r in records if r.accepted_len == 0),
-        tcr_histogram=tuple(tcr_histogram(records)),
-        per_bin=tuple(per_bin_stats(records)),
     )
 
 

@@ -165,12 +165,9 @@ def step_run(config: ExperimentConfig, mode: str) -> tuple[str, str]:
     target, draft = load_models(config)
     bins = load_pipeline_bins(config)
     prompts = _prompt_split(config, target, "eval")
-    if mode == "baseline":
-        arm = run_arm("baseline", decode_baseline, target, draft, prompts,
-                      config.controller, config.cost, bins=bins)
-    else:
-        arm = run_arm("adaptive", decode_adaptive, target, draft, prompts,
-                      config.controller, config.cost, bins=bins)
+    decode = decode_baseline if mode == "baseline" else decode_adaptive
+    arm = run_arm(mode, decode, target, draft, prompts, config.controller,
+                  config.cost, bins=bins)
     iter_path = _path(config, f"{mode}-iterations.csv")
     summary_path = _path(config, f"{mode}-summary.csv")
     write_iterations_csv(iter_path, arm.records)

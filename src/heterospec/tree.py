@@ -135,16 +135,12 @@ def expand(draft_model: LanguageModel, context: Context, depth: int,
     return tree
 
 
-def extend(tree: DraftTree, draft_model: LanguageModel, extra_layers: int,
-           top_k: int | None = None, expand_width: int | None = None) -> DraftTree:
+def extend(tree: DraftTree, draft_model: LanguageModel,
+           extra_layers: int) -> DraftTree:
     """Deepen an existing tree in place; equivalent to having expanded to
     depth + extra_layers in the first place."""
     if extra_layers < 1:
         raise ConfigError(f"extra_layers must be >= 1, got {extra_layers}")
-    if top_k is not None:
-        tree.top_k = top_k
-    if expand_width is not None:
-        tree.expand_width = expand_width
     _grow_layers(tree, draft_model, extra_layers)
     return tree
 
@@ -183,20 +179,3 @@ def rerank(tree: DraftTree, budget: int) -> RerankedTree:
         raise ConfigError(f"rerank budget must be >= 1, got {budget}")
     picked = heapq.nsmallest(budget, tree.nodes, key=DraftNode.sort_key)
     return RerankedTree(tree.root, picked)
-
-
-def render_tree(tree: DraftTree, symbols=None) -> str:
-    """Deterministic text dump (token, confidence, value, depth) for
-    golden-file comparisons."""
-    lines = [f"tree depth={tree.depth_limit} top_k={tree.top_k} "
-             f"width={tree.expand_width} nodes={tree.size()}"]
-
-    def walk(node: DraftNode, indent: int):
-        for child in node.children:
-            label = symbols[child.token] if symbols else str(child.token)
-            lines.append("  " * indent +
-                         f"{label} c={child.confidence:.6f} v={child.value:.6f} d={child.depth}")
-            walk(child, indent + 1)
-
-    walk(tree.root, 1)
-    return "\n".join(lines) + "\n"

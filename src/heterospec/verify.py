@@ -42,8 +42,6 @@ class AcceptResult:
     accepted_nodes: list[DraftNode]
     accepted_tokens: list[int]
     bonus_token: int
-    tokens_verified: int  # size of the reranked tree
-    deepest_accepted_rank: int | None  # rank of last accepted node, None if none
 
     @property
     def accepted_len(self) -> int:
@@ -74,12 +72,9 @@ def verify_greedy(tree: RerankedTree, target_model: LanguageModel,
         accepted.append(match)
         ctx = ctx + (match.token,)
         node = match
-    rank = tree.rank_of(accepted[-1]) if accepted else None
     return AcceptResult(accepted_nodes=accepted,
                         accepted_tokens=[n.token for n in accepted],
-                        bonus_token=bonus,
-                        tokens_verified=len(tree),
-                        deepest_accepted_rank=rank)
+                        bonus_token=bonus)
 
 
 def sample_from(dist: ProbDist, rng: np.random.Generator) -> int:

@@ -11,8 +11,9 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from heterospec.corpus import corpus_symbols
-from heterospec.models import LanguageModel, PlantedTemplateModel
-from heterospec.vocab import UNK, Vocabulary
+from heterospec.errors import ConfigError
+from heterospec.models import LanguageModel, ProbDist
+from heterospec.vocab import UNK, Context, Vocabulary
 
 # deterministic hypothesis runs keep the suite byte-reproducible
 settings.register_profile(
@@ -81,6 +82,71 @@ class MemoizedModel(LanguageModel):
         dist = self._cache.get(ctx)
         if dist is None:
             dist = self._cache[ctx] = self.base.next_dist(ctx)
+        return dist
+
+
+class PlantedTemplateModel(LanguageModel):
+    """Model whose contexts inside a planted template are highly predictable.
+
+    When the context suffix matches a proper prefix of a template, the next
+    template token receives probability ``rho`` and the remaining mass is
+    spread uniformly over the other V-1 tokens. Off template the distribution
+    is uniform, unless ``entry_prob`` reallocates that much mass onto the
+    distinct template start tokens.
+    """
+
+    def __init__(self, vocab: Vocabulary, templates: list[tuple[int, ...]],
+                 rho: float, entry_prob: float | None = None):
+        if not (0.5 < rho <= 1.0):
+            raise ConfigError(f"in-template continuation mass must be in (0.5, 1], got {rho}")
+        if entry_prob is not None and not (0.0 <= entry_prob <= 1.0):
+            raise ConfigError(f"entry probability must be in [0, 1], got {entry_prob}")
+        for t in templates:
+            if len(t) < 2:
+                raise ConfigError("templates need at least 2 tokens")
+            if any(not (0 <= tok < vocab.size) for tok in t):
+                raise ConfigError("template token outside vocabulary")
+        self.vocab = vocab
+        self.templates = [tuple(t) for t in templates]
+        self.rho = rho
+        self.entry_prob = entry_prob
+        self._off_template = self._build_off_template()
+
+    def _build_off_template(self) -> ProbDist:
+        v = self.vocab.size
+        if self.entry_prob is None:
+            return np.full(v, 1.0 / v)
+        dist = np.full(v, (1.0 - self.entry_prob) / v)
+        starts = sorted({t[0] for t in self.templates})
+        for s in starts:
+            dist[s] += self.entry_prob / len(starts)
+        return dist
+
+    def template_position(self, context: Context) -> tuple[int, int] | None:
+        """Longest match of a context suffix against a proper template prefix.
+
+        Returns (template index, next position) or None when off template.
+        Ties on match length go to the lower template index.
+        """
+        best: tuple[int, int] | None = None
+        best_len = 0
+        ctx = tuple(context)
+        for ti, tpl in enumerate(self.templates):
+            for pos in range(len(tpl) - 1, 0, -1):
+                if pos <= len(ctx) and ctx[len(ctx) - pos:] == tpl[:pos]:
+                    if pos > best_len:
+                        best, best_len = (ti, pos), pos
+                    break
+        return best
+
+    def next_dist(self, context: Context) -> ProbDist:
+        hit = self.template_position(context)
+        if hit is None:
+            return self._off_template.copy()
+        ti, pos = hit
+        v = self.vocab.size
+        dist = np.full(v, (1.0 - self.rho) / (v - 1))
+        dist[self.templates[ti][pos]] = self.rho
         return dist
 
 

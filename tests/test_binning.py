@@ -285,6 +285,8 @@ GOOD_HEADER = "heterospec-bins v1\ncriterion: normalized\n"
     (GOOD_HEADER + "bin 0 5 3 4\n", "end at inf"),
     (GOOD_HEADER + "bin 0 1 3 4\nbin 2 inf 3 4\n", "contiguous"),
     (GOOD_HEADER + "num_bins: 3\nbin 0 inf 3 4\n", "num_bins"),
+    (GOOD_HEADER + "num_bins: x\nbin 0 inf 3 4\n", "num_bins"),
+    (GOOD_HEADER + "entropy_k: two\nbin 0 inf 3 4\n", "entropy_k"),
     ("heterospec-bins v1\ncriterion: gini\nbin 0 inf 3 4\n", "criterion"),
     (GOOD_HEADER, "no bin lines"),
     (GOOD_HEADER + "bin 0 1 3 4\nbin 1 1 3 4\nbin 1 inf 3 4\n", "increasing"),

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import FixedDistModel, chain_template_model, make_vocab
 from heterospec.binning import BinningModel
+from heterospec.config import config_from_dict
 from heterospec.control import (
     GAMMAS,
     AdaptDecision,
@@ -86,8 +87,9 @@ def test_config_validation():
                 dict(entropy_k=0)]:
         with pytest.raises(ConfigError):
             HeteroConfig(**bad)
-    with pytest.raises(ConfigError, match="not implemented"):
-        HeteroConfig(extension="iterative")
+    # the extra layers are grown in one batch; there is no extension mode
+    with pytest.raises(ConfigError, match="unknown keys"):
+        config_from_dict({"controller": {"extension": "iterative"}})
 
 
 def test_config_resolution_fills_derived_fields():

@@ -84,13 +84,15 @@ def test_cumulative_signal_adds_steps():
     # two identical (0.7, 0.2, 0.1) steps along a chain
     model = FixedDistModel((0.7, 0.2, 0.1))
     tree = expand(model, (5,), depth=2, top_k=1)
-    path = select_meta_path(tree, 2)
-    assert len(path.nodes) == 2
-    assert path.step_entropies == pytest.approx([0.52970619905765452117] * 2)
-    assert path.entropy == pytest.approx(1.0594123981153090423, abs=1e-15)
-    assert tree_entropy_signal(tree, 2) == path.entropy
-    assert path.final_top1 == 0.7
-    assert path.leaf is tree.deepest_layer()[0]
+    leaf = select_meta_path(tree)
+    steps = [topk_step_entropy(n.step_dist, 2) for n in leaf.path()]
+    assert len(steps) == 2
+    assert steps == pytest.approx([0.52970619905765452117] * 2)
+    signal = tree_entropy_signal(tree, 2)
+    assert signal == pytest.approx(1.0594123981153090423, abs=1e-15)
+    assert signal == sum(steps)
+    assert np.max(leaf.step_dist) == 0.7
+    assert leaf is tree.deepest_layer()[0]
 
 
 def test_meta_path_prefers_confident_final_step():
@@ -102,9 +104,9 @@ def test_meta_path_prefers_confident_final_step():
     }
     tree = expand(ScriptedModel(table, make_vocab(3)), (9,), depth=2, top_k=2,
                   expand_width=2)
-    path = select_meta_path(tree, 2)
-    assert path.final_top1 == 0.9
-    assert path.nodes[0].token == 1
+    leaf = select_meta_path(tree)
+    assert np.max(leaf.step_dist) == 0.9
+    assert leaf.path()[0].token == 1
 
 
 def test_meta_path_tie_prefers_higher_value():
@@ -116,8 +118,8 @@ def test_meta_path_tie_prefers_higher_value():
     }
     tree = expand(ScriptedModel(table, make_vocab(3)), (3,), depth=2, top_k=1,
                   expand_width=2)
-    path = select_meta_path(tree, 2)
-    assert path.nodes[0].token == 0
+    leaf = select_meta_path(tree)
+    assert leaf.path()[0].token == 0
 
 
 def test_meta_path_uses_deepest_layer_after_truncation():
@@ -125,11 +127,11 @@ def test_meta_path_uses_deepest_layer_after_truncation():
     model = ScriptedModel({(): (0.6, 0.4, 0.0), (0,): dead, (1,): dead},
                           make_vocab(3))
     tree = expand(model, (), depth=3, top_k=2)
-    path = select_meta_path(tree, 2)
-    assert [n.depth for n in path.nodes] == [1]
+    leaf = select_meta_path(tree)
+    assert [n.depth for n in leaf.path()] == [1]
 
 
 def test_meta_path_empty_tree_rejected():
     tree = expand(FixedDistModel(np.zeros(3)), (0,), depth=2, top_k=2)
     with pytest.raises(ConfigError):
-        select_meta_path(tree, 2)
+        select_meta_path(tree)

@@ -90,8 +90,8 @@ def test_summarize_uniform_full_accepts():
     assert s.speedup is None
     assert (s.tcr_p25, s.tcr_p50, s.tcr_p75, s.tcr_p95) == (5, 5, 5, 5)
     assert s.sentinels == 0
-    assert s.tcr_histogram == ((5, 10),)
-    assert s.per_bin == ((-1, 10, 5.0),)
+    assert tcr_histogram(records) == [(5, 10)]
+    assert per_bin_stats(records) == [(-1, 10, 5.0)]
 
 
 def test_speedup_equals_tau_when_only_calls_cost():
@@ -254,5 +254,5 @@ def test_single_node_tree_rank_histogram_is_point_mass():
     cfg = HeteroConfig(depth=1, top_k=1, top_n=1, max_new_tokens=20)
     res = decode_baseline(model, model, tpl[:6], cfg)
     s = summarize(res.records)
-    assert s.tcr_histogram == ((1, 10),)
+    assert tcr_histogram(res.records) == [(1, 10)]
     assert s.sentinels == 0

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_vocab, prob_dists
+from conftest import PlantedTemplateModel, make_vocab, prob_dists
 from heterospec.errors import ConfigError
-from heterospec.models import (NGramModel, PerturbedDraftModel,
-                               PlantedTemplateModel, is_valid_dist, load_model,
-                               perturb, save_model, train_ngram)
+from heterospec.models import (NGramModel, PerturbedDraftModel, is_valid_dist,
+                               load_model, perturb, save_model, train_ngram)
 from heterospec.vocab import build_vocab
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import DrawnDistModel, FixedDistModel, ScriptedModel, chain_template_model, make_vocab
 from heterospec.errors import ConfigError
-from heterospec.tree import DraftNode, DraftTree, expand, extend, render_tree, rerank
+from heterospec.tree import DraftNode, DraftTree, expand, extend, rerank
 
 TRI = (0.7, 0.2, 0.1)
 
@@ -185,6 +185,23 @@ def test_rerank_matches_sort_oracle_randomized():
             if node.parent is not tree.root:
                 assert t2.rank_of(node.parent) < t2.rank_of(node)
             assert node.log_value <= node.parent.log_value + 1e-12
+
+
+def render_tree(tree: DraftTree, symbols=None) -> str:
+    """Deterministic text dump (token, confidence, value, depth) for
+    golden-file comparisons."""
+    lines = [f"tree depth={tree.depth_limit} top_k={tree.top_k} "
+             f"width={tree.expand_width} nodes={tree.size()}"]
+
+    def walk(node: DraftNode, indent: int):
+        for child in node.children:
+            label = symbols[child.token] if symbols else str(child.token)
+            lines.append("  " * indent +
+                         f"{label} c={child.confidence:.6f} v={child.value:.6f} d={child.depth}")
+            walk(child, indent + 1)
+
+    walk(tree.root, 1)
+    return "\n".join(lines) + "\n"
 
 
 def test_render_tree_golden():

@@ -65,9 +65,9 @@ def test_verify_greedy_hand_walk():
                             (0, 2): (0.2, 0.7, 0.1)}, make_vocab(3))
     res = verify_greedy(tree2, target, ())
     assert res.accepted_tokens == [0, 2]
-    assert res.deepest_accepted_rank == 2
+    assert tree2.rank_of(res.accepted_nodes[-1]) == 2
     assert res.bonus_token == 1
-    assert res.tokens_verified == 3
+    assert len(tree2) == 3
     assert res.accepted_len == 2
     assert res.emitted == [0, 2, 1]
 
@@ -77,7 +77,7 @@ def test_verify_greedy_immediate_mismatch():
     target = FixedDistModel((0.1, 0.1, 0.8))
     res = verify_greedy(rerank(tree, 6), target, (4,))
     assert res.accepted_tokens == []
-    assert res.deepest_accepted_rank is None
+    assert res.accepted_nodes == []
     assert res.bonus_token == 2
     assert res.emitted == [2]
 
@@ -90,16 +90,17 @@ def test_verify_greedy_full_chain_acceptance():
     assert res.accepted_tokens == list(template[3:7])
     assert res.bonus_token == template[7]
     # the planted chain occupies the first ranks, so its leaf sits at depth
-    assert res.deepest_accepted_rank == 4
+    assert tree2.rank_of(res.accepted_nodes[-1]) == 4
 
 
 def test_verify_greedy_respects_pruned_children():
     # budget 1 drops the accepted node's children: walk must stop there
     tree = expand(FixedDistModel((0.7, 0.2, 0.1)), (0,), depth=2, top_k=2)
-    res = verify_greedy(rerank(tree, 1), FixedDistModel((0.7, 0.2, 0.1)), (0,))
+    tree2 = rerank(tree, 1)
+    res = verify_greedy(tree2, FixedDistModel((0.7, 0.2, 0.1)), (0,))
     assert res.accepted_tokens == [0]
     assert res.bonus_token == 0
-    assert res.tokens_verified == 1
+    assert len(tree2) == 1
 
 
 def test_sample_from_seeded_and_supported():
