@@ -254,6 +254,7 @@ def load_bins(path: str) -> BinningModel:
     if not raw or raw[0].strip() != f"heterospec-bins v{BINS_FORMAT_VERSION}":
         raise _bins_err(path, 1, "missing or unsupported version line")
     meta: dict[str, str] = {}
+    key_line: dict[str, int] = {}  # where each metadata key was read
     rows: list[tuple[int, list[str]]] = []
     for lineno, line in enumerate(raw[1:], start=2):
         line = line.strip()
@@ -267,18 +268,20 @@ def load_bins(path: str) -> BinningModel:
         elif ": " in line:
             key, value = line.split(": ", 1)
             meta[key] = value
+            key_line[key] = lineno
         else:
             raise _bins_err(path, lineno, f"unrecognized line {line!r}")
     criterion = meta.get("criterion", "normalized")
     if criterion not in CRITERIA:
-        raise _bins_err(path, 1, f"unknown criterion {criterion!r}")
+        raise _bins_err(path, key_line["criterion"],
+                        f"unknown criterion {criterion!r}")
 
     def opt_int(key: str) -> int | None:
         value = meta.get(key, "-")
         try:
             return None if value == "-" else int(value)
         except ValueError:
-            raise _bins_err(path, 1, f"bad {key}: {value!r}") from None
+            raise _bins_err(path, key_line[key], f"bad {key}: {value!r}") from None
 
     if not rows:
         raise _bins_err(path, len(raw), "no bin lines")
@@ -302,7 +305,8 @@ def load_bins(path: str) -> BinningModel:
             raise _bins_err(path, rows[i + 1][0],
                             "bins must be contiguous: lo != previous hi")
     if "num_bins" in meta and opt_int("num_bins") != len(rows):
-        raise _bins_err(path, 1, "num_bins does not match bin line count")
+        raise _bins_err(path, key_line["num_bins"],
+                        "num_bins does not match bin line count")
     try:
         return BinningModel(thresholds=tuple(hi_list[:-1]), means=tuple(means),
                             counts=tuple(counts), criterion=criterion,

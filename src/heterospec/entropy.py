@@ -8,7 +8,10 @@ ending at the full-depth node whose final step distribution has the
 largest top-1 probability.
 
 All distributions involved were already computed while the tree was
-built, so the signal is free of extra model calls.
+built, so the signal is free of extra model calls, and each step's top-1
+probability and entropy are computed once per distinct distribution, in
+the ``DistRecord`` that the tree node shares with every node drafted from
+the same context.
 """
 
 from __future__ import annotations
@@ -29,8 +32,10 @@ def topk_step_entropy(dist: ProbDist, k: int) -> float:
     if k < 1:
         raise ConfigError(f"entropy k must be >= 1, got {k}")
     arr = np.asarray(dist, dtype=np.float64)
-    if k < arr.shape[0]:
-        top = np.sort(arr)[-k:]
+    v = arr.shape[0]
+    if k < v:
+        # the same ascending values as np.sort(arr)[-k:], so the same sum
+        top = np.sort(np.partition(arr, v - k)[-k:])
     else:
         top = arr
     total = top.sum()
@@ -39,6 +44,10 @@ def topk_step_entropy(dist: ProbDist, k: int) -> float:
     p = top / total
     nz = p[p > 0.0]
     return float(-(nz * np.log(nz)).sum()) + 0.0
+
+
+def top1_prob(dist: ProbDist) -> float:
+    return float(np.max(dist))
 
 
 def select_meta_path(tree: DraftTree) -> DraftNode:
@@ -53,7 +62,7 @@ def select_meta_path(tree: DraftTree) -> DraftNode:
         raise ConfigError("cannot select a meta path from an empty tree")
 
     def key(node: DraftNode) -> tuple[float, float, int]:
-        return (-float(np.max(node.step_dist)), -node.log_value,
+        return (-node.step.derive(top1_prob), -node.log_value,
                 node.insertion_index)
 
     return min(candidates, key=key)
@@ -62,4 +71,4 @@ def select_meta_path(tree: DraftTree) -> DraftNode:
 def tree_entropy_signal(tree: DraftTree, k: int) -> float:
     """Sum of the top-k step entropies along the meta path."""
     leaf = select_meta_path(tree)
-    return float(sum(topk_step_entropy(n.step_dist, k) for n in leaf.path()))
+    return float(sum(n.step.derive(topk_step_entropy, k) for n in leaf.path()))

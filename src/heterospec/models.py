@@ -3,7 +3,14 @@
 All models share one contract: ``next_dist(context)`` returns a length-V
 probability vector (entries >= 0, summing to 1 within 1e-9) and is a
 deterministic function of (model state, context). Models are immutable
-after construction, so they are safe to share across concurrent readers.
+after construction apart from their memo, which only ever grows.
+
+The n-gram and draft models memoize ``next_dist`` by ``context_key``: every
+context with the same key gets the same read-only array, and ``record``
+maps that array to the one ``DistRecord`` holding the values derived from
+it (top-k children, top-1 probability, argmax, top-K entropies), so each is
+computed once per model rather than once per draft node or verify step.
+Callers copy a returned array before writing to it.
 """
 
 from __future__ import annotations
@@ -28,6 +35,27 @@ def is_valid_dist(dist: ProbDist, size: int | None = None) -> bool:
     return abs(float(dist.sum()) - 1.0) <= DIST_ATOL
 
 
+class DistRecord:
+    """One distribution and the values derived from it, each computed once.
+
+    ``derive(fn, *args)`` returns ``fn(dist, *args)``, calling ``fn`` only on
+    the first request for that (fn, args).
+    """
+
+    __slots__ = ("dist", "_derived")
+
+    def __init__(self, dist: ProbDist):
+        self.dist = dist
+        self._derived: dict = {}
+
+    def derive(self, fn, *args):
+        key = (fn, *args) if args else fn
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = fn(self.dist, *args)
+        return value
+
+
 class LanguageModel:
     """Base class: a vocabulary plus a deterministic next-token distribution."""
 
@@ -36,8 +64,44 @@ class LanguageModel:
     def next_dist(self, context: Context) -> ProbDist:
         raise NotImplementedError
 
+    def context_key(self, context: Context) -> tuple[int, ...]:
+        """The part of ``context`` that decides ``next_dist``: contexts with
+        equal keys get equal distributions."""
+        return tuple(context)
 
-class NGramModel(LanguageModel):
+    def record(self, dist: ProbDist) -> DistRecord:
+        """The record of a distribution ``next_dist`` returned. Without a
+        memo every call gives a fresh record, so nothing is shared."""
+        return DistRecord(dist)
+
+
+class _MemoModel(LanguageModel):
+    """Memoizes ``next_dist`` by ``context_key`` and keeps one record per
+    memoized array, for as long as the model lives."""
+
+    def __init__(self):
+        self._memo: dict[tuple[int, ...], ProbDist] = {}
+        self._records: dict[int, DistRecord] = {}  # by id of a memo array
+
+    def _compute(self, key: tuple[int, ...], context: Context) -> ProbDist:
+        raise NotImplementedError
+
+    def next_dist(self, context: Context) -> ProbDist:
+        key = self.context_key(context)
+        dist = self._memo.get(key)
+        if dist is None:
+            dist = self._memo[key] = self._compute(key, context)
+            dist.flags.writeable = False
+            self._records[id(dist)] = DistRecord(dist)
+        return dist
+
+    def record(self, dist: ProbDist) -> DistRecord:
+        # memo arrays stay alive, so an id found here is never a reused one
+        rec = self._records.get(id(dist))
+        return rec if rec is not None else DistRecord(dist)
+
+
+class NGramModel(_MemoModel):
     """Add-k smoothed n-gram model with backoff to shorter contexts.
 
     A context of length L is used only if it was observed in training;
@@ -51,6 +115,7 @@ class NGramModel(LanguageModel):
             raise ConfigError(f"n-gram order must be >= 1, got {order}")
         if smoothing <= 0:
             raise ConfigError(f"smoothing constant must be > 0, got {smoothing}")
+        super().__init__()
         self.vocab = vocab
         self.order = order
         self.smoothing = smoothing
@@ -59,17 +124,23 @@ class NGramModel(LanguageModel):
         self._totals = [{ctx: int(vec.sum()) for ctx, vec in table.items()}
                         for table in counts]
 
-    def next_dist(self, context: Context) -> ProbDist:
-        k, v = self.smoothing, self.vocab.size
-        longest = min(self.order - 1, len(context))
-        for length in range(longest, -1, -1):
+    def context_key(self, context: Context) -> tuple[int, ...]:
+        """The longest suffix of ``context``, at most order - 1 tokens, that
+        was observed in training; the empty context otherwise."""
+        for length in range(min(self.order - 1, len(context)), 0, -1):
             ctx = tuple(context[len(context) - length:])
-            vec = self._counts[length].get(ctx)
-            if vec is not None:
-                return (vec + k) / (self._totals[length][ctx] + k * v)
-        # Unreachable once trained on a non-empty corpus: the empty context
-        # always has observations.
-        return np.full(v, 1.0 / v)
+            if ctx in self._counts[length]:
+                return ctx
+        return ()
+
+    def _compute(self, key: tuple[int, ...], context: Context) -> ProbDist:
+        k, v = self.smoothing, self.vocab.size
+        vec = self._counts[len(key)].get(key)
+        if vec is None:
+            # Unreachable once trained on a non-empty corpus: the empty
+            # context always has observations.
+            return np.full(v, 1.0 / v)
+        return (vec + k) / (self._totals[len(key)][key] + k * v)
 
 
 def train_ngram(corpus: list[str], vocab: Vocabulary, order: int,
@@ -111,7 +182,7 @@ def perturb(dist: ProbDist, temperature: float, noise: float) -> ProbDist:
     return mixed / mixed.sum()
 
 
-class PerturbedDraftModel(LanguageModel):
+class PerturbedDraftModel(_MemoModel):
     """Draft surrogate: the target distribution reshaped by temperature and
     uniform noise, simulating draft/target mismatch."""
 
@@ -121,12 +192,16 @@ class PerturbedDraftModel(LanguageModel):
             raise ConfigError(f"draft temperature must be > 0, got {temperature}")
         if not (0.0 <= noise <= 1.0):
             raise ConfigError(f"noise weight must be in [0, 1], got {noise}")
+        super().__init__()
         self.base = base
         self.vocab = base.vocab
         self.temperature = temperature
         self.noise = noise
 
-    def next_dist(self, context: Context) -> ProbDist:
+    def context_key(self, context: Context) -> tuple[int, ...]:
+        return self.base.context_key(context)
+
+    def _compute(self, key: tuple[int, ...], context: Context) -> ProbDist:
         return perturb(self.base.next_dist(context), self.temperature, self.noise)
 
 

@@ -21,19 +21,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .models import LanguageModel, ProbDist
+from .models import DistRecord, LanguageModel, ProbDist
 from .vocab import Context
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class DraftNode:
     token: int
     confidence: float
     log_value: float
     depth: int
     parent: DraftNode | None
-    step_dist: ProbDist | None  # distribution this token was drawn from
+    step: DistRecord | None  # record of the distribution this token was drawn from
     insertion_index: int
+    tokens: tuple[int, ...] = ()  # path tokens below the root, this one last
     children: list[DraftNode] = field(default_factory=list)
 
     @property
@@ -48,9 +49,6 @@ class DraftNode:
             node = node.parent
         out.reverse()
         return out
-
-    def path_tokens(self) -> tuple[int, ...]:
-        return tuple(n.token for n in self.path())
 
     def sort_key(self) -> tuple[float, int, int]:
         return (-self.log_value, self.depth, self.insertion_index)
@@ -72,21 +70,22 @@ class DraftTree:
         self.expand_width = expand_width
         self.depth_limit = 0
         self.root = DraftNode(token=-1, confidence=1.0, log_value=0.0, depth=0,
-                              parent=None, step_dist=None, insertion_index=-1)
+                              parent=None, step=None, insertion_index=-1)
         self.nodes: list[DraftNode] = []  # creation order, excludes root
         self.layers: list[list[DraftNode]] = []
 
     def add_child(self, parent: DraftNode, token: int, confidence: float,
-                  step_dist: ProbDist) -> DraftNode:
-        node = DraftNode(token=token, confidence=confidence,
-                         log_value=parent.log_value + math.log(confidence),
-                         depth=parent.depth + 1, parent=parent,
-                         step_dist=step_dist, insertion_index=len(self.nodes))
+                  step: DistRecord) -> DraftNode:
+        depth = parent.depth + 1
+        node = DraftNode(token, confidence,
+                         parent.log_value + math.log(confidence), depth,
+                         parent, step, len(self.nodes),
+                         parent.tokens + (token,))
         parent.children.append(node)
         self.nodes.append(node)
-        while len(self.layers) < node.depth:
+        if len(self.layers) < depth:
             self.layers.append([])
-        self.layers[node.depth - 1].append(node)
+        self.layers[depth - 1].append(node)
         return node
 
     def deepest_layer(self) -> list[DraftNode]:
@@ -96,9 +95,20 @@ class DraftTree:
         return len(self.nodes)
 
 
-def _top_children(dist: ProbDist, k: int) -> list[tuple[int, float]]:
-    # Stable argsort on -p keeps smaller token ids first among ties.
-    order = np.argsort(-dist, kind="stable")[:k]
+def top_children(dist: ProbDist, k: int) -> list[tuple[int, float]]:
+    """The k most probable tokens with positive probability, as (token,
+    probability), most probable first; ties go to the smaller token id.
+
+    Equals a full stable argsort on -p cut at k, in O(V): the k-th largest
+    value bounds the candidates, and only those are sorted.
+    """
+    v = dist.shape[0]
+    if k < v:
+        kth = np.partition(dist, v - k)[v - k]
+        candidates = np.flatnonzero(dist >= kth)
+        order = candidates[np.argsort(-dist[candidates], kind="stable")[:k]]
+    else:
+        order = np.argsort(-dist, kind="stable")
     return [(int(t), float(dist[t])) for t in order if dist[t] > 0.0]
 
 
@@ -116,13 +126,10 @@ def _grow_layers(tree: DraftTree, draft_model: LanguageModel, layers: int) -> No
                 frontier = frontier[:tree.expand_width]
         tree.depth_limit += 1
         for node in frontier:
-            if node is tree.root:
-                ctx = tree.context
-            else:
-                ctx = tree.context + node.path_tokens()
-            dist = draft_model.next_dist(ctx)
-            for token, prob in _top_children(dist, tree.top_k):
-                tree.add_child(node, token, prob, dist)
+            dist = draft_model.next_dist(tree.context + node.tokens)
+            step = draft_model.record(dist)
+            for token, prob in step.derive(top_children, tree.top_k):
+                tree.add_child(node, token, prob, step)
 
 
 def expand(draft_model: LanguageModel, context: Context, depth: int,

@@ -60,7 +60,8 @@ def verify_greedy(tree: RerankedTree, target_model: LanguageModel,
     node = tree.root
     accepted: list[DraftNode] = []
     while True:
-        star = argmax_token(target_model.next_dist(ctx))
+        dist = target_model.next_dist(ctx)
+        star = target_model.record(dist).derive(argmax_token)
         match = None
         for child in tree.children_in(node):
             if child.token == star:

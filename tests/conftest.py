@@ -173,6 +173,19 @@ def prob_dists(draw, min_size: int = 2, max_size: int = 16,
     return arr
 
 
+@st.composite
+def tied_dists(draw, sizes=(2, 28, 2000)):
+    """A distribution over one of ``sizes`` tokens whose entries take only a
+    few distinct values, zero among them, so ties and zeros are common."""
+    v = draw(st.sampled_from(sizes))
+    palette = draw(st.lists(st.sampled_from([0.0, 1e-3, 0.25, 0.5, 1.0]),
+                            min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arr = np.asarray(palette, dtype=np.float64)[rng.integers(len(palette), size=v)]
+    total = arr.sum()
+    return arr / total if total > 0.0 else arr
+
+
 # small planted experiment: full pipeline runs in ~0.1 s
 TINY_CONFIG = {
     "seed": 0,

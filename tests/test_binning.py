@@ -290,6 +290,12 @@ GOOD_HEADER = "heterospec-bins v1\ncriterion: normalized\n"
     ("heterospec-bins v1\ncriterion: gini\nbin 0 inf 3 4\n", "criterion"),
     (GOOD_HEADER, "no bin lines"),
     (GOOD_HEADER + "bin 0 1 3 4\nbin 1 1 3 4\nbin 1 inf 3 4\n", "increasing"),
+    # metadata errors name the line that holds the key
+    (GOOD_HEADER + "entropy_k: two\nbin 0 inf 3 4\n", r"bins\.txt:3: bad entropy_k"),
+    (GOOD_HEADER + "entropy_k: 2\nbase_depth: x\nbin 0 inf 3 4\n",
+     r"bins\.txt:4: bad base_depth"),
+    (GOOD_HEADER + "\nnum_bins: 3\nbin 0 inf 3 4\n", r"bins\.txt:4: num_bins does not"),
+    ("heterospec-bins v1\ncriterion: gini\nbin 0 inf 3 4\n", r"bins\.txt:2: unknown"),
 ])
 def test_load_bins_rejects_malformed(tmp_path, text, msg):
     path = tmp_path / "bins.txt"

@@ -12,10 +12,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import FixedDistModel, ScriptedModel, make_vocab, prob_dists
+from conftest import FixedDistModel, ScriptedModel, make_vocab, prob_dists, tied_dists
 from heterospec.entropy import select_meta_path, topk_step_entropy, tree_entropy_signal
 from heterospec.errors import ConfigError
 from heterospec.tree import expand
+
+
+def _entropy_full_sort(dist, k):
+    """topk_step_entropy with a full sort, as the selection oracle."""
+    top = np.sort(dist)[-k:] if k < dist.shape[0] else dist
+    total = top.sum()
+    if total <= 0.0:
+        return 0.0
+    p = top / total
+    nz = p[p > 0.0]
+    return float(-(nz * np.log(nz)).sum()) + 0.0
+
+
+@given(tied_dists(), st.data())
+def test_topk_entropy_bitwise_equals_full_sort(dist, data):
+    v = dist.shape[0]
+    k = data.draw(st.one_of(st.integers(1, v), st.integers(v, v + 3)), label="k")
+    assert topk_step_entropy(dist, k).hex() == _entropy_full_sort(dist, k).hex()
 
 
 def test_one_hot_entropy_is_zero():
@@ -85,13 +103,13 @@ def test_cumulative_signal_adds_steps():
     model = FixedDistModel((0.7, 0.2, 0.1))
     tree = expand(model, (5,), depth=2, top_k=1)
     leaf = select_meta_path(tree)
-    steps = [topk_step_entropy(n.step_dist, 2) for n in leaf.path()]
+    steps = [topk_step_entropy(n.step.dist, 2) for n in leaf.path()]
     assert len(steps) == 2
     assert steps == pytest.approx([0.52970619905765452117] * 2)
     signal = tree_entropy_signal(tree, 2)
     assert signal == pytest.approx(1.0594123981153090423, abs=1e-15)
     assert signal == sum(steps)
-    assert np.max(leaf.step_dist) == 0.7
+    assert np.max(leaf.step.dist) == 0.7
     assert leaf is tree.deepest_layer()[0]
 
 
@@ -105,7 +123,7 @@ def test_meta_path_prefers_confident_final_step():
     tree = expand(ScriptedModel(table, make_vocab(3)), (9,), depth=2, top_k=2,
                   expand_width=2)
     leaf = select_meta_path(tree)
-    assert np.max(leaf.step_dist) == 0.9
+    assert np.max(leaf.step.dist) == 0.9
     assert leaf.path()[0].token == 1
 
 

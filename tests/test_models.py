@@ -233,3 +233,65 @@ def test_ngram_model_rejects_bad_hyperparameters():
         NGramModel(vocab, 0, 0.1, [])
     with pytest.raises(ConfigError):
         NGramModel(vocab, 1, -1.0, [{}])
+
+
+# ------------------------------------------------------------------ memo
+
+MEMO_DOCS = ["the cat sat on the mat", "the dog sat", "a cat ran far"]
+
+
+def _memo_models():
+    vocab = build_vocab(MEMO_DOCS, mode="word")
+    target = train_ngram(MEMO_DOCS, vocab, order=3, smoothing=0.05)
+    return vocab, target, PerturbedDraftModel(target, temperature=0.7, noise=0.02)
+
+
+def test_context_key_is_backoff_context():
+    vocab, target, draft = _memo_models()
+    the, cat, unk = vocab.id_of("the"), vocab.id_of("cat"), vocab.unk_id
+    assert target.context_key((unk, the, cat)) == (the, cat)
+    assert target.context_key((unk, unk, the)) == (the,)  # (unk, the) unseen
+    assert target.context_key((unk, unk)) == ()
+    assert draft.context_key((unk, the, cat)) == (the, cat)
+    assert PlantedTemplateModel(make_vocab(4), [(0, 1)], rho=0.9) \
+        .context_key([2, 0]) == (2, 0)
+
+
+def test_same_key_shares_one_read_only_array():
+    vocab, target, draft = _memo_models()
+    the, cat, unk = vocab.id_of("the"), vocab.id_of("cat"), vocab.unk_id
+    for model in (target, draft):
+        a = model.next_dist((the, cat))
+        assert model.next_dist((unk, the, cat)) is a
+        assert model.next_dist((vocab.id_of("a"), the, cat)) is a
+        assert model.record(a) is model.record(model.next_dist((the, cat)))
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    foreign = np.array(target.next_dist((the, cat)))
+    assert target.record(foreign) is not target.record(foreign)
+
+
+def test_memoized_values_bitwise_equal_uncached_formula():
+    vocab, target, draft = _memo_models()
+    rng = np.random.default_rng(11)
+    k, v = target.smoothing, vocab.size
+    for _ in range(200):
+        ctx = tuple(int(t) for t in rng.integers(v, size=rng.integers(0, 5)))
+        key = target.context_key(ctx)
+        vec = target._counts[len(key)][key]
+        want = (vec + k) / (vec.sum() + k * v)
+        assert target.next_dist(ctx).tobytes() == want.tobytes()
+        want_draft = perturb(want, draft.temperature, draft.noise)
+        assert draft.next_dist(ctx).tobytes() == want_draft.tobytes()
+
+
+def test_reloaded_model_memo_bitwise_equal(tmp_path):
+    vocab, target, _ = _memo_models()
+    path = tmp_path / "model.txt"
+    save_model(target, path)
+    loaded = load_model(path)
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        ctx = tuple(int(t) for t in rng.integers(vocab.size, size=rng.integers(0, 4)))
+        assert loaded.next_dist(ctx).tobytes() == target.next_dist(ctx).tobytes()
+        assert not loaded.next_dist(ctx).flags.writeable

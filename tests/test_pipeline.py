@@ -8,7 +8,7 @@ import os
 import pytest
 
 from conftest import TINY_CONFIG
-from heterospec.config import config_from_dict, load_config
+from heterospec.config import ExperimentConfig, config_from_dict, load_config
 from heterospec.errors import ConfigError
 from heterospec.metrics import read_iterations_csv, read_summary_csv, validate_run
 from heterospec.pipeline import (
@@ -154,6 +154,19 @@ def test_pipeline_reruns_byte_identical(tmp_path):
         a = open(os.path.join(outs[0], name), "rb").read()
         b = open(os.path.join(outs[1], name), "rb").read()
         assert a == b, name
+
+
+def test_default_planted_experiment_matches_readme(tmp_path):
+    # the README's seed-0 table for the default configuration
+    cfg = dataclasses.replace(ExperimentConfig(), out_dir=str(tmp_path / "run"))
+    step_gen_corpus(cfg)
+    step_train_model(cfg)
+    step_calibrate(cfg)
+    _, result = step_compare(cfg)
+    got = [(name, alpha, s.calls, s.tokens, f"{s.tau:.4f}", f"{s.speedup:.4f}")
+           for name, alpha, s in result.rows()]
+    assert got == [("baseline", None, 907, 16326, "5.2922", "2.7784"),
+                   ("adaptive", 3, 705, 12394, "6.8085", "3.5587")]
 
 
 def test_shared_draft_base_when_draft_order_unset(tmp_path):

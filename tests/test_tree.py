@@ -11,9 +11,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import DrawnDistModel, FixedDistModel, ScriptedModel, chain_template_model, make_vocab
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import (DrawnDistModel, FixedDistModel, ScriptedModel, chain_template_model,
+                      make_vocab, tied_dists)
 from heterospec.errors import ConfigError
-from heterospec.tree import DraftNode, DraftTree, expand, extend, rerank
+from heterospec.models import DistRecord
+from heterospec.tree import DraftNode, DraftTree, expand, extend, rerank, top_children
 
 TRI = (0.7, 0.2, 0.1)
 
@@ -29,6 +34,16 @@ def test_single_layer_top_children():
     assert tree.deepest_layer() == [a, b]
 
 
+@given(tied_dists(), st.data())
+def test_top_children_equals_full_stable_sort(dist, data):
+    v = dist.shape[0]
+    k = data.draw(st.one_of(st.integers(1, v), st.integers(v, v + 3)), label="k")
+    # the O(V) selection against a full stable argsort on -p, ties included
+    want = [(int(t), float(dist[t]))
+            for t in np.argsort(-dist, kind="stable")[:k] if dist[t] > 0.0]
+    assert top_children(dist, k) == want
+
+
 def test_leaf_value_is_confidence_product():
     model = ScriptedModel({(): (0.9, 0.1), (0,): (0.8, 0.2)}, make_vocab(2))
     tree = expand(model, (), depth=2, top_k=1)
@@ -36,7 +51,7 @@ def test_leaf_value_is_confidence_product():
     assert leaf.confidence == 0.8
     assert leaf.log_value == pytest.approx(math.log(0.9) + math.log(0.8))
     assert leaf.value == pytest.approx(0.72, rel=1e-12)
-    assert leaf.path_tokens() == (0, 0)
+    assert leaf.tokens == (0, 0)
 
 
 def test_width_capped_tree_node_count():
@@ -133,11 +148,11 @@ def test_path_excludes_root():
     path = leaf.path()
     assert [n.depth for n in path] == [1, 2, 3]
     assert path[-1] is leaf
-    assert leaf.path_tokens() == (0, 0, 0)
+    assert leaf.tokens == (0, 0, 0)
 
 
 def test_sort_key_breaks_ties_by_depth_then_insertion():
-    dist = np.asarray(TRI)
+    dist = DistRecord(np.asarray(TRI))
     tree = DraftTree((), top_k=2)
     a = tree.add_child(tree.root, 0, 0.5, dist)
     b = tree.add_child(tree.root, 1, 0.5, dist)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import FixedDistModel, ScriptedModel, chain_template_model, make_vocab
+from heterospec.models import DistRecord
 from heterospec.tree import DraftTree, expand, rerank
 from heterospec.verify import (
     accept_prob,
@@ -49,11 +50,11 @@ def test_residual_dist_identical_models_falls_back_to_target():
 
 def _hand_tree():
     # a(0): 0.6   b(1): 0.4   c(2) under a: 0.9 -> value 0.54
-    dist = np.asarray([0.6, 0.4, 0.0])
+    dist = DistRecord(np.asarray([0.6, 0.4, 0.0]))
     tree = DraftTree((), top_k=2)
     a = tree.add_child(tree.root, 0, 0.6, dist)
     tree.add_child(tree.root, 1, 0.4, dist)
-    tree.add_child(a, 2, 0.9, np.asarray([0.05, 0.05, 0.9]))
+    tree.add_child(a, 2, 0.9, DistRecord(np.asarray([0.05, 0.05, 0.9])))
     return tree
 
 
