@@ -1,6 +1,6 @@
 """Run the default planted-corpus experiment end to end.
 
-Generates the corpus, trains the target and draft models, calibrates the
+Generates the corpus, trains the target model, calibrates the
 entropy bins, decodes the eval prompts with the baseline and adaptive
 controllers, writes the report tables for both arms, and prints the digest.
 """

@@ -285,32 +285,29 @@ def load_bins(path: str) -> BinningModel:
 
     if not rows:
         raise _bins_err(path, len(raw), "no bin lines")
-    lo_list, hi_list, means, counts = [], [], [], []
+    hi_list, means, counts = [], [], []
     for lineno, fields in rows:
         try:
             lo, hi, mean = (float(fields[0]), float(fields[1]), float(fields[2]))
             count = int(fields[3])
         except ValueError as exc:
             raise _bins_err(path, lineno, f"bad number: {exc}") from None
-        lo_list.append(lo)
+        if not hi_list and lo != 0.0:
+            raise _bins_err(path, lineno, "first bin must start at 0")
+        if hi_list and lo != hi_list[-1]:
+            raise _bins_err(path, lineno, "bins must be contiguous: lo != previous hi")
+        if not lo < hi:  # with contiguity, thresholds strictly increase
+            raise _bins_err(path, lineno, "bin thresholds must be strictly "
+                            f"increasing: lo {lo} is not below hi {hi}")
         hi_list.append(hi)
         means.append(mean)
         counts.append(count)
-    if lo_list[0] != 0.0:
-        raise _bins_err(path, rows[0][0], "first bin must start at 0")
     if not math.isinf(hi_list[-1]):
         raise _bins_err(path, rows[-1][0], "last bin must end at inf")
-    for i in range(len(rows) - 1):
-        if hi_list[i] != lo_list[i + 1]:
-            raise _bins_err(path, rows[i + 1][0],
-                            "bins must be contiguous: lo != previous hi")
     if "num_bins" in meta and opt_int("num_bins") != len(rows):
         raise _bins_err(path, key_line["num_bins"],
                         "num_bins does not match bin line count")
-    try:
-        return BinningModel(thresholds=tuple(hi_list[:-1]), means=tuple(means),
-                            counts=tuple(counts), criterion=criterion,
-                            entropy_k=opt_int("entropy_k"),
-                            base_depth=opt_int("base_depth"))
-    except ConfigError as exc:
-        raise _bins_err(path, 1, str(exc)) from None
+    return BinningModel(thresholds=tuple(hi_list[:-1]), means=tuple(means),
+                        counts=tuple(counts), criterion=criterion,
+                        entropy_k=opt_int("entropy_k"),
+                        base_depth=opt_int("base_depth"))

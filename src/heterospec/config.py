@@ -38,7 +38,7 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class DraftSpec:
-    order: int | None = 2  # None: reuse the target model as the draft base
+    order: int | None = 2  # in [1, model.order]; None: the target itself
     temperature: float = 1.0
     noise: float = 0.01
 
@@ -88,6 +88,10 @@ class ExperimentConfig:
         if self.tokenization not in ("char", "word"):
             raise ConfigError(f"tokenization must be char or word, "
                               f"got {self.tokenization!r}")
+        order = self.draft.order
+        if order is not None and not 1 <= order <= self.model.order:
+            raise ConfigError(f"draft.order must be in [1, model.order = "
+                              f"{self.model.order}], got {order}")
 
 
 def _build(cls, data, where: str):

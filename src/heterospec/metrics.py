@@ -13,6 +13,8 @@ import csv
 import math
 from dataclasses import dataclass
 
+from .errors import ConfigError
+
 ITERATIONS_SCHEMA = "# heterospec-iterations v1"
 SUMMARY_SCHEMA = "# heterospec-summary v1"
 TCR_HISTOGRAM_SCHEMA = "# heterospec-tcr-histogram v1"
@@ -21,6 +23,7 @@ BIN_OCCUPANCY_SCHEMA = "# heterospec-bin-occupancy v1"
 
 ITERATION_FIELDS = ("prompt", "iteration", "entropy", "bin", "draft_depth",
                     "top_n", "tree_size", "accepted_len", "emitted", "tcr")
+_ITERATION_TYPES = (int, int, float, int, int, int, int, int, int, int)
 
 SUMMARY_FIELDS = ("arm", "alpha", "prompts", "calls", "tokens", "emitted",
                   "tau", "mean_accepted_len", "speedup",
@@ -39,11 +42,6 @@ class IterationRecord:
     accepted_len: int
     emitted: int
     tcr: int  # 1-based value-order rank; tree_size + 1 when nothing accepted
-
-    @property
-    def tokens_verified(self) -> int:
-        # every reranked node is scored by the one target call
-        return self.tree_size
 
 
 @dataclass(frozen=True)
@@ -211,22 +209,29 @@ def write_iterations_csv(path: str, records: list[IterationRecord]) -> None:
                              r.accepted_len, r.emitted, r.tcr])
 
 
-def read_iterations_csv(path: str) -> list[IterationRecord]:
+def _read_csv(path: str, schema: str, parse) -> list:
+    """``parse(row)`` for each row, by column name, of a CSV that starts
+    with this schema line; a row it cannot parse fails at its line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         first = fh.readline().rstrip("\n")
-        if first != ITERATIONS_SCHEMA:
-            raise ValueError(f"{path}: unexpected schema line {first!r}")
+        if first != schema:
+            raise ConfigError(f"{path}:1: unexpected schema line {first!r}")
         reader = csv.DictReader(fh)
         out = []
         for row in reader:
-            out.append(IterationRecord(
-                prompt=int(row["prompt"]), iteration=int(row["iteration"]),
-                entropy=float(row["entropy"]), bin=int(row["bin"]),
-                draft_depth=int(row["draft_depth"]), top_n=int(row["top_n"]),
-                tree_size=int(row["tree_size"]),
-                accepted_len=int(row["accepted_len"]),
-                emitted=int(row["emitted"]), tcr=int(row["tcr"])))
+            try:
+                out.append(parse(row))
+            except (KeyError, TypeError, ValueError) as exc:
+                # the reader starts counting after the schema line
+                raise ConfigError(f"{path}:{reader.line_num + 1}: bad row: "
+                                  f"{exc!r}") from None
         return out
+
+
+def read_iterations_csv(path: str) -> list[IterationRecord]:
+    return _read_csv(path, ITERATIONS_SCHEMA, lambda row: IterationRecord(*(
+        cast(row[name])
+        for name, cast in zip(ITERATION_FIELDS, _ITERATION_TYPES))))
 
 
 def write_summary_csv(path: str,
@@ -249,12 +254,16 @@ def write_summary_csv(path: str,
                 opt(s.tcr_p95), s.sentinels])
 
 
+def _summary_row(row: dict[str, str]) -> dict[str, str]:
+    for name in SUMMARY_FIELDS[1:]:
+        if row[name] != "-":
+            float(row[name])
+    return row
+
+
 def read_summary_csv(path: str) -> list[dict[str, str]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != SUMMARY_SCHEMA:
-            raise ValueError(f"{path}: unexpected schema line {first!r}")
-        return list(csv.DictReader(fh))
+    """Rows by column name, as written; all but the arm hold a number or "-"."""
+    return _read_csv(path, SUMMARY_SCHEMA, _summary_row)
 
 
 def write_tcr_histogram_csv(path: str,

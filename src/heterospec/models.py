@@ -11,6 +11,10 @@ maps that array to the one ``DistRecord`` holding the values derived from
 it (top-k children, top-1 probability, argmax, top-K entropies), so each is
 computed once per model rather than once per draft node or verify step.
 Callers copy a returned array before writing to it.
+
+An n-gram model keeps {token: count} of the tokens seen after each context.
+Its first L count tables are those an order-L model trains on the same
+corpus, so ``lower_order`` derives the draft base instead of training one.
 """
 
 from __future__ import annotations
@@ -23,16 +27,7 @@ from .errors import ConfigError
 from .vocab import Context, Vocabulary, encode_corpus
 
 ProbDist = np.ndarray  # 1-D float64 vector over the vocabulary
-
-DIST_ATOL = 1e-9
-
-
-def is_valid_dist(dist: ProbDist, size: int | None = None) -> bool:
-    if dist.ndim != 1 or (size is not None and dist.shape[0] != size):
-        return False
-    if np.any(dist < 0.0):
-        return False
-    return abs(float(dist.sum()) - 1.0) <= DIST_ATOL
+Counts = list[dict[tuple[int, ...], dict[int, int]]]  # [L][context][token]
 
 
 class DistRecord:
@@ -110,7 +105,7 @@ class NGramModel(_MemoModel):
     """
 
     def __init__(self, vocab: Vocabulary, order: int, smoothing: float,
-                 counts: list[dict[tuple[int, ...], np.ndarray]]):
+                 counts: Counts):
         if order < 1:
             raise ConfigError(f"n-gram order must be >= 1, got {order}")
         if smoothing <= 0:
@@ -119,10 +114,17 @@ class NGramModel(_MemoModel):
         self.vocab = vocab
         self.order = order
         self.smoothing = smoothing
-        # counts[L] maps a length-L context to an int64 count vector over V
+        # counts[L]: length-L context -> {token: count} of tokens after it
         self._counts = counts
-        self._totals = [{ctx: int(vec.sum()) for ctx, vec in table.items()}
-                        for table in counts]
+
+    def lower_order(self, order: int) -> NGramModel:
+        """The model over the first ``order`` count tables, as ``train_ngram``
+        gives it at that order; this model itself at its own order."""
+        if not 1 <= order <= self.order:
+            raise ConfigError(f"order must be in [1, {self.order}], got {order}")
+        if order == self.order:
+            return self
+        return NGramModel(self.vocab, order, self.smoothing, self._counts[:order])
 
     def context_key(self, context: Context) -> tuple[int, ...]:
         """The longest suffix of ``context``, at most order - 1 tokens, that
@@ -135,27 +137,24 @@ class NGramModel(_MemoModel):
 
     def _compute(self, key: tuple[int, ...], context: Context) -> ProbDist:
         k, v = self.smoothing, self.vocab.size
-        vec = self._counts[len(key)].get(key)
-        if vec is None:
-            # Unreachable once trained on a non-empty corpus: the empty
-            # context always has observations.
-            return np.full(v, 1.0 / v)
-        return (vec + k) / (self._totals[len(key)][key] + k * v)
+        # only () can be missing, in a model file without unigram records
+        seen = self._counts[len(key)].get(key, {})
+        # bit-identical to (dense_counts + k) / (total + k * v)
+        dist = np.full(v, k)
+        for tok, count in seen.items():
+            dist[tok] += count
+        return dist / (sum(seen.values()) + k * v)
 
 
 def train_ngram(corpus: list[str], vocab: Vocabulary, order: int,
                 smoothing: float) -> NGramModel:
     """Count every context length 0..order-1 within each document."""
-    v = vocab.size
-    counts: list[dict[tuple[int, ...], np.ndarray]] = [{} for _ in range(order)]
+    counts: Counts = [{} for _ in range(order)]
     for doc in encode_corpus(corpus, vocab):
         for i, tok in enumerate(doc):
             for length in range(min(order - 1, i) + 1):
-                ctx = tuple(doc[i - length:i])
-                vec = counts[length].get(ctx)
-                if vec is None:
-                    vec = counts[length][ctx] = np.zeros(v, dtype=np.int64)
-                vec[tok] += 1
+                seen = counts[length].setdefault(tuple(doc[i - length:i]), {})
+                seen[tok] = seen.get(tok, 0) + 1
     return NGramModel(vocab, order, smoothing, counts)
 
 
@@ -219,10 +218,11 @@ def save_model(model: NGramModel, path) -> None:
         fh.write(f"symbols: {json.dumps(list(model.vocab.symbols))}\n")
         fh.write("counts:\n")
         for length, table in enumerate(model._counts):
-            for ctx, vec in table.items():
+            for ctx, seen in table.items():
                 ctx_txt = ",".join(map(str, ctx)) if ctx else "-"
-                for tok in np.nonzero(vec)[0]:
-                    fh.write(f"c {length} {ctx_txt} {tok} {vec[tok]}\n")
+                for tok, count in sorted(seen.items()):
+                    if count:
+                        fh.write(f"c {length} {ctx_txt} {tok} {count}\n")
 
 
 def load_model(path) -> NGramModel:
@@ -230,23 +230,18 @@ def load_model(path) -> NGramModel:
         lines = fh.read().splitlines()
     if not lines or lines[0] != f"heterospec-ngram v{MODEL_FORMAT_VERSION}":
         raise ConfigError(f"{path}: not a heterospec-ngram v{MODEL_FORMAT_VERSION} file")
-    header: dict[str, str] = {}
-    body_at = None
-    for i, line in enumerate(lines[1:], start=1):
-        if line == "counts:":
-            body_at = i + 1
-            break
-        key, _, value = line.partition(": ")
-        header[key] = value
-    if body_at is None:
-        raise ConfigError(f"{path}: missing counts section")
+    try:
+        body_at = lines.index("counts:") + 1
+    except ValueError:
+        raise ConfigError(f"{path}: missing counts section") from None
+    header = dict(line.partition(": ")[::2] for line in lines[1:body_at - 1])
     try:
         vocab = Vocabulary(tuple(json.loads(header["symbols"])), header["mode"])
         order = int(header["order"])
         smoothing = float(header["smoothing"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: bad header: {exc}") from exc
-    counts: list[dict[tuple[int, ...], np.ndarray]] = [{} for _ in range(order)]
+    counts: Counts = [{} for _ in range(order)]
     for lineno, line in enumerate(lines[body_at:], start=body_at + 1):
         parts = line.split()
         if len(parts) != 5 or parts[0] != "c":
@@ -262,9 +257,5 @@ def load_model(path) -> NGramModel:
                 or not 0 <= tok < vocab.size \
                 or any(not 0 <= c < vocab.size for c in ctx):
             raise ConfigError(f"{path}:{lineno}: count record out of range")
-        table = counts[length]
-        vec = table.get(ctx)
-        if vec is None:
-            vec = table[ctx] = np.zeros(vocab.size, dtype=np.int64)
-        vec[tok] = count
+        counts[length].setdefault(ctx, {})[tok] = count
     return NGramModel(vocab, order, smoothing, counts)

@@ -5,7 +5,7 @@ out_dir, so each stage can be rerun or inspected on its own:
 
     corpus.txt    one document per line
     template.txt  planted template symbols (planted corpora only)
-    model.txt     trained target model
+    model.txt     trained target model (the draft base is its lower orders)
     bins.txt      calibrated entropy bins
     config.json   snapshot of the resolved configuration
     *.csv         per-iteration traces and per-arm summaries
@@ -25,8 +25,9 @@ from .control import (ComparisonResult, decode_adaptive, decode_baseline,
                       run_arm, run_comparison)
 from .corpus import gen_corpus, prompts_from, split_docs
 from .errors import ConfigError
-from .metrics import (read_iterations_csv, write_bin_occupancy_csv,
-                      write_iterations_csv, write_summary_csv,
+from .metrics import (read_iterations_csv, read_summary_csv,
+                      write_bin_occupancy_csv, write_iterations_csv,
+                      write_summary_csv,
                       write_tcr_by_accepted_csv, write_tcr_histogram_csv)
 from .models import (NGramModel, PerturbedDraftModel, load_model, save_model,
                      train_ngram)
@@ -35,7 +36,6 @@ from .vocab import build_vocab, encode_corpus, read_corpus, write_corpus
 CORPUS_FILE = "corpus.txt"
 TEMPLATE_FILE = "template.txt"
 MODEL_FILE = "model.txt"
-DRAFT_MODEL_FILE = "draft-model.txt"
 BINS_FILE = "bins.txt"
 CONFIG_FILE = "config.json"
 CALIBRATION_CSV = "calibration.csv"
@@ -83,8 +83,7 @@ def _splits(config: ExperimentConfig, docs: list[str]) -> tuple[list, list, list
 
 
 def step_train_model(config: ExperimentConfig) -> str:
-    """Train the target model (and the separate draft base when
-    draft.order is set) on the training split; returns the target path."""
+    """Train the target model on the training split; returns its path."""
     _prepare_out_dir(config)
     docs = _read_docs(config)
     train, _, _ = _splits(config, docs)
@@ -93,10 +92,6 @@ def step_train_model(config: ExperimentConfig) -> str:
                         smoothing=config.model.smoothing)
     out = _path(config, MODEL_FILE)
     save_model(model, out)
-    if config.draft.order is not None:
-        draft_base = train_ngram(train, vocab, order=config.draft.order,
-                                 smoothing=config.model.smoothing)
-        save_model(draft_base, _path(config, DRAFT_MODEL_FILE))
     return out
 
 
@@ -105,15 +100,12 @@ def load_models(config: ExperimentConfig) -> tuple[NGramModel, PerturbedDraftMod
     if not os.path.exists(path):
         raise ConfigError(f"{path}: model not found, run train-model first")
     target = load_model(path)
-    if config.draft.order is None:
-        base = target
-    else:
-        draft_path = _path(config, DRAFT_MODEL_FILE)
-        if not os.path.exists(draft_path):
-            raise ConfigError(f"{draft_path}: draft model not found, "
-                              "run train-model first")
-        base = load_model(draft_path)
-    draft = PerturbedDraftModel(base, temperature=config.draft.temperature,
+    order = config.draft.order or target.order  # None: the target itself
+    if order > target.order:
+        raise ConfigError(f"{path}: model order {target.order} is below "
+                          f"draft.order {order}, run train-model again")
+    draft = PerturbedDraftModel(target.lower_order(order),
+                                temperature=config.draft.temperature,
                                 noise=config.draft.noise)
     return target, draft
 
@@ -227,8 +219,6 @@ def step_report(config: ExperimentConfig, arm: str = "baseline") -> list[str]:
 
 def render_report(config: ExperimentConfig) -> str:
     """Human-readable digest of whatever artifacts exist in out_dir."""
-    from .metrics import read_summary_csv
-
     lines = [f"out_dir: {config.out_dir}"]
     bins_path = _path(config, BINS_FILE)
     if os.path.exists(bins_path):
@@ -249,10 +239,8 @@ def render_report(config: ExperimentConfig) -> str:
         header = ("arm", "alpha", "calls", "tokens", "emitted", "tau", "speedup")
         lines.append("  " + "  ".join(f"{h:>8}" for h in header))
         for row in rows:
-            tau = f"{float(row['tau']):.4f}"
-            speedup = row["speedup"]
-            if speedup != "-":
-                speedup = f"{float(speedup):.4f}"
+            tau, speedup = (v if v == "-" else f"{float(v):.4f}"
+                            for v in (row["tau"], row["speedup"]))
             lines.append("  " + "  ".join(
                 f"{v:>8}" for v in (row["arm"], row["alpha"], row["calls"],
                                     row["tokens"], row["emitted"], tau, speedup)))

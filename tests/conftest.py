@@ -22,6 +22,17 @@ settings.register_profile(
 settings.load_profile("lab")
 
 
+DIST_ATOL = 1e-9
+
+
+def is_valid_dist(dist: ProbDist, size: int | None = None) -> bool:
+    if dist.ndim != 1 or (size is not None and dist.shape[0] != size):
+        return False
+    if np.any(dist < 0.0):
+        return False
+    return abs(float(dist.sum()) - 1.0) <= DIST_ATOL
+
+
 def make_vocab(size: int, mode: str = "word") -> Vocabulary:
     """Closed vocabulary of the given size with the unknown symbol last."""
     assert size >= 2

@@ -289,7 +289,11 @@ GOOD_HEADER = "heterospec-bins v1\ncriterion: normalized\n"
     (GOOD_HEADER + "entropy_k: two\nbin 0 inf 3 4\n", "entropy_k"),
     ("heterospec-bins v1\ncriterion: gini\nbin 0 inf 3 4\n", "criterion"),
     (GOOD_HEADER, "no bin lines"),
-    (GOOD_HEADER + "bin 0 1 3 4\nbin 1 1 3 4\nbin 1 inf 3 4\n", "increasing"),
+    # a bin whose lo is not below its hi is reported at its own line
+    (GOOD_HEADER + "bin 0 1 3 4\nbin 1 1 3 4\nbin 1 inf 3 4\n",
+     r"bins\.txt:4: bin thresholds must be strictly increasing"),
+    (GOOD_HEADER + "bin 0 2 3 4\nbin 2 1 3 4\nbin 1 inf 3 4\n",
+     r"bins\.txt:4: bin thresholds must be strictly increasing"),
     # metadata errors name the line that holds the key
     (GOOD_HEADER + "entropy_k: two\nbin 0 inf 3 4\n", r"bins\.txt:3: bad entropy_k"),
     (GOOD_HEADER + "entropy_k: 2\nbase_depth: x\nbin 0 inf 3 4\n",

@@ -145,6 +145,41 @@ def test_exit_2_on_unknown_config_key(tmp_path, capsys):
     assert "unknown keys" in err
 
 
+def test_exit_2_on_draft_order_outside_model_order(tmp_path, capsys):
+    for order in (0, 4):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(TINY_CONFIG, draft={"order": order})),
+                       encoding="utf-8")
+        assert main(["train-model", "--config", str(cfg)]) == 2
+        err = _one_error_line(capsys.readouterr())
+        assert "draft.order must be in [1, model.order = 3]" in err
+
+
+ITERATIONS_HEADER = ("# heterospec-iterations v1\nprompt,iteration,entropy,bin,"
+                     "draft_depth,top_n,tree_size,accepted_len,emitted,tcr\n")
+
+
+@pytest.mark.parametrize("name,text,args,where", [
+    ("baseline-iterations.csv", "# heterospec-iterations v9\nprompt\n", [],
+     "baseline-iterations.csv:1: unexpected schema"),
+    ("baseline-iterations.csv",
+     ITERATIONS_HEADER + "0,0,0.5,-1,5,20,18,3,4,3\n0,1,x,-1,5,20,18,3,4,3\n",
+     [], "baseline-iterations.csv:4: bad row"),
+    ("compare.csv", "# heterospec-summary v1\narm,alpha,prompts,calls,tokens,"
+     "emitted,tau,mean_accepted_len,speedup,tcr_p25,tcr_p50,tcr_p75,tcr_p95,"
+     "sentinels\nbaseline,-,1,2,3,4,oops,1.5,-,-,-,-,-,0\n", ["--digest-only"],
+     "compare.csv:3: bad row"),
+], ids=["trace-schema", "trace-entropy", "compare-tau"])
+def test_exit_2_on_malformed_csv(tmp_path, capsys, name, text, args, where):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / name).write_text(text, encoding="utf-8")
+    assert main(["report", "--out", str(out), *args]) == 2
+    err = _one_error_line(capsys.readouterr())
+    assert err.startswith("heterospec: config:")
+    assert where in err
+
+
 def test_exit_3_on_degenerate_calibration(tmp_path, capsys):
     # identical periodic docs: every calibration iteration sees the same
     # handful of entropy values, far below the diversity floor

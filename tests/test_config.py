@@ -78,6 +78,15 @@ def test_config_from_dict_minimal_and_sections():
     assert cfg.draft.order is None
 
 
+def test_draft_order_within_model_order():
+    # the draft base is the target's first draft.order count tables
+    for order in (0, 4):
+        with pytest.raises(ConfigError, match=r"draft\.order must be in \[1, "):
+            config_from_dict({"model": {"order": 3}, "draft": {"order": order}})
+    assert config_from_dict({"draft": {"order": 1}}).draft.order == 1
+    assert config_from_dict({"draft": {"order": 3}}).draft.order == 3
+
+
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError, match=r"unknown keys \['sneed'\]"):
         config_from_dict({"sneed": 1})

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import chain_template_model
 from heterospec.control import HeteroConfig, decode_baseline
+from heterospec.errors import ConfigError
 from heterospec.metrics import (
     BIN_OCCUPANCY_SCHEMA,
     ITERATIONS_SCHEMA,
@@ -41,10 +42,6 @@ def rec(accepted_len: int, tcr: int | None = None, tree_size: int = 18,
                            bin=bin, draft_depth=depth, top_n=top_n,
                            tree_size=tree_size, accepted_len=accepted_len,
                            emitted=accepted_len + 1, tcr=tcr)
-
-
-def test_tokens_verified_equals_tree_size():
-    assert rec(3, tree_size=11).tokens_verified == 11
 
 
 def test_cost_model_arithmetic():
@@ -182,7 +179,7 @@ def test_iterations_csv_round_trip(tmp_path):
 def test_iterations_csv_rejects_wrong_schema(tmp_path):
     path = tmp_path / "iters.csv"
     path.write_text("# something-else v9\nprompt\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="schema"):
+    with pytest.raises(ConfigError, match="schema"):
         read_iterations_csv(str(path))
 
 

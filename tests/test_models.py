@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import PlantedTemplateModel, make_vocab, prob_dists
+from conftest import PlantedTemplateModel, is_valid_dist, make_vocab, prob_dists
 from heterospec.errors import ConfigError
-from heterospec.models import (NGramModel, PerturbedDraftModel, is_valid_dist,
-                               load_model, perturb, save_model, train_ngram)
+from heterospec.models import (NGramModel, PerturbedDraftModel, load_model,
+                               perturb, save_model, train_ngram)
 from heterospec.vocab import build_vocab
 
 
@@ -198,6 +198,59 @@ def test_model_file_round_trip(tmp_path):
         assert np.array_equal(loaded.next_dist(ctx), model.next_dist(ctx))
 
 
+# "cab" then "ca" over a = 0, b = 1, c = 2: contexts in first-seen order,
+# tokens in ascending id order whatever order they were first seen in
+GOLDEN_MODEL = """heterospec-ngram v1
+mode: char
+order: 2
+smoothing: 0.5
+symbols: ["a", "b", "c", "<unk>"]
+counts:
+c 0 - 0 2
+c 0 - 1 1
+c 0 - 2 2
+c 1 2 0 2
+c 1 0 1 1
+"""
+
+
+def test_save_model_golden_bytes(tmp_path):
+    docs = ["cab", "ca"]
+    model = train_ngram(docs, build_vocab(docs, mode="char"), order=2,
+                        smoothing=0.5)
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    assert path.read_text(encoding="utf-8") == GOLDEN_MODEL
+    # a zero-count record is read but not written back
+    with_zero = tmp_path / "zero.txt"
+    with_zero.write_text(GOLDEN_MODEL + "c 1 0 2 0\n", encoding="utf-8")
+    save_model(load_model(with_zero), path)
+    assert path.read_text(encoding="utf-8") == GOLDEN_MODEL
+
+
+def test_lower_order_equals_trained_model(tmp_path):
+    vocab = build_vocab(MEMO_DOCS, mode="word")
+    model = train_ngram(MEMO_DOCS, vocab, order=4, smoothing=0.05)
+    assert model.lower_order(4) is model
+    rng = np.random.default_rng(17)
+    for order in range(1, 5):
+        low = model.lower_order(order)
+        trained = train_ngram(MEMO_DOCS, vocab, order=order, smoothing=0.05)
+        assert low.order == order
+        save_model(low, tmp_path / "low.txt")
+        save_model(trained, tmp_path / "trained.txt")
+        assert (tmp_path / "low.txt").read_bytes() == \
+            (tmp_path / "trained.txt").read_bytes()
+        for _ in range(200):
+            ctx = tuple(int(t) for t in rng.integers(vocab.size,
+                                                     size=rng.integers(0, 5)))
+            assert low.next_dist(ctx).tobytes() == \
+                trained.next_dist(ctx).tobytes()
+    for order in (0, 5):
+        with pytest.raises(ConfigError, match="order must be in"):
+            model.lower_order(order)
+
+
 def test_load_model_rejects_malformed_files(tmp_path):
     good = tmp_path / "model.txt"
     docs = ["a b a b"]
@@ -278,7 +331,9 @@ def test_memoized_values_bitwise_equal_uncached_formula():
     for _ in range(200):
         ctx = tuple(int(t) for t in rng.integers(v, size=rng.integers(0, 5)))
         key = target.context_key(ctx)
-        vec = target._counts[len(key)][key]
+        vec = np.zeros(v, dtype=np.int64)
+        for tok, count in target._counts[len(key)][key].items():
+            vec[tok] = count
         want = (vec + k) / (vec.sum() + k * v)
         assert target.next_dist(ctx).tobytes() == want.tobytes()
         want_draft = perturb(want, draft.temperature, draft.noise)

@@ -3,6 +3,7 @@ the report tables, all on the sub-second tiny configuration."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 
 import pytest
@@ -52,7 +53,7 @@ def test_artifact_layout(lab):
     cfg, _ = lab
     expected = [
         "config.json", "corpus.txt", "template.txt", "model.txt",
-        "draft-model.txt", "bins.txt", "calibration.csv",
+        "bins.txt", "calibration.csv",
         "baseline-iterations.csv", "baseline-summary.csv",
         "adaptive-iterations.csv", "adaptive-summary.csv",
         "adaptive-a1-iterations.csv", "adaptive-a2-iterations.csv",
@@ -63,6 +64,7 @@ def test_artifact_layout(lab):
     ]
     for name in expected:
         assert os.path.exists(os.path.join(cfg.out_dir, name)), name
+    assert not os.path.exists(os.path.join(cfg.out_dir, "draft-model.txt"))
     assert load_config(os.path.join(cfg.out_dir, "config.json")) == cfg
 
 
@@ -149,18 +151,23 @@ def test_pipeline_reruns_byte_identical(tmp_path):
         step_calibrate(cfg)
         step_compare(cfg)
         outs.append(cfg.out_dir)
-    for name in ("corpus.txt", "model.txt", "draft-model.txt", "bins.txt",
+    for name in ("corpus.txt", "model.txt", "bins.txt",
                  "calibration.csv", "compare.csv"):
         a = open(os.path.join(outs[0], name), "rb").read()
         b = open(os.path.join(outs[1], name), "rb").read()
         assert a == b, name
+    for out in outs:
+        assert not os.path.exists(os.path.join(out, "draft-model.txt"))
 
 
 def test_default_planted_experiment_matches_readme(tmp_path):
     # the README's seed-0 table for the default configuration
     cfg = dataclasses.replace(ExperimentConfig(), out_dir=str(tmp_path / "run"))
     step_gen_corpus(cfg)
-    step_train_model(cfg)
+    model_path = step_train_model(cfg)
+    with open(model_path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == \
+            "7eb4f928220fdfef38b2ebe02d5caa6dde9ad2f3e0841f699749c130c79d8b87"
     step_calibrate(cfg)
     _, result = step_compare(cfg)
     got = [(name, alpha, s.calls, s.tokens, f"{s.tau:.4f}", f"{s.speedup:.4f}")
@@ -177,6 +184,23 @@ def test_shared_draft_base_when_draft_order_unset(tmp_path):
     target, draft = load_models(cfg)
     assert draft.base is target
     assert draft.noise == 0.05
+
+
+def test_draft_base_is_the_targets_lower_order(tmp_path):
+    cfg = _cfg(tmp_path / "run")  # model order 3, draft order 2
+    step_gen_corpus(cfg)
+    step_train_model(cfg)
+    target, draft = load_models(cfg)
+    assert draft.base.order == 2
+    assert draft.base._counts == target._counts[:2]
+    same = dataclasses.replace(cfg, draft=dataclasses.replace(cfg.draft, order=3))
+    target, draft = load_models(same)
+    assert draft.base is target
+    # a model trained at a lower order than draft.order asks for retraining
+    low = _cfg(tmp_path / "run", model={"order": 1}, draft={"order": 1})
+    step_train_model(low)
+    with pytest.raises(ConfigError, match="run train-model"):
+        load_models(cfg)
 
 
 def test_external_corpus_passthrough(tmp_path):
