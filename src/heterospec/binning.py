@@ -11,9 +11,6 @@ values; ties on loss go to the smaller threshold. Three levels of splits
 give at most 7 thresholds, so at most 8 ordered bins partitioning
 [0, inf). Bin intervals are closed on the left and open on the right: a
 query equal to a threshold lands in the bin to its right.
-
-The "sse" criterion drops the 1/|D| normalization (classic CART); the
-normalized form is the default.
 """
 
 from __future__ import annotations
@@ -28,7 +25,9 @@ from .errors import BinsFileError, CalibrationError, ConfigError
 
 BINS_FORMAT_VERSION = 1
 
-CRITERIA = ("normalized", "sse")
+# the split loss above, recorded in bins.txt; the only one load_bins accepts
+CRITERION = "normalized"
+CART_DEPTH = 3  # levels of splits in the regression tree
 
 
 @dataclass(frozen=True)
@@ -108,15 +107,13 @@ def _group_sse(q: float, s: float, n: int) -> float:
     return q - s * s / n
 
 
-def best_split(xs: np.ndarray, ys: np.ndarray,
-               criterion: str = "normalized") -> Split | None:
-    """Best single split of (xs, ys), or None when no split exists.
+def best_split(xs: np.ndarray, ys: np.ndarray) -> Split | None:
+    """Split of (xs, ys) minimizing the normalized loss L(s), or None when
+    no split exists.
 
     Returns None when there are fewer than two distinct x values or the
     targets have zero variance.
     """
-    if criterion not in CRITERIA:
-        raise ConfigError(f"unknown split criterion {criterion!r}")
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     n = xs.shape[0]
@@ -139,26 +136,23 @@ def best_split(xs: np.ndarray, ys: np.ndarray,
         nr = n - nl
         sse_l = _group_sse(csq[i], csum[i], nl)
         sse_r = _group_sse(total_sq - csq[i], total_sum - csum[i], nr)
-        if criterion == "normalized":
-            loss = sse_l / nl + sse_r / nr
-        else:
-            loss = sse_l + sse_r
+        loss = sse_l / nl + sse_r / nr
         if best is None or loss < best.loss:
             best = Split(threshold=(x[i] + x[i + 1]) / 2.0, loss=loss)
     return best
 
 
-def train_cart(xs: np.ndarray, ys: np.ndarray, max_depth: int = 3,
-               criterion: str = "normalized") -> list[float]:
-    """Recursive greedy splitting, depth-first; returns sorted thresholds."""
+def train_cart(xs: np.ndarray, ys: np.ndarray) -> list[float]:
+    """Recursive greedy splitting, depth-first, CART_DEPTH levels deep;
+    returns sorted thresholds."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     thresholds: list[float] = []
 
     def grow(mask: np.ndarray, depth: int) -> None:
-        if depth >= max_depth:
+        if depth >= CART_DEPTH:
             return
-        split = best_split(xs[mask], ys[mask], criterion)
+        split = best_split(xs[mask], ys[mask])
         if split is None:
             return
         thresholds.append(split.threshold)
@@ -176,7 +170,6 @@ class BinningModel:
     thresholds: tuple[float, ...]
     means: tuple[float, ...]
     counts: tuple[int, ...]
-    criterion: str = "normalized"
     entropy_k: int | None = None
     base_depth: int | None = None
 
@@ -204,14 +197,13 @@ class BinningModel:
         return list(zip(lo, hi))
 
 
-def fit_binning(samples: list[CalibrationSample], max_depth: int = 3,
-                criterion: str = "normalized", entropy_k: int | None = None,
+def fit_binning(samples: list[CalibrationSample], entropy_k: int | None = None,
                 base_depth: int | None = None) -> BinningModel:
     if not samples:
         raise CalibrationError("no calibration samples")
     xs = np.array([s.entropy for s in samples], dtype=np.float64)
     ys = np.array([s.tcr for s in samples], dtype=np.float64)
-    thresholds = train_cart(xs, ys, max_depth=max_depth, criterion=criterion)
+    thresholds = train_cart(xs, ys)
     nbins = len(thresholds) + 1
     means, counts = [], []
     for b in range(nbins):
@@ -224,8 +216,8 @@ def fit_binning(samples: list[CalibrationSample], max_depth: int = 3,
         counts.append(int(sel.sum()))
         means.append(float(ys[sel].mean()) if counts[-1] else 0.0)
     return BinningModel(thresholds=tuple(thresholds), means=tuple(means),
-                        counts=tuple(counts), criterion=criterion,
-                        entropy_k=entropy_k, base_depth=base_depth)
+                        counts=tuple(counts), entropy_k=entropy_k,
+                        base_depth=base_depth)
 
 
 def _fmt(x: float) -> str:
@@ -234,7 +226,7 @@ def _fmt(x: float) -> str:
 
 def save_bins(model: BinningModel, path: str) -> None:
     lines = [f"heterospec-bins v{BINS_FORMAT_VERSION}",
-             f"criterion: {model.criterion}",
+             f"criterion: {CRITERION}",
              f"entropy_k: {model.entropy_k if model.entropy_k is not None else '-'}",
              f"base_depth: {model.base_depth if model.base_depth is not None else '-'}",
              f"num_bins: {model.num_bins}"]
@@ -271,8 +263,8 @@ def load_bins(path: str) -> BinningModel:
             key_line[key] = lineno
         else:
             raise _bins_err(path, lineno, f"unrecognized line {line!r}")
-    criterion = meta.get("criterion", "normalized")
-    if criterion not in CRITERIA:
+    criterion = meta.get("criterion", CRITERION)
+    if criterion != CRITERION:
         raise _bins_err(path, key_line["criterion"],
                         f"unknown criterion {criterion!r}")
 
@@ -308,6 +300,5 @@ def load_bins(path: str) -> BinningModel:
         raise _bins_err(path, key_line["num_bins"],
                         "num_bins does not match bin line count")
     return BinningModel(thresholds=tuple(hi_list[:-1]), means=tuple(means),
-                        counts=tuple(counts), criterion=criterion,
-                        entropy_k=opt_int("entropy_k"),
+                        counts=tuple(counts), entropy_k=opt_int("entropy_k"),
                         base_depth=opt_int("base_depth"))

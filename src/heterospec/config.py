@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binning import CALIBRATION_FILTERS, CRITERIA
+from .binning import CALIBRATION_FILTERS
 from .control import HeteroConfig
 from .corpus import PlantedCorpusSpec
 from .errors import ConfigError
@@ -52,16 +52,10 @@ class PromptSpec:
 
 @dataclass(frozen=True)
 class CalibrationSpec:
-    criterion: str = "normalized"
-    max_depth: int = 3
     # which iterations feed the fit: fully-accepted | accepting | all
     filter: str = "fully-accepted"
 
     def __post_init__(self):
-        if self.criterion not in CRITERIA:
-            raise ConfigError(f"unknown calibration criterion {self.criterion!r}")
-        if self.max_depth < 1:
-            raise ConfigError("calibration max_depth must be >= 1")
         if self.filter not in CALIBRATION_FILTERS:
             raise ConfigError(f"unknown calibration filter {self.filter!r}; "
                               f"expected one of {CALIBRATION_FILTERS}")

@@ -4,9 +4,10 @@ Both arms use greedy (argmax) verification, so for a fixed target model
 and prompt they emit the same token sequence as plain greedy decoding;
 adaptivity only changes how many verification calls that takes.
 
-Each iteration measures the meta-path entropy of the freshly expanded
-tree, assigns it to a calibrated bin, and for low-entropy bins drafts
-deeper and reshapes the verification budget:
+Each iteration expands a depth-d tree whose layers grow from their
+top_k most valuable nodes, measures the top_k entropy of its meta path,
+assigns it to a calibrated bin, and for low-entropy bins drafts deeper
+and reshapes the verification budget:
 
     extra layers   = max(0, alpha - bin)
     top_n for bin  = max(1, round_half_up(gamma[bin] * top_n) + (alpha - bin))
@@ -62,9 +63,7 @@ class HeteroConfig:
     depth: int = 5
     top_k: int = 2
     top_n: int = 20
-    expand_width: int | None = None  # None: expand the top_k best nodes
     alpha: int | None = None  # None: ceil(depth / 2)
-    entropy_k: int | None = None  # None: use top_k
     low_bins: tuple[int, ...] | None = None  # None: binning model default
     max_new_tokens: int = 200
     terminator: int | None = None
@@ -76,19 +75,10 @@ class HeteroConfig:
             raise ConfigError("max_new_tokens must be >= 1")
         if self.alpha is not None and self.alpha < 0:
             raise ConfigError("alpha must be >= 0")
-        if self.expand_width is not None and self.expand_width < 1:
-            raise ConfigError("expand_width must be >= 1")
-        if self.entropy_k is not None and self.entropy_k < 1:
-            raise ConfigError("entropy_k must be >= 1")
 
     def resolved(self) -> "HeteroConfig":
-        return replace(
-            self,
-            expand_width=(self.expand_width if self.expand_width is not None
-                          else self.top_k),
-            alpha=self.alpha if self.alpha is not None else default_alpha(self.depth),
-            entropy_k=self.entropy_k if self.entropy_k is not None else self.top_k,
-        )
+        return replace(self, alpha=self.alpha if self.alpha is not None
+                       else default_alpha(self.depth))
 
 
 @dataclass
@@ -151,8 +141,8 @@ def _decode(target_model: LanguageModel, draft_model: LanguageModel,
     iteration = 0
     while len(out) < cfg.max_new_tokens:
         remaining = cfg.max_new_tokens - len(out)
-        tree = expand(draft_model, ctx, cfg.depth, cfg.top_k, cfg.expand_width)
-        entropy = tree_entropy_signal(tree, cfg.entropy_k)
+        tree = expand(draft_model, ctx, cfg.depth, cfg.top_k)
+        entropy = tree_entropy_signal(tree, cfg.top_k)
         bin_index = bins.assign_bin(entropy) if bins is not None else -1
         decision = adapt(bin_index, cfg.alpha, cfg.top_n, low_bins)
         if decision.extra_layers > 0:

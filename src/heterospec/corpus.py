@@ -31,14 +31,13 @@ class PlantedCorpusSpec:
     coverage: float = 0.72  # fraction of each document inside template blocks
     rho: float = 0.97  # per-position copy fidelity inside a block
     vocab_size: int = 27
-    pivots: int = 0  # recurrences of one pivot symbol inside each template
 
     def __post_init__(self):
         if self.num_docs < 1 or self.doc_len < 1:
             raise ConfigError("num_docs and doc_len must be >= 1")
         if self.num_templates < 1:
             raise ConfigError("num_templates must be >= 1")
-        if not 2 <= self.template_len <= self.vocab_size + max(self.pivots - 1, 0):
+        if not 2 <= self.template_len <= self.vocab_size:
             raise ConfigError("template_len too large for vocab_size")
         if not 0.0 <= self.coverage <= 1.0:
             raise ConfigError("coverage must be in [0, 1]")
@@ -46,38 +45,11 @@ class PlantedCorpusSpec:
             raise ConfigError("rho must be in (0.5, 1]")
         if self.vocab_size < 2:
             raise ConfigError("vocab_size must be >= 2")
-        if self.pivots < 0:
-            raise ConfigError("pivots must be >= 0")
-        if self.pivots and self.template_len < 2 * self.pivots + 1:
-            raise ConfigError("template_len must be >= 2 * pivots + 1 so each "
-                              "pivot sits between nonempty runs")
 
 
 def corpus_symbols(vocab_size: int) -> list[str]:
     width = len(str(vocab_size - 1))
     return [f"w{i:0{width}d}" for i in range(vocab_size)]
-
-
-def _make_template(spec: PlantedCorpusSpec, rng: np.random.Generator) -> list[int]:
-    """Template symbols. With pivots, one symbol recurs at evenly spread
-    interior positions, each time followed by a different symbol: a model
-    whose context reaches past the pivot predicts the continuation, while
-    a single-token context sees an ambiguous branch."""
-    ids = [int(i) for i in rng.permutation(spec.vocab_size)]
-    if spec.pivots == 0:
-        return ids[:spec.template_len]
-    pivot = ids[0]
-    rest = ids[1:spec.template_len - spec.pivots + 1]
-    base, extra = divmod(len(rest), spec.pivots + 1)
-    template: list[int] = []
-    start = 0
-    for i in range(spec.pivots + 1):
-        size = base + (1 if i < extra else 0)
-        template.extend(rest[start:start + size])
-        start += size
-        if i < spec.pivots:
-            template.append(pivot)
-    return template
 
 
 def _corrupt(tok: int, spec: PlantedCorpusSpec, rng: np.random.Generator) -> int:
@@ -114,7 +86,9 @@ def gen_corpus(spec: PlantedCorpusSpec,
                rng: np.random.Generator) -> tuple[list[list[str]], list[list[str]]]:
     """Returns (documents, templates), all as symbol lists."""
     symbols = corpus_symbols(spec.vocab_size)
-    templates = [_make_template(spec, rng) for _ in range(spec.num_templates)]
+    # each template is template_len distinct symbols in random order
+    templates = [rng.permutation(spec.vocab_size)[:spec.template_len].tolist()
+                 for _ in range(spec.num_templates)]
     docs: list[list[str]] = []
     for _ in range(spec.num_docs):
         planned = round(spec.coverage * spec.doc_len)

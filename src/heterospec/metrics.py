@@ -152,25 +152,6 @@ def summarize(records: list[IterationRecord],
     )
 
 
-def tcr_bands(records: list[IterationRecord], budget: int,
-              num_bands: int = 4) -> list[tuple[int, float | None]]:
-    """Bucket iterations into rank bands over [1, budget] and report
-    (count, mean accepted length) per band. Ranks past the budget, such
-    as the nothing-accepted sentinel, fall in the last band."""
-    edges = [math.ceil(k * budget / num_bands) for k in range(1, num_bands + 1)]
-    sums = [0.0] * num_bands
-    counts = [0] * num_bands
-    for r in records:
-        band = num_bands - 1
-        for k, edge in enumerate(edges):
-            if r.tcr <= edge:
-                band = k
-                break
-        sums[band] += r.accepted_len
-        counts[band] += 1
-    return [(c, s / c if c else None) for c, s in zip(counts, sums)]
-
-
 def validate_run(records: list[IterationRecord],
                  expected_emitted: int | None = None) -> list[str]:
     """Accounting invariants every run must satisfy; returns violations."""

@@ -163,12 +163,9 @@ def perturb(dist: ProbDist, temperature: float, noise: float) -> ProbDist:
 
     Computes normalize((1-noise) * softmax(log dist / temperature)
     + noise * uniform). The (temperature=1, noise=0) case is an exact
-    identity, returned without any float round-trip.
+    identity, returned without any float round-trip. Expects temperature
+    > 0 and noise in [0, 1], which ``PerturbedDraftModel`` checks.
     """
-    if temperature <= 0:
-        raise ConfigError(f"draft temperature must be > 0, got {temperature}")
-    if not (0.0 <= noise <= 1.0):
-        raise ConfigError(f"noise weight must be in [0, 1], got {noise}")
     if temperature == 1.0 and noise == 0.0:
         return dist.copy()
     v = dist.shape[0]

@@ -128,24 +128,31 @@ def step_calibrate(config: ExperimentConfig) -> str:
     arm = run_arm("calibration", decode_baseline, target, draft, prompts,
                   config.controller, cost_model=None)
     write_iterations_csv(_path(config, CALIBRATION_CSV), arm.records)
-    resolved = config.controller.resolved()
-    samples = collect_calibration(arm.records, base_depth=resolved.depth,
+    ctl = config.controller
+    samples = collect_calibration(arm.records, base_depth=ctl.depth,
                                   filter=config.calibration.filter)
     check_calibration_diversity(samples, filter=config.calibration.filter)
-    bins = fit_binning(samples, max_depth=config.calibration.max_depth,
-                       criterion=config.calibration.criterion,
-                       entropy_k=resolved.entropy_k,
-                       base_depth=resolved.depth)
+    bins = fit_binning(samples, entropy_k=ctl.top_k, base_depth=ctl.depth)
     out = _path(config, BINS_FILE)
     save_bins(bins, out)
     return out
 
 
 def load_pipeline_bins(config: ExperimentConfig) -> BinningModel:
+    """The calibrated bins, checked against the controller's tree shape:
+    bins fitted on another top_k or depth bin a different signal."""
     path = _path(config, BINS_FILE)
     if not os.path.exists(path):
         raise ConfigError(f"{path}: bins not found, run calibrate first")
-    return load_bins(path)
+    bins = load_bins(path)
+    ctl = config.controller
+    if bins.entropy_k not in (None, ctl.top_k) \
+            or bins.base_depth not in (None, ctl.depth):
+        raise ConfigError(
+            f"{path}: bins were calibrated for entropy_k {bins.entropy_k}, "
+            f"base_depth {bins.base_depth} but the controller has top_k "
+            f"{ctl.top_k}, depth {ctl.depth}; run calibrate again")
+    return bins
 
 
 def step_run(config: ExperimentConfig, mode: str) -> tuple[str, str]:

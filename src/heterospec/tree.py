@@ -1,10 +1,10 @@
 """Dynamic draft trees: selective expansion and top-N reranking.
 
-Expansion grows the tree layer by layer. Layer 1 holds the top-k tokens of
-the root distribution; each deeper layer expands the highest-value nodes of
-the previous layer, each contributing its top-k positive-probability
-children. A node's value is the product of the draft confidences along its
-path, kept in log domain so deep products stay stable.
+Expansion grows the tree layer by layer, as in EAGLE-2. Layer 1 holds the
+top-k tokens of the root distribution; each deeper layer expands the k
+highest-value nodes of the previous layer, each contributing its top-k
+positive-probability children. A node's value is the product of the draft
+confidences along its path, kept in log domain so deep products stay stable.
 
 Ties on value are broken by smaller depth, then smaller insertion index.
 Because a parent always has at least its child's value and strictly
@@ -37,10 +37,6 @@ class DraftNode:
     tokens: tuple[int, ...] = ()  # path tokens below the root, this one last
     children: list[DraftNode] = field(default_factory=list)
 
-    @property
-    def value(self) -> float:
-        return math.exp(self.log_value)
-
     def path(self) -> list[DraftNode]:
         """Nodes from the layer-1 ancestor down to this node."""
         out, node = [], self
@@ -55,19 +51,14 @@ class DraftNode:
 
 
 class DraftTree:
-    """Expansion-phase tree rooted at a decoding context.
+    """Expansion-phase tree rooted at a decoding context; each layer below
+    the first grows from the top_k highest-value nodes of the one above."""
 
-    expand_width = None expands every node of the previous layer; an
-    integer caps the frontier to the width highest-value nodes.
-    """
-
-    def __init__(self, context: Context, top_k: int,
-                 expand_width: int | None = None):
-        if top_k < 1 or (expand_width is not None and expand_width < 1):
-            raise ConfigError("top_k and expand_width must be >= 1")
+    def __init__(self, context: Context, top_k: int):
+        if top_k < 1:
+            raise ConfigError(f"top_k must be >= 1, got {top_k}")
         self.context = tuple(context)
         self.top_k = top_k
-        self.expand_width = expand_width
         self.depth_limit = 0
         self.root = DraftNode(token=-1, confidence=1.0, log_value=0.0, depth=0,
                               parent=None, step=None, insertion_index=-1)
@@ -121,9 +112,7 @@ def _grow_layers(tree: DraftTree, draft_model: LanguageModel, layers: int) -> No
             continue
         else:
             prev = tree.layers[tree.depth_limit - 1]
-            frontier = sorted(prev, key=DraftNode.sort_key)
-            if tree.expand_width is not None:
-                frontier = frontier[:tree.expand_width]
+            frontier = sorted(prev, key=DraftNode.sort_key)[:tree.top_k]
         tree.depth_limit += 1
         for node in frontier:
             dist = draft_model.next_dist(tree.context + node.tokens)
@@ -133,11 +122,11 @@ def _grow_layers(tree: DraftTree, draft_model: LanguageModel, layers: int) -> No
 
 
 def expand(draft_model: LanguageModel, context: Context, depth: int,
-           top_k: int, expand_width: int | None = None) -> DraftTree:
+           top_k: int) -> DraftTree:
     """Build the expansion-phase tree down to ``depth`` layers."""
     if depth < 1:
         raise ConfigError(f"tree depth must be >= 1, got {depth}")
-    tree = DraftTree(context, top_k, expand_width)
+    tree = DraftTree(context, top_k)
     _grow_layers(tree, draft_model, depth)
     return tree
 
@@ -167,17 +156,11 @@ class RerankedTree:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def __contains__(self, node: DraftNode) -> bool:
-        return id(node) in self._rank
-
     def rank_of(self, node: DraftNode) -> int:
         return self._rank[id(node)]
 
     def children_in(self, node: DraftNode) -> list[DraftNode]:
         return [c for c in node.children if id(c) in self._rank]
-
-    def depth(self) -> int:
-        return max((n.depth for n in self.nodes), default=0)
 
 
 def rerank(tree: DraftTree, budget: int) -> RerankedTree:

@@ -4,6 +4,7 @@ experiment config that runs the full pipeline in well under a second."""
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from heterospec.corpus import corpus_symbols
 from heterospec.errors import ConfigError
+from heterospec.metrics import IterationRecord
 from heterospec.models import LanguageModel, ProbDist
 from heterospec.vocab import UNK, Context, Vocabulary
 
@@ -31,6 +33,25 @@ def is_valid_dist(dist: ProbDist, size: int | None = None) -> bool:
     if np.any(dist < 0.0):
         return False
     return abs(float(dist.sum()) - 1.0) <= DIST_ATOL
+
+
+def tcr_bands(records: list[IterationRecord], budget: int,
+              num_bands: int = 4) -> list[tuple[int, float | None]]:
+    """Bucket iterations into rank bands over [1, budget] and report
+    (count, mean accepted length) per band. Ranks past the budget, such
+    as the nothing-accepted sentinel, fall in the last band."""
+    edges = [math.ceil(k * budget / num_bands) for k in range(1, num_bands + 1)]
+    sums = [0.0] * num_bands
+    counts = [0] * num_bands
+    for r in records:
+        band = num_bands - 1
+        for k, edge in enumerate(edges):
+            if r.tcr <= edge:
+                band = k
+                break
+        sums[band] += r.accepted_len
+        counts[band] += 1
+    return [(c, s / c if c else None) for c, s in zip(counts, sums)]
 
 
 def make_vocab(size: int, mode: str = "word") -> Vocabulary:

@@ -19,9 +19,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import DrawnDistModel, MemoizedModel, make_vocab
+from conftest import DrawnDistModel, MemoizedModel, make_vocab, tcr_bands
 from heterospec.binning import (
-    CRITERIA,
     BinningModel,
     CalibrationSample,
     best_split,
@@ -40,7 +39,6 @@ from heterospec.entropy import topk_step_entropy
 from heterospec.metrics import (
     CostModel,
     summarize,
-    tcr_bands,
     validate_run,
     write_iterations_csv,
 )
@@ -144,13 +142,11 @@ def test_criterion_01_greedy_exactness():
         draft = PerturbedDraftModel(base,
                                     temperature=float(rng.uniform(0.7, 1.5)),
                                     noise=float(rng.uniform(0.0, 0.3)))
-        widths = (None, 1, 2, 3)
         alphas = (None, 0, 1, 2, 3, 4)
         config = HeteroConfig(
             depth=int(rng.integers(2, 7)),
             top_k=int(rng.integers(1, 4)),
             top_n=int(rng.integers(4, 25)),
-            expand_width=widths[int(rng.integers(len(widths)))],
             alpha=alphas[int(rng.integers(len(alphas)))],
             max_new_tokens=200,
             terminator=(int(rng.integers(vocab.size))
@@ -253,7 +249,7 @@ def _fsum_sse(group: list[float]) -> float:
     return math.fsum((y - mean) ** 2 for y in group)
 
 
-def _enum_split(pairs: list[tuple[float, float]], criterion: str):
+def _enum_split(pairs: list[tuple[float, float]]):
     distinct = sorted({x for x, _ in pairs})
     if len(distinct) < 2 or len({y for _, y in pairs}) < 2:
         return None
@@ -262,23 +258,19 @@ def _enum_split(pairs: list[tuple[float, float]], criterion: str):
         s = (a + b) / 2.0
         left = [y for x, y in pairs if x <= s]
         right = [y for x, y in pairs if x > s]
-        if criterion == "normalized":
-            loss = _fsum_sse(left) / len(left) + _fsum_sse(right) / len(right)
-        else:
-            loss = _fsum_sse(left) + _fsum_sse(right)
+        loss = _fsum_sse(left) / len(left) + _fsum_sse(right) / len(right)
         if best is None or loss < best[1]:
             best = (s, loss)
     return best
 
 
-def _enum_cart(pairs: list[tuple[float, float]], max_depth: int,
-               criterion: str) -> list[float]:
+def _enum_cart(pairs: list[tuple[float, float]], max_depth: int) -> list[float]:
     thresholds: list[float] = []
 
     def grow(subset, depth):
         if depth >= max_depth:
             return
-        found = _enum_split(subset, criterion)
+        found = _enum_split(subset)
         if found is None:
             return
         s = found[0]
@@ -295,16 +287,15 @@ def test_criterion_04_cart_matches_exhaustive_greedy():
     1e-9 on 50 datasets of up to 200 points, and the resulting bins always
     partition [0, inf)."""
     rng = np.random.default_rng(404)
-    for trial in range(50):
+    for _ in range(50):
         n = int(rng.integers(2, 201))
         xs = np.round(rng.uniform(0.0, 3.0, n), 1)  # ~20% duplicate x
         slope = float(rng.uniform(2.0, 6.0))
         ys = np.floor(xs) * slope + rng.normal(0.0, 0.25, n)
-        criterion = CRITERIA[trial % 2]
 
-        got = best_split(xs, ys, criterion)
+        got = best_split(xs, ys)
         pairs = list(zip(xs.tolist(), ys.tolist()))
-        want = _enum_split(pairs, criterion)
+        want = _enum_split(pairs)
         if want is None:
             assert got is None
         else:
@@ -313,8 +304,8 @@ def test_criterion_04_cart_matches_exhaustive_greedy():
 
         samples = [CalibrationSample(float(x), float(y))
                    for x, y in zip(xs, ys)]
-        model = fit_binning(samples, max_depth=3, criterion=criterion)
-        enum = _enum_cart(pairs, 3, criterion)
+        model = fit_binning(samples)
+        enum = _enum_cart(pairs, 3)
         assert len(model.thresholds) == len(enum)
         for a, b in zip(model.thresholds, enum):
             assert abs(a - b) <= 1e-9
@@ -336,14 +327,12 @@ def test_criterion_05_rerank_matches_sort_oracle():
     """Top-N selection over 1000 random trees equals a plain sort, stays
     root-connected, and never ranks a child above its ancestor."""
     rng = np.random.default_rng(505)
-    widths = (None, 1, 2, 3, 4)
     for _ in range(1000):
         vocab = make_vocab(int(rng.integers(4, 11)))
         model = DrawnDistModel(vocab, rng)
         tree = expand(model, (0, 1),
                       depth=int(rng.integers(1, 7)),
-                      top_k=int(rng.integers(1, 5)),
-                      expand_width=widths[int(rng.integers(len(widths)))])
+                      top_k=int(rng.integers(1, 5)))
         budget = int(rng.integers(1, tree.size() + 4))
         t2 = rerank(tree, budget)
         assert t2.nodes == sorted(tree.nodes, key=DraftNode.sort_key)[:budget]

@@ -41,10 +41,9 @@ def rec(accepted_len: int, entropy: float = 1.0, tcr: int | None = None,
 # ------------------------------------------------------------- best_split
 
 
-@pytest.mark.parametrize("criterion", ["normalized", "sse"])
-def test_best_split_separable_clusters(criterion):
+def test_best_split_separable_clusters():
     split = best_split(np.asarray([0.1, 0.2, 0.9, 1.0]),
-                       np.asarray([1.0, 1.0, 5.0, 5.0]), criterion)
+                       np.asarray([1.0, 1.0, 5.0, 5.0]))
     assert split.threshold == pytest.approx(0.55)
     assert split.loss == pytest.approx(0.0, abs=1e-12)
 
@@ -61,12 +60,11 @@ def test_best_split_degenerate_inputs():
     assert best_split(np.asarray([0.0, 1.0, 2.0]), np.asarray([4.0, 4.0, 4.0])) is None
 
 
-@pytest.mark.parametrize("criterion", ["normalized", "sse"])
-def test_best_split_tie_takes_smaller_threshold(criterion):
-    # zero-mean symmetric data: both candidate losses are exactly 4.5 (sse)
-    # or 2.25 (normalized) in float arithmetic, so the tie rule is exercised
+def test_best_split_tie_takes_smaller_threshold():
+    # zero-mean symmetric data: both candidate losses are exactly 2.25 in
+    # float arithmetic, so the tie rule is exercised
     split = best_split(np.asarray([0.0, 1.0, 2.0]),
-                       np.asarray([-1.0, 2.0, -1.0]), criterion)
+                       np.asarray([-1.0, 2.0, -1.0]))
     assert split.threshold == 0.5
 
 
@@ -75,12 +73,7 @@ def test_best_split_skips_duplicate_x():
     assert split.threshold == 0.5
 
 
-def test_best_split_unknown_criterion():
-    with pytest.raises(ConfigError):
-        best_split(np.asarray([0.0, 1.0]), np.asarray([0.0, 1.0]), "gini")
-
-
-def _naive_best_split(xs, ys, criterion):
+def _naive_best_split(xs, ys):
     pts = sorted(zip(xs.tolist(), ys.tolist()))
     distinct = sorted({x for x, _ in pts})
     if len(distinct) < 2 or len({y for _, y in pts}) < 2:
@@ -95,24 +88,20 @@ def _naive_best_split(xs, ys, criterion):
         s = (a + b) / 2.0
         left = [y for x, y in pts if x <= s]
         right = [y for x, y in pts if x > s]
-        if criterion == "normalized":
-            loss = sse(left) / len(left) + sse(right) / len(right)
-        else:
-            loss = sse(left) + sse(right)
+        loss = sse(left) / len(left) + sse(right) / len(right)
         if best is None or loss < best[1]:
             best = (s, loss)
     return best
 
 
-@pytest.mark.parametrize("criterion", ["normalized", "sse"])
-def test_best_split_matches_exhaustive_enumeration(criterion):
+def test_best_split_matches_exhaustive_enumeration():
     rng = np.random.default_rng(31)
     for _ in range(40):
         n = int(rng.integers(2, 60))
         xs = np.round(rng.uniform(0.0, 3.0, n), 1)  # duplicate-heavy
         ys = rng.normal(0.0, 1.0, n) + np.where(xs > 1.5, 3.0, 0.0)
-        got = best_split(xs, ys, criterion)
-        want = _naive_best_split(xs, ys, criterion)
+        got = best_split(xs, ys)
+        want = _naive_best_split(xs, ys)
         if want is None:
             assert got is None
             continue
@@ -132,7 +121,7 @@ def _clusters(levels: int, per: int = 3):
 
 def test_train_cart_full_depth_on_eight_levels():
     xs, ys = _clusters(8)
-    thresholds = train_cart(xs, ys, max_depth=3)
+    thresholds = train_cart(xs, ys)
     assert len(thresholds) == 7
     assert all(b > a for a, b in zip(thresholds, thresholds[1:]))
     for i, t in enumerate(thresholds):
@@ -142,15 +131,11 @@ def test_train_cart_full_depth_on_eight_levels():
 def test_train_cart_stops_when_pure():
     xs = np.asarray([0.0, 0.1, 5.0, 5.1])
     ys = np.asarray([1.0, 1.0, 9.0, 9.0])
-    assert len(train_cart(xs, ys, max_depth=3)) == 1
+    assert len(train_cart(xs, ys)) == 1
 
 
-def test_train_cart_degenerate_and_depth_limits():
+def test_train_cart_degenerate():
     assert train_cart(np.asarray([2.0, 2.0]), np.asarray([1.0, 9.0])) == []
-    xs, ys = _clusters(8)
-    assert train_cart(xs, ys, max_depth=0) == []
-    assert len(train_cart(xs, ys, max_depth=1)) == 1
-    assert len(train_cart(xs, ys, max_depth=2)) == 3
 
 
 # ------------------------------------------------------------ fit_binning
@@ -163,7 +148,6 @@ def test_fit_binning_two_clusters():
     assert model.num_bins == 2
     assert model.means == (1.0, 9.0)
     assert model.counts == (2, 2)
-    assert model.criterion == "normalized"
     assert model.entropy_k == 2 and model.base_depth == 5
 
 
@@ -259,7 +243,7 @@ def test_bins_round_trip(tmp_path):
     assert loaded.thresholds == model.thresholds  # %.17g is lossless
     assert loaded.means == model.means
     assert loaded.counts == model.counts
-    assert loaded.criterion == model.criterion
+    assert open(path).read().splitlines()[1] == "criterion: normalized"
     assert loaded.entropy_k == 2 and loaded.base_depth == 5
     for x in rng.uniform(0.0, 6.0, 500):
         assert loaded.assign_bin(float(x)) == model.assign_bin(float(x))
@@ -300,6 +284,9 @@ GOOD_HEADER = "heterospec-bins v1\ncriterion: normalized\n"
      r"bins\.txt:4: bad base_depth"),
     (GOOD_HEADER + "\nnum_bins: 3\nbin 0 inf 3 4\n", r"bins\.txt:4: num_bins does not"),
     ("heterospec-bins v1\ncriterion: gini\nbin 0 inf 3 4\n", r"bins\.txt:2: unknown"),
+    # the per-side normalized loss is the only split loss
+    ("heterospec-bins v1\ncriterion: sse\nbin 0 inf 3 4\n",
+     r"bins\.txt:2: unknown criterion 'sse'"),
 ])
 def test_load_bins_rejects_malformed(tmp_path, text, msg):
     path = tmp_path / "bins.txt"

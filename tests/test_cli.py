@@ -180,6 +180,35 @@ def test_exit_2_on_malformed_csv(tmp_path, capsys, name, text, args, where):
     assert where in err
 
 
+@pytest.mark.parametrize("controller", [{"depth": 7}, {"top_k": 3}],
+                         ids=["depth", "top_k"])
+def test_exit_2_on_bins_for_another_tree_shape(tmp_path, capsys, controller):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+    out = str(tmp_path / "run")
+    for command in ("gen-corpus", "train-model", "calibrate"):
+        assert main([command, "--config", str(cfg), "--out", out]) == 0
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(dict(
+        TINY_CONFIG, controller=dict(TINY_CONFIG["controller"], **controller))),
+        encoding="utf-8")
+    capsys.readouterr()
+    for command in (["compare"], ["run", "--mode", "baseline"]):
+        assert main([*command, "--config", str(other), "--out", out]) == 2
+        err = _one_error_line(capsys.readouterr())
+        assert err.startswith("heterospec: config: " + os.path.join(out, "bins.txt"))
+        assert "entropy_k 2, base_depth 4" in err
+        assert "run calibrate again" in err
+    # a hand-written bins file without the tree-shape keys still loads
+    bins = os.path.join(out, "bins.txt")
+    lines = open(bins, encoding="utf-8").read().splitlines()
+    with open(bins, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in lines
+                         if not line.startswith(("entropy_k:", "base_depth:"))))
+    assert main(["run", "--mode", "baseline", "--config", str(other),
+                 "--out", out]) == 0
+
+
 def test_exit_3_on_degenerate_calibration(tmp_path, capsys):
     # identical periodic docs: every calibration iteration sees the same
     # handful of entropy values, far below the diversity floor

@@ -1,6 +1,9 @@
 """Config schema, JSON round trips, and named RNG substreams."""
 from __future__ import annotations
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,8 @@ from heterospec.config import (
     save_config,
 )
 from heterospec.errors import ConfigError
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def test_defaults():
@@ -45,11 +50,20 @@ def test_version_and_tokenization_validation():
 
 def test_calibration_spec_validation():
     with pytest.raises(ConfigError):
-        CalibrationSpec(criterion="gini")
-    with pytest.raises(ConfigError):
-        CalibrationSpec(max_depth=0)
-    with pytest.raises(ConfigError):
         CalibrationSpec(filter="some")
+
+
+@pytest.mark.parametrize("data", [
+    {"controller": {"expand_width": 2}},
+    {"controller": {"entropy_k": 2}},
+    {"calibration": {"criterion": "sse"}},
+    {"calibration": {"max_depth": 3}},
+    {"corpus": {"planted": {"pivots": 0}}},
+], ids=["expand_width", "entropy_k", "criterion", "max_depth", "pivots"])
+def test_removed_settings_are_unknown_keys(data):
+    # the tree shape, the split loss and the template shape are fixed
+    with pytest.raises(ConfigError, match="unknown keys"):
+        config_from_dict(data)
 
 
 def test_rng_for_reproducible_independent_streams():
@@ -129,6 +143,25 @@ def test_config_json_round_trip(tmp_path):
     save_config(load_config(path), again)
     assert open(path).read() == open(again).read()
     assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+def test_readme_config_block_is_the_default():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("\n## Configuration\n"):]
+    start = section.index("```json\n") + len("```json\n")
+    block = json.loads(section[start:section.index("```", start)])
+    assert config_from_dict(block) == ExperimentConfig()
+    assert _key_paths(block) == _key_paths(config_to_dict(ExperimentConfig()))
+
+
+def _key_paths(data: dict, prefix: str = "") -> set[str]:
+    out = set()
+    for key, value in data.items():
+        out.add(prefix + key)
+        if isinstance(value, dict):
+            out |= _key_paths(value, f"{prefix}{key}.")
+    return out
 
 
 def test_load_config_invalid_json(tmp_path):

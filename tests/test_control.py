@@ -83,8 +83,7 @@ def test_adapt_gamma_defaults_to_one_past_table():
 
 def test_config_validation():
     for bad in [dict(depth=0), dict(top_k=0), dict(top_n=0),
-                dict(max_new_tokens=0), dict(alpha=-1), dict(expand_width=0),
-                dict(entropy_k=0)]:
+                dict(max_new_tokens=0), dict(alpha=-1)]:
         with pytest.raises(ConfigError):
             HeteroConfig(**bad)
     # the extra layers are grown in one batch; there is no extension mode
@@ -94,12 +93,11 @@ def test_config_validation():
 
 def test_config_resolution_fills_derived_fields():
     cfg = HeteroConfig().resolved()
-    assert cfg.expand_width == cfg.top_k == 2
     assert cfg.alpha == 3  # depth 5
-    assert cfg.entropy_k == 2
-    explicit = HeteroConfig(depth=4, expand_width=1, alpha=0, entropy_k=5)
+    assert cfg == HeteroConfig(alpha=3)  # alpha is the only derived field
+    explicit = HeteroConfig(depth=4, alpha=0)
     res = explicit.resolved()
-    assert (res.expand_width, res.alpha, res.entropy_k) == (1, 0, 5)
+    assert res.alpha == 0
     assert res.resolved() == res
 
 

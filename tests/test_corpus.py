@@ -1,5 +1,5 @@
 """Planted-corpus generator: spec validation, realized coverage, block
-isolation, pivot templates, and the train/calibration/eval split."""
+isolation, templates, and the train/calibration/eval split."""
 from __future__ import annotations
 
 import numpy as np
@@ -23,13 +23,11 @@ from heterospec.errors import ConfigError
     dict(doc_len=0),
     dict(num_templates=0),
     dict(template_len=1),
-    dict(template_len=28),            # exceeds vocab_size=27 with no pivots
+    dict(template_len=28),            # exceeds vocab_size=27
     dict(coverage=-0.1),
     dict(coverage=1.1),
     dict(rho=0.5),                    # boundary excluded
     dict(rho=1.01),
-    dict(pivots=-1),
-    dict(pivots=3, template_len=6),   # needs >= 2 * pivots + 1 positions
 ])
 def test_spec_rejects_bad_fields(kwargs):
     with pytest.raises(ConfigError):
@@ -40,14 +38,6 @@ def test_spec_defaults_are_valid():
     spec = PlantedCorpusSpec()
     assert spec.num_docs == 96
     assert spec.template_len == 21
-    assert spec.pivots == 0
-
-
-def test_pivots_extend_symbol_budget():
-    # repeats of the pivot let the template outgrow the vocabulary
-    PlantedCorpusSpec(vocab_size=8, template_len=9, pivots=2)
-    with pytest.raises(ConfigError):
-        PlantedCorpusSpec(vocab_size=8, template_len=9, pivots=0)
 
 
 def test_corpus_symbols_zero_padded():
@@ -153,27 +143,6 @@ def test_gen_corpus_deterministic():
     a = gen_corpus(spec, np.random.default_rng(42))
     b = gen_corpus(spec, np.random.default_rng(42))
     assert a == b
-
-
-def test_pivot_template_structure():
-    spec = PlantedCorpusSpec(num_docs=1, doc_len=40, template_len=11,
-                             coverage=0.5, rho=0.97, vocab_size=12, pivots=2)
-    _, templates = gen_corpus(spec, np.random.default_rng(9))
-    tpl = templates[0]
-    assert len(tpl) == 11
-    counts = {s: tpl.count(s) for s in set(tpl)}
-    repeated = [s for s, c in counts.items() if c > 1]
-    assert len(repeated) == 1
-    pivot = repeated[0]
-    assert counts[pivot] == 2
-    # every pivot occurrence is interior and followed by a fresh symbol
-    followers = []
-    for i, s in enumerate(tpl):
-        if s == pivot:
-            assert 0 < i < len(tpl) - 1
-            followers.append(tpl[i + 1])
-    assert len(set(followers)) == len(followers)
-    assert pivot not in followers
 
 
 # ------------------------------------------------------ splits and prompts

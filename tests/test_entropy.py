@@ -120,8 +120,7 @@ def test_meta_path_prefers_confident_final_step():
         (9, 0): (0.5, 0.25, 0.25),
         (9, 1): (0.9, 0.05, 0.05),
     }
-    tree = expand(ScriptedModel(table, make_vocab(3)), (9,), depth=2, top_k=2,
-                  expand_width=2)
+    tree = expand(ScriptedModel(table, make_vocab(3)), (9,), depth=2, top_k=2)
     leaf = select_meta_path(tree)
     assert np.max(leaf.step.dist) == 0.9
     assert leaf.path()[0].token == 1
@@ -134,8 +133,7 @@ def test_meta_path_tie_prefers_higher_value():
         (3, 0): (0.8, 0.1, 0.1),
         (3, 1): (0.8, 0.2, 0.0),
     }
-    tree = expand(ScriptedModel(table, make_vocab(3)), (3,), depth=2, top_k=1,
-                  expand_width=2)
+    tree = expand(ScriptedModel(table, make_vocab(3)), (3,), depth=2, top_k=2)
     leaf = select_meta_path(tree)
     assert leaf.path()[0].token == 0
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import chain_template_model
+from conftest import chain_template_model, tcr_bands
 from heterospec.control import HeteroConfig, decode_baseline
 from heterospec.errors import ConfigError
 from heterospec.metrics import (
@@ -21,7 +21,6 @@ from heterospec.metrics import (
     read_iterations_csv,
     read_summary_csv,
     summarize,
-    tcr_bands,
     tcr_histogram,
     tcr_quantiles,
     validate_run,

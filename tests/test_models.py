@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import PlantedTemplateModel, is_valid_dist, make_vocab, prob_dists
+from conftest import (FixedDistModel, PlantedTemplateModel, is_valid_dist, make_vocab,
+                      prob_dists)
 from heterospec.errors import ConfigError
 from heterospec.models import (NGramModel, PerturbedDraftModel, load_model,
                                perturb, save_model, train_ngram)
@@ -151,10 +152,11 @@ def test_perturb_high_temperature_flattens():
 
 
 def test_perturb_validation():
+    base = FixedDistModel([1.0, 0.0])
     with pytest.raises(ConfigError):
-        perturb(np.array([1.0, 0.0]), temperature=0.0, noise=0.0)
+        PerturbedDraftModel(base, temperature=0.0, noise=0.0)
     with pytest.raises(ConfigError):
-        perturb(np.array([1.0, 0.0]), temperature=1.0, noise=1.5)
+        PerturbedDraftModel(base, temperature=1.0, noise=1.5)
 
 
 @given(prob_dists(max_size=12), st.floats(0.3, 3.0), st.floats(0.0, 1.0))

@@ -84,8 +84,31 @@ def test_calibration_trace_and_bins(lab):
     assert validate_run(records) == []
     bins = load_pipeline_bins(cfg)
     assert 1 <= bins.num_bins <= 8
-    assert bins.entropy_k == 2  # resolved from top_k
+    assert bins.entropy_k == 2  # the controller's top_k
     assert bins.base_depth == 4
+
+
+@pytest.mark.parametrize("controller", [{"depth": 7}, {"top_k": 3}],
+                         ids=["depth", "top_k"])
+def test_bins_for_another_tree_shape_are_refused(lab, controller):
+    cfg, _ = lab
+    other = dataclasses.replace(
+        cfg, controller=dataclasses.replace(cfg.controller, **controller))
+    want = (rf"bins\.txt: bins were calibrated for entropy_k 2, base_depth 4 "
+            rf"but the controller has top_k {other.controller.top_k}, depth "
+            rf"{other.controller.depth}; run calibrate again")
+    with pytest.raises(ConfigError, match=want):
+        load_pipeline_bins(other)
+
+
+def test_bins_without_tree_shape_metadata_load(tmp_path):
+    cfg = _cfg(tmp_path / "run")
+    os.makedirs(cfg.out_dir)
+    with open(os.path.join(cfg.out_dir, "bins.txt"), "w", encoding="utf-8") as fh:
+        fh.write("heterospec-bins v1\nbin 0 1.5 2 3\nbin 1.5 inf 4 5\n")
+    bins = load_pipeline_bins(cfg)
+    assert bins.thresholds == (1.5,)
+    assert bins.entropy_k is None and bins.base_depth is None
 
 
 def test_run_summaries_account_for_all_tokens(lab):

@@ -30,7 +30,7 @@ def test_single_layer_top_children():
     assert (a.token, a.depth, a.insertion_index) == (0, 1, 0)
     assert (b.token, b.depth, b.insertion_index) == (1, 1, 1)
     assert a.confidence == 0.7 and b.confidence == 0.2
-    assert a.value == pytest.approx(0.7, rel=1e-12)
+    assert math.exp(a.log_value) == pytest.approx(0.7, rel=1e-12)
     assert tree.deepest_layer() == [a, b]
 
 
@@ -50,30 +50,30 @@ def test_leaf_value_is_confidence_product():
     leaf = tree.nodes[-1]
     assert leaf.confidence == 0.8
     assert leaf.log_value == pytest.approx(math.log(0.9) + math.log(0.8))
-    assert leaf.value == pytest.approx(0.72, rel=1e-12)
+    assert math.exp(leaf.log_value) == pytest.approx(0.72, rel=1e-12)
     assert leaf.tokens == (0, 0)
 
 
-def test_width_capped_tree_node_count():
-    # depth 5, top_k 2, width 2: 2 first-layer nodes then 4 per layer
-    tree = expand(FixedDistModel(TRI), (0,), depth=5, top_k=2, expand_width=2)
+def test_tree_node_count():
+    # depth 5, top_k 2: 2 first-layer nodes then 4 per layer
+    tree = expand(FixedDistModel(TRI), (0,), depth=5, top_k=2)
     assert tree.size() == 18
     assert [len(layer) for layer in tree.layers] == [2, 4, 4, 4, 4]
 
 
-def test_uncapped_tree_expands_every_node():
-    tree = expand(FixedDistModel(TRI), (0,), depth=3, top_k=2)
-    assert tree.size() == 2 + 4 + 8
-    assert tree.expand_width is None
-
-
 def test_frontier_prefers_high_value_nodes():
-    # width 1: only the value-1 branch of layer 1 gets children
-    model = ScriptedModel({(9,): (0.3, 0.6, 0.1)}, make_vocab(3))
-    tree = expand(model, (9,), depth=2, top_k=2, expand_width=1)
-    layer1, layer2 = tree.layers
-    assert [n.token for n in layer1] == [1, 0]  # stable sort on -p
-    assert all(n.parent.token == 1 for n in layer2)
+    # layer 2 holds four nodes of distinct value; only the best two, 0.54
+    # and 0.24, one under each layer-1 node, get children
+    model = ScriptedModel({(9,): (0.6, 0.4, 0.0), (9, 0): (0.9, 0.1, 0.0),
+                           (9, 1): (0.0, 0.6, 0.4)}, make_vocab(3))
+    tree = expand(model, (9,), depth=3, top_k=2)
+    layer1, layer2, layer3 = tree.layers
+    assert [n.tokens for n in layer1] == [(0,), (1,)]
+    assert [n.tokens for n in layer2] == [(0, 0), (0, 1), (1, 1), (1, 2)]
+    assert [round(math.exp(n.log_value), 12) for n in layer2] == [
+        0.54, 0.06, 0.24, 0.16]
+    assert {n.parent.tokens for n in layer3} == {(0, 0), (1, 1)}
+    assert len(layer3) == 4
 
 
 def test_zero_probability_tokens_never_enter():
@@ -89,7 +89,7 @@ def test_planted_chain_value_is_rho_power():
     assert [n.token for n in tree.nodes] == list(template[4:8])
     leaf = tree.nodes[-1]
     assert leaf.confidence == 0.97
-    assert leaf.value == pytest.approx(0.97 ** 4, rel=1e-12)
+    assert math.exp(leaf.log_value) == pytest.approx(0.97 ** 4, rel=1e-12)
 
 
 def test_truncated_expansion_survives_dead_frontier():
@@ -115,8 +115,6 @@ def test_expand_validation():
         expand(FixedDistModel(TRI), (0,), depth=0, top_k=2)
     with pytest.raises(ConfigError):
         DraftTree((0,), top_k=0)
-    with pytest.raises(ConfigError):
-        DraftTree((0,), top_k=2, expand_width=0)
     with pytest.raises(ConfigError):
         rerank(expand(FixedDistModel(TRI), (0,), 1, 1), budget=0)
 
@@ -164,13 +162,15 @@ def test_rerank_order_and_ranks():
     tree = expand(FixedDistModel(TRI), (0,), depth=2, top_k=2)
     t2 = rerank(tree, 3)
     # values: 0.7, then 0.49, then the layer-1 0.2 node
-    assert [n.value for n in t2.nodes] == pytest.approx([0.7, 0.49, 0.2])
+    assert [math.exp(n.log_value) for n in t2.nodes] == pytest.approx(
+        [0.7, 0.49, 0.2])
     assert [t2.rank_of(n) for n in t2.nodes] == [1, 2, 3]
-    assert t2.depth() == 2
-    outside = [n for n in tree.nodes if n not in t2]
+    assert max(n.depth for n in t2.nodes) == 2
+    picked = {id(n) for n in t2.nodes}
+    outside = [n for n in tree.nodes if id(n) not in picked]
     assert len(outside) == tree.size() - 3
     kept = t2.children_in(t2.nodes[0])
-    assert all(c in t2 for c in kept)
+    assert kept and all(id(c) in picked for c in kept)
 
 
 def test_rerank_saturates_at_tree_size():
@@ -182,14 +182,12 @@ def test_rerank_saturates_at_tree_size():
 
 def test_rerank_matches_sort_oracle_randomized():
     rng = np.random.default_rng(2024)
-    widths = (None, 1, 2, 3, 4)
     for _ in range(150):
         vocab = make_vocab(int(rng.integers(4, 11)))
         model = DrawnDistModel(vocab, rng)
         depth = int(rng.integers(1, 7))
         top_k = int(rng.integers(1, 5))
-        width = widths[int(rng.integers(len(widths)))]
-        tree = expand(model, (0, 1), depth, top_k, width)
+        tree = expand(model, (0, 1), depth, top_k)
         budget = int(rng.integers(1, tree.size() + 4))
         t2 = rerank(tree, budget)
         assert t2.nodes == sorted(tree.nodes, key=DraftNode.sort_key)[:budget]
@@ -206,13 +204,14 @@ def render_tree(tree: DraftTree, symbols=None) -> str:
     """Deterministic text dump (token, confidence, value, depth) for
     golden-file comparisons."""
     lines = [f"tree depth={tree.depth_limit} top_k={tree.top_k} "
-             f"width={tree.expand_width} nodes={tree.size()}"]
+             f"nodes={tree.size()}"]
 
     def walk(node: DraftNode, indent: int):
         for child in node.children:
             label = symbols[child.token] if symbols else str(child.token)
             lines.append("  " * indent +
-                         f"{label} c={child.confidence:.6f} v={child.value:.6f} d={child.depth}")
+                         f"{label} c={child.confidence:.6f} "
+                         f"v={math.exp(child.log_value):.6f} d={child.depth}")
             walk(child, indent + 1)
 
     walk(tree.root, 1)
@@ -222,7 +221,7 @@ def render_tree(tree: DraftTree, symbols=None) -> str:
 def test_render_tree_golden():
     tree = expand(FixedDistModel(TRI), (5,), depth=2, top_k=2)
     expected = (
-        "tree depth=2 top_k=2 width=None nodes=6\n"
+        "tree depth=2 top_k=2 nodes=6\n"
         "  0 c=0.700000 v=0.700000 d=1\n"
         "    0 c=0.700000 v=0.490000 d=2\n"
         "    1 c=0.200000 v=0.140000 d=2\n"
