@@ -10,7 +10,7 @@ Exit codes, one distinct status per failure class:
     2  configuration or usage error
     3  calibration failure
     4  malformed bins file
-    5  arm outputs diverged (verification bug)
+    5  arm outputs diverged or a decode's records broke an invariant
     6  filesystem error
 
 Failures print exactly one line to stderr of the form

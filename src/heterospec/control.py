@@ -14,6 +14,12 @@ and reshapes the verification budget:
 
 with gamma = (0.3, 0.6, 1.0) for the three lowest bins and 1.0 beyond.
 The baseline is the same loop with no low bins.
+
+Everything before verification depends only on the draft model's state
+(``state_key``) and on settings fixed for one decode, so each decode drafts
+a tree once per draft state and reuses it, with its entropy, bin and shape,
+whenever greedy decoding returns to that state. Verification against the
+target runs on every iteration.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from dataclasses import dataclass, replace
 from .binning import BinningModel
 from .entropy import tree_entropy_signal
 from .errors import ConfigError, OutputMismatchError
-from .metrics import CostModel, IterationRecord, RunSummary, summarize
+from .metrics import (CostModel, IterationRecord, RunSummary, summarize,
+                      validate_run)
 from .models import LanguageModel
 from .tree import RerankedTree, expand, extend, rerank
 from .verify import AcceptResult, argmax_token, verify_greedy
@@ -139,15 +146,24 @@ def _decode(target_model: LanguageModel, draft_model: LanguageModel,
     out: list[int] = []
     records: list[IterationRecord] = []
     iteration = 0
+    # draft state -> (entropy, bin, decision, reranked tree); bins, low_bins
+    # and the resolved shape are fixed for this call, so the draft side of
+    # an iteration is a function of the draft state alone
+    drafted: dict[tuple, tuple[float, int, AdaptDecision, RerankedTree]] = {}
     while len(out) < cfg.max_new_tokens:
         remaining = cfg.max_new_tokens - len(out)
-        tree = expand(draft_model, ctx, cfg.depth, cfg.top_k)
-        entropy = tree_entropy_signal(tree, cfg.top_k)
-        bin_index = bins.assign_bin(entropy) if bins is not None else -1
-        decision = adapt(bin_index, cfg.alpha, cfg.top_n, low_bins)
-        if decision.extra_layers > 0:
-            extend(tree, draft_model, decision.extra_layers)
-        tree2 = rerank(tree, decision.top_n)
+        state = draft_model.state_key(ctx)
+        hit = drafted.get(state)
+        if hit is None:
+            tree = expand(draft_model, ctx, cfg.depth, cfg.top_k)
+            entropy = tree_entropy_signal(tree, cfg.top_k)
+            bin_index = bins.assign_bin(entropy) if bins is not None else -1
+            decision = adapt(bin_index, cfg.alpha, cfg.top_n, low_bins)
+            if decision.extra_layers > 0:
+                extend(tree, draft_model, decision.extra_layers)
+            hit = drafted[state] = (entropy, bin_index, decision,
+                                    rerank(tree, decision.top_n))
+        entropy, bin_index, decision, tree2 = hit
         result = verify_greedy(tree2, target_model, ctx)
         emit, k, tcr, stop = _emit(result, tree2, remaining, cfg.terminator)
         records.append(IterationRecord(
@@ -198,11 +214,18 @@ def run_arm(name: str, decode, target_model: LanguageModel,
             draft_model: LanguageModel, prompts: list[Context],
             config: HeteroConfig, cost_model: CostModel | None = None,
             **kwargs) -> ArmResult:
+    """Decode every prompt with one arm. Each decode's records must pass
+    ``validate_run`` against the tokens it emitted, or the arm raises."""
     outputs: list[list[int]] = []
     records: list[IterationRecord] = []
     for i, prompt in enumerate(prompts):
         result = decode(target_model, draft_model, prompt, config,
                         prompt_index=i, **kwargs)
+        problems = validate_run(result.records,
+                                expected_emitted=len(result.tokens))
+        if problems:
+            raise OutputMismatchError(
+                f"{name} arm, prompt {i}: {'; '.join(problems)}")
         outputs.append(result.tokens)
         records.extend(result.records)
     cfg = config.resolved()

@@ -22,8 +22,9 @@ class BinsFileError(HeteroSpecError):
 
 
 class OutputMismatchError(HeteroSpecError):
-    """Paired decoding arms emitted different token sequences.
+    """Paired decoding arms emitted different token sequences, or a decode's
+    iteration records break an accounting invariant (``validate_run``).
 
-    Both controllers are greedy-exact, so this always signals a
-    verification bug rather than bad luck.
+    Both controllers are greedy-exact and account for every emitted token,
+    so this always signals a decoding bug rather than bad luck.
     """

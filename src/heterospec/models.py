@@ -12,6 +12,11 @@ it (top-k children, top-1 probability, argmax, top-K entropies), so each is
 computed once per model rather than once per draft node or verify step.
 Callers copy a returned array before writing to it.
 
+``state_key`` is the stronger key the decode loop reuses draft trees by:
+contexts with equal state keys get equal distributions after any common
+continuation, not just at the next token. For an n-gram model it is the
+last order - 1 raw tokens; by default the whole context.
+
 An n-gram model keeps {token: count} of the tokens seen after each context.
 Its first L count tables are those an order-L model trains on the same
 corpus, so ``lower_order`` derives the draft base instead of training one.
@@ -62,6 +67,12 @@ class LanguageModel:
     def context_key(self, context: Context) -> tuple[int, ...]:
         """The part of ``context`` that decides ``next_dist``: contexts with
         equal keys get equal distributions."""
+        return tuple(context)
+
+    def state_key(self, context: Context) -> tuple[int, ...]:
+        """The state ``context`` leaves the model in: contexts with equal
+        keys get equal ``next_dist`` after any common continuation. The
+        whole context by default, so a generic model shares no state."""
         return tuple(context)
 
     def record(self, dist: ProbDist) -> DistRecord:
@@ -135,6 +146,12 @@ class NGramModel(_MemoModel):
                 return ctx
         return ()
 
+    def state_key(self, context: Context) -> tuple[int, ...]:
+        """The last order - 1 tokens of ``context``, or all of a shorter one.
+        Not the backoff key: an unseen context and the empty one back off
+        alike but can diverge once a token is appended."""
+        return tuple(context[max(0, len(context) - self.order + 1):])
+
     def _compute(self, key: tuple[int, ...], context: Context) -> ProbDist:
         k, v = self.smoothing, self.vocab.size
         # only () can be missing, in a model file without unigram records
@@ -197,6 +214,9 @@ class PerturbedDraftModel(_MemoModel):
     def context_key(self, context: Context) -> tuple[int, ...]:
         return self.base.context_key(context)
 
+    def state_key(self, context: Context) -> tuple[int, ...]:
+        return self.base.state_key(context)
+
     def _compute(self, key: tuple[int, ...], context: Context) -> ProbDist:
         return perturb(self.base.next_dist(context), self.temperature, self.noise)
 
@@ -239,20 +259,35 @@ def load_model(path) -> NGramModel:
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: bad header: {exc}") from exc
     counts: Counts = [{} for _ in range(order)]
+    # save_model writes a context's records together, so "c <len> <ctx> " is
+    # parsed and checked once per run of lines that start with it
+    prefix: str | None = None
+    v = vocab.size
     for lineno, line in enumerate(lines[body_at:], start=body_at + 1):
-        parts = line.split()
-        if len(parts) != 5 or parts[0] != "c":
-            raise ConfigError(f"{path}:{lineno}: malformed count record")
+        if prefix is not None and line.startswith(prefix):
+            rest = line[len(prefix):]
+        else:
+            prefix = None
+            head = line.split(None, 3)
+            if len(head) != 4 or head[0] != "c":
+                raise ConfigError(f"{path}:{lineno}: malformed count record")
+            try:
+                length = int(head[1])
+                ctx = () if head[2] == "-" else tuple(map(int, head[2].split(",")))
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: malformed count record") from None
+            rest = head[3]
         try:
-            length = int(parts[1])
-            ctx = () if parts[2] == "-" else tuple(int(x) for x in parts[2].split(","))
-            tok = int(parts[3])
-            count = int(parts[4])
+            tok, count = map(int, rest.split())  # exactly two fields
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: malformed count record") from None
-        if not 0 <= length < order or len(ctx) != length or count < 0 \
-                or not 0 <= tok < vocab.size \
-                or any(not 0 <= c < vocab.size for c in ctx):
+        if prefix is None:
+            if not 0 <= length < order or len(ctx) != length \
+                    or ctx and not (0 <= min(ctx) and max(ctx) < v):
+                raise ConfigError(f"{path}:{lineno}: count record out of range")
+            seen = counts[length].setdefault(ctx, {})
+            prefix = " ".join(head[:3]) + " "
+        if count < 0 or not 0 <= tok < v:
             raise ConfigError(f"{path}:{lineno}: count record out of range")
-        counts[length].setdefault(ctx, {})[tok] = count
+        seen[tok] = count
     return NGramModel(vocab, order, smoothing, counts)

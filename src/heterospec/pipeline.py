@@ -47,6 +47,8 @@ def _path(config: ExperimentConfig, name: str) -> str:
 
 
 def _prepare_out_dir(config: ExperimentConfig) -> None:
+    """Snapshot the config; steps call it once their inputs have loaded and
+    passed every check, so a refused step leaves the last snapshot alone."""
     os.makedirs(config.out_dir, exist_ok=True)
     save_config(config, _path(config, CONFIG_FILE))
 
@@ -84,9 +86,9 @@ def _splits(config: ExperimentConfig, docs: list[str]) -> tuple[list, list, list
 
 def step_train_model(config: ExperimentConfig) -> str:
     """Train the target model on the training split; returns its path."""
-    _prepare_out_dir(config)
     docs = _read_docs(config)
     train, _, _ = _splits(config, docs)
+    _prepare_out_dir(config)
     vocab = build_vocab(train, mode=config.tokenization)
     model = train_ngram(train, vocab, order=config.model.order,
                         smoothing=config.model.smoothing)
@@ -122,9 +124,9 @@ def _prompt_split(config: ExperimentConfig, target: NGramModel,
 def step_calibrate(config: ExperimentConfig) -> str:
     """Run the static baseline on calibration prompts, fit entropy bins,
     write bins.txt plus the calibration trace; returns the bins path."""
-    _prepare_out_dir(config)
     target, draft = load_models(config)
     prompts = _prompt_split(config, target, "calibration")
+    _prepare_out_dir(config)
     arm = run_arm("calibration", decode_baseline, target, draft, prompts,
                   config.controller, cost_model=None)
     write_iterations_csv(_path(config, CALIBRATION_CSV), arm.records)
@@ -160,10 +162,10 @@ def step_run(config: ExperimentConfig, mode: str) -> tuple[str, str]:
     CSV paths. mode is 'baseline' or 'adaptive'."""
     if mode not in ("baseline", "adaptive"):
         raise ConfigError(f"mode must be baseline or adaptive, got {mode!r}")
-    _prepare_out_dir(config)
     target, draft = load_models(config)
     bins = load_pipeline_bins(config)
     prompts = _prompt_split(config, target, "eval")
+    _prepare_out_dir(config)
     decode = decode_baseline if mode == "baseline" else decode_adaptive
     arm = run_arm(mode, decode, target, draft, prompts, config.controller,
                   config.cost, bins=bins)
@@ -178,10 +180,10 @@ def step_compare(config: ExperimentConfig,
                  alphas: list[int] | None = None) -> tuple[str, ComparisonResult]:
     """Run baseline and adaptive arms on the eval prompts; returns the
     compare CSV path and the in-memory result."""
-    _prepare_out_dir(config)
     target, draft = load_models(config)
     bins = load_pipeline_bins(config)
     prompts = _prompt_split(config, target, "eval")
+    _prepare_out_dir(config)
     result = run_comparison(target, draft, prompts, config.controller, bins,
                             cost_model=config.cost, alphas=alphas)
     write_iterations_csv(_path(config, "baseline-iterations.csv"),

@@ -209,6 +209,49 @@ def test_exit_2_on_bins_for_another_tree_shape(tmp_path, capsys, controller):
                  "--out", out]) == 0
 
 
+def test_refused_step_leaves_config_snapshot_alone(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+    out = str(tmp_path / "run")
+    for command in ("gen-corpus", "train-model", "calibrate"):
+        assert main([command, "--config", str(cfg), "--out", out]) == 0
+    snapshot = os.path.join(out, "config.json")
+    before = open(snapshot, "rb").read()
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(dict(
+        TINY_CONFIG, controller=dict(TINY_CONFIG["controller"], depth=7))),
+        encoding="utf-8")
+    bad_draft = tmp_path / "bad-draft.json"
+    bad_draft.write_text(json.dumps(dict(
+        TINY_CONFIG, model={"order": 4}, draft={"order": 4})),
+        encoding="utf-8")
+    capsys.readouterr()
+    for command, config in ((["compare"], other),
+                            (["run", "--mode", "baseline"], other),
+                            (["calibrate"], bad_draft)):
+        assert main([*command, "--config", str(config), "--out", out]) == 2
+        _one_error_line(capsys.readouterr())
+        assert open(snapshot, "rb").read() == before
+
+
+def test_exit_5_on_records_that_break_accounting(cli_lab, capsys, monkeypatch):
+    import heterospec.pipeline as pipeline
+
+    real = pipeline.decode_baseline
+
+    def dropped_record(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.records.pop()
+        return result
+
+    monkeypatch.setattr(pipeline, "decode_baseline", dropped_record)
+    base, _ = cli_lab
+    assert main(["run", *base, "--mode", "baseline"]) == 5
+    err = _one_error_line(capsys.readouterr())
+    assert err.startswith("heterospec: verify-mismatch: baseline arm, prompt 0: "
+                          "total emitted")
+
+
 def test_exit_3_on_degenerate_calibration(tmp_path, capsys):
     # identical periodic docs: every calibration iteration sees the same
     # handful of entropy values, far below the diversity floor

@@ -5,10 +5,13 @@ a rho-0.97 template gives full 5-token acceptance each iteration, so call
 counts, ranks, and tau are known in closed form."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import FixedDistModel, chain_template_model, make_vocab
+from heterospec import control, pipeline
 from heterospec.binning import BinningModel
 from heterospec.config import config_from_dict
 from heterospec.control import (
@@ -282,3 +285,102 @@ def test_run_comparison_detects_output_divergence():
                        max_new_tokens=4)
     with pytest.raises(OutputMismatchError, match="alpha=2"):
         run_comparison(target, draft, [(0,)], cfg, flat_bins(), alphas=[2])
+
+
+# ------------------------------------------------------------ draft memo
+
+
+class _WholeContextDraft(LanguageModel):
+    """The same draft distributions under the default ``state_key``, the
+    whole context, so the decode loop never reuses a drafted tree."""
+
+    def __init__(self, base: LanguageModel):
+        self.base = base
+        self.vocab = base.vocab
+
+    def next_dist(self, context):
+        return self.base.next_dist(context)
+
+    def record(self, dist):
+        return self.base.record(dist)
+
+
+def _tiny_lab(config):
+    for step in (pipeline.step_gen_corpus, pipeline.step_train_model,
+                 pipeline.step_calibrate):
+        step(config)
+    target, draft = pipeline.load_models(config)
+    bins = pipeline.load_pipeline_bins(config)
+    prompts = pipeline._prompt_split(config, target, "eval")
+    return target, draft, bins, prompts
+
+
+def _decode_states(draft, prompt, result) -> set:
+    """The draft state of every iteration's context in one decode."""
+    states, done = set(), 0
+    for r in result.records:
+        states.add(draft.state_key(tuple(prompt) + tuple(result.tokens[:done])))
+        done += r.emitted
+    return states
+
+
+@pytest.mark.parametrize("decode", [decode_baseline, decode_adaptive],
+                         ids=["baseline", "adaptive"])
+def test_draft_memo_matches_decoding_without_reuse(tiny_config, decode):
+    target, draft, bins, prompts = _tiny_lab(tiny_config)
+    cfg = tiny_config.controller
+    reused, extended = 0, 0
+    for i, prompt in enumerate(prompts):
+        got = decode(target, draft, prompt, cfg, bins, prompt_index=i)
+        want = decode(target, _WholeContextDraft(draft), prompt, cfg, bins,
+                      prompt_index=i)
+        assert got.tokens == want.tokens
+        assert got.records == want.records
+        reused += len(got.records) - len(_decode_states(draft, prompt, got))
+        extended += sum(r.draft_depth > cfg.depth for r in got.records)
+    assert reused > 0  # the memo was hit, so the comparison means something
+    assert (extended > 0) == (decode is decode_adaptive)
+
+
+def test_draft_memo_expands_once_per_draft_state_per_decode(tiny_config,
+                                                             monkeypatch):
+    target, draft, bins, prompts = _tiny_lab(tiny_config)
+    calls = []
+    real_expand = control.expand
+
+    def counting_expand(model, context, depth, top_k):
+        calls.append(model.state_key(context))
+        return real_expand(model, context, depth, top_k)
+
+    monkeypatch.setattr(control, "expand", counting_expand)
+    # the same prompt twice per arm: the memo must not outlive a decode
+    for decode in (decode_baseline, decode_adaptive, decode_baseline):
+        for prompt in (prompts[0], prompts[0], prompts[1]):
+            calls.clear()
+            result = decode(target, draft, prompt, tiny_config.controller, bins)
+            states = _decode_states(draft, prompt, result)
+            assert len(calls) == len(set(calls)) == len(states)
+            assert set(calls) == states
+            assert len(result.records) > len(states)
+
+
+def test_run_arm_rejects_records_that_break_accounting():
+    model, tpl = chain_template_model()
+    cfg = HeteroConfig(depth=3, top_k=2, top_n=8, max_new_tokens=12)
+
+    def short_trace(*args, **kwargs):
+        result = decode_baseline(*args, **kwargs)
+        result.records.pop()
+        return result
+
+    with pytest.raises(OutputMismatchError,
+                       match=r"^broken arm, prompt 0: total emitted \d+ != expected 12$"):
+        run_arm("broken", short_trace, model, model, [tpl[:4]], cfg)
+
+    def bad_rank(*args, **kwargs):
+        result = decode_baseline(*args, **kwargs)
+        result.records[1] = replace(result.records[1], tcr=0)
+        return result
+
+    with pytest.raises(OutputMismatchError, match="iteration 1: tcr 0 outside"):
+        run_arm("broken", bad_rank, model, model, [tpl[:4]], cfg)

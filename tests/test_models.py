@@ -282,6 +282,37 @@ def test_load_model_rejects_malformed_files(tmp_path):
         load_model(out_of_range)
 
 
+# GOLDEN_MODEL ends with line 11, "c 1 0 1 1"; the added line is line 12,
+# so records sharing that line's prefix reach the per-run parse
+MALFORMED, OUT_OF_RANGE = "malformed count record", "count record out of range"
+
+
+@pytest.mark.parametrize("record,error", [
+    ("c 1 0 2 1 9", MALFORMED), ("c 1 0 x 1", MALFORMED), ("c 1 0 2", MALFORMED),
+    ("c 1 0 7 1", OUT_OF_RANGE), ("c 1 0 2 -1", OUT_OF_RANGE),
+    ("c 1 3 9 1", OUT_OF_RANGE), ("c 1 4 0 1", OUT_OF_RANGE),
+    ("c 1 -1 0 1", OUT_OF_RANGE), ("c 2 0,1 0 1", OUT_OF_RANGE),
+    ("c 1 0,1 0 1", OUT_OF_RANGE), ("c 1 - 0 1", OUT_OF_RANGE),
+    ("c 1 0,x 0 1", MALFORMED), ("x 1 0 0 1", MALFORMED),
+    ("c bogus", MALFORMED), ("", MALFORMED),
+])
+def test_load_model_reports_bad_record_at_its_line(tmp_path, record, error):
+    path = tmp_path / "model.txt"
+    path.write_text(GOLDEN_MODEL + record + "\nc 1 0 2 1\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}:12: {error}"
+
+
+def test_load_model_reads_records_split_on_any_whitespace(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text(GOLDEN_MODEL + "c  1 0\t2  3 \nc 1 0 3 4\n  c 1 1 0 5\n",
+                    encoding="utf-8")
+    model = load_model(path)
+    assert model._counts[1][(0,)] == {1: 1, 2: 3, 3: 4}
+    assert model._counts[1][(1,)] == {0: 5}
+
+
 def test_ngram_model_rejects_bad_hyperparameters():
     vocab = build_vocab(["ab"], mode="char")
     with pytest.raises(ConfigError):
@@ -352,3 +383,54 @@ def test_reloaded_model_memo_bitwise_equal(tmp_path):
         ctx = tuple(int(t) for t in rng.integers(vocab.size, size=rng.integers(0, 4)))
         assert loaded.next_dist(ctx).tobytes() == target.next_dist(ctx).tobytes()
         assert not loaded.next_dist(ctx).flags.writeable
+
+
+# ------------------------------------------------------------ state key
+
+# dense enough over three symbols that most 3-token contexts were seen
+STATE_DOCS = ["abcacbbacabba", "cabbcaacbcc", "aacbcbbacaab"]
+
+
+@given(st.integers(1, 4), st.booleans(), st.booleans(), st.data())
+def test_state_key_equal_keys_agree_after_any_continuation(order, pruned,
+                                                           perturbed, data):
+    vocab = build_vocab(STATE_DOCS, mode="char")
+    model = train_ngram(STATE_DOCS, vocab, order=order, smoothing=0.1)
+    if pruned and order > 1:
+        # a model file may hold a context without its suffixes; trained
+        # tables never do, and on them the backoff context would also pass
+        counts = [dict(table) for table in model._counts]
+        for sym in "ab":
+            del counts[1][(vocab.id_of(sym),)]
+        model = NGramModel(vocab, order, 0.1, counts)
+    if perturbed:
+        model = PerturbedDraftModel(model, temperature=0.7, noise=0.02)
+    tokens = st.lists(st.integers(0, vocab.size - 1), max_size=5).map(tuple)
+    tail = data.draw(tokens)
+    contexts = [head + tail for head in data.draw(st.lists(tokens, min_size=2,
+                                                            max_size=6))]
+    continuation = data.draw(tokens)
+    if len(tail) >= order - 1:  # a shared window means a shared state
+        assert len({model.state_key(c) for c in contexts}) == 1
+    for a in contexts:
+        for b in contexts:
+            if model.state_key(a) != model.state_key(b):
+                continue
+            for i in range(len(continuation) + 1):
+                ca, cb = a + continuation[:i], b + continuation[:i]
+                assert model.state_key(ca) == model.state_key(cb)
+                assert model.next_dist(ca).tobytes() == \
+                    model.next_dist(cb).tobytes()
+
+
+def test_state_key_is_the_raw_window_not_the_backoff_context():
+    vocab, target, draft = _memo_models()
+    the, cat, unk = vocab.id_of("the"), vocab.id_of("cat"), vocab.unk_id
+    assert target.state_key((unk, the, cat)) == (the, cat)
+    assert target.state_key((unk, unk)) == (unk, unk)  # backoff key is ()
+    assert target.state_key((cat,)) == (cat,)
+    assert target.lower_order(1).state_key((the, cat)) == ()
+    assert draft.state_key((unk, the, cat)) == (the, cat)
+    assert draft.state_key((unk, unk)) == (unk, unk)
+    assert PlantedTemplateModel(make_vocab(4), [(0, 1)], rho=0.9) \
+        .state_key([2, 0]) == (2, 0)
