@@ -14,7 +14,9 @@ Exit codes, one distinct status per failure class:
     6  filesystem error
 
 Failures print exactly one line to stderr of the form
-``heterospec: <kind>: <message>``.
+``heterospec: <kind>: <message>``. Bins that hold one bin are not a
+failure, but leave the adaptive arm nothing to adapt: calibrate and compare
+then exit 0 and print one ``heterospec: note: <message>`` line to stderr.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from dataclasses import replace
 from .config import ExperimentConfig, load_config
 from .errors import (BinsFileError, CalibrationError, ConfigError,
                      HeteroSpecError, OutputMismatchError)
-from .pipeline import (render_report, step_calibrate, step_compare,
-                       step_gen_corpus, step_report, step_run,
+from .pipeline import (load_pipeline_bins, render_report, step_calibrate,
+                       step_compare, step_gen_corpus, step_report, step_run,
                        step_train_model)
 
 _EXIT_KINDS: list[tuple[type, int, str]] = [
@@ -96,6 +98,13 @@ def _parse_alphas(raw: str | None) -> list[int] | None:
     return alphas
 
 
+def _note_one_bin(config: ExperimentConfig) -> None:
+    if load_pipeline_bins(config).num_bins == 1 \
+            and 0 not in (config.controller.low_bins or ()):
+        print("heterospec: note: the bins hold one bin, so the adaptive arm "
+              "equals the baseline", file=sys.stderr)
+
+
 def _dispatch(args: argparse.Namespace) -> None:
     config = _resolve_config(args)
     if args.command == "gen-corpus":
@@ -104,6 +113,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         print(step_train_model(config))
     elif args.command == "calibrate":
         print(step_calibrate(config))
+        _note_one_bin(config)
     elif args.command == "run":
         iter_path, summary_path = step_run(config, args.mode)
         print(iter_path)
@@ -116,6 +126,7 @@ def _dispatch(args: argparse.Namespace) -> None:
             print(f"{name} alpha={alpha_str} calls={summary.calls} "
                   f"tokens={summary.tokens} tau={summary.tau:.4f} "
                   f"speedup={summary.speedup:.4f}")
+        _note_one_bin(config)
     elif args.command == "report":
         if not args.digest_only:
             for path in step_report(config, args.arm):

@@ -127,10 +127,7 @@ def _emit(result: AcceptResult, tree2: RerankedTree, remaining: int,
         emit = emit[:remaining]
         stop = True
     k = len(emit) - 1
-    if k >= 1:
-        tcr = tree2.rank_of(result.accepted_nodes[k - 1])
-    else:
-        tcr = len(tree2) + 1
+    tcr = result.accepted_ranks[k - 1] if k >= 1 else len(tree2) + 1
     return emit, k, tcr, stop
 
 

@@ -10,8 +10,8 @@ largest top-1 probability.
 All distributions involved were already computed while the tree was
 built, so the signal is free of extra model calls, and each step's top-1
 probability and entropy are computed once per distinct distribution, in
-the ``DistRecord`` that the tree node shares with every node drafted from
-the same context.
+the ``DistRecord`` that a node tuple holds in its ``STEP`` field and shares
+with every node drafted from the same context.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .models import ProbDist
-from .tree import DraftNode, DraftTree
+from .tree import INDEX, NEG_VALUE, STEP, DraftNode, DraftTree, path
 
 
 def topk_step_entropy(dist: ProbDist, k: int) -> float:
@@ -62,8 +62,7 @@ def select_meta_path(tree: DraftTree) -> DraftNode:
         raise ConfigError("cannot select a meta path from an empty tree")
 
     def key(node: DraftNode) -> tuple[float, float, int]:
-        return (-node.step.derive(top1_prob), -node.log_value,
-                node.insertion_index)
+        return (-node[STEP].derive(top1_prob), node[NEG_VALUE], node[INDEX])
 
     return min(candidates, key=key)
 
@@ -71,4 +70,4 @@ def select_meta_path(tree: DraftTree) -> DraftNode:
 def tree_entropy_signal(tree: DraftTree, k: int) -> float:
     """Sum of the top-k step entropies along the meta path."""
     leaf = select_meta_path(tree)
-    return float(sum(n.step.derive(topk_step_entropy, k) for n in leaf.path()))
+    return float(sum(n[STEP].derive(topk_step_entropy, k) for n in path(leaf)))

@@ -123,18 +123,19 @@ def _prompt_split(config: ExperimentConfig, target: NGramModel,
 
 def step_calibrate(config: ExperimentConfig) -> str:
     """Run the static baseline on calibration prompts, fit entropy bins,
-    write bins.txt plus the calibration trace; returns the bins path."""
+    write bins.txt plus the calibration trace; returns the bins path.
+    Nothing is written until the fit succeeds."""
     target, draft = load_models(config)
     prompts = _prompt_split(config, target, "calibration")
-    _prepare_out_dir(config)
     arm = run_arm("calibration", decode_baseline, target, draft, prompts,
                   config.controller, cost_model=None)
-    write_iterations_csv(_path(config, CALIBRATION_CSV), arm.records)
     ctl = config.controller
     samples = collect_calibration(arm.records, base_depth=ctl.depth,
                                   filter=config.calibration.filter)
     check_calibration_diversity(samples, filter=config.calibration.filter)
     bins = fit_binning(samples, entropy_k=ctl.top_k, base_depth=ctl.depth)
+    _prepare_out_dir(config)
+    write_iterations_csv(_path(config, CALIBRATION_CSV), arm.records)
     out = _path(config, BINS_FILE)
     save_bins(bins, out)
     return out

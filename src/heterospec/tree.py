@@ -6,48 +6,44 @@ highest-value nodes of the previous layer, each contributing its top-k
 positive-probability children. A node's value is the product of the draft
 confidences along its path, kept in log domain so deep products stay stable.
 
-Ties on value are broken by smaller depth, then smaller insertion index.
-Because a parent always has at least its child's value and strictly
-smaller depth, top-N selection under this order is guaranteed to return a
-root-connected subtree.
+A node is one plain tuple, laid out so that its natural order is the rank
+order:
+
+    (-log value, depth, index, token, parent, step, path tokens)
+
+Higher value ranks first; ties go to smaller depth, then to the smaller
+creation index. Indices are unique within a tree, so a comparison never
+reaches the fields after it. ``step`` is the ``DistRecord`` of the
+distribution the token was drawn from, shared with every node drafted from
+the same context, and ``path tokens`` are the tokens below the root, this
+node's last. Because a parent always has at least its child's value and
+strictly smaller depth, top-N selection under this order is guaranteed to
+return a root-connected subtree.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .models import DistRecord, LanguageModel, ProbDist
+from .models import LanguageModel, ProbDist
 from .vocab import Context
 
+DraftNode = tuple  # (-log value, depth, index, token, parent, step, path tokens)
+NEG_VALUE, DEPTH, INDEX, TOKEN, PARENT, STEP, TOKENS = range(7)
 
-@dataclass(eq=False, slots=True)
-class DraftNode:
-    token: int
-    confidence: float
-    log_value: float
-    depth: int
-    parent: DraftNode | None
-    step: DistRecord | None  # record of the distribution this token was drawn from
-    insertion_index: int
-    tokens: tuple[int, ...] = ()  # path tokens below the root, this one last
-    children: list[DraftNode] = field(default_factory=list)
 
-    def path(self) -> list[DraftNode]:
-        """Nodes from the layer-1 ancestor down to this node."""
-        out, node = [], self
-        while node is not None and node.depth > 0:
-            out.append(node)
-            node = node.parent
-        out.reverse()
-        return out
-
-    def sort_key(self) -> tuple[float, int, int]:
-        return (-self.log_value, self.depth, self.insertion_index)
+def path(node: DraftNode) -> list[DraftNode]:
+    """Nodes from the layer-1 ancestor down to ``node``."""
+    out = []
+    while node[DEPTH] > 0:
+        out.append(node)
+        node = node[PARENT]
+    out.reverse()
+    return out
 
 
 class DraftTree:
@@ -60,24 +56,9 @@ class DraftTree:
         self.context = tuple(context)
         self.top_k = top_k
         self.depth_limit = 0
-        self.root = DraftNode(token=-1, confidence=1.0, log_value=0.0, depth=0,
-                              parent=None, step=None, insertion_index=-1)
+        self.root: DraftNode = (0.0, 0, -1, -1, None, None, ())
         self.nodes: list[DraftNode] = []  # creation order, excludes root
         self.layers: list[list[DraftNode]] = []
-
-    def add_child(self, parent: DraftNode, token: int, confidence: float,
-                  step: DistRecord) -> DraftNode:
-        depth = parent.depth + 1
-        node = DraftNode(token, confidence,
-                         parent.log_value + math.log(confidence), depth,
-                         parent, step, len(self.nodes),
-                         parent.tokens + (token,))
-        parent.children.append(node)
-        self.nodes.append(node)
-        if len(self.layers) < depth:
-            self.layers.append([])
-        self.layers[depth - 1].append(node)
-        return node
 
     def deepest_layer(self) -> list[DraftNode]:
         return self.layers[-1] if self.layers else []
@@ -103,22 +84,37 @@ def top_children(dist: ProbDist, k: int) -> list[tuple[int, float]]:
     return [(int(t), float(dist[t])) for t in order if dist[t] > 0.0]
 
 
+def top_log_children(dist: ProbDist, k: int) -> list[tuple[int, float]]:
+    """``top_children`` with each probability replaced by its log."""
+    return [(t, math.log(p)) for t, p in top_children(dist, k)]
+
+
 def _grow_layers(tree: DraftTree, draft_model: LanguageModel, layers: int) -> None:
+    context, top_k, nodes = tree.context, tree.top_k, tree.nodes
     for _ in range(layers):
         if tree.depth_limit == 0:
-            frontier: list[DraftNode] = [tree.root]
+            frontier = [tree.root]
         elif len(tree.layers) < tree.depth_limit:
             tree.depth_limit += 1  # previous layer empty: tree is truncated
             continue
         else:
-            prev = tree.layers[tree.depth_limit - 1]
-            frontier = sorted(prev, key=DraftNode.sort_key)[:tree.top_k]
+            frontier = heapq.nsmallest(top_k, tree.layers[tree.depth_limit - 1])
         tree.depth_limit += 1
-        for node in frontier:
-            dist = draft_model.next_dist(tree.context + node.tokens)
-            step = draft_model.record(dist)
-            for token, prob in step.derive(top_children, tree.top_k):
-                tree.add_child(node, token, prob, step)
+        depth = tree.depth_limit
+        index = len(nodes)
+        layer = []
+        for parent in frontier:
+            neg_value, tokens = parent[NEG_VALUE], parent[TOKENS]
+            step = draft_model.record(draft_model.next_dist(context + tokens))
+            # -(a + log p) == -a - log p exactly, so values and ties match
+            # the sum of logs along the path
+            for token, logp in step.derive(top_log_children, top_k):
+                layer.append((neg_value - logp, depth, index, token, parent,
+                              step, tokens + (token,)))
+                index += 1
+        if layer:
+            nodes.extend(layer)
+            tree.layers.append(layer)
 
 
 def expand(draft_model: LanguageModel, context: Context, depth: int,
@@ -142,30 +138,23 @@ def extend(tree: DraftTree, draft_model: LanguageModel,
 
 
 class RerankedTree:
-    """Top-N selection of a draft tree, in value order.
+    """Top-N selection of a draft tree, in rank order.
 
-    The selection order lists ancestors before descendants, so it doubles
-    as the rank order used for terminal confidence ranks.
+    The rank order lists ancestors before descendants. ``ranks`` maps each
+    kept node's path tokens to its 1-based rank, so verification finds the
+    kept child of a node for a token with one lookup.
     """
 
-    def __init__(self, root: DraftNode, nodes: list[DraftNode]):
-        self.root = root
+    def __init__(self, nodes: list[DraftNode]):
         self.nodes = nodes
-        self._rank = {id(n): i + 1 for i, n in enumerate(nodes)}
+        self.ranks = {node[TOKENS]: rank for rank, node in enumerate(nodes, 1)}
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def rank_of(self, node: DraftNode) -> int:
-        return self._rank[id(node)]
-
-    def children_in(self, node: DraftNode) -> list[DraftNode]:
-        return [c for c in node.children if id(c) in self._rank]
 
 
 def rerank(tree: DraftTree, budget: int) -> RerankedTree:
     """Select the ``budget`` highest-value nodes of the tree."""
     if budget < 1:
         raise ConfigError(f"rerank budget must be >= 1, got {budget}")
-    picked = heapq.nsmallest(budget, tree.nodes, key=DraftNode.sort_key)
-    return RerankedTree(tree.root, picked)
+    return RerankedTree(heapq.nsmallest(budget, tree.nodes))

@@ -37,10 +37,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.symbols)
 
-    @property
-    def unk_id(self) -> int:
-        return self._index[UNK]
-
     def id_of(self, symbol: str) -> int:
         return self._index.get(symbol, self._index[UNK])
 

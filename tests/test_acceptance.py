@@ -19,6 +19,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from chain_sampling import verify_stochastic_chain
 from conftest import DrawnDistModel, MemoizedModel, make_vocab, tcr_bands
 from heterospec.binning import (
     BinningModel,
@@ -51,8 +52,7 @@ from heterospec.pipeline import (
     step_gen_corpus,
     step_train_model,
 )
-from heterospec.tree import DraftNode, expand, rerank
-from heterospec.verify import verify_stochastic_chain
+from heterospec.tree import DEPTH, INDEX, NEG_VALUE, PARENT, TOKENS, expand, rerank
 from heterospec.vocab import build_vocab, encode_corpus, read_corpus
 
 
@@ -335,14 +335,15 @@ def test_criterion_05_rerank_matches_sort_oracle():
                       top_k=int(rng.integers(1, 5)))
         budget = int(rng.integers(1, tree.size() + 4))
         t2 = rerank(tree, budget)
-        assert t2.nodes == sorted(tree.nodes, key=DraftNode.sort_key)[:budget]
+        assert t2.nodes == sorted(tree.nodes, key=lambda n: (
+            n[NEG_VALUE], n[DEPTH], n[INDEX]))[:budget]
         assert len(t2) == min(budget, tree.size())
         picked = {id(n) for n in t2.nodes}
         for node in t2.nodes:
-            assert node.parent is tree.root or id(node.parent) in picked
-            if node.parent is not tree.root:
-                assert t2.rank_of(node.parent) < t2.rank_of(node)
-            assert node.log_value <= node.parent.log_value + 1e-12
+            assert node[PARENT] is tree.root or id(node[PARENT]) in picked
+            if node[PARENT] is not tree.root:
+                assert t2.ranks[node[PARENT][TOKENS]] < t2.ranks[node[TOKENS]]
+            assert -node[NEG_VALUE] <= -node[PARENT][NEG_VALUE] + 1e-12
 
 
 # ------------------------------------------------------------ criterion 6

@@ -225,13 +225,26 @@ def test_refused_step_leaves_config_snapshot_alone(tmp_path, capsys):
     bad_draft.write_text(json.dumps(dict(
         TINY_CONFIG, model={"order": 4}, draft={"order": 4})),
         encoding="utf-8")
+    # a calibration the fit refuses: 18 fully accepted samples, 3 distinct
+    # entropies
+    refused = tmp_path / "refused.json"
+    refused.write_text(json.dumps(dict(
+        TINY_CONFIG, calibration={"filter": "fully-accepted"},
+        prompts=dict(TINY_CONFIG["prompts"], calibration_count=2))),
+        encoding="utf-8")
+    artifacts = ("config.json", "calibration.csv", "bins.txt")
+    kept = {name: open(os.path.join(out, name), "rb").read()
+            for name in artifacts}
     capsys.readouterr()
-    for command, config in ((["compare"], other),
-                            (["run", "--mode", "baseline"], other),
-                            (["calibrate"], bad_draft)):
-        assert main([*command, "--config", str(config), "--out", out]) == 2
+    for command, config, code in ((["compare"], other, 2),
+                                  (["run", "--mode", "baseline"], other, 2),
+                                  (["calibrate"], bad_draft, 2),
+                                  (["calibrate"], refused, 3)):
+        assert main([*command, "--config", str(config), "--out", out]) == code
         _one_error_line(capsys.readouterr())
         assert open(snapshot, "rb").read() == before
+    for name in artifacts:
+        assert open(os.path.join(out, name), "rb").read() == kept[name], name
 
 
 def test_exit_5_on_records_that_break_accounting(cli_lab, capsys, monkeypatch):
@@ -276,6 +289,30 @@ def test_exit_3_on_degenerate_calibration(tmp_path, capsys):
     err = _one_error_line(capsys.readouterr())
     assert err.startswith("heterospec: calibration:")
     assert "distinct entropy values" in err
+
+
+def test_one_bin_fit_is_noted_not_failed(tmp_path, capsys, cli_lab):
+    # every fully accepted sample of this narrow tree has the same rank, so
+    # no split exists and the fit holds one bin
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(
+        TINY_CONFIG, calibration={"filter": "fully-accepted"},
+        controller=dict(TINY_CONFIG["controller"], top_n=4))), encoding="utf-8")
+    base = ["--config", str(cfg), "--out", str(tmp_path / "run")]
+    for command in ("gen-corpus", "train-model"):
+        assert main([command, *base]) == 0
+    note = ("heterospec: note: the bins hold one bin, so the adaptive arm "
+            "equals the baseline\n")
+    for command in ("calibrate", "compare"):
+        capsys.readouterr()
+        assert main([command, *base]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == note
+    baseline_calls, adaptive_calls = re.findall(r" calls=(\d+) ", captured.out)
+    assert baseline_calls == adaptive_calls
+    # bins of several bins: nothing is noted
+    assert main(["compare", *cli_lab[0]]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_exit_4_on_corrupt_bins(tmp_path, capsys):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import FixedDistModel, ScriptedModel, make_vocab, prob_dists, tied_dists
 from heterospec.entropy import select_meta_path, topk_step_entropy, tree_entropy_signal
 from heterospec.errors import ConfigError
-from heterospec.tree import expand
+from heterospec.tree import DEPTH, STEP, TOKEN, expand, path
 
 
 def _entropy_full_sort(dist, k):
@@ -103,13 +103,13 @@ def test_cumulative_signal_adds_steps():
     model = FixedDistModel((0.7, 0.2, 0.1))
     tree = expand(model, (5,), depth=2, top_k=1)
     leaf = select_meta_path(tree)
-    steps = [topk_step_entropy(n.step.dist, 2) for n in leaf.path()]
+    steps = [topk_step_entropy(n[STEP].dist, 2) for n in path(leaf)]
     assert len(steps) == 2
     assert steps == pytest.approx([0.52970619905765452117] * 2)
     signal = tree_entropy_signal(tree, 2)
     assert signal == pytest.approx(1.0594123981153090423, abs=1e-15)
     assert signal == sum(steps)
-    assert np.max(leaf.step.dist) == 0.7
+    assert np.max(leaf[STEP].dist) == 0.7
     assert leaf is tree.deepest_layer()[0]
 
 
@@ -122,8 +122,8 @@ def test_meta_path_prefers_confident_final_step():
     }
     tree = expand(ScriptedModel(table, make_vocab(3)), (9,), depth=2, top_k=2)
     leaf = select_meta_path(tree)
-    assert np.max(leaf.step.dist) == 0.9
-    assert leaf.path()[0].token == 1
+    assert np.max(leaf[STEP].dist) == 0.9
+    assert path(leaf)[0][TOKEN] == 1
 
 
 def test_meta_path_tie_prefers_higher_value():
@@ -135,7 +135,7 @@ def test_meta_path_tie_prefers_higher_value():
     }
     tree = expand(ScriptedModel(table, make_vocab(3)), (3,), depth=2, top_k=2)
     leaf = select_meta_path(tree)
-    assert leaf.path()[0].token == 0
+    assert path(leaf)[0][TOKEN] == 0
 
 
 def test_meta_path_uses_deepest_layer_after_truncation():
@@ -144,7 +144,7 @@ def test_meta_path_uses_deepest_layer_after_truncation():
                           make_vocab(3))
     tree = expand(model, (), depth=3, top_k=2)
     leaf = select_meta_path(tree)
-    assert [n.depth for n in leaf.path()] == [1]
+    assert [n[DEPTH] for n in path(leaf)] == [1]
 
 
 def test_meta_path_empty_tree_rejected():

@@ -10,7 +10,7 @@ from conftest import (FixedDistModel, PlantedTemplateModel, is_valid_dist, make_
 from heterospec.errors import ConfigError
 from heterospec.models import (NGramModel, PerturbedDraftModel, load_model,
                                perturb, save_model, train_ngram)
-from heterospec.vocab import build_vocab
+from heterospec.vocab import UNK, build_vocab
 
 
 def test_is_valid_dist():
@@ -35,7 +35,7 @@ def test_unseen_context_backs_off_to_unigram():
     vocab = build_vocab(["abab"], mode="char")
     model = train_ngram(["abab"], vocab, order=3, smoothing=0.5)
     # context (unk, unk) was never observed at length 2 or 1
-    fallback = model.next_dist((vocab.unk_id, vocab.unk_id))
+    fallback = model.next_dist((vocab.id_of(UNK), vocab.id_of(UNK)))
     counts = np.array([2.0, 2.0, 0.0])  # a, b, <unk> occurrences in the corpus
     expected = (counts + 0.5) / (counts.sum() + 0.5 * 3)
     np.testing.assert_allclose(fallback, expected, atol=1e-15)
@@ -334,7 +334,7 @@ def _memo_models():
 
 def test_context_key_is_backoff_context():
     vocab, target, draft = _memo_models()
-    the, cat, unk = vocab.id_of("the"), vocab.id_of("cat"), vocab.unk_id
+    the, cat, unk = vocab.id_of("the"), vocab.id_of("cat"), vocab.id_of(UNK)
     assert target.context_key((unk, the, cat)) == (the, cat)
     assert target.context_key((unk, unk, the)) == (the,)  # (unk, the) unseen
     assert target.context_key((unk, unk)) == ()
@@ -345,7 +345,7 @@ def test_context_key_is_backoff_context():
 
 def test_same_key_shares_one_read_only_array():
     vocab, target, draft = _memo_models()
-    the, cat, unk = vocab.id_of("the"), vocab.id_of("cat"), vocab.unk_id
+    the, cat, unk = vocab.id_of("the"), vocab.id_of("cat"), vocab.id_of(UNK)
     for model in (target, draft):
         a = model.next_dist((the, cat))
         assert model.next_dist((unk, the, cat)) is a
@@ -425,7 +425,7 @@ def test_state_key_equal_keys_agree_after_any_continuation(order, pruned,
 
 def test_state_key_is_the_raw_window_not_the_backoff_context():
     vocab, target, draft = _memo_models()
-    the, cat, unk = vocab.id_of("the"), vocab.id_of("cat"), vocab.unk_id
+    the, cat, unk = vocab.id_of("the"), vocab.id_of("cat"), vocab.id_of(UNK)
     assert target.state_key((unk, the, cat)) == (the, cat)
     assert target.state_key((unk, unk)) == (unk, unk)  # backoff key is ()
     assert target.state_key((cat,)) == (cat,)

@@ -197,6 +197,16 @@ def test_default_planted_experiment_matches_readme(tmp_path):
            for name, alpha, s in result.rows()]
     assert got == [("baseline", None, 907, 16326, "5.2922", "2.7784"),
                    ("adaptive", 3, 705, 12394, "6.8085", "3.5587")]
+    # the traces, byte for byte
+    for name, digest in (
+            ("bins.txt",
+             "15a03105e4f21f396b6fb8f39b7d17b4d70118f977f914f159965595408707df"),
+            ("baseline-iterations.csv",
+             "d3346a3ef4e716f638506db5c2569c6dc86c6e7b591ed68ec52231188d080c86"),
+            ("adaptive-iterations.csv",
+             "b5fc3c2d08927ecda0ef7ceecc3b32715477724f42ca352dd92d8b73f0b5454d")):
+        with open(os.path.join(cfg.out_dir, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
 
 def test_shared_draft_base_when_draft_order_unset(tmp_path):

@@ -3,7 +3,7 @@
 Hand-sized trees pin confidences, values, and layer geometry; a randomized
 sweep checks the reranker against a plain sort oracle and the structural
 guarantees (root-connected, ancestors ranked first, value monotone along
-edges)."""
+edges). Nodes are tuples read by the field positions ``tree`` exports."""
 from __future__ import annotations
 
 import math
@@ -17,20 +17,29 @@ from hypothesis import strategies as st
 from conftest import (DrawnDistModel, FixedDistModel, ScriptedModel, chain_template_model,
                       make_vocab, tied_dists)
 from heterospec.errors import ConfigError
-from heterospec.models import DistRecord
-from heterospec.tree import DraftNode, DraftTree, expand, extend, rerank, top_children
+from heterospec.tree import (DEPTH, INDEX, NEG_VALUE, PARENT, STEP, TOKEN, TOKENS,
+                             DraftTree, expand, extend, path, rerank, top_children)
 
 TRI = (0.7, 0.2, 0.1)
+
+
+def confidence(node) -> float:
+    """Draft probability of the node's token, read from its step."""
+    return float(node[STEP].dist[node[TOKEN]])
+
+
+def sort_key(node) -> tuple[float, int, int]:
+    return (node[NEG_VALUE], node[DEPTH], node[INDEX])
 
 
 def test_single_layer_top_children():
     tree = expand(FixedDistModel(TRI), (5,), depth=1, top_k=2)
     assert tree.size() == 2
     a, b = tree.nodes
-    assert (a.token, a.depth, a.insertion_index) == (0, 1, 0)
-    assert (b.token, b.depth, b.insertion_index) == (1, 1, 1)
-    assert a.confidence == 0.7 and b.confidence == 0.2
-    assert math.exp(a.log_value) == pytest.approx(0.7, rel=1e-12)
+    assert (a[TOKEN], a[DEPTH], a[INDEX]) == (0, 1, 0)
+    assert (b[TOKEN], b[DEPTH], b[INDEX]) == (1, 1, 1)
+    assert confidence(a) == 0.7 and confidence(b) == 0.2
+    assert math.exp(-a[NEG_VALUE]) == pytest.approx(0.7, rel=1e-12)
     assert tree.deepest_layer() == [a, b]
 
 
@@ -48,10 +57,25 @@ def test_leaf_value_is_confidence_product():
     model = ScriptedModel({(): (0.9, 0.1), (0,): (0.8, 0.2)}, make_vocab(2))
     tree = expand(model, (), depth=2, top_k=1)
     leaf = tree.nodes[-1]
-    assert leaf.confidence == 0.8
-    assert leaf.log_value == pytest.approx(math.log(0.9) + math.log(0.8))
-    assert math.exp(leaf.log_value) == pytest.approx(0.72, rel=1e-12)
-    assert leaf.tokens == (0, 0)
+    assert confidence(leaf) == 0.8
+    assert -leaf[NEG_VALUE] == pytest.approx(math.log(0.9) + math.log(0.8))
+    assert math.exp(-leaf[NEG_VALUE]) == pytest.approx(0.72, rel=1e-12)
+    assert leaf[TOKENS] == (0, 0)
+
+
+def test_value_is_the_negated_log_sum_bitwise():
+    # -(a + log p) == -a - log p in IEEE arithmetic, so the stored value
+    # equals the negated running sum of log confidences down the path,
+    # and rank ties fall exactly as they would on that sum
+    rng = np.random.default_rng(77)
+    for _ in range(50):
+        model = DrawnDistModel(make_vocab(int(rng.integers(3, 9))), rng)
+        tree = expand(model, (0,), int(rng.integers(1, 6)), int(rng.integers(1, 4)))
+        for node in tree.nodes:
+            log_value = 0.0
+            for step in path(node):
+                log_value = log_value + math.log(confidence(step))
+            assert node[NEG_VALUE] == -log_value
 
 
 def test_tree_node_count():
@@ -68,17 +92,17 @@ def test_frontier_prefers_high_value_nodes():
                            (9, 1): (0.0, 0.6, 0.4)}, make_vocab(3))
     tree = expand(model, (9,), depth=3, top_k=2)
     layer1, layer2, layer3 = tree.layers
-    assert [n.tokens for n in layer1] == [(0,), (1,)]
-    assert [n.tokens for n in layer2] == [(0, 0), (0, 1), (1, 1), (1, 2)]
-    assert [round(math.exp(n.log_value), 12) for n in layer2] == [
+    assert [n[TOKENS] for n in layer1] == [(0,), (1,)]
+    assert [n[TOKENS] for n in layer2] == [(0, 0), (0, 1), (1, 1), (1, 2)]
+    assert [round(math.exp(-n[NEG_VALUE]), 12) for n in layer2] == [
         0.54, 0.06, 0.24, 0.16]
-    assert {n.parent.tokens for n in layer3} == {(0, 0), (1, 1)}
+    assert {n[PARENT][TOKENS] for n in layer3} == {(0, 0), (1, 1)}
     assert len(layer3) == 4
 
 
 def test_zero_probability_tokens_never_enter():
     tree = expand(FixedDistModel((0.7, 0.3, 0.0, 0.0)), (0,), depth=2, top_k=4)
-    assert all(n.confidence > 0.0 for n in tree.nodes)
+    assert all(confidence(n) > 0.0 for n in tree.nodes)
     assert [len(layer) for layer in tree.layers] == [2, 4]
 
 
@@ -86,10 +110,10 @@ def test_planted_chain_value_is_rho_power():
     model, template = chain_template_model(length=30, rho=0.97)
     prompt = template[:4]
     tree = expand(model, prompt, depth=4, top_k=1)
-    assert [n.token for n in tree.nodes] == list(template[4:8])
+    assert [n[TOKEN] for n in tree.nodes] == list(template[4:8])
     leaf = tree.nodes[-1]
-    assert leaf.confidence == 0.97
-    assert math.exp(leaf.log_value) == pytest.approx(0.97 ** 4, rel=1e-12)
+    assert confidence(leaf) == 0.97
+    assert math.exp(-leaf[NEG_VALUE]) == pytest.approx(0.97 ** 4, rel=1e-12)
 
 
 def test_truncated_expansion_survives_dead_frontier():
@@ -100,7 +124,7 @@ def test_truncated_expansion_survives_dead_frontier():
     tree = expand(model, (), depth=3, top_k=2)
     assert tree.size() == 2
     assert tree.depth_limit == 3
-    assert [n.depth for n in tree.deepest_layer()] == [1, 1]
+    assert [n[DEPTH] for n in tree.deepest_layer()] == [1, 1]
 
 
 def test_all_zero_root_yields_empty_tree():
@@ -124,7 +148,7 @@ def test_extend_matches_single_expansion():
     prompt = template[:5]
 
     def shape(tree):
-        return [(n.token, n.depth, n.insertion_index, n.confidence, n.log_value)
+        return [(n[TOKEN], n[DEPTH], n[INDEX], confidence(n), n[NEG_VALUE])
                 for n in tree.nodes]
 
     grown = expand(model, prompt, depth=3, top_k=2)
@@ -143,33 +167,36 @@ def test_extend_rejects_zero_layers():
 def test_path_excludes_root():
     tree = expand(FixedDistModel(TRI), (7,), depth=3, top_k=1)
     leaf = tree.nodes[-1]
-    path = leaf.path()
-    assert [n.depth for n in path] == [1, 2, 3]
-    assert path[-1] is leaf
-    assert leaf.tokens == (0, 0, 0)
+    nodes = path(leaf)
+    assert [n[DEPTH] for n in nodes] == [1, 2, 3]
+    assert nodes[-1] is leaf
+    assert leaf[TOKENS] == (0, 0, 0)
 
 
-def test_sort_key_breaks_ties_by_depth_then_insertion():
-    dist = DistRecord(np.asarray(TRI))
-    tree = DraftTree((), top_k=2)
-    a = tree.add_child(tree.root, 0, 0.5, dist)
-    b = tree.add_child(tree.root, 1, 0.5, dist)
-    c = tree.add_child(a, 2, 1.0, dist)  # same value as its parent
-    assert sorted([c, b, a], key=DraftNode.sort_key) == [a, b, c]
+def test_node_order_breaks_value_ties_by_depth_then_index():
+    model = ScriptedModel({(): (0.5, 0.5, 0.0), (0,): (0.0, 0.0, 1.0),
+                           (1,): np.zeros(3)}, make_vocab(3))
+    a, b, c = expand(model, (), depth=2, top_k=2).nodes
+    assert c[PARENT] is a and c[NEG_VALUE] == a[NEG_VALUE]  # same value
+    assert sorted([c, b, a], key=sort_key) == [a, b, c]
+    assert sorted([c, b, a]) == [a, b, c]  # the tuple order is the rank order
 
 
 def test_rerank_order_and_ranks():
     tree = expand(FixedDistModel(TRI), (0,), depth=2, top_k=2)
     t2 = rerank(tree, 3)
     # values: 0.7, then 0.49, then the layer-1 0.2 node
-    assert [math.exp(n.log_value) for n in t2.nodes] == pytest.approx(
+    assert [math.exp(-n[NEG_VALUE]) for n in t2.nodes] == pytest.approx(
         [0.7, 0.49, 0.2])
-    assert [t2.rank_of(n) for n in t2.nodes] == [1, 2, 3]
-    assert max(n.depth for n in t2.nodes) == 2
+    assert [t2.ranks[n[TOKENS]] for n in t2.nodes] == [1, 2, 3]
+    assert max(n[DEPTH] for n in t2.nodes) == 2
     picked = {id(n) for n in t2.nodes}
     outside = [n for n in tree.nodes if id(n) not in picked]
     assert len(outside) == tree.size() - 3
-    kept = t2.children_in(t2.nodes[0])
+    # the token map holds exactly the kept nodes
+    assert set(t2.ranks) == {n[TOKENS] for n in t2.nodes}
+    kept = [n for n in tree.nodes
+            if n[PARENT] is t2.nodes[0] and n[TOKENS] in t2.ranks]
     assert kept and all(id(c) in picked for c in kept)
 
 
@@ -177,7 +204,7 @@ def test_rerank_saturates_at_tree_size():
     tree = expand(FixedDistModel(TRI), (0,), depth=2, top_k=2)
     t2 = rerank(tree, 100)
     assert len(t2) == tree.size()
-    assert t2.nodes == sorted(tree.nodes, key=DraftNode.sort_key)
+    assert t2.nodes == sorted(tree.nodes, key=sort_key)
 
 
 def test_rerank_matches_sort_oracle_randomized():
@@ -190,14 +217,14 @@ def test_rerank_matches_sort_oracle_randomized():
         tree = expand(model, (0, 1), depth, top_k)
         budget = int(rng.integers(1, tree.size() + 4))
         t2 = rerank(tree, budget)
-        assert t2.nodes == sorted(tree.nodes, key=DraftNode.sort_key)[:budget]
+        assert t2.nodes == sorted(tree.nodes, key=sort_key)[:budget]
         assert len(t2) == min(budget, tree.size())
         picked = {id(n) for n in t2.nodes}
         for node in t2.nodes:
-            assert node.parent is tree.root or id(node.parent) in picked
-            if node.parent is not tree.root:
-                assert t2.rank_of(node.parent) < t2.rank_of(node)
-            assert node.log_value <= node.parent.log_value + 1e-12
+            assert node[PARENT] is tree.root or id(node[PARENT]) in picked
+            if node[PARENT] is not tree.root:
+                assert t2.ranks[node[PARENT][TOKENS]] < t2.ranks[node[TOKENS]]
+            assert -node[NEG_VALUE] <= -node[PARENT][NEG_VALUE] + 1e-12
 
 
 def render_tree(tree: DraftTree, symbols=None) -> str:
@@ -206,15 +233,20 @@ def render_tree(tree: DraftTree, symbols=None) -> str:
     lines = [f"tree depth={tree.depth_limit} top_k={tree.top_k} "
              f"nodes={tree.size()}"]
 
-    def walk(node: DraftNode, indent: int):
-        for child in node.children:
-            label = symbols[child.token] if symbols else str(child.token)
-            lines.append("  " * indent +
-                         f"{label} c={child.confidence:.6f} "
-                         f"v={math.exp(child.log_value):.6f} d={child.depth}")
-            walk(child, indent + 1)
+    children: dict[int, list] = {}
+    for node in tree.nodes:
+        children.setdefault(node[PARENT][INDEX], []).append(node)
 
-    walk(tree.root, 1)
+    def walk(index: int, indent: int):
+        for child in children.get(index, []):
+            token = child[TOKEN]
+            label = symbols[token] if symbols else str(token)
+            lines.append("  " * indent +
+                         f"{label} c={confidence(child):.6f} "
+                         f"v={math.exp(-child[NEG_VALUE]):.6f} d={child[DEPTH]}")
+            walk(child[INDEX], indent + 1)
+
+    walk(tree.root[INDEX], 1)
     return "\n".join(lines) + "\n"
 
 

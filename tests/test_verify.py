@@ -1,21 +1,20 @@
-"""Greedy tree verification and the stochastic accept/residual rule."""
+"""Greedy tree verification, and the stochastic accept/residual rule of the
+chain sampling reference that acceptance criterion 2 runs."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from conftest import FixedDistModel, ScriptedModel, chain_template_model, make_vocab
-from heterospec.models import DistRecord
-from heterospec.tree import DraftTree, expand, rerank
-from heterospec.verify import (
+from chain_sampling import (
     accept_prob,
-    argmax_token,
     residual_dist,
     sample_chain,
     sample_from,
-    verify_greedy,
     verify_stochastic_chain,
 )
+from conftest import FixedDistModel, ScriptedModel, chain_template_model, make_vocab
+from heterospec.tree import TOKEN, expand, rerank
+from heterospec.verify import argmax_token, verify_greedy
 
 
 def test_argmax_token_tie_goes_to_smaller_id():
@@ -49,24 +48,22 @@ def test_residual_dist_identical_models_falls_back_to_target():
 
 
 def _hand_tree():
-    # a(0): 0.6   b(1): 0.4   c(2) under a: 0.9 -> value 0.54
-    dist = DistRecord(np.asarray([0.6, 0.4, 0.0]))
-    tree = DraftTree((), top_k=2)
-    a = tree.add_child(tree.root, 0, 0.6, dist)
-    tree.add_child(tree.root, 1, 0.4, dist)
-    tree.add_child(a, 2, 0.9, DistRecord(np.asarray([0.05, 0.05, 0.9])))
-    return tree
+    # a(0): 0.6   b(1): 0.4   c(2) under a: 0.9 -> value 0.54, and a 0.03
+    # node under a that a budget of 3 prunes
+    draft = ScriptedModel({(): (0.6, 0.4, 0.0), (0,): (0.05, 0.05, 0.9),
+                           (1,): np.zeros(3)}, make_vocab(3))
+    return expand(draft, (), depth=2, top_k=2)
 
 
 def test_verify_greedy_hand_walk():
     tree2 = rerank(_hand_tree(), 3)
-    assert [n.token for n in tree2.nodes] == [0, 2, 1]  # value order
+    assert [n[TOKEN] for n in tree2.nodes] == [0, 2, 1]  # value order
     target = ScriptedModel({(): (0.5, 0.3, 0.2),
                             (0,): (0.1, 0.2, 0.7),
                             (0, 2): (0.2, 0.7, 0.1)}, make_vocab(3))
     res = verify_greedy(tree2, target, ())
     assert res.accepted_tokens == [0, 2]
-    assert tree2.rank_of(res.accepted_nodes[-1]) == 2
+    assert res.accepted_ranks == [1, 2]
     assert res.bonus_token == 1
     assert len(tree2) == 3
     assert res.accepted_len == 2
@@ -78,7 +75,7 @@ def test_verify_greedy_immediate_mismatch():
     target = FixedDistModel((0.1, 0.1, 0.8))
     res = verify_greedy(rerank(tree, 6), target, (4,))
     assert res.accepted_tokens == []
-    assert res.accepted_nodes == []
+    assert res.accepted_ranks == []
     assert res.bonus_token == 2
     assert res.emitted == [2]
 
@@ -91,7 +88,7 @@ def test_verify_greedy_full_chain_acceptance():
     assert res.accepted_tokens == list(template[3:7])
     assert res.bonus_token == template[7]
     # the planted chain occupies the first ranks, so its leaf sits at depth
-    assert tree2.rank_of(res.accepted_nodes[-1]) == 4
+    assert res.accepted_ranks[-1] == 4
 
 
 def test_verify_greedy_respects_pruned_children():

@@ -29,12 +29,12 @@ def test_build_vocab_empty_corpus_rejected():
 def test_build_vocab_sorted_with_unk_last():
     vocab = build_vocab(["cab"], mode="char")
     assert vocab.symbols == ("a", "b", "c", UNK)
-    assert vocab.unk_id == vocab.size - 1
+    assert vocab.id_of(UNK) == vocab.size - 1
 
 
 def test_unknown_symbols_map_to_unk():
     vocab = build_vocab(["ab"], mode="char")
-    assert vocab.encode("abz") == (0, 1, vocab.unk_id)
+    assert vocab.encode("abz") == (0, 1, vocab.id_of(UNK))
 
 
 def test_encode_decode_round_trip_word_mode():
@@ -89,4 +89,4 @@ def test_word_vocab_covers_corpus(docs):
     for doc in docs:
         for tok in vocab.encode(doc):
             assert 0 <= tok < vocab.size
-            assert tok != vocab.unk_id  # every training symbol is in-vocab
+            assert tok != vocab.id_of(UNK)  # every training symbol is in-vocab
