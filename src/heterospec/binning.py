@@ -5,12 +5,14 @@ small CART regressor. Each node picks the threshold minimizing
 
     L(s) = (1/|D_l|) sum_l (y - c_l)^2  +  (1/|D_r|) sum_r (y - c_r)^2
 
-with the left side holding samples with x <= s and c the side means.
-Candidate thresholds are midpoints of consecutive distinct sorted x
-values; ties on loss go to the smaller threshold. Three levels of splits
-give at most 7 thresholds, so at most 8 ordered bins partitioning
-[0, inf). Bin intervals are closed on the left and open on the right: a
-query equal to a threshold lands in the bin to its right.
+with the left side holding samples with x < s and c the side means.
+Candidate thresholds lie between consecutive distinct sorted x values,
+x[i] < s <= x[i+1]: the midpoint, or x[i+1] when the midpoint of two
+adjacent doubles rounds down onto x[i]. Ties on loss go to the smaller
+threshold. Three levels of splits give at most 7 thresholds, so at most 8
+ordered bins partitioning [0, inf). Bin intervals are closed on the left
+and open on the right: a query equal to a threshold lands in the bin to
+its right, the side training put it on.
 """
 
 from __future__ import annotations
@@ -138,7 +140,8 @@ def best_split(xs: np.ndarray, ys: np.ndarray) -> Split | None:
         sse_r = _group_sse(total_sq - csq[i], total_sum - csum[i], nr)
         loss = sse_l / nl + sse_r / nr
         if best is None or loss < best.loss:
-            best = Split(threshold=(x[i] + x[i + 1]) / 2.0, loss=loss)
+            mid = (x[i] + x[i + 1]) / 2.0
+            best = Split(threshold=mid if mid > x[i] else x[i + 1], loss=loss)
     return best
 
 
@@ -156,8 +159,8 @@ def train_cart(xs: np.ndarray, ys: np.ndarray) -> list[float]:
         if split is None:
             return
         thresholds.append(split.threshold)
-        grow(mask & (xs <= split.threshold), depth + 1)
-        grow(mask & (xs > split.threshold), depth + 1)
+        grow(mask & (xs < split.threshold), depth + 1)
+        grow(mask & (xs >= split.threshold), depth + 1)
 
     grow(np.ones(xs.shape[0], dtype=bool), 0)
     return sorted(thresholds)
@@ -204,15 +207,10 @@ def fit_binning(samples: list[CalibrationSample], entropy_k: int | None = None,
     xs = np.array([s.entropy for s in samples], dtype=np.float64)
     ys = np.array([s.tcr for s in samples], dtype=np.float64)
     thresholds = train_cart(xs, ys)
-    nbins = len(thresholds) + 1
     means, counts = [], []
-    for b in range(nbins):
-        if b == 0:
-            sel = xs <= thresholds[0] if thresholds else np.ones_like(xs, bool)
-        elif b == nbins - 1:
-            sel = xs > thresholds[-1]
-        else:
-            sel = (xs > thresholds[b - 1]) & (xs <= thresholds[b])
+    # closed on the left and open on the right, the rule assign_bin applies
+    for lo, hi in zip([-math.inf, *thresholds], [*thresholds, math.inf]):
+        sel = (xs >= lo) & (xs < hi)
         counts.append(int(sel.sum()))
         means.append(float(ys[sel].mean()) if counts[-1] else 0.0)
     return BinningModel(thresholds=tuple(thresholds), means=tuple(means),

@@ -14,9 +14,10 @@ Exit codes, one distinct status per failure class:
     6  filesystem error
 
 Failures print exactly one line to stderr of the form
-``heterospec: <kind>: <message>``. Bins that hold one bin are not a
-failure, but leave the adaptive arm nothing to adapt: calibrate and compare
-then exit 0 and print one ``heterospec: note: <message>`` line to stderr.
+``heterospec: <kind>: <message>``. Bins that hold none of the low bins,
+say a fit of one bin, are not a failure, but leave the adaptive arm
+nothing to adapt: calibrate and compare then exit 0 and print one
+``heterospec: note: <message>`` line to stderr.
 """
 
 from __future__ import annotations
@@ -98,11 +99,11 @@ def _parse_alphas(raw: str | None) -> list[int] | None:
     return alphas
 
 
-def _note_one_bin(config: ExperimentConfig) -> None:
-    if load_pipeline_bins(config).num_bins == 1 \
-            and 0 not in (config.controller.low_bins or ()):
-        print("heterospec: note: the bins hold one bin, so the adaptive arm "
-              "equals the baseline", file=sys.stderr)
+def _note_no_low_bin(config: ExperimentConfig) -> None:
+    bins = load_pipeline_bins(config)
+    if not any(b in range(bins.num_bins) for b in config.controller.low_bins_for(bins)):
+        print(f"heterospec: note: no low bin is among bins 0..{bins.num_bins - 1},"
+              " so the adaptive arm equals the baseline", file=sys.stderr)
 
 
 def _dispatch(args: argparse.Namespace) -> None:
@@ -113,7 +114,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         print(step_train_model(config))
     elif args.command == "calibrate":
         print(step_calibrate(config))
-        _note_one_bin(config)
+        _note_no_low_bin(config)
     elif args.command == "run":
         iter_path, summary_path = step_run(config, args.mode)
         print(iter_path)
@@ -126,7 +127,7 @@ def _dispatch(args: argparse.Namespace) -> None:
             print(f"{name} alpha={alpha_str} calls={summary.calls} "
                   f"tokens={summary.tokens} tau={summary.tau:.4f} "
                   f"speedup={summary.speedup:.4f}")
-        _note_one_bin(config)
+        _note_no_low_bin(config)
     elif args.command == "report":
         if not args.digest_only:
             for path in step_report(config, args.arm):

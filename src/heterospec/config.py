@@ -91,10 +91,15 @@ class ExperimentConfig:
 def _build(cls, data, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names)
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(types))
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
+    for name, value in data.items():
+        # type() is exact, so a bool is not taken for an int
+        if types[name] in ("int", "int | None") and type(value) is not int \
+                and not (value is None and types[name] == "int | None"):
+            raise ConfigError(f"{where}.{name}: expected an integer, got {value!r}")
     try:
         return cls(**data)
     except TypeError as exc:

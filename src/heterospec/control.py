@@ -82,10 +82,19 @@ class HeteroConfig:
             raise ConfigError("max_new_tokens must be >= 1")
         if self.alpha is not None and self.alpha < 0:
             raise ConfigError("alpha must be >= 0")
+        if self.low_bins is not None and not (
+                isinstance(self.low_bins, tuple) and all(
+                    type(b) is int and b >= 0 for b in self.low_bins)):
+            raise ConfigError("low_bins must be a list of non-negative "
+                              f"integers, got {self.low_bins!r}")
 
     def resolved(self) -> "HeteroConfig":
         return replace(self, alpha=self.alpha if self.alpha is not None
                        else default_alpha(self.depth))
+
+    def low_bins_for(self, bins: BinningModel) -> tuple[int, ...]:
+        """The configured low bins, or the binning model's default ones."""
+        return self.low_bins if self.low_bins is not None else bins.default_low_bins()
 
 
 @dataclass
@@ -192,10 +201,8 @@ def decode_adaptive(target_model: LanguageModel, draft_model: LanguageModel,
                     prompt_index: int = 0) -> GenerationResult:
     """Entropy-adaptive drafting over the configured low bins, or the
     binning model's default ones."""
-    low_bins = (config.low_bins if config.low_bins is not None
-                else bins.default_low_bins())
     return _decode(target_model, draft_model, prompt, config, bins,
-                   tuple(low_bins), prompt_index)
+                   config.low_bins_for(bins), prompt_index)
 
 
 @dataclass

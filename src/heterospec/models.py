@@ -5,17 +5,16 @@ probability vector (entries >= 0, summing to 1 within 1e-9) and is a
 deterministic function of (model state, context). Models are immutable
 after construction apart from their memo, which only ever grows.
 
-The n-gram and draft models memoize ``next_dist`` by ``context_key``: every
+``state_key(context)`` names the state a context leaves the model in:
+contexts with equal state keys get equal distributions now and after any
+common continuation. For an n-gram model it is the last order - 1 raw
+tokens; by default the whole context. The n-gram and draft models memoize
+``next_dist`` by it, and the decode loop reuses draft trees by it. Every
 context with the same key gets the same read-only array, and ``record``
 maps that array to the one ``DistRecord`` holding the values derived from
 it (top-k children, top-1 probability, argmax, top-K entropies), so each is
 computed once per model rather than once per draft node or verify step.
 Callers copy a returned array before writing to it.
-
-``state_key`` is the stronger key the decode loop reuses draft trees by:
-contexts with equal state keys get equal distributions after any common
-continuation, not just at the next token. For an n-gram model it is the
-last order - 1 raw tokens; by default the whole context.
 
 An n-gram model keeps {token: count} of the tokens seen after each context.
 Its first L count tables are those an order-L model trains on the same
@@ -64,11 +63,6 @@ class LanguageModel:
     def next_dist(self, context: Context) -> ProbDist:
         raise NotImplementedError
 
-    def context_key(self, context: Context) -> tuple[int, ...]:
-        """The part of ``context`` that decides ``next_dist``: contexts with
-        equal keys get equal distributions."""
-        return tuple(context)
-
     def state_key(self, context: Context) -> tuple[int, ...]:
         """The state ``context`` leaves the model in: contexts with equal
         keys get equal ``next_dist`` after any common continuation. The
@@ -82,21 +76,22 @@ class LanguageModel:
 
 
 class _MemoModel(LanguageModel):
-    """Memoizes ``next_dist`` by ``context_key`` and keeps one record per
-    memoized array, for as long as the model lives."""
+    """Memoizes ``next_dist`` by ``state_key`` and keeps one record per
+    memoized array, for as long as the model lives. The memo trusts the
+    ``state_key`` contract: a wrong key returns another context's array."""
 
     def __init__(self):
         self._memo: dict[tuple[int, ...], ProbDist] = {}
         self._records: dict[int, DistRecord] = {}  # by id of a memo array
 
-    def _compute(self, key: tuple[int, ...], context: Context) -> ProbDist:
+    def _compute(self, context: Context) -> ProbDist:
         raise NotImplementedError
 
     def next_dist(self, context: Context) -> ProbDist:
-        key = self.context_key(context)
+        key = self.state_key(context)
         dist = self._memo.get(key)
         if dist is None:
-            dist = self._memo[key] = self._compute(key, context)
+            dist = self._memo[key] = self._compute(context)
             dist.flags.writeable = False
             self._records[id(dist)] = DistRecord(dist)
         return dist
@@ -137,22 +132,16 @@ class NGramModel(_MemoModel):
             return self
         return NGramModel(self.vocab, order, self.smoothing, self._counts[:order])
 
-    def context_key(self, context: Context) -> tuple[int, ...]:
-        """The longest suffix of ``context``, at most order - 1 tokens, that
-        was observed in training; the empty context otherwise."""
-        for length in range(min(self.order - 1, len(context)), 0, -1):
-            ctx = tuple(context[len(context) - length:])
-            if ctx in self._counts[length]:
-                return ctx
-        return ()
-
     def state_key(self, context: Context) -> tuple[int, ...]:
         """The last order - 1 tokens of ``context``, or all of a shorter one.
-        Not the backoff key: an unseen context and the empty one back off
-        alike but can diverge once a token is appended."""
+        Not the backoff context: an unseen context and the empty one back
+        off alike but can diverge once a token is appended."""
         return tuple(context[max(0, len(context) - self.order + 1):])
 
-    def _compute(self, key: tuple[int, ...], context: Context) -> ProbDist:
+    def _compute(self, context: Context) -> ProbDist:
+        key = self.state_key(context)
+        while key and key not in self._counts[len(key)]:
+            key = key[1:]
         k, v = self.smoothing, self.vocab.size
         # only () can be missing, in a model file without unigram records
         seen = self._counts[len(key)].get(key, {})
@@ -211,13 +200,10 @@ class PerturbedDraftModel(_MemoModel):
         self.temperature = temperature
         self.noise = noise
 
-    def context_key(self, context: Context) -> tuple[int, ...]:
-        return self.base.context_key(context)
-
     def state_key(self, context: Context) -> tuple[int, ...]:
         return self.base.state_key(context)
 
-    def _compute(self, key: tuple[int, ...], context: Context) -> ProbDist:
+    def _compute(self, context: Context) -> ProbDist:
         return perturb(self.base.next_dist(context), self.temperature, self.noise)
 
 

@@ -138,6 +138,23 @@ def test_train_cart_degenerate():
     assert train_cart(np.asarray([2.0, 2.0]), np.asarray([1.0, 9.0])) == []
 
 
+# the midpoint of two adjacent doubles rounds onto one of them: up for the
+# first pair, down for the second
+@pytest.mark.parametrize("lo,hi", [(1.0000000000000002, 1.0000000000000004),
+                                   (1.0, 1.0000000000000002)])
+def test_adjacent_doubles_split_between_them(lo, hi):
+    assert np.nextafter(lo, 2.0) == hi and (lo + hi) / 2.0 in (lo, hi)
+    xs = np.asarray([lo] * 5 + [hi] * 5)
+    ys = np.asarray([1.0] * 5 + [9.0] * 5)
+    assert best_split(xs, ys).threshold == hi
+    assert train_cart(xs, ys) == [hi]
+    model = fit_binning([CalibrationSample(x, y)
+                         for x, y in zip(xs.tolist(), ys.tolist())])
+    assert model.thresholds == (hi,)
+    assert model.counts == (5, 5) and model.means == (1.0, 9.0)
+    assert [model.assign_bin(x) for x in (lo, hi)] == [0, 1]
+
+
 # ------------------------------------------------------------ fit_binning
 
 

@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 
 import pytest
 
 from conftest import TINY_CONFIG
+from heterospec.binning import load_bins
 from heterospec.cli import main
 from heterospec.config import load_config
 from heterospec.errors import OutputMismatchError
@@ -153,6 +155,29 @@ def test_exit_2_on_draft_order_outside_model_order(tmp_path, capsys):
         assert main(["train-model", "--config", str(cfg)]) == 2
         err = _one_error_line(capsys.readouterr())
         assert "draft.order must be in [1, model.order = 3]" in err
+
+
+@pytest.mark.parametrize("section,field,value", [
+    ("controller", "depth", 2.5), ("controller", "top_n", 7.5),
+    ("controller", "max_new_tokens", 2.5), ("prompts", "count", 2.5),
+    ("model", "order", 2.5), ("controller", "terminator", "x"),
+    ("controller", "low_bins", "01"),
+], ids=["depth", "top_n", "max_new_tokens", "count", "order", "terminator",
+        "low_bins"])
+def test_exit_2_on_non_integer_setting(tmp_path, capsys, section, field, value):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(
+        TINY_CONFIG, **{section: dict(TINY_CONFIG[section], **{field: value})})),
+        encoding="utf-8")
+    want = (f"low_bins must be a list of non-negative integers, got {value!r}"
+            if field == "low_bins" else
+            f"{cfg}.{section}.{field}: expected an integer, got {value!r}")
+    out = str(tmp_path / "run")
+    for command in ("train-model", "calibrate", "compare"):
+        assert main([command, "--config", str(cfg), "--out", out]) == 2
+        assert _one_error_line(capsys.readouterr()) == \
+            f"heterospec: config: {want}\n"
+    assert not os.path.exists(out)
 
 
 ITERATIONS_HEADER = ("# heterospec-iterations v1\nprompt,iteration,entropy,bin,"
@@ -301,8 +326,8 @@ def test_one_bin_fit_is_noted_not_failed(tmp_path, capsys, cli_lab):
     base = ["--config", str(cfg), "--out", str(tmp_path / "run")]
     for command in ("gen-corpus", "train-model"):
         assert main([command, *base]) == 0
-    note = ("heterospec: note: the bins hold one bin, so the adaptive arm "
-            "equals the baseline\n")
+    note = ("heterospec: note: no low bin is among bins 0..0, so the adaptive "
+            "arm equals the baseline\n")
     for command in ("calibrate", "compare"):
         capsys.readouterr()
         assert main([command, *base]) == 0
@@ -313,6 +338,23 @@ def test_one_bin_fit_is_noted_not_failed(tmp_path, capsys, cli_lab):
     # bins of several bins: nothing is noted
     assert main(["compare", *cli_lab[0]]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_low_bins_outside_the_fit_are_noted(tmp_path, capsys, cli_lab):
+    out = tmp_path / "run"
+    shutil.copytree(cli_lab[1], out)
+    assert load_bins(str(out / "bins.txt")).num_bins == 4
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(
+        TINY_CONFIG, controller=dict(TINY_CONFIG["controller"], low_bins=[7]))),
+        encoding="utf-8")
+    capsys.readouterr()
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ("heterospec: note: no low bin is among bins 0..3, so "
+                            "the adaptive arm equals the baseline\n")
+    baseline_calls, adaptive_calls = re.findall(r" calls=(\d+) ", captured.out)
+    assert baseline_calls == adaptive_calls
 
 
 def test_exit_4_on_corrupt_bins(tmp_path, capsys):

@@ -101,6 +101,42 @@ def test_draft_order_within_model_order():
     assert config_from_dict({"draft": {"order": 3}}).draft.order == 3
 
 
+NON_INTEGERS = [
+    ({"controller": {"depth": 2.5}}, "config.controller.depth", 2.5),
+    ({"controller": {"top_n": 7.5}}, "config.controller.top_n", 7.5),
+    ({"controller": {"max_new_tokens": 2.5}}, "config.controller.max_new_tokens", 2.5),
+    ({"controller": {"alpha": True}}, "config.controller.alpha", True),
+    ({"controller": {"terminator": "x"}}, "config.controller.terminator", "x"),
+    ({"prompts": {"count": 2.5}}, "config.prompts.count", 2.5),
+    ({"model": {"order": 2.5}}, "config.model.order", 2.5),
+    ({"model": {"order": None}}, "config.model.order", None),
+    ({"draft": {"order": "2"}}, "config.draft.order", "2"),
+    ({"corpus": {"planted": {"num_docs": 24.0}}}, "config.corpus.planted.num_docs", 24.0),
+    ({"seed": 1.0}, "config.seed", 1.0),
+]
+
+
+@pytest.mark.parametrize("data,where,value", NON_INTEGERS,
+                         ids=[where.split(".", 1)[-1] + ("-null" if value is None else "")
+                              for _, where, value in NON_INTEGERS])
+def test_integer_fields_reject_non_integers(data, where, value):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(data)
+    assert str(exc.value) == f"{where}: expected an integer, got {value!r}"
+
+
+def test_optional_integer_fields_take_null():
+    cfg = config_from_dict({"controller": {"alpha": None, "terminator": None}})
+    assert cfg.controller.alpha is None and cfg.controller.terminator is None
+
+
+@pytest.mark.parametrize("low_bins", ["01", [-1], [1.0], [True], 5, [0, "1"]],
+                         ids=["string", "negative", "float", "bool", "scalar", "mixed"])
+def test_low_bins_must_be_non_negative_integers(low_bins):
+    with pytest.raises(ConfigError, match="low_bins must be a list of non-negative"):
+        config_from_dict({"controller": {"low_bins": low_bins}})
+
+
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError, match=r"unknown keys \['sneed'\]"):
         config_from_dict({"sneed": 1})

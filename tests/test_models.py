@@ -332,15 +332,39 @@ def _memo_models():
     return vocab, target, PerturbedDraftModel(target, temperature=0.7, noise=0.02)
 
 
-def test_context_key_is_backoff_context():
+def _backoff_context(model, ctx):
+    """The longest suffix of ``ctx``, at most order - 1 tokens, that the
+    model's count tables hold; the empty context otherwise."""
+    for length in range(min(model.order - 1, len(ctx)), 0, -1):
+        suffix = tuple(ctx[len(ctx) - length:])
+        if suffix in model._counts[length]:
+            return suffix
+    return ()
+
+
+def _uncached_dist(model, ctx):
+    """The add-k distribution after ``ctx``, with no memo and no backoff
+    code from the model under test."""
+    key = _backoff_context(model, ctx)
+    vec = np.zeros(model.vocab.size, dtype=np.int64)
+    for tok, count in model._counts[len(key)].get(key, {}).items():
+        vec[tok] = count
+    k, v = model.smoothing, model.vocab.size
+    return (vec + k) / (vec.sum() + k * v)
+
+
+def test_next_dist_backs_off_to_longest_seen_suffix():
     vocab, target, draft = _memo_models()
     the, cat, unk = vocab.id_of("the"), vocab.id_of("cat"), vocab.id_of(UNK)
-    assert target.context_key((unk, the, cat)) == (the, cat)
-    assert target.context_key((unk, unk, the)) == (the,)  # (unk, the) unseen
-    assert target.context_key((unk, unk)) == ()
-    assert draft.context_key((unk, the, cat)) == (the, cat)
-    assert PlantedTemplateModel(make_vocab(4), [(0, 1)], rho=0.9) \
-        .context_key([2, 0]) == (2, 0)
+    cases = {(unk, the, cat): (the, cat), (unk, unk, the): (the,),  # (unk, the) unseen
+             (unk, unk): (), (cat,): (cat,), (): ()}
+    for ctx, key in cases.items():
+        assert _backoff_context(target, ctx) == key
+        want = _uncached_dist(target, ctx)
+        assert target.next_dist(ctx).tobytes() == want.tobytes()
+        assert draft.next_dist(ctx).tobytes() == \
+            perturb(want, draft.temperature, draft.noise).tobytes()
+    assert target.next_dist((unk, unk)).tobytes() == target.next_dist(()).tobytes()
 
 
 def test_same_key_shares_one_read_only_array():
@@ -360,14 +384,10 @@ def test_same_key_shares_one_read_only_array():
 def test_memoized_values_bitwise_equal_uncached_formula():
     vocab, target, draft = _memo_models()
     rng = np.random.default_rng(11)
-    k, v = target.smoothing, vocab.size
+    v = vocab.size
     for _ in range(200):
         ctx = tuple(int(t) for t in rng.integers(v, size=rng.integers(0, 5)))
-        key = target.context_key(ctx)
-        vec = np.zeros(v, dtype=np.int64)
-        for tok, count in target._counts[len(key)][key].items():
-            vec[tok] = count
-        want = (vec + k) / (vec.sum() + k * v)
+        want = _uncached_dist(target, ctx)
         assert target.next_dist(ctx).tobytes() == want.tobytes()
         want_draft = perturb(want, draft.temperature, draft.noise)
         assert draft.next_dist(ctx).tobytes() == want_draft.tobytes()
@@ -395,16 +415,24 @@ STATE_DOCS = ["abcacbbacabba", "cabbcaacbcc", "aacbcbbacaab"]
 def test_state_key_equal_keys_agree_after_any_continuation(order, pruned,
                                                            perturbed, data):
     vocab = build_vocab(STATE_DOCS, mode="char")
-    model = train_ngram(STATE_DOCS, vocab, order=order, smoothing=0.1)
+    counts = train_ngram(STATE_DOCS, vocab, order=order, smoothing=0.1)._counts
     if pruned and order > 1:
         # a model file may hold a context without its suffixes; trained
         # tables never do, and on them the backoff context would also pass
-        counts = [dict(table) for table in model._counts]
+        counts = [dict(table) for table in counts]
         for sym in "ab":
             del counts[1][(vocab.id_of(sym),)]
-        model = NGramModel(vocab, order, 0.1, counts)
+
+    ngram = model = NGramModel(vocab, order, 0.1, counts)
     if perturbed:
-        model = PerturbedDraftModel(model, temperature=0.7, noise=0.02)
+        model = PerturbedDraftModel(ngram, temperature=0.7, noise=0.02)
+
+    def oracle(ctx):
+        # the model's memo and backoff both start from state_key, so only an
+        # oracle without either can tell a wrong key from a right one
+        dist = _uncached_dist(ngram, ctx)
+        return perturb(dist, 0.7, 0.02) if perturbed else dist
+
     tokens = st.lists(st.integers(0, vocab.size - 1), max_size=5).map(tuple)
     tail = data.draw(tokens)
     contexts = [head + tail for head in data.draw(st.lists(tokens, min_size=2,
@@ -419,8 +447,8 @@ def test_state_key_equal_keys_agree_after_any_continuation(order, pruned,
             for i in range(len(continuation) + 1):
                 ca, cb = a + continuation[:i], b + continuation[:i]
                 assert model.state_key(ca) == model.state_key(cb)
-                assert model.next_dist(ca).tobytes() == \
-                    model.next_dist(cb).tobytes()
+                assert oracle(ca).tobytes() == oracle(cb).tobytes()
+                assert model.next_dist(ca).tobytes() == oracle(ca).tobytes()
 
 
 def test_state_key_is_the_raw_window_not_the_backoff_context():
