@@ -24,12 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BinsFileError, CalibrationError, ConfigError
+from .metrics import fmt_float
 
 BINS_FORMAT_VERSION = 1
 
 # the split loss above, recorded in bins.txt; the only one load_bins accepts
 CRITERION = "normalized"
 CART_DEPTH = 3  # levels of splits in the regression tree
+# bins.txt metadata keys, in written order; each optional, and at most once
+BINS_KEYS = ("criterion", "entropy_k", "base_depth", "num_bins")
 
 
 @dataclass(frozen=True)
@@ -218,18 +221,13 @@ def fit_binning(samples: list[CalibrationSample], entropy_k: int | None = None,
                         base_depth=base_depth)
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 def save_bins(model: BinningModel, path: str) -> None:
-    lines = [f"heterospec-bins v{BINS_FORMAT_VERSION}",
-             f"criterion: {CRITERION}",
-             f"entropy_k: {model.entropy_k if model.entropy_k is not None else '-'}",
-             f"base_depth: {model.base_depth if model.base_depth is not None else '-'}",
-             f"num_bins: {model.num_bins}"]
+    meta = (CRITERION, model.entropy_k, model.base_depth, model.num_bins)
+    lines = [f"heterospec-bins v{BINS_FORMAT_VERSION}"]
+    lines += [f"{key}: {'-' if value is None else value}"
+              for key, value in zip(BINS_KEYS, meta)]
     for (lo, hi), mean, count in zip(model.edges(), model.means, model.counts):
-        lines.append(f"bin {_fmt(lo)} {_fmt(hi)} {_fmt(mean)} {count}")
+        lines.append(f"bin {fmt_float(lo)} {fmt_float(hi)} {fmt_float(mean)} {count}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -243,8 +241,7 @@ def load_bins(path: str) -> BinningModel:
         raw = fh.read().splitlines()
     if not raw or raw[0].strip() != f"heterospec-bins v{BINS_FORMAT_VERSION}":
         raise _bins_err(path, 1, "missing or unsupported version line")
-    meta: dict[str, str] = {}
-    key_line: dict[str, int] = {}  # where each metadata key was read
+    meta: dict[str, tuple[int, str]] = {}  # key -> (its line, its value)
     rows: list[tuple[int, list[str]]] = []
     for lineno, line in enumerate(raw[1:], start=2):
         line = line.strip()
@@ -257,21 +254,23 @@ def load_bins(path: str) -> BinningModel:
             rows.append((lineno, fields[1:]))
         elif ": " in line:
             key, value = line.split(": ", 1)
-            meta[key] = value
-            key_line[key] = lineno
+            if key not in BINS_KEYS:
+                raise _bins_err(path, lineno, f"unknown key {key!r}")
+            if key in meta:
+                raise _bins_err(path, lineno, f"repeated key {key!r}")
+            meta[key] = (lineno, value)
         else:
             raise _bins_err(path, lineno, f"unrecognized line {line!r}")
-    criterion = meta.get("criterion", CRITERION)
+    lineno, criterion = meta.get("criterion", (0, CRITERION))
     if criterion != CRITERION:
-        raise _bins_err(path, key_line["criterion"],
-                        f"unknown criterion {criterion!r}")
+        raise _bins_err(path, lineno, f"unknown criterion {criterion!r}")
 
     def opt_int(key: str) -> int | None:
-        value = meta.get(key, "-")
+        lineno, value = meta.get(key, (0, "-"))
         try:
             return None if value == "-" else int(value)
         except ValueError:
-            raise _bins_err(path, key_line[key], f"bad {key}: {value!r}") from None
+            raise _bins_err(path, lineno, f"bad {key}: {value!r}") from None
 
     if not rows:
         raise _bins_err(path, len(raw), "no bin lines")
@@ -295,7 +294,7 @@ def load_bins(path: str) -> BinningModel:
     if not math.isinf(hi_list[-1]):
         raise _bins_err(path, rows[-1][0], "last bin must end at inf")
     if "num_bins" in meta and opt_int("num_bins") != len(rows):
-        raise _bins_err(path, key_line["num_bins"],
+        raise _bins_err(path, meta["num_bins"][0],
                         "num_bins does not match bin line count")
     return BinningModel(thresholds=tuple(hi_list[:-1]), means=tuple(means),
                         counts=tuple(counts), entropy_k=opt_int("entropy_k"),

@@ -88,6 +88,11 @@ class ExperimentConfig:
                               f"{self.model.order}], got {order}")
 
 
+# annotation -> (JSON value types it takes, name); others are checked on build
+_JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+               "str": ((str,), "a string")}
+
+
 def _build(cls, data, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -96,10 +101,11 @@ def _build(cls, data, where: str):
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
     for name, value in data.items():
-        # type() is exact, so a bool is not taken for an int
-        if types[name] in ("int", "int | None") and type(value) is not int \
-                and not (value is None and types[name] == "int | None"):
-            raise ConfigError(f"{where}.{name}: expected an integer, got {value!r}")
+        kind, _, optional = types[name].partition(" | ")  # "X | None" or "X"
+        accepted, expected = _JSON_TYPES.get(kind, ((type(value),), ""))
+        # type() is exact, so a bool is taken for neither an int nor a float
+        if type(value) not in accepted and not (value is None and optional):
+            raise ConfigError(f"{where}.{name}: expected {expected}, got {value!r}")
     try:
         return cls(**data)
     except TypeError as exc:
@@ -115,10 +121,8 @@ def config_from_dict(data: dict, where: str = "config") -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
 
-    kwargs: dict = {}
-    for key in ("version", "seed", "out_dir", "tokenization"):
-        if key in data:
-            kwargs[key] = data[key]
+    kwargs = {key: data[key] for key in ("version", "seed", "out_dir", "tokenization")
+              if key in data}
 
     corpus = data.get("corpus", {})
     if not isinstance(corpus, dict):

@@ -1,17 +1,23 @@
-"""Per-iteration records, run summaries, cost-model speedup, CSV output.
+"""Per-iteration records, run summaries, cost-model speedup, CSV tables.
 
 Acceptance rate tau is emitted tokens per verification call. The cost
 model prices one decoding iteration as a fixed call cost plus a per-token
 verification cost plus a per-layer drafting cost, and compares against
 plain autoregressive decoding, which pays one call and one verified token
 per emitted token.
+
+Every CSV table is a schema line, a header row and one row per record,
+with floats as ``fmt_float`` gives them and a missing value as "-". A table
+is read back only if its first two lines are the written ones, each row
+parsed by position into the fields of ``IterationRecord`` or ``RunSummary``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .errors import ConfigError
 
@@ -20,14 +26,6 @@ SUMMARY_SCHEMA = "# heterospec-summary v1"
 TCR_HISTOGRAM_SCHEMA = "# heterospec-tcr-histogram v1"
 TCR_BY_ACCEPTED_SCHEMA = "# heterospec-tcr-by-accepted v1"
 BIN_OCCUPANCY_SCHEMA = "# heterospec-bin-occupancy v1"
-
-ITERATION_FIELDS = ("prompt", "iteration", "entropy", "bin", "draft_depth",
-                    "top_n", "tree_size", "accepted_len", "emitted", "tcr")
-_ITERATION_TYPES = (int, int, float, int, int, int, int, int, int, int)
-
-SUMMARY_FIELDS = ("arm", "alpha", "prompts", "calls", "tokens", "emitted",
-                  "tau", "mean_accepted_len", "speedup",
-                  "tcr_p25", "tcr_p50", "tcr_p75", "tcr_p95", "sentinels")
 
 
 @dataclass(frozen=True)
@@ -76,6 +74,17 @@ class RunSummary:
     sentinels: int
 
 
+# trace and summary columns, the record fields in declaration order; a
+# loose column (see _write_table) is one whose field is not typed int
+ITERATION_FIELDS = tuple(f.name for f in fields(IterationRecord))
+_ITERATION_CASTS = tuple({"int": int, "float": float}[f.type]
+                         for f in fields(IterationRecord))
+_ITERATION_LOOSE = tuple(i for i, cast in enumerate(_ITERATION_CASTS) if cast is float)
+SUMMARY_FIELDS = ("arm", "alpha", *(f.name for f in fields(RunSummary)))
+_SUMMARY_LOOSE = (1, *(i for i, f in enumerate(fields(RunSummary), 2)
+                       if f.type != "int"))
+
+
 def quantile_nearest_rank(values: list[float], p: float) -> float:
     """Nearest-rank quantile: the ceil(p*n)-th smallest value."""
     if not values:
@@ -103,25 +112,29 @@ def tcr_quantiles(records: list[IterationRecord]) -> dict[str, int] | None:
             for p in TCR_QUANTILE_LEVELS}
 
 
+def _tally(pairs) -> list[tuple[int, int, float]]:
+    """(key, count, mean value) per key of (key, value) pairs, ascending key."""
+    groups: dict[int, list[int]] = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return [(k, len(vs), sum(vs) / len(vs)) for k, vs in sorted(groups.items())]
+
+
+def _by_rank(records: list[IterationRecord]) -> list[tuple[int, int, float]]:
+    """(rank, count, mean accepted length) over accepting iterations."""
+    return _tally((r.tcr, r.accepted_len) for r in records if r.accepted_len >= 1)
+
+
 def tcr_histogram(records: list[IterationRecord]) -> list[tuple[int, int]]:
     """(rank, count) pairs over accepting iterations, ascending rank.
     Nothing-accepted iterations are excluded; report them separately."""
-    counts: dict[int, int] = {}
-    for r in records:
-        if r.accepted_len >= 1:
-            counts[r.tcr] = counts.get(r.tcr, 0) + 1
-    return sorted(counts.items())
+    return [(rank, count) for rank, count, _ in _by_rank(records)]
 
 
 def per_bin_stats(records: list[IterationRecord]) \
         -> list[tuple[int, int, float]]:
     """(bin, iteration count, mean accepted length) per observed bin."""
-    counts: dict[int, int] = {}
-    sums: dict[int, float] = {}
-    for r in records:
-        counts[r.bin] = counts.get(r.bin, 0) + 1
-        sums[r.bin] = sums.get(r.bin, 0.0) + r.accepted_len
-    return [(b, counts[b], sums[b] / counts[b]) for b in sorted(counts)]
+    return _tally((r.bin, r.accepted_len) for r in records)
 
 
 def summarize(records: list[IterationRecord],
@@ -175,108 +188,95 @@ def validate_run(records: list[IterationRecord],
     return problems
 
 
-def _fmt_float(x: float) -> str:
+def fmt_float(x: float) -> str:
+    """The one float format of every artifact; reads back to the same double."""
     return "%.17g" % x
 
 
-def write_iterations_csv(path: str, records: list[IterationRecord]) -> None:
+def _write_table(path: str, schema: str, header: tuple[str, ...], rows,
+                 loose: tuple[int, ...] = ()) -> None:
+    """The schema line, the header row, then ``rows``. A cell in a
+    ``loose`` column is a number, written by ``fmt_float``, or None,
+    written as "-"; every other cell is an int or a string, written as is."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(ITERATIONS_SCHEMA + "\n")
+        fh.write(schema + "\n")
         writer = csv.writer(fh)
-        writer.writerow(ITERATION_FIELDS)
-        for r in records:
-            writer.writerow([r.prompt, r.iteration, _fmt_float(r.entropy),
-                             r.bin, r.draft_depth, r.top_n, r.tree_size,
-                             r.accepted_len, r.emitted, r.tcr])
+        writer.writerow(header)
+        for row in rows:
+            row = list(row)
+            for i in loose:
+                row[i] = "-" if row[i] is None else fmt_float(row[i])
+            writer.writerow(row)
 
 
-def _read_csv(path: str, schema: str, parse) -> list:
-    """``parse(row)`` for each row, by column name, of a CSV that starts
-    with this schema line; a row it cannot parse fails at its line."""
+def _read_csv(path: str, schema: str, header: tuple[str, ...], parse) -> list:
+    """``parse(row)`` for each row, a list of strings in header order, of a
+    table whose schema line and header row are the written ones; a row that
+    ``parse`` cannot read fails at its line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != schema:
+        if (first := fh.readline().rstrip("\n")) != schema:
             raise ConfigError(f"{path}:1: unexpected schema line {first!r}")
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        if (got := next(reader, None)) != list(header):
+            raise ConfigError(f"{path}:2: unexpected header row {got!r}")
         out = []
         for row in reader:
             try:
                 out.append(parse(row))
-            except (KeyError, TypeError, ValueError) as exc:
+            except ValueError as exc:
                 # the reader starts counting after the schema line
                 raise ConfigError(f"{path}:{reader.line_num + 1}: bad row: "
                                   f"{exc!r}") from None
         return out
 
 
+def write_iterations_csv(path: str, records: list[IterationRecord]) -> None:
+    _write_table(path, ITERATIONS_SCHEMA, ITERATION_FIELDS,
+                 map(attrgetter(*ITERATION_FIELDS), records), _ITERATION_LOOSE)
+
+
 def read_iterations_csv(path: str) -> list[IterationRecord]:
-    return _read_csv(path, ITERATIONS_SCHEMA, lambda row: IterationRecord(*(
-        cast(row[name])
-        for name, cast in zip(ITERATION_FIELDS, _ITERATION_TYPES))))
+    return _read_csv(path, ITERATIONS_SCHEMA, ITERATION_FIELDS, lambda row:
+                     IterationRecord(*[cast(text) for cast, text
+                                       in zip(_ITERATION_CASTS, row, strict=True)]))
 
 
 def write_summary_csv(path: str,
                       rows: list[tuple[str, int | None, RunSummary]]) -> None:
     """Each row is (arm name, alpha or None, summary)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(SUMMARY_SCHEMA + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_FIELDS)
-        def opt(x) -> str | int:
-            return x if x is not None else "-"
-
-        for arm, alpha, s in rows:
-            writer.writerow([
-                arm, opt(alpha), s.prompts, s.calls,
-                s.tokens, s.emitted, _fmt_float(s.tau),
-                _fmt_float(s.mean_accepted_len),
-                _fmt_float(s.speedup) if s.speedup is not None else "-",
-                opt(s.tcr_p25), opt(s.tcr_p50), opt(s.tcr_p75),
-                opt(s.tcr_p95), s.sentinels])
+    _write_table(path, SUMMARY_SCHEMA, SUMMARY_FIELDS,
+                 ((arm, alpha, *attrgetter(*SUMMARY_FIELDS[2:])(s))
+                  for arm, alpha, s in rows),
+                 _SUMMARY_LOOSE)
 
 
-def _summary_row(row: dict[str, str]) -> dict[str, str]:
-    for name in SUMMARY_FIELDS[1:]:
-        if row[name] != "-":
-            float(row[name])
-    return row
+def _summary_row(row: list[str]) -> dict[str, str]:
+    for value in row[1:]:
+        if value != "-":
+            float(value)
+    return dict(zip(SUMMARY_FIELDS, row, strict=True))
 
 
 def read_summary_csv(path: str) -> list[dict[str, str]]:
     """Rows by column name, as written; all but the arm hold a number or "-"."""
-    return _read_csv(path, SUMMARY_SCHEMA, _summary_row)
+    return _read_csv(path, SUMMARY_SCHEMA, SUMMARY_FIELDS, _summary_row)
 
 
 def write_tcr_histogram_csv(path: str,
                             records: list[IterationRecord]) -> None:
     """Rank histogram over accepting iterations plus one sentinel row
     counting the iterations that accepted nothing."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(TCR_HISTOGRAM_SCHEMA + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(("rank", "count"))
-        for rank, count in tcr_histogram(records):
-            writer.writerow((rank, count))
-        writer.writerow(("sentinel",
-                         sum(1 for r in records if r.accepted_len == 0)))
+    rows = tcr_histogram(records)
+    rows.append(("sentinel", sum(1 for r in records if r.accepted_len == 0)))
+    _write_table(path, TCR_HISTOGRAM_SCHEMA, ("rank", "count"), rows)
 
 
 def write_tcr_by_accepted_csv(path: str,
                               records: list[IterationRecord]) -> None:
     """Mean accepted length per terminal rank, accepting iterations only."""
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for r in records:
-        if r.accepted_len >= 1:
-            counts[r.tcr] = counts.get(r.tcr, 0) + 1
-            sums[r.tcr] = sums.get(r.tcr, 0.0) + r.accepted_len
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(TCR_BY_ACCEPTED_SCHEMA + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(("tcr", "iterations", "mean_accepted_len"))
-        for rank in sorted(counts):
-            writer.writerow((rank, counts[rank],
-                             _fmt_float(sums[rank] / counts[rank])))
+    _write_table(path, TCR_BY_ACCEPTED_SCHEMA,
+                 ("tcr", "iterations", "mean_accepted_len"), _by_rank(records),
+                 (2,))
 
 
 def write_bin_occupancy_csv(path: str, records: list[IterationRecord],
@@ -285,17 +285,9 @@ def write_bin_occupancy_csv(path: str, records: list[IterationRecord],
     exist in the binning model but saw no iterations still get a row, so
     the count column always sums to the number of iterations."""
     stats = {b: (c, m) for b, c, m in per_bin_stats(records)}
-    known = sorted(stats)
-    if edges is not None:
-        known = sorted(set(range(len(edges))) | set(stats))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(BIN_OCCUPANCY_SCHEMA + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(("bin", "lo", "hi", "iterations", "mean_accepted_len"))
-        for b in known:
-            lo = hi = "-"
-            if edges is not None and 0 <= b < len(edges):
-                lo, hi = (_fmt_float(edges[b][0]), _fmt_float(edges[b][1]))
-            count, mean = stats.get(b, (0, None))
-            writer.writerow((b, lo, hi, count,
-                             _fmt_float(mean) if mean is not None else "-"))
+    by_bin = dict(enumerate(edges or []))
+    rows = [(b, *by_bin.get(b, (None, None)), *stats.get(b, (0, None)))
+            for b in sorted(by_bin.keys() | stats.keys())]
+    _write_table(path, BIN_OCCUPANCY_SCHEMA,
+                 ("bin", "lo", "hi", "iterations", "mean_accepted_len"), rows,
+                 (1, 2, 4))

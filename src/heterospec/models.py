@@ -19,6 +19,8 @@ Callers copy a returned array before writing to it.
 An n-gram model keeps {token: count} of the tokens seen after each context.
 Its first L count tables are those an order-L model trains on the same
 corpus, so ``lower_order`` derives the draft base instead of training one.
+``save_model`` writes the tables as one text record per nonzero count, and
+``load_model`` reads every record through one path.
 """
 
 from __future__ import annotations
@@ -212,14 +214,12 @@ MODEL_FORMAT_VERSION = 1
 
 def save_model(model: NGramModel, path) -> None:
     """Versioned self-describing text format: key-value header, then one
-    count record per (context-length, context, token)."""
+    ``c <len> <ctx> <tok> <count>`` record per (context length, context,
+    token) with a nonzero count, a context's records together."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"heterospec-ngram v{MODEL_FORMAT_VERSION}\n")
-        fh.write(f"mode: {model.vocab.mode}\n")
-        fh.write(f"order: {model.order}\n")
-        fh.write(f"smoothing: {model.smoothing!r}\n")
-        fh.write(f"symbols: {json.dumps(list(model.vocab.symbols))}\n")
-        fh.write("counts:\n")
+        fh.write(f"heterospec-ngram v{MODEL_FORMAT_VERSION}\nmode: {model.vocab.mode}\n"
+                 f"order: {model.order}\nsmoothing: {model.smoothing!r}\n"
+                 f"symbols: {json.dumps(list(model.vocab.symbols))}\ncounts:\n")
         for length, table in enumerate(model._counts):
             for ctx, seen in table.items():
                 ctx_txt = ",".join(map(str, ctx)) if ctx else "-"
@@ -245,35 +245,28 @@ def load_model(path) -> NGramModel:
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: bad header: {exc}") from exc
     counts: Counts = [{} for _ in range(order)]
-    # save_model writes a context's records together, so "c <len> <ctx> " is
-    # parsed and checked once per run of lines that start with it
-    prefix: str | None = None
     v = vocab.size
+    # one parse path per record: split off the token and count, and parse
+    # and range-check the "c <len> <ctx>" head only when it differs from the
+    # previous record's, since save_model writes a context's records together
+    last = seen = None  # the previous record's head and its count table
     for lineno, line in enumerate(lines[body_at:], start=body_at + 1):
-        if prefix is not None and line.startswith(prefix):
-            rest = line[len(prefix):]
-        else:
-            prefix = None
-            head = line.split(None, 3)
-            if len(head) != 4 or head[0] != "c":
-                raise ConfigError(f"{path}:{lineno}: malformed count record")
-            try:
-                length = int(head[1])
-                ctx = () if head[2] == "-" else tuple(map(int, head[2].split(",")))
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: malformed count record") from None
-            rest = head[3]
         try:
-            tok, count = map(int, rest.split())  # exactly two fields
+            head, tok, count = line.rsplit(None, 2)
+            tok, count = int(tok), int(count)
+            if head != last:
+                c, length, ctx = head.split()
+                length = int(length)
+                ctx = () if ctx == "-" else tuple(map(int, ctx.split(",")))
+                if c != "c":
+                    raise ValueError(c)
+                last, seen = head, None
+                if 0 <= length < order and len(ctx) == length \
+                        and all(0 <= t < v for t in ctx):
+                    seen = counts[length].setdefault(ctx, {})
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: malformed count record") from None
-        if prefix is None:
-            if not 0 <= length < order or len(ctx) != length \
-                    or ctx and not (0 <= min(ctx) and max(ctx) < v):
-                raise ConfigError(f"{path}:{lineno}: count record out of range")
-            seen = counts[length].setdefault(ctx, {})
-            prefix = " ".join(head[:3]) + " "
-        if count < 0 or not 0 <= tok < v:
+        if seen is None or count < 0 or not 0 <= tok < v:
             raise ConfigError(f"{path}:{lineno}: count record out of range")
         seen[tok] = count
     return NGramModel(vocab, order, smoothing, counts)

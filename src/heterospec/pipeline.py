@@ -66,9 +66,7 @@ def step_gen_corpus(config: ExperimentConfig) -> str:
                           "tokenization to 'word'")
     docs, templates = gen_corpus(config.planted, rng_for(config.seed, "corpus"))
     write_corpus(out, [" ".join(doc) for doc in docs])
-    with open(_path(config, TEMPLATE_FILE), "w", encoding="utf-8") as fh:
-        for template in templates:
-            fh.write(" ".join(template) + "\n")
+    write_corpus(_path(config, TEMPLATE_FILE), [" ".join(t) for t in templates])
     return out
 
 
@@ -245,15 +243,12 @@ def render_report(config: ExperimentConfig) -> str:
             continue
         found = True
         lines.append(f"{name}:")
-        rows = read_summary_csv(path)
         header = ("arm", "alpha", "calls", "tokens", "emitted", "tau", "speedup")
         lines.append("  " + "  ".join(f"{h:>8}" for h in header))
-        for row in rows:
-            tau, speedup = (v if v == "-" else f"{float(v):.4f}"
-                            for v in (row["tau"], row["speedup"]))
-            lines.append("  " + "  ".join(
-                f"{v:>8}" for v in (row["arm"], row["alpha"], row["calls"],
-                                    row["tokens"], row["emitted"], tau, speedup)))
+        for row in read_summary_csv(path):
+            cells = (f"{float(row[h]):.4f}" if h in ("tau", "speedup")
+                     and row[h] != "-" else row[h] for h in header)
+            lines.append("  " + "  ".join(f"{v:>8}" for v in cells))
     if not found and not os.path.exists(bins_path):
         lines.append("no artifacts found; run the pipeline first")
     return "\n".join(lines) + "\n"

@@ -43,10 +43,6 @@ class Vocabulary:
     def encode(self, text: str) -> tuple[int, ...]:
         return tuple(self.id_of(s) for s in split_symbols(text, self.mode))
 
-    def decode(self, ids) -> str:
-        sep = "" if self.mode == "char" else " "
-        return sep.join(self.symbols[i] for i in ids)
-
 
 def split_symbols(text: str, mode: str) -> list[str]:
     if mode == "char":

@@ -301,6 +301,12 @@ GOOD_HEADER = "heterospec-bins v1\ncriterion: normalized\n"
      r"bins\.txt:4: bad base_depth"),
     (GOOD_HEADER + "\nnum_bins: 3\nbin 0 inf 3 4\n", r"bins\.txt:4: num_bins does not"),
     ("heterospec-bins v1\ncriterion: gini\nbin 0 inf 3 4\n", r"bins\.txt:2: unknown"),
+    # a misspelt key would leave the tree-shape check nothing to check, and
+    # a second value would silently replace the first
+    (GOOD_HEADER + "entropy-k: 4\nbin 0 inf 3 4\n",
+     r"bins\.txt:3: unknown key 'entropy-k'"),
+    (GOOD_HEADER + "base_depth: 5\nbase_depth: 7\nbin 0 inf 3 4\n",
+     r"bins\.txt:4: repeated key 'base_depth'"),
     # the per-side normalized loss is the only split loss
     ("heterospec-bins v1\ncriterion: sse\nbin 0 inf 3 4\n",
      r"bins\.txt:2: unknown criterion 'sse'"),

@@ -180,6 +180,23 @@ def test_exit_2_on_non_integer_setting(tmp_path, capsys, section, field, value):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command,data,want", [
+    ("train-model", {"model": {"smoothing": "x"}},
+     ".model.smoothing: expected a number, got 'x'"),
+    ("gen-corpus", {"out_dir": 5}, ".out_dir: expected a string, got 5"),
+    ("compare", {"cost": {"c_tok": True}}, ".cost.c_tok: expected a number, got True"),
+], ids=["smoothing", "out_dir", "c_tok"])
+def test_exit_2_on_non_number_or_non_string_setting(tmp_path, capsys, command,
+                                                    data, want):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(TINY_CONFIG, **data)), encoding="utf-8")
+    out = str(tmp_path / "run")
+    assert main([command, "--config", str(cfg), "--out", out]) == 2
+    assert _one_error_line(capsys.readouterr()) == \
+        f"heterospec: config: {cfg}{want}\n"
+    assert not os.path.exists(out)
+
+
 ITERATIONS_HEADER = ("# heterospec-iterations v1\nprompt,iteration,entropy,bin,"
                      "draft_depth,top_n,tree_size,accepted_len,emitted,tcr\n")
 
@@ -194,7 +211,19 @@ ITERATIONS_HEADER = ("# heterospec-iterations v1\nprompt,iteration,entropy,bin,"
      "emitted,tau,mean_accepted_len,speedup,tcr_p25,tcr_p50,tcr_p75,tcr_p95,"
      "sentinels\nbaseline,-,1,2,3,4,oops,1.5,-,-,-,-,-,0\n", ["--digest-only"],
      "compare.csv:3: bad row"),
-], ids=["trace-schema", "trace-entropy", "compare-tau"])
+    # a header row other than the written one, even one naming the same
+    # columns, fails before any row is parsed
+    ("baseline-iterations.csv", ITERATIONS_HEADER.replace("tcr\n", "tcr,extra\n")
+     + "0,0,0.5,-1,5,20,18,3,4,3,1\n", [], "baseline-iterations.csv:2: unexpected"
+     " header row"),
+    ("baseline-iterations.csv", ITERATIONS_HEADER.replace("prompt,iteration",
+                                                           "iteration,prompt")
+     + "0,0,0.5,-1,5,20,18,3,4,3\n", [], "baseline-iterations.csv:2: unexpected"
+     " header row"),
+    ("compare.csv", "# heterospec-summary v1\n", ["--digest-only"],
+     "compare.csv:2: unexpected header row None"),
+], ids=["trace-schema", "trace-entropy", "compare-tau", "trace-extra-column",
+        "trace-reordered-header", "compare-no-header"])
 def test_exit_2_on_malformed_csv(tmp_path, capsys, name, text, args, where):
     out = tmp_path / "run"
     out.mkdir()

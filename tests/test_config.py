@@ -125,6 +125,33 @@ def test_integer_fields_reject_non_integers(data, where, value):
     assert str(exc.value) == f"{where}: expected an integer, got {value!r}"
 
 
+NON_NUMBERS_OR_STRINGS = [
+    ({"model": {"smoothing": "x"}}, "config.model.smoothing", "a number", "x"),
+    ({"cost": {"c_tok": True}}, "config.cost.c_tok", "a number", True),
+    ({"draft": {"noise": None}}, "config.draft.noise", "a number", None),
+    ({"corpus": {"planted": {"rho": "0.9"}}}, "config.corpus.planted.rho",
+     "a number", "0.9"),
+    ({"out_dir": 5}, "config.out_dir", "a string", 5),
+    ({"tokenization": None}, "config.tokenization", "a string", None),
+    ({"calibration": {"filter": 1}}, "config.calibration.filter", "a string", 1),
+    ({"corpus": {"path": ["a.txt"]}}, "config.corpus_path", "a string", ["a.txt"]),
+]
+
+
+@pytest.mark.parametrize("data,where,expected,value", NON_NUMBERS_OR_STRINGS,
+                         ids=[where.split(".", 1)[-1] + ("-null" if value is None else "")
+                              for _, where, _, value in NON_NUMBERS_OR_STRINGS])
+def test_float_and_string_fields_reject_other_values(data, where, expected, value):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(data)
+    assert str(exc.value) == f"{where}: expected {expected}, got {value!r}"
+
+
+def test_float_fields_take_integers():
+    cfg = config_from_dict({"model": {"smoothing": 1}, "cost": {"c_tok": 0}})
+    assert cfg.model.smoothing == 1 and cfg.cost.c_tok == 0
+
+
 def test_optional_integer_fields_take_null():
     cfg = config_from_dict({"controller": {"alpha": None, "terminator": None}})
     assert cfg.controller.alpha is None and cfg.controller.terminator is None

@@ -2,6 +2,8 @@
 invariant checks, and the CSV artifact formats."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,22 @@ def test_iterations_csv_rejects_wrong_schema(tmp_path):
     path.write_text("# something-else v9\nprompt\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="schema"):
         read_iterations_csv(str(path))
+
+
+def test_iterations_csv_rejects_other_header_or_row_width(tmp_path):
+    path = tmp_path / "iters.csv"
+    write_iterations_csv(str(path), [rec(5, tcr=3), rec(2, tcr=2, iteration=1)])
+    lines = path.read_text(encoding="utf-8").split("\n")
+    header = lines[1]
+    for where, edited in (
+            (2, [lines[0], header.replace("prompt,iteration", "iteration,prompt"),
+                 *lines[2:]]),
+            (2, [lines[0], *lines[2:]]),  # no header row
+            (3, [*lines[:2], lines[2].rstrip("\r") + ",7\r", *lines[3:]]),
+            (4, [*lines[:3], lines[3].rsplit(",", 1)[0] + "\r", *lines[4:]])):
+        path.write_text("\n".join(edited), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:{where}: "):
+            read_iterations_csv(str(path))
 
 
 def test_summary_csv_round_trip(tmp_path):

@@ -197,14 +197,32 @@ def test_default_planted_experiment_matches_readme(tmp_path):
            for name, alpha, s in result.rows()]
     assert got == [("baseline", None, 907, 16326, "5.2922", "2.7784"),
                    ("adaptive", 3, 705, 12394, "6.8085", "3.5587")]
-    # the traces, byte for byte
+    step_report(cfg, "baseline")
+    step_report(cfg, "adaptive")
+    # the traces and every table, byte for byte
     for name, digest in (
             ("bins.txt",
              "15a03105e4f21f396b6fb8f39b7d17b4d70118f977f914f159965595408707df"),
+            ("calibration.csv",
+             "b65d4b2afcc3f2dde567ad8f1f51c78575e80d9b2ce3ccc174c72b4da891e749"),
             ("baseline-iterations.csv",
              "d3346a3ef4e716f638506db5c2569c6dc86c6e7b591ed68ec52231188d080c86"),
             ("adaptive-iterations.csv",
-             "b5fc3c2d08927ecda0ef7ceecc3b32715477724f42ca352dd92d8b73f0b5454d")):
+             "b5fc3c2d08927ecda0ef7ceecc3b32715477724f42ca352dd92d8b73f0b5454d"),
+            ("compare.csv",
+             "bdae1f35cf487152b004ca15267cce844a033a53423bf22695e796ed856a072b"),
+            ("baseline-tcr-histogram.csv",
+             "7ac7e9583755e25412fe9651e03a6716a091f2e1fa5c53605144d797b0e0b3ff"),
+            ("baseline-tcr-by-accepted.csv",
+             "265bac564e8b35dcce5495a22e385dd07bdd9592e08fec29346b4ba2759b31cc"),
+            ("baseline-bin-occupancy.csv",
+             "1496f8014ebb15064851e68ca85b58e626edb1138f341e439e927eb217e7d919"),
+            ("adaptive-tcr-histogram.csv",
+             "2e5a3d294bcf61d1a25df33aeeca3cab359eab7aa2aa2725237c0a8131d97158"),
+            ("adaptive-tcr-by-accepted.csv",
+             "d17131756d7797b48c8c53d3b5a599773c76d6e64e9fc396a6e843bdeb70bdcd"),
+            ("adaptive-bin-occupancy.csv",
+             "7971ab5d47a96d01480a9d71c52a279b66e2947a164ca0a29edec6bb338317da")):
         with open(os.path.join(cfg.out_dir, name), "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 

@@ -39,13 +39,14 @@ def test_unknown_symbols_map_to_unk():
 
 def test_encode_decode_round_trip_word_mode():
     vocab = build_vocab(["x y z", "y w"], mode="word")
-    ids = vocab.encode("w x y z")
-    assert vocab.decode(ids) == "w x y z"
+    assert vocab.symbols == ("w", "x", "y", "z", UNK)
+    assert vocab.encode("w x y z") == (0, 1, 2, 3)
 
 
 def test_encode_decode_round_trip_char_mode():
     vocab = build_vocab(["hello"], mode="char")
-    assert vocab.decode(vocab.encode("hole")) == "hole"
+    assert vocab.symbols == ("e", "h", "l", "o", UNK)
+    assert vocab.encode("hole") == (1, 3, 2, 0)
 
 
 def test_vocabulary_validation():
