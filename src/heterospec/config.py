@@ -79,6 +79,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {self.version}")
+        if self.corpus_path == "":
+            raise ConfigError("corpus.path must name a file, got ''")
         if self.tokenization not in ("char", "word"):
             raise ConfigError(f"tokenization must be char or word, "
                               f"got {self.tokenization!r}")
@@ -130,10 +132,13 @@ def config_from_dict(data: dict, where: str = "config") -> ExperimentConfig:
     extra = sorted(set(corpus) - {"path", "planted"})
     if extra:
         raise ConfigError(f"{where}.corpus: unknown keys {extra}")
-    if corpus.get("path") is not None and corpus.get("planted") is not None:
+    path = corpus.get("path")
+    if path is not None and corpus.get("planted") is not None:
         raise ConfigError(f"{where}.corpus: give either path or planted, not both")
-    if corpus.get("path") is not None:
-        kwargs["corpus_path"] = corpus["path"]
+    if path is not None:
+        if type(path) is not str:
+            raise ConfigError(f"{where}.corpus.path: expected a string, got {path!r}")
+        kwargs["corpus_path"] = path
     if corpus.get("planted") is not None:
         kwargs["planted"] = _build(PlantedCorpusSpec, corpus["planted"],
                                    f"{where}.corpus.planted")
@@ -165,7 +170,7 @@ def load_config(path: str) -> ExperimentConfig:
 def config_to_dict(config: ExperimentConfig) -> dict:
     out = dataclasses.asdict(config)
     path, planted = out.pop("corpus_path"), out.pop("planted")
-    out["corpus"] = {"path": path} if path else {"planted": planted}
+    out["corpus"] = {"path": path} if path is not None else {"planted": planted}
     return out
 
 

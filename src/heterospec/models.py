@@ -21,10 +21,23 @@ Its first L count tables are those an order-L model trains on the same
 corpus, so ``lower_order`` derives the draft base instead of training one.
 ``save_model`` writes the tables as one text record per nonzero count, and
 ``load_model`` reads every record through one path.
+
+A process keeps one parse of a model file, keyed by the sha256 of the
+file's bytes. ``load_model`` reads and hashes the file on every call; when
+the digest matches, it returns a new ``NGramModel``, with an empty memo,
+over the kept vocabulary and count tables, so the calibrate and compare
+steps of one process parse ``model.txt`` once. On a miss it drops the kept
+parse before parsing, so two parses are never alive at once.
+``step_train_model`` calls ``release_kept_model`` before it counts a new
+model, so the tables it replaces are not held through training. Models
+loaded from the same bytes share the tables, which nothing writes after
+the parse. The CLI runs one step per process, so it still parses once per
+step.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -228,9 +241,32 @@ def save_model(model: NGramModel, path) -> None:
                         fh.write(f"c {length} {ctx_txt} {tok} {count}\n")
 
 
+# (sha256 of a model file's bytes, its parse) of the last file parsed
+_kept: tuple[bytes, tuple[Vocabulary, int, float, Counts]] | None = None
+
+
+def release_kept_model() -> None:
+    """Drop the kept parse, so its count tables can be freed."""
+    global _kept
+    _kept = None
+
+
 def load_model(path) -> NGramModel:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """The model in a ``save_model`` file, parsed only when its bytes differ
+    from those of the kept parse."""
+    global _kept
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).digest()
+    if _kept is None or _kept[0] != digest:
+        _kept = None  # free the old tables before parsing the new ones
+        lines = data.decode("utf-8").splitlines()
+        del data  # nor hold the file's bytes through the parse
+        _kept = (digest, _parse_model(lines, path))
+    return NGramModel(*_kept[1])
+
+
+def _parse_model(lines: list[str], path) -> tuple[Vocabulary, int, float, Counts]:
     if not lines or lines[0] != f"heterospec-ngram v{MODEL_FORMAT_VERSION}":
         raise ConfigError(f"{path}: not a heterospec-ngram v{MODEL_FORMAT_VERSION} file")
     try:
@@ -269,4 +305,4 @@ def load_model(path) -> NGramModel:
         if seen is None or count < 0 or not 0 <= tok < v:
             raise ConfigError(f"{path}:{lineno}: count record out of range")
         seen[tok] = count
-    return NGramModel(vocab, order, smoothing, counts)
+    return vocab, order, smoothing, counts

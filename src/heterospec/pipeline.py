@@ -29,8 +29,8 @@ from .metrics import (read_iterations_csv, read_summary_csv,
                       write_bin_occupancy_csv, write_iterations_csv,
                       write_summary_csv,
                       write_tcr_by_accepted_csv, write_tcr_histogram_csv)
-from .models import (NGramModel, PerturbedDraftModel, load_model, save_model,
-                     train_ngram)
+from .models import (NGramModel, PerturbedDraftModel, load_model,
+                     release_kept_model, save_model, train_ngram)
 from .vocab import build_vocab, encode_corpus, read_corpus, write_corpus
 
 CORPUS_FILE = "corpus.txt"
@@ -88,6 +88,9 @@ def step_train_model(config: ExperimentConfig) -> str:
     train, _, _ = _splits(config, docs)
     _prepare_out_dir(config)
     vocab = build_vocab(train, mode=config.tokenization)
+    # the kept parse is of the model this step replaces: free it before the
+    # new tables are counted, not after
+    release_kept_model()
     model = train_ngram(train, vocab, order=config.model.order,
                         smoothing=config.model.smoothing)
     out = _path(config, MODEL_FILE)

@@ -246,3 +246,18 @@ def tiny_config(tmp_path):
 
     config = config_from_dict(json.loads(json.dumps(TINY_CONFIG)))
     return replace(config, out_dir=str(tmp_path / "run"))
+
+
+@pytest.fixture
+def model_parses(monkeypatch):
+    """The paths ``models._parse_model`` parses while the test runs."""
+    from heterospec import models
+
+    parses, parse = [], models._parse_model
+
+    def counted(lines, path):
+        parses.append(path)
+        return parse(lines, path)
+
+    monkeypatch.setattr(models, "_parse_model", counted)
+    return parses

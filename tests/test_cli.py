@@ -185,7 +185,8 @@ def test_exit_2_on_non_integer_setting(tmp_path, capsys, section, field, value):
      ".model.smoothing: expected a number, got 'x'"),
     ("gen-corpus", {"out_dir": 5}, ".out_dir: expected a string, got 5"),
     ("compare", {"cost": {"c_tok": True}}, ".cost.c_tok: expected a number, got True"),
-], ids=["smoothing", "out_dir", "c_tok"])
+    ("gen-corpus", {"corpus": {"path": 5}}, ".corpus.path: expected a string, got 5"),
+], ids=["smoothing", "out_dir", "c_tok", "corpus_path"])
 def test_exit_2_on_non_number_or_non_string_setting(tmp_path, capsys, command,
                                                     data, want):
     cfg = tmp_path / "config.json"
@@ -194,6 +195,17 @@ def test_exit_2_on_non_number_or_non_string_setting(tmp_path, capsys, command,
     assert main([command, "--config", str(cfg), "--out", out]) == 2
     assert _one_error_line(capsys.readouterr()) == \
         f"heterospec: config: {cfg}{want}\n"
+    assert not os.path.exists(out)
+
+
+def test_exit_2_on_empty_corpus_path(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(TINY_CONFIG, corpus={"path": ""})),
+                   encoding="utf-8")
+    out = str(tmp_path / "run")
+    assert main(["gen-corpus", "--config", str(cfg), "--out", out]) == 2
+    assert _one_error_line(capsys.readouterr()) == \
+        "heterospec: config: corpus.path must name a file, got ''\n"
     assert not os.path.exists(out)
 
 

@@ -134,7 +134,7 @@ NON_NUMBERS_OR_STRINGS = [
     ({"out_dir": 5}, "config.out_dir", "a string", 5),
     ({"tokenization": None}, "config.tokenization", "a string", None),
     ({"calibration": {"filter": 1}}, "config.calibration.filter", "a string", 1),
-    ({"corpus": {"path": ["a.txt"]}}, "config.corpus_path", "a string", ["a.txt"]),
+    ({"corpus": {"path": ["a.txt"]}}, "config.corpus.path", "a string", ["a.txt"]),
 ]
 
 
@@ -179,6 +179,15 @@ def test_config_from_dict_corpus_path_xor_planted():
     with pytest.raises(ConfigError, match="not both"):
         config_from_dict({"corpus": {"path": "corpus.txt",
                                      "planted": {"num_docs": 4}}})
+
+
+def test_empty_corpus_path_is_refused():
+    # an empty path is neither a file nor the planted corpus
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"corpus": {"path": ""}})
+    assert str(exc.value) == "corpus.path must name a file, got ''"
+    with pytest.raises(ConfigError, match="corpus.path must name a file"):
+        ExperimentConfig(corpus_path="")
 
 
 def test_config_from_dict_shape_errors():

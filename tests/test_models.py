@@ -1,4 +1,6 @@
+import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,9 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import (FixedDistModel, PlantedTemplateModel, is_valid_dist, make_vocab,
                       prob_dists)
+from heterospec import models
 from heterospec.errors import ConfigError
 from heterospec.models import (NGramModel, PerturbedDraftModel, load_model,
-                               perturb, save_model, train_ngram)
+                               perturb, release_kept_model, save_model,
+                               train_ngram)
 from heterospec.vocab import UNK, build_vocab
 
 
@@ -302,6 +306,65 @@ def test_load_model_reports_bad_record_at_its_line(tmp_path, record, error):
     with pytest.raises(ConfigError) as exc:
         load_model(path)
     assert str(exc.value) == f"{path}:12: {error}"
+
+
+def _fresh_parse(path):
+    """The model in ``path`` parsed anew, not built over a kept parse."""
+    release_kept_model()
+    return load_model(path)
+
+
+def _all_contexts(vocab, order):
+    return [ctx for n in range(order)
+            for ctx in itertools.product(range(vocab.size), repeat=n)]
+
+
+def test_load_model_keeps_one_parse_by_content(tmp_path, model_parses):
+    vocab, target, _ = _memo_models()
+    path, copy = tmp_path / "model.txt", tmp_path / "copy.txt"
+    save_model(target, path)
+    copy.write_bytes(path.read_bytes())
+    release_kept_model()
+    first, second, third = load_model(path), load_model(path), load_model(copy)
+    assert model_parses == [path]  # the copy's bytes are the kept ones
+    assert first is not second and first._memo is not second._memo
+    assert first._counts is second._counts is third._counts
+    fresh = _fresh_parse(path)
+    for ctx in _all_contexts(vocab, target.order):
+        want = fresh.next_dist(ctx).tobytes()
+        assert first.next_dist(ctx).tobytes() == want
+        assert second.next_dist(ctx).tobytes() == want
+    # a hit starts with an empty memo, whatever the earlier instances hold
+    assert first._memo and not load_model(path)._memo
+
+
+def test_load_model_rereads_a_rewritten_file(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text(GOLDEN_MODEL, encoding="utf-8")
+    old = load_model(path)
+    stat = os.stat(path)
+    # other bytes of the same length, under the same path and mtime
+    path.write_text(GOLDEN_MODEL.replace("c 0 - 0 2", "c 0 - 0 7"),
+                    encoding="utf-8")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(path).st_size == stat.st_size
+    new = load_model(path)
+    assert new._counts[0][()] == {0: 7, 1: 1, 2: 2}
+    assert new.next_dist(()).tobytes() == _fresh_parse(path).next_dist(()).tobytes()
+    assert new.next_dist(()).tobytes() != old.next_dist(()).tobytes()
+
+
+def test_load_model_keeps_no_failed_parse(tmp_path):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text(GOLDEN_MODEL, encoding="utf-8")
+    bad.write_text(GOLDEN_MODEL + "c 1 0 x 1\n", encoding="utf-8")
+    load_model(good)
+    for _ in range(2):  # the second load parses again and fails again
+        with pytest.raises(ConfigError) as exc:
+            load_model(bad)
+        assert str(exc.value) == f"{bad}:12: malformed count record"
+        assert models._kept is None
+    assert load_model(good)._counts[1] == {(2,): {0: 2}, (0,): {1: 1}}
 
 
 def test_load_model_reads_records_split_on_any_whitespace(tmp_path):

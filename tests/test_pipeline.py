@@ -9,6 +9,7 @@ import os
 import pytest
 
 from conftest import TINY_CONFIG
+from heterospec import models
 from heterospec.config import ExperimentConfig, config_from_dict, load_config
 from heterospec.errors import ConfigError
 from heterospec.metrics import read_iterations_csv, read_summary_csv, validate_run
@@ -252,6 +253,26 @@ def test_draft_base_is_the_targets_lower_order(tmp_path):
     step_train_model(low)
     with pytest.raises(ConfigError, match="run train-model"):
         load_models(cfg)
+
+
+def test_calibrate_and_compare_parse_the_model_once(tmp_path, model_parses):
+    cfg = _cfg(tmp_path / "run")
+    step_gen_corpus(cfg)
+    step_train_model(cfg)
+    step_calibrate(cfg)
+    step_compare(cfg)
+    step_run(cfg, "baseline")
+    assert model_parses == [os.path.join(cfg.out_dir, "model.txt")]
+
+
+def test_train_model_releases_the_kept_parse(tmp_path):
+    cfg = _cfg(tmp_path / "run")
+    step_gen_corpus(cfg)
+    step_train_model(cfg)
+    load_models(cfg)
+    assert models._kept is not None
+    step_train_model(cfg)
+    assert models._kept is None
 
 
 def test_external_corpus_passthrough(tmp_path):
