@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BinsFileError, CalibrationError, ConfigError
+from .errors import BinsFileError, CalibrationError, ConfigError, utf8_errors
 from .metrics import fmt_float
 
 BINS_FORMAT_VERSION = 1
@@ -237,7 +237,7 @@ def _bins_err(path: str, lineno: int, msg: str) -> BinsFileError:
 
 
 def load_bins(path: str) -> BinningModel:
-    with open(path, "r", encoding="utf-8") as fh:
+    with utf8_errors(path, BinsFileError), open(path, encoding="utf-8") as fh:
         raw = fh.read().splitlines()
     if not raw or raw[0].strip() != f"heterospec-bins v{BINS_FORMAT_VERSION}":
         raise _bins_err(path, 1, "missing or unsupported version line")

@@ -1,7 +1,7 @@
 """Command-line harness.
 
 Subcommands mirror the pipeline stages: gen-corpus, train-model,
-calibrate, run, compare, report. Every subcommand accepts --config (JSON
+calibrate, compare, report. Every subcommand accepts --config (JSON
 experiment file), --seed and --out overrides.
 
 Exit codes, one distinct status per failure class:
@@ -30,7 +30,7 @@ from .config import ExperimentConfig, load_config
 from .errors import (BinsFileError, CalibrationError, ConfigError,
                      HeteroSpecError, OutputMismatchError)
 from .pipeline import (load_pipeline_bins, render_report, step_calibrate,
-                       step_compare, step_gen_corpus, step_report, step_run,
+                       step_compare, step_gen_corpus, step_report,
                        step_train_model)
 
 _EXIT_KINDS: list[tuple[type, int, str]] = [
@@ -57,14 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
             ("gen-corpus", "materialize the corpus into out_dir"),
             ("train-model", "train the target model on the training split"),
             ("calibrate", "fit entropy bins from a baseline calibration run"),
-            ("run", "decode the eval prompts with one arm"),
             ("compare", "run baseline and adaptive arms on the same prompts"),
             ("report", "write plot-ready tables and print a digest")):
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
-        if name == "run":
-            p.add_argument("--mode", choices=("baseline", "adaptive"),
-                           default="adaptive")
         if name == "compare":
             p.add_argument("--alpha-sweep",
                            help="comma-separated alpha values, e.g. 2,3,4")
@@ -72,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--arm", choices=("baseline", "adaptive"),
                            default="baseline",
                            help="which iteration trace feeds the tables")
-            p.add_argument("--digest-only", action="store_true",
-                           help="skip the CSVs, print the digest alone")
     return parser
 
 
@@ -115,10 +109,6 @@ def _dispatch(args: argparse.Namespace) -> None:
     elif args.command == "calibrate":
         print(step_calibrate(config))
         _note_no_low_bin(config)
-    elif args.command == "run":
-        iter_path, summary_path = step_run(config, args.mode)
-        print(iter_path)
-        print(summary_path)
     elif args.command == "compare":
         out, result = step_compare(config, _parse_alphas(args.alpha_sweep))
         print(out)
@@ -129,10 +119,9 @@ def _dispatch(args: argparse.Namespace) -> None:
                   f"speedup={summary.speedup:.4f}")
         _note_no_low_bin(config)
     elif args.command == "report":
-        if not args.digest_only:
-            for path in step_report(config, args.arm):
-                print(path)
-        sys.stdout.write(render_report(config))
+        # the digest is rendered first, so a failing report prints nothing
+        paths = step_report(config, args.arm)
+        sys.stdout.write("".join(p + "\n" for p in paths) + render_report(config))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 from .binning import CALIBRATION_FILTERS
 from .control import HeteroConfig
 from .corpus import PlantedCorpusSpec
-from .errors import ConfigError
+from .errors import ConfigError, utf8_errors
 from .metrics import CostModel
 
 CONFIG_VERSION = 1
@@ -39,7 +39,6 @@ class ModelSpec:
 @dataclass(frozen=True)
 class DraftSpec:
     order: int | None = 2  # in [1, model.order]; None: the target itself
-    temperature: float = 1.0
     noise: float = 0.01
 
 
@@ -79,6 +78,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {self.version}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.corpus_path == "":
             raise ConfigError("corpus.path must name a file, got ''")
         if self.tokenization not in ("char", "word"):
@@ -160,7 +161,7 @@ def config_from_dict(data: dict, where: str = "config") -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with utf8_errors(path), open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None

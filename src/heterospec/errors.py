@@ -4,6 +4,8 @@ The CLI maps each class to a distinct exit code, so raise the most
 specific one available.
 """
 
+from contextlib import contextmanager
+
 
 class HeteroSpecError(Exception):
     """Base class for all package errors."""
@@ -28,3 +30,12 @@ class OutputMismatchError(HeteroSpecError):
     Both controllers are greedy-exact and account for every emitted token,
     so this always signals a decoding bug rather than bad luck.
     """
+
+
+@contextmanager
+def utf8_errors(path, error: type[HeteroSpecError] = ConfigError):
+    """Turn a failure to decode ``path`` as UTF-8 into ``error`` naming it."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
-from .errors import ConfigError
+from .errors import ConfigError, utf8_errors
 
 ITERATIONS_SCHEMA = "# heterospec-iterations v1"
 SUMMARY_SCHEMA = "# heterospec-summary v1"
@@ -47,6 +47,13 @@ class CostModel:
     c_call: float = 1.0  # fixed cost of one target call
     c_tok: float = 0.05  # per verified token
     c_draft: float = 0.02  # per draft layer
+
+    def __post_init__(self):
+        # a chained comparison is false for NaN
+        if not (0 < self.c_call < math.inf and 0 <= self.c_tok < math.inf
+                and 0 <= self.c_draft < math.inf):
+            raise ConfigError("costs must be finite and non-negative with "
+                              f"c_call > 0, got {self}")
 
     def run_cost(self, records: list[IterationRecord]) -> float:
         return sum(self.c_call + self.c_tok * r.tree_size
@@ -213,7 +220,7 @@ def _read_csv(path: str, schema: str, header: tuple[str, ...], parse) -> list:
     """``parse(row)`` for each row, a list of strings in header order, of a
     table whose schema line and header row are the written ones; a row that
     ``parse`` cannot read fails at its line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with utf8_errors(path), open(path, "r", encoding="utf-8", newline="") as fh:
         if (first := fh.readline().rstrip("\n")) != schema:
             raise ConfigError(f"{path}:1: unexpected schema line {first!r}")
         reader = csv.reader(fh)

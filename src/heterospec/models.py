@@ -42,7 +42,7 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, utf8_errors
 from .vocab import Context, Vocabulary, encode_corpus
 
 ProbDist = np.ndarray  # 1-D float64 vector over the vocabulary
@@ -179,19 +179,17 @@ def train_ngram(corpus: list[str], vocab: Vocabulary, order: int,
     return NGramModel(vocab, order, smoothing, counts)
 
 
-def perturb(dist: ProbDist, temperature: float, noise: float) -> ProbDist:
-    """Temperature-sharpen/flatten a distribution and mix in uniform noise.
-
-    Computes normalize((1-noise) * softmax(log dist / temperature)
-    + noise * uniform). The (temperature=1, noise=0) case is an exact
-    identity, returned without any float round-trip. Expects temperature
-    > 0 and noise in [0, 1], which ``PerturbedDraftModel`` checks.
-    """
-    if temperature == 1.0 and noise == 0.0:
+def perturb(dist: ProbDist, noise: float) -> ProbDist:
+    """Mix in uniform noise: normalize((1-noise) * softmax(log dist) +
+    noise * uniform). noise=0 is an exact identity, returned without any
+    float round-trip. Expects noise in [0, 1], which
+    ``PerturbedDraftModel`` checks."""
+    if noise == 0.0:
         return dist.copy()
     v = dist.shape[0]
+    # softmax(log dist) is dist up to rounding, which the draft's values keep
     with np.errstate(divide="ignore"):
-        logits = np.log(dist) / temperature
+        logits = np.log(dist)
     logits -= logits.max()
     shaped = np.exp(logits)
     shaped /= shaped.sum()
@@ -200,26 +198,22 @@ def perturb(dist: ProbDist, temperature: float, noise: float) -> ProbDist:
 
 
 class PerturbedDraftModel(_MemoModel):
-    """Draft surrogate: the target distribution reshaped by temperature and
-    uniform noise, simulating draft/target mismatch."""
+    """Draft surrogate: the target distribution mixed with uniform noise,
+    simulating draft/target mismatch."""
 
-    def __init__(self, base: LanguageModel, temperature: float = 1.0,
-                 noise: float = 0.0):
-        if temperature <= 0:
-            raise ConfigError(f"draft temperature must be > 0, got {temperature}")
+    def __init__(self, base: LanguageModel, noise: float = 0.0):
         if not (0.0 <= noise <= 1.0):
             raise ConfigError(f"noise weight must be in [0, 1], got {noise}")
         super().__init__()
         self.base = base
         self.vocab = base.vocab
-        self.temperature = temperature
         self.noise = noise
 
     def state_key(self, context: Context) -> tuple[int, ...]:
         return self.base.state_key(context)
 
     def _compute(self, context: Context) -> ProbDist:
-        return perturb(self.base.next_dist(context), self.temperature, self.noise)
+        return perturb(self.base.next_dist(context), self.noise)
 
 
 MODEL_FORMAT_VERSION = 1
@@ -260,7 +254,8 @@ def load_model(path) -> NGramModel:
     digest = hashlib.sha256(data).digest()
     if _kept is None or _kept[0] != digest:
         _kept = None  # free the old tables before parsing the new ones
-        lines = data.decode("utf-8").splitlines()
+        with utf8_errors(path):
+            lines = data.decode("utf-8").splitlines()
         del data  # nor hold the file's bytes through the parse
         _kept = (digest, _parse_model(lines, path))
     return NGramModel(*_kept[1])

@@ -8,7 +8,7 @@ out_dir, so each stage can be rerun or inspected on its own:
     model.txt     trained target model (the draft base is its lower orders)
     bins.txt      calibrated entropy bins
     config.json   snapshot of the resolved configuration
-    *.csv         per-iteration traces and per-arm summaries
+    *.csv         per-iteration traces, the comparison and report tables
 
 All artifacts are deterministic functions of (config, seed): rerunning a
 step reproduces its outputs byte for byte.
@@ -21,8 +21,8 @@ import os
 from .binning import (BinningModel, check_calibration_diversity,
                       collect_calibration, fit_binning, load_bins, save_bins)
 from .config import ExperimentConfig, rng_for, save_config
-from .control import (ComparisonResult, decode_adaptive, decode_baseline,
-                      run_arm, run_comparison)
+from .control import (ComparisonResult, decode_baseline, run_arm,
+                      run_comparison)
 from .corpus import gen_corpus, prompts_from, split_docs
 from .errors import ConfigError
 from .metrics import (read_iterations_csv, read_summary_csv,
@@ -107,9 +107,7 @@ def load_models(config: ExperimentConfig) -> tuple[NGramModel, PerturbedDraftMod
     if order > target.order:
         raise ConfigError(f"{path}: model order {target.order} is below "
                           f"draft.order {order}, run train-model again")
-    draft = PerturbedDraftModel(target.lower_order(order),
-                                temperature=config.draft.temperature,
-                                noise=config.draft.noise)
+    draft = PerturbedDraftModel(target.lower_order(order), config.draft.noise)
     return target, draft
 
 
@@ -159,25 +157,6 @@ def load_pipeline_bins(config: ExperimentConfig) -> BinningModel:
     return bins
 
 
-def step_run(config: ExperimentConfig, mode: str) -> tuple[str, str]:
-    """Decode the eval prompts with one arm; returns (iterations, summary)
-    CSV paths. mode is 'baseline' or 'adaptive'."""
-    if mode not in ("baseline", "adaptive"):
-        raise ConfigError(f"mode must be baseline or adaptive, got {mode!r}")
-    target, draft = load_models(config)
-    bins = load_pipeline_bins(config)
-    prompts = _prompt_split(config, target, "eval")
-    _prepare_out_dir(config)
-    decode = decode_baseline if mode == "baseline" else decode_adaptive
-    arm = run_arm(mode, decode, target, draft, prompts, config.controller,
-                  config.cost, bins=bins)
-    iter_path = _path(config, f"{mode}-iterations.csv")
-    summary_path = _path(config, f"{mode}-summary.csv")
-    write_iterations_csv(iter_path, arm.records)
-    write_summary_csv(summary_path, [(arm.name, arm.alpha, arm.summary)])
-    return iter_path, summary_path
-
-
 def step_compare(config: ExperimentConfig,
                  alphas: list[int] | None = None) -> tuple[str, ComparisonResult]:
     """Run baseline and adaptive arms on the eval prompts; returns the
@@ -210,8 +189,9 @@ def step_report(config: ExperimentConfig, arm: str = "baseline") -> list[str]:
         raise ConfigError(f"arm must be one of {REPORT_ARMS}, got {arm!r}")
     trace = _path(config, f"{arm}-iterations.csv")
     if not os.path.exists(trace):
-        raise ConfigError(f"{trace}: iteration trace not found, "
-                          f"run 'run --mode {arm}' or compare first")
+        raise ConfigError(f"{trace}: iteration trace not found, run compare "
+                          "first (a sweep over several alphas names its "
+                          "traces adaptive-a<alpha>-iterations.csv)")
     records = read_iterations_csv(trace)
     if not records:
         raise ConfigError(f"{trace}: iteration trace is empty")
@@ -239,19 +219,15 @@ def render_report(config: ExperimentConfig) -> str:
         for (lo, hi), mean, count in zip(bins.edges(), bins.means, bins.counts):
             lines.append(f"  [{lo:.4f}, {hi:.4f})  "
                          f"mean rank {mean:.3f}  n={count}")
-    found = False
-    for name in (COMPARE_CSV, "baseline-summary.csv", "adaptive-summary.csv"):
-        path = _path(config, name)
-        if not os.path.exists(path):
-            continue
-        found = True
-        lines.append(f"{name}:")
+    compare_path = _path(config, COMPARE_CSV)
+    if os.path.exists(compare_path):
+        lines.append(f"{COMPARE_CSV}:")
         header = ("arm", "alpha", "calls", "tokens", "emitted", "tau", "speedup")
         lines.append("  " + "  ".join(f"{h:>8}" for h in header))
-        for row in read_summary_csv(path):
+        for row in read_summary_csv(compare_path):
             cells = (f"{float(row[h]):.4f}" if h in ("tau", "speedup")
                      and row[h] != "-" else row[h] for h in header)
             lines.append("  " + "  ".join(f"{v:>8}" for v in cells))
-    if not found and not os.path.exists(bins_path):
+    elif not os.path.exists(bins_path):
         lines.append("no artifacts found; run the pipeline first")
     return "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, utf8_errors
 
 UNK = "<unk>"
 
@@ -72,7 +72,7 @@ def encode_corpus(corpus: list[str], vocab: Vocabulary) -> list[tuple[int, ...]]
 
 
 def read_corpus(path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
+    with utf8_errors(path), open(path, encoding="utf-8") as fh:
         return [line.rstrip("\n") for line in fh if line.rstrip("\n")]
 
 

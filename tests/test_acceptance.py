@@ -139,9 +139,7 @@ def test_criterion_01_greedy_exactness():
                              smoothing=float(rng.uniform(0.05, 0.5)))
         base = (train_ngram(text, vocab, order=2, smoothing=0.1)
                 if rng.random() < 0.5 else target)
-        draft = PerturbedDraftModel(base,
-                                    temperature=float(rng.uniform(0.7, 1.5)),
-                                    noise=float(rng.uniform(0.0, 0.3)))
+        draft = PerturbedDraftModel(base, noise=float(rng.uniform(0.0, 0.3)))
         alphas = (None, 0, 1, 2, 3, 4)
         config = HeteroConfig(
             depth=int(rng.integers(2, 7)),
@@ -189,8 +187,7 @@ def test_criterion_02_stochastic_losslessness():
     assert vocab.size <= 16
     target = MemoizedModel(train_ngram(text, vocab, order=3, smoothing=0.1))
     draft = MemoizedModel(PerturbedDraftModel(
-        train_ngram(text, vocab, order=2, smoothing=0.1),
-        temperature=1.25, noise=0.15))
+        train_ngram(text, vocab, order=2, smoothing=0.1), noise=0.15))
     context = tuple(encode_corpus(text, vocab)[0][:3])
     p = target.next_dist(context)
     rounds = 200_000

@@ -58,22 +58,6 @@ def test_seed_and_out_overrides_are_snapshotted(tmp_path, capsys):
     assert snap.out_dir == out
 
 
-def test_run_prints_trace_and_summary_paths(cli_lab, capsys):
-    base, out = cli_lab
-    assert main(["run", *base, "--mode", "baseline"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines == [os.path.join(out, "baseline-iterations.csv"),
-                     os.path.join(out, "baseline-summary.csv")]
-    assert all(os.path.exists(p) for p in lines)
-
-
-def test_run_defaults_to_adaptive(cli_lab, capsys):
-    base, out = cli_lab
-    assert main(["run", *base]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == os.path.join(out, "adaptive-iterations.csv")
-
-
 def test_compare_sweep_output(cli_lab, capsys):
     base, out = cli_lab
     assert main(["compare", *base, "--alpha-sweep", "1,2"]) == 0
@@ -91,7 +75,7 @@ def test_compare_sweep_output(cli_lab, capsys):
 
 def test_report_writes_tables_then_digest(cli_lab, capsys):
     base, out = cli_lab
-    assert main(["run", *base, "--mode", "baseline"]) == 0
+    assert main(["compare", *base]) == 0
     capsys.readouterr()
     assert main(["report", *base, "--arm", "baseline"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -99,14 +83,6 @@ def test_report_writes_tables_then_digest(cli_lab, capsys):
     assert lines[1] == os.path.join(out, "baseline-tcr-by-accepted.csv")
     assert lines[2] == os.path.join(out, "baseline-bin-occupancy.csv")
     assert lines[3].startswith("out_dir:")
-
-
-def test_report_digest_only(cli_lab, capsys):
-    base, _ = cli_lab
-    assert main(["report", *base, "--digest-only"]) == 0
-    outtext = capsys.readouterr().out
-    assert outtext.startswith("out_dir:")
-    assert ".csv\n" not in outtext.split("out_dir:")[0]
 
 
 def test_calibrate_rerun_is_stable(cli_lab, capsys):
@@ -209,38 +185,102 @@ def test_exit_2_on_empty_corpus_path(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("cost", [
+    {"c_call": 0, "c_tok": 0, "c_draft": 0}, {"c_call": -1},
+    {"c_tok": -0.05}], ids=["all-zero", "negative-call", "negative-tok"])
+def test_exit_2_on_unpriced_or_negative_costs(tmp_path, capsys, cost):
+    # all-zero costs used to divide by zero in summarize, a negative c_call
+    # to print a negative speedup with exit 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(TINY_CONFIG, cost=cost)), encoding="utf-8")
+    out = str(tmp_path / "run")
+    assert main(["compare", "--config", str(cfg), "--out", out]) == 2
+    err = _one_error_line(capsys.readouterr())
+    assert err.startswith("heterospec: config: costs must be finite and "
+                          "non-negative with c_call > 0, got CostModel(")
+    assert not os.path.exists(out)
+
+
+def test_exit_2_on_negative_seed(tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["gen-corpus", "--seed", "-1", "--out", out]) == 2
+    assert _one_error_line(capsys.readouterr()) == \
+        "heterospec: config: seed must be non-negative, got -1\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("which,command,code", [
+    ("config", "gen-corpus", 2), ("corpus.path", "gen-corpus", 2),
+    ("model.txt", "calibrate", 2), ("bins.txt", "compare", 4),
+    ("baseline-iterations.csv", "report", 2),
+], ids=["config", "corpus-path", "model", "bins", "trace"])
+def test_non_utf8_input_fails_with_one_line(tmp_path, capsys, which, command,
+                                            code):
+    out = str(tmp_path / "run")
+    docs = tmp_path / "docs.txt"
+    docs.write_bytes(b"a b c a b c\nb c \xff a b\n")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+    base = ["--config", str(cfg), "--out", out]
+    if which in ("model.txt", "bins.txt"):
+        for step in ("gen-corpus", "train-model", "calibrate"):
+            assert main([step, *base]) == 0
+    elif which == "baseline-iterations.csv":
+        os.makedirs(out)
+        with open(os.path.join(out, which), "w", encoding="utf-8") as fh:
+            fh.write(ITERATIONS_HEADER)
+    bad = {"config": str(cfg), "corpus.path": str(docs)}.get(
+        which, os.path.join(out, which))
+    if which == "config":
+        cfg.write_bytes(b'{"out_dir": "r\xff"}')
+    elif which == "corpus.path":
+        cfg.write_text(json.dumps(dict(TINY_CONFIG, corpus={"path": bad})),
+                       encoding="utf-8")
+    else:
+        with open(bad, "ab") as fh:
+            fh.write(b"\xff\n")
+    capsys.readouterr()
+    assert main([command, *base]) == code
+    kind = "bins-format" if code == 4 else "config"
+    assert _one_error_line(capsys.readouterr()) == \
+        f"heterospec: {kind}: {bad}: not UTF-8 text\n"
+
+
 ITERATIONS_HEADER = ("# heterospec-iterations v1\nprompt,iteration,entropy,bin,"
                      "draft_depth,top_n,tree_size,accepted_len,emitted,tcr\n")
 
 
-@pytest.mark.parametrize("name,text,args,where", [
-    ("baseline-iterations.csv", "# heterospec-iterations v9\nprompt\n", [],
+@pytest.mark.parametrize("name,text,where", [
+    ("baseline-iterations.csv", "# heterospec-iterations v9\nprompt\n",
      "baseline-iterations.csv:1: unexpected schema"),
     ("baseline-iterations.csv",
      ITERATIONS_HEADER + "0,0,0.5,-1,5,20,18,3,4,3\n0,1,x,-1,5,20,18,3,4,3\n",
-     [], "baseline-iterations.csv:4: bad row"),
+     "baseline-iterations.csv:4: bad row"),
     ("compare.csv", "# heterospec-summary v1\narm,alpha,prompts,calls,tokens,"
      "emitted,tau,mean_accepted_len,speedup,tcr_p25,tcr_p50,tcr_p75,tcr_p95,"
-     "sentinels\nbaseline,-,1,2,3,4,oops,1.5,-,-,-,-,-,0\n", ["--digest-only"],
+     "sentinels\nbaseline,-,1,2,3,4,oops,1.5,-,-,-,-,-,0\n",
      "compare.csv:3: bad row"),
     # a header row other than the written one, even one naming the same
     # columns, fails before any row is parsed
     ("baseline-iterations.csv", ITERATIONS_HEADER.replace("tcr\n", "tcr,extra\n")
-     + "0,0,0.5,-1,5,20,18,3,4,3,1\n", [], "baseline-iterations.csv:2: unexpected"
+     + "0,0,0.5,-1,5,20,18,3,4,3,1\n", "baseline-iterations.csv:2: unexpected"
      " header row"),
     ("baseline-iterations.csv", ITERATIONS_HEADER.replace("prompt,iteration",
                                                            "iteration,prompt")
-     + "0,0,0.5,-1,5,20,18,3,4,3\n", [], "baseline-iterations.csv:2: unexpected"
+     + "0,0,0.5,-1,5,20,18,3,4,3\n", "baseline-iterations.csv:2: unexpected"
      " header row"),
-    ("compare.csv", "# heterospec-summary v1\n", ["--digest-only"],
+    ("compare.csv", "# heterospec-summary v1\n",
      "compare.csv:2: unexpected header row None"),
 ], ids=["trace-schema", "trace-entropy", "compare-tau", "trace-extra-column",
         "trace-reordered-header", "compare-no-header"])
-def test_exit_2_on_malformed_csv(tmp_path, capsys, name, text, args, where):
+def test_exit_2_on_malformed_csv(tmp_path, capsys, name, text, where):
     out = tmp_path / "run"
     out.mkdir()
+    if name == "compare.csv":  # the digest reads it once the tables are written
+        (out / "baseline-iterations.csv").write_text(
+            ITERATIONS_HEADER + "0,0,0.5,-1,5,20,18,3,4,3\n", encoding="utf-8")
     (out / name).write_text(text, encoding="utf-8")
-    assert main(["report", "--out", str(out), *args]) == 2
+    assert main(["report", "--out", str(out)]) == 2
     err = _one_error_line(capsys.readouterr())
     assert err.startswith("heterospec: config:")
     assert where in err
@@ -259,20 +299,18 @@ def test_exit_2_on_bins_for_another_tree_shape(tmp_path, capsys, controller):
         TINY_CONFIG, controller=dict(TINY_CONFIG["controller"], **controller))),
         encoding="utf-8")
     capsys.readouterr()
-    for command in (["compare"], ["run", "--mode", "baseline"]):
-        assert main([*command, "--config", str(other), "--out", out]) == 2
-        err = _one_error_line(capsys.readouterr())
-        assert err.startswith("heterospec: config: " + os.path.join(out, "bins.txt"))
-        assert "entropy_k 2, base_depth 4" in err
-        assert "run calibrate again" in err
+    assert main(["compare", "--config", str(other), "--out", out]) == 2
+    err = _one_error_line(capsys.readouterr())
+    assert err.startswith("heterospec: config: " + os.path.join(out, "bins.txt"))
+    assert "entropy_k 2, base_depth 4" in err
+    assert "run calibrate again" in err
     # a hand-written bins file without the tree-shape keys still loads
     bins = os.path.join(out, "bins.txt")
     lines = open(bins, encoding="utf-8").read().splitlines()
     with open(bins, "w", encoding="utf-8") as fh:
         fh.write("".join(line + "\n" for line in lines
                          if not line.startswith(("entropy_k:", "base_depth:"))))
-    assert main(["run", "--mode", "baseline", "--config", str(other),
-                 "--out", out]) == 0
+    assert main(["compare", "--config", str(other), "--out", out]) == 0
 
 
 def test_refused_step_leaves_config_snapshot_alone(tmp_path, capsys):
@@ -303,7 +341,7 @@ def test_refused_step_leaves_config_snapshot_alone(tmp_path, capsys):
             for name in artifacts}
     capsys.readouterr()
     for command, config, code in ((["compare"], other, 2),
-                                  (["run", "--mode", "baseline"], other, 2),
+                                  (["compare"], bad_draft, 2),
                                   (["calibrate"], bad_draft, 2),
                                   (["calibrate"], refused, 3)):
         assert main([*command, "--config", str(config), "--out", out]) == code
@@ -314,18 +352,18 @@ def test_refused_step_leaves_config_snapshot_alone(tmp_path, capsys):
 
 
 def test_exit_5_on_records_that_break_accounting(cli_lab, capsys, monkeypatch):
-    import heterospec.pipeline as pipeline
+    import heterospec.control as control
 
-    real = pipeline.decode_baseline
+    real = control.decode_baseline
 
     def dropped_record(*args, **kwargs):
         result = real(*args, **kwargs)
         result.records.pop()
         return result
 
-    monkeypatch.setattr(pipeline, "decode_baseline", dropped_record)
+    monkeypatch.setattr(control, "decode_baseline", dropped_record)
     base, _ = cli_lab
-    assert main(["run", *base, "--mode", "baseline"]) == 5
+    assert main(["compare", *base]) == 5
     err = _one_error_line(capsys.readouterr())
     assert err.startswith("heterospec: verify-mismatch: baseline arm, prompt 0: "
                           "total emitted")
@@ -408,7 +446,7 @@ def test_exit_4_on_corrupt_bins(tmp_path, capsys):
     with open(os.path.join(out, "bins.txt"), "w", encoding="utf-8") as fh:
         fh.write("not a bins file\n")
     capsys.readouterr()
-    assert main(["run", *base]) == 4
+    assert main(["compare", *base]) == 4
     err = _one_error_line(capsys.readouterr())
     assert err.startswith("heterospec: bins-format:")
     assert "bins.txt:1:" in err
@@ -435,6 +473,9 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--mode", "greedy"])
-    assert exc.value.code == 2
+    # one arm decodes only as part of compare; report always writes its tables
+    for argv in (["run"], ["compare", "--mode", "baseline"],
+                 ["report", "--digest-only"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

@@ -1,7 +1,9 @@
 """Config schema, JSON round trips, and named RNG substreams."""
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -33,7 +35,7 @@ def test_defaults():
     assert cfg.corpus_path is None
     assert cfg.planted.num_docs == 96
     assert cfg.model == ModelSpec(order=3, smoothing=0.1)
-    assert cfg.draft == DraftSpec(order=2, temperature=1.0, noise=0.01)
+    assert cfg.draft == DraftSpec(order=2, noise=0.01)
     assert cfg.prompts == PromptSpec(count=24, prompt_tokens=8,
                                      calibration_count=30)
     assert cfg.calibration.filter == "fully-accepted"
@@ -59,11 +61,43 @@ def test_calibration_spec_validation():
     {"calibration": {"criterion": "sse"}},
     {"calibration": {"max_depth": 3}},
     {"corpus": {"planted": {"pivots": 0}}},
-], ids=["expand_width", "entropy_k", "criterion", "max_depth", "pivots"])
+    {"draft": {"temperature": 1.0}},
+], ids=["expand_width", "entropy_k", "criterion", "max_depth", "pivots",
+        "temperature"])
 def test_removed_settings_are_unknown_keys(data):
-    # the tree shape, the split loss and the template shape are fixed
+    # the tree shape, the split loss, the template shape and the draft's
+    # temperature are fixed
     with pytest.raises(ConfigError, match="unknown keys"):
         config_from_dict(data)
+
+
+def test_negative_seed_is_refused():
+    # rng_for feeds the seed to SeedSequence, which takes no negative entropy
+    for make in (lambda: ExperimentConfig(seed=-1),
+                 lambda: config_from_dict({"seed": -1}),
+                 lambda: dataclasses.replace(ExperimentConfig(), seed=-1)):
+        with pytest.raises(ConfigError) as exc:
+            make()
+        assert str(exc.value) == "seed must be non-negative, got -1"
+
+
+@pytest.mark.parametrize("cost", [
+    {"c_call": 0, "c_tok": 0, "c_draft": 0}, {"c_call": 0.0}, {"c_call": -1},
+    {"c_tok": -0.05}, {"c_draft": -1e-9}, {"c_call": math.inf},
+    {"c_tok": math.nan}, {"c_draft": -math.inf},
+], ids=["all-zero", "zero-call", "negative-call", "negative-tok",
+        "negative-draft", "inf-call", "nan-tok", "minus-inf-draft"])
+def test_costs_must_be_finite_and_non_negative_with_a_paid_call(cost):
+    # a free call divides by zero in summarize; a negative one flips the
+    # speedup's sign
+    with pytest.raises(ConfigError, match="costs must be finite and "
+                       "non-negative with c_call > 0"):
+        config_from_dict({"cost": cost})
+
+
+def test_free_tokens_and_draft_layers_are_allowed():
+    cfg = config_from_dict({"cost": {"c_call": 2, "c_tok": 0, "c_draft": 0}})
+    assert (cfg.cost.c_call, cfg.cost.c_tok, cfg.cost.c_draft) == (2, 0, 0)
 
 
 def test_rng_for_reproducible_independent_streams():

@@ -138,53 +138,46 @@ def test_planted_template_validation():
 
 def test_perturb_identity_is_exact():
     dist = np.array([0.3, 0.25, 0.45])
-    out = perturb(dist, temperature=1.0, noise=0.0)
+    out = perturb(dist, noise=0.0)
     assert np.array_equal(out, dist)
     assert out is not dist
 
 
 def test_perturb_mixture_arithmetic():
-    out = perturb(np.array([0.8, 0.2]), temperature=1.0, noise=0.5)
+    out = perturb(np.array([0.8, 0.2]), noise=0.5)
     np.testing.assert_allclose(out, [0.65, 0.35], atol=1e-15)
-
-
-def test_perturb_high_temperature_flattens():
-    # full-support near-one-hot: at huge temperature the log ratios vanish
-    dist = np.array([1.0 - 3e-9, 1e-9, 1e-9, 1e-9])
-    out = perturb(dist, temperature=1e6, noise=0.0)
-    np.testing.assert_allclose(out, 0.25, atol=1e-4)
 
 
 def test_perturb_validation():
     base = FixedDistModel([1.0, 0.0])
     with pytest.raises(ConfigError):
-        PerturbedDraftModel(base, temperature=0.0, noise=0.0)
+        PerturbedDraftModel(base, noise=1.5)
     with pytest.raises(ConfigError):
-        PerturbedDraftModel(base, temperature=1.0, noise=1.5)
+        PerturbedDraftModel(base, noise=-0.1)
 
 
-@given(prob_dists(max_size=12), st.floats(0.3, 3.0), st.floats(0.0, 1.0))
-def test_perturb_outputs_valid_dists(dist, temperature, noise):
-    assert is_valid_dist(perturb(dist, temperature, noise), dist.shape[0])
+@given(prob_dists(max_size=12), st.floats(0.0, 1.0))
+def test_perturb_outputs_valid_dists(dist, noise):
+    assert is_valid_dist(perturb(dist, noise), dist.shape[0])
 
 
 @given(prob_dists(max_size=12, allow_zeros=False))
 def test_perturb_full_support_when_noisy(dist):
-    assert np.all(perturb(dist, 1.0, 0.1) > 0.0)
+    assert np.all(perturb(dist, 0.1) > 0.0)
 
 
 def test_perturbed_draft_identity_equals_base():
     docs = ["a b c a b", "c a b c"]
     vocab = build_vocab(docs, mode="word")
     base = train_ngram(docs, vocab, order=2, smoothing=0.1)
-    draft = PerturbedDraftModel(base, temperature=1.0, noise=0.0)
+    draft = PerturbedDraftModel(base, noise=0.0)
     for ctx in [(), (0,), (1, 2), (2, 0, 1)]:
         assert np.array_equal(draft.next_dist(ctx), base.next_dist(ctx))
 
 
 def test_perturbed_draft_full_noise_is_uniform():
     base = PlantedTemplateModel(make_vocab(10), [(0, 1, 2)], rho=0.99)
-    draft = PerturbedDraftModel(base, temperature=1.0, noise=1.0)
+    draft = PerturbedDraftModel(base, noise=1.0)
     np.testing.assert_allclose(draft.next_dist((0, 1)), 0.1, atol=1e-15)
 
 
@@ -392,7 +385,7 @@ MEMO_DOCS = ["the cat sat on the mat", "the dog sat", "a cat ran far"]
 def _memo_models():
     vocab = build_vocab(MEMO_DOCS, mode="word")
     target = train_ngram(MEMO_DOCS, vocab, order=3, smoothing=0.05)
-    return vocab, target, PerturbedDraftModel(target, temperature=0.7, noise=0.02)
+    return vocab, target, PerturbedDraftModel(target, noise=0.02)
 
 
 def _backoff_context(model, ctx):
@@ -426,7 +419,7 @@ def test_next_dist_backs_off_to_longest_seen_suffix():
         want = _uncached_dist(target, ctx)
         assert target.next_dist(ctx).tobytes() == want.tobytes()
         assert draft.next_dist(ctx).tobytes() == \
-            perturb(want, draft.temperature, draft.noise).tobytes()
+            perturb(want, draft.noise).tobytes()
     assert target.next_dist((unk, unk)).tobytes() == target.next_dist(()).tobytes()
 
 
@@ -452,7 +445,7 @@ def test_memoized_values_bitwise_equal_uncached_formula():
         ctx = tuple(int(t) for t in rng.integers(v, size=rng.integers(0, 5)))
         want = _uncached_dist(target, ctx)
         assert target.next_dist(ctx).tobytes() == want.tobytes()
-        want_draft = perturb(want, draft.temperature, draft.noise)
+        want_draft = perturb(want, draft.noise)
         assert draft.next_dist(ctx).tobytes() == want_draft.tobytes()
 
 
@@ -497,13 +490,13 @@ def test_state_key_equal_keys_agree_after_any_continuation(
 
     ngram = model = NGramModel(vocab, order, 0.1, counts)
     if perturbed:
-        model = PerturbedDraftModel(ngram, temperature=0.7, noise=0.02)
+        model = PerturbedDraftModel(ngram, noise=0.02)
 
     def oracle(ctx):
         # the model's memo and backoff both start from state_key, so only an
         # oracle without either can tell a wrong key from a right one
         dist = _uncached_dist(ngram, ctx)
-        return perturb(dist, 0.7, 0.02) if perturbed else dist
+        return perturb(dist, 0.02) if perturbed else dist
 
     contexts = [head + tail for head in heads]
     if len(tail) >= order - 1:  # a shared window means a shared state

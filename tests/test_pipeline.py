@@ -21,7 +21,6 @@ from heterospec.pipeline import (
     step_compare,
     step_gen_corpus,
     step_report,
-    step_run,
     step_train_model,
 )
 from heterospec.vocab import read_corpus
@@ -40,23 +39,19 @@ def lab(tmp_path_factory):
     step_gen_corpus(cfg)
     step_train_model(cfg)
     step_calibrate(cfg)
-    step_run(cfg, "baseline")
-    baseline_trace = open(os.path.join(cfg.out_dir,
-                                       "baseline-iterations.csv"), "rb").read()
-    step_run(cfg, "adaptive")
+    step_compare(cfg)  # the adaptive-iterations.csv that report reads
     step_compare(cfg, alphas=[1, 2])
     step_report(cfg, "baseline")
     step_report(cfg, "adaptive")
-    return cfg, baseline_trace
+    return cfg
 
 
 def test_artifact_layout(lab):
-    cfg, _ = lab
+    cfg = lab
     expected = [
         "config.json", "corpus.txt", "template.txt", "model.txt",
         "bins.txt", "calibration.csv",
-        "baseline-iterations.csv", "baseline-summary.csv",
-        "adaptive-iterations.csv", "adaptive-summary.csv",
+        "baseline-iterations.csv", "adaptive-iterations.csv",
         "adaptive-a1-iterations.csv", "adaptive-a2-iterations.csv",
         "compare.csv", "baseline-tcr-histogram.csv",
         "baseline-tcr-by-accepted.csv", "baseline-bin-occupancy.csv",
@@ -70,7 +65,7 @@ def test_artifact_layout(lab):
 
 
 def test_corpus_and_template_shape(lab):
-    cfg, _ = lab
+    cfg = lab
     docs = read_corpus(os.path.join(cfg.out_dir, "corpus.txt"))
     assert len(docs) == 24
     assert all(len(d.split()) == 70 for d in docs)
@@ -79,7 +74,7 @@ def test_corpus_and_template_shape(lab):
 
 
 def test_calibration_trace_and_bins(lab):
-    cfg, _ = lab
+    cfg = lab
     records = read_iterations_csv(os.path.join(cfg.out_dir, "calibration.csv"))
     assert sorted({r.prompt for r in records}) == list(range(8))
     assert validate_run(records) == []
@@ -92,7 +87,7 @@ def test_calibration_trace_and_bins(lab):
 @pytest.mark.parametrize("controller", [{"depth": 7}, {"top_k": 3}],
                          ids=["depth", "top_k"])
 def test_bins_for_another_tree_shape_are_refused(lab, controller):
-    cfg, _ = lab
+    cfg = lab
     other = dataclasses.replace(
         cfg, controller=dataclasses.replace(cfg.controller, **controller))
     want = (rf"bins\.txt: bins were calibrated for entropy_k 2, base_depth 4 "
@@ -112,38 +107,29 @@ def test_bins_without_tree_shape_metadata_load(tmp_path):
     assert bins.entropy_k is None and bins.base_depth is None
 
 
-def test_run_summaries_account_for_all_tokens(lab):
-    cfg, _ = lab
-    for mode in ("baseline", "adaptive"):
+def test_traces_account_for_all_tokens(lab):
+    cfg = lab
+    for arm in ("baseline", "adaptive", "adaptive-a1", "adaptive-a2"):
         records = read_iterations_csv(
-            os.path.join(cfg.out_dir, f"{mode}-iterations.csv"))
+            os.path.join(cfg.out_dir, f"{arm}-iterations.csv"))
         assert validate_run(records, expected_emitted=3 * 60) == []
-        [row] = read_summary_csv(
-            os.path.join(cfg.out_dir, f"{mode}-summary.csv"))
-        assert row["arm"] == mode
+
+
+def test_compare_rows(lab):
+    cfg = lab
+    rows = read_summary_csv(os.path.join(cfg.out_dir, "compare.csv"))
+    assert [(r["arm"], r["alpha"]) for r in rows] == \
+        [("baseline", "-"), ("adaptive", "1"), ("adaptive", "2")]
+    for row, arm in zip(rows, ("baseline", "adaptive-a1", "adaptive-a2")):
+        records = read_iterations_csv(
+            os.path.join(cfg.out_dir, f"{arm}-iterations.csv"))
         assert int(row["emitted"]) == 180
         assert int(row["calls"]) == len(records)
         assert float(row["tau"]) == pytest.approx(180 / len(records))
 
 
-def test_compare_rows(lab):
-    cfg, _ = lab
-    rows = read_summary_csv(os.path.join(cfg.out_dir, "compare.csv"))
-    assert [(r["arm"], r["alpha"]) for r in rows] == \
-        [("baseline", "-"), ("adaptive", "1"), ("adaptive", "2")]
-    assert all(int(r["emitted"]) == 180 for r in rows)
-
-
-def test_compare_rewrites_baseline_trace_identically(lab):
-    # step_run and step_compare both write baseline-iterations.csv; the
-    # pipeline is deterministic so the bytes must agree
-    cfg, first = lab
-    now = open(os.path.join(cfg.out_dir, "baseline-iterations.csv"), "rb").read()
-    assert now == first
-
-
 def test_report_tables_are_consistent(lab):
-    cfg, _ = lab
+    cfg = lab
     for arm in ("baseline", "adaptive"):
         records = read_iterations_csv(
             os.path.join(cfg.out_dir, f"{arm}-iterations.csv"))
@@ -159,7 +145,7 @@ def test_report_tables_are_consistent(lab):
 
 
 def test_render_report_digest(lab):
-    cfg, _ = lab
+    cfg = lab
     digest = render_report(cfg)
     assert "bins:" in digest
     assert "compare.csv:" in digest
@@ -261,7 +247,7 @@ def test_calibrate_and_compare_parse_the_model_once(tmp_path, model_parses):
     step_train_model(cfg)
     step_calibrate(cfg)
     step_compare(cfg)
-    step_run(cfg, "baseline")
+    step_compare(cfg, alphas=[1, 2])
     assert model_parses == [os.path.join(cfg.out_dir, "model.txt")]
 
 
@@ -300,16 +286,16 @@ def test_missing_prerequisites_fail_with_hints(tmp_path):
     step_gen_corpus(cfg)
     step_train_model(cfg)
     with pytest.raises(ConfigError, match="calibrate first"):
-        step_run(cfg, "baseline")
-    with pytest.raises(ConfigError, match="mode must be"):
-        step_run(cfg, "greedy")
+        step_compare(cfg)
 
 
 def test_report_requires_trace(tmp_path):
     cfg = _cfg(tmp_path / "fresh")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    with pytest.raises(ConfigError, match="compare first"):
-        step_report(cfg, "baseline")
+    with pytest.raises(ConfigError, match="run compare first .a sweep over "
+                       "several alphas names its traces "
+                       "adaptive-a<alpha>-iterations.csv.$"):
+        step_report(cfg, "adaptive")
     with pytest.raises(ConfigError, match="arm must be one of"):
         step_report(cfg, "greedy")
     trace = os.path.join(cfg.out_dir, "adaptive-iterations.csv")

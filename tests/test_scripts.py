@@ -1,13 +1,16 @@
-"""Smoke tests of the packaged experiments the README's Quick start lists:
-each script runs end to end in its own process and prints what the README
-says it prints."""
+"""Smoke tests of the README's Quick start: its CLI lines run in order and
+each exits 0, and each packaged experiment runs end to end in its own
+process and prints what the README says it prints."""
 from __future__ import annotations
 
 import os
+import shlex
 import subprocess
 import sys
 
 import pytest
+
+from heterospec.cli import main
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -34,3 +37,21 @@ def test_script_runs_and_prints_its_result(tmp_path, name):
     lines = proc.stdout.splitlines()
     for line in EXPECTED_LINES[name]:
         assert line in lines
+
+
+def _quick_start_commands() -> list[list[str]]:
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("\n## Quick start\n"):]
+    start = section.index("```sh\n") + len("```sh\n")
+    lines = section[start:section.index("```", start)].splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("heterospec ")]
+
+
+def test_readme_quick_start_runs_in_order(tmp_path, capsys):
+    commands = _quick_start_commands()
+    assert {"compare", "report"} <= {argv[0] for argv in commands}
+    for argv in commands:
+        argv[argv.index("--out") + 1] = str(tmp_path)
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
