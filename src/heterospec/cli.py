@@ -120,8 +120,10 @@ def _dispatch(args: argparse.Namespace) -> None:
         _note_no_low_bin(config)
     elif args.command == "report":
         # the digest is rendered first, so a failing report prints nothing
+        # and writes no table
+        digest = render_report(config)
         paths = step_report(config, args.arm)
-        sys.stdout.write("".join(p + "\n" for p in paths) + render_report(config))
+        sys.stdout.write("".join(p + "\n" for p in paths) + digest)
 
 
 def main(argv: list[str] | None = None) -> int:

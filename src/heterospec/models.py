@@ -19,8 +19,13 @@ Callers copy a returned array before writing to it.
 An n-gram model keeps {token: count} of the tokens seen after each context.
 Its first L count tables are those an order-L model trains on the same
 corpus, so ``lower_order`` derives the draft base instead of training one.
-``save_model`` writes the tables as one text record per nonzero count, and
-``load_model`` reads every record through one path.
+``train_ngram`` builds the table of context length L with one ``Counter``
+of the (L+1)-token windows of every document, so the per-token work runs in
+C, and folds it into the table in first-seen order; it counts one length at
+a time, holding one counter. ``save_model`` writes the tables as one text
+record per nonzero count, and ``load_model`` reads every record through one
+path. The parse takes the decoded text's lines one chunk of about 64K
+characters at a time, so it never holds every line of the file at once.
 
 A process keeps one parse of a model file, keyed by the sha256 of the
 file's bytes. ``load_model`` reads and hashes the file on every call; when
@@ -39,6 +44,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
+from collections.abc import Iterable, Iterator
+from itertools import chain
 
 import numpy as np
 
@@ -169,13 +177,21 @@ class NGramModel(_MemoModel):
 
 def train_ngram(corpus: list[str], vocab: Vocabulary, order: int,
                 smoothing: float) -> NGramModel:
-    """Count every context length 0..order-1 within each document."""
-    counts: Counts = [{} for _ in range(order)]
-    for doc in encode_corpus(corpus, vocab):
-        for i, tok in enumerate(doc):
-            for length in range(min(order - 1, i) + 1):
-                seen = counts[length].setdefault(tuple(doc[i - length:i]), {})
-                seen[tok] = seen.get(tok, 0) + 1
+    """Count every context length 0..order-1 within each document: one
+    ``Counter`` of (L+1)-token windows per length L, folded into
+    {context: {token: count}} in the order the windows were first seen,
+    which is the order a token-by-token count inserts them in. A length's
+    counter is dropped before the next length is counted."""
+    docs = encode_corpus(corpus, vocab)
+    counts: Counts = []
+    for length in range(order):
+        windows = Counter()
+        for doc in docs:
+            windows.update(zip(*(doc[j:] for j in range(length + 1))))
+        table: dict[tuple[int, ...], dict[int, int]] = {}
+        for window, count in windows.items():
+            table.setdefault(window[:-1], {})[window[-1]] = count
+        counts.append(table)
     return NGramModel(vocab, order, smoothing, counts)
 
 
@@ -255,25 +271,43 @@ def load_model(path) -> NGramModel:
     if _kept is None or _kept[0] != digest:
         _kept = None  # free the old tables before parsing the new ones
         with utf8_errors(path):
-            lines = data.decode("utf-8").splitlines()
+            text = data.decode("utf-8")
         del data  # nor hold the file's bytes through the parse
+        lines = chain.from_iterable(map(str.splitlines, _chunks(text)))
         _kept = (digest, _parse_model(lines, path))
     return NGramModel(*_kept[1])
 
 
-def _parse_model(lines: list[str], path) -> tuple[Vocabulary, int, float, Counts]:
-    if not lines or lines[0] != f"heterospec-ngram v{MODEL_FORMAT_VERSION}":
+_CHUNK_CHARS = 1 << 16  # a parse chunk: this many characters, then to the line's end
+
+
+def _chunks(text: str) -> Iterator[str]:
+    """``text`` in consecutive pieces, each ending just after a newline or
+    at the end of the text, so their lines are those of ``text``."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _parse_model(lines: Iterable[str], path) -> tuple[Vocabulary, int, float, Counts]:
+    numbered = enumerate(lines, start=1)
+    if next(numbered, (1, None))[1] != f"heterospec-ngram v{MODEL_FORMAT_VERSION}":
         raise ConfigError(f"{path}: not a heterospec-ngram v{MODEL_FORMAT_VERSION} file")
-    try:
-        body_at = lines.index("counts:") + 1
-    except ValueError:
-        raise ConfigError(f"{path}: missing counts section") from None
-    header = dict(line.partition(": ")[::2] for line in lines[1:body_at - 1])
+    header = {}
+    for _, line in numbered:
+        if line == "counts:":
+            break
+        key, _, value = line.partition(": ")
+        header[key] = value
+    else:
+        raise ConfigError(f"{path}: missing counts section")
     try:
         vocab = Vocabulary(tuple(json.loads(header["symbols"])), header["mode"])
         order = int(header["order"])
         smoothing = float(header["smoothing"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ConfigError) as exc:
         raise ConfigError(f"{path}: bad header: {exc}") from exc
     counts: Counts = [{} for _ in range(order)]
     v = vocab.size
@@ -281,7 +315,7 @@ def _parse_model(lines: list[str], path) -> tuple[Vocabulary, int, float, Counts
     # and range-check the "c <len> <ctx>" head only when it differs from the
     # previous record's, since save_model writes a context's records together
     last = seen = None  # the previous record's head and its count table
-    for lineno, line in enumerate(lines[body_at:], start=body_at + 1):
+    for lineno, line in numbered:
         try:
             head, tok, count = line.rsplit(None, 2)
             tok, count = int(tok), int(count)

@@ -9,6 +9,7 @@ arbitrary text can always be mapped to token ids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import ConfigError, utf8_errors
 
@@ -31,17 +32,19 @@ class Vocabulary:
             raise ConfigError("vocabulary needs at least 2 symbols")
         if len(set(self.symbols)) != len(self.symbols):
             raise ConfigError("vocabulary symbols must be distinct")
+        if UNK not in self.symbols:
+            raise ConfigError(f"vocabulary needs the unknown symbol {UNK!r}")
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.symbols)})
 
     @property
     def size(self) -> int:
         return len(self.symbols)
 
-    def id_of(self, symbol: str) -> int:
-        return self._index.get(symbol, self._index[UNK])
-
     def encode(self, text: str) -> tuple[int, ...]:
-        return tuple(self.id_of(s) for s in split_symbols(text, self.mode))
+        """The ids of the symbols of ``text``, unknown ones as ``UNK``'s."""
+        index = self._index
+        return tuple(map(index.get, split_symbols(text, self.mode),
+                         repeat(index[UNK])))
 
 
 def split_symbols(text: str, mode: str) -> list[str]:

@@ -276,7 +276,7 @@ ITERATIONS_HEADER = ("# heterospec-iterations v1\nprompt,iteration,entropy,bin,"
 def test_exit_2_on_malformed_csv(tmp_path, capsys, name, text, where):
     out = tmp_path / "run"
     out.mkdir()
-    if name == "compare.csv":  # the digest reads it once the tables are written
+    if name == "compare.csv":  # the digest reads it before the tables are written
         (out / "baseline-iterations.csv").write_text(
             ITERATIONS_HEADER + "0,0,0.5,-1,5,20,18,3,4,3\n", encoding="utf-8")
     (out / name).write_text(text, encoding="utf-8")
@@ -284,6 +284,17 @@ def test_exit_2_on_malformed_csv(tmp_path, capsys, name, text, where):
     err = _one_error_line(capsys.readouterr())
     assert err.startswith("heterospec: config:")
     assert where in err
+
+
+def test_malformed_compare_csv_writes_no_table(tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "baseline-iterations.csv").write_text(
+        ITERATIONS_HEADER + "0,0,0.5,-1,5,20,18,3,4,3\n", encoding="utf-8")
+    (out / "compare.csv").write_text("# heterospec-summary v1\n", encoding="utf-8")
+    assert main(["report", "--out", str(out)]) == 2
+    _one_error_line(capsys.readouterr())
+    assert sorted(os.listdir(out)) == ["baseline-iterations.csv", "compare.csv"]
 
 
 @pytest.mark.parametrize("controller", [{"depth": 7}, {"top_k": 3}],

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from heterospec.errors import ConfigError
 from heterospec.models import (NGramModel, PerturbedDraftModel, load_model,
                                perturb, release_kept_model, save_model,
                                train_ngram)
-from heterospec.vocab import UNK, build_vocab
+from heterospec.vocab import UNK, build_vocab, encode_corpus
 
 
 def test_is_valid_dist():
@@ -30,16 +32,17 @@ def test_bigram_counts_hand_checked():
     # "aaaa" has 3 a->a bigrams; add-k gives (3 + k) / (3 + kV) with V = 2
     vocab = build_vocab(["aaaa"], mode="char")
     model = train_ngram(["aaaa"], vocab, order=2, smoothing=0.01)
-    dist = model.next_dist((vocab.id_of("a"),))
-    assert dist[vocab.id_of("a")] > 0.99
-    assert math.isclose(dist[vocab.id_of("a")], 3.01 / 3.02, rel_tol=0, abs_tol=1e-15)
+    a, = vocab.encode("a")
+    dist = model.next_dist((a,))
+    assert dist[a] > 0.99
+    assert math.isclose(dist[a], 3.01 / 3.02, rel_tol=0, abs_tol=1e-15)
 
 
 def test_unseen_context_backs_off_to_unigram():
     vocab = build_vocab(["abab"], mode="char")
     model = train_ngram(["abab"], vocab, order=3, smoothing=0.5)
     # context (unk, unk) was never observed at length 2 or 1
-    fallback = model.next_dist((vocab.id_of(UNK), vocab.id_of(UNK)))
+    fallback = model.next_dist(vocab.encode("zz"))
     counts = np.array([2.0, 2.0, 0.0])  # a, b, <unk> occurrences in the corpus
     expected = (counts + 0.5) / (counts.sum() + 0.5 * 3)
     np.testing.assert_allclose(fallback, expected, atol=1e-15)
@@ -278,6 +281,13 @@ def test_load_model_rejects_malformed_files(tmp_path):
     with pytest.raises(ConfigError):
         load_model(out_of_range)
 
+    no_unk = tmp_path / "u.txt"
+    no_unk.write_text(GOLDEN_MODEL.replace(', "<unk>"', ', "d"'), encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        load_model(no_unk)
+    assert str(exc.value) == \
+        f"{no_unk}: bad header: vocabulary needs the unknown symbol '<unk>'"
+
 
 # GOLDEN_MODEL ends with line 11, "c 1 0 1 1"; the added line is line 12,
 # so records sharing that line's prefix reach the per-run parse
@@ -377,6 +387,129 @@ def test_ngram_model_rejects_bad_hyperparameters():
         NGramModel(vocab, 1, -1.0, [{}])
 
 
+# ------------------------------------------------- training and parsing
+
+
+def _token_loop_counts(corpus, vocab, order):
+    """The count tables as a token-by-token loop builds them: for every
+    token, every context length up to order - 1 that fits before it. The
+    oracle for ``train_ngram``'s window counters."""
+    counts = [{} for _ in range(order)]
+    for doc in encode_corpus(corpus, vocab):
+        for i, tok in enumerate(doc):
+            for length in range(min(order - 1, i) + 1):
+                seen = counts[length].setdefault(tuple(doc[i - length:i]), {})
+                seen[tok] = seen.get(tok, 0) + 1
+    return counts
+
+
+def _ordered(counts):
+    """The tables with every insertion order made visible."""
+    return [[(ctx, list(seen.items())) for ctx, seen in table.items()]
+            for table in counts]
+
+
+@given(st.sampled_from(["char", "word"]), st.integers(1, 4),
+       st.lists(st.text(alphabet="ab c", max_size=14), min_size=1, max_size=6))
+@example(mode="word", order=4, docs=["", "a", "a b", "c a b c a"])
+@example(mode="char", order=3, docs=["", "ab", "cabcab c", "a"])
+def test_train_ngram_equals_token_loop(tmp_path_factory, mode, order, docs):
+    # the vocabulary may miss "c" (and " " in char mode), so <unk> is counted
+    vocab = build_vocab(["a b", docs[0], "a"], mode=mode)
+    model = train_ngram(docs, vocab, order=order, smoothing=0.1)
+    want = _token_loop_counts(docs, vocab, order)
+    assert _ordered(model._counts) == _ordered(want)
+    out = tmp_path_factory.mktemp("train")
+    save_model(model, out / "model.txt")
+    save_model(NGramModel(vocab, order, 0.1, want), out / "oracle.txt")
+    assert (out / "model.txt").read_bytes() == (out / "oracle.txt").read_bytes()
+
+
+@functools.cache
+def _large_model_text():
+    """A model file of several parse chunks: order 4 over a random text of
+    twelve letters."""
+    rng = np.random.default_rng(7)
+    docs = ["".join(rng.choice(list("abcdefghijkl"), size=400)) for _ in range(60)]
+    model = train_ngram(docs, build_vocab(docs, mode="char"), order=4,
+                        smoothing=0.1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.txt")
+        save_model(model, path)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    assert len(text) > 3 * models._CHUNK_CHARS
+    return text
+
+
+def _whole_text_parse(path):
+    """The outcome of parsing the lines of ``path`` all at once."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.read().splitlines()
+    try:
+        return _ordered(models._parse_model(lines, path)[3])
+    except ConfigError as exc:
+        return str(exc)
+
+
+def _chunked_parse(path):
+    """The outcome of ``load_model``, parsing anew."""
+    try:
+        return _ordered(_fresh_parse(path)._counts)
+    except ConfigError as exc:
+        return str(exc)
+
+
+def test_chunked_parse_equals_whole_text_parse(tmp_path, model_parses):
+    text = _large_model_text()
+    chunks = list(models._chunks(text))
+    assert len(chunks) > 3 and "".join(chunks) == text
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    path = tmp_path / "model.txt"
+    path.write_text(text, encoding="utf-8")
+    release_kept_model()
+    model = load_model(path)
+    assert model_parses == [path]
+    assert _ordered(model._counts) == _whole_text_parse(path)
+
+
+def test_chunked_parse_reports_a_late_bad_record_at_its_line(tmp_path):
+    text = _large_model_text()
+    lines = text.splitlines()
+    # the first line of the second chunk, and a line deep in the third
+    first_cut = len(next(models._chunks(text)).splitlines())
+    for index in (first_cut, first_cut + 1, 2 * first_cut + 100, len(lines) - 1):
+        path = tmp_path / f"bad{index}.txt"
+        bad = lines[:index] + ["c bogus"] + lines[index + 1:]
+        path.write_text("\n".join(bad) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            _fresh_parse(path)
+        assert str(exc.value) == f"{path}:{index + 1}: malformed count record"
+
+
+@pytest.mark.parametrize("sep", ["\r\n", "\r", "\x0c", "\u2028"],
+                         ids=["crlf", "cr", "formfeed", "line-separator"])
+def test_chunked_parse_splits_lines_as_before(tmp_path, sep):
+    text = _large_model_text()
+    path = tmp_path / "model.txt"
+    path.write_text(text, encoding="utf-8")
+    tables = _chunked_parse(path)
+    # every line ended by sep, so the file may hold no "\n" at all: each is a
+    # line end to splitlines, so the file loads as the "\n" file does
+    path.write_text(text.replace("\n", sep), encoding="utf-8", newline="")
+    assert _chunked_parse(path) == _whole_text_parse(path) == tables
+    # sep inside a record, on either side of a chunk's cut and at its "\n"
+    cut = len(next(models._chunks(text)))
+    for at in (cut - 3, cut - 2, cut - 1, cut, cut + 1, 2 * cut + 5):
+        path.write_text(text[:at] + sep + text[at:], encoding="utf-8", newline="")
+        assert _chunked_parse(path) == _whole_text_parse(path)
+    # sep splits the first chunk's last record, which then fails at its line
+    line = len(text[:cut].splitlines())
+    path.write_text(text[:cut - 3] + sep + text[cut - 3:], encoding="utf-8",
+                    newline="")
+    assert _chunked_parse(path) == f"{path}:{line}: malformed count record"
+
+
 # ------------------------------------------------------------------ memo
 
 MEMO_DOCS = ["the cat sat on the mat", "the dog sat", "a cat ran far"]
@@ -411,7 +544,7 @@ def _uncached_dist(model, ctx):
 
 def test_next_dist_backs_off_to_longest_seen_suffix():
     vocab, target, draft = _memo_models()
-    the, cat, unk = vocab.id_of("the"), vocab.id_of("cat"), vocab.id_of(UNK)
+    the, cat, unk = vocab.encode(f"the cat {UNK}")
     cases = {(unk, the, cat): (the, cat), (unk, unk, the): (the,),  # (unk, the) unseen
              (unk, unk): (), (cat,): (cat,), (): ()}
     for ctx, key in cases.items():
@@ -425,11 +558,11 @@ def test_next_dist_backs_off_to_longest_seen_suffix():
 
 def test_same_key_shares_one_read_only_array():
     vocab, target, draft = _memo_models()
-    the, cat, unk = vocab.id_of("the"), vocab.id_of("cat"), vocab.id_of(UNK)
+    the, cat, unk = vocab.encode(f"the cat {UNK}")
     for model in (target, draft):
         a = model.next_dist((the, cat))
         assert model.next_dist((unk, the, cat)) is a
-        assert model.next_dist((vocab.id_of("a"), the, cat)) is a
+        assert model.next_dist(vocab.encode("a the cat")) is a
         assert model.record(a) is model.record(model.next_dist((the, cat)))
         with pytest.raises(ValueError):
             a[0] = 1.0
@@ -486,7 +619,7 @@ def test_state_key_equal_keys_agree_after_any_continuation(
         # tables never do, and on them the backoff context would also pass
         counts = [dict(table) for table in counts]
         for sym in "ab":
-            del counts[1][(vocab.id_of(sym),)]
+            del counts[1][vocab.encode(sym)]
 
     ngram = model = NGramModel(vocab, order, 0.1, counts)
     if perturbed:
@@ -514,7 +647,7 @@ def test_state_key_equal_keys_agree_after_any_continuation(
 
 def test_state_key_is_the_raw_window_not_the_backoff_context():
     vocab, target, draft = _memo_models()
-    the, cat, unk = vocab.id_of("the"), vocab.id_of("cat"), vocab.id_of(UNK)
+    the, cat, unk = vocab.encode(f"the cat {UNK}")
     assert target.state_key((unk, the, cat)) == (the, cat)
     assert target.state_key((unk, unk)) == (unk, unk)  # backoff key is ()
     assert target.state_key((cat,)) == (cat,)

@@ -29,12 +29,14 @@ def test_build_vocab_empty_corpus_rejected():
 def test_build_vocab_sorted_with_unk_last():
     vocab = build_vocab(["cab"], mode="char")
     assert vocab.symbols == ("a", "b", "c", UNK)
-    assert vocab.id_of(UNK) == vocab.size - 1
+    assert vocab.encode("cabz") == (2, 0, 1, vocab.size - 1)
 
 
 def test_unknown_symbols_map_to_unk():
     vocab = build_vocab(["ab"], mode="char")
-    assert vocab.encode("abz") == (0, 1, vocab.id_of(UNK))
+    assert vocab.encode("abz") == (0, 1, vocab.size - 1)
+    words = build_vocab(["a b"], mode="word")
+    assert words.encode(f"b {UNK} z a") == (1, 2, 2, 0)
 
 
 def test_encode_decode_round_trip_word_mode():
@@ -56,6 +58,8 @@ def test_vocabulary_validation():
         Vocabulary(("a",), "char")
     with pytest.raises(ConfigError):
         Vocabulary(("a", "a"), "char")
+    with pytest.raises(ConfigError, match="unknown symbol"):
+        Vocabulary(("a", "b"), "char")
 
 
 def test_split_symbols():
@@ -90,4 +94,4 @@ def test_word_vocab_covers_corpus(docs):
     for doc in docs:
         for tok in vocab.encode(doc):
             assert 0 <= tok < vocab.size
-            assert tok != vocab.id_of(UNK)  # every training symbol is in-vocab
+            assert tok != vocab.size - 1  # every training symbol is in-vocab
