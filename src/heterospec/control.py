@@ -15,9 +15,14 @@ and reshapes the verification budget:
 with gamma = (0.3, 0.6, 1.0) for the three lowest bins and 1.0 beyond.
 The baseline is the same loop with no low bins.
 
-Everything before verification depends only on the draft model's state
-(``state_key``) and on settings fixed for one decode, so each decode drafts
-a tree once per draft state and reuses it, with its entropy, bin and shape,
+Each model decodes on its own state (``state_key``), not on the growing
+context: the loop keeps the target's and the draft's state keys, drafts
+from the draft's and verifies from the target's, and after each iteration
+advances each by ``state_key(state + emitted)``. A state key is a context
+in its own state, so every model call sees the distribution the whole
+context would get. Everything before verification depends only on the
+draft state and on settings fixed for one decode, so each decode drafts a
+tree once per draft state and reuses it, with its entropy, bin and shape,
 whenever greedy decoding returns to that state. Verification against the
 target runs on every iteration.
 """
@@ -148,7 +153,8 @@ def _decode(target_model: LanguageModel, draft_model: LanguageModel,
     bin = -1 means no binning model was consulted."""
     _check_pair(target_model, draft_model)
     cfg = config.resolved()
-    ctx = tuple(prompt)
+    tstate = target_model.state_key(prompt)
+    dstate = draft_model.state_key(prompt)
     out: list[int] = []
     records: list[IterationRecord] = []
     iteration = 0
@@ -158,30 +164,30 @@ def _decode(target_model: LanguageModel, draft_model: LanguageModel,
     drafted: dict[tuple, tuple[float, int, AdaptDecision, RerankedTree]] = {}
     while len(out) < cfg.max_new_tokens:
         remaining = cfg.max_new_tokens - len(out)
-        state = draft_model.state_key(ctx)
-        hit = drafted.get(state)
+        hit = drafted.get(dstate)
         if hit is None:
-            tree = expand(draft_model, ctx, cfg.depth, cfg.top_k)
+            tree = expand(draft_model, dstate, cfg.depth, cfg.top_k)
             entropy = tree_entropy_signal(tree, cfg.top_k)
             bin_index = bins.assign_bin(entropy) if bins is not None else -1
             decision = adapt(bin_index, cfg.alpha, cfg.top_n, low_bins)
             if decision.extra_layers > 0:
                 extend(tree, draft_model, decision.extra_layers)
-            hit = drafted[state] = (entropy, bin_index, decision,
-                                    rerank(tree, decision.top_n))
+            hit = drafted[dstate] = (entropy, bin_index, decision,
+                                     rerank(tree, decision.top_n))
         entropy, bin_index, decision, tree2 = hit
-        result = verify_greedy(tree2, target_model, ctx)
+        result = verify_greedy(tree2, target_model, tstate)
         emit, k, tcr, stop = _emit(result, tree2, remaining, cfg.terminator)
-        records.append(IterationRecord(
-            prompt=prompt_index, iteration=iteration, entropy=entropy,
-            bin=bin_index, draft_depth=cfg.depth + decision.extra_layers,
-            top_n=decision.top_n, tree_size=len(tree2), accepted_len=k,
-            emitted=len(emit), tcr=tcr))
+        records.append(IterationRecord(  # fields in declaration order
+            prompt_index, iteration, entropy, bin_index,
+            cfg.depth + decision.extra_layers, decision.top_n, len(tree2),
+            k, len(emit), tcr))
         out.extend(emit)
-        ctx = ctx + tuple(emit)
         iteration += 1
         if stop:
             break
+        emitted = tuple(emit)
+        tstate = target_model.state_key(tstate + emitted)
+        dstate = draft_model.state_key(dstate + emitted)
     return GenerationResult(tokens=out, records=records)
 
 

@@ -10,6 +10,8 @@ Every CSV table is a schema line, a header row and one row per record,
 with floats as ``fmt_float`` gives them and a missing value as "-". A table
 is read back only if its first two lines are the written ones, each row
 parsed by position into the fields of ``IterationRecord`` or ``RunSummary``.
+An ``IterationRecord`` is an immutable named tuple, so it is its own trace
+row.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import csv
 import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
+from typing import NamedTuple, get_type_hints
 
 from .errors import ConfigError, utf8_errors
 
@@ -28,8 +31,7 @@ TCR_BY_ACCEPTED_SCHEMA = "# heterospec-tcr-by-accepted v1"
 BIN_OCCUPANCY_SCHEMA = "# heterospec-bin-occupancy v1"
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     prompt: int
     iteration: int
     entropy: float
@@ -83,9 +85,8 @@ class RunSummary:
 
 # trace and summary columns, the record fields in declaration order; a
 # loose column (see _write_table) is one whose field is not typed int
-ITERATION_FIELDS = tuple(f.name for f in fields(IterationRecord))
-_ITERATION_CASTS = tuple({"int": int, "float": float}[f.type]
-                         for f in fields(IterationRecord))
+ITERATION_FIELDS = IterationRecord._fields
+_ITERATION_CASTS = tuple(map(get_type_hints(IterationRecord).get, ITERATION_FIELDS))
 _ITERATION_LOOSE = tuple(i for i, cast in enumerate(_ITERATION_CASTS) if cast is float)
 SUMMARY_FIELDS = ("arm", "alpha", *(f.name for f in fields(RunSummary)))
 _SUMMARY_LOOSE = (1, *(i for i, f in enumerate(fields(RunSummary), 2)
@@ -238,14 +239,14 @@ def _read_csv(path: str, schema: str, header: tuple[str, ...], parse) -> list:
 
 
 def write_iterations_csv(path: str, records: list[IterationRecord]) -> None:
-    _write_table(path, ITERATIONS_SCHEMA, ITERATION_FIELDS,
-                 map(attrgetter(*ITERATION_FIELDS), records), _ITERATION_LOOSE)
+    _write_table(path, ITERATIONS_SCHEMA, ITERATION_FIELDS, records,
+                 _ITERATION_LOOSE)
 
 
 def read_iterations_csv(path: str) -> list[IterationRecord]:
     return _read_csv(path, ITERATIONS_SCHEMA, ITERATION_FIELDS, lambda row:
-                     IterationRecord(*[cast(text) for cast, text
-                                       in zip(_ITERATION_CASTS, row, strict=True)]))
+                     IterationRecord._make([cast(text) for cast, text
+                                            in zip(_ITERATION_CASTS, row, strict=True)]))
 
 
 def write_summary_csv(path: str,

@@ -7,14 +7,18 @@ after construction apart from their memo, which only ever grows.
 
 ``state_key(context)`` names the state a context leaves the model in:
 contexts with equal state keys get equal distributions now and after any
-common continuation. For an n-gram model it is the last order - 1 raw
-tokens; by default the whole context. The n-gram and draft models memoize
-``next_dist`` by it, and the decode loop reuses draft trees by it. Every
-context with the same key gets the same read-only array, and ``record``
-maps that array to the one ``DistRecord`` holding the values derived from
-it (top-k children, top-1 probability, argmax, top-K entropies), so each is
-computed once per model rather than once per draft node or verify step.
-Callers copy a returned array before writing to it.
+common continuation. A state key is itself a context in that state, so
+``state_key(state_key(c)) == state_key(c)`` and ``state_key(c) + e`` gets
+the distribution of ``c + e`` for any continuation ``e``; a caller may keep
+the key in place of the context and advance it with ``state_key(key + e)``.
+For an n-gram model it is the last order - 1 raw tokens; by default the
+whole context. The n-gram and draft models memoize ``next_dist`` by it, and
+the decode loop drafts and verifies from it and reuses draft trees by it.
+Every context with the same key gets the same read-only array, and
+``record`` maps that array to the one ``DistRecord`` holding the values
+derived from it (top-k children, top-1 probability, argmax, top-K
+entropies), so each is computed once per model rather than once per draft
+node or verify step. Callers copy a returned array before writing to it.
 
 An n-gram model keeps {token: count} of the tokens seen after each context.
 Its first L count tables are those an order-L model trains on the same
@@ -24,8 +28,10 @@ of the (L+1)-token windows of every document, so the per-token work runs in
 C, and folds it into the table in first-seen order; it counts one length at
 a time, holding one counter. ``save_model`` writes the tables as one text
 record per nonzero count, and ``load_model`` reads every record through one
-path. The parse takes the decoded text's lines one chunk of about 64K
-characters at a time, so it never holds every line of the file at once.
+path; a header line without ``: ``, with a key ``save_model`` does not
+write, or repeating a key is refused at its own line. The parse takes the
+decoded text's lines one chunk of about 64K characters at a time, so it
+never holds every line of the file at once.
 
 A process keeps one parse of a model file, keyed by the sha256 of the
 file's bytes. ``load_model`` reads and hashes the file on every call; when
@@ -88,8 +94,9 @@ class LanguageModel:
 
     def state_key(self, context: Context) -> tuple[int, ...]:
         """The state ``context`` leaves the model in: contexts with equal
-        keys get equal ``next_dist`` after any common continuation. The
-        whole context by default, so a generic model shares no state."""
+        keys get equal ``next_dist`` after any common continuation, and the
+        key is a context in the same state. The whole context by default,
+        so a generic model shares no state."""
         return tuple(context)
 
     def record(self, dist: ProbDist) -> DistRecord:
@@ -145,6 +152,8 @@ class NGramModel(_MemoModel):
         self.smoothing = smoothing
         # counts[L]: length-L context -> {token: count} of tokens after it
         self._counts = counts
+        # the last order - 1 tokens; slice(0, 0) keeps none at order 1
+        self._window = slice(1 - order, None) if order > 1 else slice(0, 0)
 
     def lower_order(self, order: int) -> NGramModel:
         """The model over the first ``order`` count tables, as ``train_ngram``
@@ -159,7 +168,7 @@ class NGramModel(_MemoModel):
         """The last order - 1 tokens of ``context``, or all of a shorter one.
         Not the backoff context: an unseen context and the empty one back
         off alike but can diverge once a token is appended."""
-        return tuple(context[max(0, len(context) - self.order + 1):])
+        return tuple(context[self._window])
 
     def _compute(self, context: Context) -> ProbDist:
         key = self.state_key(context)
@@ -233,6 +242,7 @@ class PerturbedDraftModel(_MemoModel):
 
 
 MODEL_FORMAT_VERSION = 1
+_HEADER_KEYS = ("mode", "order", "smoothing", "symbols")  # as save_model writes them
 
 
 def save_model(model: NGramModel, path) -> None:
@@ -296,10 +306,16 @@ def _parse_model(lines: Iterable[str], path) -> tuple[Vocabulary, int, float, Co
     if next(numbered, (1, None))[1] != f"heterospec-ngram v{MODEL_FORMAT_VERSION}":
         raise ConfigError(f"{path}: not a heterospec-ngram v{MODEL_FORMAT_VERSION} file")
     header = {}
-    for _, line in numbered:
+    for lineno, line in numbered:
         if line == "counts:":
             break
-        key, _, value = line.partition(": ")
+        key, sep, value = line.partition(": ")
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: unrecognized header line {line!r}")
+        if key not in _HEADER_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown header key {key!r}")
+        if key in header:
+            raise ConfigError(f"{path}:{lineno}: repeated header key {key!r}")
         header[key] = value
     else:
         raise ConfigError(f"{path}: missing counts section")

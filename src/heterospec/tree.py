@@ -5,6 +5,9 @@ top-k tokens of the root distribution; each deeper layer expands the k
 highest-value nodes of the previous layer, each contributing its top-k
 positive-probability children. A node's value is the product of the draft
 confidences along its path, kept in log domain so deep products stay stable.
+The root is a context; the decode loop passes the draft model's state key,
+a context in the same state (see ``models``), so each draft call sees a
+few tokens of state plus the node's path tokens.
 
 A node is one plain tuple, laid out so that its natural order is the rank
 order:
@@ -13,7 +16,8 @@ order:
 
 Higher value ranks first; ties go to smaller depth, then to the smaller
 creation index. Indices are unique within a tree, so a comparison never
-reaches the fields after it. ``step`` is the ``DistRecord`` of the
+reaches the fields after it, and selecting the best n nodes is one
+``sorted(nodes)[:n]``. ``step`` is the ``DistRecord`` of the
 distribution the token was drawn from, shared with every node drafted from
 the same context, and ``path tokens`` are the tokens below the root, this
 node's last. Because a parent always has at least its child's value and
@@ -23,7 +27,6 @@ return a root-connected subtree.
 
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
@@ -47,8 +50,9 @@ def path(node: DraftNode) -> list[DraftNode]:
 
 
 class DraftTree:
-    """Expansion-phase tree rooted at a decoding context; each layer below
-    the first grows from the top_k highest-value nodes of the one above."""
+    """Expansion-phase tree rooted at a decoding context or a state key of
+    one; each layer below the first grows from the top_k highest-value
+    nodes of the one above."""
 
     def __init__(self, context: Context, top_k: int):
         if top_k < 1:
@@ -91,6 +95,9 @@ def top_log_children(dist: ProbDist, k: int) -> list[tuple[int, float]]:
 
 def _grow_layers(tree: DraftTree, draft_model: LanguageModel, layers: int) -> None:
     context, top_k, nodes = tree.context, tree.top_k, tree.nodes
+    # bound once per call through the instance, so a per-instance wrapper
+    # still sees every eval
+    next_dist, record = draft_model.next_dist, draft_model.record
     for _ in range(layers):
         if tree.depth_limit == 0:
             frontier = [tree.root]
@@ -98,14 +105,14 @@ def _grow_layers(tree: DraftTree, draft_model: LanguageModel, layers: int) -> No
             tree.depth_limit += 1  # previous layer empty: tree is truncated
             continue
         else:
-            frontier = heapq.nsmallest(top_k, tree.layers[tree.depth_limit - 1])
+            frontier = sorted(tree.layers[tree.depth_limit - 1])[:top_k]
         tree.depth_limit += 1
         depth = tree.depth_limit
         index = len(nodes)
         layer = []
         for parent in frontier:
             neg_value, tokens = parent[NEG_VALUE], parent[TOKENS]
-            step = draft_model.record(draft_model.next_dist(context + tokens))
+            step = record(next_dist(context + tokens))
             # -(a + log p) == -a - log p exactly, so values and ties match
             # the sum of logs along the path
             for token, logp in step.derive(top_log_children, top_k):
@@ -157,4 +164,4 @@ def rerank(tree: DraftTree, budget: int) -> RerankedTree:
     """Select the ``budget`` highest-value nodes of the tree."""
     if budget < 1:
         raise ConfigError(f"rerank budget must be >= 1, got {budget}")
-    return RerankedTree(heapq.nsmallest(budget, tree.nodes))
+    return RerankedTree(sorted(tree.nodes)[:budget])

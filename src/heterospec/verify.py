@@ -3,7 +3,9 @@
 Verification walks the target's argmax from the root through the kept
 nodes of a reranked tree. The kept set is a map from each node's path
 tokens to its rank, so each step is one lookup of the path so far plus the
-target's token; the accepted ranks come back with the tokens.
+target's token; the accepted ranks come back with the tokens. The walk
+starts from the context it is given, which may be the target's state key
+in place of the whole context (see ``models``).
 """
 
 from __future__ import annotations
@@ -43,11 +45,13 @@ def verify_greedy(tree: RerankedTree, target_model: LanguageModel,
     greedy continuation, then emit the target argmax as the bonus token."""
     ctx = tuple(context)
     ranks = tree.ranks
+    # bound once per call through the instance, so a per-instance wrapper
+    # still sees every eval
+    next_dist, record = target_model.next_dist, target_model.record
     accepted: tuple[int, ...] = ()
     accepted_ranks: list[int] = []
     while True:
-        dist = target_model.next_dist(ctx)
-        star = target_model.record(dist).derive(argmax_token)
+        star = record(next_dist(ctx)).derive(argmax_token)
         rank = ranks.get(accepted + (star,))
         if rank is None:
             return AcceptResult(accepted_tokens=list(accepted),

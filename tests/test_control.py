@@ -5,8 +5,6 @@ a rho-0.97 template gives full 5-token acceptance each iteration, so call
 counts, ranks, and tau are known in closed form."""
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -290,9 +288,10 @@ def test_run_comparison_detects_output_divergence():
 # ------------------------------------------------------------ draft memo
 
 
-class _WholeContextDraft(LanguageModel):
-    """The same draft distributions under the default ``state_key``, the
-    whole context, so the decode loop never reuses a drafted tree."""
+class _WholeContextModel(LanguageModel):
+    """The same distributions under the default ``state_key``, the whole
+    context: as a draft, the decode loop never reuses a drafted tree, and
+    each model is called on the whole context, not on a state key."""
 
     def __init__(self, base: LanguageModel):
         self.base = base
@@ -332,7 +331,7 @@ def test_draft_memo_matches_decoding_without_reuse(tiny_config, decode):
     reused, extended = 0, 0
     for i, prompt in enumerate(prompts):
         got = decode(target, draft, prompt, cfg, bins, prompt_index=i)
-        want = decode(target, _WholeContextDraft(draft), prompt, cfg, bins,
+        want = decode(target, _WholeContextModel(draft), prompt, cfg, bins,
                       prompt_index=i)
         assert got.tokens == want.tokens
         assert got.records == want.records
@@ -340,6 +339,22 @@ def test_draft_memo_matches_decoding_without_reuse(tiny_config, decode):
         extended += sum(r.draft_depth > cfg.depth for r in got.records)
     assert reused > 0  # the memo was hit, so the comparison means something
     assert (extended > 0) == (decode is decode_adaptive)
+
+
+@pytest.mark.parametrize("decode", [decode_baseline, decode_adaptive],
+                         ids=["baseline", "adaptive"])
+def test_decoding_on_model_states_matches_decoding_on_whole_contexts(
+        tiny_config, decode):
+    target, draft, bins, prompts = _tiny_lab(tiny_config)
+    whole_target, whole_draft = _WholeContextModel(target), _WholeContextModel(draft)
+    cfg = tiny_config.controller
+    for i, prompt in enumerate(prompts):
+        got = decode(target, draft, prompt, cfg, bins, prompt_index=i)
+        want = decode(whole_target, whole_draft, prompt, cfg, bins,
+                      prompt_index=i)
+        assert len(prompt) + len(got.tokens) > target.order  # states differ
+        assert got.tokens == want.tokens
+        assert got.records == want.records
 
 
 def test_draft_memo_expands_once_per_draft_state_per_decode(tiny_config,
@@ -379,7 +394,7 @@ def test_run_arm_rejects_records_that_break_accounting():
 
     def bad_rank(*args, **kwargs):
         result = decode_baseline(*args, **kwargs)
-        result.records[1] = replace(result.records[1], tcr=0)
+        result.records[1] = result.records[1]._replace(tcr=0)
         return result
 
     with pytest.raises(OutputMismatchError, match="iteration 1: tcr 0 outside"):

@@ -177,6 +177,24 @@ def test_iterations_csv_round_trip(tmp_path):
     assert read_iterations_csv(path) == records  # %.17g keeps floats exact
 
 
+def test_decode_trace_records_are_immutable_and_round_trip(tmp_path):
+    model, tpl = chain_template_model()
+    result = decode_baseline(model, model, tpl[:4],
+                             HeteroConfig(depth=3, top_k=2, top_n=8,
+                                          max_new_tokens=12))
+    first = result.records[0]
+    with pytest.raises(AttributeError):
+        first.tcr = 0
+    assert first._replace(tcr=0).tcr == 0 and first.tcr != 0
+    path = str(tmp_path / "iters.csv")
+    write_iterations_csv(path, result.records)
+    back = read_iterations_csv(path)
+    assert back == result.records
+    for got, want in zip(back, result.records):
+        assert type(got) is IterationRecord
+        assert [type(v) for v in got] == [type(v) for v in want]
+
+
 def test_iterations_csv_rejects_wrong_schema(tmp_path):
     path = tmp_path / "iters.csv"
     path.write_text("# something-else v9\nprompt\n", encoding="utf-8")

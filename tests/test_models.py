@@ -311,6 +311,22 @@ def test_load_model_reports_bad_record_at_its_line(tmp_path, record, error):
     assert str(exc.value) == f"{path}:12: {error}"
 
 
+# GOLDEN_MODEL's header is lines 2-5; the inserted line becomes line 4
+@pytest.mark.parametrize("line,error", [
+    ("bogus line", "unrecognized header line 'bogus line'"),
+    ("seed: 3", "unknown header key 'seed'"),
+    ("order: 1", "repeated header key 'order'"),
+])
+def test_load_model_refuses_a_bad_header_line_at_its_line(tmp_path, line, error):
+    lines = GOLDEN_MODEL.splitlines()
+    lines.insert(3, line)
+    path = tmp_path / "model.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}:4: {error}"
+
+
 def _fresh_parse(path):
     """The model in ``path`` parsed anew, not built over a kept parse."""
     release_kept_model()
@@ -604,14 +620,8 @@ STATE_VOCAB = build_vocab(STATE_DOCS, mode="char")  # a b c <unk>
 _state_tokens = st.lists(st.integers(0, STATE_VOCAB.size - 1), max_size=5).map(tuple)
 
 
-@given(st.integers(1, 4), st.booleans(), st.booleans(), _state_tokens,
-       st.lists(_state_tokens, min_size=2, max_size=6), _state_tokens)
-# on the pruned tables (a,) and () back off alike, but (a, c) and (c,) do
-# not: a state key equal to the backoff context fails here
-@example(order=3, pruned=True, perturbed=False, tail=(), heads=[(0,), ()],
-         continuation=(2,))
-def test_state_key_equal_keys_agree_after_any_continuation(
-        order, pruned, perturbed, tail, heads, continuation):
+def _state_model(order, pruned, perturbed):
+    """A model over the STATE_DOCS tables, and its uncached oracle."""
     vocab = STATE_VOCAB
     counts = train_ngram(STATE_DOCS, vocab, order=order, smoothing=0.1)._counts
     if pruned and order > 1:
@@ -631,6 +641,18 @@ def test_state_key_equal_keys_agree_after_any_continuation(
         dist = _uncached_dist(ngram, ctx)
         return perturb(dist, 0.02) if perturbed else dist
 
+    return model, oracle
+
+
+@given(st.integers(1, 4), st.booleans(), st.booleans(), _state_tokens,
+       st.lists(_state_tokens, min_size=2, max_size=6), _state_tokens)
+# on the pruned tables (a,) and () back off alike, but (a, c) and (c,) do
+# not: a state key equal to the backoff context fails here
+@example(order=3, pruned=True, perturbed=False, tail=(), heads=[(0,), ()],
+         continuation=(2,))
+def test_state_key_equal_keys_agree_after_any_continuation(
+        order, pruned, perturbed, tail, heads, continuation):
+    model, oracle = _state_model(order, pruned, perturbed)
     contexts = [head + tail for head in heads]
     if len(tail) >= order - 1:  # a shared window means a shared state
         assert len({model.state_key(c) for c in contexts}) == 1
@@ -643,6 +665,22 @@ def test_state_key_equal_keys_agree_after_any_continuation(
                 assert model.state_key(ca) == model.state_key(cb)
                 assert oracle(ca).tobytes() == oracle(cb).tobytes()
                 assert model.next_dist(ca).tobytes() == oracle(ca).tobytes()
+
+
+@given(st.integers(1, 4), st.booleans(), st.booleans(), _state_tokens,
+       _state_tokens)
+def test_state_key_is_a_context_in_its_own_state(order, pruned, perturbed,
+                                                 context, continuation):
+    # the decode loop keeps each model's state key in place of the context
+    # and advances it with state_key(key + emitted)
+    model, oracle = _state_model(order, pruned, perturbed)
+    key = model.state_key(context)
+    assert model.state_key(key) == key
+    for i in range(len(continuation) + 1):
+        tail = continuation[:i]
+        assert model.state_key(key + tail) == model.state_key(context + tail)
+        assert model.next_dist(key + tail).tobytes() == \
+            oracle(context + tail).tobytes()
 
 
 def test_state_key_is_the_raw_window_not_the_backoff_context():

@@ -9,7 +9,7 @@ import os
 import pytest
 
 from conftest import TINY_CONFIG
-from heterospec import models
+from heterospec import models, pipeline
 from heterospec.config import ExperimentConfig, config_from_dict, load_config
 from heterospec.errors import ConfigError
 from heterospec.metrics import read_iterations_csv, read_summary_csv, validate_run
@@ -212,6 +212,33 @@ def test_default_planted_experiment_matches_readme(tmp_path):
              "7971ab5d47a96d01480a9d71c52a279b66e2947a164ca0a29edec6bb338317da")):
         with open(os.path.join(cfg.out_dir, name), "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
+
+def test_default_planted_run_executes_pinned_model_calls(tmp_path, monkeypatch):
+    # executed next_dist calls of each model instance over calibrate and
+    # compare, so a hot-path change that alters the work it does fails here
+    cfg = dataclasses.replace(ExperimentConfig(), out_dir=str(tmp_path / "run"))
+    step_gen_corpus(cfg)
+    step_train_model(cfg)
+    calls = {"draft": 0, "target": 0}
+    real_load_models = pipeline.load_models
+
+    def counted(role, next_dist):
+        def next_dist_counted(context):
+            calls[role] += 1
+            return next_dist(context)
+        return next_dist_counted
+
+    def counting_load_models(config):
+        target, draft = real_load_models(config)
+        target.next_dist = counted("target", target.next_dist)
+        draft.next_dist = counted("draft", draft.next_dist)
+        return target, draft
+
+    monkeypatch.setattr(pipeline, "load_models", counting_load_models)
+    step_calibrate(cfg)
+    step_compare(cfg)
+    assert calls == {"draft": 6898, "target": 15804}
 
 
 def test_shared_draft_base_when_draft_order_unset(tmp_path):
