@@ -107,11 +107,6 @@ class Split:
     loss: float
 
 
-def _group_sse(q: float, s: float, n: int) -> float:
-    # sum (y - mean)^2 from sum of squares q and sum s
-    return q - s * s / n
-
-
 def best_split(xs: np.ndarray, ys: np.ndarray) -> Split | None:
     """Split of (xs, ys) minimizing the normalized loss L(s), or None when
     no split exists.
@@ -131,21 +126,17 @@ def best_split(xs: np.ndarray, ys: np.ndarray) -> Split | None:
         return None
     csum = np.cumsum(y)
     csq = np.cumsum(y * y)
-    total_sum = csum[-1]
-    total_sq = csq[-1]
-    best: Split | None = None
-    for i in range(n - 1):
-        if x[i] == x[i + 1]:
-            continue
-        nl = i + 1
-        nr = n - nl
-        sse_l = _group_sse(csq[i], csum[i], nl)
-        sse_r = _group_sse(total_sq - csq[i], total_sum - csum[i], nr)
-        loss = sse_l / nl + sse_r / nr
-        if best is None or loss < best.loss:
-            mid = (x[i] + x[i + 1]) / 2.0
-            best = Split(threshold=mid if mid > x[i] else x[i + 1], loss=loss)
-    return best
+    # candidate i puts x[:i+1] on the left; a side's squared error is its
+    # sum of squares less its sum squared over its size
+    sl, ql = csum[:-1], csq[:-1]
+    sr, qr = csum[-1] - sl, csq[-1] - ql
+    nl = np.arange(1, n)
+    nr = n - nl
+    loss = (ql - sl * sl / nl) / nl + (qr - sr * sr / nr) / nr
+    loss[x[:-1] == x[1:]] = np.inf  # no threshold between equal x values
+    i = int(np.argmin(loss))  # the first minimum: ties keep the smaller threshold
+    mid = (x[i] + x[i + 1]) / 2.0
+    return Split(threshold=mid if mid > x[i] else x[i + 1], loss=loss[i])
 
 
 def train_cart(xs: np.ndarray, ys: np.ndarray) -> list[float]:

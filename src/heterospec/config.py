@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -35,11 +36,22 @@ class ModelSpec:
     order: int = 3
     smoothing: float = 0.1
 
+    def __post_init__(self):
+        if self.order < 1:
+            raise ConfigError(f"model.order must be >= 1, got {self.order}")
+        if not 0 < self.smoothing < math.inf:  # false for NaN
+            raise ConfigError(f"model.smoothing must be finite and > 0, "
+                              f"got {self.smoothing}")
+
 
 @dataclass(frozen=True)
 class DraftSpec:
     order: int | None = 2  # in [1, model.order]; None: the target itself
     noise: float = 0.01
+
+    def __post_init__(self):
+        if not 0 <= self.noise <= 1:  # false for NaN
+            raise ConfigError(f"draft.noise must be in [0, 1], got {self.noise}")
 
 
 @dataclass(frozen=True)
@@ -47,6 +59,12 @@ class PromptSpec:
     count: int = 24  # eval prompts, one per held-out doc
     prompt_tokens: int = 8
     calibration_count: int = 30
+
+    def __post_init__(self):
+        for key in ("count", "prompt_tokens", "calibration_count"):
+            value = getattr(self, key)
+            if value < 1:
+                raise ConfigError(f"prompts.{key} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)

@@ -110,12 +110,12 @@ class GenerationResult:
 
 def greedy_reference(target_model: LanguageModel, prompt: Context,
                      max_new_tokens: int, terminator: int | None = None) -> list[int]:
-    """Plain autoregressive argmax decoding; the sequence every arm must
-    reproduce."""
+    """Plain autoregressive argmax decoding, taking each argmax itself; the
+    sequence every arm must reproduce."""
     ctx = tuple(prompt)
     out: list[int] = []
     while len(out) < max_new_tokens:
-        t = argmax_token(target_model.next_dist(ctx))
+        t = argmax_token(target_model.next_dist(ctx).dist)
         out.append(t)
         ctx = ctx + (t,)
         if terminator is not None and t == terminator:

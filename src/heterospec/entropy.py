@@ -9,9 +9,9 @@ largest top-1 probability.
 
 All distributions involved were already computed while the tree was
 built, so the signal is free of extra model calls, and each step's top-1
-probability and entropy are computed once per distinct distribution, in
-the ``DistRecord`` that a node tuple holds in its ``STEP`` field and shares
-with every node drafted from the same context.
+probability and entropy are derived once per draft state, in the
+``DistRecord`` of that state, which a node tuple holds in its ``STEP``
+field.
 """
 
 from __future__ import annotations

@@ -1,8 +1,12 @@
 """Surrogate language models: backoff n-grams and perturbed draft models.
 
-All models share one contract: ``next_dist(context)`` returns a length-V
-probability vector (entries >= 0, summing to 1 within 1e-9) and is a
-deterministic function of (model state, context). Models are immutable
+All models share one contract: ``next_dist(context)`` returns the
+``DistRecord`` of the state the context leaves the model in. Its ``dist``
+is a read-only length-V probability vector (entries >= 0, summing to 1
+within 1e-9), a deterministic function of (model state, context), and
+``derive`` computes each value taken from it (top-k children, top-1
+probability, argmax, top-K entropies) once per record, so once per model
+state rather than once per draft node or verify step. Models are immutable
 after construction apart from their memo, which only ever grows.
 
 ``state_key(context)`` names the state a context leaves the model in:
@@ -12,13 +16,11 @@ common continuation. A state key is itself a context in that state, so
 the distribution of ``c + e`` for any continuation ``e``; a caller may keep
 the key in place of the context and advance it with ``state_key(key + e)``.
 For an n-gram model it is the last order - 1 raw tokens; by default the
-whole context. The n-gram and draft models memoize ``next_dist`` by it, and
-the decode loop drafts and verifies from it and reuses draft trees by it.
-Every context with the same key gets the same read-only array, and
-``record`` maps that array to the one ``DistRecord`` holding the values
-derived from it (top-k children, top-1 probability, argmax, top-K
-entropies), so each is computed once per model rather than once per draft
-node or verify step. Callers copy a returned array before writing to it.
+whole context. ``LanguageModel.next_dist`` memoizes the record by it, so
+every context with the same key gets the same record, and the decode loop
+drafts and verifies from it and reuses draft trees by it. Subclasses
+implement ``_compute``, the distribution of one context, which runs once
+per state.
 
 An n-gram model keeps {token: count} of the tokens seen after each context.
 Its first L count tables are those an order-L model trains on the same
@@ -85,12 +87,29 @@ class DistRecord:
 
 
 class LanguageModel:
-    """Base class: a vocabulary plus a deterministic next-token distribution."""
+    """Base class: a vocabulary plus a deterministic next-token distribution,
+    memoized by ``state_key`` for as long as the model lives. The memo
+    trusts the ``state_key`` contract: a wrong key returns another
+    context's record. Subclasses implement ``_compute``."""
 
     vocab: Vocabulary
 
-    def next_dist(self, context: Context) -> ProbDist:
+    def __init__(self):
+        self._memo: dict[tuple[int, ...], DistRecord] = {}
+
+    def _compute(self, context: Context) -> ProbDist:
         raise NotImplementedError
+
+    def next_dist(self, context: Context) -> DistRecord:
+        """The record of the distribution after ``context``, shared by every
+        context in the same state; its ``dist`` is read-only."""
+        key = self.state_key(context)
+        rec = self._memo.get(key)
+        if rec is None:
+            dist = self._compute(context)
+            dist.flags.writeable = False
+            rec = self._memo[key] = DistRecord(dist)
+        return rec
 
     def state_key(self, context: Context) -> tuple[int, ...]:
         """The state ``context`` leaves the model in: contexts with equal
@@ -99,40 +118,8 @@ class LanguageModel:
         so a generic model shares no state."""
         return tuple(context)
 
-    def record(self, dist: ProbDist) -> DistRecord:
-        """The record of a distribution ``next_dist`` returned. Without a
-        memo every call gives a fresh record, so nothing is shared."""
-        return DistRecord(dist)
 
-
-class _MemoModel(LanguageModel):
-    """Memoizes ``next_dist`` by ``state_key`` and keeps one record per
-    memoized array, for as long as the model lives. The memo trusts the
-    ``state_key`` contract: a wrong key returns another context's array."""
-
-    def __init__(self):
-        self._memo: dict[tuple[int, ...], ProbDist] = {}
-        self._records: dict[int, DistRecord] = {}  # by id of a memo array
-
-    def _compute(self, context: Context) -> ProbDist:
-        raise NotImplementedError
-
-    def next_dist(self, context: Context) -> ProbDist:
-        key = self.state_key(context)
-        dist = self._memo.get(key)
-        if dist is None:
-            dist = self._memo[key] = self._compute(context)
-            dist.flags.writeable = False
-            self._records[id(dist)] = DistRecord(dist)
-        return dist
-
-    def record(self, dist: ProbDist) -> DistRecord:
-        # memo arrays stay alive, so an id found here is never a reused one
-        rec = self._records.get(id(dist))
-        return rec if rec is not None else DistRecord(dist)
-
-
-class NGramModel(_MemoModel):
+class NGramModel(LanguageModel):
     """Add-k smoothed n-gram model with backoff to shorter contexts.
 
     A context of length L is used only if it was observed in training;
@@ -222,7 +209,7 @@ def perturb(dist: ProbDist, noise: float) -> ProbDist:
     return mixed / mixed.sum()
 
 
-class PerturbedDraftModel(_MemoModel):
+class PerturbedDraftModel(LanguageModel):
     """Draft surrogate: the target distribution mixed with uniform noise,
     simulating draft/target mismatch."""
 
@@ -238,7 +225,7 @@ class PerturbedDraftModel(_MemoModel):
         return self.base.state_key(context)
 
     def _compute(self, context: Context) -> ProbDist:
-        return perturb(self.base.next_dist(context), self.noise)
+        return perturb(self.base.next_dist(context).dist, self.noise)
 
 
 MODEL_FORMAT_VERSION = 1

@@ -17,12 +17,12 @@ order:
 Higher value ranks first; ties go to smaller depth, then to the smaller
 creation index. Indices are unique within a tree, so a comparison never
 reaches the fields after it, and selecting the best n nodes is one
-``sorted(nodes)[:n]``. ``step`` is the ``DistRecord`` of the
-distribution the token was drawn from, shared with every node drafted from
-the same context, and ``path tokens`` are the tokens below the root, this
-node's last. Because a parent always has at least its child's value and
-strictly smaller depth, top-N selection under this order is guaranteed to
-return a root-connected subtree.
+``sorted(nodes)[:n]``. ``step`` is the ``DistRecord`` of the draft state
+the token was drawn from, as the draft's ``next_dist`` returns it, and
+``path tokens`` are the tokens below the root, this node's last. Because a
+parent always has at least its child's value and strictly smaller depth,
+top-N selection under this order is guaranteed to return a root-connected
+subtree.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def _grow_layers(tree: DraftTree, draft_model: LanguageModel, layers: int) -> No
     context, top_k, nodes = tree.context, tree.top_k, tree.nodes
     # bound once per call through the instance, so a per-instance wrapper
     # still sees every eval
-    next_dist, record = draft_model.next_dist, draft_model.record
+    next_dist = draft_model.next_dist
     for _ in range(layers):
         if tree.depth_limit == 0:
             frontier = [tree.root]
@@ -112,7 +112,7 @@ def _grow_layers(tree: DraftTree, draft_model: LanguageModel, layers: int) -> No
         layer = []
         for parent in frontier:
             neg_value, tokens = parent[NEG_VALUE], parent[TOKENS]
-            step = record(next_dist(context + tokens))
+            step = next_dist(context + tokens)
             # -(a + log p) == -a - log p exactly, so values and ties match
             # the sum of logs along the path
             for token, logp in step.derive(top_log_children, top_k):

@@ -3,9 +3,10 @@
 Verification walks the target's argmax from the root through the kept
 nodes of a reranked tree. The kept set is a map from each node's path
 tokens to its rank, so each step is one lookup of the path so far plus the
-target's token; the accepted ranks come back with the tokens. The walk
-starts from the context it is given, which may be the target's state key
-in place of the whole context (see ``models``).
+target's token, derived once per target state from the ``DistRecord`` that
+``next_dist`` returns; the accepted ranks come back with the tokens. The
+walk starts from the context it is given, which may be the target's state
+key in place of the whole context (see ``models``).
 """
 
 from __future__ import annotations
@@ -47,11 +48,11 @@ def verify_greedy(tree: RerankedTree, target_model: LanguageModel,
     ranks = tree.ranks
     # bound once per call through the instance, so a per-instance wrapper
     # still sees every eval
-    next_dist, record = target_model.next_dist, target_model.record
+    next_dist = target_model.next_dist
     accepted: tuple[int, ...] = ()
     accepted_ranks: list[int] = []
     while True:
-        star = record(next_dist(ctx)).derive(argmax_token)
+        star = next_dist(ctx).derive(argmax_token)
         rank = ranks.get(accepted + (star,))
         if rank is None:
             return AcceptResult(accepted_tokens=list(accepted),

@@ -55,7 +55,7 @@ def sample_chain(draft_model: LanguageModel, context: Context, length: int,
     dists: list[ProbDist] = []
     ctx = tuple(context)
     for _ in range(length):
-        q = draft_model.next_dist(ctx)
+        q = draft_model.next_dist(ctx).dist
         t = sample_from(q, rng)
         tokens.append(t)
         dists.append(q)
@@ -78,13 +78,13 @@ def verify_stochastic_chain(draft_model: LanguageModel,
     tokens, dists = sample_chain(draft_model, context, length, rng)
     accepted: list[int] = []
     for t, q in zip(tokens, dists):
-        p = target_model.next_dist(ctx)
+        p = target_model.next_dist(ctx).dist
         if rng.random() < accept_prob(p, q, t):
             accepted.append(t)
             ctx = ctx + (t,)
         else:
             bonus = sample_from(residual_dist(p, q), rng)
             return ChainResult(tokens, accepted, bonus)
-    p = target_model.next_dist(ctx)
+    p = target_model.next_dist(ctx).dist
     bonus = sample_from(p, rng)
     return ChainResult(tokens, accepted, bonus)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from heterospec.corpus import corpus_symbols
 from heterospec.errors import ConfigError
 from heterospec.metrics import IterationRecord
-from heterospec.models import LanguageModel, ProbDist
+from heterospec.models import DistRecord, LanguageModel, ProbDist
 from heterospec.vocab import UNK, Context, Vocabulary
 
 # deterministic hypothesis runs keep the suite byte-reproducible
@@ -61,25 +61,29 @@ def make_vocab(size: int, mode: str = "word") -> Vocabulary:
 
 
 class FixedDistModel(LanguageModel):
-    """One distribution, every context."""
+    """One distribution, every context; memoized, like every stub with a
+    ``_compute``, by the whole context, the default state key."""
 
     def __init__(self, dist, vocab: Vocabulary | None = None):
+        super().__init__()
         self.dist = np.asarray(dist, dtype=np.float64)
         self.vocab = vocab if vocab is not None else make_vocab(self.dist.shape[0])
 
-    def next_dist(self, context):
+    def _compute(self, context):
         return self.dist.copy()
 
 
 class ScriptedModel(LanguageModel):
-    """Distribution looked up by exact context; uniform fallback."""
+    """Distribution looked up by exact context; uniform fallback.
+    Memoized by the whole context."""
 
     def __init__(self, table: dict, vocab: Vocabulary):
+        super().__init__()
         self.table = {tuple(k): np.asarray(v, dtype=np.float64)
                       for k, v in table.items()}
         self.vocab = vocab
 
-    def next_dist(self, context):
+    def _compute(self, context):
         ctx = tuple(context)
         if ctx in self.table:
             return self.table[ctx].copy()
@@ -87,8 +91,9 @@ class ScriptedModel(LanguageModel):
 
 
 class DrawnDistModel(LanguageModel):
-    """Fresh Dirichlet draw per call. Not a function of context, so only
-    suitable for fuzzing tree construction within a single expansion."""
+    """Fresh Dirichlet draw per call, in a fresh record. Not a function of
+    context, so it bypasses the memo and is only suitable for fuzzing tree
+    construction within a single expansion."""
 
     def __init__(self, vocab: Vocabulary, rng: np.random.Generator,
                  concentration: float = 0.8):
@@ -97,24 +102,8 @@ class DrawnDistModel(LanguageModel):
         self.concentration = concentration
 
     def next_dist(self, context):
-        return self.rng.dirichlet(np.full(self.vocab.size, self.concentration))
-
-
-class MemoizedModel(LanguageModel):
-    """Caches next_dist by context; models are deterministic so this is
-    observationally identical and much faster in tight sampling loops."""
-
-    def __init__(self, base: LanguageModel):
-        self.base = base
-        self.vocab = base.vocab
-        self._cache: dict = {}
-
-    def next_dist(self, context):
-        ctx = tuple(context)
-        dist = self._cache.get(ctx)
-        if dist is None:
-            dist = self._cache[ctx] = self.base.next_dist(ctx)
-        return dist
+        return DistRecord(self.rng.dirichlet(np.full(self.vocab.size,
+                                                     self.concentration)))
 
 
 class PlantedTemplateModel(LanguageModel):
@@ -138,6 +127,7 @@ class PlantedTemplateModel(LanguageModel):
                 raise ConfigError("templates need at least 2 tokens")
             if any(not (0 <= tok < vocab.size) for tok in t):
                 raise ConfigError("template token outside vocabulary")
+        super().__init__()
         self.vocab = vocab
         self.templates = [tuple(t) for t in templates]
         self.rho = rho
@@ -171,7 +161,7 @@ class PlantedTemplateModel(LanguageModel):
                     break
         return best
 
-    def next_dist(self, context: Context) -> ProbDist:
+    def _compute(self, context: Context) -> ProbDist:
         hit = self.template_position(context)
         if hit is None:
             return self._off_template.copy()

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from chain_sampling import verify_stochastic_chain
-from conftest import DrawnDistModel, MemoizedModel, make_vocab, tcr_bands
+from conftest import DrawnDistModel, make_vocab, tcr_bands
 from heterospec.binning import (
     BinningModel,
     CalibrationSample,
@@ -185,11 +185,11 @@ def test_criterion_02_stochastic_losslessness():
     text = [" ".join(d) for d in docs]
     vocab = build_vocab(text, mode="word")
     assert vocab.size <= 16
-    target = MemoizedModel(train_ngram(text, vocab, order=3, smoothing=0.1))
-    draft = MemoizedModel(PerturbedDraftModel(
-        train_ngram(text, vocab, order=2, smoothing=0.1), noise=0.15))
+    target = train_ngram(text, vocab, order=3, smoothing=0.1)
+    draft = PerturbedDraftModel(
+        train_ngram(text, vocab, order=2, smoothing=0.1), noise=0.15)
     context = tuple(encode_corpus(text, vocab)[0][:3])
-    p = target.next_dist(context)
+    p = target.next_dist(context).dist
     rounds = 200_000
     counts = np.zeros(vocab.size)
     chain_rng = np.random.default_rng(202)

@@ -185,6 +185,25 @@ def test_exit_2_on_empty_corpus_path(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("model", "order", 0), ("model", "smoothing", 0), ("draft", "noise", 1.5),
+    ("prompts", "count", 0), ("prompts", "prompt_tokens", 0),
+], ids=["order", "smoothing", "noise", "count", "prompt_tokens"])
+def test_gen_corpus_exits_2_on_out_of_range_setting(tmp_path, capsys, section,
+                                                    key, value):
+    # refused before any step writes, not steps later at train-model or
+    # calibrate over a config.json snapshot that holds the bad value
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(
+        TINY_CONFIG, **{section: dict(TINY_CONFIG[section], **{key: value})})),
+        encoding="utf-8")
+    out = str(tmp_path / "run")
+    assert main(["gen-corpus", "--config", str(cfg), "--out", out]) == 2
+    assert _one_error_line(capsys.readouterr()).startswith(
+        f"heterospec: config: {section}.{key} must be ")
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("cost", [
     {"c_call": 0, "c_tok": 0, "c_draft": 0}, {"c_call": -1},
     {"c_tok": -0.05}], ids=["all-zero", "negative-call", "negative-tok"])

@@ -135,6 +135,39 @@ def test_draft_order_within_model_order():
     assert config_from_dict({"draft": {"order": 3}}).draft.order == 3
 
 
+OUT_OF_RANGE = [
+    ({"model": {"order": 0}}, "model.order must be >= 1, got 0"),
+    ({"model": {"smoothing": 0}}, "model.smoothing must be finite and > 0, got 0"),
+    ({"model": {"smoothing": -0.1}}, "model.smoothing must be finite and > 0, got -0.1"),
+    ({"model": {"smoothing": math.inf}}, "model.smoothing must be finite and > 0, got inf"),
+    ({"draft": {"noise": 1.5}}, "draft.noise must be in [0, 1], got 1.5"),
+    ({"draft": {"noise": -0.01}}, "draft.noise must be in [0, 1], got -0.01"),
+    ({"draft": {"noise": math.nan}}, "draft.noise must be in [0, 1], got nan"),
+    ({"prompts": {"count": 0}}, "prompts.count must be >= 1, got 0"),
+    ({"prompts": {"prompt_tokens": 0}}, "prompts.prompt_tokens must be >= 1, got 0"),
+    ({"prompts": {"calibration_count": -1}},
+     "prompts.calibration_count must be >= 1, got -1"),
+]
+
+
+@pytest.mark.parametrize("data,want", OUT_OF_RANGE,
+                         ids=[want.split(" must")[0] + "=" + want.split("got ")[1]
+                              for _, want in OUT_OF_RANGE])
+def test_out_of_range_settings_are_refused_on_build(data, want):
+    # refused when the config is built, so no step snapshots them
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(data)
+    assert str(exc.value) == want
+
+
+def test_range_limits_are_allowed():
+    cfg = config_from_dict({"model": {"order": 1, "smoothing": 1e-12},
+                            "draft": {"order": 1, "noise": 1},
+                            "prompts": {"count": 1, "prompt_tokens": 1,
+                                        "calibration_count": 1}})
+    assert cfg.draft.noise == 1 and cfg.model.order == 1
+
+
 NON_INTEGERS = [
     ({"controller": {"depth": 2.5}}, "config.controller.depth", 2.5),
     ({"controller": {"top_n": 7.5}}, "config.controller.top_n", 7.5),

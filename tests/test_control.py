@@ -27,7 +27,7 @@ from heterospec.control import (
 )
 from heterospec.errors import ConfigError, OutputMismatchError
 from heterospec.metrics import validate_run
-from heterospec.models import LanguageModel, PerturbedDraftModel
+from heterospec.models import DistRecord, LanguageModel, PerturbedDraftModel
 from heterospec.vocab import Vocabulary
 
 
@@ -248,10 +248,11 @@ class _CountingDraft(LanguageModel):
         self.calls = 0
 
     def next_dist(self, context):
+        # a fresh record per call: the memo would hide calls from the count
         self.calls += 1
         dist = np.zeros(self.vocab.size)
         dist[0] = 1.0
-        return dist
+        return DistRecord(dist)
 
 
 class _SpitefulTarget(LanguageModel):
@@ -267,10 +268,11 @@ class _SpitefulTarget(LanguageModel):
         self.flip_after = flip_after
 
     def next_dist(self, context):
+        # not a function of context, so a fresh record per call
         tok = 0 if self.draft.calls <= self.flip_after else 1
         dist = np.zeros(self.vocab.size)
         dist[tok] = 1.0
-        return dist
+        return DistRecord(dist)
 
 
 def test_run_comparison_detects_output_divergence():
@@ -294,14 +296,12 @@ class _WholeContextModel(LanguageModel):
     each model is called on the whole context, not on a state key."""
 
     def __init__(self, base: LanguageModel):
+        super().__init__()
         self.base = base
         self.vocab = base.vocab
 
-    def next_dist(self, context):
-        return self.base.next_dist(context)
-
-    def record(self, dist):
-        return self.base.record(dist)
+    def _compute(self, context):
+        return self.base.next_dist(context).dist
 
 
 def _tiny_lab(config):

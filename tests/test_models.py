@@ -13,9 +13,9 @@ from conftest import (FixedDistModel, PlantedTemplateModel, is_valid_dist, make_
                       prob_dists)
 from heterospec import models
 from heterospec.errors import ConfigError
-from heterospec.models import (NGramModel, PerturbedDraftModel, load_model,
-                               perturb, release_kept_model, save_model,
-                               train_ngram)
+from heterospec.models import (LanguageModel, NGramModel, PerturbedDraftModel,
+                               load_model, perturb, release_kept_model,
+                               save_model, train_ngram)
 from heterospec.vocab import UNK, build_vocab, encode_corpus
 
 
@@ -33,7 +33,7 @@ def test_bigram_counts_hand_checked():
     vocab = build_vocab(["aaaa"], mode="char")
     model = train_ngram(["aaaa"], vocab, order=2, smoothing=0.01)
     a, = vocab.encode("a")
-    dist = model.next_dist((a,))
+    dist = model.next_dist((a,)).dist
     assert dist[a] > 0.99
     assert math.isclose(dist[a], 3.01 / 3.02, rel_tol=0, abs_tol=1e-15)
 
@@ -42,7 +42,7 @@ def test_unseen_context_backs_off_to_unigram():
     vocab = build_vocab(["abab"], mode="char")
     model = train_ngram(["abab"], vocab, order=3, smoothing=0.5)
     # context (unk, unk) was never observed at length 2 or 1
-    fallback = model.next_dist(vocab.encode("zz"))
+    fallback = model.next_dist(vocab.encode("zz")).dist
     counts = np.array([2.0, 2.0, 0.0])  # a, b, <unk> occurrences in the corpus
     expected = (counts + 0.5) / (counts.sum() + 0.5 * 3)
     np.testing.assert_allclose(fallback, expected, atol=1e-15)
@@ -51,7 +51,7 @@ def test_unseen_context_backs_off_to_unigram():
 def test_uniform_bigram_usage_gives_uniform_dist():
     vocab = build_vocab(["abc" * 30], mode="char")
     model = train_ngram(["abc" * 30], vocab, order=1, smoothing=0.1)
-    dist = model.next_dist(())
+    dist = model.next_dist(()).dist
     assert np.ptp(dist[:3]) < 1e-12
 
 
@@ -61,7 +61,7 @@ def test_ngram_determinism_bitwise():
     a = train_ngram(docs, vocab, order=2, smoothing=0.1)
     b = train_ngram(docs, vocab, order=2, smoothing=0.1)
     ctx = vocab.encode("the cat")
-    assert np.array_equal(a.next_dist(ctx), b.next_dist(ctx))
+    assert np.array_equal(a.next_dist(ctx).dist, b.next_dist(ctx).dist)
 
 
 def test_ngram_distributions_valid_over_fuzzed_contexts():
@@ -71,7 +71,7 @@ def test_ngram_distributions_valid_over_fuzzed_contexts():
     rng = np.random.default_rng(7)
     for _ in range(300):
         ctx = tuple(int(t) for t in rng.integers(vocab.size, size=rng.integers(0, 5)))
-        assert is_valid_dist(model.next_dist(ctx), vocab.size)
+        assert is_valid_dist(model.next_dist(ctx).dist, vocab.size)
 
 
 def test_ngram_validation():
@@ -87,7 +87,7 @@ def test_planted_template_in_template_dist():
     # inside the template the next token gets rho, the rest split 1 - rho
     vocab = make_vocab(11)
     model = PlantedTemplateModel(vocab, [tuple(range(5))], rho=0.9)
-    dist = model.next_dist((7, 0, 1))
+    dist = model.next_dist((7, 0, 1)).dist
     assert dist[2] == 0.9
     others = np.delete(dist, 2)
     np.testing.assert_allclose(others, 0.01, atol=1e-15)
@@ -97,7 +97,7 @@ def test_planted_template_in_template_dist():
 def test_planted_template_off_template_uniform():
     vocab = make_vocab(8)
     model = PlantedTemplateModel(vocab, [(0, 1, 2)], rho=0.95)
-    dist = model.next_dist((5, 6))
+    dist = model.next_dist((5, 6)).dist
     np.testing.assert_allclose(dist, 1.0 / 8, atol=1e-15)
 
 
@@ -105,7 +105,7 @@ def test_planted_template_entry_prob_boosts_starts():
     vocab = make_vocab(10)
     model = PlantedTemplateModel(vocab, [(3, 4, 5), (6, 7, 8)], rho=0.9,
                                  entry_prob=0.4)
-    dist = model.next_dist(())
+    dist = model.next_dist(()).dist
     assert math.isclose(dist[3], 0.06 + 0.2, abs_tol=1e-15)
     assert math.isclose(dist[6], 0.06 + 0.2, abs_tol=1e-15)
     assert math.isclose(dist[0], 0.06, abs_tol=1e-15)
@@ -175,13 +175,13 @@ def test_perturbed_draft_identity_equals_base():
     base = train_ngram(docs, vocab, order=2, smoothing=0.1)
     draft = PerturbedDraftModel(base, noise=0.0)
     for ctx in [(), (0,), (1, 2), (2, 0, 1)]:
-        assert np.array_equal(draft.next_dist(ctx), base.next_dist(ctx))
+        assert np.array_equal(draft.next_dist(ctx).dist, base.next_dist(ctx).dist)
 
 
 def test_perturbed_draft_full_noise_is_uniform():
     base = PlantedTemplateModel(make_vocab(10), [(0, 1, 2)], rho=0.99)
     draft = PerturbedDraftModel(base, noise=1.0)
-    np.testing.assert_allclose(draft.next_dist((0, 1)), 0.1, atol=1e-15)
+    np.testing.assert_allclose(draft.next_dist((0, 1)).dist, 0.1, atol=1e-15)
 
 
 def test_model_file_round_trip(tmp_path):
@@ -197,7 +197,7 @@ def test_model_file_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     for _ in range(200):
         ctx = tuple(int(t) for t in rng.integers(vocab.size, size=rng.integers(0, 4)))
-        assert np.array_equal(loaded.next_dist(ctx), model.next_dist(ctx))
+        assert np.array_equal(loaded.next_dist(ctx).dist, model.next_dist(ctx).dist)
 
 
 # "cab" then "ca" over a = 0, b = 1, c = 2: contexts in first-seen order,
@@ -246,8 +246,8 @@ def test_lower_order_equals_trained_model(tmp_path):
         for _ in range(200):
             ctx = tuple(int(t) for t in rng.integers(vocab.size,
                                                      size=rng.integers(0, 5)))
-            assert low.next_dist(ctx).tobytes() == \
-                trained.next_dist(ctx).tobytes()
+            assert low.next_dist(ctx).dist.tobytes() == \
+                trained.next_dist(ctx).dist.tobytes()
     for order in (0, 5):
         with pytest.raises(ConfigError, match="order must be in"):
             model.lower_order(order)
@@ -350,9 +350,9 @@ def test_load_model_keeps_one_parse_by_content(tmp_path, model_parses):
     assert first._counts is second._counts is third._counts
     fresh = _fresh_parse(path)
     for ctx in _all_contexts(vocab, target.order):
-        want = fresh.next_dist(ctx).tobytes()
-        assert first.next_dist(ctx).tobytes() == want
-        assert second.next_dist(ctx).tobytes() == want
+        want = fresh.next_dist(ctx).dist.tobytes()
+        assert first.next_dist(ctx).dist.tobytes() == want
+        assert second.next_dist(ctx).dist.tobytes() == want
     # a hit starts with an empty memo, whatever the earlier instances hold
     assert first._memo and not load_model(path)._memo
 
@@ -369,8 +369,9 @@ def test_load_model_rereads_a_rewritten_file(tmp_path):
     assert os.stat(path).st_size == stat.st_size
     new = load_model(path)
     assert new._counts[0][()] == {0: 7, 1: 1, 2: 2}
-    assert new.next_dist(()).tobytes() == _fresh_parse(path).next_dist(()).tobytes()
-    assert new.next_dist(()).tobytes() != old.next_dist(()).tobytes()
+    want = _fresh_parse(path).next_dist(()).dist.tobytes()
+    assert new.next_dist(()).dist.tobytes() == want
+    assert new.next_dist(()).dist.tobytes() != old.next_dist(()).dist.tobytes()
 
 
 def test_load_model_keeps_no_failed_parse(tmp_path):
@@ -566,24 +567,70 @@ def test_next_dist_backs_off_to_longest_seen_suffix():
     for ctx, key in cases.items():
         assert _backoff_context(target, ctx) == key
         want = _uncached_dist(target, ctx)
-        assert target.next_dist(ctx).tobytes() == want.tobytes()
-        assert draft.next_dist(ctx).tobytes() == \
+        assert target.next_dist(ctx).dist.tobytes() == want.tobytes()
+        assert draft.next_dist(ctx).dist.tobytes() == \
             perturb(want, draft.noise).tobytes()
-    assert target.next_dist((unk, unk)).tobytes() == target.next_dist(()).tobytes()
+    assert target.next_dist((unk, unk)).dist.tobytes() == \
+        target.next_dist(()).dist.tobytes()
+
+
+class _LastTokenModel(LanguageModel):
+    """A minimal ``_compute`` model: one-hot on the token after the last
+    one, so its state is the last token. Counts its computes."""
+
+    def __init__(self, vocab):
+        super().__init__()
+        self.vocab = vocab
+        self.computed = []
+
+    def state_key(self, context):
+        return tuple(context[-1:])
+
+    def _compute(self, context):
+        self.computed.append(tuple(context))
+        dist = np.zeros(self.vocab.size)
+        dist[(context[-1] + 1) % self.vocab.size if context else 0] = 1.0
+        return dist
+
+
+def _same_state_pairs():
+    """(model, context, context in the same state) for an n-gram model, a
+    draft over it and a minimal ``_compute`` stub."""
+    vocab, target, draft = _memo_models()
+    the, cat, unk = vocab.encode(f"the cat {UNK}")
+    return [(target, (the, cat), (unk, the, cat)),
+            (draft, (the, cat), vocab.encode("a the cat")),
+            (_LastTokenModel(vocab), (the, cat), [unk, cat])]
 
 
 def test_same_key_shares_one_read_only_array():
-    vocab, target, draft = _memo_models()
-    the, cat, unk = vocab.encode(f"the cat {UNK}")
-    for model in (target, draft):
-        a = model.next_dist((the, cat))
-        assert model.next_dist((unk, the, cat)) is a
-        assert model.next_dist(vocab.encode("a the cat")) is a
-        assert model.record(a) is model.record(model.next_dist((the, cat)))
+    pairs = _same_state_pairs()
+    for model, ctx, same in pairs:
+        assert model.state_key(ctx) == model.state_key(same)
+        rec = model.next_dist(ctx)
+        assert model.next_dist(same) is rec
+        assert model.next_dist(model.state_key(ctx)) is rec
         with pytest.raises(ValueError):
-            a[0] = 1.0
-    foreign = np.array(target.next_dist((the, cat)))
-    assert target.record(foreign) is not target.record(foreign)
+            rec.dist[0] = 1.0
+    stub, ctx, _ = pairs[-1]
+    assert stub.computed == [ctx]  # one compute for its one state
+
+
+def test_derive_runs_once_per_fn_and_args_across_next_dist_calls():
+    calls = []
+
+    def counted(dist, *args):
+        calls.append(args)
+        return float(dist.max())
+
+    for model, ctx, same in _same_state_pairs():
+        calls.clear()
+        for c in (ctx, same, ctx):
+            rec = model.next_dist(c)
+            values = [rec.derive(counted), rec.derive(counted, 2),
+                      rec.derive(counted, 3), rec.derive(counted, 2)]
+            assert values == [float(rec.dist.max())] * 4
+        assert calls == [(), (2,), (3,)]
 
 
 def test_memoized_values_bitwise_equal_uncached_formula():
@@ -593,9 +640,9 @@ def test_memoized_values_bitwise_equal_uncached_formula():
     for _ in range(200):
         ctx = tuple(int(t) for t in rng.integers(v, size=rng.integers(0, 5)))
         want = _uncached_dist(target, ctx)
-        assert target.next_dist(ctx).tobytes() == want.tobytes()
+        assert target.next_dist(ctx).dist.tobytes() == want.tobytes()
         want_draft = perturb(want, draft.noise)
-        assert draft.next_dist(ctx).tobytes() == want_draft.tobytes()
+        assert draft.next_dist(ctx).dist.tobytes() == want_draft.tobytes()
 
 
 def test_reloaded_model_memo_bitwise_equal(tmp_path):
@@ -606,8 +653,9 @@ def test_reloaded_model_memo_bitwise_equal(tmp_path):
     rng = np.random.default_rng(5)
     for _ in range(200):
         ctx = tuple(int(t) for t in rng.integers(vocab.size, size=rng.integers(0, 4)))
-        assert loaded.next_dist(ctx).tobytes() == target.next_dist(ctx).tobytes()
-        assert not loaded.next_dist(ctx).flags.writeable
+        rec = loaded.next_dist(ctx)
+        assert rec.dist.tobytes() == target.next_dist(ctx).dist.tobytes()
+        assert not rec.dist.flags.writeable
 
 
 # ------------------------------------------------------------ state key
@@ -664,7 +712,7 @@ def test_state_key_equal_keys_agree_after_any_continuation(
                 ca, cb = a + continuation[:i], b + continuation[:i]
                 assert model.state_key(ca) == model.state_key(cb)
                 assert oracle(ca).tobytes() == oracle(cb).tobytes()
-                assert model.next_dist(ca).tobytes() == oracle(ca).tobytes()
+                assert model.next_dist(ca).dist.tobytes() == oracle(ca).tobytes()
 
 
 @given(st.integers(1, 4), st.booleans(), st.booleans(), _state_tokens,
@@ -679,7 +727,7 @@ def test_state_key_is_a_context_in_its_own_state(order, pruned, perturbed,
     for i in range(len(continuation) + 1):
         tail = continuation[:i]
         assert model.state_key(key + tail) == model.state_key(context + tail)
-        assert model.next_dist(key + tail).tobytes() == \
+        assert model.next_dist(key + tail).dist.tobytes() == \
             oracle(context + tail).tobytes()
 
 
