@@ -1,9 +1,10 @@
 """Sweep the adaptive extension budget on the planted corpus.
 
-Builds the default lab once, then decodes the eval prompts with the
-baseline controller and one adaptive arm per alpha. Prints a table of
-target calls, verified draft tokens, acceptance rate tau, and modeled
-speedup, with the relative change against baseline.
+Builds the default lab once, then runs one compare per alpha, each at
+that ``controller.alpha``. Prints a table of target calls, verified draft
+tokens, acceptance rate tau, and modeled speedup, with the relative change
+against baseline. Every compare writes over the same artifacts, so --out
+holds those of the last alpha.
 """
 from __future__ import annotations
 
@@ -20,14 +21,23 @@ from heterospec.pipeline import (
 
 
 def parse_alphas(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    """Comma-separated non-negative integers, at least one."""
+    try:
+        alphas = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+    if not alphas or min(alphas) < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected one or more alphas >= 0, got {text!r}")
+    return alphas
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="runs/alpha-sweep",
                         help="artifact directory (default runs/alpha-sweep)")
-    parser.add_argument("--alphas", default="1,2,3,4,5",
+    parser.add_argument("--alphas", type=parse_alphas, default="1,2,3,4,5",
                         help="comma-separated extension budgets")
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args()
@@ -39,16 +49,20 @@ def main() -> None:
     step_gen_corpus(config)
     step_train_model(config)
     step_calibrate(config)
-    _, result = step_compare(config, alphas=parse_alphas(args.alphas))
+    results = []
+    for alpha in args.alphas:
+        ctl = dataclasses.replace(config.controller, alpha=alpha)
+        results.append(step_compare(dataclasses.replace(config, controller=ctl))[1])
 
-    base = result.baseline.summary
+    base = results[0].baseline.summary
     header = f"{'arm':<10} {'alpha':>5} {'calls':>7} {'tokens':>8} " \
              f"{'tau':>8} {'speedup':>8} {'d_tau':>8}"
     print(header)
     print("-" * len(header))
     print(f"{'baseline':<10} {'-':>5} {base.calls:>7} {base.tokens:>8} "
           f"{base.tau:>8.4f} {base.speedup:>8.4f} {'-':>8}")
-    for arm in result.adaptive:
+    for result in results:
+        arm = result.adaptive
         s = arm.summary
         d_tau = (s.tau - base.tau) / base.tau
         print(f"{'adaptive':<10} {arm.alpha:>5} {s.calls:>7} {s.tokens:>8} "

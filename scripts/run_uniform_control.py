@@ -31,7 +31,7 @@ def build(config, calibrate=True):
 
 def show(label: str, result) -> None:
     base = result.baseline.summary
-    adapt = result.adaptive[0].summary
+    adapt = result.adaptive.summary
     print(f"[{label}]")
     print(f"  baseline  calls={base.calls} tokens={base.tokens} "
           f"tau={base.tau:.4f}")

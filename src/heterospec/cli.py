@@ -2,7 +2,8 @@
 
 Subcommands mirror the pipeline stages: gen-corpus, train-model,
 calibrate, compare, report. Every subcommand accepts --config (JSON
-experiment file), --seed and --out overrides.
+experiment file), --seed and --out overrides. compare decodes two arms,
+the baseline and the adaptive one at ``controller.alpha``.
 
 Exit codes, one distinct status per failure class:
 
@@ -61,9 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
             ("report", "write plot-ready tables and print a digest")):
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
-        if name == "compare":
-            p.add_argument("--alpha-sweep",
-                           help="comma-separated alpha values, e.g. 2,3,4")
         if name == "report":
             p.add_argument("--arm", choices=("baseline", "adaptive"),
                            default="baseline",
@@ -78,19 +76,6 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.out is not None:
         config = replace(config, out_dir=args.out)
     return config
-
-
-def _parse_alphas(raw: str | None) -> list[int] | None:
-    if raw is None:
-        return None
-    try:
-        alphas = [int(part) for part in raw.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"--alpha-sweep expects comma-separated integers, "
-                          f"got {raw!r}") from None
-    if not alphas:
-        raise ConfigError("--alpha-sweep given but no alpha values parsed")
-    return alphas
 
 
 def _note_no_low_bin(config: ExperimentConfig) -> None:
@@ -110,7 +95,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         print(step_calibrate(config))
         _note_no_low_bin(config)
     elif args.command == "compare":
-        out, result = step_compare(config, _parse_alphas(args.alpha_sweep))
+        out, result = step_compare(config)
         print(out)
         for name, alpha, summary in result.rows():
             alpha_str = "-" if alpha is None else str(alpha)

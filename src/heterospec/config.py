@@ -19,7 +19,7 @@ import numpy as np
 from .binning import CALIBRATION_FILTERS
 from .control import HeteroConfig
 from .corpus import PlantedCorpusSpec
-from .errors import ConfigError, utf8_errors
+from .errors import ConfigError, check_setting, utf8_errors
 from .metrics import CostModel
 
 CONFIG_VERSION = 1
@@ -37,11 +37,9 @@ class ModelSpec:
     smoothing: float = 0.1
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ConfigError(f"model.order must be >= 1, got {self.order}")
-        if not 0 < self.smoothing < math.inf:  # false for NaN
-            raise ConfigError(f"model.smoothing must be finite and > 0, "
-                              f"got {self.smoothing}")
+        check_setting(self.order >= 1, "model.order", ">= 1", self.order)
+        check_setting(0 < self.smoothing < math.inf,  # false for NaN
+                      "model.smoothing", "finite and > 0", self.smoothing)
 
 
 @dataclass(frozen=True)
@@ -50,8 +48,8 @@ class DraftSpec:
     noise: float = 0.01
 
     def __post_init__(self):
-        if not 0 <= self.noise <= 1:  # false for NaN
-            raise ConfigError(f"draft.noise must be in [0, 1], got {self.noise}")
+        check_setting(0 <= self.noise <= 1,  # false for NaN
+                      "draft.noise", "in [0, 1]", self.noise)
 
 
 @dataclass(frozen=True)
@@ -63,8 +61,7 @@ class PromptSpec:
     def __post_init__(self):
         for key in ("count", "prompt_tokens", "calibration_count"):
             value = getattr(self, key)
-            if value < 1:
-                raise ConfigError(f"prompts.{key} must be >= 1, got {value}")
+            check_setting(value >= 1, f"prompts.{key}", ">= 1", value)
 
 
 @dataclass(frozen=True)
@@ -96,17 +93,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {self.version}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        check_setting(self.seed >= 0, "seed", "non-negative", self.seed)
         if self.corpus_path == "":
             raise ConfigError("corpus.path must name a file, got ''")
         if self.tokenization not in ("char", "word"):
             raise ConfigError(f"tokenization must be char or word, "
                               f"got {self.tokenization!r}")
         order = self.draft.order
-        if order is not None and not 1 <= order <= self.model.order:
-            raise ConfigError(f"draft.order must be in [1, model.order = "
-                              f"{self.model.order}], got {order}")
+        check_setting(order is None or 1 <= order <= self.model.order,
+                      "draft.order", f"in [1, model.order = {self.model.order}]",
+                      order)
 
 
 # annotation -> (JSON value types it takes, name); others are checked on build

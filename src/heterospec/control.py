@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 from .binning import BinningModel
 from .entropy import tree_entropy_signal
-from .errors import ConfigError, OutputMismatchError
+from .errors import ConfigError, OutputMismatchError, check_setting
 from .metrics import (CostModel, IterationRecord, RunSummary, summarize,
                       validate_run)
 from .models import LanguageModel
@@ -81,17 +81,16 @@ class HeteroConfig:
     terminator: int | None = None
 
     def __post_init__(self):
-        if self.depth < 1 or self.top_k < 1 or self.top_n < 1:
-            raise ConfigError("depth, top_k and top_n must be >= 1")
-        if self.max_new_tokens < 1:
-            raise ConfigError("max_new_tokens must be >= 1")
-        if self.alpha is not None and self.alpha < 0:
-            raise ConfigError("alpha must be >= 0")
-        if self.low_bins is not None and not (
-                isinstance(self.low_bins, tuple) and all(
-                    type(b) is int and b >= 0 for b in self.low_bins)):
-            raise ConfigError("low_bins must be a list of non-negative "
-                              f"integers, got {self.low_bins!r}")
+        for key in ("depth", "top_k", "top_n", "max_new_tokens"):
+            value = getattr(self, key)
+            check_setting(value >= 1, f"controller.{key}", ">= 1", value)
+        check_setting(self.alpha is None or self.alpha >= 0, "controller.alpha",
+                      ">= 0", self.alpha)
+        check_setting(self.low_bins is None or (
+            isinstance(self.low_bins, tuple)
+            and all(type(b) is int and b >= 0 for b in self.low_bins)),
+            "controller.low_bins", "a list of non-negative integers",
+            repr(self.low_bins))
 
     def resolved(self) -> "HeteroConfig":
         return replace(self, alpha=self.alpha if self.alpha is not None
@@ -247,34 +246,26 @@ def run_arm(name: str, decode, target_model: LanguageModel,
 @dataclass
 class ComparisonResult:
     baseline: ArmResult
-    adaptive: list[ArmResult]  # one entry per alpha
+    adaptive: ArmResult
 
     def rows(self) -> list[tuple[str, int | None, RunSummary]]:
-        out = [(self.baseline.name, None, self.baseline.summary)]
-        out.extend((a.name, a.alpha, a.summary) for a in self.adaptive)
-        return out
+        return [(self.baseline.name, None, self.baseline.summary),
+                (self.adaptive.name, self.adaptive.alpha, self.adaptive.summary)]
 
 
 def run_comparison(target_model: LanguageModel, draft_model: LanguageModel,
                    prompts: list[Context], config: HeteroConfig,
-                   bins: BinningModel, cost_model: CostModel | None = None,
-                   alphas: list[int] | None = None) -> ComparisonResult:
-    """Run the static baseline and one adaptive arm per alpha over the
-    same prompts, then check every arm emitted the same tokens."""
+                   bins: BinningModel,
+                   cost_model: CostModel | None = None) -> ComparisonResult:
+    """Run the static baseline and the adaptive arm at ``config.alpha`` over
+    the same prompts, then check both emitted the same tokens."""
     baseline = run_arm("baseline", decode_baseline, target_model, draft_model,
                        prompts, config, cost_model, bins=bins)
-    arms: list[ArmResult] = []
-    if alphas is None:
-        alphas = [config.resolved().alpha]
-    for alpha in alphas:
-        cfg = replace(config, alpha=alpha)
-        arm = run_arm("adaptive", decode_adaptive, target_model, draft_model,
-                      prompts, cfg, cost_model, bins=bins)
-        arms.append(arm)
-    for arm in arms:
-        for i, (want, got) in enumerate(zip(baseline.outputs, arm.outputs)):
-            if want != got:
-                raise OutputMismatchError(
-                    f"prompt {i}: adaptive arm (alpha={arm.alpha}) diverged "
-                    f"from baseline output")
-    return ComparisonResult(baseline=baseline, adaptive=arms)
+    adaptive = run_arm("adaptive", decode_adaptive, target_model, draft_model,
+                       prompts, config, cost_model, bins=bins)
+    for i, (want, got) in enumerate(zip(baseline.outputs, adaptive.outputs)):
+        if want != got:
+            raise OutputMismatchError(
+                f"prompt {i}: adaptive arm (alpha={adaptive.alpha}) diverged "
+                f"from baseline output")
+    return ComparisonResult(baseline=baseline, adaptive=adaptive)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_setting
 
 
 @dataclass(frozen=True)
@@ -33,18 +33,17 @@ class PlantedCorpusSpec:
     vocab_size: int = 27
 
     def __post_init__(self):
-        if self.num_docs < 1 or self.doc_len < 1:
-            raise ConfigError("num_docs and doc_len must be >= 1")
-        if self.num_templates < 1:
-            raise ConfigError("num_templates must be >= 1")
-        if not 2 <= self.template_len <= self.vocab_size:
-            raise ConfigError("template_len too large for vocab_size")
-        if not 0.0 <= self.coverage <= 1.0:
-            raise ConfigError("coverage must be in [0, 1]")
-        if not 0.5 < self.rho <= 1.0:
-            raise ConfigError("rho must be in (0.5, 1]")
-        if self.vocab_size < 2:
-            raise ConfigError("vocab_size must be >= 2")
+        for key in ("num_docs", "doc_len", "num_templates"):
+            value = getattr(self, key)
+            check_setting(value >= 1, f"corpus.planted.{key}", ">= 1", value)
+        check_setting(self.vocab_size >= 2, "corpus.planted.vocab_size",
+                      ">= 2", self.vocab_size)
+        check_setting(2 <= self.template_len <= self.vocab_size,
+                      "corpus.planted.template_len",
+                      f"in [2, vocab_size = {self.vocab_size}]", self.template_len)
+        check_setting(0 <= self.coverage <= 1,  # false for NaN
+                      "corpus.planted.coverage", "in [0, 1]", self.coverage)
+        check_setting(0.5 < self.rho <= 1, "corpus.planted.rho", "in (0.5, 1]", self.rho)
 
 
 def corpus_symbols(vocab_size: int) -> list[str]:

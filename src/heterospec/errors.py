@@ -15,6 +15,12 @@ class ConfigError(HeteroSpecError):
     """Invalid configuration, hyperparameter, or input precondition."""
 
 
+def check_setting(ok: bool, key: str, want: str, value) -> None:
+    """Unless ``ok``, refuse the setting at JSON ``key``, naming its value."""
+    if not ok:
+        raise ConfigError(f"{key} must be {want}, got {value}")
+
+
 class CalibrationError(HeteroSpecError):
     """Calibration produced no usable samples (carries diagnostic counts)."""
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import NamedTuple, get_type_hints
 
-from .errors import ConfigError, utf8_errors
+from .errors import ConfigError, check_setting, utf8_errors
 
 ITERATIONS_SCHEMA = "# heterospec-iterations v1"
 SUMMARY_SCHEMA = "# heterospec-summary v1"
@@ -51,11 +51,12 @@ class CostModel:
     c_draft: float = 0.02  # per draft layer
 
     def __post_init__(self):
-        # a chained comparison is false for NaN
-        if not (0 < self.c_call < math.inf and 0 <= self.c_tok < math.inf
-                and 0 <= self.c_draft < math.inf):
-            raise ConfigError("costs must be finite and non-negative with "
-                              f"c_call > 0, got {self}")
+        check_setting(0 < self.c_call < math.inf,  # false for NaN
+                      "cost.c_call", "finite and > 0", self.c_call)
+        for key in ("c_tok", "c_draft"):
+            value = getattr(self, key)
+            check_setting(0 <= value < math.inf, f"cost.{key}",
+                          "finite and >= 0", value)
 
     def run_cost(self, records: list[IterationRecord]) -> float:
         return sum(self.c_call + self.c_tok * r.tree_size

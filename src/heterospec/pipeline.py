@@ -157,21 +157,18 @@ def load_pipeline_bins(config: ExperimentConfig) -> BinningModel:
     return bins
 
 
-def step_compare(config: ExperimentConfig,
-                 alphas: list[int] | None = None) -> tuple[str, ComparisonResult]:
-    """Run baseline and adaptive arms on the eval prompts; returns the
-    compare CSV path and the in-memory result."""
+def step_compare(config: ExperimentConfig) -> tuple[str, ComparisonResult]:
+    """Run the baseline and the adaptive arm at ``controller.alpha`` on the
+    eval prompts, write both traces and the two-row compare CSV; returns
+    the compare CSV path and the in-memory result."""
     target, draft = load_models(config)
     bins = load_pipeline_bins(config)
     prompts = _prompt_split(config, target, "eval")
     _prepare_out_dir(config)
     result = run_comparison(target, draft, prompts, config.controller, bins,
-                            cost_model=config.cost, alphas=alphas)
-    write_iterations_csv(_path(config, "baseline-iterations.csv"),
-                         result.baseline.records)
-    for arm in result.adaptive:
-        suffix = f"-a{arm.alpha}" if len(result.adaptive) > 1 else ""
-        write_iterations_csv(_path(config, f"adaptive{suffix}-iterations.csv"),
+                            cost_model=config.cost)
+    for arm in (result.baseline, result.adaptive):
+        write_iterations_csv(_path(config, f"{arm.name}-iterations.csv"),
                              arm.records)
     out = _path(config, COMPARE_CSV)
     write_summary_csv(out, result.rows())
@@ -190,8 +187,7 @@ def step_report(config: ExperimentConfig, arm: str = "baseline") -> list[str]:
     trace = _path(config, f"{arm}-iterations.csv")
     if not os.path.exists(trace):
         raise ConfigError(f"{trace}: iteration trace not found, run compare "
-                          "first (a sweep over several alphas names its "
-                          "traces adaptive-a<alpha>-iterations.csv)")
+                          "first")
     records = read_iterations_csv(trace)
     if not records:
         raise ConfigError(f"{trace}: iteration trace is empty")

@@ -66,11 +66,17 @@ class Lab:
     draft: object
     prompts: list[tuple[int, ...]]
     bins: BinningModel
-    comp: object  # ComparisonResult over alphas
+    comps: dict  # alpha -> ComparisonResult of one compare at that alpha
     build_seconds: float
 
 
-def _finish_lab(cfg: ExperimentConfig, comp, t0: float) -> Lab:
+def _compare_at(cfg: ExperimentConfig, alpha: int):
+    _, comp = step_compare(dataclasses.replace(
+        cfg, controller=dataclasses.replace(cfg.controller, alpha=alpha)))
+    return comp
+
+
+def _finish_lab(cfg: ExperimentConfig, comps: dict, t0: float) -> Lab:
     target, draft = load_models(cfg)
     docs = read_corpus(os.path.join(cfg.out_dir, "corpus.txt"))
     _, _, eval_docs = split_docs(docs, cfg.prompts.calibration_count,
@@ -78,14 +84,15 @@ def _finish_lab(cfg: ExperimentConfig, comp, t0: float) -> Lab:
     prompts = prompts_from(encode_corpus(eval_docs, target.vocab),
                            cfg.prompts.prompt_tokens)
     return Lab(cfg=cfg, target=target, draft=draft, prompts=prompts,
-               bins=load_pipeline_bins(cfg), comp=comp,
+               bins=load_pipeline_bins(cfg), comps=comps,
                build_seconds=time.monotonic() - t0)
 
 
 @pytest.fixture(scope="module")
 def planted_lab(tmp_path_factory) -> Lab:
     """Default experiment: 96-doc planted corpus (coverage 0.72, rho 0.97),
-    order-3 target with an order-2 perturbed draft, alpha sweep 2/3/4."""
+    order-3 target with an order-2 perturbed draft, one compare at each
+    alpha of 2, 3 and 4."""
     t0 = time.monotonic()
     cfg = dataclasses.replace(
         ExperimentConfig(),
@@ -93,8 +100,7 @@ def planted_lab(tmp_path_factory) -> Lab:
     step_gen_corpus(cfg)
     step_train_model(cfg)
     step_calibrate(cfg)
-    _, comp = step_compare(cfg, alphas=[2, 3, 4])
-    return _finish_lab(cfg, comp, t0)
+    return _finish_lab(cfg, {a: _compare_at(cfg, a) for a in (2, 3, 4)}, t0)
 
 
 @pytest.fixture(scope="module")
@@ -110,8 +116,7 @@ def uniform_lab(tmp_path_factory, planted_lab: Lab) -> Lab:
     step_train_model(cfg)
     shutil.copyfile(os.path.join(planted_lab.cfg.out_dir, "bins.txt"),
                     os.path.join(cfg.out_dir, "bins.txt"))
-    _, comp = step_compare(cfg, alphas=[3])
-    return _finish_lab(cfg, comp, t0)
+    return _finish_lab(cfg, {3: _compare_at(cfg, 3)}, t0)
 
 
 # ------------------------------------------------------------ criterion 1
@@ -373,14 +378,16 @@ def test_criterion_07_planted_gains_uniform_unchanged(planted_lab: Lab,
     """On the planted corpus the adaptive arm wins on calls, verified
     tokens, and acceptance rate; on the structure-free control all three
     stay within 5% of baseline."""
-    base = planted_lab.comp.baseline.summary
-    (a3,) = [a for a in planted_lab.comp.adaptive if a.alpha == 3]
+    base = planted_lab.comps[3].baseline.summary
+    a3 = planted_lab.comps[3].adaptive
+    assert a3.alpha == 3
     assert a3.summary.calls < base.calls
     assert a3.summary.tokens < base.tokens
     assert a3.summary.tau > base.tau
 
-    ubase = uniform_lab.comp.baseline.summary
-    (ua3,) = uniform_lab.comp.adaptive
+    ubase = uniform_lab.comps[3].baseline.summary
+    ua3 = uniform_lab.comps[3].adaptive
+    assert ua3.alpha == 3
     for attr in ("calls", "tokens", "tau"):
         b = getattr(ubase, attr)
         a = getattr(ua3.summary, attr)
@@ -398,7 +405,7 @@ def test_criterion_08_rank_concentration(planted_lab: Lab):
     """Accepted paths terminate near the top of the value order: P75 of
     the terminal rank sits in the top quarter of the budget, and mean
     accepted length never increases across rank quartile bands."""
-    records = planted_lab.comp.baseline.records
+    records = planted_lab.comps[3].baseline.records
     budget = planted_lab.cfg.controller.top_n
     s = summarize(records)
     assert s.tcr_p75 is not None
@@ -414,7 +421,7 @@ def test_criterion_08_rank_concentration(planted_lab: Lab):
 def test_criterion_09_alpha_sweep_monotone(planted_lab: Lab):
     """Deeper low-entropy extension pays off monotonically: tau strictly
     increases and call count never increases across alpha 2, 3, 4."""
-    arms = sorted(planted_lab.comp.adaptive, key=lambda a: a.alpha)
+    arms = [planted_lab.comps[a].adaptive for a in sorted(planted_lab.comps)]
     assert [a.alpha for a in arms] == [2, 3, 4]
     taus = [a.summary.tau for a in arms]
     calls = [a.summary.calls for a in arms]
@@ -432,9 +439,9 @@ def test_criterion_10_accounting_invariants(planted_lab: Lab,
     exactly when only calls carry cost."""
     expected = (planted_lab.cfg.prompts.count
                 * planted_lab.cfg.controller.max_new_tokens)
-    arms = [planted_lab.comp.baseline, *planted_lab.comp.adaptive,
-            uniform_lab.comp.baseline, *uniform_lab.comp.adaptive]
-    assert len(arms) == 6
+    comps = [*planted_lab.comps.values(), *uniform_lab.comps.values()]
+    arms = [arm for comp in comps for arm in (comp.baseline, comp.adaptive)]
+    assert len(arms) == 8
     for arm in arms:
         assert validate_run(arm.records, expected_emitted=expected) == []
         s = arm.summary

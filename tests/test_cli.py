@@ -58,19 +58,20 @@ def test_seed_and_out_overrides_are_snapshotted(tmp_path, capsys):
     assert snap.out_dir == out
 
 
-def test_compare_sweep_output(cli_lab, capsys):
+def test_compare_output(cli_lab, capsys):
     base, out = cli_lab
-    assert main(["compare", *base, "--alpha-sweep", "1,2"]) == 0
+    assert main(["compare", *base]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == os.path.join(out, "compare.csv")
     arm_re = re.compile(r"^(baseline|adaptive) alpha=(-|\d+) calls=\d+ "
                         r"tokens=\d+ tau=\d+\.\d{4} speedup=\d+\.\d{4}$")
-    assert len(lines) == 4
+    assert len(lines) == 3
     assert all(arm_re.match(line) for line in lines[1:])
-    assert lines[1].startswith("baseline alpha=-")
-    assert lines[2].startswith("adaptive alpha=1")
-    assert os.path.exists(os.path.join(out, "adaptive-a1-iterations.csv"))
-    assert os.path.exists(os.path.join(out, "adaptive-a2-iterations.csv"))
+    assert lines[1].startswith("baseline alpha=- ")
+    assert lines[2].startswith("adaptive alpha=2 ")  # resolved from depth 4
+    traces = sorted(name for name in os.listdir(out)
+                    if name.endswith("-iterations.csv"))
+    assert traces == ["adaptive-iterations.csv", "baseline-iterations.csv"]
 
 
 def test_report_writes_tables_then_digest(cli_lab, capsys):
@@ -107,14 +108,6 @@ def test_exit_2_on_missing_prerequisite(tmp_path, capsys):
     assert "train-model first" in err
 
 
-def test_exit_2_on_bad_alpha_sweep(capsys):
-    assert main(["compare", "--alpha-sweep", "2,x"]) == 2
-    err = _one_error_line(capsys.readouterr())
-    assert "comma-separated integers" in err
-    assert main(["compare", "--alpha-sweep", ","]) == 2
-    capsys.readouterr()
-
-
 def test_exit_2_on_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text('{"sneed": 1}', encoding="utf-8")
@@ -145,7 +138,8 @@ def test_exit_2_on_non_integer_setting(tmp_path, capsys, section, field, value):
     cfg.write_text(json.dumps(dict(
         TINY_CONFIG, **{section: dict(TINY_CONFIG[section], **{field: value})})),
         encoding="utf-8")
-    want = (f"low_bins must be a list of non-negative integers, got {value!r}"
+    want = (f"controller.low_bins must be a list of non-negative integers, "
+            f"got {value!r}"
             if field == "low_bins" else
             f"{cfg}.{section}.{field}: expected an integer, got {value!r}")
     out = str(tmp_path / "run")
@@ -204,19 +198,20 @@ def test_gen_corpus_exits_2_on_out_of_range_setting(tmp_path, capsys, section,
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("cost", [
-    {"c_call": 0, "c_tok": 0, "c_draft": 0}, {"c_call": -1},
-    {"c_tok": -0.05}], ids=["all-zero", "negative-call", "negative-tok"])
-def test_exit_2_on_unpriced_or_negative_costs(tmp_path, capsys, cost):
+@pytest.mark.parametrize("cost,want", [
+    ({"c_call": 0, "c_tok": 0, "c_draft": 0},
+     "cost.c_call must be finite and > 0, got 0"),
+    ({"c_call": -1}, "cost.c_call must be finite and > 0, got -1"),
+    ({"c_tok": -0.05}, "cost.c_tok must be finite and >= 0, got -0.05"),
+], ids=["all-zero", "negative-call", "negative-tok"])
+def test_exit_2_on_unpriced_or_negative_costs(tmp_path, capsys, cost, want):
     # all-zero costs used to divide by zero in summarize, a negative c_call
     # to print a negative speedup with exit 0
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(dict(TINY_CONFIG, cost=cost)), encoding="utf-8")
     out = str(tmp_path / "run")
     assert main(["compare", "--config", str(cfg), "--out", out]) == 2
-    err = _one_error_line(capsys.readouterr())
-    assert err.startswith("heterospec: config: costs must be finite and "
-                          "non-negative with c_call > 0, got CostModel(")
+    assert _one_error_line(capsys.readouterr()) == f"heterospec: config: {want}\n"
     assert not os.path.exists(out)
 
 
@@ -483,7 +478,7 @@ def test_exit_4_on_corrupt_bins(tmp_path, capsys):
 
 
 def test_exit_5_on_arm_divergence(monkeypatch, capsys):
-    def boom(config, alphas=None):
+    def boom(config):
         raise OutputMismatchError("prompt 0: adaptive arm diverged")
 
     monkeypatch.setattr("heterospec.cli.step_compare", boom)
@@ -503,9 +498,10 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
-    # one arm decodes only as part of compare; report always writes its tables
+    # one arm decodes only as part of compare, which decodes one adaptive
+    # arm; report always writes its tables
     for argv in (["run"], ["compare", "--mode", "baseline"],
-                 ["report", "--digest-only"]):
+                 ["compare", "--alpha-sweep", "2"], ["report", "--digest-only"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -81,18 +81,24 @@ def test_negative_seed_is_refused():
         assert str(exc.value) == "seed must be non-negative, got -1"
 
 
-@pytest.mark.parametrize("cost", [
-    {"c_call": 0, "c_tok": 0, "c_draft": 0}, {"c_call": 0.0}, {"c_call": -1},
-    {"c_tok": -0.05}, {"c_draft": -1e-9}, {"c_call": math.inf},
-    {"c_tok": math.nan}, {"c_draft": -math.inf},
+@pytest.mark.parametrize("cost,want", [
+    ({"c_call": 0, "c_tok": 0, "c_draft": 0},
+     "cost.c_call must be finite and > 0, got 0"),
+    ({"c_call": 0.0}, "cost.c_call must be finite and > 0, got 0.0"),
+    ({"c_call": -1}, "cost.c_call must be finite and > 0, got -1"),
+    ({"c_tok": -0.05}, "cost.c_tok must be finite and >= 0, got -0.05"),
+    ({"c_draft": -1e-9}, "cost.c_draft must be finite and >= 0, got -1e-09"),
+    ({"c_call": math.inf}, "cost.c_call must be finite and > 0, got inf"),
+    ({"c_tok": math.nan}, "cost.c_tok must be finite and >= 0, got nan"),
+    ({"c_draft": -math.inf}, "cost.c_draft must be finite and >= 0, got -inf"),
 ], ids=["all-zero", "zero-call", "negative-call", "negative-tok",
         "negative-draft", "inf-call", "nan-tok", "minus-inf-draft"])
-def test_costs_must_be_finite_and_non_negative_with_a_paid_call(cost):
+def test_costs_must_be_finite_and_non_negative_with_a_paid_call(cost, want):
     # a free call divides by zero in summarize; a negative one flips the
     # speedup's sign
-    with pytest.raises(ConfigError, match="costs must be finite and "
-                       "non-negative with c_call > 0"):
+    with pytest.raises(ConfigError) as exc:
         config_from_dict({"cost": cost})
+    assert str(exc.value) == want
 
 
 def test_free_tokens_and_draft_layers_are_allowed():
@@ -147,6 +153,31 @@ OUT_OF_RANGE = [
     ({"prompts": {"prompt_tokens": 0}}, "prompts.prompt_tokens must be >= 1, got 0"),
     ({"prompts": {"calibration_count": -1}},
      "prompts.calibration_count must be >= 1, got -1"),
+    ({"corpus": {"planted": {"num_docs": 0}}},
+     "corpus.planted.num_docs must be >= 1, got 0"),
+    ({"corpus": {"planted": {"doc_len": 0}}},
+     "corpus.planted.doc_len must be >= 1, got 0"),
+    ({"corpus": {"planted": {"num_templates": 0}}},
+     "corpus.planted.num_templates must be >= 1, got 0"),
+    ({"corpus": {"planted": {"template_len": 28}}},
+     "corpus.planted.template_len must be in [2, vocab_size = 27], got 28"),
+    ({"corpus": {"planted": {"coverage": 2}}},
+     "corpus.planted.coverage must be in [0, 1], got 2"),
+    ({"corpus": {"planted": {"rho": 0.5}}},
+     "corpus.planted.rho must be in (0.5, 1], got 0.5"),
+    ({"corpus": {"planted": {"vocab_size": 1, "template_len": 2}}},
+     "corpus.planted.vocab_size must be >= 2, got 1"),
+    ({"controller": {"depth": 0}}, "controller.depth must be >= 1, got 0"),
+    ({"controller": {"top_k": 0}}, "controller.top_k must be >= 1, got 0"),
+    ({"controller": {"top_n": 0}}, "controller.top_n must be >= 1, got 0"),
+    ({"controller": {"max_new_tokens": 0}},
+     "controller.max_new_tokens must be >= 1, got 0"),
+    ({"controller": {"alpha": -1}}, "controller.alpha must be >= 0, got -1"),
+    ({"controller": {"low_bins": [-1]}},
+     "controller.low_bins must be a list of non-negative integers, got (-1,)"),
+    ({"cost": {"c_call": 0}}, "cost.c_call must be finite and > 0, got 0"),
+    ({"cost": {"c_tok": -1}}, "cost.c_tok must be finite and >= 0, got -1"),
+    ({"cost": {"c_draft": -1}}, "cost.c_draft must be finite and >= 0, got -1"),
 ]
 
 

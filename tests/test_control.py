@@ -230,14 +230,16 @@ def test_run_comparison_rows_and_agreement():
     model, tpl = chain_template_model(rho=0.99)
     draft = PerturbedDraftModel(model, noise=0.02)
     bins = flat_bins(0.5, 1.0, 1.5)
-    cfg = HeteroConfig(depth=4, top_k=2, top_n=12, max_new_tokens=24)
-    comp = run_comparison(model, draft, [tpl[:5], tpl[:7]], cfg, bins,
-                          alphas=[1, 2])
-    rows = comp.rows()
-    assert [(name, alpha) for name, alpha, _ in rows] == \
-        [("baseline", None), ("adaptive", 1), ("adaptive", 2)]
-    for arm in comp.adaptive:
-        assert arm.outputs == comp.baseline.outputs
+    for alpha in (None, 1, 2):
+        cfg = HeteroConfig(depth=4, top_k=2, top_n=12, alpha=alpha,
+                           max_new_tokens=24)
+        comp = run_comparison(model, draft, [tpl[:5], tpl[:7]], cfg, bins)
+        rows = comp.rows()
+        assert [(name, a) for name, a, _ in rows] == \
+            [("baseline", None), ("adaptive", cfg.resolved().alpha)]
+        assert [s for _, _, s in rows] == [comp.baseline.summary,
+                                           comp.adaptive.summary]
+        assert comp.adaptive.outputs == comp.baseline.outputs
 
 
 class _CountingDraft(LanguageModel):
@@ -284,7 +286,7 @@ def test_run_comparison_detects_output_divergence():
     cfg = HeteroConfig(depth=1, top_k=1, top_n=4, alpha=2, low_bins=(0,),
                        max_new_tokens=4)
     with pytest.raises(OutputMismatchError, match="alpha=2"):
-        run_comparison(target, draft, [(0,)], cfg, flat_bins(), alphas=[2])
+        run_comparison(target, draft, [(0,)], cfg, flat_bins())
 
 
 # ------------------------------------------------------------ draft memo

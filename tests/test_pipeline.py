@@ -32,15 +32,23 @@ def _cfg(out_dir, **overrides):
     return dataclasses.replace(cfg, out_dir=str(out_dir))
 
 
+def _at_alpha(cfg, alpha):
+    return dataclasses.replace(
+        cfg, controller=dataclasses.replace(cfg.controller, alpha=alpha))
+
+
 @pytest.fixture(scope="module")
 def lab(tmp_path_factory):
-    """Full pipeline over the tiny config, shared by the read-only tests."""
+    """Full pipeline over the tiny config, shared by the read-only tests;
+    its second compare, at alpha 1, replaces every artifact of the first,
+    at the default alpha 2."""
     cfg = _cfg(tmp_path_factory.mktemp("tiny") / "run")
     step_gen_corpus(cfg)
     step_train_model(cfg)
     step_calibrate(cfg)
-    step_compare(cfg)  # the adaptive-iterations.csv that report reads
-    step_compare(cfg, alphas=[1, 2])
+    step_compare(cfg)
+    cfg = _at_alpha(cfg, 1)
+    step_compare(cfg)
     step_report(cfg, "baseline")
     step_report(cfg, "adaptive")
     return cfg
@@ -52,7 +60,6 @@ def test_artifact_layout(lab):
         "config.json", "corpus.txt", "template.txt", "model.txt",
         "bins.txt", "calibration.csv",
         "baseline-iterations.csv", "adaptive-iterations.csv",
-        "adaptive-a1-iterations.csv", "adaptive-a2-iterations.csv",
         "compare.csv", "baseline-tcr-histogram.csv",
         "baseline-tcr-by-accepted.csv", "baseline-bin-occupancy.csv",
         "adaptive-tcr-histogram.csv", "adaptive-tcr-by-accepted.csv",
@@ -61,6 +68,9 @@ def test_artifact_layout(lab):
     for name in expected:
         assert os.path.exists(os.path.join(cfg.out_dir, name)), name
     assert not os.path.exists(os.path.join(cfg.out_dir, "draft-model.txt"))
+    traces = sorted(name for name in os.listdir(cfg.out_dir)
+                    if name.endswith("-iterations.csv"))
+    assert traces == ["adaptive-iterations.csv", "baseline-iterations.csv"]
     assert load_config(os.path.join(cfg.out_dir, "config.json")) == cfg
 
 
@@ -109,7 +119,7 @@ def test_bins_without_tree_shape_metadata_load(tmp_path):
 
 def test_traces_account_for_all_tokens(lab):
     cfg = lab
-    for arm in ("baseline", "adaptive", "adaptive-a1", "adaptive-a2"):
+    for arm in ("baseline", "adaptive"):
         records = read_iterations_csv(
             os.path.join(cfg.out_dir, f"{arm}-iterations.csv"))
         assert validate_run(records, expected_emitted=3 * 60) == []
@@ -119,8 +129,8 @@ def test_compare_rows(lab):
     cfg = lab
     rows = read_summary_csv(os.path.join(cfg.out_dir, "compare.csv"))
     assert [(r["arm"], r["alpha"]) for r in rows] == \
-        [("baseline", "-"), ("adaptive", "1"), ("adaptive", "2")]
-    for row, arm in zip(rows, ("baseline", "adaptive-a1", "adaptive-a2")):
+        [("baseline", "-"), ("adaptive", "1")]
+    for row, arm in zip(rows, ("baseline", "adaptive")):
         records = read_iterations_csv(
             os.path.join(cfg.out_dir, f"{arm}-iterations.csv"))
         assert int(row["emitted"]) == 180
@@ -274,7 +284,7 @@ def test_calibrate_and_compare_parse_the_model_once(tmp_path, model_parses):
     step_train_model(cfg)
     step_calibrate(cfg)
     step_compare(cfg)
-    step_compare(cfg, alphas=[1, 2])
+    step_compare(_at_alpha(cfg, 1))
     assert model_parses == [os.path.join(cfg.out_dir, "model.txt")]
 
 
@@ -319,9 +329,8 @@ def test_missing_prerequisites_fail_with_hints(tmp_path):
 def test_report_requires_trace(tmp_path):
     cfg = _cfg(tmp_path / "fresh")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    with pytest.raises(ConfigError, match="run compare first .a sweep over "
-                       "several alphas names its traces "
-                       "adaptive-a<alpha>-iterations.csv.$"):
+    with pytest.raises(ConfigError, match="adaptive-iterations.csv: iteration "
+                       "trace not found, run compare first$"):
         step_report(cfg, "adaptive")
     with pytest.raises(ConfigError, match="arm must be one of"):
         step_report(cfg, "greedy")

@@ -20,23 +20,42 @@ EXPECTED_LINES = {
     "run_planted_comparison.py": [
         "baseline alpha=- calls=907 tokens=16326 tau=5.2922 speedup=2.7784",
         "adaptive alpha=3 calls=705 tokens=12394 tau=6.8085 speedup=3.5587"],
-    "run_alpha_sweep.py": [],
+    "run_alpha_sweep.py": [
+        "baseline       -     907    16326   5.2922   2.7784        -",
+        "adaptive       3     705    12394   6.8085   3.5587  +28.65%"],
     "run_uniform_control.py": ["  delta calls: +0.00%"],
 }
 
 
-@pytest.mark.parametrize("name", sorted(EXPECTED_LINES))
-def test_script_runs_and_prints_its_result(tmp_path, name):
+def _run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src"), *filter(None, [env.get("PYTHONPATH")])])
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", name), "--out", str(tmp_path)],
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
         capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_LINES))
+def test_script_runs_and_prints_its_result(tmp_path, name):
+    proc = _run_script(name, "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     for line in EXPECTED_LINES[name]:
         assert line in lines
+
+
+@pytest.mark.parametrize("alphas", ["2,x", ",", "-1", "2,-3"],
+                         ids=["not-integer", "empty", "negative", "one-negative"])
+def test_alpha_sweep_refuses_bad_alphas_before_any_step(tmp_path, alphas):
+    out = tmp_path / "run"
+    proc = _run_script("run_alpha_sweep.py", "--out", str(out),
+                       f"--alphas={alphas}")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].startswith(
+        "run_alpha_sweep.py: error: argument --alphas: expected ")
+    assert not out.exists()
 
 
 def _quick_start_commands() -> list[list[str]]:
