@@ -21,15 +21,15 @@ from heterospec.pipeline import (
 
 
 def parse_alphas(text: str) -> list[int]:
-    """Comma-separated non-negative integers, at least one."""
+    """Comma-separated distinct non-negative integers, at least one."""
     try:
         alphas = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
-    if not alphas or min(alphas) < 0:
+    if not alphas or min(alphas) < 0 or len(set(alphas)) < len(alphas):
         raise argparse.ArgumentTypeError(
-            f"expected one or more alphas >= 0, got {text!r}")
+            f"expected one or more distinct alphas >= 0, got {text!r}")
     return alphas
 
 

@@ -73,12 +73,10 @@ def collect_calibration(records, base_depth: int,
 
     The default keeps only iterations whose accepted length equals the
     base draft depth; "accepting" keeps any iteration that accepted at
-    least one draft token, "all" keeps everything. Raises
-    CalibrationError with diagnostic counts when nothing survives.
+    least one draft token, "all" keeps everything; ``CalibrationSpec``
+    checks that the filter is one of these. Raises CalibrationError with
+    diagnostic counts when nothing survives.
     """
-    if filter not in CALIBRATION_FILTERS:
-        raise ConfigError(f"unknown calibration filter {filter!r}; "
-                          f"expected one of {CALIBRATION_FILTERS}")
     total = accepting = full = 0
     samples: list[CalibrationSample] = []
     for rec in records:

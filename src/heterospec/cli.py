@@ -1,9 +1,11 @@
-"""Command-line harness.
+"""Command-line harness, the one way to run the default experiment.
 
 Subcommands mirror the pipeline stages: gen-corpus, train-model,
-calibrate, compare, report. Every subcommand accepts --config (JSON
-experiment file), --seed and --out overrides. compare decodes two arms,
-the baseline and the adaptive one at ``controller.alpha``.
+calibrate, compare, report; the README's Quick start runs them in order.
+Every subcommand accepts --config (JSON experiment file), --seed and --out
+overrides, and every setting is checked once, when the config is built.
+compare decodes two arms, the baseline and the adaptive one at
+``controller.alpha``, which a config file sets.
 
 Exit codes, one distinct status per failure class:
 
@@ -18,7 +20,8 @@ Failures print exactly one line to stderr of the form
 ``heterospec: <kind>: <message>``. Bins that hold none of the low bins,
 say a fit of one bin, are not a failure, but leave the adaptive arm
 nothing to adapt: calibrate and compare then exit 0 and print one
-``heterospec: note: <message>`` line to stderr.
+``heterospec: note: <message>`` line to stderr, judged on the bins the
+step fitted or loaded.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ import argparse
 import sys
 from dataclasses import replace
 
+from .binning import BinningModel
 from .config import ExperimentConfig, load_config
 from .errors import (BinsFileError, CalibrationError, ConfigError,
                      HeteroSpecError, OutputMismatchError)
-from .pipeline import (load_pipeline_bins, render_report, step_calibrate,
+from .pipeline import (REPORT_ARMS, render_report, step_calibrate,
                        step_compare, step_gen_corpus, step_report,
                        step_train_model)
 
@@ -63,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         if name == "report":
-            p.add_argument("--arm", choices=("baseline", "adaptive"),
+            p.add_argument("--arm", choices=REPORT_ARMS,
                            default="baseline",
                            help="which iteration trace feeds the tables")
     return parser
@@ -78,8 +82,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def _note_no_low_bin(config: ExperimentConfig) -> None:
-    bins = load_pipeline_bins(config)
+def _note_no_low_bin(config: ExperimentConfig, bins: BinningModel) -> None:
     if not any(b in range(bins.num_bins) for b in config.controller.low_bins_for(bins)):
         print(f"heterospec: note: no low bin is among bins 0..{bins.num_bins - 1},"
               " so the adaptive arm equals the baseline", file=sys.stderr)
@@ -92,8 +95,9 @@ def _dispatch(args: argparse.Namespace) -> None:
     elif args.command == "train-model":
         print(step_train_model(config))
     elif args.command == "calibrate":
-        print(step_calibrate(config))
-        _note_no_low_bin(config)
+        out, bins = step_calibrate(config)
+        print(out)
+        _note_no_low_bin(config, bins)
     elif args.command == "compare":
         out, result = step_compare(config)
         print(out)
@@ -102,7 +106,7 @@ def _dispatch(args: argparse.Namespace) -> None:
             print(f"{name} alpha={alpha_str} calls={summary.calls} "
                   f"tokens={summary.tokens} tau={summary.tau:.4f} "
                   f"speedup={summary.speedup:.4f}")
-        _note_no_low_bin(config)
+        _note_no_low_bin(config, result.bins)
     elif args.command == "report":
         # the digest is rendered first, so a failing report prints nothing
         # and writes no table

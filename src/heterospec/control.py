@@ -247,6 +247,7 @@ def run_arm(name: str, decode, target_model: LanguageModel,
 class ComparisonResult:
     baseline: ArmResult
     adaptive: ArmResult
+    bins: BinningModel  # the bins both arms were decoded with
 
     def rows(self) -> list[tuple[str, int | None, RunSummary]]:
         return [(self.baseline.name, None, self.baseline.summary),
@@ -268,4 +269,4 @@ def run_comparison(target_model: LanguageModel, draft_model: LanguageModel,
             raise OutputMismatchError(
                 f"prompt {i}: adaptive arm (alpha={adaptive.alpha}) diverged "
                 f"from baseline output")
-    return ComparisonResult(baseline=baseline, adaptive=adaptive)
+    return ComparisonResult(baseline=baseline, adaptive=adaptive, bins=bins)

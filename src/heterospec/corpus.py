@@ -113,8 +113,6 @@ def split_docs(docs: list, calibration_count: int,
     """Split documents into (train, calibration, eval) tails; training gets
     whatever precedes the two held-out slices."""
     held = calibration_count + eval_count
-    if calibration_count < 1 or eval_count < 1:
-        raise ConfigError("calibration and eval splits must each hold >= 1 doc")
     if len(docs) <= held:
         raise ConfigError(f"corpus has {len(docs)} docs, need more than {held} "
                           "to leave a training split")
@@ -125,8 +123,6 @@ def split_docs(docs: list, calibration_count: int,
 
 def prompts_from(encoded_docs: list[list[int]],
                  prompt_tokens: int) -> list[tuple[int, ...]]:
-    if prompt_tokens < 1:
-        raise ConfigError("prompt_tokens must be >= 1")
     prompts = []
     for i, doc in enumerate(encoded_docs):
         if len(doc) < prompt_tokens:

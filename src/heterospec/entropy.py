@@ -29,8 +29,6 @@ def topk_step_entropy(dist: ProbDist, k: int) -> float:
     k = 1 always gives exactly 0.0. Zero probabilities inside the slice
     contribute nothing.
     """
-    if k < 1:
-        raise ConfigError(f"entropy k must be >= 1, got {k}")
     arr = np.asarray(dist, dtype=np.float64)
     v = arr.shape[0]
     if k < v:

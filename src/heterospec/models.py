@@ -145,8 +145,6 @@ class NGramModel(LanguageModel):
     def lower_order(self, order: int) -> NGramModel:
         """The model over the first ``order`` count tables, as ``train_ngram``
         gives it at that order; this model itself at its own order."""
-        if not 1 <= order <= self.order:
-            raise ConfigError(f"order must be in [1, {self.order}], got {order}")
         if order == self.order:
             return self
         return NGramModel(self.vocab, order, self.smoothing, self._counts[:order])
@@ -194,8 +192,8 @@ def train_ngram(corpus: list[str], vocab: Vocabulary, order: int,
 def perturb(dist: ProbDist, noise: float) -> ProbDist:
     """Mix in uniform noise: normalize((1-noise) * softmax(log dist) +
     noise * uniform). noise=0 is an exact identity, returned without any
-    float round-trip. Expects noise in [0, 1], which
-    ``PerturbedDraftModel`` checks."""
+    float round-trip. Expects noise in [0, 1], which ``DraftSpec``
+    checks."""
     if noise == 0.0:
         return dist.copy()
     v = dist.shape[0]
@@ -214,8 +212,6 @@ class PerturbedDraftModel(LanguageModel):
     simulating draft/target mismatch."""
 
     def __init__(self, base: LanguageModel, noise: float = 0.0):
-        if not (0.0 <= noise <= 1.0):
-            raise ConfigError(f"noise weight must be in [0, 1], got {noise}")
         super().__init__()
         self.base = base
         self.vocab = base.vocab

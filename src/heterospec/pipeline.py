@@ -120,10 +120,10 @@ def _prompt_split(config: ExperimentConfig, target: NGramModel,
     return prompts_from(encoded, config.prompts.prompt_tokens)
 
 
-def step_calibrate(config: ExperimentConfig) -> str:
+def step_calibrate(config: ExperimentConfig) -> tuple[str, BinningModel]:
     """Run the static baseline on calibration prompts, fit entropy bins,
-    write bins.txt plus the calibration trace; returns the bins path.
-    Nothing is written until the fit succeeds."""
+    write bins.txt plus the calibration trace; returns the bins path and
+    the fitted bins. Nothing is written until the fit succeeds."""
     target, draft = load_models(config)
     prompts = _prompt_split(config, target, "calibration")
     arm = run_arm("calibration", decode_baseline, target, draft, prompts,
@@ -137,7 +137,7 @@ def step_calibrate(config: ExperimentConfig) -> str:
     write_iterations_csv(_path(config, CALIBRATION_CSV), arm.records)
     out = _path(config, BINS_FILE)
     save_bins(bins, out)
-    return out
+    return out, bins
 
 
 def load_pipeline_bins(config: ExperimentConfig) -> BinningModel:

@@ -31,7 +31,6 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
 from .models import LanguageModel, ProbDist
 from .vocab import Context
 
@@ -55,8 +54,6 @@ class DraftTree:
     nodes of the one above."""
 
     def __init__(self, context: Context, top_k: int):
-        if top_k < 1:
-            raise ConfigError(f"top_k must be >= 1, got {top_k}")
         self.context = tuple(context)
         self.top_k = top_k
         self.depth_limit = 0
@@ -127,8 +124,6 @@ def _grow_layers(tree: DraftTree, draft_model: LanguageModel, layers: int) -> No
 def expand(draft_model: LanguageModel, context: Context, depth: int,
            top_k: int) -> DraftTree:
     """Build the expansion-phase tree down to ``depth`` layers."""
-    if depth < 1:
-        raise ConfigError(f"tree depth must be >= 1, got {depth}")
     tree = DraftTree(context, top_k)
     _grow_layers(tree, draft_model, depth)
     return tree
@@ -138,8 +133,6 @@ def extend(tree: DraftTree, draft_model: LanguageModel,
            extra_layers: int) -> DraftTree:
     """Deepen an existing tree in place; equivalent to having expanded to
     depth + extra_layers in the first place."""
-    if extra_layers < 1:
-        raise ConfigError(f"extra_layers must be >= 1, got {extra_layers}")
     _grow_layers(tree, draft_model, extra_layers)
     return tree
 
@@ -162,6 +155,4 @@ class RerankedTree:
 
 def rerank(tree: DraftTree, budget: int) -> RerankedTree:
     """Select the ``budget`` highest-value nodes of the tree."""
-    if budget < 1:
-        raise ConfigError(f"rerank budget must be >= 1, got {budget}")
     return RerankedTree(sorted(tree.nodes)[:budget])

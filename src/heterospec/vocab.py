@@ -48,11 +48,7 @@ class Vocabulary:
 
 
 def split_symbols(text: str, mode: str) -> list[str]:
-    if mode == "char":
-        return list(text)
-    if mode == "word":
-        return text.split()
-    raise ConfigError(f"unknown tokenization mode: {mode!r}")
+    return list(text) if mode == "char" else text.split()
 
 
 def build_vocab(corpus: list[str], mode: str = "char") -> Vocabulary:

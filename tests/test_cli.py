@@ -10,10 +10,12 @@ import shutil
 import pytest
 
 from conftest import TINY_CONFIG
+from heterospec import pipeline
 from heterospec.binning import load_bins
 from heterospec.cli import main
 from heterospec.config import load_config
 from heterospec.errors import OutputMismatchError
+from heterospec.pipeline import REPORT_ARMS
 
 STDERR_RE = re.compile(
     r"^heterospec: (config|calibration|bins-format|verify-mismatch|io): .+\n$")
@@ -459,6 +461,30 @@ def test_low_bins_outside_the_fit_are_noted(tmp_path, capsys, cli_lab):
                             "the adaptive arm equals the baseline\n")
     baseline_calls, adaptive_calls = re.findall(r" calls=(\d+) ", captured.out)
     assert baseline_calls == adaptive_calls
+
+
+@pytest.mark.parametrize("command,parses", [("calibrate", 0), ("compare", 1)])
+def test_bins_are_parsed_at_most_once_per_command(cli_lab, capsys, monkeypatch,
+                                                  command, parses):
+    # the low-bin note reads the bins the step already holds
+    parsed, load = [], pipeline.load_bins
+
+    def counted(path):
+        parsed.append(path)
+        return load(path)
+
+    monkeypatch.setattr(pipeline, "load_bins", counted)
+    assert main([command, *cli_lab[0]]) == 0
+    assert len(parsed) == parses
+
+
+def test_report_arm_choices_are_the_pipeline_arms(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--arm", "uniform"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    choices = err[err.index("(choose from "):].rstrip()
+    assert choices == "(choose from " + ", ".join(map(repr, REPORT_ARMS)) + ")"
 
 
 def test_exit_4_on_corrupt_bins(tmp_path, capsys):

@@ -153,6 +153,8 @@ OUT_OF_RANGE = [
     ({"prompts": {"prompt_tokens": 0}}, "prompts.prompt_tokens must be >= 1, got 0"),
     ({"prompts": {"calibration_count": -1}},
      "prompts.calibration_count must be >= 1, got -1"),
+    ({"prompts": {"calibration_count": 0}},
+     "prompts.calibration_count must be >= 1, got 0"),
     ({"corpus": {"planted": {"num_docs": 0}}},
      "corpus.planted.num_docs must be >= 1, got 0"),
     ({"corpus": {"planted": {"doc_len": 0}}},

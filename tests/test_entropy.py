@@ -60,11 +60,6 @@ def test_zero_mass_slice_returns_zero():
     assert topk_step_entropy(np.zeros(4), 2) == 0.0
 
 
-def test_invalid_k_rejected():
-    with pytest.raises(ConfigError):
-        topk_step_entropy(np.asarray([1.0, 0.0]), 0)
-
-
 @given(prob_dists())
 def test_k1_always_zero(dist):
     assert topk_step_entropy(dist, 1) == 0.0

@@ -5,12 +5,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+import shutil
 
 import pytest
 
 from conftest import TINY_CONFIG
 from heterospec import models, pipeline
 from heterospec.config import ExperimentConfig, config_from_dict, load_config
+from heterospec.binning import save_bins
 from heterospec.errors import ConfigError
 from heterospec.metrics import read_iterations_csv, read_summary_csv, validate_run
 from heterospec.pipeline import (
@@ -286,6 +288,32 @@ def test_calibrate_and_compare_parse_the_model_once(tmp_path, model_parses):
     step_compare(cfg)
     step_compare(_at_alpha(cfg, 1))
     assert model_parses == [os.path.join(cfg.out_dir, "model.txt")]
+
+
+def test_calibrate_and_compare_hold_the_bins_of_bins_txt(tmp_path):
+    # the CLI's low-bin note reads these bins in place of bins.txt
+    cfg = _cfg(tmp_path / "run")
+    step_gen_corpus(cfg)
+    step_train_model(cfg)
+    path, fitted = step_calibrate(cfg)
+    assert path == os.path.join(cfg.out_dir, "bins.txt")
+    assert fitted == load_pipeline_bins(cfg)
+    _, result = step_compare(cfg)
+    assert result.bins == fitted
+
+
+def test_compare_holds_the_bins_it_decoded_with(lab, tmp_path):
+    # bins.txt is read, not refitted: a file edited after calibrate is
+    # what the comparison holds
+    out = tmp_path / "run"
+    shutil.copytree(lab.out_dir, out)
+    cfg = dataclasses.replace(lab, out_dir=str(out))
+    bins = load_pipeline_bins(cfg)
+    coarser = dataclasses.replace(bins, thresholds=bins.thresholds[:1],
+                                  means=bins.means[:2], counts=bins.counts[:2])
+    save_bins(coarser, os.path.join(cfg.out_dir, "bins.txt"))
+    _, result = step_compare(cfg)
+    assert result.bins == coarser != bins
 
 
 def test_train_model_releases_the_kept_parse(tmp_path):

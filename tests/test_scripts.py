@@ -1,9 +1,11 @@
-"""Smoke tests of the README's Quick start: its CLI lines run in order and
-each exits 0, and each packaged experiment runs end to end in its own
-process and prints what the README says it prints."""
+"""Smoke tests of the README's Quick start: its CLI lines run in order,
+each exits 0, and together they print the README's seed-0 result block;
+each packaged experiment runs end to end in its own process and prints
+what the README says it prints."""
 from __future__ import annotations
 
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -11,15 +13,13 @@ import sys
 import pytest
 
 from heterospec.cli import main
+from heterospec.config import load_config
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
 # lines each script must print; the uniform twin's delta is the only one
 # of +0.00%, since the planted run's calls fall
 EXPECTED_LINES = {
-    "run_planted_comparison.py": [
-        "baseline alpha=- calls=907 tokens=16326 tau=5.2922 speedup=2.7784",
-        "adaptive alpha=3 calls=705 tokens=12394 tau=6.8085 speedup=3.5587"],
     "run_alpha_sweep.py": [
         "baseline       -     907    16326   5.2922   2.7784        -",
         "adaptive       3     705    12394   6.8085   3.5587  +28.65%"],
@@ -45,8 +45,19 @@ def test_script_runs_and_prints_its_result(tmp_path, name):
         assert line in lines
 
 
-@pytest.mark.parametrize("alphas", ["2,x", ",", "-1", "2,-3"],
-                         ids=["not-integer", "empty", "negative", "one-negative"])
+def test_readme_alpha_config_file_sets_alpha(tmp_path):
+    # the README sets another alpha with a --config file, not a flag
+    echo, compare = _readme_block("Set another extension budget", "```sh")
+    text, target = re.fullmatch(r"echo '(.*)' > (\S+)", echo).groups()
+    assert shlex.split(compare)[-2:] == ["--config", target]
+    path = tmp_path / target
+    path.write_text(text, encoding="utf-8")
+    assert load_config(str(path)).controller.alpha == 2
+
+
+@pytest.mark.parametrize("alphas", ["2,x", ",", "-1", "2,-3", "3,3"],
+                         ids=["not-integer", "empty", "negative", "one-negative",
+                              "repeated"])
 def test_alpha_sweep_refuses_bad_alphas_before_any_step(tmp_path, alphas):
     out = tmp_path / "run"
     proc = _run_script("run_alpha_sweep.py", "--out", str(out),
@@ -58,19 +69,27 @@ def test_alpha_sweep_refuses_bad_alphas_before_any_step(tmp_path, alphas):
     assert not out.exists()
 
 
-def _quick_start_commands() -> list[list[str]]:
+def _readme_block(marker: str, fence: str) -> list[str]:
+    """Lines of the first ``fence`` code block of the README after
+    ``marker``."""
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         text = fh.read()
-    section = text[text.index("\n## Quick start\n"):]
-    start = section.index("```sh\n") + len("```sh\n")
-    lines = section[start:section.index("```", start)].splitlines()
-    return [shlex.split(line)[1:] for line in lines
-            if line.startswith("heterospec ")]
+    section = text[text.index(marker):]
+    start = section.index(fence + "\n") + len(fence) + 1
+    return section[start:section.index("```", start)].splitlines()
 
 
 def test_readme_quick_start_runs_in_order(tmp_path, capsys):
-    commands = _quick_start_commands()
+    commands = [shlex.split(line)[1:]
+                for line in _readme_block("\n## Quick start\n", "```sh")
+                if line.startswith("heterospec ")]
     assert {"compare", "report"} <= {argv[0] for argv in commands}
+    stdout = []
     for argv in commands:
         argv[argv.index("--out") + 1] = str(tmp_path)
         assert main(argv) == 0, (argv, capsys.readouterr().err)
+        stdout += capsys.readouterr().out.splitlines()
+    # the seed-0 result block is what the Quick start's own compare prints
+    result = _readme_block("On the default configuration (seed 0)", "```")
+    assert len(result) == 2
+    assert all(line in stdout for line in result)

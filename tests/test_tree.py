@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from conftest import (DrawnDistModel, FixedDistModel, ScriptedModel, chain_template_model,
                       make_vocab, tied_dists)
-from heterospec.errors import ConfigError
 from heterospec.tree import (DEPTH, INDEX, NEG_VALUE, PARENT, STEP, TOKEN, TOKENS,
                              DraftTree, expand, extend, path, rerank, top_children)
 
@@ -134,15 +133,6 @@ def test_all_zero_root_yields_empty_tree():
     assert len(rerank(tree, 5)) == 0
 
 
-def test_expand_validation():
-    with pytest.raises(ConfigError):
-        expand(FixedDistModel(TRI), (0,), depth=0, top_k=2)
-    with pytest.raises(ConfigError):
-        DraftTree((0,), top_k=0)
-    with pytest.raises(ConfigError):
-        rerank(expand(FixedDistModel(TRI), (0,), 1, 1), budget=0)
-
-
 def test_extend_matches_single_expansion():
     model, template = chain_template_model(length=40, rho=0.9)
     prompt = template[:5]
@@ -158,10 +148,13 @@ def test_extend_matches_single_expansion():
     assert grown.depth_limit == whole.depth_limit == 5
 
 
-def test_extend_rejects_zero_layers():
-    tree = expand(FixedDistModel(TRI), (0,), depth=1, top_k=1)
-    with pytest.raises(ConfigError):
-        extend(tree, FixedDistModel(TRI), extra_layers=0)
+def test_extend_with_zero_layers_adds_nothing():
+    # _decode extends only by a positive number of layers; zero is a no-op
+    tree = expand(FixedDistModel(TRI), (0,), depth=2, top_k=2)
+    nodes = list(tree.nodes)
+    assert extend(tree, FixedDistModel(TRI), extra_layers=0) is tree
+    assert tree.depth_limit == 2
+    assert tree.nodes == nodes and tree.size() == 6
 
 
 def test_path_excludes_root():

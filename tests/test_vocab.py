@@ -65,8 +65,6 @@ def test_vocabulary_validation():
 def test_split_symbols():
     assert split_symbols("ab c", "char") == ["a", "b", " ", "c"]
     assert split_symbols("ab  c", "word") == ["ab", "c"]
-    with pytest.raises(ConfigError):
-        split_symbols("ab", "byte")
 
 
 def test_encode_corpus_batches_documents():
