@@ -277,6 +277,8 @@ def load_bins(path: str) -> BinningModel:
         if not lo < hi:  # with contiguity, thresholds strictly increase
             raise _bins_err(path, lineno, "bin thresholds must be strictly "
                             f"increasing: lo {lo} is not below hi {hi}")
+        if count < 0:
+            raise _bins_err(path, lineno, f"negative bin count {count}")
         hi_list.append(hi)
         means.append(mean)
         counts.append(count)

@@ -34,9 +34,9 @@ from .binning import BinningModel
 from .config import ExperimentConfig, load_config
 from .errors import (BinsFileError, CalibrationError, ConfigError,
                      HeteroSpecError, OutputMismatchError)
-from .pipeline import (REPORT_ARMS, render_report, step_calibrate,
-                       step_compare, step_gen_corpus, step_report,
-                       step_train_model)
+from .pipeline import (REPORT_ARMS, load_report_bins, render_report,
+                       step_calibrate, step_compare, step_gen_corpus,
+                       step_report, step_train_model)
 
 _EXIT_KINDS: list[tuple[type, int, str]] = [
     (ConfigError, 2, "config"),
@@ -108,10 +108,11 @@ def _dispatch(args: argparse.Namespace) -> None:
                   f"speedup={summary.speedup:.4f}")
         _note_no_low_bin(config, result.bins)
     elif args.command == "report":
-        # the digest is rendered first, so a failing report prints nothing
-        # and writes no table
-        digest = render_report(config)
-        paths = step_report(config, args.arm)
+        # bins.txt is parsed once, for both; the digest is rendered first,
+        # so a failing report prints nothing and writes no table
+        bins = load_report_bins(config)
+        digest = render_report(config, bins)
+        paths = step_report(config, args.arm, bins)
         sys.stdout.write("".join(p + "\n" for p in paths) + digest)
 
 

@@ -31,21 +31,30 @@ C, and folds it into the table in first-seen order; it counts one length at
 a time, holding one counter. ``save_model`` writes the tables as one text
 record per nonzero count, and ``load_model`` reads every record through one
 path; a header line without ``: ``, with a key ``save_model`` does not
-write, or repeating a key is refused at its own line. The parse takes the
+write, or repeating a key is refused at its own line, and so is a second
+record for the same (context length, context, token). The parse takes the
 decoded text's lines one chunk of about 64K characters at a time, so it
 never holds every line of the file at once.
 
-A process keeps one parse of a model file, keyed by the sha256 of the
-file's bytes. ``load_model`` reads and hashes the file on every call; when
-the digest matches, it returns a new ``NGramModel``, with an empty memo,
-over the kept vocabulary and count tables, so the calibrate and compare
-steps of one process parse ``model.txt`` once. On a miss it drops the kept
-parse before parsing, so two parses are never alive at once.
-``step_train_model`` calls ``release_kept_model`` before it counts a new
-model, so the tables it replaces are not held through training. Models
-loaded from the same bytes share the tables, which nothing writes after
-the parse. The CLI runs one step per process, so it still parses once per
-step.
+A process keeps the count tables of the last model file it wrote or
+parsed, keyed by the sha256 of the file's bytes. ``save_model`` keeps the
+tables it wrote, hashed from the closed file, when parsing that file gives
+them back; ``load_model`` reads and hashes the file on every call, and when
+the digest matches it returns a new ``NGramModel``, with an empty memo,
+over the kept vocabulary and tables instead of parsing. So a process that
+runs train-model, calibrate and compare in turn, as the scripts, the
+benchmark and Python API callers do, never parses ``model.txt``. The CLI
+runs one step per process, so it still parses once per step that loads the
+model. A file with other bytes, even of the same length and mtime, is
+parsed anew, and the kept tables are dropped before that, so two parses are
+never alive at once. ``step_train_model`` calls ``release_kept_model``
+before it counts a new model, so the tables it replaces are not held
+through training. Models built from the same kept tables share them, and
+nothing writes to the tables after they are built. Trained tables hold a
+context's tokens in first-seen order and parsed ones in ascending order;
+only ``save_model``, which sorts, and ``_compute``, which adds each
+distinct token's count once, read that order, so the distributions are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -228,10 +237,22 @@ MODEL_FORMAT_VERSION = 1
 _HEADER_KEYS = ("mode", "order", "smoothing", "symbols")  # as save_model writes them
 
 
+# (sha256 of a model file's bytes, its parse) of the last file written or parsed
+_kept: tuple[bytes, tuple[Vocabulary, int, float, Counts]] | None = None
+
+
 def save_model(model: NGramModel, path) -> None:
     """Versioned self-describing text format: key-value header, then one
     ``c <len> <ctx> <tok> <count>`` record per (context length, context,
-    token) with a nonzero count, a context's records together."""
+    token) with a nonzero count, a context's records together.
+
+    Once the file is closed, the model's tables are kept as the parse of
+    its bytes, unless parsing it would not give them back: a number of
+    tables other than the order, a context without a record, or a zero
+    count, which is written as no record, drops the kept tables instead.
+    Ranges are not checked; ``train_ngram`` and the parse keep them."""
+    global _kept
+    exact = len(model._counts) == model.order
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"heterospec-ngram v{MODEL_FORMAT_VERSION}\nmode: {model.vocab.mode}\n"
                  f"order: {model.order}\nsmoothing: {model.smoothing!r}\n"
@@ -239,13 +260,17 @@ def save_model(model: NGramModel, path) -> None:
         for length, table in enumerate(model._counts):
             for ctx, seen in table.items():
                 ctx_txt = ",".join(map(str, ctx)) if ctx else "-"
+                exact = exact and bool(seen)
                 for tok, count in sorted(seen.items()):
                     if count:
                         fh.write(f"c {length} {ctx_txt} {tok} {count}\n")
-
-
-# (sha256 of a model file's bytes, its parse) of the last file parsed
-_kept: tuple[bytes, tuple[Vocabulary, int, float, Counts]] | None = None
+                    else:
+                        exact = False
+    _kept = None
+    if exact:
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).digest()
+        _kept = (digest, (model.vocab, model.order, model.smoothing, model._counts))
 
 
 def release_kept_model() -> None:
@@ -256,7 +281,7 @@ def release_kept_model() -> None:
 
 def load_model(path) -> NGramModel:
     """The model in a ``save_model`` file, parsed only when its bytes differ
-    from those of the kept parse."""
+    from those of the kept tables."""
     global _kept
     with open(path, "rb") as fh:
         data = fh.read()
@@ -332,5 +357,7 @@ def _parse_model(lines: Iterable[str], path) -> tuple[Vocabulary, int, float, Co
             raise ConfigError(f"{path}:{lineno}: malformed count record") from None
         if seen is None or count < 0 or not 0 <= tok < v:
             raise ConfigError(f"{path}:{lineno}: count record out of range")
+        if tok in seen:
+            raise ConfigError(f"{path}:{lineno}: repeated count record")
         seen[tok] = count
     return vocab, order, smoothing, counts

@@ -83,7 +83,9 @@ def _splits(config: ExperimentConfig, docs: list[str]) -> tuple[list, list, list
 
 
 def step_train_model(config: ExperimentConfig) -> str:
-    """Train the target model on the training split; returns its path."""
+    """Train the target model on the training split; returns its path.
+    ``save_model`` keeps the trained tables, so the later steps of this
+    process load the model without parsing it."""
     docs = _read_docs(config)
     train, _, _ = _splits(config, docs)
     _prepare_out_dir(config)
@@ -178,10 +180,19 @@ def step_compare(config: ExperimentConfig) -> tuple[str, ComparisonResult]:
 REPORT_ARMS = ("baseline", "adaptive")
 
 
-def step_report(config: ExperimentConfig, arm: str = "baseline") -> list[str]:
+def load_report_bins(config: ExperimentConfig) -> BinningModel | None:
+    """The bins of bins.txt, unchecked against the controller, or None
+    when there is no bins.txt."""
+    path = _path(config, BINS_FILE)
+    return load_bins(path) if os.path.exists(path) else None
+
+
+def step_report(config: ExperimentConfig, arm: str = "baseline",
+                bins: BinningModel | None = None) -> list[str]:
     """Derive the plot-ready tables from one arm's iteration trace:
     rank histogram, mean accepted length by rank, and entropy-bin
-    occupancy. Returns the written CSV paths."""
+    occupancy. ``bins`` are those of ``load_report_bins``, loaded here
+    when not given. Returns the written CSV paths."""
     if arm not in REPORT_ARMS:
         raise ConfigError(f"arm must be one of {REPORT_ARMS}, got {arm!r}")
     trace = _path(config, f"{arm}-iterations.csv")
@@ -191,10 +202,9 @@ def step_report(config: ExperimentConfig, arm: str = "baseline") -> list[str]:
     records = read_iterations_csv(trace)
     if not records:
         raise ConfigError(f"{trace}: iteration trace is empty")
-    edges = None
-    bins_path = _path(config, BINS_FILE)
-    if os.path.exists(bins_path):
-        edges = load_bins(bins_path).edges()
+    if bins is None:
+        bins = load_report_bins(config)
+    edges = None if bins is None else bins.edges()
     paths = [_path(config, f"{arm}-tcr-histogram.csv"),
              _path(config, f"{arm}-tcr-by-accepted.csv"),
              _path(config, f"{arm}-bin-occupancy.csv")]
@@ -204,12 +214,14 @@ def step_report(config: ExperimentConfig, arm: str = "baseline") -> list[str]:
     return paths
 
 
-def render_report(config: ExperimentConfig) -> str:
-    """Human-readable digest of whatever artifacts exist in out_dir."""
+def render_report(config: ExperimentConfig,
+                  bins: BinningModel | None = None) -> str:
+    """Human-readable digest of whatever artifacts exist in out_dir;
+    ``bins`` as for ``step_report``."""
     lines = [f"out_dir: {config.out_dir}"]
-    bins_path = _path(config, BINS_FILE)
-    if os.path.exists(bins_path):
-        bins = load_bins(bins_path)
+    if bins is None:
+        bins = load_report_bins(config)
+    if bins is not None:
         lines.append(f"bins: {bins.num_bins} "
                      f"(low bins by default: {list(bins.default_low_bins())})")
         for (lo, hi), mean, count in zip(bins.edges(), bins.means, bins.counts):
@@ -224,6 +236,6 @@ def render_report(config: ExperimentConfig) -> str:
             cells = (f"{float(row[h]):.4f}" if h in ("tau", "speedup")
                      and row[h] != "-" else row[h] for h in header)
             lines.append("  " + "  ".join(f"{v:>8}" for v in cells))
-    elif not os.path.exists(bins_path):
+    elif bins is None:
         lines.append("no artifacts found; run the pipeline first")
     return "\n".join(lines) + "\n"

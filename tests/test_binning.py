@@ -295,6 +295,9 @@ GOOD_HEADER = "heterospec-bins v1\ncriterion: normalized\n"
      r"bins\.txt:4: bin thresholds must be strictly increasing"),
     (GOOD_HEADER + "bin 0 2 3 4\nbin 2 1 3 4\nbin 1 inf 3 4\n",
      r"bins\.txt:4: bin thresholds must be strictly increasing"),
+    # a bin holds a number of calibration samples, never fewer than none
+    (GOOD_HEADER + "bin 0 0.5 1.0 -4\nbin 0.5 inf 2 3\n",
+     r"bins\.txt:3: negative bin count -4"),
     # metadata errors name the line that holds the key
     (GOOD_HEADER + "entropy_k: two\nbin 0 inf 3 4\n", r"bins\.txt:3: bad entropy_k"),
     (GOOD_HEADER + "entropy_k: 2\nbase_depth: x\nbin 0 inf 3 4\n",

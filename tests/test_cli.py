@@ -2,6 +2,7 @@
 one-exit-code-per-failure-class policy."""
 from __future__ import annotations
 
+import fnmatch
 import json
 import os
 import re
@@ -463,10 +464,14 @@ def test_low_bins_outside_the_fit_are_noted(tmp_path, capsys, cli_lab):
     assert baseline_calls == adaptive_calls
 
 
-@pytest.mark.parametrize("command,parses", [("calibrate", 0), ("compare", 1)])
+@pytest.mark.parametrize("command,parses",
+                         [("calibrate", 0), ("compare", 1), ("report", 1)])
 def test_bins_are_parsed_at_most_once_per_command(cli_lab, capsys, monkeypatch,
                                                   command, parses):
-    # the low-bin note reads the bins the step already holds
+    # the low-bin note reads the bins the step already holds, and report's
+    # digest and tables share one parse
+    if command == "report":
+        assert main(["compare", *cli_lab[0]]) == 0  # the trace report reads
     parsed, load = [], pipeline.load_bins
 
     def counted(path):
@@ -501,6 +506,29 @@ def test_exit_4_on_corrupt_bins(tmp_path, capsys):
     err = _one_error_line(capsys.readouterr())
     assert err.startswith("heterospec: bins-format:")
     assert "bins.txt:1:" in err
+
+
+REPORT_TABLES = ("*-tcr-*.csv", "*-bin-occupancy.csv")
+
+
+def test_report_refuses_a_negative_bin_count(tmp_path, capsys, cli_lab):
+    base, lab = cli_lab
+    assert main(["compare", *base]) == 0
+    out = tmp_path / "run"
+    shutil.copytree(lab, out, ignore=shutil.ignore_patterns(*REPORT_TABLES))
+    bins = out / "bins.txt"
+    lines = bins.read_text(encoding="utf-8").splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1)
+                  if line.startswith("bin "))
+    fields = lines[lineno - 1].split()
+    lines[lineno - 1] = " ".join(fields[:4] + ["-4"])
+    bins.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", base[0], base[1], "--out", str(out)]) == 4
+    assert _one_error_line(capsys.readouterr()) == \
+        f"heterospec: bins-format: {bins}:{lineno}: negative bin count -4\n"
+    assert not [name for name in os.listdir(out) for pattern in REPORT_TABLES
+                if fnmatch.fnmatch(name, pattern)]  # and writes no table
 
 
 def test_exit_5_on_arm_divergence(monkeypatch, capsys):

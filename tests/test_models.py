@@ -280,6 +280,7 @@ def test_load_model_rejects_malformed_files(tmp_path):
 # GOLDEN_MODEL ends with line 11, "c 1 0 1 1"; the added line is line 12,
 # so records sharing that line's prefix reach the per-run parse
 MALFORMED, OUT_OF_RANGE = "malformed count record", "count record out of range"
+REPEATED = "repeated count record"
 
 
 @pytest.mark.parametrize("record,error", [
@@ -290,6 +291,9 @@ MALFORMED, OUT_OF_RANGE = "malformed count record", "count record out of range"
     ("c 1 0,1 0 1", OUT_OF_RANGE), ("c 1 - 0 1", OUT_OF_RANGE),
     ("c 1 0,x 0 1", MALFORMED), ("x 1 0 0 1", MALFORMED),
     ("c bogus", MALFORMED), ("", MALFORMED),
+    # one record per (context length, context, token), in the same run of a
+    # context's records or in another
+    ("c 1 0 1 9", REPEATED), ("c 0 - 2 1", REPEATED),
 ])
 def test_load_model_reports_bad_record_at_its_line(tmp_path, record, error):
     path = tmp_path / "model.txt"
@@ -343,6 +347,56 @@ def test_load_model_keeps_one_parse_by_content(tmp_path, model_parses):
         assert second.next_dist(ctx).dist.tobytes() == want
     # a hit starts with an empty memo, whatever the earlier instances hold
     assert first._memo and not load_model(path)._memo
+
+
+def test_saved_tables_are_handed_to_load_model(tmp_path, model_parses):
+    rng = np.random.default_rng(11)
+    docs = ["".join(rng.choice(list("abcdef"), size=200)) for _ in range(20)]
+    vocab = build_vocab(docs, mode="char")
+    trained = train_ngram(docs, vocab, order=4, smoothing=0.1)
+    path = tmp_path / "model.txt"
+    save_model(trained, path)
+    handed = load_model(path)
+    assert model_parses == [] and handed._counts is trained._counts
+    assert not handed._memo
+    fresh = _fresh_parse(path)
+    assert model_parses == [path]
+    # the same tables; only the order of a context's tokens differs
+    assert fresh._counts == trained._counts
+    assert _ordered(fresh._counts) != _ordered(trained._counts)
+    contexts = [ctx for table in trained._counts for ctx in table]
+    contexts += [tuple(int(t) for t in rng.integers(vocab.size, size=n))
+                 for n in rng.integers(0, 6, size=300)]
+    for ctx in contexts:
+        assert handed.next_dist(ctx).dist.tobytes() == \
+            fresh.next_dist(ctx).dist.tobytes()
+
+
+@pytest.mark.parametrize("counts", [
+    [{(): {0: 2, 1: 1, 2: 2}}, {(2,): {0: 2}, (0,): {1: 1, 2: 0}}],
+    [{(): {0: 2, 1: 1, 2: 2}}, {(2,): {0: 2}, (1,): {}, (0,): {1: 1}}],
+], ids=["zero-count", "empty-context"])
+def test_save_model_keeps_no_tables_its_file_does_not_give_back(
+        tmp_path, model_parses, counts):
+    # a zero count and a context without counts are written as no record,
+    # and a context the tables hold stops the backoff
+    vocab = build_vocab(["cab", "ca"], mode="char")
+    path = tmp_path / "model.txt"
+    save_model(NGramModel(vocab, 2, 0.5, counts), path)
+    assert models._kept is None
+    assert path.read_text(encoding="utf-8") == GOLDEN_MODEL
+    assert load_model(path)._counts[1] == {(2,): {0: 2}, (0,): {1: 1}}
+    assert model_parses == [path]
+
+
+def test_save_model_keeps_no_tables_beyond_its_order(tmp_path):
+    vocab = build_vocab(["cab", "ca"], mode="char")
+    path = tmp_path / "model.txt"
+    two = train_ngram(["cab", "ca"], vocab, order=2, smoothing=0.5)
+    save_model(NGramModel(vocab, 1, 0.5, two._counts), path)
+    assert models._kept is None
+    with pytest.raises(ConfigError, match=r"model\.txt:10: count record out of range"):
+        load_model(path)
 
 
 def test_load_model_rereads_a_rewritten_file(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+import pathlib
 import shutil
 
 import pytest
@@ -280,14 +281,44 @@ def test_draft_base_is_the_targets_lower_order(tmp_path):
         load_models(cfg)
 
 
-def test_calibrate_and_compare_parse_the_model_once(tmp_path, model_parses):
+def test_one_process_never_parses_the_model_it_trained(tmp_path, model_parses):
     cfg = _cfg(tmp_path / "run")
     step_gen_corpus(cfg)
     step_train_model(cfg)
     step_calibrate(cfg)
+    handed_off = _artifacts(cfg, "bins.txt", "calibration.csv")
     step_compare(cfg)
     step_compare(_at_alpha(cfg, 1))
+    assert model_parses == []
+    # the CLI runs a step per process, so each loading step parses once
+    models.release_kept_model()
+    step_calibrate(cfg)
     assert model_parses == [os.path.join(cfg.out_dir, "model.txt")]
+    assert _artifacts(cfg, "bins.txt", "calibration.csv") == handed_off
+
+
+def _artifacts(cfg, *names):
+    return [pathlib.Path(cfg.out_dir, name).read_bytes() for name in names]
+
+
+def test_model_txt_edited_after_train_model_is_parsed_anew(tmp_path,
+                                                          model_parses):
+    cfg = _cfg(tmp_path / "run")
+    step_gen_corpus(cfg)
+    path = step_train_model(cfg)
+    trained, _ = load_models(cfg)
+    assert model_parses == []
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    at = lines.index("counts:") + 1  # the first unigram record
+    c, length, ctx, tok, count = lines[at].split()
+    lines[at] = f"{c} {length} {ctx} {tok} {int(count) + 1000}"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    edited, _ = load_models(cfg)
+    assert model_parses == [path]
+    assert edited._counts[0][()][int(tok)] == int(count) + 1000
+    assert edited.next_dist(()).dist[int(tok)] > trained.next_dist(()).dist[int(tok)]
 
 
 def test_calibrate_and_compare_hold_the_bins_of_bins_txt(tmp_path):
@@ -316,14 +347,26 @@ def test_compare_holds_the_bins_it_decoded_with(lab, tmp_path):
     assert result.bins == coarser != bins
 
 
-def test_train_model_releases_the_kept_parse(tmp_path):
+def test_train_model_counts_with_nothing_kept_then_keeps_its_tables(tmp_path,
+                                                                   monkeypatch):
     cfg = _cfg(tmp_path / "run")
     step_gen_corpus(cfg)
     step_train_model(cfg)
     load_models(cfg)
     assert models._kept is not None
-    step_train_model(cfg)
-    assert models._kept is None
+    kept_while_counting, train = [], pipeline.train_ngram
+
+    def observed(*args, **kwargs):
+        kept_while_counting.append(models._kept)
+        model = train(*args, **kwargs)
+        kept_while_counting.append(models._kept)
+        return model
+
+    monkeypatch.setattr(pipeline, "train_ngram", observed)
+    path = step_train_model(cfg)
+    assert kept_while_counting == [None, None]
+    with open(path, "rb") as fh:
+        assert models._kept[0] == hashlib.sha256(fh.read()).digest()
 
 
 def test_external_corpus_passthrough(tmp_path):
