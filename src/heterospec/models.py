@@ -22,46 +22,54 @@ drafts and verifies from it and reuses draft trees by it. Subclasses
 implement ``_compute``, the distribution of one context, which runs once
 per state.
 
-An n-gram model keeps {token: count} of the tokens seen after each context.
-Its first L count tables are those an order-L model trains on the same
+An n-gram model keeps one count table per context length L < order: two
+aligned int64 arrays, ``keys`` in strictly ascending order and ``counts``.
+A key packs the context c1..cL and the next token in radix V, the
+vocabulary size: ``((c1*V + c2)*V + ...)*V + tok``, so a context's records
+are one run of keys, ``[ctx*V, ctx*V + V)``, and its tokens are the keys
+minus ``ctx*V``. Keys of the longest context need V^order < 2^63, which
+``train_ngram``, ``load_model`` and ``NGramModel`` check first; a larger
+``model.order`` is refused. ``NGramModel`` checks its tables in one
+vectorized pass, so every model holds tables a parse of its file gives
+back. Its first L tables are those an order-L model trains on the same
 corpus, so ``lower_order`` derives the draft base instead of training one.
-``train_ngram`` builds the table of context length L with one ``Counter``
-of the (L+1)-token windows of every document, so the per-token work runs in
-C, and folds it into the table in first-seen order; it counts one length at
-a time, holding one counter. ``save_model`` writes the tables as one text
-record per nonzero count, and ``load_model`` reads every record through one
-path; a header line without ``: ``, with a key ``save_model`` does not
-write, or repeating a key is refused at its own line, and so is a second
-record for the same (context length, context, token). The parse takes the
-decoded text's lines one chunk of about 64K characters at a time, so it
-never holds every line of the file at once.
+``train_ngram`` counts each length with one ``np.unique`` over the rolling
+window keys of the corpus, ``win[i] = win[i-1]*V + tok[i]``, keeping the
+windows that lie inside one document.
+
+``save_model`` writes the tables as one text record per key, contexts and
+tokens in ascending order. It formats the records column-wise from the
+keys' radix-V digits and joins them once, and ``load_model`` reads every
+record through one path; a header line without ``: ``, with a key
+``save_model`` does not write, or repeating a key is refused at its own
+line, and so is a second record for the same (context length, context,
+token). The parse takes the decoded text's lines one chunk of about 64K
+characters at a time, so it never holds every line of the file at once.
 
 A process keeps the count tables of the last model file it wrote or
 parsed, keyed by the sha256 of the file's bytes. ``save_model`` keeps the
-tables it wrote, hashed from the closed file, when parsing that file gives
-them back; ``load_model`` reads and hashes the file on every call, and when
-the digest matches it returns a new ``NGramModel``, with an empty memo,
-over the kept vocabulary and tables instead of parsing. So a process that
-runs train-model, calibrate and compare in turn, as the scripts, the
-benchmark and Python API callers do, never parses ``model.txt``. The CLI
-runs one step per process, so it still parses once per step that loads the
-model. A file with other bytes, even of the same length and mtime, is
-parsed anew, and the kept tables are dropped before that, so two parses are
-never alive at once. ``step_train_model`` calls ``release_kept_model``
-before it counts a new model, so the tables it replaces are not held
-through training. Models built from the same kept tables share them, and
-nothing writes to the tables after they are built. Trained tables hold a
-context's tokens in first-seen order and parsed ones in ascending order;
-only ``save_model``, which sorts, and ``_compute``, which adds each
-distinct token's count once, read that order, so the distributions are
-bit-identical.
+tables it wrote, hashed from the bytes it wrote; ``load_model`` reads and
+hashes the file on every call, and when the digest matches it returns a
+new ``NGramModel``, with an empty memo, over the kept vocabulary and
+tables instead of parsing. So a process that runs train-model, calibrate
+and compare in turn, as the scripts, the benchmark and Python API callers
+do, never parses ``model.txt``. The CLI runs one step per process, so it
+still parses once per step that loads the model. A file with other bytes,
+even of the same length and mtime, is parsed anew, and the kept tables are
+dropped before that, so two parses are never alive at once.
+``step_train_model`` calls ``release_kept_model`` before it counts a new
+model, so the tables it replaces are not held through training. Models
+built from the same kept tables share them, and nothing writes to the
+tables after they are built. A parse builds the arrays ``train_ngram``
+builds, so kept and parsed tables are equal and give bit-identical
+distributions.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
+from array import array
 from collections.abc import Iterable, Iterator
 from itertools import chain
 
@@ -71,7 +79,40 @@ from .errors import ConfigError, utf8_errors
 from .vocab import Context, Vocabulary, encode_corpus
 
 ProbDist = np.ndarray  # 1-D float64 vector over the vocabulary
-Counts = list[dict[tuple[int, ...], dict[int, int]]]  # [L][context][token]
+Counts = list[tuple[np.ndarray, np.ndarray]]  # [L]: (keys, counts)
+
+_KEY_END = 1 << 63  # every key and count is below this: they are int64
+
+
+def check_key_space(order: int, v: int) -> None:
+    """Refuse an order whose longest count keys, up to V^order, overflow
+    int64."""
+    if order >= 63 or v ** order >= _KEY_END:  # V >= 2: no huge power
+        raise ConfigError(f"model.order {order} is too high for a vocabulary "
+                          f"of {v} symbols: count keys need "
+                          f"{v}^{order} < 2^63")
+
+
+def _check_tables(counts: Counts, order: int, v: int) -> None:
+    """Refuse tables a parse of their ``save_model`` file would not give
+    back: one table per context length below ``order``, each two aligned
+    1-D int64 arrays, keys strictly ascending in [0, V^(L+1)), counts
+    >= 0."""
+    if len(counts) != order:
+        raise ConfigError(f"an order-{order} model needs {order} count "
+                          f"tables, got {len(counts)}")
+    for length, (keys, cnt) in enumerate(counts):
+        if not (isinstance(keys, np.ndarray) and isinstance(cnt, np.ndarray)
+                and keys.dtype == cnt.dtype == np.int64 and keys.ndim == 1
+                and keys.shape == cnt.shape):
+            raise ConfigError(f"count table {length}: need two aligned 1-D "
+                              f"int64 arrays")
+        if keys.size and not (keys[0] >= 0 and keys[-1] < v ** (length + 1)
+                              and (keys[1:] > keys[:-1]).all()
+                              and cnt.min() >= 0):
+            raise ConfigError(f"count table {length}: need keys strictly "
+                              f"ascending in [0, {v}^{length + 1}) and "
+                              f"counts >= 0")
 
 
 class DistRecord:
@@ -142,11 +183,13 @@ class NGramModel(LanguageModel):
             raise ConfigError(f"n-gram order must be >= 1, got {order}")
         if smoothing <= 0:
             raise ConfigError(f"smoothing constant must be > 0, got {smoothing}")
+        check_key_space(order, vocab.size)
+        _check_tables(counts, order, vocab.size)
         super().__init__()
         self.vocab = vocab
         self.order = order
         self.smoothing = smoothing
-        # counts[L]: length-L context -> {token: count} of tokens after it
+        # counts[L]: (keys, counts) of the records of length-L contexts
         self._counts = counts
         # the last order - 1 tokens; slice(0, 0) keeps none at order 1
         self._window = slice(1 - order, None) if order > 1 else slice(0, 0)
@@ -166,35 +209,47 @@ class NGramModel(LanguageModel):
 
     def _compute(self, context: Context) -> ProbDist:
         key = self.state_key(context)
-        while key and key not in self._counts[len(key)]:
-            key = key[1:]
         k, v = self.smoothing, self.vocab.size
-        # only () can be missing, in a model file without unigram records
-        seen = self._counts[len(key)].get(key, {})
+        ctx = 0  # the context packed in radix V
+        for tok in key:
+            ctx = ctx * v + tok
+        # back off one token at a time to a context with records; only ()
+        # can have none, in a model file without unigram records
+        for length in range(len(key), -1, -1):
+            keys, counts = self._counts[length]
+            base = ctx * v  # the context's first key
+            lo, hi = keys.searchsorted((base, base + v))
+            if lo < hi or not length:
+                break
+            ctx %= v ** (length - 1)
         # bit-identical to (dense_counts + k) / (total + k * v)
-        dist = np.full(v, k)
-        for tok, count in seen.items():
-            dist[tok] += count
-        return dist / (sum(seen.values()) + k * v)
+        dist = np.zeros(v)
+        seen = counts[lo:hi]
+        dist[keys[lo:hi] - base] = seen
+        dist += k
+        return dist / (sum(seen.tolist()) + k * v)
 
 
 def train_ngram(corpus: list[str], vocab: Vocabulary, order: int,
                 smoothing: float) -> NGramModel:
     """Count every context length 0..order-1 within each document: one
-    ``Counter`` of (L+1)-token windows per length L, folded into
-    {context: {token: count}} in the order the windows were first seen,
-    which is the order a token-by-token count inserts them in. A length's
-    counter is dropped before the next length is counted."""
+    ``np.unique`` per length L over the (L+1)-token window keys of the
+    concatenated documents, each rolled from the length before it, keeping
+    the windows that start inside the document they end in."""
+    v = vocab.size
+    check_key_space(order, v)
     docs = encode_corpus(corpus, vocab)
+    lens = np.fromiter(map(len, docs), np.int64, len(docs))
+    tokens = np.fromiter(chain.from_iterable(docs), np.int64, int(lens.sum()))
+    # each token's position in its document
+    pos = np.arange(tokens.size) - np.repeat(np.cumsum(lens) - lens, lens)
     counts: Counts = []
+    win = tokens.copy()
     for length in range(order):
-        windows = Counter()
-        for doc in docs:
-            windows.update(zip(*(doc[j:] for j in range(length + 1))))
-        table: dict[tuple[int, ...], dict[int, int]] = {}
-        for window, count in windows.items():
-            table.setdefault(window[:-1], {})[window[-1]] = count
-        counts.append(table)
+        if length:  # the window ending at i, from the one ending at i - 1
+            win[1:] = win[:-1] * v + tokens[1:]
+        keys, cnt = np.unique(win[pos >= length], return_counts=True)
+        counts.append((keys, cnt.astype(np.int64, copy=False)))
     return NGramModel(vocab, order, smoothing, counts)
 
 
@@ -243,34 +298,40 @@ _kept: tuple[bytes, tuple[Vocabulary, int, float, Counts]] | None = None
 
 def save_model(model: NGramModel, path) -> None:
     """Versioned self-describing text format: key-value header, then one
-    ``c <len> <ctx> <tok> <count>`` record per (context length, context,
-    token) with a nonzero count, a context's records together.
+    ``c <len> <ctx> <tok> <count>`` record per key of each table, in key
+    order, so a context's records are together.
 
-    Once the file is closed, the model's tables are kept as the parse of
-    its bytes, unless parsing it would not give them back: a number of
-    tables other than the order, a context without a record, or a zero
-    count, which is written as no record, drops the kept tables instead.
-    Ranges are not checked; ``train_ngram`` and the parse keep them."""
+    The records are formatted column-wise: the radix-V digits of the keys
+    pick their strings from per-token tables, the pieces fill an object
+    array row by row, and it is joined once. The tables are kept as the
+    parse of the bytes written; ``NGramModel`` checked that a parse gives
+    them back."""
     global _kept
-    exact = len(model._counts) == model.order
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"heterospec-ngram v{MODEL_FORMAT_VERSION}\nmode: {model.vocab.mode}\n"
-                 f"order: {model.order}\nsmoothing: {model.smoothing!r}\n"
-                 f"symbols: {json.dumps(list(model.vocab.symbols))}\ncounts:\n")
-        for length, table in enumerate(model._counts):
-            for ctx, seen in table.items():
-                ctx_txt = ",".join(map(str, ctx)) if ctx else "-"
-                exact = exact and bool(seen)
-                for tok, count in sorted(seen.items()):
-                    if count:
-                        fh.write(f"c {length} {ctx_txt} {tok} {count}\n")
-                    else:
-                        exact = False
+    v = model.vocab.size
+    pieces = [f"heterospec-ngram v{MODEL_FORMAT_VERSION}\nmode: {model.vocab.mode}\n"
+              f"order: {model.order}\nsmoothing: {model.smoothing!r}\n"
+              f"symbols: {json.dumps(list(model.vocab.symbols))}\ncounts:\n"]
+    digits = np.array([str(t) for t in range(v)], dtype=object)
+    inner, last = digits + ",", digits + " "  # a token before "," or " "
+    for length, (keys, counts) in enumerate(model._counts):
+        # columns: "c <len> ", the context's tokens, the token, the count
+        cols = np.empty((keys.size, length + 3), dtype=object)
+        cols[:, 0] = f"c {length} " if length else "c 0 - "
+        rest, tok = np.divmod(keys, v)
+        cols[:, -2] = last[tok]
+        for j in range(length, 0, -1):
+            rest, tok = np.divmod(rest, v)
+            cols[:, j] = (last if j == length else inner)[tok]
+        distinct, which = np.unique(counts, return_inverse=True)
+        cols[:, -1] = np.array([f"{c}\n" for c in distinct.tolist()],
+                               dtype=object)[which]
+        pieces.append("".join(cols.ravel().tolist()))
+    data = "".join(pieces).encode("utf-8")
     _kept = None
-    if exact:
-        with open(path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).digest()
-        _kept = (digest, (model.vocab, model.order, model.smoothing, model._counts))
+    with open(path, "wb") as fh:
+        fh.write(data)
+    _kept = (hashlib.sha256(data).digest(),
+             (model.vocab, model.order, model.smoothing, model._counts))
 
 
 def release_kept_model() -> None:
@@ -331,33 +392,75 @@ def _parse_model(lines: Iterable[str], path) -> tuple[Vocabulary, int, float, Co
         vocab = Vocabulary(tuple(json.loads(header["symbols"])), header["mode"])
         order = int(header["order"])
         smoothing = float(header["smoothing"])
+        check_key_space(order, vocab.size)
     except (KeyError, ValueError, ConfigError) as exc:
         raise ConfigError(f"{path}: bad header: {exc}") from exc
-    counts: Counts = [{} for _ in range(order)]
     v = vocab.size
+    first = lineno + 1  # record j is on line first + j
+    toks, cnts = array("q"), array("q")  # every record's, in file order
+    runs = array("q")  # first record, context length, context * V, per head
+
+    def refuse(lineno: int, message: str):
+        # a repeat found once the loop stops comes before the line it stopped at
+        repeat = _tables(toks, cnts, runs, order)[1]
+        if repeat is not None:
+            lineno, message = first + repeat, "repeated count record"
+        return ConfigError(f"{path}:{lineno}: {message}")
+
     # one parse path per record: split off the token and count, and parse
     # and range-check the "c <len> <ctx>" head only when it differs from the
     # previous record's, since save_model writes a context's records together
-    last = seen = None  # the previous record's head and its count table
+    ids = {str(t): t for t in range(v)}  # int() of each id as save_model writes it
+    last, ok = None, False  # the previous record's head, and if it is in range
     for lineno, line in numbered:
         try:
             head, tok, count = line.rsplit(None, 2)
-            tok, count = int(tok), int(count)
+            tok, count = ids.get(tok) or int(tok), int(count)
             if head != last:
                 c, length, ctx = head.split()
                 length = int(length)
-                ctx = () if ctx == "-" else tuple(map(int, ctx.split(",")))
                 if c != "c":
                     raise ValueError(c)
-                last, seen = head, None
-                if 0 <= length < order and len(ctx) == length \
-                        and all(0 <= t < v for t in ctx):
-                    seen = counts[length].setdefault(ctx, {})
+                ctx = () if ctx == "-" else ctx.split(",")
+                last, ok, base = head, 0 <= length < order and len(ctx) == length, 0
+                for t in ctx:
+                    t = ids.get(t) or int(t)
+                    ok = ok and 0 <= t < v
+                    base = base * v + t
+                if ok:
+                    runs.extend((len(toks), length, base * v))
         except ValueError:
-            raise ConfigError(f"{path}:{lineno}: malformed count record") from None
-        if seen is None or count < 0 or not 0 <= tok < v:
-            raise ConfigError(f"{path}:{lineno}: count record out of range")
-        if tok in seen:
-            raise ConfigError(f"{path}:{lineno}: repeated count record")
-        seen[tok] = count
+            raise refuse(lineno, "malformed count record") from None
+        if not ok or not 0 <= count < _KEY_END or not 0 <= tok < v:
+            raise refuse(lineno, "count record out of range")
+        toks.append(tok)
+        cnts.append(count)
+    counts, repeat = _tables(toks, cnts, runs, order)
+    if repeat is not None:
+        raise ConfigError(f"{path}:{first + repeat}: repeated count record")
     return vocab, order, smoothing, counts
+
+
+def _tables(toks: array, cnts: array, runs: array,
+            order: int) -> tuple[Counts, int | None]:
+    """The count tables of parsed records, and the index of the first
+    record, in file order, that repeats an earlier record's key (None if
+    none does)."""
+    n = len(toks)
+    starts, lengths, bases = np.frombuffer(runs, np.int64).reshape(-1, 3).T
+    sizes = np.diff(starts, append=n)
+    keys = np.repeat(bases, sizes) + np.frombuffer(toks, np.int64, n)
+    lengths = np.repeat(lengths, sizes)
+    values = np.frombuffer(cnts, np.int64, n)
+    counts: Counts = []
+    repeats = [n]
+    for length in range(order):
+        records = np.flatnonzero(lengths == length)
+        # stable: a key's records stay in file order, the first one first
+        ranks = records[keys[records].argsort(kind="stable")]
+        ranked = keys[ranks]
+        repeated = ranked[1:] == ranked[:-1]
+        repeats.append(ranks[1:][repeated].min(initial=n))
+        counts.append((ranked, values[ranks]))
+    repeat = min(repeats)
+    return counts, (repeat if repeat < n else None)

@@ -54,6 +54,42 @@ def tcr_bands(records: list[IterationRecord], budget: int,
     return [(c, s / c if c else None) for c, s in zip(counts, sums)]
 
 
+def count_dicts(counts, v: int) -> list[dict]:
+    """(keys, counts) tables over ``v`` symbols as {context: {token: count}}
+    per context length, decoding each key's radix-``v`` digits."""
+    dicts = []
+    for length, (keys, cnt) in enumerate(counts):
+        table = {}
+        for key, count in zip(keys.tolist(), cnt.tolist()):
+            digits = []
+            for _ in range(length + 1):
+                key, digit = divmod(key, v)
+                digits.append(digit)
+            *ctx, tok = reversed(digits)
+            table.setdefault(tuple(ctx), {})[tok] = count
+        dicts.append(table)
+    return dicts
+
+
+def _radix(tokens: tuple[int, ...], v: int) -> int:
+    key = 0
+    for tok in tokens:
+        key = key * v + tok
+    return key
+
+
+def count_tables(dicts: list[dict], v: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """{context: {token: count}} per context length as the (keys, counts)
+    tables ``NGramModel`` holds."""
+    tables = []
+    for table in dicts:
+        records = sorted((_radix(ctx + (tok,), v), count)
+                         for ctx, seen in table.items() for tok, count in seen.items())
+        tables.append((np.array([k for k, _ in records], dtype=np.int64),
+                       np.array([c for _, c in records], dtype=np.int64)))
+    return tables
+
+
 def make_vocab(size: int, mode: str = "word") -> Vocabulary:
     """Closed vocabulary of the given size with the unknown symbol last."""
     assert size >= 2

@@ -129,6 +129,36 @@ def test_exit_2_on_draft_order_outside_model_order(tmp_path, capsys):
         assert "draft.order must be in [1, model.order = 3]" in err
 
 
+KEY_SPACE_RE = re.compile(r"model\.order 15 is too high for a vocabulary of "
+                          r"(\d+) symbols: count keys need \1\^15 < 2\^63\n$")
+
+
+def test_exit_2_on_model_order_past_the_count_keys(tmp_path, capsys):
+    # TINY_CONFIG's vocabulary has about 19 symbols: 19^15 >= 2^63 > 19^14
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+    base = ["--config", str(cfg), "--out", str(tmp_path / "run")]
+    assert main(["gen-corpus", *base]) == 0
+    assert main(["train-model", *base]) == 0
+    capsys.readouterr()
+    high = tmp_path / "high.json"
+    high.write_text(json.dumps(dict(TINY_CONFIG, model={"order": 15})),
+                    encoding="utf-8")
+    assert main(["train-model", "--config", str(high), "--out",
+                 str(tmp_path / "run")]) == 2
+    err = _one_error_line(capsys.readouterr())
+    v = int(KEY_SPACE_RE.search(err).group(1))
+    assert v ** 14 < 2 ** 63 <= v ** 15
+    # a model file whose header asks for the same order
+    path = tmp_path / "run" / "model.txt"
+    path.write_text(path.read_text(encoding="utf-8").replace(
+        "\norder: 3\n", "\norder: 15\n"), encoding="utf-8")
+    assert main(["calibrate", *base]) == 2
+    err = _one_error_line(capsys.readouterr())
+    assert err.startswith(f"heterospec: config: {path}: bad header: ")
+    assert KEY_SPACE_RE.search(err).group(1) == str(v)
+
+
 @pytest.mark.parametrize("section,field,value", [
     ("controller", "depth", 2.5), ("controller", "top_n", 7.5),
     ("controller", "max_new_tokens", 2.5), ("prompts", "count", 2.5),

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import PlantedTemplateModel, is_valid_dist, make_vocab, prob_dists
+from conftest import (PlantedTemplateModel, count_dicts, count_tables,
+                      is_valid_dist, make_vocab, prob_dists)
 from heterospec import models
 from heterospec.errors import ConfigError
 from heterospec.models import (LanguageModel, NGramModel, PerturbedDraftModel,
@@ -191,8 +192,8 @@ def test_model_file_round_trip(tmp_path):
         assert np.array_equal(loaded.next_dist(ctx).dist, model.next_dist(ctx).dist)
 
 
-# "cab" then "ca" over a = 0, b = 1, c = 2: contexts in first-seen order,
-# tokens in ascending id order whatever order they were first seen in
+# "cab" then "ca" over a = 0, b = 1, c = 2: contexts and tokens in
+# ascending id order, whatever order they were first seen in
 GOLDEN_MODEL = """heterospec-ngram v1
 mode: char
 order: 2
@@ -202,9 +203,10 @@ counts:
 c 0 - 0 2
 c 0 - 1 1
 c 0 - 2 2
-c 1 2 0 2
 c 1 0 1 1
+c 1 2 0 2
 """
+GOLDEN_BIGRAMS = {(0,): {1: 1}, (2,): {0: 2}}
 
 
 def test_save_model_golden_bytes(tmp_path):
@@ -214,11 +216,12 @@ def test_save_model_golden_bytes(tmp_path):
     path = tmp_path / "model.txt"
     save_model(model, path)
     assert path.read_text(encoding="utf-8") == GOLDEN_MODEL
-    # a zero-count record is read but not written back
+    # a zero-count record is a record: read, and written back in key order
     with_zero = tmp_path / "zero.txt"
     with_zero.write_text(GOLDEN_MODEL + "c 1 0 2 0\n", encoding="utf-8")
     save_model(load_model(with_zero), path)
-    assert path.read_text(encoding="utf-8") == GOLDEN_MODEL
+    assert path.read_text(encoding="utf-8") == \
+        GOLDEN_MODEL.replace("c 1 2", "c 1 0 2 0\nc 1 2")
 
 
 def test_lower_order_equals_trained_model(tmp_path):
@@ -277,8 +280,9 @@ def test_load_model_rejects_malformed_files(tmp_path):
         f"{no_unk}: bad header: vocabulary needs the unknown symbol '<unk>'"
 
 
-# GOLDEN_MODEL ends with line 11, "c 1 0 1 1"; the added line is line 12,
-# so records sharing that line's prefix reach the per-run parse
+# GOLDEN_MODEL ends with line 11, "c 1 2 0 2"; the added line is line 12,
+# so records starting "c 1 2" reach the per-run parse, and others parse
+# their own head
 MALFORMED, OUT_OF_RANGE = "malformed count record", "count record out of range"
 REPEATED = "repeated count record"
 
@@ -291,9 +295,11 @@ REPEATED = "repeated count record"
     ("c 1 0,1 0 1", OUT_OF_RANGE), ("c 1 - 0 1", OUT_OF_RANGE),
     ("c 1 0,x 0 1", MALFORMED), ("x 1 0 0 1", MALFORMED),
     ("c bogus", MALFORMED), ("", MALFORMED),
+    ("c 1 2 7 1", OUT_OF_RANGE), ("c 1 2 0 x", MALFORMED),
+    ("c 1 2 0 9223372036854775808", OUT_OF_RANGE),
     # one record per (context length, context, token), in the same run of a
     # context's records or in another
-    ("c 1 0 1 9", REPEATED), ("c 0 - 2 1", REPEATED),
+    ("c 1 2 0 9", REPEATED), ("c 1 0 1 9", REPEATED), ("c 0 - 2 1", REPEATED),
 ])
 def test_load_model_reports_bad_record_at_its_line(tmp_path, record, error):
     path = tmp_path / "model.txt"
@@ -301,6 +307,18 @@ def test_load_model_reports_bad_record_at_its_line(tmp_path, record, error):
     with pytest.raises(ConfigError) as exc:
         load_model(path)
     assert str(exc.value) == f"{path}:12: {error}"
+
+
+def test_load_model_reports_a_repeat_before_a_later_bad_line(tmp_path):
+    # repeats are found once the records are sorted: a bad line after one
+    # still fails at the repeat, the first bad line in file order
+    path = tmp_path / "model.txt"
+    for bad in ("c bogus", "c 1 0 7 1", "c 1 0 2 1"):
+        path.write_text(GOLDEN_MODEL + "c 1 1 0 1\nc 0 - 1 5\n" + bad + "\n"
+                        + "c 1 0 1 5\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            _fresh_parse(path)
+        assert str(exc.value) == f"{path}:13: repeated count record"
 
 
 # GOLDEN_MODEL's header is lines 2-5; the inserted line becomes line 4
@@ -361,10 +379,9 @@ def test_saved_tables_are_handed_to_load_model(tmp_path, model_parses):
     assert not handed._memo
     fresh = _fresh_parse(path)
     assert model_parses == [path]
-    # the same tables; only the order of a context's tokens differs
-    assert fresh._counts == trained._counts
-    assert _ordered(fresh._counts) != _ordered(trained._counts)
-    contexts = [ctx for table in trained._counts for ctx in table]
+    assert _listed(fresh._counts) == _listed(trained._counts)
+    contexts = [ctx for table in count_dicts(trained._counts, vocab.size)
+                for ctx in table]
     contexts += [tuple(int(t) for t in rng.integers(vocab.size, size=n))
                  for n in rng.integers(0, 6, size=300)]
     for ctx in contexts:
@@ -372,31 +389,57 @@ def test_saved_tables_are_handed_to_load_model(tmp_path, model_parses):
             fresh.next_dist(ctx).dist.tobytes()
 
 
-@pytest.mark.parametrize("counts", [
-    [{(): {0: 2, 1: 1, 2: 2}}, {(2,): {0: 2}, (0,): {1: 1, 2: 0}}],
-    [{(): {0: 2, 1: 1, 2: 2}}, {(2,): {0: 2}, (1,): {}, (0,): {1: 1}}],
-], ids=["zero-count", "empty-context"])
-def test_save_model_keeps_no_tables_its_file_does_not_give_back(
-        tmp_path, model_parses, counts):
-    # a zero count and a context without counts are written as no record,
-    # and a context the tables hold stops the backoff
+def test_save_model_keeps_the_zero_counts_it_writes(tmp_path, model_parses):
+    # a zero count is a record: written, kept and parsed back alike, and
+    # its context stops the backoff
     vocab = build_vocab(["cab", "ca"], mode="char")
+    counts = count_tables([{(): {0: 2, 1: 1, 2: 2}},
+                           {(2,): {0: 2}, (0,): {1: 1}, (1,): {2: 0}}], vocab.size)
     path = tmp_path / "model.txt"
     save_model(NGramModel(vocab, 2, 0.5, counts), path)
-    assert models._kept is None
-    assert path.read_text(encoding="utf-8") == GOLDEN_MODEL
-    assert load_model(path)._counts[1] == {(2,): {0: 2}, (0,): {1: 1}}
-    assert model_parses == [path]
+    assert path.read_text(encoding="utf-8") == \
+        GOLDEN_MODEL.replace("c 1 2", "c 1 1 2 0\nc 1 2")
+    kept = load_model(path)
+    assert model_parses == [] and kept._counts is counts
+    fresh = _fresh_parse(path)
+    assert _listed(fresh._counts) == _listed(counts)
+    b, = vocab.encode("b")
+    for model in (kept, fresh):
+        assert model.next_dist((b,)).dist.tolist() == [0.25] * 4
 
 
-def test_save_model_keeps_no_tables_beyond_its_order(tmp_path):
+# (order, tables as (keys, counts) lists, message): over 4 symbols, none
+# would come back from a parse of its file
+BAD_TABLES = {
+    "token-out-of-range": (1, [([0, 9], [1, 2])], "count table 0: need keys"),
+    "key-out-of-range": (2, [([0], [1]), ([16], [1])], "count table 1: need keys"),
+    "negative-key": (1, [([-1, 0], [1, 2])], "count table 0: need keys"),
+    "descending": (1, [([2, 0], [1, 1])], "count table 0: need keys"),
+    "repeated-key": (1, [([0, 0], [1, 1])], "count table 0: need keys"),
+    "negative-count": (1, [([0, 1], [1, -1])], "count table 0: need keys"),
+    "misaligned": (1, [([0, 1], [1])], "count table 0: need two aligned"),
+    "too-many-tables": (1, [([0], [1]), ([1], [1])],
+                        "an order-1 model needs 1 count tables, got 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TABLES))
+def test_ngram_model_refuses_tables_a_parse_would_not_give_back(name):
     vocab = build_vocab(["cab", "ca"], mode="char")
-    path = tmp_path / "model.txt"
-    two = train_ngram(["cab", "ca"], vocab, order=2, smoothing=0.5)
-    save_model(NGramModel(vocab, 1, 0.5, two._counts), path)
-    assert models._kept is None
-    with pytest.raises(ConfigError, match=r"model\.txt:10: count record out of range"):
-        load_model(path)
+    order, tables, message = BAD_TABLES[name]
+    counts = [(np.array(keys, dtype=np.int64), np.array(cnt, dtype=np.int64))
+              for keys, cnt in tables]
+    with pytest.raises(ConfigError, match=message):
+        NGramModel(vocab, order, 0.5, counts)
+
+
+def test_ngram_model_refuses_tables_not_of_int64_arrays():
+    vocab = build_vocab(["cab", "ca"], mode="char")
+    keys = np.array([0, 1], dtype=np.int64)
+    for counts in ([(keys, keys.astype(np.int32))], [(keys.tolist(), keys)],
+                   [(keys.reshape(1, 2), keys.reshape(1, 2))]):
+        with pytest.raises(ConfigError, match="count table 0: need two aligned"):
+            NGramModel(vocab, 1, 0.5, counts)
 
 
 def test_load_model_rereads_a_rewritten_file(tmp_path):
@@ -410,7 +453,7 @@ def test_load_model_rereads_a_rewritten_file(tmp_path):
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
     assert os.stat(path).st_size == stat.st_size
     new = load_model(path)
-    assert new._counts[0][()] == {0: 7, 1: 1, 2: 2}
+    assert count_dicts(new._counts, 4)[0][()] == {0: 7, 1: 1, 2: 2}
     want = _fresh_parse(path).next_dist(()).dist.tobytes()
     assert new.next_dist(()).dist.tobytes() == want
     assert new.next_dist(()).dist.tobytes() != old.next_dist(()).dist.tobytes()
@@ -426,16 +469,55 @@ def test_load_model_keeps_no_failed_parse(tmp_path):
             load_model(bad)
         assert str(exc.value) == f"{bad}:12: malformed count record"
         assert models._kept is None
-    assert load_model(good)._counts[1] == {(2,): {0: 2}, (0,): {1: 1}}
+    assert count_dicts(load_model(good)._counts, 4)[1] == GOLDEN_BIGRAMS
 
 
 def test_load_model_reads_records_split_on_any_whitespace(tmp_path):
     path = tmp_path / "model.txt"
     path.write_text(GOLDEN_MODEL + "c  1 0\t2  3 \nc 1 0 3 4\n  c 1 1 0 5\n",
                     encoding="utf-8")
-    model = load_model(path)
-    assert model._counts[1][(0,)] == {1: 1, 2: 3, 3: 4}
-    assert model._counts[1][(1,)] == {0: 5}
+    bigrams = count_dicts(load_model(path)._counts, 4)[1]
+    assert bigrams == {(0,): {1: 1, 2: 3, 3: 4}, (1,): {0: 5}, (2,): {0: 2}}
+
+
+def test_load_model_reads_ids_in_any_form_int_reads(tmp_path):
+    # save_model writes "3"; "03", "+3" and "0_3" are the same id to int()
+    path = tmp_path / "model.txt"
+    path.write_text(GOLDEN_MODEL + "c 1 +01 03 6\nc 1 1 0_2 1\nc 1 0 +0 7\n",
+                    encoding="utf-8")
+    bigrams = count_dicts(_fresh_parse(path)._counts, 4)[1]
+    assert bigrams == {(0,): {0: 7, 1: 1}, (1,): {3: 6, 2: 1}, (2,): {0: 2}}
+    path.write_text(GOLDEN_MODEL + "c 1 0 +1 7\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"model\.txt:12: repeated count record"):
+        _fresh_parse(path)
+
+
+@pytest.mark.parametrize("order,v,refused", [
+    (62, 2, False), (63, 2, True), (13, 27, False), (14, 27, True),
+    (5, 6208, False), (6, 6208, True), (10 ** 9, 2, True),
+])
+def test_check_key_space_refuses_keys_past_int64(order, v, refused):
+    if refused:
+        with pytest.raises(ConfigError, match=f"model.order {order} is too high "
+                           f"for a vocabulary of {v} symbols"):
+            models.check_key_space(order, v)
+    else:
+        models.check_key_space(order, v)
+
+
+def test_model_order_past_the_count_keys_is_refused_before_counting(tmp_path):
+    vocab = build_vocab(["cab", "ca"], mode="char")  # 4 symbols: 4^32 = 2^64
+    with pytest.raises(ConfigError, match=r"model\.order 32 .* 4 symbols"):
+        train_ngram(["cab"] * 10 ** 6, vocab, order=32, smoothing=0.5)
+    with pytest.raises(ConfigError, match=r"model\.order 32 .* 4 symbols"):
+        NGramModel(vocab, 32, 0.5, [])
+    path = tmp_path / "model.txt"
+    path.write_text(GOLDEN_MODEL.replace("order: 2", "order: 32"), encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        load_model(path)
+    assert str(exc.value) == (f"{path}: bad header: model.order 32 is too high "
+                              f"for a vocabulary of 4 symbols: count keys need "
+                              f"4^32 < 2^63")
 
 
 def test_ngram_model_rejects_bad_hyperparameters():
@@ -450,9 +532,10 @@ def test_ngram_model_rejects_bad_hyperparameters():
 
 
 def _token_loop_counts(corpus, vocab, order):
-    """The count tables as a token-by-token loop builds them: for every
-    token, every context length up to order - 1 that fits before it. The
-    oracle for ``train_ngram``'s window counters."""
+    """The count tables as a token-by-token loop builds them, as
+    {context: {token: count}}: for every token, every context length up to
+    order - 1 that fits before it. The oracle for ``train_ngram``'s window
+    counts."""
     counts = [{} for _ in range(order)]
     for doc in encode_corpus(corpus, vocab):
         for i, tok in enumerate(doc):
@@ -462,10 +545,15 @@ def _token_loop_counts(corpus, vocab, order):
     return counts
 
 
-def _ordered(counts):
-    """The tables with every insertion order made visible."""
-    return [[(ctx, list(seen.items())) for ctx, seen in table.items()]
-            for table in counts]
+def _listed(counts):
+    """The tables as lists, comparable with ``==``."""
+    return [(keys.tolist(), cnt.tolist()) for keys, cnt in counts]
+
+
+def _records(dicts):
+    """Every record of {context: {token: count}} tables, in key order."""
+    return [sorted((ctx, tok, count) for ctx, seen in table.items()
+                   for tok, count in seen.items()) for table in dicts]
 
 
 @given(st.sampled_from(["char", "word"]), st.integers(1, 4),
@@ -477,10 +565,11 @@ def test_train_ngram_equals_token_loop(tmp_path_factory, mode, order, docs):
     vocab = build_vocab(["a b", docs[0], "a"], mode=mode)
     model = train_ngram(docs, vocab, order=order, smoothing=0.1)
     want = _token_loop_counts(docs, vocab, order)
-    assert _ordered(model._counts) == _ordered(want)
+    assert _records(count_dicts(model._counts, vocab.size)) == _records(want)
     out = tmp_path_factory.mktemp("train")
     save_model(model, out / "model.txt")
-    save_model(NGramModel(vocab, order, 0.1, want), out / "oracle.txt")
+    oracle = NGramModel(vocab, order, 0.1, count_tables(want, vocab.size))
+    save_model(oracle, out / "oracle.txt")
     assert (out / "model.txt").read_bytes() == (out / "oracle.txt").read_bytes()
 
 
@@ -506,7 +595,7 @@ def _whole_text_parse(path):
     with open(path, encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
     try:
-        return _ordered(models._parse_model(lines, path)[3])
+        return _listed(models._parse_model(lines, path)[3])
     except ConfigError as exc:
         return str(exc)
 
@@ -514,7 +603,7 @@ def _whole_text_parse(path):
 def _chunked_parse(path):
     """The outcome of ``load_model``, parsing anew."""
     try:
-        return _ordered(_fresh_parse(path)._counts)
+        return _listed(_fresh_parse(path)._counts)
     except ConfigError as exc:
         return str(exc)
 
@@ -529,7 +618,7 @@ def test_chunked_parse_equals_whole_text_parse(tmp_path, model_parses):
     release_kept_model()
     model = load_model(path)
     assert model_parses == [path]
-    assert _ordered(model._counts) == _whole_text_parse(path)
+    assert _listed(model._counts) == _whole_text_parse(path)
 
 
 def test_chunked_parse_reports_a_late_bad_record_at_its_line(tmp_path):
@@ -583,9 +672,10 @@ def _memo_models():
 def _backoff_context(model, ctx):
     """The longest suffix of ``ctx``, at most order - 1 tokens, that the
     model's count tables hold; the empty context otherwise."""
+    tables = count_dicts(model._counts, model.vocab.size)
     for length in range(min(model.order - 1, len(ctx)), 0, -1):
         suffix = tuple(ctx[len(ctx) - length:])
-        if suffix in model._counts[length]:
+        if suffix in tables[length]:
             return suffix
     return ()
 
@@ -595,7 +685,8 @@ def _uncached_dist(model, ctx):
     code from the model under test."""
     key = _backoff_context(model, ctx)
     vec = np.zeros(model.vocab.size, dtype=np.int64)
-    for tok, count in model._counts[len(key)].get(key, {}).items():
+    seen = count_dicts(model._counts, model.vocab.size)[len(key)].get(key, {})
+    for tok, count in seen.items():
         vec[tok] = count
     k, v = model.smoothing, model.vocab.size
     return (vec + k) / (vec.sum() + k * v)
@@ -717,9 +808,10 @@ def _state_model(order, pruned, perturbed):
     if pruned and order > 1:
         # a model file may hold a context without its suffixes; trained
         # tables never do, and on them the backoff context would also pass
-        counts = [dict(table) for table in counts]
+        dicts = count_dicts(counts, vocab.size)
         for sym in "ab":
-            del counts[1][vocab.encode(sym)]
+            del dicts[1][vocab.encode(sym)]
+        counts = count_tables(dicts, vocab.size)
 
     ngram = model = NGramModel(vocab, order, 0.1, counts)
     if perturbed:

@@ -1,9 +1,11 @@
 """Smoke tests of the README's Quick start: its CLI lines run in order,
 each exits 0, and together they print the README's seed-0 result block;
 each packaged experiment runs end to end in its own process and prints
-what the README says it prints."""
+what the README says it prints; the artifact digest tool prints the
+default run's digests."""
 from __future__ import annotations
 
+import json
 import os
 import re
 import shlex
@@ -67,6 +69,35 @@ def test_alpha_sweep_refuses_bad_alphas_before_any_step(tmp_path, alphas):
     assert proc.stderr.splitlines()[-1].startswith(
         "run_alpha_sweep.py: error: argument --alphas: expected ")
     assert not out.exists()
+
+
+def test_artifact_digests_prints_the_default_runs_artifacts():
+    # planted at seed 0 is the default experiment, whose artifacts
+    # tests/test_pipeline.py pins
+    proc = _run_script("artifact_digests.py", "--workload", "planted",
+                       "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert sorted(out["sha256"]) == sorted(
+        ["corpus.txt", "model.txt", "bins.txt", "calibration.csv", "compare.csv"]
+        + [f"{arm}-{table}.csv" for arm in ("baseline", "adaptive")
+           for table in ("iterations", "tcr-histogram", "tcr-by-accepted",
+                         "bin-occupancy")])
+    assert out["sha256"]["bins.txt"] == \
+        "15a03105e4f21f396b6fb8f39b7d17b4d70118f977f914f159965595408707df"
+    assert out["sha256"]["model.txt"] == \
+        "cc3ec3a6b6b8cd0d83f198502709c2f73796240a83719f03f7224abb632f4940"
+    assert out["model_txt_sorted_lines"] == \
+        "5a282681d3bbad2b061af08dc644ad67558fe6b9385f1d8566afe066006dd7d5"
+    assert out["calls"] == {"baseline": 907, "adaptive": 705}
+    assert [round(out["speedup"][arm], 4) for arm in ("baseline", "adaptive")] \
+        == [2.7784, 3.5587]
+
+
+def test_artifact_digests_refuses_an_unknown_workload():
+    proc = _run_script("artifact_digests.py", "--workload", "nope", "--seed", "0")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "invalid choice: 'nope'" in proc.stderr
 
 
 def _readme_block(marker: str, fence: str) -> list[str]:
