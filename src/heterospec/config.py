@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -21,6 +20,7 @@ from .control import HeteroConfig
 from .corpus import PlantedCorpusSpec
 from .errors import ConfigError, check_setting, utf8_errors
 from .metrics import CostModel
+from .models import check_model_settings
 
 CONFIG_VERSION = 1
 
@@ -37,9 +37,7 @@ class ModelSpec:
     smoothing: float = 0.1
 
     def __post_init__(self):
-        check_setting(self.order >= 1, "model.order", ">= 1", self.order)
-        check_setting(0 < self.smoothing < math.inf,  # false for NaN
-                      "model.smoothing", "finite and > 0", self.smoothing)
+        check_model_settings(self.order, self.smoothing)
 
 
 @dataclass(frozen=True)

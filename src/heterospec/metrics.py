@@ -6,20 +6,27 @@ verification cost plus a per-layer drafting cost, and compares against
 plain autoregressive decoding, which pays one call and one verified token
 per emitted token.
 
-Every CSV table is a schema line, a header row and one row per record,
-with floats as ``fmt_float`` gives them and a missing value as "-". A table
-is read back only if its first two lines are the written ones, each row
-parsed by position into the fields of ``IterationRecord`` or ``RunSummary``.
-An ``IterationRecord`` is an immutable named tuple, so it is its own trace
-row.
+Every CSV table is a schema line ending in "\\n", a header row and one row
+per record, each ending in "\\r\\n", with floats as ``fmt_float`` gives them
+and a missing value as "-". Cells are never quoted: a cell holding a comma,
+a double quote or a line break cannot be written, and a row holding a
+double quote is refused when read. The tables are written and parsed a
+column at a time, with no ``csv`` module: the writer transposes the rows
+and formats each column once per distinct value; the reader splits every
+row on "," and casts each column once per distinct cell. Only when that
+fails does it go row by row, to report the first bad line. A table is
+read back only if its first two lines are the written ones, each row
+parsed by position into the fields of ``IterationRecord`` or
+``RunSummary``. An ``IterationRecord`` is an immutable named tuple, so it
+is its own trace row.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from itertools import repeat
+from operator import attrgetter, contains
 from typing import NamedTuple, get_type_hints
 
 from .errors import ConfigError, check_setting, utf8_errors
@@ -94,14 +101,16 @@ _SUMMARY_LOOSE = (1, *(i for i, f in enumerate(fields(RunSummary), 2)
                        if f.type != "int"))
 
 
-def quantile_nearest_rank(values: list[float], p: float) -> float:
-    """Nearest-rank quantile: the ceil(p*n)-th smallest value."""
+def quantiles_nearest_rank(values: list[float], levels) -> list[float]:
+    """Nearest-rank quantile at each level: the ceil(p*n)-th smallest value.
+    The values are sorted once for all levels."""
     if not values:
         raise ValueError("quantile of empty list")
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"quantile level must be in (0, 1], got {p}")
+    for p in levels:
+        if not 0.0 < p <= 1.0:
+            raise ValueError(f"quantile level must be in (0, 1], got {p}")
     ordered = sorted(values)
-    return ordered[max(0, math.ceil(p * len(ordered)) - 1)]
+    return [ordered[max(0, math.ceil(p * len(ordered)) - 1)] for p in levels]
 
 
 TCR_QUANTILE_LEVELS = (0.25, 0.50, 0.75, 0.95)
@@ -114,11 +123,11 @@ def tcr_quantiles(records: list[IterationRecord]) -> dict[str, int] | None:
     quantiles, so those iterations are excluded; callers report their
     count separately. Returns None when no iteration accepted anything.
     """
-    ranks = [float(r.tcr) for r in records if r.accepted_len >= 1]
+    ranks = [r.tcr for r in records if r.accepted_len >= 1]
     if not ranks:
         return None
-    return {"p%d" % round(p * 100): int(quantile_nearest_rank(ranks, p))
-            for p in TCR_QUANTILE_LEVELS}
+    quants = quantiles_nearest_rank(ranks, TCR_QUANTILE_LEVELS)
+    return {"p%d" % round(p * 100): q for p, q in zip(TCR_QUANTILE_LEVELS, quants)}
 
 
 def _tally(pairs) -> list[tuple[int, int, float]]:
@@ -178,18 +187,22 @@ def validate_run(records: list[IterationRecord],
                  expected_emitted: int | None = None) -> list[str]:
     """Accounting invariants every run must satisfy; returns violations."""
     problems: list[str] = []
-    for r in records:
-        where = f"prompt {r.prompt} iteration {r.iteration}"
-        if r.emitted != r.accepted_len + 1:
-            problems.append(f"{where}: emitted != accepted_len + 1")
-        if not 1 <= r.tcr <= r.tree_size + 1:
-            problems.append(f"{where}: tcr {r.tcr} outside [1, tree_size+1]")
-        if r.tree_size > r.top_n:
-            problems.append(f"{where}: tree_size {r.tree_size} > top_n {r.top_n}")
-        if r.accepted_len > r.draft_depth:
-            problems.append(f"{where}: accepted_len exceeds draft depth")
-        if r.accepted_len and r.tcr > r.tree_size:
-            problems.append(f"{where}: sentinel tcr with nonzero acceptance")
+    for (prompt, iteration, _, _, depth, top_n, size, accepted, emitted,
+         tcr) in records:
+        found = []
+        if emitted != accepted + 1:
+            found.append("emitted != accepted_len + 1")
+        if not 1 <= tcr <= size + 1:
+            found.append(f"tcr {tcr} outside [1, tree_size+1]")
+        if size > top_n:
+            found.append(f"tree_size {size} > top_n {top_n}")
+        if accepted > depth:
+            found.append("accepted_len exceeds draft depth")
+        if accepted and tcr > size:
+            found.append("sentinel tcr with nonzero acceptance")
+        if found:  # the location is formatted only for a failing record
+            problems += [f"prompt {prompt} iteration {iteration}: {p}"
+                         for p in found]
     if expected_emitted is not None:
         total = sum(r.emitted for r in records)
         if total != expected_emitted:
@@ -202,41 +215,86 @@ def fmt_float(x: float) -> str:
     return "%.17g" % x
 
 
+def _each(fn, values) -> list:
+    """``fn`` of each of ``values``, called once per distinct value."""
+    memo = {v: fn(v) for v in set(values)}
+    return list(map(memo.__getitem__, values))
+
+
+def _loose_cell(value) -> str:
+    return "-" if value is None else fmt_float(value)
+
+
+def _loose_cells(values: tuple) -> list[str]:
+    """``_loose_cell`` of each value. ``_each`` formats equal values once,
+    and 0.0 == -0.0, so when the column holds a zero, its zeros are
+    formatted one by one."""
+    cells = _each(_loose_cell, values)
+    if 0 in values:
+        cells = [fmt_float(v) if v == 0 else c for v, c in zip(values, cells)]
+    return cells
+
+
 def _write_table(path: str, schema: str, header: tuple[str, ...], rows,
                  loose: tuple[int, ...] = ()) -> None:
-    """The schema line, the header row, then ``rows``. A cell in a
-    ``loose`` column is a number, written by ``fmt_float``, or None,
-    written as "-"; every other cell is an int or a string, written as is."""
+    """The schema line, the header row, then ``rows``, a column at a time.
+    A cell in a ``loose`` column is a number, written by ``fmt_float``, or
+    None, written as "-"; every other cell is an int or a string, written
+    by ``str``. Each column is formatted once per distinct value. Every row
+    must have one cell per header name, and no cell may hold a comma, a
+    double quote or a line break."""
+    columns = [column[1:] for column in zip(header, *rows, strict=True)]
+    cells = [_loose_cells(column) if i in loose else _each(str, column)
+             for i, column in enumerate(columns)]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
+    text = schema + "\n" + "\r\n".join(lines) + "\r\n"
+    # the format has no quoting, so any extra separator came from a cell
+    if '"' in text or text.count(",") != len(lines) * (len(header) - 1) \
+            or text.count("\n") != len(lines) + 1 \
+            or text.count("\r") != len(lines):
+        raise ValueError(f"{path}: a cell holds a comma, a double quote or "
+                         "a line break")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(schema + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            row = list(row)
-            for i in loose:
-                row[i] = "-" if row[i] is None else fmt_float(row[i])
-            writer.writerow(row)
+        fh.write(text)
+
+
+def _columns(lines: list[str], width: int) -> list[tuple[str, ...]]:
+    """The cells of ``lines`` split on ",", by column; ValueError unless
+    each line holds ``width`` cells and no double quote."""
+    if any(map(contains, lines, repeat('"'))):
+        raise ValueError("quoted cell: cells are never quoted")
+    if not lines:
+        return [()] * width
+    columns = list(zip(*map(str.split, lines, repeat(",")), strict=True))
+    if len(columns) != width:
+        raise ValueError(f"{len(columns)} cells, expected {width}")
+    return columns
 
 
 def _read_csv(path: str, schema: str, header: tuple[str, ...], parse) -> list:
-    """``parse(row)`` for each row, a list of strings in header order, of a
-    table whose schema line and header row are the written ones; a row that
-    ``parse`` cannot read fails at its line."""
+    """``parse(columns)``, the cells of all rows by column in header order,
+    of a table whose schema line and header row are the written ones. Rows
+    may end in "\\r\\n", "\\n" or "\\r". When the rows cannot be parsed
+    together, each is parsed alone to fail at the first bad line."""
     with utf8_errors(path), open(path, "r", encoding="utf-8", newline="") as fh:
-        if (first := fh.readline().rstrip("\n")) != schema:
-            raise ConfigError(f"{path}:1: unexpected schema line {first!r}")
-        reader = csv.reader(fh)
-        if (got := next(reader, None)) != list(header):
-            raise ConfigError(f"{path}:2: unexpected header row {got!r}")
-        out = []
-        for row in reader:
+        first, text = fh.readline(), fh.read()
+    if (first := first.rstrip("\n")) != schema:
+        raise ConfigError(f"{path}:1: unexpected schema line {first!r}")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if (got := lines[0].split(",") if lines else None) != list(header):
+        raise ConfigError(f"{path}:2: unexpected header row {got!r}")
+    rows = lines[1:]
+    try:
+        return parse(_columns(rows, len(header)))
+    except ValueError:
+        for lineno, row in enumerate(rows, 3):
             try:
-                out.append(parse(row))
+                parse(_columns([row], len(header)))
             except ValueError as exc:
-                # the reader starts counting after the schema line
-                raise ConfigError(f"{path}:{reader.line_num + 1}: bad row: "
-                                  f"{exc!r}") from None
-        return out
+                raise ConfigError(f"{path}:{lineno}: bad row: {exc!r}") from None
+        raise  # no row fails alone
 
 
 def write_iterations_csv(path: str, records: list[IterationRecord]) -> None:
@@ -244,10 +302,15 @@ def write_iterations_csv(path: str, records: list[IterationRecord]) -> None:
                  _ITERATION_LOOSE)
 
 
+def _iteration_records(columns: list[tuple[str, ...]]) -> list[IterationRecord]:
+    casts = [_each(cast, column)
+             for cast, column in zip(_ITERATION_CASTS, columns)]
+    # tuple.__new__ is what IterationRecord._make calls, minus a Python frame
+    return list(map(tuple.__new__, repeat(IterationRecord), zip(*casts)))
+
+
 def read_iterations_csv(path: str) -> list[IterationRecord]:
-    return _read_csv(path, ITERATIONS_SCHEMA, ITERATION_FIELDS, lambda row:
-                     IterationRecord._make([cast(text) for cast, text
-                                            in zip(_ITERATION_CASTS, row, strict=True)]))
+    return _read_csv(path, ITERATIONS_SCHEMA, ITERATION_FIELDS, _iteration_records)
 
 
 def write_summary_csv(path: str,
@@ -259,16 +322,17 @@ def write_summary_csv(path: str,
                  _SUMMARY_LOOSE)
 
 
-def _summary_row(row: list[str]) -> dict[str, str]:
-    for value in row[1:]:
-        if value != "-":
-            float(value)
-    return dict(zip(SUMMARY_FIELDS, row, strict=True))
+def _summary_rows(columns: list[tuple[str, ...]]) -> list[dict[str, str]]:
+    for column in columns[1:]:
+        for value in column:
+            if value != "-":
+                float(value)
+    return [dict(zip(SUMMARY_FIELDS, row)) for row in zip(*columns)]
 
 
 def read_summary_csv(path: str) -> list[dict[str, str]]:
     """Rows by column name, as written; all but the arm hold a number or "-"."""
-    return _read_csv(path, SUMMARY_SCHEMA, SUMMARY_FIELDS, _summary_row)
+    return _read_csv(path, SUMMARY_SCHEMA, SUMMARY_FIELDS, _summary_rows)
 
 
 def write_tcr_histogram_csv(path: str,

@@ -43,8 +43,11 @@ keys' radix-V digits and joins them once, and ``load_model`` reads every
 record through one path; a header line without ``: ``, with a key
 ``save_model`` does not write, or repeating a key is refused at its own
 line, and so is a second record for the same (context length, context,
-token). The parse takes the decoded text's lines one chunk of about 64K
-characters at a time, so it never holds every line of the file at once.
+token). A header whose order is below 1 or whose smoothing is not finite
+and > 0 is refused as a bad header, by ``check_model_settings``, the rule
+the config's ``model`` settings and ``NGramModel`` follow too. The parse
+takes the decoded text's lines one chunk of about 64K characters at a
+time, so it never holds every line of the file at once.
 
 A process keeps the count tables of the last model file it wrote or
 parsed, keyed by the sha256 of the file's bytes. ``save_model`` keeps the
@@ -69,19 +72,28 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from array import array
 from collections.abc import Iterable, Iterator
 from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigError, utf8_errors
+from .errors import ConfigError, check_setting, utf8_errors
 from .vocab import Context, Vocabulary, encode_corpus
 
 ProbDist = np.ndarray  # 1-D float64 vector over the vocabulary
 Counts = list[tuple[np.ndarray, np.ndarray]]  # [L]: (keys, counts)
 
 _KEY_END = 1 << 63  # every key and count is below this: they are int64
+
+
+def check_model_settings(order: int, smoothing: float) -> None:
+    """The rule for a model's order and smoothing, from a config or a
+    ``model.txt`` header alike."""
+    check_setting(order >= 1, "model.order", ">= 1", order)
+    check_setting(0 < smoothing < math.inf,  # false for NaN
+                  "model.smoothing", "finite and > 0", smoothing)
 
 
 def check_key_space(order: int, v: int) -> None:
@@ -179,10 +191,7 @@ class NGramModel(LanguageModel):
 
     def __init__(self, vocab: Vocabulary, order: int, smoothing: float,
                  counts: Counts):
-        if order < 1:
-            raise ConfigError(f"n-gram order must be >= 1, got {order}")
-        if smoothing <= 0:
-            raise ConfigError(f"smoothing constant must be > 0, got {smoothing}")
+        check_model_settings(order, smoothing)
         check_key_space(order, vocab.size)
         _check_tables(counts, order, vocab.size)
         super().__init__()
@@ -392,6 +401,7 @@ def _parse_model(lines: Iterable[str], path) -> tuple[Vocabulary, int, float, Co
         vocab = Vocabulary(tuple(json.loads(header["symbols"])), header["mode"])
         order = int(header["order"])
         smoothing = float(header["smoothing"])
+        check_model_settings(order, smoothing)
         check_key_space(order, vocab.size)
     except (KeyError, ValueError, ConfigError) as exc:
         raise ConfigError(f"{path}: bad header: {exc}") from exc

@@ -159,6 +159,23 @@ def test_exit_2_on_model_order_past_the_count_keys(tmp_path, capsys):
     assert KEY_SPACE_RE.search(err).group(1) == str(v)
 
 
+def test_exit_2_on_model_txt_with_nan_smoothing(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+    base = ["--config", str(cfg), "--out", str(tmp_path / "run")]
+    assert main(["gen-corpus", *base]) == 0
+    assert main(["train-model", *base]) == 0
+    capsys.readouterr()
+    path = tmp_path / "run" / "model.txt"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(re.sub(r"(?m)^smoothing: .*$", "smoothing: nan", text, 1),
+                    encoding="utf-8")
+    assert main(["calibrate", *base]) == 2
+    assert _one_error_line(capsys.readouterr()) == (
+        f"heterospec: config: {path}: bad header: model.smoothing must be "
+        "finite and > 0, got nan\n")
+
+
 @pytest.mark.parametrize("section,field,value", [
     ("controller", "depth", 2.5), ("controller", "top_n", 7.5),
     ("controller", "max_new_tokens", 2.5), ("prompts", "count", 2.5),
@@ -318,8 +335,17 @@ ITERATIONS_HEADER = ("# heterospec-iterations v1\nprompt,iteration,entropy,bin,"
      " header row"),
     ("compare.csv", "# heterospec-summary v1\n",
      "compare.csv:2: unexpected header row None"),
+    # cells are never quoted, so a quoted cell is refused at its line
+    ("baseline-iterations.csv",
+     ITERATIONS_HEADER + '0,0,0.5,-1,5,20,18,3,4,3\n0,"1",0.5,-1,5,20,18,3,4,3\n',
+     "baseline-iterations.csv:4: bad row"),
+    ("compare.csv", "# heterospec-summary v1\narm,alpha,prompts,calls,tokens,"
+     "emitted,tau,mean_accepted_len,speedup,tcr_p25,tcr_p50,tcr_p75,tcr_p95,"
+     'sentinels\n"baseline",-,1,2,3,4,2,1.5,-,-,-,-,-,0\n',
+     "compare.csv:3: bad row"),
 ], ids=["trace-schema", "trace-entropy", "compare-tau", "trace-extra-column",
-        "trace-reordered-header", "compare-no-header"])
+        "trace-reordered-header", "compare-no-header", "trace-quoted-cell",
+        "compare-quoted-arm"])
 def test_exit_2_on_malformed_csv(tmp_path, capsys, name, text, where):
     out = tmp_path / "run"
     out.mkdir()

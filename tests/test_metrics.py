@@ -1,25 +1,38 @@
 """Run accounting: quantiles, summaries, cost-model speedup, rank bands,
-invariant checks, and the CSV artifact formats."""
+invariant checks, and the CSV artifact formats, whose codec is checked
+against the ``csv`` module's (tests/csv_reference.py)."""
 from __future__ import annotations
 
+import math
+import os
 import re
+import tempfile
+from dataclasses import astuple, fields
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import csv_reference
 from conftest import chain_template_model, tcr_bands
+from heterospec import metrics
 from heterospec.control import HeteroConfig, decode_baseline
 from heterospec.errors import ConfigError
 from heterospec.metrics import (
     BIN_OCCUPANCY_SCHEMA,
+    ITERATION_FIELDS,
     ITERATIONS_SCHEMA,
+    SUMMARY_FIELDS,
     SUMMARY_SCHEMA,
     TCR_BY_ACCEPTED_SCHEMA,
     TCR_HISTOGRAM_SCHEMA,
     CostModel,
     IterationRecord,
+    RunSummary,
     per_bin_stats,
-    quantile_nearest_rank,
+    quantiles_nearest_rank,
     read_iterations_csv,
     read_summary_csv,
     summarize,
@@ -54,21 +67,19 @@ def test_cost_model_arithmetic():
 
 def test_quantile_nearest_rank():
     values = [float(v) for v in range(1, 21)]
-    assert quantile_nearest_rank(values, 0.25) == 5.0
-    assert quantile_nearest_rank(values, 0.50) == 10.0
-    assert quantile_nearest_rank(values, 0.95) == 19.0
-    assert quantile_nearest_rank(values, 1.0) == 20.0
-    assert quantile_nearest_rank([7.0], 0.25) == 7.0
-    assert quantile_nearest_rank(values, 0.001) == 1.0
+    assert quantiles_nearest_rank(values, (0.25, 0.50, 0.95, 1.0, 0.001)) == \
+        [5.0, 10.0, 19.0, 20.0, 1.0]
+    assert quantiles_nearest_rank([7.0], (0.25,)) == [7.0]
+    assert quantiles_nearest_rank([3.0, 1.0, 2.0], ()) == []
 
 
 def test_quantile_nearest_rank_rejects_bad_input():
     with pytest.raises(ValueError):
-        quantile_nearest_rank([], 0.5)
+        quantiles_nearest_rank([], (0.5,))
     with pytest.raises(ValueError):
-        quantile_nearest_rank([1.0], 0.0)
+        quantiles_nearest_rank([1.0], (0.5, 0.0))
     with pytest.raises(ValueError):
-        quantile_nearest_rank([1.0], 1.2)
+        quantiles_nearest_rank([1.0], (1.2,))
 
 
 def test_tcr_quantiles_exclude_sentinels():
@@ -112,10 +123,10 @@ def test_summarize_quantiles_match_recount():
         records.append(rec(a, tcr=t, iteration=i))
     s = summarize(records)
     ranks = [float(r.tcr) for r in records if r.accepted_len >= 1]
-    assert s.tcr_p25 == int(quantile_nearest_rank(ranks, 0.25))
-    assert s.tcr_p50 == int(quantile_nearest_rank(ranks, 0.50))
-    assert s.tcr_p75 == int(quantile_nearest_rank(ranks, 0.75))
-    assert s.tcr_p95 == int(quantile_nearest_rank(ranks, 0.95))
+    # a recount: the ceil(p*n)-th smallest rank
+    ranks.sort()
+    assert [s.tcr_p25, s.tcr_p50, s.tcr_p75, s.tcr_p95] == [
+        int(ranks[math.ceil(p * len(ranks)) - 1]) for p in (0.25, 0.50, 0.75, 0.95)]
     assert s.sentinels == sum(1 for r in records if r.accepted_len == 0)
 
 
@@ -288,3 +299,133 @@ def test_single_node_tree_rank_histogram_is_point_mass():
     s = summarize(res.records)
     assert tcr_histogram(res.records) == [(1, 10)]
     assert s.sentinels == 0
+
+
+# ------------------------------------------- the codec against csv module
+
+FLOATS = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+                   st.floats())
+INTS = st.integers(-2 ** 62, 2 ** 62)
+RECORDS = st.lists(st.builds(IterationRecord, *(
+    FLOATS if name == "entropy" else INTS for name in ITERATION_FIELDS)),
+    max_size=12)
+SUMMARIES = st.builds(RunSummary, *(
+    FLOATS if f.type == "float" else
+    st.none() | FLOATS if f.type == "float | None" else
+    st.none() | INTS if f.type == "int | None" else INTS
+    for f in fields(RunSummary)))
+# arm names csv.writer writes without quotes
+ARMS = st.text(st.characters(blacklist_characters=',"\r\n'), max_size=8)
+SUMMARY_ROWS = st.lists(st.tuples(ARMS, st.none() | INTS, SUMMARIES), max_size=3)
+EDGES = st.none() | st.lists(st.tuples(FLOATS, FLOATS), max_size=4)
+BOTH_ZEROS = [rec(1, entropy=0.0), rec(1, entropy=-0.0, iteration=1),
+              rec(1, entropy=0.0, iteration=2)]
+
+
+def _rows_by_column(columns):
+    return [list(row) for row in zip(*columns)]
+
+
+def _written_tables(tmp: str, records, summary_rows, edges) -> list:
+    """(path, schema, header, rows, loose) of every table the five public
+    writers write, each written to its own file in ``tmp``."""
+    calls = []
+    real = metrics._write_table
+
+    def spy(path, schema, header, rows, loose=()):
+        rows = list(rows)
+        calls.append((path, schema, header, rows, loose))
+        real(path, schema, header, rows, loose)
+
+    with mock.patch.object(metrics, "_write_table", spy):
+        write_iterations_csv(os.path.join(tmp, "iterations.csv"), records)
+        write_summary_csv(os.path.join(tmp, "summary.csv"), summary_rows)
+        write_tcr_histogram_csv(os.path.join(tmp, "histogram.csv"), records)
+        write_tcr_by_accepted_csv(os.path.join(tmp, "by.csv"), records)
+        write_bin_occupancy_csv(os.path.join(tmp, "occupancy.csv"), records, edges)
+    assert [schema for _, schema, *_ in calls] == [
+        ITERATIONS_SCHEMA, SUMMARY_SCHEMA, TCR_HISTOGRAM_SCHEMA,
+        TCR_BY_ACCEPTED_SCHEMA, BIN_OCCUPANCY_SCHEMA]
+    return calls
+
+
+@given(RECORDS, SUMMARY_ROWS, EDGES)
+@example([], [], None)  # zero rows in all but the histogram
+@example(BOTH_ZEROS, [("baseline", None, summarize(BOTH_ZEROS))],
+         [(-0.0, 0.0), (0.0, math.inf)])
+def test_tables_are_written_and_read_as_the_csv_module_does(records, summary_rows,
+                                                             edges):
+    with tempfile.TemporaryDirectory() as tmp:
+        for path, schema, header, rows, loose in _written_tables(
+                tmp, records, summary_rows, edges):
+            reference = os.path.join(tmp, "reference.csv")
+            csv_reference.write_table(reference, schema, header, rows, loose)
+            with open(path, "rb") as got, open(reference, "rb") as want:
+                assert got.read() == want.read()
+            assert metrics._read_csv(path, schema, header, _rows_by_column) == \
+                csv_reference.read_table(path, schema, header)
+        want = [dict(zip(SUMMARY_FIELDS, row)) for row in csv_reference.read_table(
+            os.path.join(tmp, "summary.csv"), SUMMARY_SCHEMA, SUMMARY_FIELDS)]
+        assert read_summary_csv(os.path.join(tmp, "summary.csv")) == want
+
+
+@given(RECORDS)
+@example(BOTH_ZEROS)
+def test_iterations_csv_reads_back_what_it_wrote(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "iterations.csv")
+        write_iterations_csv(path, records)
+        back = read_iterations_csv(path)
+    # repr tells -0.0 from 0.0 and finds nan equal to nan
+    assert repr(back) == repr(records)
+    assert all(type(r) is IterationRecord for r in back)
+
+
+def test_a_float_memo_keeps_both_zeros(tmp_path):
+    # 0.0 == -0.0 and they hash alike, so formatting each distinct value
+    # once must not write them as one string
+    path = tmp_path / "iterations.csv"
+    write_iterations_csv(str(path), BOTH_ZEROS)
+    assert [line.split(",")[2] for line in
+            path.read_text(encoding="utf-8").splitlines()[2:]] == ["0", "-0", "0"]
+
+
+@given(ARMS | st.text(max_size=4))
+@example('a,b')
+@example('a"b')
+@example("a\rb")
+@example("a\nb")
+def test_writer_refuses_a_cell_the_csv_module_would_quote(arm):
+    summary = summarize([rec(1)])
+    with tempfile.TemporaryDirectory() as tmp:
+        reference = os.path.join(tmp, "reference.csv")
+        csv_reference.write_table(reference, SUMMARY_SCHEMA, SUMMARY_FIELDS,
+                                  [(arm, None, *astuple(summary))],
+                                  metrics._SUMMARY_LOOSE)
+        with open(reference, "rb") as fh:
+            want = fh.read()
+        path = os.path.join(tmp, "summary.csv")
+        if b'"' in want:  # csv.writer quoted the arm
+            with pytest.raises(ValueError, match="a cell holds a comma, a "
+                               "double quote or a line break"):
+                write_summary_csv(path, [(arm, None, summary)])
+        else:
+            write_summary_csv(path, [(arm, None, summary)])
+            with open(path, "rb") as fh:
+                assert fh.read() == want
+
+
+@pytest.mark.parametrize("lineno", [3, 5, 7], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [
+    "0,1,x,-1,5,20,18,3,4,3", "0,1,0.5,-1,5,20,18,3,4", "0,1,0.5,-1,5,20,18,3,4,3,3",
+    '0,"1",0.5,-1,5,20,18,3,4,3', "", "0,1,0.5,-1,5,20,18,3,4,3.0"],
+    ids=["not-a-number", "short", "long", "quoted", "blank", "float-in-int"])
+def test_bad_row_is_reported_at_its_line(tmp_path, lineno, bad):
+    path = tmp_path / "iterations.csv"
+    write_iterations_csv(str(path), [rec(2, tcr=2, iteration=i) for i in range(5)])
+    lines = path.read_bytes().decode("utf-8").split("\r\n")
+    lines[lineno - 2] = bad  # line 1 ends in "\n", so it shares lines[0]
+    path.write_bytes("\r\n".join(lines).encode("utf-8"))
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:{lineno}: "
+                       "bad row: ValueError"):
+        read_iterations_csv(str(path))

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -337,6 +338,25 @@ def test_load_model_refuses_a_bad_header_line_at_its_line(tmp_path, line, error)
     assert str(exc.value) == f"{path}:4: {error}"
 
 
+# the same rule as the config's model.order and model.smoothing checks
+@pytest.mark.parametrize("line,error", [
+    ("smoothing: nan", "model.smoothing must be finite and > 0, got nan"),
+    ("smoothing: inf", "model.smoothing must be finite and > 0, got inf"),
+    ("smoothing: -inf", "model.smoothing must be finite and > 0, got -inf"),
+    ("smoothing: 0", "model.smoothing must be finite and > 0, got 0.0"),
+    ("order: 0", "model.order must be >= 1, got 0"),
+    ("order: -1", "model.order must be >= 1, got -1"),
+])
+def test_load_model_refuses_a_bad_header_value(tmp_path, line, error):
+    key = line.split(":")[0]
+    path = tmp_path / "model.txt"
+    path.write_text(re.sub(f"(?m)^{key}: .*$", line, GOLDEN_MODEL),
+                    encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: bad header: {error}"
+
+
 def _fresh_parse(path):
     """The model in ``path`` parsed anew, not built over a kept parse."""
     release_kept_model()
@@ -522,10 +542,12 @@ def test_model_order_past_the_count_keys_is_refused_before_counting(tmp_path):
 
 def test_ngram_model_rejects_bad_hyperparameters():
     vocab = build_vocab(["ab"], mode="char")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^model.order must be >= 1, got 0$"):
         NGramModel(vocab, 0, 0.1, [])
-    with pytest.raises(ConfigError):
-        NGramModel(vocab, 1, -1.0, [{}])
+    for smoothing in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="^model.smoothing must be finite "
+                           f"and > 0, got {smoothing}$"):
+            NGramModel(vocab, 1, smoothing, [{}])
 
 
 # ------------------------------------------------- training and parsing

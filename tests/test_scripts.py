@@ -2,9 +2,11 @@
 each exits 0, and together they print the README's seed-0 result block;
 each packaged experiment runs end to end in its own process and prints
 what the README says it prints; the artifact digest tool prints the
-default run's digests."""
+default run's digests; the pairs tool aggregates synthetic runs and
+alternates which side runs first."""
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import re
@@ -124,3 +126,107 @@ def test_readme_quick_start_runs_in_order(tmp_path, capsys):
     result = _readme_block("On the default configuration (seed 0)", "```")
     assert len(result) == 2
     assert all(line in stdout for line in result)
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", os.path.join(ROOT, "scripts", "bench_pairs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SPEC = [{"name": "compare_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "decode_tok_per_s", "unit": "tok/s", "better": "higher",
+         "bound": 0.25},
+        {"name": "baseline_calls", "unit": "count", "better": "lower"}]
+
+
+def _result(compare_s, tok_per_s, calls=907, correct=True, failed=0):
+    return {"correct": correct, "attempted": 100, "failed": failed, "metrics": {
+        "compare_s": {"value": compare_s, "unit": "s"},
+        "decode_tok_per_s": {"value": tok_per_s, "unit": "tok/s"},
+        "baseline_calls": {"value": calls, "unit": "count"}}}
+
+
+def test_bench_pairs_aggregates_quartiles_wins_and_losses():
+    parent = [_result(s, r) for s, r in
+              [(1.0, 10.0), (2.0, 20.0), (3.0, 30.0), (4.0, 40.0), (5.0, 50.0)]]
+    # pairs 1-3 faster, pair 4 a tie, pair 5 slower; the rate is the same
+    # picture, higher being better
+    change = [_result(s, r, failed=f) for s, r, f in
+              [(0.5, 11.0, 0), (1.0, 21.0, 0), (2.5, 31.0, 0), (4.0, 40.0, 0),
+               (6.0, 49.0, 1)]]
+    out = _bench_pairs().aggregate(SPEC, {"parent": parent, "change": change})
+    assert out["correct"] == {"parent": True, "change": True}
+    assert out["attempted"] == {"parent": 500, "change": 500}
+    assert out["failed"] == {"parent": 0, "change": 1}
+    time = out["metrics"]["compare_s"]
+    # inclusive quartiles of 1..5 are 2, 3, 4
+    assert time["parent"] == {"q1": 2.0, "median": 3.0, "q3": 4.0}
+    assert time["change"] == {"q1": 1.0, "median": 2.5, "q3": 4.0}
+    assert (time["change_wins"], time["change_losses"]) == (3, 1)
+    assert time["change_worse_by"] == pytest.approx(-0.5 / 3.0)
+    assert time["runs"] == {"parent": [1.0, 2.0, 3.0, 4.0, 5.0],
+                            "change": [0.5, 1.0, 2.5, 4.0, 6.0]}
+    assert (time["unit"], time["better"], time["bound"]) == ("s", "lower", 0.25)
+    rate = out["metrics"]["decode_tok_per_s"]
+    assert (rate["change_wins"], rate["change_losses"]) == (3, 1)
+    assert rate["change_worse_by"] == pytest.approx(-1.0 / 30.0)  # better
+    calls = out["metrics"]["baseline_calls"]
+    assert (calls["change_wins"], calls["change_losses"]) == (0, 0)
+    assert calls["change_worse_by"] == 0.0 and "bound" not in calls
+
+
+def test_bench_pairs_keeps_a_metric_a_run_did_not_report():
+    change = [_result(1.0, 10.0), {"correct": False, "attempted": 100,
+                                   "failed": 100, "metrics": {}}]
+    out = _bench_pairs().aggregate(SPEC, {"parent": [_result(2.0, 9.0)] * 2,
+                                          "change": change})
+    assert out["correct"] == {"parent": True, "change": False}
+    time = out["metrics"]["compare_s"]
+    assert time["runs"]["change"] == [1.0, None]
+    assert time["change"]["median"] == 1.0
+    assert (time["change_wins"], time["change_losses"]) == (1, 0)
+
+
+FAKE_RUN = '''import json, os, sys
+side = os.path.basename(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..",
+                       "order.log"), "a") as fh:
+    fh.write(side + "\\n")
+print("workload planted seed 7 trace 0: 3 passes")
+print("sha256 bins.txt abc")
+value = {"parent": 2.0, "change": 1.0}[side]
+print(json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": {
+    "compare_s": {"value": value, "unit": "s"}}}))
+'''
+
+
+def test_bench_pairs_alternates_which_side_runs_first(tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text(FAKE_RUN, encoding="utf-8")
+        (tmp_path / side / "BENCHMARK.json").write_text(
+            json.dumps({"end_to_end": SPEC[:1]}), encoding="utf-8")
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"notes": "kept"}), encoding="utf-8")
+    assert _bench_pairs().main([
+        "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--workload", "planted", "--seed", "7", "--seconds", "1", "--pairs", "3",
+        "--out", str(out)]) == 0
+    assert (tmp_path / "order.log").read_text().split() == [
+        "parent", "change", "change", "parent", "parent", "change"]
+    written = json.loads(out.read_text(encoding="utf-8"))
+    assert written["notes"] == "kept"
+    block = written["workloads"]["planted"]
+    assert block["command"] == ("python3 bench/run.py --workload planted "
+                                "--seed 7 --seconds 1 --trace 0")
+    assert block["passes"][:2] == [
+        "pair 1 parent: workload planted seed 7 trace 0: 3 passes",
+        "pair 1 change: workload planted seed 7 trace 0: 3 passes"]
+    assert block["trace_sha256_equal"] and block["trace_sha256"] == {"bins.txt": "abc"}
+    assert len(block["json_lines"]["change"]) == 3
+    time = block["metrics"]["compare_s"]
+    assert (time["change_wins"], time["change_losses"]) == (3, 0)
+    assert time["change_worse_by"] == -0.5

@@ -220,6 +220,26 @@ def test_rerank_matches_sort_oracle_randomized():
             assert -node[NEG_VALUE] <= -node[PARENT][NEG_VALUE] + 1e-12
 
 
+@pytest.mark.parametrize("dist", [(0.25,) * 4, (0.5, 0.25, 0.25)],
+                         ids=["uniform", "dyadic"])
+def test_value_sort_gives_the_tuple_order_under_ties(dist):
+    # rerank and the frontier sort nodes by value alone, relying on
+    # creation order being (depth, index) order; under a uniform draft
+    # every layer is one tie, and dyadic values also tie across depths
+    # (0.5 * 0.5 == 0.25 exactly in log domain)
+    tree = expand(FixedDistModel(dist), (0,), depth=5, top_k=3)
+    values = [n[NEG_VALUE] for n in tree.nodes]
+    assert len(set(values)) <= len(values) // 4
+    if len(dist) == 3:
+        assert {n[DEPTH] for n in tree.nodes
+                if n[NEG_VALUE] == -2 * math.log(0.5)} == {1, 2}
+    for budget in range(1, tree.size() + 2):
+        assert rerank(tree, budget).nodes == sorted(tree.nodes)[:budget]
+    for layer, below in zip(tree.layers, tree.layers[1:]):
+        parents = list(dict.fromkeys(n[PARENT][INDEX] for n in below))
+        assert parents == [n[INDEX] for n in sorted(layer)[:3]]
+
+
 def render_tree(tree: DraftTree, symbols=None) -> str:
     """Deterministic text dump (token, confidence, value, depth) for
     golden-file comparisons."""
