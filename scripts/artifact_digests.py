@@ -5,10 +5,8 @@ gen-corpus, train-model, calibrate, compare and report for both arms once
 in a temporary directory, and prints one JSON object:
 
 - ``sha256``: the digest of every artifact the pass wrote, by file name,
-  except ``config.json``, which records the temporary paths;
-- ``model_txt_sorted_lines``: the digest of ``model.txt``'s lines in sorted
-  order, equal for two files holding the same header and records in any
-  order;
+  ``model.bin`` among them, except ``config.json``, which records the
+  temporary paths;
 - ``calls`` and ``speedup`` of each compare arm.
 
 Two source trees that print the same object made byte-identical
@@ -44,18 +42,15 @@ def digests(workload: str, seed: int) -> dict:
         config = make_inputs(WORKLOADS[workload], seed, os.path.join(tmp, "input"))
         config = dataclasses.replace(config, out_dir=os.path.join(tmp, "run"))
         pipeline.step_gen_corpus(config)
-        model_path = pipeline.step_train_model(config)
+        pipeline.step_train_model(config)
         pipeline.step_calibrate(config)
         _, result = pipeline.step_compare(config)
         for arm in pipeline.REPORT_ARMS:
             pipeline.step_report(config, arm)
         names = sorted(set(os.listdir(config.out_dir)) - {"config.json"})
-        with open(model_path, "rb") as fh:
-            lines = sorted(fh.read().splitlines(keepends=True))
         return {
             "sha256": {name: sha256(os.path.join(config.out_dir, name))
                        for name in names},
-            "model_txt_sorted_lines": hashlib.sha256(b"".join(lines)).hexdigest(),
             "calls": {name: s.calls for name, _, s in result.rows()},
             "speedup": {name: s.speedup for name, _, s in result.rows()},
         }

@@ -12,9 +12,10 @@ and a missing value as "-". Cells are never quoted: a cell holding a comma,
 a double quote or a line break cannot be written, and a row holding a
 double quote is refused when read. The tables are written and parsed a
 column at a time, with no ``csv`` module: the writer transposes the rows
-and formats each column once per distinct value; the reader splits every
-row on "," and casts each column once per distinct cell. Only when that
-fails does it go row by row, to report the first bad line. A table is
+and formats each column once per distinct value; the reader takes the
+rows in blocks of a few hundred, splits each row of a block on "," and
+casts each column once per distinct cell. Only when that fails does it go
+row by row through the block, to report the first bad line. A table is
 read back only if its first two lines are the written ones, each row
 parsed by position into the fields of ``IterationRecord`` or
 ``RunSummary``. An ``IterationRecord`` is an immutable named tuple, so it
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import islice, repeat
 from operator import attrgetter, contains
 from typing import NamedTuple, get_type_hints
 
@@ -259,42 +260,47 @@ def _write_table(path: str, schema: str, header: tuple[str, ...], rows,
 
 
 def _columns(lines: list[str], width: int) -> list[tuple[str, ...]]:
-    """The cells of ``lines`` split on ",", by column; ValueError unless
-    each line holds ``width`` cells and no double quote."""
+    """The cells of ``lines``, at least one, split on ",", by column;
+    ValueError unless each line holds ``width`` cells and no double
+    quote."""
     if any(map(contains, lines, repeat('"'))):
         raise ValueError("quoted cell: cells are never quoted")
-    if not lines:
-        return [()] * width
     columns = list(zip(*map(str.split, lines, repeat(",")), strict=True))
     if len(columns) != width:
         raise ValueError(f"{len(columns)} cells, expected {width}")
     return columns
 
 
+_BLOCK_ROWS = 256  # rows split and cast together, so few cells live at once
+
+
 def _read_csv(path: str, schema: str, header: tuple[str, ...], parse) -> list:
-    """``parse(columns)``, the cells of all rows by column in header order,
-    of a table whose schema line and header row are the written ones. Rows
-    may end in "\\r\\n", "\\n" or "\\r". When the rows cannot be parsed
-    together, each is parsed alone to fail at the first bad line."""
+    """The lists ``parse(columns)`` gives for each block of up to
+    ``_BLOCK_ROWS`` rows, the cells by column in header order, joined, of
+    a table whose schema line and header row are the written ones. Rows
+    may end in "\\r\\n", "\\n" or "\\r". When a block's rows cannot be
+    parsed together, each is parsed alone to fail at the first bad line."""
+    out = []
     with utf8_errors(path), open(path, "r", encoding="utf-8", newline="") as fh:
-        first, text = fh.readline(), fh.read()
-    if (first := first.rstrip("\n")) != schema:
-        raise ConfigError(f"{path}:1: unexpected schema line {first!r}")
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if (got := lines[0].split(",") if lines else None) != list(header):
-        raise ConfigError(f"{path}:2: unexpected header row {got!r}")
-    rows = lines[1:]
-    try:
-        return parse(_columns(rows, len(header)))
-    except ValueError:
-        for lineno, row in enumerate(rows, 3):
+        if (first := fh.readline().rstrip("\n")) != schema:
+            raise ConfigError(f"{path}:1: unexpected schema line {first!r}")
+        second = fh.readline()
+        if (got := second.rstrip("\r\n").split(",") if second else None) \
+                != list(header):
+            raise ConfigError(f"{path}:2: unexpected header row {got!r}")
+        lineno = 3  # of the block's first row
+        while rows := [row.rstrip("\r\n") for row in islice(fh, _BLOCK_ROWS)]:
             try:
-                parse(_columns([row], len(header)))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad row: {exc!r}") from None
-        raise  # no row fails alone
+                out += parse(_columns(rows, len(header)))
+            except ValueError:
+                for at, row in enumerate(rows, lineno):
+                    try:
+                        parse(_columns([row], len(header)))
+                    except ValueError as exc:
+                        raise ConfigError(f"{path}:{at}: bad row: {exc!r}") from None
+                raise  # no row fails alone
+            lineno += len(rows)
+    return out
 
 
 def write_iterations_csv(path: str, records: list[IterationRecord]) -> None:

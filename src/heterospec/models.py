@@ -30,51 +30,28 @@ are one run of keys, ``[ctx*V, ctx*V + V)``, and its tokens are the keys
 minus ``ctx*V``. Keys of the longest context need V^order < 2^63, which
 ``train_ngram``, ``load_model`` and ``NGramModel`` check first; a larger
 ``model.order`` is refused. ``NGramModel`` checks its tables in one
-vectorized pass, so every model holds tables a parse of its file gives
-back. Its first L tables are those an order-L model trains on the same
-corpus, so ``lower_order`` derives the draft base instead of training one.
+vectorized pass: keys strictly ascending and in range, counts >= 0. Its
+first L tables are those an order-L model trains on the same corpus, so
+``lower_order`` derives the draft base instead of training one.
 ``train_ngram`` counts each length with one ``np.unique`` over the rolling
 window keys of the corpus, ``win[i] = win[i-1]*V + tok[i]``, keeping the
 windows that lie inside one document.
 
-``save_model`` writes the tables as one text record per key, contexts and
-tokens in ascending order. It formats the records column-wise from the
-keys' radix-V digits and joins them once, and ``load_model`` reads every
-record through one path; a header line without ``: ``, with a key
-``save_model`` does not write, or repeating a key is refused at its own
-line, and so is a second record for the same (context length, context,
-token). A header whose order is below 1 or whose smoothing is not finite
-and > 0 is refused as a bad header, by ``check_model_settings``, the rule
-the config's ``model`` settings and ``NGramModel`` follow too. The parse
-takes the decoded text's lines one chunk of about 64K characters at a
-time, so it never holds every line of the file at once.
-
-A process keeps the count tables of the last model file it wrote or
-parsed, keyed by the sha256 of the file's bytes. ``save_model`` keeps the
-tables it wrote, hashed from the bytes it wrote; ``load_model`` reads and
-hashes the file on every call, and when the digest matches it returns a
-new ``NGramModel``, with an empty memo, over the kept vocabulary and
-tables instead of parsing. So a process that runs train-model, calibrate
-and compare in turn, as the scripts, the benchmark and Python API callers
-do, never parses ``model.txt``. The CLI runs one step per process, so it
-still parses once per step that loads the model. A file with other bytes,
-even of the same length and mtime, is parsed anew, and the kept tables are
-dropped before that, so two parses are never alive at once.
-``step_train_model`` calls ``release_kept_model`` before it counts a new
-model, so the tables it replaces are not held through training. Models
-built from the same kept tables share them, and nothing writes to the
-tables after they are built. A parse builds the arrays ``train_ngram``
-builds, so kept and parsed tables are equal and give bit-identical
-distributions.
+``save_model`` writes a version line, one JSON header line (mode, order,
+smoothing, symbols, and ``sizes``, the record count per context length),
+then each length's keys and counts as raw little-endian int64.
+``load_model`` reads the file in one pass and refuses a header that is
+not exactly those keys with values of their JSON types, or whose order
+and smoothing break ``check_model_settings``, the rule the config's
+``model`` settings and ``NGramModel`` follow too. A body whose length is
+not the header's sizes, or whose tables ``NGramModel`` refuses, is refused
+as well; every refusal is a ``ConfigError`` naming the file.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from array import array
-from collections.abc import Iterable, Iterator
 from itertools import chain
 
 import numpy as np
@@ -90,7 +67,7 @@ _KEY_END = 1 << 63  # every key and count is below this: they are int64
 
 def check_model_settings(order: int, smoothing: float) -> None:
     """The rule for a model's order and smoothing, from a config or a
-    ``model.txt`` header alike."""
+    model file's header alike."""
     check_setting(order >= 1, "model.order", ">= 1", order)
     check_setting(0 < smoothing < math.inf,  # false for NaN
                   "model.smoothing", "finite and > 0", smoothing)
@@ -106,10 +83,9 @@ def check_key_space(order: int, v: int) -> None:
 
 
 def _check_tables(counts: Counts, order: int, v: int) -> None:
-    """Refuse tables a parse of their ``save_model`` file would not give
-    back: one table per context length below ``order``, each two aligned
-    1-D int64 arrays, keys strictly ascending in [0, V^(L+1)), counts
-    >= 0."""
+    """Refuse tables other than one per context length below ``order``,
+    each two aligned 1-D int64 arrays, keys strictly ascending in
+    [0, V^(L+1)), counts >= 0."""
     if len(counts) != order:
         raise ConfigError(f"an order-{order} model needs {order} count "
                           f"tables, got {len(counts)}")
@@ -297,180 +273,69 @@ class PerturbedDraftModel(LanguageModel):
         return perturb(self.base.next_dist(context).dist, self.noise)
 
 
-MODEL_FORMAT_VERSION = 1
-_HEADER_KEYS = ("mode", "order", "smoothing", "symbols")  # as save_model writes them
-
-
-# (sha256 of a model file's bytes, its parse) of the last file written or parsed
-_kept: tuple[bytes, tuple[Vocabulary, int, float, Counts]] | None = None
+MODEL_FORMAT = b"heterospec-ngram v2\n"  # a model file's first line
+_HEADER_KEYS = ("mode", "order", "smoothing", "symbols", "sizes")
 
 
 def save_model(model: NGramModel, path) -> None:
-    """Versioned self-describing text format: key-value header, then one
-    ``c <len> <ctx> <tok> <count>`` record per key of each table, in key
-    order, so a context's records are together.
-
-    The records are formatted column-wise: the radix-V digits of the keys
-    pick their strings from per-token tables, the pieces fill an object
-    array row by row, and it is joined once. The tables are kept as the
-    parse of the bytes written; ``NGramModel`` checked that a parse gives
-    them back."""
-    global _kept
-    v = model.vocab.size
-    pieces = [f"heterospec-ngram v{MODEL_FORMAT_VERSION}\nmode: {model.vocab.mode}\n"
-              f"order: {model.order}\nsmoothing: {model.smoothing!r}\n"
-              f"symbols: {json.dumps(list(model.vocab.symbols))}\ncounts:\n"]
-    digits = np.array([str(t) for t in range(v)], dtype=object)
-    inner, last = digits + ",", digits + " "  # a token before "," or " "
-    for length, (keys, counts) in enumerate(model._counts):
-        # columns: "c <len> ", the context's tokens, the token, the count
-        cols = np.empty((keys.size, length + 3), dtype=object)
-        cols[:, 0] = f"c {length} " if length else "c 0 - "
-        rest, tok = np.divmod(keys, v)
-        cols[:, -2] = last[tok]
-        for j in range(length, 0, -1):
-            rest, tok = np.divmod(rest, v)
-            cols[:, j] = (last if j == length else inner)[tok]
-        distinct, which = np.unique(counts, return_inverse=True)
-        cols[:, -1] = np.array([f"{c}\n" for c in distinct.tolist()],
-                               dtype=object)[which]
-        pieces.append("".join(cols.ravel().tolist()))
-    data = "".join(pieces).encode("utf-8")
-    _kept = None
+    """The version line, one JSON header line, then each context length's
+    keys and counts as raw little-endian int64; the header's ``sizes`` is
+    the record count of each length."""
+    header = {"mode": model.vocab.mode, "order": model.order,
+              "smoothing": model.smoothing, "symbols": list(model.vocab.symbols),
+              "sizes": [keys.size for keys, _ in model._counts]}
     with open(path, "wb") as fh:
-        fh.write(data)
-    _kept = (hashlib.sha256(data).digest(),
-             (model.vocab, model.order, model.smoothing, model._counts))
+        fh.write(b"".join([MODEL_FORMAT, json.dumps(header).encode(), b"\n",
+                           *(a.astype("<i8").tobytes()
+                             for table in model._counts for a in table)]))
 
 
-def release_kept_model() -> None:
-    """Drop the kept parse, so its count tables can be freed."""
-    global _kept
-    _kept = None
+def _read_header(line: str) -> tuple[Vocabulary, int, float, list[int]]:
+    """The vocabulary, order, smoothing and table sizes of a header line."""
+    if not line.endswith("\n"):
+        raise ConfigError("no newline after it")
+    # an object with a repeated key reads as None, so it has not the keys
+    header = json.loads(line, object_pairs_hook=lambda pairs: (
+        dict(pairs) if len({key for key, _ in pairs}) == len(pairs) else None))
+    if type(header) is not dict or header.keys() != set(_HEADER_KEYS):
+        raise ConfigError(f"need exactly the keys {', '.join(_HEADER_KEYS)}")
+    mode, order, smoothing, symbols, sizes = map(header.get, _HEADER_KEYS)
+    # type() is exact, so a bool is taken for no number, as in a config
+    if not (type(mode) is str and type(order) is int
+            and type(smoothing) in (int, float)
+            and type(symbols) is list and {type(s) for s in symbols} <= {str}
+            and type(sizes) is list and {type(n) for n in sizes} <= {int}):
+        raise ConfigError("need a string mode, an integer order, a number "
+                          "smoothing, a list of string symbols and a list of "
+                          "integer sizes")
+    vocab = Vocabulary(tuple(symbols), mode)
+    check_model_settings(order, smoothing)
+    check_key_space(order, vocab.size)
+    check_setting(len(sizes) == order and min(sizes) >= 0, "sizes",
+                  f"{order} record counts >= 0", sizes)
+    return vocab, order, smoothing, sizes
 
 
 def load_model(path) -> NGramModel:
-    """The model in a ``save_model`` file, parsed only when its bytes differ
-    from those of the kept tables."""
-    global _kept
+    """The model of a ``save_model`` file. Any other file, a v1 text file
+    among them, is refused with a ``ConfigError`` naming ``path``."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    digest = hashlib.sha256(data).digest()
-    if _kept is None or _kept[0] != digest:
-        _kept = None  # free the old tables before parsing the new ones
-        with utf8_errors(path):
-            text = data.decode("utf-8")
-        del data  # nor hold the file's bytes through the parse
-        lines = chain.from_iterable(map(str.splitlines, _chunks(text)))
-        _kept = (digest, _parse_model(lines, path))
-    return NGramModel(*_kept[1])
-
-
-_CHUNK_CHARS = 1 << 16  # a parse chunk: this many characters, then to the line's end
-
-
-def _chunks(text: str) -> Iterator[str]:
-    """``text`` in consecutive pieces, each ending just after a newline or
-    at the end of the text, so their lines are those of ``text``."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
-        yield text[start:end]
-        start = end
-
-
-def _parse_model(lines: Iterable[str], path) -> tuple[Vocabulary, int, float, Counts]:
-    numbered = enumerate(lines, start=1)
-    if next(numbered, (1, None))[1] != f"heterospec-ngram v{MODEL_FORMAT_VERSION}":
-        raise ConfigError(f"{path}: not a heterospec-ngram v{MODEL_FORMAT_VERSION} file")
-    header = {}
-    for lineno, line in numbered:
-        if line == "counts:":
-            break
-        key, sep, value = line.partition(": ")
-        if not sep:
-            raise ConfigError(f"{path}:{lineno}: unrecognized header line {line!r}")
-        if key not in _HEADER_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown header key {key!r}")
-        if key in header:
-            raise ConfigError(f"{path}:{lineno}: repeated header key {key!r}")
-        header[key] = value
-    else:
-        raise ConfigError(f"{path}: missing counts section")
+        version, line, body = fh.readline(), fh.readline(), fh.read()
+    if version != MODEL_FORMAT:
+        raise ConfigError(f"{path}: not a {MODEL_FORMAT.decode().strip()} file")
+    with utf8_errors(path):
+        line = line.decode("utf-8")
     try:
-        vocab = Vocabulary(tuple(json.loads(header["symbols"])), header["mode"])
-        order = int(header["order"])
-        smoothing = float(header["smoothing"])
-        check_model_settings(order, smoothing)
-        check_key_space(order, vocab.size)
-    except (KeyError, ValueError, ConfigError) as exc:
-        raise ConfigError(f"{path}: bad header: {exc}") from exc
-    v = vocab.size
-    first = lineno + 1  # record j is on line first + j
-    toks, cnts = array("q"), array("q")  # every record's, in file order
-    runs = array("q")  # first record, context length, context * V, per head
-
-    def refuse(lineno: int, message: str):
-        # a repeat found once the loop stops comes before the line it stopped at
-        repeat = _tables(toks, cnts, runs, order)[1]
-        if repeat is not None:
-            lineno, message = first + repeat, "repeated count record"
-        return ConfigError(f"{path}:{lineno}: {message}")
-
-    # one parse path per record: split off the token and count, and parse
-    # and range-check the "c <len> <ctx>" head only when it differs from the
-    # previous record's, since save_model writes a context's records together
-    ids = {str(t): t for t in range(v)}  # int() of each id as save_model writes it
-    last, ok = None, False  # the previous record's head, and if it is in range
-    for lineno, line in numbered:
-        try:
-            head, tok, count = line.rsplit(None, 2)
-            tok, count = ids.get(tok) or int(tok), int(count)
-            if head != last:
-                c, length, ctx = head.split()
-                length = int(length)
-                if c != "c":
-                    raise ValueError(c)
-                ctx = () if ctx == "-" else ctx.split(",")
-                last, ok, base = head, 0 <= length < order and len(ctx) == length, 0
-                for t in ctx:
-                    t = ids.get(t) or int(t)
-                    ok = ok and 0 <= t < v
-                    base = base * v + t
-                if ok:
-                    runs.extend((len(toks), length, base * v))
-        except ValueError:
-            raise refuse(lineno, "malformed count record") from None
-        if not ok or not 0 <= count < _KEY_END or not 0 <= tok < v:
-            raise refuse(lineno, "count record out of range")
-        toks.append(tok)
-        cnts.append(count)
-    counts, repeat = _tables(toks, cnts, runs, order)
-    if repeat is not None:
-        raise ConfigError(f"{path}:{first + repeat}: repeated count record")
-    return vocab, order, smoothing, counts
-
-
-def _tables(toks: array, cnts: array, runs: array,
-            order: int) -> tuple[Counts, int | None]:
-    """The count tables of parsed records, and the index of the first
-    record, in file order, that repeats an earlier record's key (None if
-    none does)."""
-    n = len(toks)
-    starts, lengths, bases = np.frombuffer(runs, np.int64).reshape(-1, 3).T
-    sizes = np.diff(starts, append=n)
-    keys = np.repeat(bases, sizes) + np.frombuffer(toks, np.int64, n)
-    lengths = np.repeat(lengths, sizes)
-    values = np.frombuffer(cnts, np.int64, n)
-    counts: Counts = []
-    repeats = [n]
-    for length in range(order):
-        records = np.flatnonzero(lengths == length)
-        # stable: a key's records stay in file order, the first one first
-        ranks = records[keys[records].argsort(kind="stable")]
-        ranked = keys[ranks]
-        repeated = ranked[1:] == ranked[:-1]
-        repeats.append(ranks[1:][repeated].min(initial=n))
-        counts.append((ranked, values[ranks]))
-    repeat = min(repeats)
-    return counts, (repeat if repeat < n else None)
+        vocab, order, smoothing, sizes = _read_header(line)
+    except (ValueError, ConfigError) as exc:  # a JSONDecodeError is a ValueError
+        raise ConfigError(f"{path}: bad header: {exc}") from None
+    if len(body) != 16 * sum(sizes):
+        raise ConfigError(f"{path}: {len(body)} bytes of count tables, the "
+                          f"header's sizes need {16 * sum(sizes)}")
+    flat = np.frombuffer(body, "<i8").astype(np.int64)
+    parts = np.split(flat, np.cumsum(np.repeat(sizes, 2))[:-1])
+    try:
+        return NGramModel(vocab, order, smoothing,
+                          list(zip(parts[::2], parts[1::2])))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

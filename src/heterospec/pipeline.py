@@ -1,11 +1,12 @@
 """End-to-end experiment steps shared by the CLI and the scripts.
 
-Every step reads and writes plain-text artifacts under the config's
-out_dir, so each stage can be rerun or inspected on its own:
+Every step reads and writes artifacts under the config's out_dir, so each
+stage can be rerun or inspected on its own. Every artifact but model.bin
+is plain text:
 
     corpus.txt    one document per line
     template.txt  planted template symbols (planted corpora only)
-    model.txt     trained target model (the draft base is its lower orders)
+    model.bin     trained target model (the draft base is its lower orders)
     bins.txt      calibrated entropy bins
     config.json   snapshot of the resolved configuration
     *.csv         per-iteration traces, the comparison and report tables
@@ -29,13 +30,13 @@ from .metrics import (read_iterations_csv, read_summary_csv,
                       write_bin_occupancy_csv, write_iterations_csv,
                       write_summary_csv,
                       write_tcr_by_accepted_csv, write_tcr_histogram_csv)
-from .models import (NGramModel, PerturbedDraftModel, load_model,
-                     release_kept_model, save_model, train_ngram)
+from .models import (NGramModel, PerturbedDraftModel, load_model, save_model,
+                     train_ngram)
 from .vocab import build_vocab, encode_corpus, read_corpus, write_corpus
 
 CORPUS_FILE = "corpus.txt"
 TEMPLATE_FILE = "template.txt"
-MODEL_FILE = "model.txt"
+MODEL_FILE = "model.bin"
 BINS_FILE = "bins.txt"
 CONFIG_FILE = "config.json"
 CALIBRATION_CSV = "calibration.csv"
@@ -83,16 +84,11 @@ def _splits(config: ExperimentConfig, docs: list[str]) -> tuple[list, list, list
 
 
 def step_train_model(config: ExperimentConfig) -> str:
-    """Train the target model on the training split; returns its path.
-    ``save_model`` keeps the trained tables, so the later steps of this
-    process load the model without parsing it."""
+    """Train the target model on the training split; returns its path."""
     docs = _read_docs(config)
     train, _, _ = _splits(config, docs)
     _prepare_out_dir(config)
     vocab = build_vocab(train, mode=config.tokenization)
-    # the kept parse is of the model this step replaces: free it before the
-    # new tables are counted, not after
-    release_kept_model()
     model = train_ngram(train, vocab, order=config.model.order,
                         smoothing=config.model.smoothing)
     out = _path(config, MODEL_FILE)

@@ -274,16 +274,90 @@ def tiny_config(tmp_path):
     return replace(config, out_dir=str(tmp_path / "run"))
 
 
-@pytest.fixture
-def model_parses(monkeypatch):
-    """The paths ``models._parse_model`` parses while the test runs."""
-    from heterospec import models
+# ---------------------------------------------------------- model files
 
-    parses, parse = [], models._parse_model
+# the order-2 model of "cab" then "ca" over a = 0, b = 1, c = 2, <unk> = 3
+GOLDEN_HEADER = {"mode": "char", "order": 2, "smoothing": 0.5,
+                 "symbols": ["a", "b", "c", "<unk>"], "sizes": [3, 2]}
+GOLDEN_TABLES = [([0, 1, 2], [2, 1, 2]), ([1, 8], [1, 2])]  # (keys, counts)
+MODEL_VERSION = b"heterospec-ngram v2\n"
 
-    def counted(lines, path):
-        parses.append(path)
-        return parse(lines, path)
 
-    monkeypatch.setattr(models, "_parse_model", counted)
-    return parses
+def model_file(tables=GOLDEN_TABLES, version=MODEL_VERSION, header=None,
+               **changes) -> bytes:
+    """The bytes of a model file: ``version``, the golden header with
+    ``changes`` (or the raw ``header`` line), then ``tables`` as raw
+    little-endian int64."""
+    if header is None:
+        header = json.dumps({**GOLDEN_HEADER, **changes}).encode() + b"\n"
+    body = [x for keys, counts in tables for x in (*keys, *counts)]
+    return version + header + np.array(body, dtype="<i8").tobytes()
+
+
+_GOLDEN_V1 = (b"heterospec-ngram v1\nmode: char\norder: 2\nsmoothing: 0.5\n"
+              b'symbols: ["a", "b", "c", "<unk>"]\ncounts:\nc 0 - 0 2\n'
+              b"c 0 - 1 1\nc 0 - 2 2\nc 1 0 1 1\nc 1 2 0 2\n")
+_BAD_HEADER = "bad header: need a string mode, an integer order"
+_BAD_SIZES = "bad header: sizes must be 2 record counts >= 0"
+_BAD_TABLE = "need keys strictly ascending"
+
+# a file save_model does not write: its bytes, and what the refusal says
+# after the path
+BAD_MODEL_FILES = {
+    "v1-text-file": (_GOLDEN_V1, "not a heterospec-ngram v2 file"),
+    "wrong-version": (model_file(version=b"heterospec-ngram v3\n"),
+                      "not a heterospec-ngram v2 file"),
+    "empty": (b"", "not a heterospec-ngram v2 file"),
+    "no-header-newline": (model_file([], header=json.dumps(
+        dict(GOLDEN_HEADER, sizes=[0, 0])).encode()),
+        "bad header: no newline after it"),
+    "header-not-utf8": (model_file(header=b'{"mode": "\xff"}\n'),
+                        "not UTF-8 text"),
+    "header-not-json": (model_file(header=b"mode: char\n"),
+                        "bad header: Expecting value"),
+    "header-not-object": (model_file(header=b"[]\n"),
+                          "bad header: need exactly the keys"),
+    "missing-key": (model_file(header=json.dumps(
+        {k: v for k, v in GOLDEN_HEADER.items() if k != "sizes"}).encode() + b"\n"),
+        "bad header: need exactly the keys mode, order, smoothing, symbols, sizes"),
+    "extra-key": (model_file(seed=3), "bad header: need exactly the keys"),
+    "repeated-key": (model_file(header=json.dumps(GOLDEN_HEADER).replace(
+        '"order": 2', '"order": 1, "order": 2').encode() + b"\n"),
+        "bad header: need exactly the keys"),
+    "order-true": (model_file(order=True), _BAD_HEADER),
+    "order-float": (model_file(order=1.5), _BAD_HEADER),
+    "order-0": (model_file(order=0), "bad header: model.order must be >= 1, got 0"),
+    "smoothing-string": (model_file(smoothing="0.1"), _BAD_HEADER),
+    "smoothing-nan": (model_file(smoothing=math.nan),
+                      "bad header: model.smoothing must be finite and > 0, got nan"),
+    "smoothing-0": (model_file(smoothing=0),
+                    "bad header: model.smoothing must be finite and > 0, got 0"),
+    "symbols-not-strings": (model_file(symbols=["a", 1, "c", "<unk>"]), _BAD_HEADER),
+    "symbols-without-unk": (model_file(symbols=["a", "b", "c", "d"]),
+                            "bad header: vocabulary needs the unknown symbol"),
+    "sizes-not-integers": (model_file(sizes=[3.0, 2]), _BAD_HEADER),
+    "sizes-too-few": (model_file(sizes=[5]), _BAD_SIZES),
+    "sizes-too-many": (model_file(sizes=[3, 2, 0]), _BAD_SIZES),
+    "sizes-negative": (model_file(sizes=[6, -1]), _BAD_SIZES),
+    "sizes-off-the-body": (model_file(sizes=[3, 1]),
+                           "80 bytes of count tables, the header's sizes need 64"),
+    "body-not-8-byte-words": (model_file() + b"\0",
+                              "81 bytes of count tables, the header's sizes need 80"),
+    "body-truncated": (model_file()[:-8],
+                       "72 bytes of count tables, the header's sizes need 80"),
+    "body-trailing-bytes": (model_file() + bytes(8),
+                            "88 bytes of count tables, the header's sizes need 80"),
+    "keys-unsorted": (model_file([([0, 2, 1], [2, 1, 2]), ([1, 8], [1, 2])]),
+                      f"count table 0: {_BAD_TABLE}"),
+    "keys-repeated": (model_file([([0, 1, 2], [2, 1, 2]), ([8, 8], [1, 2])]),
+                      f"count table 1: {_BAD_TABLE}"),
+    "key-past-the-context": (model_file([([0, 1, 2], [2, 1, 2]), ([1, 16], [1, 2])]),
+                             f"count table 1: {_BAD_TABLE}"),
+    "key-negative": (model_file([([-1, 1, 2], [2, 1, 2]), ([1, 8], [1, 2])]),
+                     f"count table 0: {_BAD_TABLE}"),
+    "count-negative": (model_file([([0, 1, 2], [2, -1, 2]), ([1, 8], [1, 2])]),
+                       f"count table 0: {_BAD_TABLE}"),
+    "key-space-past-int64": (model_file([([], [])] * 32, order=32, sizes=[0] * 32),
+                             "bad header: model.order 32 is too high for a "
+                             "vocabulary of 4 symbols: count keys need 4^32 < 2^63"),
+}

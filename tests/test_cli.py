@@ -10,7 +10,7 @@ import shutil
 
 import pytest
 
-from conftest import TINY_CONFIG
+from conftest import BAD_MODEL_FILES, TINY_CONFIG
 from heterospec import pipeline
 from heterospec.binning import load_bins
 from heterospec.cli import main
@@ -150,30 +150,29 @@ def test_exit_2_on_model_order_past_the_count_keys(tmp_path, capsys):
     v = int(KEY_SPACE_RE.search(err).group(1))
     assert v ** 14 < 2 ** 63 <= v ** 15
     # a model file whose header asks for the same order
-    path = tmp_path / "run" / "model.txt"
-    path.write_text(path.read_text(encoding="utf-8").replace(
-        "\norder: 3\n", "\norder: 15\n"), encoding="utf-8")
+    path = tmp_path / "run" / "model.bin"
+    path.write_bytes(path.read_bytes().replace(b'"order": 3,', b'"order": 15,', 1))
     assert main(["calibrate", *base]) == 2
     err = _one_error_line(capsys.readouterr())
     assert err.startswith(f"heterospec: config: {path}: bad header: ")
     assert KEY_SPACE_RE.search(err).group(1) == str(v)
 
 
-def test_exit_2_on_model_txt_with_nan_smoothing(tmp_path, capsys):
+@pytest.mark.parametrize("name", BAD_MODEL_FILES)
+def test_exit_2_on_a_model_file_save_model_does_not_write(tmp_path, capsys, name):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
     base = ["--config", str(cfg), "--out", str(tmp_path / "run")]
     assert main(["gen-corpus", *base]) == 0
     assert main(["train-model", *base]) == 0
     capsys.readouterr()
-    path = tmp_path / "run" / "model.txt"
-    text = path.read_text(encoding="utf-8")
-    path.write_text(re.sub(r"(?m)^smoothing: .*$", "smoothing: nan", text, 1),
-                    encoding="utf-8")
-    assert main(["calibrate", *base]) == 2
-    assert _one_error_line(capsys.readouterr()) == (
-        f"heterospec: config: {path}: bad header: model.smoothing must be "
-        "finite and > 0, got nan\n")
+    data, error = BAD_MODEL_FILES[name]
+    path = tmp_path / "run" / "model.bin"
+    path.write_bytes(data)
+    for command in ("calibrate", "compare"):
+        assert main([command, *base]) == 2
+        err = _one_error_line(capsys.readouterr())
+        assert err.startswith(f"heterospec: config: {path}: ") and error in err
 
 
 @pytest.mark.parametrize("section,field,value", [
@@ -275,9 +274,8 @@ def test_exit_2_on_negative_seed(tmp_path, capsys):
 
 @pytest.mark.parametrize("which,command,code", [
     ("config", "gen-corpus", 2), ("corpus.path", "gen-corpus", 2),
-    ("model.txt", "calibrate", 2), ("bins.txt", "compare", 4),
-    ("baseline-iterations.csv", "report", 2),
-], ids=["config", "corpus-path", "model", "bins", "trace"])
+    ("bins.txt", "compare", 4), ("baseline-iterations.csv", "report", 2),
+], ids=["config", "corpus-path", "bins", "trace"])
 def test_non_utf8_input_fails_with_one_line(tmp_path, capsys, which, command,
                                             code):
     out = str(tmp_path / "run")
@@ -286,7 +284,7 @@ def test_non_utf8_input_fails_with_one_line(tmp_path, capsys, which, command,
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
     base = ["--config", str(cfg), "--out", out]
-    if which in ("model.txt", "bins.txt"):
+    if which == "bins.txt":
         for step in ("gen-corpus", "train-model", "calibrate"):
             assert main([step, *base]) == 0
     elif which == "baseline-iterations.csv":

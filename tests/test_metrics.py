@@ -429,3 +429,23 @@ def test_bad_row_is_reported_at_its_line(tmp_path, lineno, bad):
     with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:{lineno}: "
                        "bad row: ValueError"):
         read_iterations_csv(str(path))
+
+
+_BLOCK = metrics._BLOCK_ROWS  # rows start at line 3, a block at 3 + k * _BLOCK
+
+
+@pytest.mark.parametrize("lineno", [2 + _BLOCK, 3 + _BLOCK, 3 + 2 * _BLOCK,
+                                    2 + 2 * _BLOCK + 40],
+                         ids=["first-block-end", "second-block-start",
+                              "third-block-start", "last"])
+def test_bad_row_past_the_first_block_is_reported_at_its_line(tmp_path, lineno):
+    path = tmp_path / "iterations.csv"
+    records = [rec(i % 3, tcr=i % 3 + 1, iteration=i) for i in range(2 * _BLOCK + 40)]
+    write_iterations_csv(str(path), records)
+    assert read_iterations_csv(str(path)) == records
+    lines = path.read_bytes().decode("utf-8").split("\r\n")
+    lines[lineno - 2] = "0,1,x,-1,5,20,18,3,4,3"
+    path.write_bytes("\r\n".join(lines).encode("utf-8"))
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:{lineno}: "
+                       "bad row: ValueError"):
+        read_iterations_csv(str(path))

@@ -1,23 +1,18 @@
-import functools
-import itertools
 import math
-import os
-import re
-import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import (PlantedTemplateModel, count_dicts, count_tables,
-                      is_valid_dist, make_vocab, prob_dists)
+from conftest import (BAD_MODEL_FILES, PlantedTemplateModel, count_dicts,
+                      count_tables, is_valid_dist, make_vocab, model_file,
+                      prob_dists)
 from heterospec import models
 from heterospec.errors import ConfigError
 from heterospec.models import (LanguageModel, NGramModel, PerturbedDraftModel,
-                               load_model, perturb, release_kept_model,
-                               save_model, train_ngram)
-from heterospec.vocab import UNK, build_vocab, encode_corpus
+                               load_model, perturb, save_model, train_ngram)
+from heterospec.vocab import UNK, Vocabulary, build_vocab, encode_corpus
 
 
 def test_is_valid_dist():
@@ -177,52 +172,113 @@ def test_perturbed_draft_full_noise_is_uniform():
     np.testing.assert_allclose(draft.next_dist((0, 1)).dist, 0.1, atol=1e-15)
 
 
-def test_model_file_round_trip(tmp_path):
-    docs = ["the cat sat on the mat", "the dog sat", "a cat ran"]
-    vocab = build_vocab(docs, mode="word")
-    model = train_ngram(docs, vocab, order=3, smoothing=0.1)
-    path = tmp_path / "model.txt"
-    save_model(model, path)
-    loaded = load_model(path)
-    assert loaded.vocab.symbols == vocab.symbols
-    assert loaded.order == model.order
-    assert loaded.smoothing == model.smoothing
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        ctx = tuple(int(t) for t in rng.integers(vocab.size, size=rng.integers(0, 4)))
-        assert np.array_equal(loaded.next_dist(ctx).dist, model.next_dist(ctx).dist)
-
-
-# "cab" then "ca" over a = 0, b = 1, c = 2: contexts and tokens in
-# ascending id order, whatever order they were first seen in
-GOLDEN_MODEL = """heterospec-ngram v1
-mode: char
-order: 2
-smoothing: 0.5
-symbols: ["a", "b", "c", "<unk>"]
-counts:
-c 0 - 0 2
-c 0 - 1 1
-c 0 - 2 2
-c 1 0 1 1
-c 1 2 0 2
-"""
-GOLDEN_BIGRAMS = {(0,): {1: 1}, (2,): {0: 2}}
+# ----------------------------------------------------------- model files
 
 
 def test_save_model_golden_bytes(tmp_path):
     docs = ["cab", "ca"]
     model = train_ngram(docs, build_vocab(docs, mode="char"), order=2,
                         smoothing=0.5)
-    path = tmp_path / "model.txt"
+    path = tmp_path / "model.bin"
     save_model(model, path)
-    assert path.read_text(encoding="utf-8") == GOLDEN_MODEL
-    # a zero-count record is a record: read, and written back in key order
-    with_zero = tmp_path / "zero.txt"
-    with_zero.write_text(GOLDEN_MODEL + "c 1 0 2 0\n", encoding="utf-8")
-    save_model(load_model(with_zero), path)
-    assert path.read_text(encoding="utf-8") == \
-        GOLDEN_MODEL.replace("c 1 2", "c 1 0 2 0\nc 1 2")
+    # contexts and tokens in ascending id order, whatever order they were
+    # first seen in: keys 0 1 2 | counts 2 1 2 | keys 1 8 | counts 1 2
+    assert path.read_bytes() == (
+        b'heterospec-ngram v2\n{"mode": "char", "order": 2, "smoothing": 0.5, '
+        b'"symbols": ["a", "b", "c", "<unk>"], "sizes": [3, 2]}\n'
+        + np.array([0, 1, 2, 2, 1, 2, 1, 8, 1, 2], dtype="<i8").tobytes())
+    assert path.read_bytes() == model_file()
+
+
+_symbols = st.lists(st.text(max_size=3).filter(lambda s: s != UNK), min_size=1,
+                    max_size=9, unique=True).map(lambda s: (*s, UNK))
+
+
+@st.composite
+def _models(draw):
+    """An n-gram model over any vocabulary and order 1-4 whose tables hold
+    any in-range keys, empty tables and zero counts among them."""
+    vocab = Vocabulary(draw(_symbols), draw(st.sampled_from(["char", "word"])))
+    order, v = draw(st.integers(1, 4)), vocab.size
+    counts = st.one_of(st.just(0), st.integers(0, 9), st.integers(0, 2 ** 63 - 1))
+    tables = []
+    for length in range(order):
+        keys = sorted(draw(st.sets(st.integers(0, v ** (length + 1) - 1),
+                                   max_size=12)))
+        tables.append((np.array(keys, dtype=np.int64),
+                       np.array([draw(counts) for _ in keys], dtype=np.int64)))
+    smoothing = draw(st.sampled_from([0.1, 0.5, 1, 1e-300, 1e300]))
+    return NGramModel(vocab, order, smoothing, tables)
+
+
+@given(_models(), st.lists(st.lists(st.integers(0, 9), max_size=4), max_size=20))
+def test_model_file_round_trips_any_tables(tmp_path_factory, model, contexts):
+    out = tmp_path_factory.mktemp("model")
+    path = out / "model.bin"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert (loaded.vocab, loaded.order, loaded.smoothing) == \
+        (model.vocab, model.order, model.smoothing)
+    assert [(k.dtype, c.dtype) for k, c in loaded._counts] == \
+        [(np.dtype(np.int64),) * 2] * model.order
+    assert _listed(loaded._counts) == _listed(model._counts)
+    # every context the tables hold, and others over the vocabulary
+    v = model.vocab.size
+    contexts = [tuple(t % v for t in ctx) for ctx in contexts]
+    contexts += [ctx for table in count_dicts(model._counts, v) for ctx in table]
+    for ctx in contexts:
+        assert loaded.next_dist(ctx).dist.tobytes() == \
+            model.next_dist(ctx).dist.tobytes()
+    # saving the same tables again, from either model, writes the same bytes
+    save_model(model, out / "again.bin")
+    save_model(loaded, out / "loaded.bin")
+    assert path.read_bytes() == (out / "again.bin").read_bytes() \
+        == (out / "loaded.bin").read_bytes()
+
+
+@pytest.mark.parametrize("name", BAD_MODEL_FILES)
+def test_load_model_refuses_a_file_save_model_does_not_write(tmp_path, name):
+    data, error = BAD_MODEL_FILES[name]
+    path = tmp_path / "model.bin"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError) as exc:
+        load_model(path)
+    assert str(exc.value).startswith(f"{path}: ")
+    assert error in str(exc.value)
+
+
+# the same rule as the config's model.order and model.smoothing checks
+@pytest.mark.parametrize("key,value,error", [
+    ("smoothing", math.nan, "model.smoothing must be finite and > 0, got nan"),
+    ("smoothing", math.inf, "model.smoothing must be finite and > 0, got inf"),
+    ("smoothing", -math.inf, "model.smoothing must be finite and > 0, got -inf"),
+    ("smoothing", 0.0, "model.smoothing must be finite and > 0, got 0.0"),
+    ("order", 0, "model.order must be >= 1, got 0"),
+    ("order", -1, "model.order must be >= 1, got -1"),
+])
+def test_load_model_refuses_a_bad_header_value(tmp_path, key, value, error):
+    path = tmp_path / "model.bin"
+    path.write_bytes(model_file(**{key: value}))
+    with pytest.raises(ConfigError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: bad header: {error}"
+
+
+def test_save_model_keeps_the_zero_counts_it_writes(tmp_path):
+    # a zero count is a record: written and read back alike, and its
+    # context stops the backoff
+    vocab = build_vocab(["cab", "ca"], mode="char")
+    tables = [([0, 1, 2], [2, 1, 2]), ([1, 6, 8], [1, 0, 2])]
+    counts = count_tables([{(): {0: 2, 1: 1, 2: 2}},
+                           {(2,): {0: 2}, (0,): {1: 1}, (1,): {2: 0}}], vocab.size)
+    assert _listed(counts) == tables
+    path = tmp_path / "model.bin"
+    save_model(NGramModel(vocab, 2, 0.5, counts), path)
+    assert path.read_bytes() == model_file(tables, sizes=[3, 3])
+    loaded = load_model(path)
+    assert _listed(loaded._counts) == tables
+    b, = vocab.encode("b")
+    assert loaded.next_dist((b,)).dist.tolist() == [0.25] * 4
 
 
 def test_lower_order_equals_trained_model(tmp_path):
@@ -234,10 +290,10 @@ def test_lower_order_equals_trained_model(tmp_path):
         low = model.lower_order(order)
         trained = train_ngram(MEMO_DOCS, vocab, order=order, smoothing=0.05)
         assert low.order == order
-        save_model(low, tmp_path / "low.txt")
-        save_model(trained, tmp_path / "trained.txt")
-        assert (tmp_path / "low.txt").read_bytes() == \
-            (tmp_path / "trained.txt").read_bytes()
+        save_model(low, tmp_path / "low.bin")
+        save_model(trained, tmp_path / "trained.bin")
+        assert (tmp_path / "low.bin").read_bytes() == \
+            (tmp_path / "trained.bin").read_bytes()
         for _ in range(200):
             ctx = tuple(int(t) for t in rng.integers(vocab.size,
                                                      size=rng.integers(0, 5)))
@@ -245,191 +301,8 @@ def test_lower_order_equals_trained_model(tmp_path):
                 trained.next_dist(ctx).dist.tobytes()
 
 
-def test_load_model_rejects_malformed_files(tmp_path):
-    good = tmp_path / "model.txt"
-    docs = ["a b a b"]
-    vocab = build_vocab(docs, mode="word")
-    save_model(train_ngram(docs, vocab, order=2, smoothing=0.1), good)
-
-    bad_version = tmp_path / "v.txt"
-    bad_version.write_text("heterospec-ngram v99\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        load_model(bad_version)
-
-    no_counts = tmp_path / "n.txt"
-    no_counts.write_text("heterospec-ngram v1\nmode: word\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        load_model(no_counts)
-
-    lines = good.read_text(encoding="utf-8").splitlines()
-    mangled = tmp_path / "m.txt"
-    mangled.write_text("\n".join(lines + ["c bogus"]) + "\n", encoding="utf-8")
-    with pytest.raises(ConfigError):
-        load_model(mangled)
-
-    out_of_range = tmp_path / "o.txt"
-    out_of_range.write_text("\n".join(lines + ["c 0 - 99 5"]) + "\n",
-                            encoding="utf-8")
-    with pytest.raises(ConfigError):
-        load_model(out_of_range)
-
-    no_unk = tmp_path / "u.txt"
-    no_unk.write_text(GOLDEN_MODEL.replace(', "<unk>"', ', "d"'), encoding="utf-8")
-    with pytest.raises(ConfigError) as exc:
-        load_model(no_unk)
-    assert str(exc.value) == \
-        f"{no_unk}: bad header: vocabulary needs the unknown symbol '<unk>'"
-
-
-# GOLDEN_MODEL ends with line 11, "c 1 2 0 2"; the added line is line 12,
-# so records starting "c 1 2" reach the per-run parse, and others parse
-# their own head
-MALFORMED, OUT_OF_RANGE = "malformed count record", "count record out of range"
-REPEATED = "repeated count record"
-
-
-@pytest.mark.parametrize("record,error", [
-    ("c 1 0 2 1 9", MALFORMED), ("c 1 0 x 1", MALFORMED), ("c 1 0 2", MALFORMED),
-    ("c 1 0 7 1", OUT_OF_RANGE), ("c 1 0 2 -1", OUT_OF_RANGE),
-    ("c 1 3 9 1", OUT_OF_RANGE), ("c 1 4 0 1", OUT_OF_RANGE),
-    ("c 1 -1 0 1", OUT_OF_RANGE), ("c 2 0,1 0 1", OUT_OF_RANGE),
-    ("c 1 0,1 0 1", OUT_OF_RANGE), ("c 1 - 0 1", OUT_OF_RANGE),
-    ("c 1 0,x 0 1", MALFORMED), ("x 1 0 0 1", MALFORMED),
-    ("c bogus", MALFORMED), ("", MALFORMED),
-    ("c 1 2 7 1", OUT_OF_RANGE), ("c 1 2 0 x", MALFORMED),
-    ("c 1 2 0 9223372036854775808", OUT_OF_RANGE),
-    # one record per (context length, context, token), in the same run of a
-    # context's records or in another
-    ("c 1 2 0 9", REPEATED), ("c 1 0 1 9", REPEATED), ("c 0 - 2 1", REPEATED),
-])
-def test_load_model_reports_bad_record_at_its_line(tmp_path, record, error):
-    path = tmp_path / "model.txt"
-    path.write_text(GOLDEN_MODEL + record + "\nc 1 0 2 1\n", encoding="utf-8")
-    with pytest.raises(ConfigError) as exc:
-        load_model(path)
-    assert str(exc.value) == f"{path}:12: {error}"
-
-
-def test_load_model_reports_a_repeat_before_a_later_bad_line(tmp_path):
-    # repeats are found once the records are sorted: a bad line after one
-    # still fails at the repeat, the first bad line in file order
-    path = tmp_path / "model.txt"
-    for bad in ("c bogus", "c 1 0 7 1", "c 1 0 2 1"):
-        path.write_text(GOLDEN_MODEL + "c 1 1 0 1\nc 0 - 1 5\n" + bad + "\n"
-                        + "c 1 0 1 5\n", encoding="utf-8")
-        with pytest.raises(ConfigError) as exc:
-            _fresh_parse(path)
-        assert str(exc.value) == f"{path}:13: repeated count record"
-
-
-# GOLDEN_MODEL's header is lines 2-5; the inserted line becomes line 4
-@pytest.mark.parametrize("line,error", [
-    ("bogus line", "unrecognized header line 'bogus line'"),
-    ("seed: 3", "unknown header key 'seed'"),
-    ("order: 1", "repeated header key 'order'"),
-])
-def test_load_model_refuses_a_bad_header_line_at_its_line(tmp_path, line, error):
-    lines = GOLDEN_MODEL.splitlines()
-    lines.insert(3, line)
-    path = tmp_path / "model.txt"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(ConfigError) as exc:
-        load_model(path)
-    assert str(exc.value) == f"{path}:4: {error}"
-
-
-# the same rule as the config's model.order and model.smoothing checks
-@pytest.mark.parametrize("line,error", [
-    ("smoothing: nan", "model.smoothing must be finite and > 0, got nan"),
-    ("smoothing: inf", "model.smoothing must be finite and > 0, got inf"),
-    ("smoothing: -inf", "model.smoothing must be finite and > 0, got -inf"),
-    ("smoothing: 0", "model.smoothing must be finite and > 0, got 0.0"),
-    ("order: 0", "model.order must be >= 1, got 0"),
-    ("order: -1", "model.order must be >= 1, got -1"),
-])
-def test_load_model_refuses_a_bad_header_value(tmp_path, line, error):
-    key = line.split(":")[0]
-    path = tmp_path / "model.txt"
-    path.write_text(re.sub(f"(?m)^{key}: .*$", line, GOLDEN_MODEL),
-                    encoding="utf-8")
-    with pytest.raises(ConfigError) as exc:
-        load_model(path)
-    assert str(exc.value) == f"{path}: bad header: {error}"
-
-
-def _fresh_parse(path):
-    """The model in ``path`` parsed anew, not built over a kept parse."""
-    release_kept_model()
-    return load_model(path)
-
-
-def _all_contexts(vocab, order):
-    return [ctx for n in range(order)
-            for ctx in itertools.product(range(vocab.size), repeat=n)]
-
-
-def test_load_model_keeps_one_parse_by_content(tmp_path, model_parses):
-    vocab, target, _ = _memo_models()
-    path, copy = tmp_path / "model.txt", tmp_path / "copy.txt"
-    save_model(target, path)
-    copy.write_bytes(path.read_bytes())
-    release_kept_model()
-    first, second, third = load_model(path), load_model(path), load_model(copy)
-    assert model_parses == [path]  # the copy's bytes are the kept ones
-    assert first is not second and first._memo is not second._memo
-    assert first._counts is second._counts is third._counts
-    fresh = _fresh_parse(path)
-    for ctx in _all_contexts(vocab, target.order):
-        want = fresh.next_dist(ctx).dist.tobytes()
-        assert first.next_dist(ctx).dist.tobytes() == want
-        assert second.next_dist(ctx).dist.tobytes() == want
-    # a hit starts with an empty memo, whatever the earlier instances hold
-    assert first._memo and not load_model(path)._memo
-
-
-def test_saved_tables_are_handed_to_load_model(tmp_path, model_parses):
-    rng = np.random.default_rng(11)
-    docs = ["".join(rng.choice(list("abcdef"), size=200)) for _ in range(20)]
-    vocab = build_vocab(docs, mode="char")
-    trained = train_ngram(docs, vocab, order=4, smoothing=0.1)
-    path = tmp_path / "model.txt"
-    save_model(trained, path)
-    handed = load_model(path)
-    assert model_parses == [] and handed._counts is trained._counts
-    assert not handed._memo
-    fresh = _fresh_parse(path)
-    assert model_parses == [path]
-    assert _listed(fresh._counts) == _listed(trained._counts)
-    contexts = [ctx for table in count_dicts(trained._counts, vocab.size)
-                for ctx in table]
-    contexts += [tuple(int(t) for t in rng.integers(vocab.size, size=n))
-                 for n in rng.integers(0, 6, size=300)]
-    for ctx in contexts:
-        assert handed.next_dist(ctx).dist.tobytes() == \
-            fresh.next_dist(ctx).dist.tobytes()
-
-
-def test_save_model_keeps_the_zero_counts_it_writes(tmp_path, model_parses):
-    # a zero count is a record: written, kept and parsed back alike, and
-    # its context stops the backoff
-    vocab = build_vocab(["cab", "ca"], mode="char")
-    counts = count_tables([{(): {0: 2, 1: 1, 2: 2}},
-                           {(2,): {0: 2}, (0,): {1: 1}, (1,): {2: 0}}], vocab.size)
-    path = tmp_path / "model.txt"
-    save_model(NGramModel(vocab, 2, 0.5, counts), path)
-    assert path.read_text(encoding="utf-8") == \
-        GOLDEN_MODEL.replace("c 1 2", "c 1 1 2 0\nc 1 2")
-    kept = load_model(path)
-    assert model_parses == [] and kept._counts is counts
-    fresh = _fresh_parse(path)
-    assert _listed(fresh._counts) == _listed(counts)
-    b, = vocab.encode("b")
-    for model in (kept, fresh):
-        assert model.next_dist((b,)).dist.tolist() == [0.25] * 4
-
-
 # (order, tables as (keys, counts) lists, message): over 4 symbols, none
-# would come back from a parse of its file
+# a model may hold
 BAD_TABLES = {
     "token-out-of-range": (1, [([0, 9], [1, 2])], "count table 0: need keys"),
     "key-out-of-range": (2, [([0], [1]), ([16], [1])], "count table 1: need keys"),
@@ -444,7 +317,7 @@ BAD_TABLES = {
 
 
 @pytest.mark.parametrize("name", sorted(BAD_TABLES))
-def test_ngram_model_refuses_tables_a_parse_would_not_give_back(name):
+def test_ngram_model_refuses_bad_tables(name):
     vocab = build_vocab(["cab", "ca"], mode="char")
     order, tables, message = BAD_TABLES[name]
     counts = [(np.array(keys, dtype=np.int64), np.array(cnt, dtype=np.int64))
@@ -460,56 +333,6 @@ def test_ngram_model_refuses_tables_not_of_int64_arrays():
                    [(keys.reshape(1, 2), keys.reshape(1, 2))]):
         with pytest.raises(ConfigError, match="count table 0: need two aligned"):
             NGramModel(vocab, 1, 0.5, counts)
-
-
-def test_load_model_rereads_a_rewritten_file(tmp_path):
-    path = tmp_path / "model.txt"
-    path.write_text(GOLDEN_MODEL, encoding="utf-8")
-    old = load_model(path)
-    stat = os.stat(path)
-    # other bytes of the same length, under the same path and mtime
-    path.write_text(GOLDEN_MODEL.replace("c 0 - 0 2", "c 0 - 0 7"),
-                    encoding="utf-8")
-    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-    assert os.stat(path).st_size == stat.st_size
-    new = load_model(path)
-    assert count_dicts(new._counts, 4)[0][()] == {0: 7, 1: 1, 2: 2}
-    want = _fresh_parse(path).next_dist(()).dist.tobytes()
-    assert new.next_dist(()).dist.tobytes() == want
-    assert new.next_dist(()).dist.tobytes() != old.next_dist(()).dist.tobytes()
-
-
-def test_load_model_keeps_no_failed_parse(tmp_path):
-    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
-    good.write_text(GOLDEN_MODEL, encoding="utf-8")
-    bad.write_text(GOLDEN_MODEL + "c 1 0 x 1\n", encoding="utf-8")
-    load_model(good)
-    for _ in range(2):  # the second load parses again and fails again
-        with pytest.raises(ConfigError) as exc:
-            load_model(bad)
-        assert str(exc.value) == f"{bad}:12: malformed count record"
-        assert models._kept is None
-    assert count_dicts(load_model(good)._counts, 4)[1] == GOLDEN_BIGRAMS
-
-
-def test_load_model_reads_records_split_on_any_whitespace(tmp_path):
-    path = tmp_path / "model.txt"
-    path.write_text(GOLDEN_MODEL + "c  1 0\t2  3 \nc 1 0 3 4\n  c 1 1 0 5\n",
-                    encoding="utf-8")
-    bigrams = count_dicts(load_model(path)._counts, 4)[1]
-    assert bigrams == {(0,): {1: 1, 2: 3, 3: 4}, (1,): {0: 5}, (2,): {0: 2}}
-
-
-def test_load_model_reads_ids_in_any_form_int_reads(tmp_path):
-    # save_model writes "3"; "03", "+3" and "0_3" are the same id to int()
-    path = tmp_path / "model.txt"
-    path.write_text(GOLDEN_MODEL + "c 1 +01 03 6\nc 1 1 0_2 1\nc 1 0 +0 7\n",
-                    encoding="utf-8")
-    bigrams = count_dicts(_fresh_parse(path)._counts, 4)[1]
-    assert bigrams == {(0,): {0: 7, 1: 1}, (1,): {3: 6, 2: 1}, (2,): {0: 2}}
-    path.write_text(GOLDEN_MODEL + "c 1 0 +1 7\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match=r"model\.txt:12: repeated count record"):
-        _fresh_parse(path)
 
 
 @pytest.mark.parametrize("order,v,refused", [
@@ -531,8 +354,8 @@ def test_model_order_past_the_count_keys_is_refused_before_counting(tmp_path):
         train_ngram(["cab"] * 10 ** 6, vocab, order=32, smoothing=0.5)
     with pytest.raises(ConfigError, match=r"model\.order 32 .* 4 symbols"):
         NGramModel(vocab, 32, 0.5, [])
-    path = tmp_path / "model.txt"
-    path.write_text(GOLDEN_MODEL.replace("order: 2", "order: 32"), encoding="utf-8")
+    path = tmp_path / "model.bin"
+    path.write_bytes(model_file([([], [])] * 32, order=32, sizes=[0] * 32))
     with pytest.raises(ConfigError) as exc:
         load_model(path)
     assert str(exc.value) == (f"{path}: bad header: model.order 32 is too high "
@@ -550,7 +373,7 @@ def test_ngram_model_rejects_bad_hyperparameters():
             NGramModel(vocab, 1, smoothing, [{}])
 
 
-# ------------------------------------------------- training and parsing
+# -------------------------------------------------------------- training
 
 
 def _token_loop_counts(corpus, vocab, order):
@@ -589,95 +412,10 @@ def test_train_ngram_equals_token_loop(tmp_path_factory, mode, order, docs):
     want = _token_loop_counts(docs, vocab, order)
     assert _records(count_dicts(model._counts, vocab.size)) == _records(want)
     out = tmp_path_factory.mktemp("train")
-    save_model(model, out / "model.txt")
+    save_model(model, out / "model.bin")
     oracle = NGramModel(vocab, order, 0.1, count_tables(want, vocab.size))
-    save_model(oracle, out / "oracle.txt")
-    assert (out / "model.txt").read_bytes() == (out / "oracle.txt").read_bytes()
-
-
-@functools.cache
-def _large_model_text():
-    """A model file of several parse chunks: order 4 over a random text of
-    twelve letters."""
-    rng = np.random.default_rng(7)
-    docs = ["".join(rng.choice(list("abcdefghijkl"), size=400)) for _ in range(60)]
-    model = train_ngram(docs, build_vocab(docs, mode="char"), order=4,
-                        smoothing=0.1)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "model.txt")
-        save_model(model, path)
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    assert len(text) > 3 * models._CHUNK_CHARS
-    return text
-
-
-def _whole_text_parse(path):
-    """The outcome of parsing the lines of ``path`` all at once."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
-    try:
-        return _listed(models._parse_model(lines, path)[3])
-    except ConfigError as exc:
-        return str(exc)
-
-
-def _chunked_parse(path):
-    """The outcome of ``load_model``, parsing anew."""
-    try:
-        return _listed(_fresh_parse(path)._counts)
-    except ConfigError as exc:
-        return str(exc)
-
-
-def test_chunked_parse_equals_whole_text_parse(tmp_path, model_parses):
-    text = _large_model_text()
-    chunks = list(models._chunks(text))
-    assert len(chunks) > 3 and "".join(chunks) == text
-    assert all(chunk.endswith("\n") for chunk in chunks)
-    path = tmp_path / "model.txt"
-    path.write_text(text, encoding="utf-8")
-    release_kept_model()
-    model = load_model(path)
-    assert model_parses == [path]
-    assert _listed(model._counts) == _whole_text_parse(path)
-
-
-def test_chunked_parse_reports_a_late_bad_record_at_its_line(tmp_path):
-    text = _large_model_text()
-    lines = text.splitlines()
-    # the first line of the second chunk, and a line deep in the third
-    first_cut = len(next(models._chunks(text)).splitlines())
-    for index in (first_cut, first_cut + 1, 2 * first_cut + 100, len(lines) - 1):
-        path = tmp_path / f"bad{index}.txt"
-        bad = lines[:index] + ["c bogus"] + lines[index + 1:]
-        path.write_text("\n".join(bad) + "\n", encoding="utf-8")
-        with pytest.raises(ConfigError) as exc:
-            _fresh_parse(path)
-        assert str(exc.value) == f"{path}:{index + 1}: malformed count record"
-
-
-@pytest.mark.parametrize("sep", ["\r\n", "\r", "\x0c", "\u2028"],
-                         ids=["crlf", "cr", "formfeed", "line-separator"])
-def test_chunked_parse_splits_lines_as_before(tmp_path, sep):
-    text = _large_model_text()
-    path = tmp_path / "model.txt"
-    path.write_text(text, encoding="utf-8")
-    tables = _chunked_parse(path)
-    # every line ended by sep, so the file may hold no "\n" at all: each is a
-    # line end to splitlines, so the file loads as the "\n" file does
-    path.write_text(text.replace("\n", sep), encoding="utf-8", newline="")
-    assert _chunked_parse(path) == _whole_text_parse(path) == tables
-    # sep inside a record, on either side of a chunk's cut and at its "\n"
-    cut = len(next(models._chunks(text)))
-    for at in (cut - 3, cut - 2, cut - 1, cut, cut + 1, 2 * cut + 5):
-        path.write_text(text[:at] + sep + text[at:], encoding="utf-8", newline="")
-        assert _chunked_parse(path) == _whole_text_parse(path)
-    # sep splits the first chunk's last record, which then fails at its line
-    line = len(text[:cut].splitlines())
-    path.write_text(text[:cut - 3] + sep + text[cut - 3:], encoding="utf-8",
-                    newline="")
-    assert _chunked_parse(path) == f"{path}:{line}: malformed count record"
+    save_model(oracle, out / "oracle.bin")
+    assert (out / "model.bin").read_bytes() == (out / "oracle.bin").read_bytes()
 
 
 # ------------------------------------------------------------------ memo
@@ -802,7 +540,7 @@ def test_memoized_values_bitwise_equal_uncached_formula():
 
 def test_reloaded_model_memo_bitwise_equal(tmp_path):
     vocab, target, _ = _memo_models()
-    path = tmp_path / "model.txt"
+    path = tmp_path / "model.bin"
     save_model(target, path)
     loaded = load_model(path)
     rng = np.random.default_rng(5)

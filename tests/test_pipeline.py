@@ -10,8 +10,8 @@ import shutil
 
 import pytest
 
-from conftest import TINY_CONFIG, count_dicts
-from heterospec import models, pipeline
+from conftest import TINY_CONFIG
+from heterospec import pipeline
 from heterospec.config import ExperimentConfig, config_from_dict, load_config
 from heterospec.binning import save_bins
 from heterospec.errors import ConfigError
@@ -60,7 +60,7 @@ def lab(tmp_path_factory):
 def test_artifact_layout(lab):
     cfg = lab
     expected = [
-        "config.json", "corpus.txt", "template.txt", "model.txt",
+        "config.json", "corpus.txt", "template.txt", "model.bin",
         "bins.txt", "calibration.csv",
         "baseline-iterations.csv", "adaptive-iterations.csv",
         "compare.csv", "baseline-tcr-histogram.csv",
@@ -174,7 +174,7 @@ def test_pipeline_reruns_byte_identical(tmp_path):
         step_calibrate(cfg)
         step_compare(cfg)
         outs.append(cfg.out_dir)
-    for name in ("corpus.txt", "model.txt", "bins.txt",
+    for name in ("corpus.txt", "model.bin", "bins.txt",
                  "calibration.csv", "compare.csv"):
         a = open(os.path.join(outs[0], name), "rb").read()
         b = open(os.path.join(outs[1], name), "rb").read()
@@ -189,13 +189,8 @@ def test_default_planted_experiment_matches_readme(tmp_path):
     step_gen_corpus(cfg)
     model_path = step_train_model(cfg)
     with open(model_path, "rb") as fh:
-        data = fh.read()
-    assert hashlib.sha256(data).hexdigest() == \
-        "cc3ec3a6b6b8cd0d83f198502709c2f73796240a83719f03f7224abb632f4940"
-    # the records, in any order: those of the first-seen-order file before
-    # count tables became sorted key arrays
-    assert hashlib.sha256(b"".join(sorted(data.splitlines(True)))).hexdigest() == \
-        "5a282681d3bbad2b061af08dc644ad67558fe6b9385f1d8566afe066006dd7d5"
+        assert hashlib.sha256(fh.read()).hexdigest() == \
+            "000335857b524c8b1c9653934e3fe1efedc8fc6f00e073eac67a085e48a079ad"
     step_calibrate(cfg)
     _, result = step_compare(cfg)
     got = [(name, alpha, s.calls, s.tokens, f"{s.tau:.4f}", f"{s.speedup:.4f}")
@@ -287,47 +282,6 @@ def test_draft_base_is_the_targets_lower_order(tmp_path):
         load_models(cfg)
 
 
-def test_one_process_never_parses_the_model_it_trained(tmp_path, model_parses):
-    cfg = _cfg(tmp_path / "run")
-    step_gen_corpus(cfg)
-    step_train_model(cfg)
-    step_calibrate(cfg)
-    handed_off = _artifacts(cfg, "bins.txt", "calibration.csv")
-    step_compare(cfg)
-    step_compare(_at_alpha(cfg, 1))
-    assert model_parses == []
-    # the CLI runs a step per process, so each loading step parses once
-    models.release_kept_model()
-    step_calibrate(cfg)
-    assert model_parses == [os.path.join(cfg.out_dir, "model.txt")]
-    assert _artifacts(cfg, "bins.txt", "calibration.csv") == handed_off
-
-
-def _artifacts(cfg, *names):
-    return [pathlib.Path(cfg.out_dir, name).read_bytes() for name in names]
-
-
-def test_model_txt_edited_after_train_model_is_parsed_anew(tmp_path,
-                                                          model_parses):
-    cfg = _cfg(tmp_path / "run")
-    step_gen_corpus(cfg)
-    path = step_train_model(cfg)
-    trained, _ = load_models(cfg)
-    assert model_parses == []
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    at = lines.index("counts:") + 1  # the first unigram record
-    c, length, ctx, tok, count = lines[at].split()
-    lines[at] = f"{c} {length} {ctx} {tok} {int(count) + 1000}"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    edited, _ = load_models(cfg)
-    assert model_parses == [path]
-    unigrams = count_dicts(edited._counts, edited.vocab.size)[0][()]
-    assert unigrams[int(tok)] == int(count) + 1000
-    assert edited.next_dist(()).dist[int(tok)] > trained.next_dist(()).dist[int(tok)]
-
-
 def test_calibrate_and_compare_hold_the_bins_of_bins_txt(tmp_path):
     # the CLI's low-bin note reads these bins in place of bins.txt
     cfg = _cfg(tmp_path / "run")
@@ -354,28 +308,6 @@ def test_compare_holds_the_bins_it_decoded_with(lab, tmp_path):
     assert result.bins == coarser != bins
 
 
-def test_train_model_counts_with_nothing_kept_then_keeps_its_tables(tmp_path,
-                                                                   monkeypatch):
-    cfg = _cfg(tmp_path / "run")
-    step_gen_corpus(cfg)
-    step_train_model(cfg)
-    load_models(cfg)
-    assert models._kept is not None
-    kept_while_counting, train = [], pipeline.train_ngram
-
-    def observed(*args, **kwargs):
-        kept_while_counting.append(models._kept)
-        model = train(*args, **kwargs)
-        kept_while_counting.append(models._kept)
-        return model
-
-    monkeypatch.setattr(pipeline, "train_ngram", observed)
-    path = step_train_model(cfg)
-    assert kept_while_counting == [None, None]
-    with open(path, "rb") as fh:
-        assert models._kept[0] == hashlib.sha256(fh.read()).digest()
-
-
 def test_external_corpus_passthrough(tmp_path):
     source = tmp_path / "docs.txt"
     source.write_text("a b c a b c a b\nb c a b c a b c\n" * 8, encoding="utf-8")
@@ -399,6 +331,10 @@ def test_missing_prerequisites_fail_with_hints(tmp_path):
     with pytest.raises(ConfigError, match="train-model first"):
         load_models(cfg)
     step_gen_corpus(cfg)
+    # a model file of the old text format is not read: train-model rewrites it
+    pathlib.Path(cfg.out_dir, "model.txt").write_text("heterospec-ngram v1\n")
+    with pytest.raises(ConfigError, match="model not found, run train-model first"):
+        load_models(cfg)
     step_train_model(cfg)
     with pytest.raises(ConfigError, match="calibrate first"):
         step_compare(cfg)

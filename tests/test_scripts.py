@@ -81,16 +81,15 @@ def test_artifact_digests_prints_the_default_runs_artifacts():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert sorted(out["sha256"]) == sorted(
-        ["corpus.txt", "model.txt", "bins.txt", "calibration.csv", "compare.csv"]
+        ["corpus.txt", "model.bin", "bins.txt", "calibration.csv", "compare.csv"]
         + [f"{arm}-{table}.csv" for arm in ("baseline", "adaptive")
            for table in ("iterations", "tcr-histogram", "tcr-by-accepted",
                          "bin-occupancy")])
     assert out["sha256"]["bins.txt"] == \
         "15a03105e4f21f396b6fb8f39b7d17b4d70118f977f914f159965595408707df"
-    assert out["sha256"]["model.txt"] == \
-        "cc3ec3a6b6b8cd0d83f198502709c2f73796240a83719f03f7224abb632f4940"
-    assert out["model_txt_sorted_lines"] == \
-        "5a282681d3bbad2b061af08dc644ad67558fe6b9385f1d8566afe066006dd7d5"
+    assert out["sha256"]["model.bin"] == \
+        "000335857b524c8b1c9653934e3fe1efedc8fc6f00e073eac67a085e48a079ad"
+    assert sorted(out) == ["calls", "sha256", "speedup"]
     assert out["calls"] == {"baseline": 907, "adaptive": 705}
     assert [round(out["speedup"][arm], 4) for arm in ("baseline", "adaptive")] \
         == [2.7784, 3.5587]
