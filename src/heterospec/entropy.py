@@ -8,10 +8,11 @@ ending at the full-depth node whose final step distribution has the
 largest top-1 probability.
 
 All distributions involved were already computed while the tree was
-built, so the signal is free of extra model calls, and each step's top-1
+built, so the signal is free of extra model calls. Each step's top-1
 probability and entropy are derived once per draft state, in the
 ``DistRecord`` of that state, which a node tuple holds in its ``STEP``
-field.
+field; the entropy from the same ``TopK`` selection the tree took the
+step's children from, and kept in it.
 """
 
 from __future__ import annotations
@@ -19,32 +20,42 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .models import ProbDist
-from .tree import INDEX, NEG_VALUE, STEP, DraftNode, DraftTree, path
+from .models import DistRecord, ProbDist
+from .tree import INDEX, NEG_VALUE, STEP, DraftNode, DraftTree, TopK, path
 
 
-def topk_step_entropy(dist: ProbDist, k: int) -> float:
-    """Entropy in nats of the renormalized top-k slice of ``dist``.
+def topk_step_entropy(dist: ProbDist, top: TopK) -> float:
+    """Entropy in nats of the renormalized top-k slice of ``dist``, the
+    probabilities of the tokens ``top = TopK(dist, k)`` selected.
 
     k = 1 always gives exactly 0.0. Zero probabilities inside the slice
     contribute nothing.
     """
-    arr = np.asarray(dist, dtype=np.float64)
-    v = arr.shape[0]
-    if k < v:
-        # the same ascending values as np.sort(arr)[-k:], so the same sum
-        top = np.sort(np.partition(arr, v - k)[-k:])
-    else:
-        top = arr
-    total = top.sum()
+    v = dist.shape[0]
+    # ascending, the order of np.sort(dist)[-k:], so numpy sums the same
+    # bits as over a full sort; all of dist in index order when k >= V
+    arr = dist[top.tokens[::-1]] if top.tokens.size < v else dist
+    total = arr.sum()
     if total <= 0.0:
         return 0.0
-    p = top / total
+    p = arr / total
     nz = p[p > 0.0]
     return float(-(nz * np.log(nz)).sum()) + 0.0
 
 
+def step_entropy(step: DistRecord, k: int) -> float:
+    """The top-k step entropy of a draft state, from the ``TopK``
+    selection of its record, computed once per record and k."""
+    top = step.derive(TopK, k)
+    if top.entropy is None:
+        top.entropy = topk_step_entropy(step.dist, top)
+    return top.entropy
+
+
 def top1_prob(dist: ProbDist) -> float:
+    # np.max rather than the TopK selection: a derive without arguments is
+    # keyed by the function alone, a cheaper lookup per candidate node than
+    # the tuple (TopK, k)
     return float(np.max(dist))
 
 
@@ -68,4 +79,4 @@ def select_meta_path(tree: DraftTree) -> DraftNode:
 def tree_entropy_signal(tree: DraftTree, k: int) -> float:
     """Sum of the top-k step entropies along the meta path."""
     leaf = select_meta_path(tree)
-    return float(sum(n[STEP].derive(topk_step_entropy, k) for n in path(leaf)))
+    return float(sum(step_entropy(n[STEP], k) for n in path(leaf)))

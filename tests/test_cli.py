@@ -247,6 +247,22 @@ def test_gen_corpus_exits_2_on_out_of_range_setting(tmp_path, capsys, section,
     assert not os.path.exists(out)
 
 
+def test_exit_2_on_smoothing_too_large_for_a_float(tmp_path, capsys):
+    # a JSON integer above the float range passes 0 < smoothing < inf as
+    # an int; train-model used to exit 0 and calibrate to end in an
+    # OverflowError traceback at the first distribution
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(dict(TINY_CONFIG, model={"smoothing": 10 ** 400})),
+                   encoding="utf-8")
+    out = str(tmp_path / "run")
+    for command in ("train-model", "calibrate"):
+        assert main([command, "--config", str(cfg), "--out", out]) == 2
+        assert _one_error_line(capsys.readouterr()) == (
+            f"heterospec: config: model.smoothing must be finite and > 0, "
+            f"got {10 ** 400}\n")
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("cost,want", [
     ({"c_call": 0, "c_tok": 0, "c_draft": 0},
      "cost.c_call must be finite and > 0, got 0"),

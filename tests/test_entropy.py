@@ -12,10 +12,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import FixedDistModel, ScriptedModel, make_vocab, prob_dists, tied_dists
-from heterospec.entropy import select_meta_path, topk_step_entropy, tree_entropy_signal
+from conftest import (FixedDistModel, ScriptedModel, make_vocab, prob_dists, selection_ks,
+                      selection_rows, topk_entropy)
+from heterospec.entropy import select_meta_path, step_entropy, tree_entropy_signal
 from heterospec.errors import ConfigError
-from heterospec.tree import DEPTH, STEP, TOKEN, expand, path
+from heterospec.models import DistRecord
+from heterospec.tree import DEPTH, STEP, TOKEN, TopK, expand, path
 
 
 def _entropy_full_sort(dist, k):
@@ -29,45 +31,55 @@ def _entropy_full_sort(dist, k):
     return float(-(nz * np.log(nz)).sum()) + 0.0
 
 
-@given(tied_dists(), st.data())
+@given(selection_rows(), st.data())
 def test_topk_entropy_bitwise_equals_full_sort(dist, data):
-    v = dist.shape[0]
-    k = data.draw(st.one_of(st.integers(1, v), st.integers(v, v + 3)), label="k")
-    assert topk_step_entropy(dist, k).hex() == _entropy_full_sort(dist, k).hex()
+    # k >= 8 reaches numpy's 8-lane summation, k >= V the index-order path
+    k = data.draw(selection_ks(dist.shape[0]), label="k")
+    assert topk_entropy(dist, k).hex() == _entropy_full_sort(dist, k).hex()
+
+
+def test_step_entropy_is_kept_in_the_records_selection():
+    rec = DistRecord(np.asarray([0.5, 0.25, 0.125, 0.125]))
+    for k in (2, 3):
+        value = step_entropy(rec, k)
+        assert value == topk_entropy(rec.dist, k)
+        assert rec.derive(TopK, k).entropy == value  # the one selection
+        assert step_entropy(rec, k) == value
+    assert step_entropy(rec, 2) != step_entropy(rec, 3)
 
 
 def test_one_hot_entropy_is_zero():
-    assert topk_step_entropy(np.asarray([0.0, 1.0, 0.0]), 2) == 0.0
+    assert topk_entropy(np.asarray([0.0, 1.0, 0.0]), 2) == 0.0
 
 
 def test_uniform_pair_entropy_is_ln2():
-    val = topk_step_entropy(np.asarray([0.25, 0.25, 0.25, 0.25]), 2)
+    val = topk_entropy(np.asarray([0.25, 0.25, 0.25, 0.25]), 2)
     assert val == pytest.approx(math.log(2.0), rel=1e-15)
 
 
 def test_top2_slice_of_skewed_dist():
     # top-2 of (0.7, 0.2, 0.1) renormalizes to (7/9, 2/9)
-    val = topk_step_entropy(np.asarray([0.7, 0.2, 0.1]), 2)
+    val = topk_entropy(np.asarray([0.7, 0.2, 0.1]), 2)
     assert val == pytest.approx(0.52970619905765452117, abs=1e-15)
 
 
 def test_k_larger_than_support_clamps():
     dist = np.asarray([0.5, 0.3, 0.2])
-    assert topk_step_entropy(dist, 3) == topk_step_entropy(dist, 50)
+    assert topk_entropy(dist, 3) == topk_entropy(dist, 50)
 
 
 def test_zero_mass_slice_returns_zero():
-    assert topk_step_entropy(np.zeros(4), 2) == 0.0
+    assert topk_entropy(np.zeros(4), 2) == 0.0
 
 
 @given(prob_dists())
 def test_k1_always_zero(dist):
-    assert topk_step_entropy(dist, 1) == 0.0
+    assert topk_entropy(dist, 1) == 0.0
 
 
 @given(prob_dists(), st.integers(1, 20))
 def test_entropy_bounded_by_log_slice_size(dist, k):
-    val = topk_step_entropy(dist, k)
+    val = topk_entropy(dist, k)
     assert 0.0 <= val <= math.log(min(k, dist.shape[0])) + 1e-12
 
 
@@ -75,8 +87,8 @@ def test_entropy_bounded_by_log_slice_size(dist, k):
 def test_entropy_permutation_invariant(dist, k, pyrandom):
     shuffled = dist.copy()
     pyrandom.shuffle(shuffled)
-    assert topk_step_entropy(shuffled, k) == pytest.approx(
-        topk_step_entropy(dist, k), abs=1e-12)
+    assert topk_entropy(shuffled, k) == pytest.approx(
+        topk_entropy(dist, k), abs=1e-12)
 
 
 def test_agrees_with_extended_precision():
@@ -90,7 +102,7 @@ def test_agrees_with_extended_precision():
             total = mpmath.fsum(top)
             exact = -mpmath.fsum(p / total * mpmath.log(p / total)
                                  for p in top if p > 0)
-            assert abs(topk_step_entropy(dist, k) - float(exact)) <= 1e-9
+            assert abs(topk_entropy(dist, k) - float(exact)) <= 1e-9
 
 
 def test_cumulative_signal_adds_steps():
@@ -98,7 +110,7 @@ def test_cumulative_signal_adds_steps():
     model = FixedDistModel((0.7, 0.2, 0.1))
     tree = expand(model, (5,), depth=2, top_k=1)
     leaf = select_meta_path(tree)
-    steps = [topk_step_entropy(n[STEP].dist, 2) for n in path(leaf)]
+    steps = [topk_entropy(n[STEP].dist, 2) for n in path(leaf)]
     assert len(steps) == 2
     assert steps == pytest.approx([0.52970619905765452117] * 2)
     signal = tree_entropy_signal(tree, 2)

@@ -12,7 +12,7 @@ from heterospec import models
 from heterospec.errors import ConfigError
 from heterospec.models import (LanguageModel, NGramModel, PerturbedDraftModel,
                                load_model, perturb, save_model, train_ngram)
-from heterospec.vocab import UNK, Vocabulary, build_vocab, encode_corpus
+from heterospec.vocab import UNK, Vocabulary, build_vocab, encode_corpus, split_corpus
 
 
 def test_is_valid_dist():
@@ -253,6 +253,8 @@ def test_load_model_refuses_a_file_save_model_does_not_write(tmp_path, name):
     ("smoothing", math.inf, "model.smoothing must be finite and > 0, got inf"),
     ("smoothing", -math.inf, "model.smoothing must be finite and > 0, got -inf"),
     ("smoothing", 0.0, "model.smoothing must be finite and > 0, got 0.0"),
+    ("smoothing", 10 ** 400,
+     f"model.smoothing must be finite and > 0, got {10 ** 400}"),
     ("order", 0, "model.order must be >= 1, got 0"),
     ("order", -1, "model.order must be >= 1, got -1"),
 ])
@@ -405,12 +407,17 @@ def _records(dicts):
        st.lists(st.text(alphabet="ab c", max_size=14), min_size=1, max_size=6))
 @example(mode="word", order=4, docs=["", "a", "a b", "c a b c a"])
 @example(mode="char", order=3, docs=["", "ab", "cabcab c", "a"])
+@example(mode="word", order=2, docs=["<unk> a", "c <unk> b a"])
 def test_train_ngram_equals_token_loop(tmp_path_factory, mode, order, docs):
     # the vocabulary may miss "c" (and " " in char mode), so <unk> is counted
     vocab = build_vocab(["a b", docs[0], "a"], mode=mode)
     model = train_ngram(docs, vocab, order=order, smoothing=0.1)
     want = _token_loop_counts(docs, vocab, order)
     assert _records(count_dicts(model._counts, vocab.size)) == _records(want)
+    # the corpus split once, as train-model hands it over, counts the same
+    split = train_ngram(split_corpus(docs, mode), vocab, order=order,
+                        smoothing=0.1)
+    assert _listed(split._counts) == _listed(model._counts)
     out = tmp_path_factory.mktemp("train")
     save_model(model, out / "model.bin")
     oracle = NGramModel(vocab, order, 0.1, count_tables(want, vocab.size))

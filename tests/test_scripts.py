@@ -2,7 +2,7 @@
 each exits 0, and together they print the README's seed-0 result block;
 each packaged experiment runs end to end in its own process and prints
 what the README says it prints; the artifact digest tool prints the
-default run's digests; the pairs tool aggregates synthetic runs and
+default run's digests and zipf-word's at seed 0; the pairs tool aggregates synthetic runs and
 alternates which side runs first."""
 from __future__ import annotations
 
@@ -93,6 +93,50 @@ def test_artifact_digests_prints_the_default_runs_artifacts():
     assert out["calls"] == {"baseline": 907, "adaptive": 705}
     assert [round(out["speedup"][arm], 4) for arm in ("baseline", "adaptive")] \
         == [2.7784, 3.5587]
+
+
+# every artifact of zipf-word at seed 0: the only workload whose draft and
+# target rows span a large vocabulary (about 1990 words), so the only run
+# of the top-k selection's large-V path
+ZIPF_WORD_SEED0_SHA256 = {
+    "adaptive-bin-occupancy.csv":
+        "6de6d385f849928e64e84f2c5a5f3d0587ea9632c7571d4a68a0a0fb67cd6ac6",
+    "adaptive-iterations.csv":
+        "97f6458c0058b1ee11e9d4b1c58a3bbf7b0b225d7b987267099388f121ee6855",
+    "adaptive-tcr-by-accepted.csv":
+        "6d8cb09e7be8f1af7be18be1700de5077480cbecb8a0d9a37f90128544e290fb",
+    "adaptive-tcr-histogram.csv":
+        "a2d4ac9caf27a7dfd7f7313f9cdfe95a01e380976c84382446ef96d571bfd3df",
+    "baseline-bin-occupancy.csv":
+        "f2d0a026e095c28d224d1ebc053b672988ed4db5411524a7b64228ce1b5d2fa8",
+    "baseline-iterations.csv":
+        "bd203e55882d4df643cfae237caa231b946e7f3255aa4b51a13ee0878d182377",
+    "baseline-tcr-by-accepted.csv":
+        "acd20d37cff38ba4c66972a09a78b80f391c8d766d17061d780df6180b580d33",
+    "baseline-tcr-histogram.csv":
+        "157c1ddb60f3f143038c4d4bb79fd3309b62440478baceaf62e7113e57af76aa",
+    "bins.txt":
+        "33e69a4af203bce3a9e56315f44ff8361d029e948e286b4e89cfc8ea8e72dd94",
+    "calibration.csv":
+        "97dcbd752192a5f5c0469982a50e11c15af45d4bb377b96f1a67e7948263e902",
+    "compare.csv":
+        "3b05d24c7067f30aee51951f20f3e900869ded900270f09e6dd6ba97d52b1a64",
+    "corpus.txt":
+        "609dc7b79e74f448a77bfe5eb5ca6c5c898cbcc50ebe685408dc797a14779979",
+    "model.bin":
+        "4d6c0fd39430b187aeaa7d53edc7468786162a43f3dfe1131c43b4d70108b1ac",
+}
+
+
+def test_artifact_digests_pins_the_zipf_word_run():
+    proc = _run_script("artifact_digests.py", "--workload", "zipf-word",
+                       "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["sha256"] == ZIPF_WORD_SEED0_SHA256
+    assert out["calls"] == {"baseline": 1623, "adaptive": 1623}
+    assert [round(out["speedup"][arm], 4) for arm in ("baseline", "adaptive")] \
+        == [1.5527, 1.5524]
 
 
 def test_artifact_digests_refuses_an_unknown_workload():

@@ -15,9 +15,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (DrawnDistModel, FixedDistModel, ScriptedModel, chain_template_model,
-                      make_vocab, tied_dists)
+                      make_vocab, selection_ks, selection_rows)
 from heterospec.tree import (DEPTH, INDEX, NEG_VALUE, PARENT, STEP, TOKEN, TOKENS,
-                             DraftTree, expand, extend, path, rerank, top_children)
+                             DraftTree, TopK, expand, extend, path, rerank)
 
 TRI = (0.7, 0.2, 0.1)
 
@@ -42,14 +42,15 @@ def test_single_layer_top_children():
     assert tree.deepest_layer() == [a, b]
 
 
-@given(tied_dists(), st.data())
+@given(selection_rows(), st.data())
 def test_top_children_equals_full_stable_sort(dist, data):
-    v = dist.shape[0]
-    k = data.draw(st.one_of(st.integers(1, v), st.integers(v, v + 3)), label="k")
-    # the O(V) selection against a full stable argsort on -p, ties included
-    want = [(int(t), float(dist[t]))
-            for t in np.argsort(-dist, kind="stable")[:k] if dist[t] > 0.0]
-    assert top_children(dist, k) == want
+    k = data.draw(selection_ks(dist.shape[0]), label="k")
+    # the selection against a full stable argsort on -p, ties included
+    order = np.argsort(-dist, kind="stable")[:k]
+    top = TopK(dist, k)
+    assert top.tokens.tolist() == order.tolist()
+    assert top.children == [(int(t), math.log(dist[t]))
+                            for t in order if dist[t] > 0.0]
 
 
 def test_leaf_value_is_confidence_product():

@@ -3,8 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heterospec.errors import ConfigError
-from heterospec.vocab import (UNK, Vocabulary, build_vocab, encode_corpus,
-                              read_corpus, split_symbols, write_corpus)
+from heterospec.vocab import (UNK, SplitCorpus, Vocabulary, build_vocab, encode_corpus,
+                              read_corpus, split_corpus, split_symbols, write_corpus)
 
 
 def test_build_vocab_char_mode():
@@ -65,6 +65,17 @@ def test_vocabulary_validation():
 def test_split_symbols():
     assert split_symbols("ab c", "char") == ["a", "b", " ", "c"]
     assert split_symbols("ab  c", "word") == ["ab", "c"]
+
+
+def test_split_corpus_indexes_each_symbol_by_first_sight():
+    split = split_corpus(["b a  b", "", "c <unk> a"], "word")
+    assert split == SplitCorpus(["b", "a", "c", "<unk>"],
+                                [[0, 1, 0], [], [2, 3, 1]])
+    assert split_corpus(split, "char") is split
+    # the vocabulary of the split is the vocabulary of the text
+    assert build_vocab(split, "word") == build_vocab(["b a  b", "", "c <unk> a"],
+                                                     "word")
+    assert build_vocab(split, "word").symbols == ("a", "b", "c", UNK)
 
 
 def test_encode_corpus_batches_documents():
