@@ -75,23 +75,19 @@ class DraftTree:
         return len(self.nodes)
 
 
-_ARGSORT_MAX_V = 512  # up to here a full stable argsort costs less
-
-
 def top_tokens(dist: ProbDist, k: int) -> np.ndarray:
     """The first k entries of ``np.argsort(-dist, kind="stable")``: the k
     most probable tokens, most probable first, ties to the smaller id; all
-    V tokens when k >= V.
+    V tokens, in that order, when k >= V.
 
-    Above ``_ARGSORT_MAX_V`` symbols only the entries above the k-th
-    largest value are sorted, and the ties at that value are filled in by
-    lowest id. That value comes from ``np.sort``: ``np.partition`` is about
-    five times slower on a smoothed row, whose unseen tokens all tie at the
-    minimum.
+    For k < V only the entries above the k-th largest value are sorted,
+    and the ties at that value are filled in by lowest id. That value
+    comes from ``np.sort``: ``np.partition`` is about five times slower on
+    a smoothed row, whose unseen tokens all tie at the minimum.
     """
     v = dist.shape[0]
-    if k >= v or v <= _ARGSORT_MAX_V:
-        return np.argsort(-dist, kind="stable")[:k]
+    if k >= v:
+        return np.argsort(-dist, kind="stable")
     kth = np.sort(dist)[v - k]
     above = np.flatnonzero(dist > kth)  # fewer than k tokens
     ties = np.flatnonzero(dist == kth)[:k - above.size]

@@ -58,23 +58,29 @@ def split_symbols(text: str, mode: str) -> list[str]:
 
 @dataclass(frozen=True)
 class SplitCorpus:
-    """A corpus split once: ``symbols`` are its distinct symbols in
-    first-seen order, and ``docs`` each document as indices into them."""
+    """A corpus split once in ``mode``: ``symbols`` are its distinct
+    symbols in first-seen order, and ``docs`` each document as indices
+    into them."""
 
     symbols: list[str]
     docs: list[list[int]]
+    mode: str  # "char" | "word"
 
 
 def split_corpus(corpus: list[str] | SplitCorpus, mode: str) -> SplitCorpus:
-    """Split each document once; a ``SplitCorpus`` is returned as it is.
-    An occurrence is kept as the shared index of its symbol, not as a
-    string of its own."""
+    """Split each document once; a ``SplitCorpus`` split in ``mode`` is
+    returned as it is, one split in the other mode is refused. An
+    occurrence is kept as the shared index of its symbol, not as a string
+    of its own."""
     if isinstance(corpus, SplitCorpus):
+        if corpus.mode != mode:
+            raise ConfigError(f"corpus was split in {corpus.mode!r} mode, "
+                              f"not {mode!r}")
         return corpus
     first = defaultdict(count().__next__)  # symbol -> first-seen index
     docs = [list(map(first.__getitem__, split_symbols(doc, mode)))
             for doc in corpus]
-    return SplitCorpus(list(first), docs)
+    return SplitCorpus(list(first), docs, mode)
 
 
 def build_vocab(corpus: list[str] | SplitCorpus,

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heterospec.errors import ConfigError
+from heterospec.models import train_ngram
 from heterospec.vocab import (UNK, SplitCorpus, Vocabulary, build_vocab, encode_corpus,
                               read_corpus, split_corpus, split_symbols, write_corpus)
 
@@ -70,8 +71,8 @@ def test_split_symbols():
 def test_split_corpus_indexes_each_symbol_by_first_sight():
     split = split_corpus(["b a  b", "", "c <unk> a"], "word")
     assert split == SplitCorpus(["b", "a", "c", "<unk>"],
-                                [[0, 1, 0], [], [2, 3, 1]])
-    assert split_corpus(split, "char") is split
+                                [[0, 1, 0], [], [2, 3, 1]], "word")
+    assert split_corpus(split, "word") is split
     # the vocabulary of the split is the vocabulary of the text
     assert build_vocab(split, "word") == build_vocab(["b a  b", "", "c <unk> a"],
                                                      "word")
@@ -104,3 +105,13 @@ def test_word_vocab_covers_corpus(docs):
         for tok in vocab.encode(doc):
             assert 0 <= tok < vocab.size
             assert tok != vocab.size - 1  # every training symbol is in-vocab
+
+
+def test_split_corpus_refuses_a_split_in_the_other_mode():
+    split = split_corpus(["ab a"], "word")
+    with pytest.raises(ConfigError, match="split in 'word' mode, not 'char'"):
+        split_corpus(split, "char")
+    with pytest.raises(ConfigError, match="split in 'word' mode"):
+        build_vocab(split, "char")
+    with pytest.raises(ConfigError, match="split in 'word' mode"):
+        train_ngram(split, build_vocab(["ab a"], "char"), order=2, smoothing=0.1)
