@@ -2,9 +2,15 @@
 
 Builds the planted experiment, then rebuilds the same geometry with
 template coverage forced to zero and decodes it with the planted run's
-calibrated bins. With no recurring structure the entropy signal has
-nothing to exploit, so the adaptive arm should match the baseline within
-noise; the planted run is printed alongside for contrast.
+calibrated bins; the planted run is printed alongside for contrast.
+
+The zero delta it prints holds by construction, not by experiment: the
+coverage-zero corpus's entropies never fall below the copied planted bin
+edges, so no iteration lands in a low bin and the adaptive arm decodes
+exactly as the baseline. Calibrated on its own corpus instead, the
+control exits 3 under the default calibration filter, and under
+``accepting`` its adaptive arm makes more calls than its baseline
+(ROADMAP item 12).
 """
 from __future__ import annotations
 

@@ -15,16 +15,18 @@ and reshapes the verification budget:
 with gamma = (0.3, 0.6, 1.0) for the three lowest bins and 1.0 beyond.
 The baseline is the same loop with no low bins.
 
-Each model decodes on its own state (``state_key``), not on the growing
-context: the loop keeps the target's and the draft's state keys, drafts
-from the draft's and verifies from the target's, and after each iteration
-advances each by ``state_key(state + emitted)``. A state key is a context
-in its own state, so every model call sees the distribution the whole
-context would get. Everything before verification depends only on the
-draft state and on settings fixed for one decode, so each decode drafts a
-tree once per draft state and reuses it, with its entropy, bin and shape,
-whenever greedy decoding returns to that state. Verification against the
-target runs on every iteration.
+One iteration is ``step``: from a target state and a draft state it
+drafts, reranks and verifies, and returns the emitted tokens with the
+iteration's record fields. The decode loop is ``step`` plus the state
+advance. Each model decodes on its own state (``state_key``), not on the
+growing context: the loop keeps the target's and the draft's state keys
+and after each iteration advances each by ``state_key(state + emitted)``.
+A state key is a context in its own state, so every model call sees the
+distribution the whole context would get. Everything before verification
+depends only on the draft state and on settings fixed for one decode, so
+each decode drafts a tree once per draft state and reuses it, with its
+entropy, bin and shape, whenever greedy decoding returns to that state.
+Verification against the target runs on every iteration.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from .errors import ConfigError, OutputMismatchError, check_setting
 from .metrics import (CostModel, IterationRecord, RunSummary, summarize,
                       validate_run)
 from .models import LanguageModel
-from .tree import RerankedTree, expand, extend, rerank
-from .verify import AcceptResult, argmax_token, verify_greedy
+from .tree import expand, extend, rerank
+from .verify import argmax_token, verify_greedy
 from .vocab import Context
 
 GAMMAS = (0.3, 0.6, 1.0)
@@ -53,21 +55,14 @@ def default_alpha(depth: int) -> int:
     return (depth + 1) // 2
 
 
-@dataclass(frozen=True)
-class AdaptDecision:
-    extra_layers: int
-    top_n: int
-
-
 def adapt(bin_index: int, alpha: int, top_n_default: int,
-          low_bins: tuple[int, ...]) -> AdaptDecision:
-    """Per-bin drafting adjustments; identity outside the low bins."""
+          low_bins: tuple[int, ...]) -> tuple[int, int]:
+    """Per-bin ``(extra_layers, top_n)``; identity outside the low bins."""
     if bin_index not in low_bins:
-        return AdaptDecision(extra_layers=0, top_n=top_n_default)
+        return 0, top_n_default
     gamma = GAMMAS[bin_index] if bin_index < len(GAMMAS) else 1.0
     budget = round_half_up(gamma * top_n_default) + (alpha - bin_index)
-    return AdaptDecision(extra_layers=max(0, alpha - bin_index),
-                         top_n=max(1, budget))
+    return max(0, alpha - bin_index), max(1, budget)
 
 
 @dataclass(frozen=True)
@@ -127,62 +122,60 @@ def _check_pair(target_model: LanguageModel, draft_model: LanguageModel) -> None
         raise ConfigError("target and draft models use different vocabularies")
 
 
-def _emit(result: AcceptResult, tree2: RerankedTree, remaining: int,
-          terminator: int | None) -> tuple[list[int], int, int, bool]:
-    """Cut the emitted block at the terminator or the token budget and
-    restate the accounting so emitted == accepted + 1 still holds."""
+def step(target_model: LanguageModel, draft_model: LanguageModel,
+         tstate: Context, dstate: Context, cfg: HeteroConfig,
+         bins: BinningModel | None, low_bins: tuple[int, ...], memo: dict,
+         budget: int) -> tuple[list[int], tuple]:
+    """One speculative iteration from a target state and a draft state, with
+    ``cfg`` resolved: draft, rerank and verify, then cut the emitted block at
+    the terminator or at ``budget`` tokens so emitted == accepted + 1 still
+    holds. Returns the emitted tokens and the ``IterationRecord`` fields
+    from ``entropy`` on. ``memo`` maps a draft state to its reranked tree
+    and shape fields; it is valid for one draft model, ``cfg``, ``bins``
+    and ``low_bins``, since the draft side depends on nothing else."""
+    hit = memo.get(dstate)
+    if hit is None:
+        tree = expand(draft_model, dstate, cfg.depth, cfg.top_k)
+        entropy = tree_entropy_signal(tree, cfg.top_k)
+        bin_index = bins.assign_bin(entropy) if bins is not None else -1
+        extra_layers, top_n = adapt(bin_index, cfg.alpha, cfg.top_n, low_bins)
+        if extra_layers > 0:
+            extend(tree, draft_model, extra_layers)
+        reranked = rerank(tree, top_n)
+        hit = memo[dstate] = (reranked, (entropy, bin_index,
+                                         cfg.depth + extra_layers, top_n,
+                                         len(reranked)))
+    reranked, shape = hit
+    result = verify_greedy(reranked, target_model, tstate)
     emit = result.emitted
-    stop = False
-    if terminator is not None and terminator in emit:
-        emit = emit[:emit.index(terminator) + 1]
-        stop = True
-    if len(emit) >= remaining:
-        emit = emit[:remaining]
-        stop = True
+    if cfg.terminator in emit:
+        emit = emit[:emit.index(cfg.terminator) + 1]
+    emit = emit[:budget]
     k = len(emit) - 1
-    tcr = result.accepted_ranks[k - 1] if k >= 1 else len(tree2) + 1
-    return emit, k, tcr, stop
+    tcr = result.accepted_ranks[k - 1] if k >= 1 else len(reranked) + 1
+    return emit, (*shape, k, len(emit), tcr)
 
 
 def _decode(target_model: LanguageModel, draft_model: LanguageModel,
             prompt: Context, config: HeteroConfig, bins: BinningModel | None,
             low_bins: tuple[int, ...], prompt_index: int) -> GenerationResult:
-    """Draft, rerank and verify until the token budget or the terminator.
-    Only iterations whose bin is in ``low_bins`` change the tree shape.
-    bin = -1 means no binning model was consulted."""
+    """``step`` until the token budget or the terminator, advancing both
+    state keys by each emitted block. Only iterations whose bin is in
+    ``low_bins`` change the tree shape. bin = -1 means no binning model
+    was consulted."""
     _check_pair(target_model, draft_model)
     cfg = config.resolved()
     tstate = target_model.state_key(prompt)
     dstate = draft_model.state_key(prompt)
     out: list[int] = []
     records: list[IterationRecord] = []
-    iteration = 0
-    # draft state -> (entropy, bin, decision, reranked tree); bins, low_bins
-    # and the resolved shape are fixed for this call, so the draft side of
-    # an iteration is a function of the draft state alone
-    drafted: dict[tuple, tuple[float, int, AdaptDecision, RerankedTree]] = {}
+    memo: dict = {}  # one per decode, never shared across prompts or arms
     while len(out) < cfg.max_new_tokens:
-        remaining = cfg.max_new_tokens - len(out)
-        hit = drafted.get(dstate)
-        if hit is None:
-            tree = expand(draft_model, dstate, cfg.depth, cfg.top_k)
-            entropy = tree_entropy_signal(tree, cfg.top_k)
-            bin_index = bins.assign_bin(entropy) if bins is not None else -1
-            decision = adapt(bin_index, cfg.alpha, cfg.top_n, low_bins)
-            if decision.extra_layers > 0:
-                extend(tree, draft_model, decision.extra_layers)
-            hit = drafted[dstate] = (entropy, bin_index, decision,
-                                     rerank(tree, decision.top_n))
-        entropy, bin_index, decision, tree2 = hit
-        result = verify_greedy(tree2, target_model, tstate)
-        emit, k, tcr, stop = _emit(result, tree2, remaining, cfg.terminator)
-        records.append(IterationRecord(  # fields in declaration order
-            prompt_index, iteration, entropy, bin_index,
-            cfg.depth + decision.extra_layers, decision.top_n, len(tree2),
-            k, len(emit), tcr))
+        emit, fields = step(target_model, draft_model, tstate, dstate, cfg,
+                            bins, low_bins, memo, cfg.max_new_tokens - len(out))
+        records.append(IterationRecord(prompt_index, len(records), *fields))
         out.extend(emit)
-        iteration += 1
-        if stop:
+        if emit[-1] == cfg.terminator:
             break
         emitted = tuple(emit)
         tstate = target_model.state_key(tstate + emitted)

@@ -3,19 +3,28 @@ one-exit-code-per-failure-class policy."""
 from __future__ import annotations
 
 import fnmatch
+import io
 import json
 import os
 import re
 import shutil
+import tempfile
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BAD_MODEL_FILES, TINY_CONFIG
-from heterospec import pipeline
-from heterospec.binning import load_bins
+from heterospec import control, pipeline
+from heterospec.binning import CALIBRATION_FILTERS, load_bins
 from heterospec.cli import main
 from heterospec.config import load_config
+from heterospec.control import greedy_reference
 from heterospec.errors import OutputMismatchError
+from heterospec.metrics import validate_run
 from heterospec.pipeline import REPORT_ARMS
 
 STDERR_RE = re.compile(
@@ -629,3 +638,96 @@ def test_usage_errors_exit_2():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+# ------------------------------------------- the configuration neighborhood
+
+# the exits a legal configuration may end in: a setting or input refused
+# (2), or a calibration with nothing to fit (3); any other is a defect
+EXPECTED_EXITS = {2: "config", 3: "calibration"}
+NOTE_RE = re.compile(r"^heterospec: note: .+\n$")
+_COMMANDS = ("gen-corpus", "train-model", "calibrate", "compare", "report")
+
+
+@st.composite
+def small_planted_configs(draw):
+    vocab_size = draw(st.integers(2, 27))
+    return {
+        "seed": draw(st.integers(0, 2**16)),
+        "corpus": {"planted": {
+            # 3 eval and 8 calibration documents leave a training split
+            "num_docs": draw(st.integers(12, 120)),
+            "doc_len": draw(st.integers(4, 80)),
+            "template_len": draw(st.integers(2, min(vocab_size, 21))),
+            "coverage": draw(st.floats(0.0, 1.0)),
+            "rho": draw(st.floats(0.6, 1.0)),
+            "vocab_size": vocab_size}},
+        "model": {"order": 3, "smoothing": draw(st.one_of(
+            st.floats(0.001, 2.0), st.integers(1, 3)))},
+        "draft": {"order": draw(st.integers(1, 3)),
+                  "noise": draw(st.floats(0.01, 0.3))},
+        "controller": {"depth": draw(st.integers(1, 6)),
+                       "top_k": draw(st.integers(1, 3)),
+                       "top_n": draw(st.integers(1, 20)),
+                       "max_new_tokens": 60},
+        "prompts": {"count": 3, "calibration_count": 8,
+                    "prompt_tokens": draw(st.integers(1, 8))},
+        "calibration": {"filter": draw(st.sampled_from(CALIBRATION_FILTERS))},
+    }
+
+
+def _recorded(decode, arm, decodes):
+    def recording(target, draft, prompt, config, **kwargs):
+        result = decode(target, draft, prompt, config, **kwargs)
+        decodes.append((arm, target, prompt, config, result))
+        return result
+    return recording
+
+
+@pytest.fixture(scope="module")
+def run_ends() -> Counter:
+    """How each drawn run ended, 0 for complete, over every example."""
+    return Counter()
+
+
+@settings(max_examples=100)
+@given(data=small_planted_configs())
+def test_small_planted_configs_complete_or_exit_as_documented(run_ends, data):
+    """gen-corpus -> report through main() in process: each run completes
+    with every decode greedy-exact and accounted for, or stops at one step
+    with an expected exit and one stderr line."""
+    decodes = []
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(pipeline, "decode_baseline", _recorded(
+                pipeline.decode_baseline, "calibration", decodes)), \
+            mock.patch.object(control, "decode_baseline", _recorded(
+                control.decode_baseline, "baseline", decodes)), \
+            mock.patch.object(control, "decode_adaptive", _recorded(
+                control.decode_adaptive, "adaptive", decodes)):
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        base = ["--config", path, "--out", os.path.join(tmp, "run")]
+        for command in _COMMANDS:
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main([command, *base])
+            err = err.getvalue()
+            if code:
+                run_ends[code] += 1
+                met = f"{command} exit {code}; run ends met: {dict(run_ends)}"
+                assert code in EXPECTED_EXITS, met + "\n" + err
+                assert err.startswith(f"heterospec: {EXPECTED_EXITS[code]}: "), met
+                assert STDERR_RE.match(err), met + "\n" + err
+                return
+            assert err == "" or NOTE_RE.match(err), err
+    run_ends[0] += 1
+    eval_prompts = data["prompts"]["count"]
+    assert sorted(arm for arm, *_ in decodes if arm != "calibration") == \
+        ["adaptive"] * eval_prompts + ["baseline"] * eval_prompts
+    for arm, target, prompt, config, result in decodes:
+        met = f"{arm} decode of {prompt}; run ends met: {dict(run_ends)}"
+        assert result.tokens == greedy_reference(
+            target, prompt, config.max_new_tokens, config.terminator), met
+        assert validate_run(result.records,
+                            expected_emitted=len(result.tokens)) == [], met

@@ -8,13 +8,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import FixedDistModel, chain_template_model, make_vocab
+from conftest import (FixedDistModel, PlantedTemplateModel, chain_template_model,
+                      make_vocab)
 from heterospec import control, pipeline
 from heterospec.binning import BinningModel
 from heterospec.config import config_from_dict
 from heterospec.control import (
     GAMMAS,
-    AdaptDecision,
     HeteroConfig,
     adapt,
     decode_adaptive,
@@ -24,10 +24,13 @@ from heterospec.control import (
     round_half_up,
     run_arm,
     run_comparison,
+    step,
 )
+from heterospec.entropy import tree_entropy_signal
 from heterospec.errors import ConfigError, OutputMismatchError
 from heterospec.metrics import validate_run
 from heterospec.models import DistRecord, LanguageModel, PerturbedDraftModel
+from heterospec.tree import expand
 from heterospec.vocab import Vocabulary
 
 
@@ -55,28 +58,28 @@ def test_default_alpha_is_ceil_half_depth():
 
 def test_adapt_worked_examples():
     low = (0, 1, 2)
-    assert adapt(0, 3, 20, low) == AdaptDecision(3, 9)    # 0.3*20 + 3
-    assert adapt(1, 3, 20, low) == AdaptDecision(2, 14)   # 0.6*20 + 2
-    assert adapt(2, 3, 20, low) == AdaptDecision(1, 21)   # 1.0*20 + 1
-    assert adapt(5, 3, 20, low) == AdaptDecision(0, 20)   # not a low bin
+    assert adapt(0, 3, 20, low) == (3, 9)    # 0.3*20 + 3
+    assert adapt(1, 3, 20, low) == (2, 14)   # 0.6*20 + 2
+    assert adapt(2, 3, 20, low) == (1, 21)   # 1.0*20 + 1
+    assert adapt(5, 3, 20, low) == (0, 20)   # not a low bin
     assert GAMMAS == (0.3, 0.6, 1.0)
 
 
 def test_adapt_alpha_zero_prunes_without_deepening():
-    assert adapt(0, 0, 20, (0, 1, 2)) == AdaptDecision(0, 6)
+    assert adapt(0, 0, 20, (0, 1, 2)) == (0, 6)
 
 
 def test_adapt_budget_floors_at_one():
-    assert adapt(0, 0, 1, (0,)) == AdaptDecision(0, 1)
+    assert adapt(0, 0, 1, (0,)) == (0, 1)
 
 
 def test_adapt_negative_depth_delta_clamps():
     # bin past alpha: no extra layers, budget still shifted down
-    assert adapt(2, 1, 20, (0, 1, 2)) == AdaptDecision(0, 19)
+    assert adapt(2, 1, 20, (0, 1, 2)) == (0, 19)
 
 
 def test_adapt_gamma_defaults_to_one_past_table():
-    assert adapt(4, 6, 20, (0, 1, 2, 3, 4)) == AdaptDecision(2, 22)
+    assert adapt(4, 6, 20, (0, 1, 2, 3, 4)) == (2, 22)
 
 
 # -------------------------------------------------------------- config
@@ -161,6 +164,39 @@ def test_token_budget_cuts_emitted_block():
     assert res.tokens == greedy_reference(model, tpl[:6], 4)
     (r,) = res.records
     assert (r.accepted_len, r.emitted, r.tcr) == (3, 4, 3)
+
+
+def test_step_scores_a_held_out_position(monkeypatch):
+    # the draft's chain swaps token 73 for 90, so from the held-out context
+    # tpl[:70] it drafts 70, 71, 72, 90, 74 at ranks 1-5: every other node
+    # is worth under (1 - rho) / 90 of its parent
+    target, tpl = chain_template_model()
+    swapped = tpl[:73] + (90,) + tpl[74:]
+    draft = PlantedTemplateModel(target.vocab, [swapped], rho=0.97)
+    cfg = HeteroConfig(depth=5, top_k=2, top_n=8, max_new_tokens=60).resolved()
+    context = tpl[:70]
+    free = decode_baseline(target, draft, tpl[:6], cfg)
+    assert context not in _decode_states(draft, tpl[:6], free)
+    entropy = tree_entropy_signal(expand(draft, context, 5, 2), 2)
+
+    expanded = []
+    real_expand = control.expand
+
+    def counting_expand(model, context, depth, top_k):
+        expanded.append(context)
+        return real_expand(model, context, depth, top_k)
+
+    monkeypatch.setattr(control, "expand", counting_expand)
+    memo = {}
+    # the target walks 70, 71, 72 through the kept nodes of ranks 1-3; its
+    # 73 is no child of 72 (those are 90 and 0), so 73 is the bonus
+    want = ([70, 71, 72, 73], (entropy, -1, 5, 8, 8, 3, 4, 3))
+    assert step(target, draft, context, context, cfg, None, (), memo, 60) == want
+    assert step(target, draft, context, context, cfg, None, (), memo, 60) == want
+    # the budget cut restates the accounting: 2 emitted, 1 accepted at rank 1
+    assert step(target, draft, context, context, cfg, None, (), memo, 2) == \
+        ([70, 71], (entropy, -1, 5, 8, 8, 1, 2, 1))
+    assert expanded == [context]
 
 
 def test_vocabulary_mismatch_rejected():

@@ -2,8 +2,9 @@
 each exits 0, and together they print the README's seed-0 result block;
 each packaged experiment runs end to end in its own process and prints
 what the README says it prints; the artifact digest tool prints the
-default run's digests and zipf-word's at seed 0; the pairs tool aggregates synthetic runs and
-alternates which side runs first."""
+default run's digests, and wide-tree's and zipf-word's at seed 0; the
+pairs tool aggregates synthetic runs and alternates which side runs
+first."""
 from __future__ import annotations
 
 import importlib.util
@@ -73,13 +74,20 @@ def test_alpha_sweep_refuses_bad_alphas_before_any_step(tmp_path, alphas):
     assert not out.exists()
 
 
-def test_artifact_digests_prints_the_default_runs_artifacts():
-    # planted at seed 0 is the default experiment, whose artifacts
-    # tests/test_pipeline.py pins
-    proc = _run_script("artifact_digests.py", "--workload", "planted",
+def _workload_digests(workload: str) -> dict:
+    proc = _run_script("artifact_digests.py", "--workload", workload,
                        "--seed", "0")
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
+    out["speedup"] = [round(out["speedup"][arm], 4)
+                      for arm in ("baseline", "adaptive")]
+    return out
+
+
+def test_artifact_digests_prints_the_default_runs_artifacts():
+    # planted at seed 0 is the default experiment, whose artifacts
+    # tests/test_pipeline.py pins
+    out = _workload_digests("planted")
     assert sorted(out["sha256"]) == sorted(
         ["corpus.txt", "model.bin", "bins.txt", "calibration.csv", "compare.csv"]
         + [f"{arm}-{table}.csv" for arm in ("baseline", "adaptive")
@@ -91,8 +99,7 @@ def test_artifact_digests_prints_the_default_runs_artifacts():
         "000335857b524c8b1c9653934e3fe1efedc8fc6f00e073eac67a085e48a079ad"
     assert sorted(out) == ["calls", "sha256", "speedup"]
     assert out["calls"] == {"baseline": 907, "adaptive": 705}
-    assert [round(out["speedup"][arm], 4) for arm in ("baseline", "adaptive")] \
-        == [2.7784, 3.5587]
+    assert out["speedup"] == [2.7784, 3.5587]
 
 
 # every artifact of zipf-word at seed 0: the only workload whose draft and
@@ -128,15 +135,51 @@ ZIPF_WORD_SEED0_SHA256 = {
 }
 
 
+# every artifact of wide-tree at seed 0: the only workload where rerank
+# prunes (about 90 drafted nodes down to 24) and the adaptive arm both
+# extends the tree and changes its node budget
+WIDE_TREE_SEED0_SHA256 = {
+    "adaptive-bin-occupancy.csv":
+        "8ae8d21f131cfa47719ea7efe18688dcce2fc252211f81bd3fc130f992523769",
+    "adaptive-iterations.csv":
+        "6ef2f97208a6262e1866650c230803a0d72d5378da204046aa5a5996313bc149",
+    "adaptive-tcr-by-accepted.csv":
+        "eb72e32eefbcb55c0758f2cb6204196a4e853d6acf7a15da0a043acfc73d72f3",
+    "adaptive-tcr-histogram.csv":
+        "515a0e64eec3405aa7187bc5d966d678842e39dd7077f4c9b4e93e2fe8cba187",
+    "baseline-bin-occupancy.csv":
+        "dbbba8aadf27eda5ec8563ad2602efb1ad40482e86a78260fc7f46d6f146f020",
+    "baseline-iterations.csv":
+        "15ac585e231ea90db9b791e6411430c0f6d751b8c3c039a0b70a9ca17442d047",
+    "baseline-tcr-by-accepted.csv":
+        "8d7cdcccaf09fba7228b328c1555df712345b7ce9f6494e9cb72f439d074a489",
+    "baseline-tcr-histogram.csv":
+        "91e2aff00f381ec577e09ac63e329831047e11595c6dc5ce33cceae3550d6fb7",
+    "bins.txt":
+        "963fcdb88ef16f71fef22902d58592d18d4034f7e97236c97e7e48c48d05b216",
+    "calibration.csv":
+        "e5e69af499cc4aaf10cbfc9e76328f13e21a8b12d35bc74c745ba946d898f5f6",
+    "compare.csv":
+        "69cc08979fdb10570929f2b58db7367e2ab98e496f16c850d83eb82f91a7778e",
+    "corpus.txt":
+        "00339ac24459b1dc96755f8343db830122cd446955f29a39fcb9eec396f8f92d",
+    "model.bin":
+        "000335857b524c8b1c9653934e3fe1efedc8fc6f00e073eac67a085e48a079ad",
+}
+
+
 def test_artifact_digests_pins_the_zipf_word_run():
-    proc = _run_script("artifact_digests.py", "--workload", "zipf-word",
-                       "--seed", "0")
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    out = _workload_digests("zipf-word")
     assert out["sha256"] == ZIPF_WORD_SEED0_SHA256
     assert out["calls"] == {"baseline": 1623, "adaptive": 1623}
-    assert [round(out["speedup"][arm], 4) for arm in ("baseline", "adaptive")] \
-        == [1.5527, 1.5524]
+    assert out["speedup"] == [1.5527, 1.5524]
+
+
+def test_artifact_digests_pins_the_wide_tree_run():
+    out = _workload_digests("wide-tree")
+    assert out["sha256"] == WIDE_TREE_SEED0_SHA256
+    assert out["calls"] == {"baseline": 791, "adaptive": 692}
+    assert out["speedup"] == [2.7464, 3.4902]
 
 
 def test_artifact_digests_refuses_an_unknown_workload():

@@ -150,7 +150,7 @@ def test_extend_matches_single_expansion():
 
 
 def test_extend_with_zero_layers_adds_nothing():
-    # _decode extends only by a positive number of layers; zero is a no-op
+    # control.step extends only by a positive number of layers; zero is a no-op
     tree = expand(FixedDistModel(TRI), (0,), depth=2, top_k=2)
     nodes = list(tree.nodes)
     assert extend(tree, FixedDistModel(TRI), extra_layers=0) is tree
