@@ -31,7 +31,7 @@ BINS_FORMAT_VERSION = 1
 # the split loss above, recorded in bins.txt; the only one load_bins accepts
 CRITERION = "normalized"
 CART_DEPTH = 3  # levels of splits in the regression tree
-# bins.txt metadata keys, in written order; each optional, and at most once
+# bins.txt metadata keys, one line each, in this order after the version line
 BINS_KEYS = ("criterion", "entropy_k", "base_depth", "num_bins")
 
 
@@ -165,8 +165,8 @@ class BinningModel:
     thresholds: tuple[float, ...]
     means: tuple[float, ...]
     counts: tuple[int, ...]
-    entropy_k: int | None = None
-    base_depth: int | None = None
+    entropy_k: int  # the tree shape whose meta-path entropy was binned
+    base_depth: int
 
     def __post_init__(self):
         if len(self.means) != len(self.thresholds) + 1:
@@ -192,29 +192,27 @@ class BinningModel:
         return list(zip(lo, hi))
 
 
-def fit_binning(samples: list[CalibrationSample], entropy_k: int | None = None,
-                base_depth: int | None = None) -> BinningModel:
+def fit_binning(samples: list[CalibrationSample], entropy_k: int,
+                base_depth: int) -> BinningModel:
     if not samples:
         raise CalibrationError("no calibration samples")
     xs = np.array([s.entropy for s in samples], dtype=np.float64)
     ys = np.array([s.tcr for s in samples], dtype=np.float64)
     thresholds = train_cart(xs, ys)
-    means, counts = [], []
     # closed on the left and open on the right, the rule assign_bin applies
-    for lo, hi in zip([-math.inf, *thresholds], [*thresholds, math.inf]):
-        sel = (xs >= lo) & (xs < hi)
-        counts.append(int(sel.sum()))
-        means.append(float(ys[sel].mean()) if counts[-1] else 0.0)
+    which = np.searchsorted(thresholds, xs, side="right")
+    counts = np.bincount(which, minlength=len(thresholds) + 1)
+    sums = np.bincount(which, weights=ys, minlength=len(thresholds) + 1)
+    means = [float(s / c) if c else 0.0 for s, c in zip(sums, counts)]
     return BinningModel(thresholds=tuple(thresholds), means=tuple(means),
-                        counts=tuple(counts), entropy_k=entropy_k,
+                        counts=tuple(map(int, counts)), entropy_k=entropy_k,
                         base_depth=base_depth)
 
 
 def save_bins(model: BinningModel, path: str) -> None:
     meta = (CRITERION, model.entropy_k, model.base_depth, model.num_bins)
     lines = [f"heterospec-bins v{BINS_FORMAT_VERSION}"]
-    lines += [f"{key}: {'-' if value is None else value}"
-              for key, value in zip(BINS_KEYS, meta)]
+    lines += [f"{key}: {value}" for key, value in zip(BINS_KEYS, meta)]
     for (lo, hi), mean, count in zip(model.edges(), model.means, model.counts):
         lines.append(f"bin {fmt_float(lo)} {fmt_float(hi)} {fmt_float(mean)} {count}")
     with open(path, "w", encoding="utf-8") as fh:
@@ -226,48 +224,42 @@ def _bins_err(path: str, lineno: int, msg: str) -> BinsFileError:
 
 
 def load_bins(path: str) -> BinningModel:
+    """The bins of a ``save_bins`` file: the version line, one line per
+    BINS_KEYS key in that order, then num_bins bin lines. Anything else is
+    refused with a BinsFileError at its line."""
     with utf8_errors(path, BinsFileError), open(path, encoding="utf-8") as fh:
         raw = fh.read().splitlines()
-    if not raw or raw[0].strip() != f"heterospec-bins v{BINS_FORMAT_VERSION}":
+    if not raw or raw[0] != f"heterospec-bins v{BINS_FORMAT_VERSION}":
         raise _bins_err(path, 1, "missing or unsupported version line")
-    meta: dict[str, tuple[int, str]] = {}  # key -> (its line, its value)
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, line in enumerate(raw[1:], start=2):
-        line = line.strip()
-        if not line:
+    meta = []
+    for lineno, key in enumerate(BINS_KEYS, start=2):
+        line = raw[lineno - 1] if lineno <= len(raw) else ""
+        name, _, value = line.partition(": ")
+        if name != key:
+            raise _bins_err(path, lineno, f"expected {key}: ..., got {line!r}")
+        if key == "criterion":
+            if value != CRITERION:
+                raise _bins_err(path, lineno, f"unknown criterion {value!r}")
             continue
-        if line.startswith("bin "):
-            fields = line.split()
-            if len(fields) != 5:
-                raise _bins_err(path, lineno, "bin line needs lo hi mean count")
-            rows.append((lineno, fields[1:]))
-        elif ": " in line:
-            key, value = line.split(": ", 1)
-            if key not in BINS_KEYS:
-                raise _bins_err(path, lineno, f"unknown key {key!r}")
-            if key in meta:
-                raise _bins_err(path, lineno, f"repeated key {key!r}")
-            meta[key] = (lineno, value)
-        else:
-            raise _bins_err(path, lineno, f"unrecognized line {line!r}")
-    lineno, criterion = meta.get("criterion", (0, CRITERION))
-    if criterion != CRITERION:
-        raise _bins_err(path, lineno, f"unknown criterion {criterion!r}")
-
-    def opt_int(key: str) -> int | None:
-        lineno, value = meta.get(key, (0, "-"))
         try:
-            return None if value == "-" else int(value)
+            meta.append(int(value))
         except ValueError:
             raise _bins_err(path, lineno, f"bad {key}: {value!r}") from None
-
+    entropy_k, base_depth, num_bins = meta
+    rows = raw[len(BINS_KEYS) + 1:]
     if not rows:
         raise _bins_err(path, len(raw), "no bin lines")
+    if len(rows) != num_bins:
+        raise _bins_err(path, len(BINS_KEYS) + 1,
+                        "num_bins does not match bin line count")
     hi_list, means, counts = [], [], []
-    for lineno, fields in rows:
+    for lineno, line in enumerate(rows, start=len(BINS_KEYS) + 2):
+        fields = line.split(" ")
+        if len(fields) != 5 or fields[0] != "bin":
+            raise _bins_err(path, lineno, "bin line needs lo hi mean count")
         try:
-            lo, hi, mean = (float(fields[0]), float(fields[1]), float(fields[2]))
-            count = int(fields[3])
+            lo, hi, mean = (float(fields[1]), float(fields[2]), float(fields[3]))
+            count = int(fields[4])
         except ValueError as exc:
             raise _bins_err(path, lineno, f"bad number: {exc}") from None
         if not hi_list and lo != 0.0:
@@ -283,10 +275,7 @@ def load_bins(path: str) -> BinningModel:
         means.append(mean)
         counts.append(count)
     if not math.isinf(hi_list[-1]):
-        raise _bins_err(path, rows[-1][0], "last bin must end at inf")
-    if "num_bins" in meta and opt_int("num_bins") != len(rows):
-        raise _bins_err(path, meta["num_bins"][0],
-                        "num_bins does not match bin line count")
+        raise _bins_err(path, len(raw), "last bin must end at inf")
     return BinningModel(thresholds=tuple(hi_list[:-1]), means=tuple(means),
-                        counts=tuple(counts), entropy_k=opt_int("entropy_k"),
-                        base_depth=opt_int("base_depth"))
+                        counts=tuple(counts), entropy_k=entropy_k,
+                        base_depth=base_depth)

@@ -97,6 +97,11 @@ class ExperimentConfig:
         if self.tokenization not in ("char", "word"):
             raise ConfigError(f"tokenization must be char or word, "
                               f"got {self.tokenization!r}")
+        if self.corpus_path is None:  # every planted document has doc_len tokens
+            tokens = self.prompts.prompt_tokens
+            check_setting(self.planted.doc_len >= tokens, "corpus.planted.doc_len",
+                          f">= prompts.prompt_tokens = {tokens}",
+                          self.planted.doc_len)
         order = self.draft.order
         check_setting(order is None or 1 <= order <= self.model.order,
                       "draft.order", f"in [1, model.order = {self.model.order}]",

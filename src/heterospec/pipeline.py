@@ -148,8 +148,7 @@ def load_pipeline_bins(config: ExperimentConfig) -> BinningModel:
         raise ConfigError(f"{path}: bins not found, run calibrate first")
     bins = load_bins(path)
     ctl = config.controller
-    if bins.entropy_k not in (None, ctl.top_k) \
-            or bins.base_depth not in (None, ctl.depth):
+    if (bins.entropy_k, bins.base_depth) != (ctl.top_k, ctl.depth):
         raise ConfigError(
             f"{path}: bins were calibrated for entropy_k {bins.entropy_k}, "
             f"base_depth {bins.base_depth} but the controller has top_k "

@@ -21,8 +21,8 @@ layer, so depth never decreases with index, and a list in creation order
 is already in (depth, index) order. A stable sort on the value alone
 therefore gives the rank order, and selecting the best n nodes is
 ``sorted(nodes, key=itemgetter(NEG_VALUE))[:n]``. That skips the equality
-test a tuple comparison makes on its first field before it orders it, and
-cut wide-tree rerank time by about a third. ``step`` is the ``DistRecord``
+test a tuple comparison makes on its first field before it orders it.
+``step`` is the ``DistRecord``
 of the draft state the token was drawn from, as the draft's ``next_dist``
 returns it, and ``path tokens`` are the tokens below the root, this node's
 last. Because a parent always has at least its child's value and strictly

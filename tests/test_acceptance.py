@@ -157,7 +157,8 @@ def test_criterion_01_greedy_exactness():
         thresholds = tuple(np.unique(rng.uniform(0.05, 3.0, nthr)).tolist())
         bins = BinningModel(thresholds=thresholds,
                             means=(0.0,) * (len(thresholds) + 1),
-                            counts=(1,) * (len(thresholds) + 1))
+                            counts=(1,) * (len(thresholds) + 1),
+                            entropy_k=config.top_k, base_depth=config.depth)
         prompts = prompts_from(encode_corpus(text[-2:], vocab),
                                int(rng.integers(4, 9)))
         for prompt in prompts:
@@ -305,7 +306,7 @@ def test_criterion_04_cart_matches_exhaustive_greedy():
 
         samples = [CalibrationSample(float(x), float(y))
                    for x, y in zip(xs, ys)]
-        model = fit_binning(samples)
+        model = fit_binning(samples, entropy_k=2, base_depth=5)
         enum = _enum_cart(pairs, 3)
         assert len(model.thresholds) == len(enum)
         for a, b in zip(model.thresholds, enum):

@@ -149,7 +149,8 @@ def test_adjacent_doubles_split_between_them(lo, hi):
     assert best_split(xs, ys).threshold == hi
     assert train_cart(xs, ys) == [hi]
     model = fit_binning([CalibrationSample(x, y)
-                         for x, y in zip(xs.tolist(), ys.tolist())])
+                         for x, y in zip(xs.tolist(), ys.tolist())],
+                        entropy_k=2, base_depth=5)
     assert model.thresholds == (hi,)
     assert model.counts == (5, 5) and model.means == (1.0, 9.0)
     assert [model.assign_bin(x) for x in (lo, hi)] == [0, 1]
@@ -173,7 +174,7 @@ def test_fit_binning_means_match_partition():
     xs = rng.uniform(0.0, 4.0, 120)
     ys = np.floor(xs) * 3.0 + rng.normal(0.0, 0.3, 120)
     samples = [CalibrationSample(float(x), float(y)) for x, y in zip(xs, ys)]
-    model = fit_binning(samples)
+    model = fit_binning(samples, entropy_k=2, base_depth=5)
     assert sum(model.counts) == 120
     for b in range(model.num_bins):
         members = [s.tcr for s in samples if model.assign_bin(s.entropy) == b]
@@ -184,12 +185,12 @@ def test_fit_binning_means_match_partition():
 
 def test_fit_binning_requires_samples():
     with pytest.raises(CalibrationError):
-        fit_binning([])
+        fit_binning([], entropy_k=2, base_depth=5)
 
 
 def test_fit_binning_constant_signal_yields_single_bin():
     samples = [CalibrationSample(1.0, float(t)) for t in range(10)]
-    model = fit_binning(samples)
+    model = fit_binning(samples, entropy_k=2, base_depth=5)
     assert model.thresholds == ()
     assert model.num_bins == 1
     assert model.counts == (10,)
@@ -201,7 +202,7 @@ def test_fit_binning_constant_signal_yields_single_bin():
 
 def test_assign_bin_boundary_goes_right():
     model = BinningModel(thresholds=(1.0, 2.0), means=(0.0, 0.0, 0.0),
-                         counts=(1, 1, 1))
+                         counts=(1, 1, 1), entropy_k=2, base_depth=5)
     assert model.assign_bin(0.0) == 0
     assert model.assign_bin(0.99) == 0
     assert model.assign_bin(1.0) == 1  # closed-left, open-right intervals
@@ -212,14 +213,15 @@ def test_assign_bin_boundary_goes_right():
 @given(st.floats(0.0, 100.0, allow_nan=False))
 def test_assign_bin_agrees_with_edges(x):
     model = BinningModel(thresholds=(0.5, 1.5, 4.0), means=(0.0,) * 4,
-                         counts=(1,) * 4)
+                         counts=(1,) * 4, entropy_k=2, base_depth=5)
     b = model.assign_bin(x)
     lo, hi = model.edges()[b]
     assert lo <= x < hi
 
 
 def test_edges_partition_nonnegative_reals():
-    model = BinningModel(thresholds=(1.0, 3.0), means=(0.0,) * 3, counts=(1,) * 3)
+    model = BinningModel(thresholds=(1.0, 3.0), means=(0.0,) * 3, counts=(1,) * 3,
+                         entropy_k=2, base_depth=5)
     edges = model.edges()
     assert edges[0][0] == 0.0
     assert math.isinf(edges[-1][1])
@@ -229,7 +231,8 @@ def test_edges_partition_nonnegative_reals():
 def test_default_low_bins_caps_at_three():
     def mk(nthr):
         return BinningModel(thresholds=tuple(float(i + 1) for i in range(nthr)),
-                            means=(0.0,) * (nthr + 1), counts=(1,) * (nthr + 1))
+                            means=(0.0,) * (nthr + 1), counts=(1,) * (nthr + 1),
+                            entropy_k=2, base_depth=5)
     assert mk(0).default_low_bins() == ()
     assert mk(1).default_low_bins() == (0,)
     assert mk(2).default_low_bins() == (0, 1)
@@ -239,11 +242,14 @@ def test_default_low_bins_caps_at_three():
 
 def test_binning_model_validation():
     with pytest.raises(ConfigError):
-        BinningModel(thresholds=(1.0,), means=(0.0,), counts=(1,))
+        BinningModel(thresholds=(1.0,), means=(0.0,), counts=(1,),
+                     entropy_k=2, base_depth=5)
     with pytest.raises(ConfigError):
-        BinningModel(thresholds=(1.0,), means=(0.0, 0.0), counts=(1,))
+        BinningModel(thresholds=(1.0,), means=(0.0, 0.0), counts=(1,),
+                     entropy_k=2, base_depth=5)
     with pytest.raises(ConfigError):
-        BinningModel(thresholds=(2.0, 2.0), means=(0.0,) * 3, counts=(1,) * 3)
+        BinningModel(thresholds=(2.0, 2.0), means=(0.0,) * 3, counts=(1,) * 3,
+                     entropy_k=2, base_depth=5)
 
 
 # ------------------------------------------------------------ file format
@@ -266,50 +272,94 @@ def test_bins_round_trip(tmp_path):
         assert loaded.assign_bin(float(x)) == model.assign_bin(float(x))
 
 
-def test_bins_round_trip_without_metadata(tmp_path):
-    model = fit_binning([CalibrationSample(0.0, 1.0), CalibrationSample(2.0, 5.0)])
-    path = str(tmp_path / "bins.txt")
-    save_bins(model, path)
-    loaded = load_bins(path)
-    assert loaded.entropy_k is None and loaded.base_depth is None
+def test_bins_without_tree_shape_metadata_are_refused(tmp_path):
+    # thresholds fitted on one tree shape bin another's signal differently,
+    # so a file that does not say its shape is not read as any shape
+    model = fit_binning([CalibrationSample(0.0, 1.0), CalibrationSample(2.0, 5.0)],
+                        entropy_k=2, base_depth=5)
+    path = tmp_path / "bins.txt"
+    save_bins(model, str(path))
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if not line.startswith(
+        ("entropy_k:", "base_depth:"))), encoding="utf-8")
+    want = r"bins\.txt:3: expected entropy_k: \.\.\., got 'num_bins: 2'"
+    with pytest.raises(BinsFileError, match=want):
+        load_bins(str(path))
 
 
-GOOD_HEADER = "heterospec-bins v1\ncriterion: normalized\n"
+@st.composite
+def _binning_models(draw):
+    """A binning model of 1-8 bins: increasing positive thresholds, as the
+    fit places them between non-negative entropies, any means and counts."""
+    thresholds = sorted(draw(st.sets(st.floats(0.0, exclude_min=True,
+                                               allow_infinity=False), max_size=7)))
+    n = len(thresholds) + 1
+    means = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=n, max_size=n))
+    counts = draw(st.lists(st.integers(0, 2 ** 63 - 1), min_size=n, max_size=n))
+    return BinningModel(thresholds=tuple(thresholds), means=tuple(means),
+                        counts=tuple(counts), entropy_k=draw(st.integers(1, 64)),
+                        base_depth=draw(st.integers(1, 64)))
+
+
+@given(_binning_models())
+def test_bins_file_round_trips_any_model(tmp_path_factory, model):
+    out = tmp_path_factory.mktemp("bins")
+    save_bins(model, str(out / "bins.txt"))
+    loaded = load_bins(str(out / "bins.txt"))
+    assert loaded == model
+    # saving the loaded model again writes the same bytes
+    save_bins(loaded, str(out / "again.txt"))
+    assert (out / "bins.txt").read_bytes() == (out / "again.txt").read_bytes()
+
+
+V1 = "heterospec-bins v1\ncriterion: normalized\n"
+
+
+def good_header(num_bins: int) -> str:
+    """The version line and the four key lines save_bins writes."""
+    return V1 + f"entropy_k: 2\nbase_depth: 5\nnum_bins: {num_bins}\n"
 
 
 @pytest.mark.parametrize("text,msg", [
     ("heterospec-bins v2\nbin 0 inf 3 4\n", "version"),
-    (GOOD_HEADER + "bin 0 inf 3\n", "lo hi mean count"),
-    (GOOD_HEADER + "what is this\nbin 0 inf 3 4\n", "unrecognized"),
-    (GOOD_HEADER + "bin 0 oops 3 4\n", "bad number"),
-    (GOOD_HEADER + "bin 1 inf 3 4\n", "start at 0"),
-    (GOOD_HEADER + "bin 0 5 3 4\n", "end at inf"),
-    (GOOD_HEADER + "bin 0 1 3 4\nbin 2 inf 3 4\n", "contiguous"),
-    (GOOD_HEADER + "num_bins: 3\nbin 0 inf 3 4\n", "num_bins"),
-    (GOOD_HEADER + "num_bins: x\nbin 0 inf 3 4\n", "num_bins"),
-    (GOOD_HEADER + "entropy_k: two\nbin 0 inf 3 4\n", "entropy_k"),
+    (good_header(1) + "bin 0 inf 3\n", "lo hi mean count"),
+    (V1 + "what is this\nbin 0 inf 3 4\n", r"bins\.txt:3: expected entropy_k: "),
+    (good_header(1) + "bin 0 oops 3 4\n", "bad number"),
+    (good_header(1) + "bin 1 inf 3 4\n", "start at 0"),
+    (good_header(1) + "bin 0 5 3 4\n", "end at inf"),
+    (good_header(2) + "bin 0 1 3 4\nbin 2 inf 3 4\n", "contiguous"),
+    (V1 + "entropy_k: 2\nbase_depth: 5\nnum_bins: x\nbin 0 inf 3 4\n", "num_bins"),
     ("heterospec-bins v1\ncriterion: gini\nbin 0 inf 3 4\n", "criterion"),
-    (GOOD_HEADER, "no bin lines"),
+    (good_header(1), "no bin lines"),
     # a bin whose lo is not below its hi is reported at its own line
-    (GOOD_HEADER + "bin 0 1 3 4\nbin 1 1 3 4\nbin 1 inf 3 4\n",
-     r"bins\.txt:4: bin thresholds must be strictly increasing"),
-    (GOOD_HEADER + "bin 0 2 3 4\nbin 2 1 3 4\nbin 1 inf 3 4\n",
-     r"bins\.txt:4: bin thresholds must be strictly increasing"),
+    (good_header(3) + "bin 0 1 3 4\nbin 1 1 3 4\nbin 1 inf 3 4\n",
+     r"bins\.txt:7: bin thresholds must be strictly increasing"),
+    (good_header(3) + "bin 0 2 3 4\nbin 2 1 3 4\nbin 1 inf 3 4\n",
+     r"bins\.txt:7: bin thresholds must be strictly increasing"),
     # a bin holds a number of calibration samples, never fewer than none
-    (GOOD_HEADER + "bin 0 0.5 1.0 -4\nbin 0.5 inf 2 3\n",
-     r"bins\.txt:3: negative bin count -4"),
+    (good_header(2) + "bin 0 0.5 1.0 -4\nbin 0.5 inf 2 3\n",
+     r"bins\.txt:6: negative bin count -4"),
     # metadata errors name the line that holds the key
-    (GOOD_HEADER + "entropy_k: two\nbin 0 inf 3 4\n", r"bins\.txt:3: bad entropy_k"),
-    (GOOD_HEADER + "entropy_k: 2\nbase_depth: x\nbin 0 inf 3 4\n",
+    (V1 + "entropy_k: two\nbase_depth: 5\nnum_bins: 1\nbin 0 inf 3 4\n",
+     r"bins\.txt:3: bad entropy_k"),
+    (V1 + "entropy_k: 2\nbase_depth: x\nnum_bins: 1\nbin 0 inf 3 4\n",
      r"bins\.txt:4: bad base_depth"),
-    (GOOD_HEADER + "\nnum_bins: 3\nbin 0 inf 3 4\n", r"bins\.txt:4: num_bins does not"),
+    (good_header(3) + "bin 0 inf 3 4\n", r"bins\.txt:5: num_bins does not"),
     ("heterospec-bins v1\ncriterion: gini\nbin 0 inf 3 4\n", r"bins\.txt:2: unknown"),
-    # a misspelt key would leave the tree-shape check nothing to check, and
-    # a second value would silently replace the first
-    (GOOD_HEADER + "entropy-k: 4\nbin 0 inf 3 4\n",
-     r"bins\.txt:3: unknown key 'entropy-k'"),
-    (GOOD_HEADER + "base_depth: 5\nbase_depth: 7\nbin 0 inf 3 4\n",
-     r"bins\.txt:4: repeated key 'base_depth'"),
+    # each key has its line: a blank, misspelt, repeated, reordered or
+    # missing key line is refused where the key belongs
+    (V1 + "\nentropy_k: 2\nbase_depth: 5\nnum_bins: 1\nbin 0 inf 3 4\n",
+     r"bins\.txt:3: expected entropy_k: \.\.\., got ''"),
+    (V1 + "entropy-k: 4\nbin 0 inf 3 4\n",
+     r"bins\.txt:3: expected entropy_k: \.\.\., got 'entropy-k: 4'"),
+    (V1 + "entropy_k: 2\nentropy_k: 2\nnum_bins: 1\nbin 0 inf 3 4\n",
+     r"bins\.txt:4: expected base_depth: \.\.\., got 'entropy_k: 2'"),
+    (V1 + "base_depth: 5\nentropy_k: 2\nnum_bins: 1\nbin 0 inf 3 4\n",
+     r"bins\.txt:3: expected entropy_k: \.\.\., got 'base_depth: 5'"),
+    (V1 + "entropy_k: 2\nbase_depth: 5\nbin 0 inf 3 4\n",
+     r"bins\.txt:5: expected num_bins: \.\.\., got 'bin 0 inf 3 4'"),
+    (V1, r"bins\.txt:3: expected entropy_k: \.\.\., got ''"),
     # the per-side normalized loss is the only split loss
     ("heterospec-bins v1\ncriterion: sse\nbin 0 inf 3 4\n",
      r"bins\.txt:2: unknown criterion 'sse'"),

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import BAD_MODEL_FILES, TINY_CONFIG
 from heterospec import control, pipeline
-from heterospec.binning import CALIBRATION_FILTERS, load_bins
+from heterospec.binning import CALIBRATION_FILTERS, load_bins, save_bins
 from heterospec.cli import main
 from heterospec.config import load_config
 from heterospec.control import greedy_reference
@@ -411,13 +411,16 @@ def test_exit_2_on_bins_for_another_tree_shape(tmp_path, capsys, controller):
     assert err.startswith("heterospec: config: " + os.path.join(out, "bins.txt"))
     assert "entropy_k 2, base_depth 4" in err
     assert "run calibrate again" in err
-    # a hand-written bins file without the tree-shape keys still loads
+    # without its entropy_k line the file says no shape to check, and is
+    # refused at the line the key belongs on rather than read as any shape
     bins = os.path.join(out, "bins.txt")
     lines = open(bins, encoding="utf-8").read().splitlines()
     with open(bins, "w", encoding="utf-8") as fh:
         fh.write("".join(line + "\n" for line in lines
-                         if not line.startswith(("entropy_k:", "base_depth:"))))
-    assert main(["compare", "--config", str(other), "--out", out]) == 0
+                         if not line.startswith("entropy_k:")))
+    assert main(["compare", "--config", str(other), "--out", out]) == 4
+    err = _one_error_line(capsys.readouterr())
+    assert err.startswith(f"heterospec: bins-format: {bins}:3: expected entropy_k")
 
 
 def test_refused_step_leaves_config_snapshot_alone(tmp_path, capsys):
@@ -721,6 +724,14 @@ def test_small_planted_configs_complete_or_exit_as_documented(run_ends, data):
                 assert STDERR_RE.match(err), met + "\n" + err
                 return
             assert err == "" or NOTE_RE.match(err), err
+        # the run's bins carry its tree shape and read back to the same bytes
+        bins_path = os.path.join(tmp, "run", "bins.txt")
+        bins = load_bins(bins_path)
+        ctl = data["controller"]
+        assert (bins.entropy_k, bins.base_depth) == (ctl["top_k"], ctl["depth"])
+        again = os.path.join(tmp, "again.txt")
+        save_bins(bins, again)
+        assert open(again, "rb").read() == open(bins_path, "rb").read()
     run_ends[0] += 1
     eval_prompts = data["prompts"]["count"]
     assert sorted(arm for arm, *_ in decodes if arm != "calibration") == \

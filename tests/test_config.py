@@ -22,6 +22,7 @@ from heterospec.config import (
     rng_for,
     save_config,
 )
+from heterospec.cli import main
 from heterospec.errors import ConfigError
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -288,6 +289,28 @@ def test_empty_corpus_path_is_refused():
     assert str(exc.value) == "corpus.path must name a file, got ''"
     with pytest.raises(ConfigError, match="corpus.path must name a file"):
         ExperimentConfig(corpus_path="")
+
+
+def test_planted_doc_len_must_hold_a_prompt(tmp_path, capsys):
+    # every planted document has exactly doc_len tokens, so one shorter than
+    # a prompt is refused before gen-corpus writes, not at calibrate
+    want = "corpus.planted.doc_len must be >= prompts.prompt_tokens = 6, got 5"
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"corpus": {"planted": {"doc_len": 5}},
+                          "prompts": {"prompt_tokens": 6}})
+    assert str(exc.value) == want
+    assert config_from_dict({"corpus": {"planted": {"doc_len": 6}},
+                             "prompts": {"prompt_tokens": 6}}).planted.doc_len == 6
+    # a corpus file's documents are measured when its prompts are taken
+    assert config_from_dict({"corpus": {"path": "corpus.txt"},
+                             "prompts": {"prompt_tokens": 500}}).planted.doc_len < 500
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"corpus": {"planted": {"doc_len": 5}},
+                                "prompts": {"prompt_tokens": 6}}), encoding="utf-8")
+    out = tmp_path / "run"
+    assert main(["gen-corpus", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"heterospec: config: {want}\n"
+    assert not out.exists()
 
 
 def test_config_from_dict_shape_errors():

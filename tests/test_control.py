@@ -37,7 +37,7 @@ from heterospec.vocab import Vocabulary
 def flat_bins(*thresholds: float) -> BinningModel:
     n = len(thresholds) + 1
     return BinningModel(thresholds=tuple(thresholds), means=(0.0,) * n,
-                        counts=(1,) * n)
+                        counts=(1,) * n, entropy_k=2, base_depth=4)
 
 
 # ------------------------------------------------------------ adaptation

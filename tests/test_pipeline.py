@@ -14,7 +14,7 @@ from conftest import TINY_CONFIG
 from heterospec import pipeline
 from heterospec.config import ExperimentConfig, config_from_dict, load_config
 from heterospec.binning import save_bins
-from heterospec.errors import ConfigError
+from heterospec.errors import BinsFileError, ConfigError
 from heterospec.metrics import read_iterations_csv, read_summary_csv, validate_run
 from heterospec.pipeline import (
     load_models,
@@ -110,14 +110,14 @@ def test_bins_for_another_tree_shape_are_refused(lab, controller):
         load_pipeline_bins(other)
 
 
-def test_bins_without_tree_shape_metadata_load(tmp_path):
+def test_bins_without_tree_shape_metadata_are_refused(tmp_path):
     cfg = _cfg(tmp_path / "run")
     os.makedirs(cfg.out_dir)
     with open(os.path.join(cfg.out_dir, "bins.txt"), "w", encoding="utf-8") as fh:
-        fh.write("heterospec-bins v1\nbin 0 1.5 2 3\nbin 1.5 inf 4 5\n")
-    bins = load_pipeline_bins(cfg)
-    assert bins.thresholds == (1.5,)
-    assert bins.entropy_k is None and bins.base_depth is None
+        fh.write("heterospec-bins v1\ncriterion: normalized\nnum_bins: 2\n"
+                 "bin 0 1.5 2 3\nbin 1.5 inf 4 5\n")
+    with pytest.raises(BinsFileError, match=r"bins\.txt:3: expected entropy_k: "):
+        load_pipeline_bins(cfg)
 
 
 def test_traces_account_for_all_tokens(lab):
