@@ -1,15 +1,20 @@
 """Experiment configuration: JSON schema v1 plus named RNG substreams.
 
 A config file is one JSON object; every section and key is optional and
-falls back to the defaults below. Unknown keys are rejected so typos
-fail fast. The corpus section takes either a text file path or a planted
-generator spec, not both.
+falls back to the defaults below. The dataclasses are the schema: a JSON
+object is read by its class's field types, so a section is a nested
+object, a list is taken only by a tuple field and null only by a field
+that takes None. Unknown keys are rejected so typos fail fast. The one
+key that is no field is ``corpus``: it takes either a text file path or a
+planted generator spec, not both, and sets ``corpus_path`` or ``planted``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 import zlib
 from dataclasses import dataclass, field
 
@@ -97,83 +102,79 @@ class ExperimentConfig:
         if self.tokenization not in ("char", "word"):
             raise ConfigError(f"tokenization must be char or word, "
                               f"got {self.tokenization!r}")
-        if self.corpus_path is None:  # every planted document has doc_len tokens
+        if self.corpus_path is None:  # a corpus file is measured when it is read
+            if self.tokenization != "word":
+                raise ConfigError("planted corpora are word-tokenized; set "
+                                  "tokenization to 'word'")
+            # every planted document has doc_len tokens
             tokens = self.prompts.prompt_tokens
             check_setting(self.planted.doc_len >= tokens, "corpus.planted.doc_len",
                           f">= prompts.prompt_tokens = {tokens}",
                           self.planted.doc_len)
+            # the calibration and eval splits must leave a training split
+            held = self.prompts.calibration_count + self.prompts.count
+            check_setting(self.planted.num_docs > held, "corpus.planted.num_docs",
+                          f"> prompts.calibration_count + prompts.count = {held}",
+                          self.planted.num_docs)
         order = self.draft.order
         check_setting(order is None or 1 <= order <= self.model.order,
                       "draft.order", f"in [1, model.order = {self.model.order}]",
                       order)
 
 
-# annotation -> (JSON value types it takes, name); others are checked on build
-_JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
-               "str": ((str,), "a string")}
+@dataclass(frozen=True)
+class _Corpus:
+    """The JSON ``corpus`` object: a text file or a planted generator spec."""
+    path: str | None = None
+    planted: PlantedCorpusSpec | None = None
 
 
-def _build(cls, data, where: str):
+# scalar field type -> (JSON value types it takes, name)
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string")}
+
+
+def _value(hint, value, where: str):
+    """``value`` checked against the field type ``hint``: a dataclass is
+    built from its own object, a list is taken only by a tuple, and null
+    only where the type takes None."""
+    kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    if value is None and type(None) in kinds:
+        return None
+    kind = kinds[0]
+    if dataclasses.is_dataclass(kind):
+        return _build(kind, value, where)
+    if typing.get_origin(kind) is tuple:  # its items are checked by the class
+        return tuple(value) if type(value) is list else value
+    accepted, expected = _JSON_TYPES[kind]
+    # type() is exact, so a bool is taken for neither an int nor a float
+    if type(value) not in accepted:
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+    return value
+
+
+def _build(cls, data, where: str, **fixed):
+    """``cls`` built from the JSON object ``data`` by its field types; the
+    ``fixed`` fields are given, and take no JSON key."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object")
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - set(types))
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(data) - set(hints).difference(fixed))
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
-    for name, value in data.items():
-        kind, _, optional = types[name].partition(" | ")  # "X | None" or "X"
-        accepted, expected = _JSON_TYPES.get(kind, ((type(value),), ""))
-        # type() is exact, so a bool is taken for neither an int nor a float
-        if type(value) not in accepted and not (value is None and optional):
-            raise ConfigError(f"{where}.{name}: expected {expected}, got {value!r}")
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    return cls(**fixed, **{name: _value(hints[name], value, f"{where}.{name}")
+                           for name, value in data.items()})
 
 
 def config_from_dict(data: dict, where: str = "config") -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: top level must be an object")
-    known = {"version", "seed", "out_dir", "corpus", "tokenization", "model",
-             "draft", "controller", "prompts", "calibration", "cost"}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-
-    kwargs = {key: data[key] for key in ("version", "seed", "out_dir", "tokenization")
-              if key in data}
-
-    corpus = data.get("corpus", {})
-    if not isinstance(corpus, dict):
-        raise ConfigError(f"{where}.corpus: expected an object")
-    extra = sorted(set(corpus) - {"path", "planted"})
-    if extra:
-        raise ConfigError(f"{where}.corpus: unknown keys {extra}")
-    path = corpus.get("path")
-    if path is not None and corpus.get("planted") is not None:
+    data = dict(data)
+    corpus = _build(_Corpus, data.pop("corpus", {}), f"{where}.corpus")
+    if corpus.path is not None and corpus.planted is not None:
         raise ConfigError(f"{where}.corpus: give either path or planted, not both")
-    if path is not None:
-        if type(path) is not str:
-            raise ConfigError(f"{where}.corpus.path: expected a string, got {path!r}")
-        kwargs["corpus_path"] = path
-    if corpus.get("planted") is not None:
-        kwargs["planted"] = _build(PlantedCorpusSpec, corpus["planted"],
-                                   f"{where}.corpus.planted")
-
-    sections = (("model", ModelSpec), ("draft", DraftSpec),
-                ("prompts", PromptSpec), ("calibration", CalibrationSpec),
-                ("cost", CostModel))
-    for key, cls in sections:
-        if key in data:
-            kwargs[key] = _build(cls, data[key], f"{where}.{key}")
-    if "controller" in data:
-        ctl = dict(data["controller"]) if isinstance(data["controller"], dict) \
-            else data["controller"]
-        if isinstance(ctl, dict) and isinstance(ctl.get("low_bins"), list):
-            ctl["low_bins"] = tuple(ctl["low_bins"])
-        kwargs["controller"] = _build(HeteroConfig, ctl, f"{where}.controller")
-    return _build(ExperimentConfig, kwargs, where)
+    return _build(ExperimentConfig, data, where, corpus_path=corpus.path,
+                  planted=corpus.planted or PlantedCorpusSpec())
 
 
 def load_config(path: str) -> ExperimentConfig:

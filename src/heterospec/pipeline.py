@@ -63,9 +63,6 @@ def step_gen_corpus(config: ExperimentConfig) -> str:
         docs = read_corpus(config.corpus_path)
         write_corpus(out, docs)
         return out
-    if config.tokenization != "word":
-        raise ConfigError("planted corpora are word-tokenized; set "
-                          "tokenization to 'word'")
     docs, templates = gen_corpus(config.planted, rng_for(config.seed, "corpus"))
     write_corpus(out, [" ".join(doc) for doc in docs])
     write_corpus(_path(config, TEMPLATE_FILE), [" ".join(t) for t in templates])

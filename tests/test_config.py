@@ -122,13 +122,13 @@ def test_config_from_dict_minimal_and_sections():
     assert cfg == ExperimentConfig()
     cfg = config_from_dict({
         "seed": 5,
-        "corpus": {"planted": {"num_docs": 10, "doc_len": 50,
+        "corpus": {"planted": {"num_docs": 60, "doc_len": 50,
                                "template_len": 8, "vocab_size": 12}},
         "controller": {"depth": 3, "low_bins": [0, 1]},
         "draft": {"order": None, "noise": 0.2},
     })
     assert cfg.seed == 5
-    assert cfg.planted.num_docs == 10
+    assert cfg.planted.num_docs == 60
     assert cfg.controller.low_bins == (0, 1)  # JSON list becomes tuple
     assert cfg.draft.order is None
 
@@ -214,11 +214,16 @@ NON_INTEGERS = [
     ({"draft": {"order": "2"}}, "config.draft.order", "2"),
     ({"corpus": {"planted": {"num_docs": 24.0}}}, "config.corpus.planted.num_docs", 24.0),
     ({"seed": 1.0}, "config.seed", 1.0),
+    # a JSON list is taken only by a tuple field, such as controller.low_bins
+    ({"seed": [1]}, "config.seed", [1]),
+    ({"controller": {"depth": [5]}}, "config.controller.depth", [5]),
 ]
 
 
 @pytest.mark.parametrize("data,where,value", NON_INTEGERS,
-                         ids=[where.split(".", 1)[-1] + ("-null" if value is None else "")
+                         ids=[where.split(".", 1)[-1] + ("-null" if value is None else
+                                                         "-list" if type(value) is list
+                                                         else "")
                               for _, where, value in NON_INTEGERS])
 def test_integer_fields_reject_non_integers(data, where, value):
     with pytest.raises(ConfigError) as exc:
@@ -274,6 +279,16 @@ def test_config_from_dict_rejects_unknown_keys():
         config_from_dict({"corpus": {"file": "x.txt"}})
 
 
+@pytest.mark.parametrize("key,value", [("corpus_path", "corpus.txt"),
+                                       ("planted", {"num_docs": 60})])
+def test_corpus_fields_are_set_only_through_the_corpus_object(key, value):
+    # corpus_path and planted are the config's fields for JSON's corpus
+    # object, not top-level keys
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({key: value})
+    assert str(exc.value) == f"config: unknown keys ['{key}']"
+
+
 def test_config_from_dict_corpus_path_xor_planted():
     cfg = config_from_dict({"corpus": {"path": "corpus.txt"}})
     assert cfg.corpus_path == "corpus.txt"
@@ -304,13 +319,51 @@ def test_planted_doc_len_must_hold_a_prompt(tmp_path, capsys):
     # a corpus file's documents are measured when its prompts are taken
     assert config_from_dict({"corpus": {"path": "corpus.txt"},
                              "prompts": {"prompt_tokens": 500}}).planted.doc_len < 500
+    _gen_corpus_refuses(tmp_path, capsys, {"corpus": {"planted": {"doc_len": 5}},
+                                           "prompts": {"prompt_tokens": 6}}, want)
+
+
+def _gen_corpus_refuses(tmp_path, capsys, data: dict, want: str) -> None:
+    """gen-corpus refuses the config file ``data`` with ``want`` as one
+    stderr line, before it makes the out dir."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"corpus": {"planted": {"doc_len": 5}},
-                                "prompts": {"prompt_tokens": 6}}), encoding="utf-8")
+    path.write_text(json.dumps(data), encoding="utf-8")
     out = tmp_path / "run"
     assert main(["gen-corpus", "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"heterospec: config: {want}\n"
     assert not out.exists()
+
+
+def test_planted_num_docs_must_leave_a_training_split(tmp_path, capsys):
+    # the calibration and eval prompts come from the last documents, so a
+    # planted corpus with no more documents than both is refused before
+    # gen-corpus writes, not at train-model
+    want = ("corpus.planted.num_docs must be > prompts.calibration_count "
+            "+ prompts.count = 54, got 54")
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"corpus": {"planted": {"num_docs": 54}}})
+    assert str(exc.value) == want
+    assert config_from_dict({"corpus": {"planted": {"num_docs": 55}}}) \
+        .planted.num_docs == 55
+    assert config_from_dict({"corpus": {"planted": {"num_docs": 4}},
+                             "prompts": {"count": 1, "calibration_count": 2}}) \
+        .planted.num_docs == 4
+    # a corpus file's documents are counted when it is split
+    assert config_from_dict({"corpus": {"path": "corpus.txt"},
+                             "prompts": {"count": 500}}).prompts.count == 500
+    _gen_corpus_refuses(tmp_path, capsys, {"corpus": {"planted": {"num_docs": 54}}},
+                        want)
+
+
+def test_planted_corpus_refuses_char_tokens(tmp_path, capsys):
+    # the planted generator writes words; a corpus file may be read as chars
+    want = "planted corpora are word-tokenized; set tokenization to 'word'"
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"tokenization": "char"})
+    assert str(exc.value) == want
+    assert config_from_dict({"corpus": {"path": "corpus.txt"},
+                             "tokenization": "char"}).tokenization == "char"
+    _gen_corpus_refuses(tmp_path, capsys, {"tokenization": "char"}, want)
 
 
 def test_config_from_dict_shape_errors():

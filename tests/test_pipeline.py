@@ -319,9 +319,9 @@ def test_external_corpus_passthrough(tmp_path):
 
 
 def test_planted_corpus_requires_word_tokens(tmp_path):
-    cfg = _cfg(tmp_path / "run", tokenization="char")
+    # refused when the config is built, so no step writes
     with pytest.raises(ConfigError, match="word"):
-        step_gen_corpus(cfg)
+        _cfg(tmp_path / "run", tokenization="char")
 
 
 def test_missing_prerequisites_fail_with_hints(tmp_path):
