@@ -1,7 +1,8 @@
 """Entropy binning: a depth-3 regression stump tree over calibration data.
 
-Calibration pairs (entropy signal, terminal confidence rank) are fed to a
-small CART regressor. Each node picks the threshold minimizing
+Calibration samples are two float64 arrays, the entropy signals ``xs`` and
+the terminal confidence ranks ``ys`` of the kept decode iterations, fed to
+a small CART regressor. Each node picks the threshold minimizing
 
     L(s) = (1/|D_l|) sum_l (y - c_l)^2  +  (1/|D_r|) sum_r (y - c_r)^2
 
@@ -35,19 +36,6 @@ CART_DEPTH = 3  # levels of splits in the regression tree
 BINS_KEYS = ("criterion", "entropy_k", "base_depth", "num_bins")
 
 
-@dataclass(frozen=True)
-class CalibrationSample:
-    """One (x, y) calibration pair from a recorded decode iteration.
-
-    x is the cumulative top-K entropy of the iteration's meta path in
-    nats, y the terminal confidence rank. The rank may be the sentinel
-    value (tree size + 1) when the iteration accepted nothing.
-    """
-
-    entropy: float
-    tcr: float
-
-
 # which recorded iterations feed the calibration fit
 CALIBRATION_FILTERS = ("fully-accepted", "accepting", "all")
 
@@ -56,29 +44,29 @@ CALIBRATION_FILTERS = ("fully-accepted", "accepting", "all")
 MIN_DISTINCT_ENTROPIES = 8
 
 
-def check_calibration_diversity(samples: list[CalibrationSample],
-                                filter: str = "?") -> None:
-    distinct = len({s.entropy for s in samples})
+def check_calibration_diversity(xs: np.ndarray, filter: str) -> None:
+    distinct = len(set(xs.tolist()))
     if distinct < MIN_DISTINCT_ENTROPIES:
         raise CalibrationError(
             f"insufficient calibration samples: {distinct} distinct entropy "
-            f"values across {len(samples)} samples under filter {filter!r} "
+            f"values across {len(xs)} samples under filter {filter!r} "
             f"(need >= {MIN_DISTINCT_ENTROPIES})")
 
 
 def collect_calibration(records, base_depth: int,
-                        filter: str = "fully-accepted",
-                        ) -> list[CalibrationSample]:
-    """Turn iteration records into calibration samples.
+                        filter: str) -> tuple[np.ndarray, np.ndarray]:
+    """The samples of the kept iteration records as two float64 arrays:
+    ``xs``, the entropy signals, and ``ys``, the terminal confidence
+    ranks, the sentinel tree size + 1 where nothing was accepted.
 
-    The default keeps only iterations whose accepted length equals the
-    base draft depth; "accepting" keeps any iteration that accepted at
+    "fully-accepted" keeps only iterations whose accepted length equals
+    the base draft depth; "accepting" keeps any iteration that accepted at
     least one draft token, "all" keeps everything; ``CalibrationSpec``
     checks that the filter is one of these. Raises CalibrationError with
     diagnostic counts when nothing survives.
     """
     total = accepting = full = 0
-    samples: list[CalibrationSample] = []
+    xs, ys = [], []
     for rec in records:
         total += 1
         if rec.accepted_len >= 1:
@@ -89,31 +77,24 @@ def collect_calibration(records, base_depth: int,
             continue
         if filter == "accepting" and rec.accepted_len < 1:
             continue
-        samples.append(CalibrationSample(entropy=rec.entropy,
-                                         tcr=float(rec.tcr)))
-    if not samples:
+        xs.append(rec.entropy)
+        ys.append(float(rec.tcr))
+    if not xs:
         raise CalibrationError(
             f"calibration filter {filter!r} left no samples "
             f"(iterations={total}, accepting={accepting}, "
             f"fully_accepted={full}, base_depth={base_depth})")
-    return samples
+    # two 1-D builds: np.array(pairs).T raised zipf-word's peak RSS 0.3 MB
+    return np.array(xs, dtype=np.float64), np.array(ys, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class Split:
-    threshold: float
-    loss: float
-
-
-def best_split(xs: np.ndarray, ys: np.ndarray) -> Split | None:
-    """Split of (xs, ys) minimizing the normalized loss L(s), or None when
-    no split exists.
+def best_split(xs: np.ndarray, ys: np.ndarray) -> float | None:
+    """Threshold of the float64 arrays (xs, ys) minimizing the normalized
+    loss L(s), or None when no split exists.
 
     Returns None when there are fewer than two distinct x values or the
     targets have zero variance.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
     n = xs.shape[0]
     if n < 2:
         return None
@@ -134,25 +115,23 @@ def best_split(xs: np.ndarray, ys: np.ndarray) -> Split | None:
     loss[x[:-1] == x[1:]] = np.inf  # no threshold between equal x values
     i = int(np.argmin(loss))  # the first minimum: ties keep the smaller threshold
     mid = (x[i] + x[i + 1]) / 2.0
-    return Split(threshold=mid if mid > x[i] else x[i + 1], loss=loss[i])
+    return mid if mid > x[i] else x[i + 1]
 
 
 def train_cart(xs: np.ndarray, ys: np.ndarray) -> list[float]:
-    """Recursive greedy splitting, depth-first, CART_DEPTH levels deep;
-    returns sorted thresholds."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
+    """Recursive greedy splitting of float64 arrays, depth-first,
+    CART_DEPTH levels deep; returns sorted thresholds."""
     thresholds: list[float] = []
 
     def grow(mask: np.ndarray, depth: int) -> None:
         if depth >= CART_DEPTH:
             return
-        split = best_split(xs[mask], ys[mask])
-        if split is None:
+        threshold = best_split(xs[mask], ys[mask])
+        if threshold is None:
             return
-        thresholds.append(split.threshold)
-        grow(mask & (xs < split.threshold), depth + 1)
-        grow(mask & (xs >= split.threshold), depth + 1)
+        thresholds.append(threshold)
+        grow(mask & (xs < threshold), depth + 1)
+        grow(mask & (xs >= threshold), depth + 1)
 
     grow(np.ones(xs.shape[0], dtype=bool), 0)
     return sorted(thresholds)
@@ -192,12 +171,10 @@ class BinningModel:
         return list(zip(lo, hi))
 
 
-def fit_binning(samples: list[CalibrationSample], entropy_k: int,
+def fit_binning(xs: np.ndarray, ys: np.ndarray, entropy_k: int,
                 base_depth: int) -> BinningModel:
-    if not samples:
-        raise CalibrationError("no calibration samples")
-    xs = np.array([s.entropy for s in samples], dtype=np.float64)
-    ys = np.array([s.tcr for s in samples], dtype=np.float64)
+    """Bins of the calibration samples ``xs`` and ``ys``, float64 arrays
+    as ``collect_calibration`` returns them."""
     thresholds = train_cart(xs, ys)
     # closed on the left and open on the right, the rule assign_bin applies
     which = np.searchsorted(thresholds, xs, side="right")

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 
 from .binning import BinningModel
 from .entropy import tree_entropy_signal
-from .errors import ConfigError, OutputMismatchError, check_setting
+from .errors import ConfigError, OutputMismatchError, check_setting, finite
 from .metrics import (CostModel, IterationRecord, RunSummary, summarize,
                       validate_run)
 from .models import LanguageModel
@@ -79,6 +79,9 @@ class HeteroConfig:
         for key in ("depth", "top_k", "top_n", "max_new_tokens"):
             value = getattr(self, key)
             check_setting(value >= 1, f"controller.{key}", ">= 1", value)
+        # adapt scales top_n by a float gamma
+        check_setting(finite(self.top_n), "controller.top_n",
+                      "finite as a float", self.top_n)
         check_setting(self.alpha is None or self.alpha >= 0, "controller.alpha",
                       ">= 0", self.alpha)
         check_setting(self.low_bins is None or (
@@ -130,9 +133,10 @@ def step(target_model: LanguageModel, draft_model: LanguageModel,
     ``cfg`` resolved: draft, rerank and verify, then cut the emitted block at
     the terminator or at ``budget`` tokens so emitted == accepted + 1 still
     holds. Returns the emitted tokens and the ``IterationRecord`` fields
-    from ``entropy`` on. ``memo`` maps a draft state to its reranked tree
-    and shape fields; it is valid for one draft model, ``cfg``, ``bins``
-    and ``low_bins``, since the draft side depends on nothing else."""
+    from ``entropy`` on. ``memo`` maps a draft state to the rank map that
+    ``rerank`` returned for it and its shape fields; it is valid for one
+    draft model, ``cfg``, ``bins`` and ``low_bins``, since the draft side
+    depends on nothing else."""
     hit = memo.get(dstate)
     if hit is None:
         tree = expand(draft_model, dstate, cfg.depth, cfg.top_k)
@@ -141,18 +145,18 @@ def step(target_model: LanguageModel, draft_model: LanguageModel,
         extra_layers, top_n = adapt(bin_index, cfg.alpha, cfg.top_n, low_bins)
         if extra_layers > 0:
             extend(tree, draft_model, extra_layers)
-        reranked = rerank(tree, top_n)
-        hit = memo[dstate] = (reranked, (entropy, bin_index,
-                                         cfg.depth + extra_layers, top_n,
-                                         len(reranked)))
-    reranked, shape = hit
-    result = verify_greedy(reranked, target_model, tstate)
+        ranks = rerank(tree, top_n)
+        hit = memo[dstate] = (ranks, (entropy, bin_index,
+                                      cfg.depth + extra_layers, top_n,
+                                      len(ranks)))
+    ranks, shape = hit
+    result = verify_greedy(ranks, target_model, tstate)
     emit = result.emitted
     if cfg.terminator in emit:
         emit = emit[:emit.index(cfg.terminator) + 1]
     emit = emit[:budget]
     k = len(emit) - 1
-    tcr = result.accepted_ranks[k - 1] if k >= 1 else len(reranked) + 1
+    tcr = result.accepted_ranks[k - 1] if k >= 1 else len(ranks) + 1
     return emit, (*shape, k, len(emit), tcr)
 
 

@@ -4,6 +4,7 @@ The CLI maps each class to a distinct exit code, so raise the most
 specific one available.
 """
 
+import math
 from contextlib import contextmanager
 
 
@@ -19,6 +20,16 @@ def check_setting(ok: bool, key: str, want: str, value) -> None:
     """Unless ``ok``, refuse the setting at JSON ``key``, naming its value."""
     if not ok:
         raise ConfigError(f"{key} must be {want}, got {value}")
+
+
+def finite(value) -> bool:
+    """Whether the number ``value`` is finite as a float; an int too large
+    for one is not, so a check refuses it before float arithmetic on it
+    raises OverflowError."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class CalibrationError(HeteroSpecError):

@@ -4,7 +4,8 @@ Acceptance rate tau is emitted tokens per verification call. The cost
 model prices one decoding iteration as a fixed call cost plus a per-token
 verification cost plus a per-layer drafting cost, and compares against
 plain autoregressive decoding, which pays one call and one verified token
-per emitted token.
+per emitted token. ``summarize`` takes the rank quantiles of accepting
+iterations itself, and each report table's writer tallies its own rows.
 
 Every CSV table is a schema line ending in "\\n", a header row and one row
 per record, each ending in "\\r\\n", with floats as ``fmt_float`` gives them
@@ -30,7 +31,7 @@ from itertools import islice, repeat
 from operator import attrgetter, contains
 from typing import NamedTuple, get_type_hints
 
-from .errors import ConfigError, check_setting, utf8_errors
+from .errors import ConfigError, check_setting, finite, utf8_errors
 
 ITERATIONS_SCHEMA = "# heterospec-iterations v1"
 SUMMARY_SCHEMA = "# heterospec-summary v1"
@@ -59,11 +60,11 @@ class CostModel:
     c_draft: float = 0.02  # per draft layer
 
     def __post_init__(self):
-        check_setting(0 < self.c_call < math.inf,  # false for NaN
+        check_setting(finite(self.c_call) and self.c_call > 0,
                       "cost.c_call", "finite and > 0", self.c_call)
         for key in ("c_tok", "c_draft"):
             value = getattr(self, key)
-            check_setting(0 <= value < math.inf, f"cost.{key}",
+            check_setting(finite(value) and value >= 0, f"cost.{key}",
                           "finite and >= 0", value)
 
     def run_cost(self, records: list[IterationRecord]) -> float:
@@ -114,23 +115,6 @@ def quantiles_nearest_rank(values: list[float], levels) -> list[float]:
     return [ordered[max(0, math.ceil(p * len(ordered)) - 1)] for p in levels]
 
 
-TCR_QUANTILE_LEVELS = (0.25, 0.50, 0.75, 0.95)
-
-
-def tcr_quantiles(records: list[IterationRecord]) -> dict[str, int] | None:
-    """Rank quantiles over accepting iterations, keyed p25/p50/p75/p95.
-
-    Sentinel ranks from nothing-accepted iterations would smear the upper
-    quantiles, so those iterations are excluded; callers report their
-    count separately. Returns None when no iteration accepted anything.
-    """
-    ranks = [r.tcr for r in records if r.accepted_len >= 1]
-    if not ranks:
-        return None
-    quants = quantiles_nearest_rank(ranks, TCR_QUANTILE_LEVELS)
-    return {"p%d" % round(p * 100): q for p, q in zip(TCR_QUANTILE_LEVELS, quants)}
-
-
 def _tally(pairs) -> list[tuple[int, int, float]]:
     """(key, count, mean value) per key of (key, value) pairs, ascending key."""
     groups: dict[int, list[int]] = {}
@@ -144,18 +128,6 @@ def _by_rank(records: list[IterationRecord]) -> list[tuple[int, int, float]]:
     return _tally((r.tcr, r.accepted_len) for r in records if r.accepted_len >= 1)
 
 
-def tcr_histogram(records: list[IterationRecord]) -> list[tuple[int, int]]:
-    """(rank, count) pairs over accepting iterations, ascending rank.
-    Nothing-accepted iterations are excluded; report them separately."""
-    return [(rank, count) for rank, count, _ in _by_rank(records)]
-
-
-def per_bin_stats(records: list[IterationRecord]) \
-        -> list[tuple[int, int, float]]:
-    """(bin, iteration count, mean accepted length) per observed bin."""
-    return _tally((r.bin, r.accepted_len) for r in records)
-
-
 def summarize(records: list[IterationRecord],
               cost_model: CostModel | None = None) -> RunSummary:
     if not records:
@@ -163,7 +135,11 @@ def summarize(records: list[IterationRecord],
     calls = len(records)
     tokens = sum(r.tree_size for r in records)
     emitted = sum(r.emitted for r in records)
-    quants = tcr_quantiles(records) or {}
+    # sentinel ranks of nothing-accepted iterations would smear the upper
+    # quantiles, so they are left out and counted in sentinels
+    ranks = [r.tcr for r in records if r.accepted_len >= 1]
+    p25, p50, p75, p95 = (quantiles_nearest_rank(ranks, (0.25, 0.5, 0.75, 0.95))
+                          if ranks else (None,) * 4)
     speedup = None
     if cost_model is not None:
         speedup = (cost_model.autoregressive_cost(emitted)
@@ -176,10 +152,7 @@ def summarize(records: list[IterationRecord],
         tau=emitted / calls,
         mean_accepted_len=sum(r.accepted_len for r in records) / calls,
         speedup=speedup,
-        tcr_p25=quants.get("p25"),
-        tcr_p50=quants.get("p50"),
-        tcr_p75=quants.get("p75"),
-        tcr_p95=quants.get("p95"),
+        tcr_p25=p25, tcr_p50=p50, tcr_p75=p75, tcr_p95=p95,
         sentinels=sum(1 for r in records if r.accepted_len == 0),
     )
 
@@ -345,7 +318,7 @@ def write_tcr_histogram_csv(path: str,
                             records: list[IterationRecord]) -> None:
     """Rank histogram over accepting iterations plus one sentinel row
     counting the iterations that accepted nothing."""
-    rows = tcr_histogram(records)
+    rows = [(rank, count) for rank, count, _ in _by_rank(records)]
     rows.append(("sentinel", sum(1 for r in records if r.accepted_len == 0)))
     _write_table(path, TCR_HISTOGRAM_SCHEMA, ("rank", "count"), rows)
 
@@ -363,7 +336,8 @@ def write_bin_occupancy_csv(path: str, records: list[IterationRecord],
     """Iteration count and mean accepted length per entropy bin. Bins that
     exist in the binning model but saw no iterations still get a row, so
     the count column always sums to the number of iterations."""
-    stats = {b: (c, m) for b, c, m in per_bin_stats(records)}
+    stats = {b: (c, m) for b, c, m in
+             _tally((r.bin, r.accepted_len) for r in records)}
     by_bin = dict(enumerate(edges or []))
     rows = [(b, *by_bin.get(b, (None, None)), *stats.get(b, (0, None)))
             for b in sorted(by_bin.keys() | stats.keys())]

@@ -52,12 +52,11 @@ as well; every refusal is a ``ConfigError`` naming the file.
 from __future__ import annotations
 
 import json
-import math
 from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigError, check_setting, utf8_errors
+from .errors import ConfigError, check_setting, finite, utf8_errors
 # encode_corpus is unused here but stays importable: bench/harness.py
 # patches it under this module's name
 from .vocab import (Context, SplitCorpus, Vocabulary, encode_corpus,  # noqa: F401
@@ -73,11 +72,8 @@ def check_model_settings(order: int, smoothing: float) -> None:
     """The rule for a model's order and smoothing, from a config or a
     model file's header alike."""
     check_setting(order >= 1, "model.order", ">= 1", order)
-    try:  # an int too large for a float is refused, not left to _compute
-        finite = 0 < float(smoothing) < math.inf  # false for NaN
-    except OverflowError:
-        finite = False
-    check_setting(finite, "model.smoothing", "finite and > 0", smoothing)
+    check_setting(finite(smoothing) and smoothing > 0, "model.smoothing",
+                  "finite and > 0", smoothing)
 
 
 def check_key_space(order: int, v: int) -> None:

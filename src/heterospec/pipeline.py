@@ -126,10 +126,10 @@ def step_calibrate(config: ExperimentConfig) -> tuple[str, BinningModel]:
     arm = run_arm("calibration", decode_baseline, target, draft, prompts,
                   config.controller, cost_model=None)
     ctl = config.controller
-    samples = collect_calibration(arm.records, base_depth=ctl.depth,
-                                  filter=config.calibration.filter)
-    check_calibration_diversity(samples, filter=config.calibration.filter)
-    bins = fit_binning(samples, entropy_k=ctl.top_k, base_depth=ctl.depth)
+    xs, ys = collect_calibration(arm.records, base_depth=ctl.depth,
+                                 filter=config.calibration.filter)
+    check_calibration_diversity(xs, filter=config.calibration.filter)
+    bins = fit_binning(xs, ys, entropy_k=ctl.top_k, base_depth=ctl.depth)
     _prepare_out_dir(config)
     write_iterations_csv(_path(config, CALIBRATION_CSV), arm.records)
     out = _path(config, BINS_FILE)

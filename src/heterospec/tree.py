@@ -27,7 +27,9 @@ of the draft state the token was drawn from, as the draft's ``next_dist``
 returns it, and ``path tokens`` are the tokens below the root, this node's
 last. Because a parent always has at least its child's value and strictly
 smaller depth, top-N selection under this order is guaranteed to return a
-root-connected subtree.
+root-connected subtree. ``rerank`` returns it as verification reads it: a
+map from each kept node's path tokens, unique within a tree, to its
+1-based rank, in rank order.
 """
 
 from __future__ import annotations
@@ -163,22 +165,8 @@ def extend(tree: DraftTree, draft_model: LanguageModel,
     return tree
 
 
-class RerankedTree:
-    """Top-N selection of a draft tree, in rank order.
-
-    The rank order lists ancestors before descendants. ``ranks`` maps each
-    kept node's path tokens to its 1-based rank, so verification finds the
-    kept child of a node for a token with one lookup.
-    """
-
-    def __init__(self, nodes: list[DraftNode]):
-        self.nodes = nodes
-        self.ranks = {node[TOKENS]: rank for rank, node in enumerate(nodes, 1)}
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-def rerank(tree: DraftTree, budget: int) -> RerankedTree:
-    """Select the ``budget`` highest-value nodes of the tree."""
-    return RerankedTree(sorted(tree.nodes, key=_by_value)[:budget])
+def rerank(tree: DraftTree, budget: int) -> dict[tuple[int, ...], int]:
+    """The ``budget`` highest-value nodes of the tree, in rank order, as a
+    map from each kept node's path tokens to its 1-based rank."""
+    kept = sorted(tree.nodes, key=_by_value)[:budget]
+    return {node[TOKENS]: rank for rank, node in enumerate(kept, 1)}

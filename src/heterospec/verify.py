@@ -1,12 +1,12 @@
 """Greedy verification of reranked draft trees against a target model.
 
 Verification walks the target's argmax from the root through the kept
-nodes of a reranked tree. The kept set is a map from each node's path
-tokens to its rank, so each step is one lookup of the path so far plus the
-target's token, derived once per target state from the ``DistRecord`` that
-``next_dist`` returns; the accepted ranks come back with the tokens. The
-walk starts from the context it is given, which may be the target's state
-key in place of the whole context (see ``models``).
+nodes of a draft tree, the map ``rerank`` returns from each kept node's
+path tokens to its rank, so each step is one lookup of the path so far
+plus the target's token, derived once per target state from the
+``DistRecord`` that ``next_dist`` returns; the accepted ranks come back
+with the tokens. The walk starts from the context it is given, which may
+be the target's state key in place of the whole context (see ``models``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import LanguageModel, ProbDist
-from .tree import RerankedTree
 from .vocab import Context
 
 
@@ -40,12 +39,13 @@ class AcceptResult:
         return self.accepted_tokens + [self.bonus_token]
 
 
-def verify_greedy(tree: RerankedTree, target_model: LanguageModel,
+def verify_greedy(ranks: dict[tuple[int, ...], int],
+                  target_model: LanguageModel,
                   context: Context) -> AcceptResult:
-    """Accept the longest root path of the tree that matches the target's
-    greedy continuation, then emit the target argmax as the bonus token."""
+    """Accept the longest root path of the kept nodes, ``ranks`` as
+    ``rerank`` returns them, that matches the target's greedy
+    continuation, then emit the target argmax as the bonus token."""
     ctx = tuple(context)
-    ranks = tree.ranks
     # bound once per call through the instance, so a per-instance wrapper
     # still sees every eval
     next_dist = target_model.next_dist

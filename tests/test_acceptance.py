@@ -21,12 +21,7 @@ import pytest
 
 from chain_sampling import verify_stochastic_chain
 from conftest import DrawnDistModel, make_vocab, tcr_bands, topk_entropy
-from heterospec.binning import (
-    BinningModel,
-    CalibrationSample,
-    best_split,
-    fit_binning,
-)
+from heterospec.binning import BinningModel, best_split, fit_binning
 from heterospec.config import ExperimentConfig
 from heterospec.control import (
     HeteroConfig,
@@ -251,6 +246,12 @@ def _fsum_sse(group: list[float]) -> float:
     return math.fsum((y - mean) ** 2 for y in group)
 
 
+def _enum_loss(pairs: list[tuple[float, float]], s: float) -> float:
+    left = [y for x, y in pairs if x <= s]
+    right = [y for x, y in pairs if x > s]
+    return _fsum_sse(left) / len(left) + _fsum_sse(right) / len(right)
+
+
 def _enum_split(pairs: list[tuple[float, float]]):
     distinct = sorted({x for x, _ in pairs})
     if len(distinct) < 2 or len({y for _, y in pairs}) < 2:
@@ -258,9 +259,7 @@ def _enum_split(pairs: list[tuple[float, float]]):
     best = None
     for a, b in zip(distinct, distinct[1:]):
         s = (a + b) / 2.0
-        left = [y for x, y in pairs if x <= s]
-        right = [y for x, y in pairs if x > s]
-        loss = _fsum_sse(left) / len(left) + _fsum_sse(right) / len(right)
+        loss = _enum_loss(pairs, s)
         if best is None or loss < best[1]:
             best = (s, loss)
     return best
@@ -301,12 +300,11 @@ def test_criterion_04_cart_matches_exhaustive_greedy():
         if want is None:
             assert got is None
         else:
-            assert abs(got.loss - want[1]) <= 1e-9
-            assert abs(got.threshold - want[0]) <= 1e-9
+            # the loss at the returned threshold is the minimum
+            assert abs(_enum_loss(pairs, got) - want[1]) <= 1e-9
+            assert abs(got - want[0]) <= 1e-9
 
-        samples = [CalibrationSample(float(x), float(y))
-                   for x, y in zip(xs, ys)]
-        model = fit_binning(samples, entropy_k=2, base_depth=5)
+        model = fit_binning(xs, ys, entropy_k=2, base_depth=5)
         enum = _enum_cart(pairs, 3)
         assert len(model.thresholds) == len(enum)
         for a, b in zip(model.thresholds, enum):
@@ -336,15 +334,17 @@ def test_criterion_05_rerank_matches_sort_oracle():
                       depth=int(rng.integers(1, 7)),
                       top_k=int(rng.integers(1, 5)))
         budget = int(rng.integers(1, tree.size() + 4))
-        t2 = rerank(tree, budget)
-        assert t2.nodes == sorted(tree.nodes, key=lambda n: (
+        ranks = rerank(tree, budget)
+        kept = sorted(tree.nodes, key=lambda n: (
             n[NEG_VALUE], n[DEPTH], n[INDEX]))[:budget]
-        assert len(t2) == min(budget, tree.size())
-        picked = {id(n) for n in t2.nodes}
-        for node in t2.nodes:
-            assert node[PARENT] is tree.root or id(node[PARENT]) in picked
-            if node[PARENT] is not tree.root:
-                assert t2.ranks[node[PARENT][TOKENS]] < t2.ranks[node[TOKENS]]
+        assert list(ranks.items()) == [(n[TOKENS], rank)
+                                       for rank, n in enumerate(kept, 1)]
+        assert len(ranks) == min(budget, tree.size())
+        # root-connected: each kept key's prefix is the root's () or a kept
+        # key of smaller rank
+        for tokens, rank in ranks.items():
+            assert tokens[:-1] == () or ranks.get(tokens[:-1], rank) < rank
+        for node in kept:
             assert -node[NEG_VALUE] <= -node[PARENT][NEG_VALUE] + 1e-12
 
 

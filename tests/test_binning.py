@@ -14,7 +14,6 @@ from heterospec.binning import (
     CALIBRATION_FILTERS,
     MIN_DISTINCT_ENTROPIES,
     BinningModel,
-    CalibrationSample,
     best_split,
     check_calibration_diversity,
     collect_calibration,
@@ -42,16 +41,16 @@ def rec(accepted_len: int, entropy: float = 1.0, tcr: int | None = None,
 
 
 def test_best_split_separable_clusters():
-    split = best_split(np.asarray([0.1, 0.2, 0.9, 1.0]),
-                       np.asarray([1.0, 1.0, 5.0, 5.0]))
-    assert split.threshold == pytest.approx(0.55)
-    assert split.loss == pytest.approx(0.0, abs=1e-12)
+    xs, ys = np.asarray([0.1, 0.2, 0.9, 1.0]), np.asarray([1.0, 1.0, 5.0, 5.0])
+    threshold = best_split(xs, ys)
+    assert threshold == pytest.approx(0.55)
+    assert _naive_loss(xs, ys, threshold) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_best_split_two_points():
-    split = best_split(np.asarray([0.0, 1.0]), np.asarray([0.0, 10.0]))
-    assert split.threshold == 0.5
-    assert split.loss == pytest.approx(0.0, abs=1e-12)
+    xs, ys = np.asarray([0.0, 1.0]), np.asarray([0.0, 10.0])
+    assert best_split(xs, ys) == 0.5
+    assert _naive_loss(xs, ys, 0.5) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_best_split_degenerate_inputs():
@@ -63,32 +62,36 @@ def test_best_split_degenerate_inputs():
 def test_best_split_tie_takes_smaller_threshold():
     # zero-mean symmetric data: both candidate losses are exactly 2.25 in
     # float arithmetic, so the tie rule is exercised
-    split = best_split(np.asarray([0.0, 1.0, 2.0]),
-                       np.asarray([-1.0, 2.0, -1.0]))
-    assert split.threshold == 0.5
+    threshold = best_split(np.asarray([0.0, 1.0, 2.0]),
+                           np.asarray([-1.0, 2.0, -1.0]))
+    assert threshold == 0.5
 
 
 def test_best_split_skips_duplicate_x():
-    split = best_split(np.asarray([0.0, 0.0, 1.0]), np.asarray([0.0, 5.0, 10.0]))
-    assert split.threshold == 0.5
+    assert best_split(np.asarray([0.0, 0.0, 1.0]),
+                      np.asarray([0.0, 5.0, 10.0])) == 0.5
 
 
-def _naive_best_split(xs, ys):
-    pts = sorted(zip(xs.tolist(), ys.tolist()))
-    distinct = sorted({x for x, _ in pts})
-    if len(distinct) < 2 or len({y for _, y in pts}) < 2:
-        return None
-
+def _naive_loss(xs, ys, s):
+    """L(s) summed with fsum, x < s on the left."""
     def sse(group):
         mean = math.fsum(group) / len(group)
         return math.fsum((y - mean) ** 2 for y in group)
 
+    pts = list(zip(xs.tolist(), ys.tolist()))
+    left = [y for x, y in pts if x < s]
+    right = [y for x, y in pts if x >= s]
+    return sse(left) / len(left) + sse(right) / len(right)
+
+
+def _naive_best_split(xs, ys):
+    distinct = sorted(set(xs.tolist()))
+    if len(distinct) < 2 or len(set(ys.tolist())) < 2:
+        return None
     best = None
     for a, b in zip(distinct, distinct[1:]):
         s = (a + b) / 2.0
-        left = [y for x, y in pts if x <= s]
-        right = [y for x, y in pts if x > s]
-        loss = sse(left) / len(left) + sse(right) / len(right)
+        loss = _naive_loss(xs, ys, s)
         if best is None or loss < best[1]:
             best = (s, loss)
     return best
@@ -105,8 +108,9 @@ def test_best_split_matches_exhaustive_enumeration():
         if want is None:
             assert got is None
             continue
-        assert abs(got.loss - want[1]) <= 1e-9
-        assert abs(got.threshold - want[0]) <= 1e-9
+        # the loss at the returned threshold is the minimum
+        assert abs(_naive_loss(xs, ys, got) - want[1]) <= 1e-9
+        assert abs(got - want[0]) <= 1e-9
 
 
 # ------------------------------------------------------------- train_cart
@@ -146,11 +150,9 @@ def test_adjacent_doubles_split_between_them(lo, hi):
     assert np.nextafter(lo, 2.0) == hi and (lo + hi) / 2.0 in (lo, hi)
     xs = np.asarray([lo] * 5 + [hi] * 5)
     ys = np.asarray([1.0] * 5 + [9.0] * 5)
-    assert best_split(xs, ys).threshold == hi
+    assert best_split(xs, ys) == hi
     assert train_cart(xs, ys) == [hi]
-    model = fit_binning([CalibrationSample(x, y)
-                         for x, y in zip(xs.tolist(), ys.tolist())],
-                        entropy_k=2, base_depth=5)
+    model = fit_binning(xs, ys, entropy_k=2, base_depth=5)
     assert model.thresholds == (hi,)
     assert model.counts == (5, 5) and model.means == (1.0, 9.0)
     assert [model.assign_bin(x) for x in (lo, hi)] == [0, 1]
@@ -160,9 +162,9 @@ def test_adjacent_doubles_split_between_them(lo, hi):
 
 
 def test_fit_binning_two_clusters():
-    samples = [CalibrationSample(0.0, 1.0), CalibrationSample(0.1, 1.0),
-               CalibrationSample(5.0, 9.0), CalibrationSample(5.1, 9.0)]
-    model = fit_binning(samples, entropy_k=2, base_depth=5)
+    model = fit_binning(np.asarray([0.0, 0.1, 5.0, 5.1]),
+                        np.asarray([1.0, 1.0, 9.0, 9.0]), entropy_k=2,
+                        base_depth=5)
     assert model.num_bins == 2
     assert model.means == (1.0, 9.0)
     assert model.counts == (2, 2)
@@ -173,24 +175,19 @@ def test_fit_binning_means_match_partition():
     rng = np.random.default_rng(8)
     xs = rng.uniform(0.0, 4.0, 120)
     ys = np.floor(xs) * 3.0 + rng.normal(0.0, 0.3, 120)
-    samples = [CalibrationSample(float(x), float(y)) for x, y in zip(xs, ys)]
-    model = fit_binning(samples, entropy_k=2, base_depth=5)
+    model = fit_binning(xs, ys, entropy_k=2, base_depth=5)
     assert sum(model.counts) == 120
     for b in range(model.num_bins):
-        members = [s.tcr for s in samples if model.assign_bin(s.entropy) == b]
+        members = [y for x, y in zip(xs.tolist(), ys.tolist())
+                   if model.assign_bin(x) == b]
         assert len(members) == model.counts[b]
         if members:
             assert model.means[b] == pytest.approx(np.mean(members), abs=1e-12)
 
 
-def test_fit_binning_requires_samples():
-    with pytest.raises(CalibrationError):
-        fit_binning([], entropy_k=2, base_depth=5)
-
-
 def test_fit_binning_constant_signal_yields_single_bin():
-    samples = [CalibrationSample(1.0, float(t)) for t in range(10)]
-    model = fit_binning(samples, entropy_k=2, base_depth=5)
+    model = fit_binning(np.ones(10), np.arange(10.0), entropy_k=2,
+                        base_depth=5)
     assert model.thresholds == ()
     assert model.num_bins == 1
     assert model.counts == (10,)
@@ -257,9 +254,8 @@ def test_binning_model_validation():
 
 def test_bins_round_trip(tmp_path):
     rng = np.random.default_rng(3)
-    samples = [CalibrationSample(float(x), float(np.floor(x) + 1))
-               for x in rng.uniform(0.0, 5.0, 200)]
-    model = fit_binning(samples, entropy_k=2, base_depth=5)
+    xs = rng.uniform(0.0, 5.0, 200)
+    model = fit_binning(xs, np.floor(xs) + 1, entropy_k=2, base_depth=5)
     path = str(tmp_path / "bins.txt")
     save_bins(model, path)
     loaded = load_bins(path)
@@ -275,7 +271,7 @@ def test_bins_round_trip(tmp_path):
 def test_bins_without_tree_shape_metadata_are_refused(tmp_path):
     # thresholds fitted on one tree shape bin another's signal differently,
     # so a file that does not say its shape is not read as any shape
-    model = fit_binning([CalibrationSample(0.0, 1.0), CalibrationSample(2.0, 5.0)],
+    model = fit_binning(np.asarray([0.0, 2.0]), np.asarray([1.0, 5.0]),
                         entropy_k=2, base_depth=5)
     path = tmp_path / "bins.txt"
     save_bins(model, str(path))
@@ -378,13 +374,14 @@ def test_load_bins_rejects_malformed(tmp_path, text, msg):
 def test_collect_calibration_filters():
     records = [rec(4, entropy=0.5, iteration=0), rec(4, entropy=0.7, iteration=1),
                rec(2, entropy=0.9, iteration=2), rec(0, entropy=1.1, iteration=3)]
-    full = collect_calibration(records, base_depth=4)
-    assert [(s.entropy, s.tcr) for s in full] == [(0.5, 4.0), (0.7, 4.0)]
-    accepting = collect_calibration(records, 4, filter="accepting")
-    assert len(accepting) == 3
-    everything = collect_calibration(records, 4, filter="all")
-    assert len(everything) == 4
-    assert everything[-1].tcr == 9.0  # sentinel rank tree_size + 1
+    xs, ys = collect_calibration(records, base_depth=4, filter="fully-accepted")
+    assert xs.dtype == ys.dtype == np.float64
+    assert (xs.tolist(), ys.tolist()) == ([0.5, 0.7], [4.0, 4.0])
+    xs, ys = collect_calibration(records, 4, filter="accepting")
+    assert (xs.tolist(), ys.tolist()) == ([0.5, 0.7, 0.9], [4.0, 4.0, 2.0])
+    xs, ys = collect_calibration(records, 4, filter="all")
+    assert xs.tolist() == [0.5, 0.7, 0.9, 1.1]
+    assert ys.tolist() == [4.0, 4.0, 2.0, 9.0]  # sentinel rank tree_size + 1
     assert CALIBRATION_FILTERS == ("fully-accepted", "accepting", "all")
 
 
@@ -396,9 +393,8 @@ def test_collect_calibration_empty_reports_counts():
 
 def test_diversity_check_needs_eight_distinct_signals():
     assert MIN_DISTINCT_ENTROPIES == 8
-    varied = [CalibrationSample(float(i), 1.0) for i in range(8)]
-    check_calibration_diversity(varied, filter="all")  # no raise
-    clumped = [CalibrationSample(float(i % 7), 1.0) for i in range(9)]
+    check_calibration_diversity(np.arange(8.0), filter="all")  # no raise
+    clumped = np.arange(9.0) % 7
     with pytest.raises(CalibrationError,
                        match=r"7 distinct entropy values across 9 samples"):
         check_calibration_diversity(clumped, filter="fully-accepted")

@@ -240,14 +240,20 @@ def test_exit_2_on_empty_corpus_path(tmp_path, capsys):
 @pytest.mark.parametrize("section,key,value", [
     ("model", "order", 0), ("model", "smoothing", 0), ("draft", "noise", 1.5),
     ("prompts", "count", 0), ("prompts", "prompt_tokens", 0),
-], ids=["order", "smoothing", "noise", "count", "prompt_tokens"])
+    # JSON integers too large for a float, which compare used to end in an
+    # OverflowError traceback on
+    ("cost", "c_call", 10 ** 400), ("cost", "c_tok", 10 ** 400),
+    ("cost", "c_draft", 10 ** 400), ("controller", "top_n", 10 ** 400),
+], ids=["order", "smoothing", "noise", "count", "prompt_tokens",
+        "huge-c_call", "huge-c_tok", "huge-c_draft", "huge-top_n"])
 def test_gen_corpus_exits_2_on_out_of_range_setting(tmp_path, capsys, section,
                                                     key, value):
     # refused before any step writes, not steps later at train-model or
     # calibrate over a config.json snapshot that holds the bad value
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(dict(
-        TINY_CONFIG, **{section: dict(TINY_CONFIG[section], **{key: value})})),
+        TINY_CONFIG,
+        **{section: dict(TINY_CONFIG.get(section, {}), **{key: value})})),
         encoding="utf-8")
     out = str(tmp_path / "run")
     assert main(["gen-corpus", "--config", str(cfg), "--out", out]) == 2

@@ -31,13 +31,10 @@ from heterospec.metrics import (
     CostModel,
     IterationRecord,
     RunSummary,
-    per_bin_stats,
     quantiles_nearest_rank,
     read_iterations_csv,
     read_summary_csv,
     summarize,
-    tcr_histogram,
-    tcr_quantiles,
     validate_run,
     write_bin_occupancy_csv,
     write_iterations_csv,
@@ -56,6 +53,15 @@ def rec(accepted_len: int, tcr: int | None = None, tree_size: int = 18,
                            bin=bin, draft_depth=depth, top_n=top_n,
                            tree_size=tree_size, accepted_len=accepted_len,
                            emitted=accepted_len + 1, tcr=tcr)
+
+
+def report_rows(write, records, *edges) -> list[str]:
+    """The data rows, as written, of one report table of ``records``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        write(path, records, *edges)
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read().split("\r\n")[1:-1]
 
 
 def test_cost_model_arithmetic():
@@ -82,12 +88,15 @@ def test_quantile_nearest_rank_rejects_bad_input():
         quantiles_nearest_rank([1.0], (1.2,))
 
 
-def test_tcr_quantiles_exclude_sentinels():
+def test_summary_rank_quantiles_exclude_sentinels():
     records = [rec(5, tcr=t, iteration=i) for i, t in enumerate([1, 2, 3, 4])]
     records.append(rec(0, iteration=4))  # sentinel rank 19 must not smear p95
-    quants = tcr_quantiles(records)
-    assert quants == {"p25": 1, "p50": 2, "p75": 3, "p95": 4}
-    assert tcr_quantiles([rec(0), rec(0)]) is None
+    s = summarize(records)
+    assert (s.tcr_p25, s.tcr_p50, s.tcr_p75, s.tcr_p95, s.sentinels) == \
+        (1, 2, 3, 4, 1)
+    s = summarize([rec(0), rec(0, iteration=1)])
+    assert (s.tcr_p25, s.tcr_p50, s.tcr_p75, s.tcr_p95, s.sentinels) == \
+        (None, None, None, None, 2)
 
 
 def test_summarize_uniform_full_accepts():
@@ -99,8 +108,8 @@ def test_summarize_uniform_full_accepts():
     assert s.speedup is None
     assert (s.tcr_p25, s.tcr_p50, s.tcr_p75, s.tcr_p95) == (5, 5, 5, 5)
     assert s.sentinels == 0
-    assert tcr_histogram(records) == [(5, 10)]
-    assert per_bin_stats(records) == [(-1, 10, 5.0)]
+    assert report_rows(write_tcr_histogram_csv, records) == ["5,10", "sentinel,0"]
+    assert report_rows(write_bin_occupancy_csv, records) == ["-1,-,-,10,5"]
 
 
 def test_speedup_equals_tau_when_only_calls_cost():
@@ -149,12 +158,14 @@ def test_tcr_bands_overflow_rank_lands_last():
     assert bands == [(0, None), (0, None), (0, None), (1, 2.0)]
 
 
-def test_tcr_histogram_and_per_bin_stats():
+def test_tcr_histogram_and_bin_occupancy_rows():
     records = [rec(5, tcr=1, iteration=0), rec(5, tcr=1, iteration=1),
                rec(2, tcr=4, iteration=2, bin=2), rec(0, iteration=3, bin=2)]
-    assert tcr_histogram(records) == [(1, 2), (4, 1)]
-    stats = per_bin_stats(records)
-    assert stats == [(-1, 2, 5.0), (2, 2, 1.0)]
+    assert report_rows(write_tcr_histogram_csv, records) == \
+        ["1,2", "4,1", "sentinel,1"]
+    # (bin, lo, hi, iterations, mean accepted length) per observed bin
+    assert report_rows(write_bin_occupancy_csv, records) == \
+        ["-1,-,-,2,5", "2,-,-,2,1"]
 
 
 def test_validate_run_catalog():
@@ -297,7 +308,8 @@ def test_single_node_tree_rank_histogram_is_point_mass():
     cfg = HeteroConfig(depth=1, top_k=1, top_n=1, max_new_tokens=20)
     res = decode_baseline(model, model, tpl[:6], cfg)
     s = summarize(res.records)
-    assert tcr_histogram(res.records) == [(1, 10)]
+    assert report_rows(write_tcr_histogram_csv, res.records) == \
+        ["1,10", "sentinel,0"]
     assert s.sentinels == 0
 
 

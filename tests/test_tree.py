@@ -31,6 +31,11 @@ def sort_key(node) -> tuple[float, int, int]:
     return (node[NEG_VALUE], node[DEPTH], node[INDEX])
 
 
+def rank_items(nodes) -> list[tuple[tuple[int, ...], int]]:
+    """The items, in order, of the rank map of ``nodes`` in rank order."""
+    return [(node[TOKENS], rank) for rank, node in enumerate(nodes, 1)]
+
+
 def test_single_layer_top_children():
     tree = expand(FixedDistModel(TRI), (5,), depth=1, top_k=2)
     assert tree.size() == 2
@@ -178,27 +183,21 @@ def test_node_order_breaks_value_ties_by_depth_then_index():
 
 def test_rerank_order_and_ranks():
     tree = expand(FixedDistModel(TRI), (0,), depth=2, top_k=2)
-    t2 = rerank(tree, 3)
-    # values: 0.7, then 0.49, then the layer-1 0.2 node
-    assert [math.exp(-n[NEG_VALUE]) for n in t2.nodes] == pytest.approx(
+    ranks = rerank(tree, 3)
+    # values: 0.7, then 0.49, then the layer-1 0.2 node; of the 0.7 node's
+    # children only the 0.49 one is kept
+    assert list(ranks.items()) == [((0,), 1), ((0, 0), 2), ((1,), 3)]
+    by_tokens = {n[TOKENS]: n for n in tree.nodes}
+    assert [math.exp(-by_tokens[t][NEG_VALUE]) for t in ranks] == pytest.approx(
         [0.7, 0.49, 0.2])
-    assert [t2.ranks[n[TOKENS]] for n in t2.nodes] == [1, 2, 3]
-    assert max(n[DEPTH] for n in t2.nodes) == 2
-    picked = {id(n) for n in t2.nodes}
-    outside = [n for n in tree.nodes if id(n) not in picked]
-    assert len(outside) == tree.size() - 3
-    # the token map holds exactly the kept nodes
-    assert set(t2.ranks) == {n[TOKENS] for n in t2.nodes}
-    kept = [n for n in tree.nodes
-            if n[PARENT] is t2.nodes[0] and n[TOKENS] in t2.ranks]
-    assert kept and all(id(c) in picked for c in kept)
+    assert tree.size() == 6  # rerank leaves the tree whole
 
 
 def test_rerank_saturates_at_tree_size():
     tree = expand(FixedDistModel(TRI), (0,), depth=2, top_k=2)
-    t2 = rerank(tree, 100)
-    assert len(t2) == tree.size()
-    assert t2.nodes == sorted(tree.nodes, key=sort_key)
+    ranks = rerank(tree, 100)
+    assert len(ranks) == tree.size()
+    assert list(ranks.items()) == rank_items(sorted(tree.nodes, key=sort_key))
 
 
 def test_rerank_matches_sort_oracle_randomized():
@@ -210,14 +209,15 @@ def test_rerank_matches_sort_oracle_randomized():
         top_k = int(rng.integers(1, 5))
         tree = expand(model, (0, 1), depth, top_k)
         budget = int(rng.integers(1, tree.size() + 4))
-        t2 = rerank(tree, budget)
-        assert t2.nodes == sorted(tree.nodes, key=sort_key)[:budget]
-        assert len(t2) == min(budget, tree.size())
-        picked = {id(n) for n in t2.nodes}
-        for node in t2.nodes:
-            assert node[PARENT] is tree.root or id(node[PARENT]) in picked
-            if node[PARENT] is not tree.root:
-                assert t2.ranks[node[PARENT][TOKENS]] < t2.ranks[node[TOKENS]]
+        ranks = rerank(tree, budget)
+        kept = sorted(tree.nodes, key=sort_key)[:budget]
+        assert list(ranks.items()) == rank_items(kept)
+        assert len(ranks) == min(budget, tree.size())
+        # root-connected, ancestors first: every kept key's prefix is the
+        # root's () or a kept key of smaller rank
+        for tokens, rank in ranks.items():
+            assert tokens[:-1] == () or ranks.get(tokens[:-1], rank) < rank
+        for node in kept:
             assert -node[NEG_VALUE] <= -node[PARENT][NEG_VALUE] + 1e-12
 
 
@@ -235,7 +235,8 @@ def test_value_sort_gives_the_tuple_order_under_ties(dist):
         assert {n[DEPTH] for n in tree.nodes
                 if n[NEG_VALUE] == -2 * math.log(0.5)} == {1, 2}
     for budget in range(1, tree.size() + 2):
-        assert rerank(tree, budget).nodes == sorted(tree.nodes)[:budget]
+        assert list(rerank(tree, budget).items()) == \
+            rank_items(sorted(tree.nodes)[:budget])
     for layer, below in zip(tree.layers, tree.layers[1:]):
         parents = list(dict.fromkeys(n[PARENT][INDEX] for n in below))
         assert parents == [n[INDEX] for n in sorted(layer)[:3]]

@@ -13,7 +13,7 @@ from chain_sampling import (
     verify_stochastic_chain,
 )
 from conftest import FixedDistModel, ScriptedModel, chain_template_model, make_vocab
-from heterospec.tree import TOKEN, expand, rerank
+from heterospec.tree import expand, rerank
 from heterospec.verify import argmax_token, verify_greedy
 
 
@@ -56,16 +56,15 @@ def _hand_tree():
 
 
 def test_verify_greedy_hand_walk():
-    tree2 = rerank(_hand_tree(), 3)
-    assert [n[TOKEN] for n in tree2.nodes] == [0, 2, 1]  # value order
+    ranks = rerank(_hand_tree(), 3)
+    assert list(ranks.items()) == [((0,), 1), ((0, 2), 2), ((1,), 3)]  # value order
     target = ScriptedModel({(): (0.5, 0.3, 0.2),
                             (0,): (0.1, 0.2, 0.7),
                             (0, 2): (0.2, 0.7, 0.1)}, make_vocab(3))
-    res = verify_greedy(tree2, target, ())
+    res = verify_greedy(ranks, target, ())
     assert res.accepted_tokens == [0, 2]
     assert res.accepted_ranks == [1, 2]
     assert res.bonus_token == 1
-    assert len(tree2) == 3
     assert res.accepted_len == 2
     assert res.emitted == [0, 2, 1]
 
@@ -83,8 +82,8 @@ def test_verify_greedy_immediate_mismatch():
 def test_verify_greedy_full_chain_acceptance():
     model, template = chain_template_model(length=40)
     prompt = template[:3]
-    tree2 = rerank(expand(model, prompt, depth=4, top_k=2), 10)
-    res = verify_greedy(tree2, model, prompt)
+    ranks = rerank(expand(model, prompt, depth=4, top_k=2), 10)
+    res = verify_greedy(ranks, model, prompt)
     assert res.accepted_tokens == list(template[3:7])
     assert res.bonus_token == template[7]
     # the planted chain occupies the first ranks, so its leaf sits at depth
@@ -94,11 +93,11 @@ def test_verify_greedy_full_chain_acceptance():
 def test_verify_greedy_respects_pruned_children():
     # budget 1 drops the accepted node's children: walk must stop there
     tree = expand(FixedDistModel((0.7, 0.2, 0.1)), (0,), depth=2, top_k=2)
-    tree2 = rerank(tree, 1)
-    res = verify_greedy(tree2, FixedDistModel((0.7, 0.2, 0.1)), (0,))
+    ranks = rerank(tree, 1)
+    res = verify_greedy(ranks, FixedDistModel((0.7, 0.2, 0.1)), (0,))
     assert res.accepted_tokens == [0]
     assert res.bonus_token == 0
-    assert len(tree2) == 1
+    assert ranks == {(0,): 1}
 
 
 def test_sample_from_seeded_and_supported():
