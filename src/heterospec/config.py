@@ -47,7 +47,7 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class DraftSpec:
-    order: int | None = 2  # in [1, model.order]; None: the target itself
+    order: int | None = 2  # in [2, model.order]; None: the target itself
     noise: float = 0.01
 
     def __post_init__(self):
@@ -116,10 +116,13 @@ class ExperimentConfig:
             check_setting(self.planted.num_docs > held, "corpus.planted.num_docs",
                           f"> prompts.calibration_count + prompts.count = {held}",
                           self.planted.num_docs)
+        # an order-1 draft has one state, whose entropy signal is the same
+        # in every iteration: calibration would have nothing to split
         order = self.draft.order
-        check_setting(order is None or 1 <= order <= self.model.order,
-                      "draft.order", f"in [1, model.order = {self.model.order}]",
-                      order)
+        effective = self.model.order if order is None else order
+        check_setting(2 <= effective <= self.model.order, "draft.order",
+                      f"in [2, model.order = {self.model.order}] "
+                      "(null: model.order)", "null" if order is None else order)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ Each expansion step of a draft tree produced a full next-token
 distribution. The per-step signal keeps only the K largest probabilities,
 renormalizes them, and takes the Shannon entropy in nats. The iteration
 signal sums this over the steps of the meta path: the root-to-leaf path
-ending at the full-depth node whose final step distribution has the
-largest top-1 probability.
+ending at the node of the tree's deepest layer whose final step
+distribution has the largest top-1 probability. Ties go to the
+higher-value node, then to the earlier-created one: ``min`` keeps the
+first of equal keys, and the layer is in creation order.
 
 All distributions involved were already computed while the tree was
 built, so the signal is free of extra model calls. Each step's top-1
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .models import DistRecord, ProbDist
-from .tree import INDEX, NEG_VALUE, STEP, DraftNode, DraftTree, TopK, path
+from .tree import NEG_VALUE, STEP, DraftNode, DraftTree, TopK, path
 
 
 def topk_step_entropy(dist: ProbDist, top: TopK) -> float:
@@ -62,18 +64,18 @@ def top1_prob(dist: ProbDist) -> float:
 def select_meta_path(tree: DraftTree) -> DraftNode:
     """Leaf of the meta path of a draft tree.
 
-    Candidates are the nodes of the deepest layer. The winner maximizes
-    the top-1 probability of its final step distribution; ties prefer the
-    higher-value node, then the earlier-created one.
+    Candidates are the nodes of the deepest layer, in creation order. The
+    winner maximizes the top-1 probability of its final step distribution;
+    ties prefer the higher-value node, then the earlier-created one, the
+    first that ``min`` meets.
     """
-    candidates = tree.deepest_layer()
-    if not candidates:
+    if not tree.deepest:
         raise ConfigError("cannot select a meta path from an empty tree")
 
-    def key(node: DraftNode) -> tuple[float, float, int]:
-        return (-node[STEP].derive(top1_prob), node[NEG_VALUE], node[INDEX])
+    def key(node: DraftNode) -> tuple[float, float]:
+        return (-node[STEP].derive(top1_prob), node[NEG_VALUE])
 
-    return min(candidates, key=key)
+    return min(tree.deepest, key=key)
 
 
 def tree_entropy_signal(tree: DraftTree, k: int) -> float:

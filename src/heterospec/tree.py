@@ -9,27 +9,26 @@ The root is a context; the decode loop passes the draft model's state key,
 a context in the same state (see ``models``), so each draft call sees a
 few tokens of state plus the node's path tokens.
 
-A node is one plain tuple, laid out so that its natural order is the rank
-order:
+A node is one plain tuple:
 
-    (-log value, depth, index, token, parent, step, path tokens)
+    (-log value, parent, step, path tokens)
 
-Higher value ranks first; ties go to smaller depth, then to the smaller
-creation index. Indices are unique within a tree, so a comparison never
-reaches the fields after it. Nodes are created in index order, layer by
-layer, so depth never decreases with index, and a list in creation order
-is already in (depth, index) order. A stable sort on the value alone
-therefore gives the rank order, and selecting the best n nodes is
-``sorted(nodes, key=itemgetter(NEG_VALUE))[:n]``. That skips the equality
-test a tuple comparison makes on its first field before it orders it.
-``step`` is the ``DistRecord``
-of the draft state the token was drawn from, as the draft's ``next_dist``
-returns it, and ``path tokens`` are the tokens below the root, this node's
-last. Because a parent always has at least its child's value and strictly
-smaller depth, top-N selection under this order is guaranteed to return a
-root-connected subtree. ``rerank`` returns it as verification reads it: a
-map from each kept node's path tokens, unique within a tree, to its
-1-based rank, in rank order.
+Layer 1 hangs off the shared ``ROOT``, the one node whose parent is None.
+``step`` is the ``DistRecord`` of the draft state the token was drawn
+from, as the draft's ``next_dist`` returns it, and ``path tokens`` are the
+tokens below the root, this node's last; their length is the node's depth.
+A tree keeps its nodes in creation order, layer by layer, and its deepest
+non-empty layer, the only one the next layer and the meta path read.
+
+Higher value ranks first; ties go to the earlier-created node, which is
+never deeper. The rank order is therefore a stable sort on the value over
+creation order, and selecting the best n nodes is
+``sorted(nodes, key=itemgetter(NEG_VALUE))[:n]``. Because a parent always
+has at least its child's value and is created before it, top-N selection
+under this order is guaranteed to return a root-connected subtree.
+``rerank`` returns it as verification reads it: a map from each kept
+node's path tokens, unique within a tree, to its 1-based rank, in rank
+order.
 """
 
 from __future__ import annotations
@@ -42,15 +41,16 @@ import numpy as np
 from .models import LanguageModel, ProbDist
 from .vocab import Context
 
-DraftNode = tuple  # (-log value, depth, index, token, parent, step, path tokens)
-NEG_VALUE, DEPTH, INDEX, TOKEN, PARENT, STEP, TOKENS = range(7)
+DraftNode = tuple  # (-log value, parent, step, path tokens)
+NEG_VALUE, PARENT, STEP, TOKENS = range(4)
+ROOT: DraftNode = (0.0, None, None, ())
 _by_value = itemgetter(NEG_VALUE)  # stable sort key of nodes in creation order
 
 
 def path(node: DraftNode) -> list[DraftNode]:
     """Nodes from the layer-1 ancestor down to ``node``."""
     out = []
-    while node[DEPTH] > 0:
+    while node[PARENT] is not None:
         out.append(node)
         node = node[PARENT]
     out.reverse()
@@ -65,13 +65,8 @@ class DraftTree:
     def __init__(self, context: Context, top_k: int):
         self.context = tuple(context)
         self.top_k = top_k
-        self.depth_limit = 0
-        self.root: DraftNode = (0.0, 0, -1, -1, None, None, ())
-        self.nodes: list[DraftNode] = []  # creation order, excludes root
-        self.layers: list[list[DraftNode]] = []
-
-    def deepest_layer(self) -> list[DraftNode]:
-        return self.layers[-1] if self.layers else []
+        self.nodes: list[DraftNode] = []  # creation order, excludes ROOT
+        self.deepest: list[DraftNode] = []  # deepest non-empty layer
 
     def size(self) -> int:
         return len(self.nodes)
@@ -123,17 +118,8 @@ def _grow_layers(tree: DraftTree, draft_model: LanguageModel, layers: int) -> No
     # still sees every eval
     next_dist = draft_model.next_dist
     for _ in range(layers):
-        if tree.depth_limit == 0:
-            frontier = [tree.root]
-        elif len(tree.layers) < tree.depth_limit:
-            tree.depth_limit += 1  # previous layer empty: tree is truncated
-            continue
-        else:
-            frontier = sorted(tree.layers[tree.depth_limit - 1],
-                              key=_by_value)[:top_k]
-        tree.depth_limit += 1
-        depth = tree.depth_limit
-        index = len(nodes)
+        frontier = (sorted(tree.deepest, key=_by_value)[:top_k]
+                    if tree.deepest else [ROOT])
         layer = []
         for parent in frontier:
             neg_value, tokens = parent[NEG_VALUE], parent[TOKENS]
@@ -141,12 +127,11 @@ def _grow_layers(tree: DraftTree, draft_model: LanguageModel, layers: int) -> No
             # -(a + log p) == -a - log p exactly, so values and ties match
             # the sum of logs along the path
             for token, logp in step.derive(TopK, top_k).children:
-                layer.append((neg_value - logp, depth, index, token, parent,
-                              step, tokens + (token,)))
-                index += 1
-        if layer:
-            nodes.extend(layer)
-            tree.layers.append(layer)
+                layer.append((neg_value - logp, parent, step, tokens + (token,)))
+        if not layer:  # a dead frontier: every deeper layer is empty too
+            return
+        nodes.extend(layer)
+        tree.deepest = layer
 
 
 def expand(draft_model: LanguageModel, context: Context, depth: int,

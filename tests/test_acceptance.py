@@ -46,7 +46,7 @@ from heterospec.pipeline import (
     step_gen_corpus,
     step_train_model,
 )
-from heterospec.tree import DEPTH, INDEX, NEG_VALUE, PARENT, TOKENS, expand, rerank
+from heterospec.tree import NEG_VALUE, PARENT, TOKENS, expand, rerank
 from heterospec.vocab import build_vocab, encode_corpus, read_corpus
 
 
@@ -335,8 +335,10 @@ def test_criterion_05_rerank_matches_sort_oracle():
                       top_k=int(rng.integers(1, 5)))
         budget = int(rng.integers(1, tree.size() + 4))
         ranks = rerank(tree, budget)
-        kept = sorted(tree.nodes, key=lambda n: (
-            n[NEG_VALUE], n[DEPTH], n[INDEX]))[:budget]
+        # the sort oracle: (value, depth, creation index)
+        nodes = tree.nodes
+        kept = [nodes[i] for i in sorted(range(len(nodes)), key=lambda i: (
+            nodes[i][NEG_VALUE], len(nodes[i][TOKENS]), i))][:budget]
         assert list(ranks.items()) == [(n[TOKENS], rank)
                                        for rank, n in enumerate(kept, 1)]
         assert len(ranks) == min(budget, tree.size())

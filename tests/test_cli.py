@@ -129,13 +129,20 @@ def test_exit_2_on_unknown_config_key(tmp_path, capsys):
 
 
 def test_exit_2_on_draft_order_outside_model_order(tmp_path, capsys):
-    for order in (0, 4):
+    # order 1, given or taken from model.order by null, is a one-state
+    # draft: one entropy value, nothing to calibrate
+    out = tmp_path / "run"
+    for model_order, draft_order, got in ((3, 0, "0"), (3, 4, "4"), (3, 1, "1"),
+                                          (1, None, "null")):
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(dict(TINY_CONFIG, draft={"order": order})),
+        cfg.write_text(json.dumps(dict(TINY_CONFIG, model={"order": model_order},
+                                       draft={"order": draft_order})),
                        encoding="utf-8")
-        assert main(["train-model", "--config", str(cfg)]) == 2
-        err = _one_error_line(capsys.readouterr())
-        assert "draft.order must be in [1, model.order = 3]" in err
+        assert main(["gen-corpus", "--config", str(cfg), "--out", str(out)]) == 2
+        assert _one_error_line(capsys.readouterr()) == (
+            f"heterospec: config: draft.order must be in [2, model.order = "
+            f"{model_order}] (null: model.order), got {got}\n")
+        assert not out.exists()
 
 
 KEY_SPACE_RE = re.compile(r"model\.order 15 is too high for a vocabulary of "

@@ -134,12 +134,20 @@ def test_config_from_dict_minimal_and_sections():
 
 
 def test_draft_order_within_model_order():
-    # the draft base is the target's first draft.order count tables
-    for order in (0, 4):
-        with pytest.raises(ConfigError, match=r"draft\.order must be in \[1, "):
+    # the draft base is the target's first draft.order count tables; an
+    # order-1 draft has one state, so one entropy value to calibrate on
+    for order in (0, 1, 4):
+        with pytest.raises(ConfigError, match=r"draft\.order must be in \[2, "
+                           rf"model\.order = 3\] \(null: model\.order\), got {order}$"):
             config_from_dict({"model": {"order": 3}, "draft": {"order": order}})
-    assert config_from_dict({"draft": {"order": 1}}).draft.order == 1
+    # null takes model.order, which must then be 2 or more
+    with pytest.raises(ConfigError, match=r"draft\.order must be in \[2, "
+                       r"model\.order = 1\] \(null: model\.order\), got null$"):
+        config_from_dict({"model": {"order": 1}, "draft": {"order": None}})
+    assert config_from_dict({"draft": {"order": 2}}).draft.order == 2
     assert config_from_dict({"draft": {"order": 3}}).draft.order == 3
+    assert config_from_dict({"model": {"order": 2},
+                             "draft": {"order": None}}).draft.order is None
 
 
 OUT_OF_RANGE = [
@@ -195,11 +203,14 @@ def test_out_of_range_settings_are_refused_on_build(data, want):
 
 
 def test_range_limits_are_allowed():
-    cfg = config_from_dict({"model": {"order": 1, "smoothing": 1e-12},
-                            "draft": {"order": 1, "noise": 1},
+    # order 2 is the lowest with a draft: an order-2 draft has V states
+    cfg = config_from_dict({"model": {"order": 2, "smoothing": 1e-12},
+                            "draft": {"order": 2, "noise": 1},
                             "prompts": {"count": 1, "prompt_tokens": 1,
                                         "calibration_count": 1}})
-    assert cfg.draft.noise == 1 and cfg.model.order == 1
+    assert cfg.draft.noise == 1 and cfg.model.order == cfg.draft.order == 2
+    # a model alone may have order 1
+    assert ModelSpec(order=1, smoothing=1e-12).order == 1
 
 
 NON_INTEGERS = [

@@ -17,7 +17,7 @@ from conftest import (FixedDistModel, ScriptedModel, make_vocab, prob_dists, sel
 from heterospec.entropy import select_meta_path, step_entropy, tree_entropy_signal
 from heterospec.errors import ConfigError
 from heterospec.models import DistRecord
-from heterospec.tree import DEPTH, STEP, TOKEN, TopK, expand, path
+from heterospec.tree import NEG_VALUE, STEP, TOKENS, TopK, expand, path
 
 
 def _entropy_full_sort(dist, k):
@@ -117,7 +117,7 @@ def test_cumulative_signal_adds_steps():
     assert signal == pytest.approx(1.0594123981153090423, abs=1e-15)
     assert signal == sum(steps)
     assert np.max(leaf[STEP].dist) == 0.7
-    assert leaf is tree.deepest_layer()[0]
+    assert leaf is tree.deepest[0]
 
 
 def test_meta_path_prefers_confident_final_step():
@@ -130,7 +130,7 @@ def test_meta_path_prefers_confident_final_step():
     tree = expand(ScriptedModel(table, make_vocab(3)), (9,), depth=2, top_k=2)
     leaf = select_meta_path(tree)
     assert np.max(leaf[STEP].dist) == 0.9
-    assert path(leaf)[0][TOKEN] == 1
+    assert leaf[TOKENS][0] == 1
 
 
 def test_meta_path_tie_prefers_higher_value():
@@ -142,7 +142,7 @@ def test_meta_path_tie_prefers_higher_value():
     }
     tree = expand(ScriptedModel(table, make_vocab(3)), (3,), depth=2, top_k=2)
     leaf = select_meta_path(tree)
-    assert path(leaf)[0][TOKEN] == 0
+    assert leaf[TOKENS][0] == 0
 
 
 def test_meta_path_uses_deepest_layer_after_truncation():
@@ -151,7 +151,16 @@ def test_meta_path_uses_deepest_layer_after_truncation():
                           make_vocab(3))
     tree = expand(model, (), depth=3, top_k=2)
     leaf = select_meta_path(tree)
-    assert [n[DEPTH] for n in path(leaf)] == [1]
+    assert [n[TOKENS] for n in path(leaf)] == [(0,)]
+
+
+def test_meta_path_tie_prefers_the_earliest_created():
+    # equal final top-1 and equal value on every layer-2 node: the first
+    # created, under the first layer-1 node, wins
+    tree = expand(FixedDistModel((0.5, 0.5)), (0,), depth=2, top_k=2)
+    assert [n[TOKENS] for n in tree.deepest] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert len({n[NEG_VALUE] for n in tree.deepest}) == 1
+    assert select_meta_path(tree) is tree.deepest[0]
 
 
 def test_meta_path_empty_tree_rejected():

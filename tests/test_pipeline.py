@@ -276,10 +276,12 @@ def test_draft_base_is_the_targets_lower_order(tmp_path):
     target, draft = load_models(same)
     assert draft.base is target
     # a model trained at a lower order than draft.order asks for retraining
-    low = _cfg(tmp_path / "run", model={"order": 1}, draft={"order": 1})
+    low = _cfg(tmp_path / "run", model={"order": 2}, draft={"order": 2})
     step_train_model(low)
-    with pytest.raises(ConfigError, match="run train-model"):
-        load_models(cfg)
+    assert load_models(cfg)[1].base.order == 2
+    with pytest.raises(ConfigError, match="model order 2 is below draft.order 3, "
+                                          "run train-model"):
+        load_models(same)
 
 
 def test_calibrate_and_compare_hold_the_bins_of_bins_txt(tmp_path):

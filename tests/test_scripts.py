@@ -42,9 +42,9 @@ def test_readme_alpha_config_file_sets_alpha(tmp_path):
     assert load_config(str(path)).controller.alpha == 2
 
 
-def _workload_digests(workload: str) -> dict:
+def _workload_digests(workload: str, seed: int = 0) -> dict:
     proc = _run_script("artifact_digests.py", "--workload", workload,
-                       "--seed", "0")
+                       "--seed", str(seed))
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     out["speedup"] = [round(out["speedup"][arm], 4)
@@ -148,6 +148,105 @@ def test_artifact_digests_pins_the_wide_tree_run():
     assert out["sha256"] == WIDE_TREE_SEED0_SHA256
     assert out["calls"] == {"baseline": 791, "adaptive": 692}
     assert out["speedup"] == [2.7464, 3.4902]
+
+
+# every artifact of each workload at seed 3, the second seed of the
+# byte-identity rule: (calls, speedups, per-file digests)
+SEED3_DIGESTS = {
+    "planted": ({"baseline": 893, "adaptive": 690}, [2.8219, 3.6476], {
+        "adaptive-bin-occupancy.csv":
+            "d8bc05bd89d50e0fd8ba4b4d665c2e2f43d4a17b23d8acfbbbe04b720866faf4",
+        "adaptive-iterations.csv":
+            "d9314f2a93f6c11f1233bae5533a29d7cdb30493c249614a939b5281ca2a939b",
+        "adaptive-tcr-by-accepted.csv":
+            "382f2cad9e13864f28d5d3c57448d4c99dbc78f1a12a5703ca84ae5107b61a13",
+        "adaptive-tcr-histogram.csv":
+            "a55bb61d78a76949bf8052538ace198b0ddd8225d890647e7c9375f365e109af",
+        "baseline-bin-occupancy.csv":
+            "35ce3f6970ea9789e767221088f2ce28feb1432297af3e3f663714038e0a23cd",
+        "baseline-iterations.csv":
+            "3885c87c56fa90e2521433de1f3b345518b996413adc72e42d0fdb5440711726",
+        "baseline-tcr-by-accepted.csv":
+            "c9db09d75b79c9af091579ec25f2dfd95a3e46e859ce3512abe240aadd00e6ee",
+        "baseline-tcr-histogram.csv":
+            "26b1d9c13d8feb0864e785466081d48ab5d716485f188912712168244e64d97e",
+        "bins.txt":
+            "15a03105e4f21f396b6fb8f39b7d17b4d70118f977f914f159965595408707df",
+        "calibration.csv":
+            "b65d4b2afcc3f2dde567ad8f1f51c78575e80d9b2ce3ccc174c72b4da891e749",
+        "compare.csv":
+            "381aa221221ca89616de05b43c3a593c25b427d5828a30e0047200f00443dcc6",
+        "corpus.txt":
+            "4363470474eb6fe214278a543b5c61cf4f9c5f65c82b61e3400e6bf88041ae4d",
+        "model.bin":
+            "000335857b524c8b1c9653934e3fe1efedc8fc6f00e073eac67a085e48a079ad",
+    }),
+    "wide-tree": ({"baseline": 782, "adaptive": 682}, [2.778, 3.5443], {
+        "adaptive-bin-occupancy.csv":
+            "84e4308e9e3fc248e9625405a02a79468cf4394b01ddaeea35857500c00df397",
+        "adaptive-iterations.csv":
+            "8423cee4f15186f44611de94e45c26cc012e0c52510129c192b20d7603eb227e",
+        "adaptive-tcr-by-accepted.csv":
+            "0bbab627a0b8b6488d11edb32ebd6e4e26a87bcdd074b12e544ecd5b7917578b",
+        "adaptive-tcr-histogram.csv":
+            "34fda96d532c39c64bda7e481e2df51320152c88b10d627269cfe6de40328d96",
+        "baseline-bin-occupancy.csv":
+            "356d4250f7e682ebae177f43eed96d397da8e25864cb77692ea23edb5393a16c",
+        "baseline-iterations.csv":
+            "caaa8ff8d66127b5172d70f42d394f8f6eec5714c56dedc9eecc64fbdb7f747b",
+        "baseline-tcr-by-accepted.csv":
+            "054c57328dca27bae3624026e8319dd351bddb3d5fa2bd775601f4108e7d7f64",
+        "baseline-tcr-histogram.csv":
+            "358426f186bd28c327ec9018f514b71d464a6d16eacdc03b144fa81ce975d1d2",
+        "bins.txt":
+            "963fcdb88ef16f71fef22902d58592d18d4034f7e97236c97e7e48c48d05b216",
+        "calibration.csv":
+            "e5e69af499cc4aaf10cbfc9e76328f13e21a8b12d35bc74c745ba946d898f5f6",
+        "compare.csv":
+            "f8e2d3a126575a98cbbed047738cb7b3841660049f08297b102160da4b3b1974",
+        "corpus.txt":
+            "4363470474eb6fe214278a543b5c61cf4f9c5f65c82b61e3400e6bf88041ae4d",
+        "model.bin":
+            "000335857b524c8b1c9653934e3fe1efedc8fc6f00e073eac67a085e48a079ad",
+    }),
+    "zipf-word": ({"baseline": 1622, "adaptive": 1622}, [1.5536, 1.5535], {
+        "adaptive-bin-occupancy.csv":
+            "acf057e2dbf172f621421637f59d1f8852e54df2b9ff640b5e3d8354dea19969",
+        "adaptive-iterations.csv":
+            "f6831b8ac109c83dc87fa51234c7622d9db1d90295b4548590ab2264e4041e82",
+        "adaptive-tcr-by-accepted.csv":
+            "8bb54df925ae525a274783e1f169821c61f6a794ac4485df99e7cbdc4db2d08b",
+        "adaptive-tcr-histogram.csv":
+            "00e4ba7be31dae516b0d40d6be4d5542cfc6073f9495166f44072728bac48466",
+        "baseline-bin-occupancy.csv":
+            "c1042b499ba5ff245d5e6b909d526f13d6bda7a32a16987e4983570624c2dfa2",
+        "baseline-iterations.csv":
+            "48170cbe4cb9f20d8ead6cf82fffda026fde3d70d8e486265adcc4b3f0885d11",
+        "baseline-tcr-by-accepted.csv":
+            "ecd26d3cc1a14f3017be76e8df04d5d517e2ee7586f34c3c01f4cf2c66d61442",
+        "baseline-tcr-histogram.csv":
+            "f078828edbf19f3fa89f4dec2b2cf7eca536056c4395df24899eb180632f806a",
+        "bins.txt":
+            "33e69a4af203bce3a9e56315f44ff8361d029e948e286b4e89cfc8ea8e72dd94",
+        "calibration.csv":
+            "97dcbd752192a5f5c0469982a50e11c15af45d4bb377b96f1a67e7948263e902",
+        "compare.csv":
+            "2a63321ba8110d49cb16c2880129d1c57cca75f48036c0d7d2145aa37cfa7ab8",
+        "corpus.txt":
+            "bcf6648c2c2a98bd59e6766365bf7555ac397b25c44dce2ea3d0b03c8642424a",
+        "model.bin":
+            "4d6c0fd39430b187aeaa7d53edc7468786162a43f3dfe1131c43b4d70108b1ac",
+    }),
+}
+
+
+@pytest.mark.parametrize("workload", list(SEED3_DIGESTS))
+def test_artifact_digests_pins_the_seed_3_runs(workload):
+    calls, speedup, sha256 = SEED3_DIGESTS[workload]
+    out = _workload_digests(workload, seed=3)
+    assert out["sha256"] == sha256
+    assert out["calls"] == calls
+    assert out["speedup"] == speedup
 
 
 def test_artifact_digests_refuses_an_unknown_workload():

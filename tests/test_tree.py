@@ -3,7 +3,9 @@
 Hand-sized trees pin confidences, values, and layer geometry; a randomized
 sweep checks the reranker against a plain sort oracle and the structural
 guarantees (root-connected, ancestors ranked first, value monotone along
-edges). Nodes are tuples read by the field positions ``tree`` exports."""
+edges). Nodes are tuples read by the field positions ``tree`` exports: a
+node's depth is the length of its path tokens, its token the last of them,
+and its creation index its position in ``tree.nodes``."""
 from __future__ import annotations
 
 import math
@@ -16,19 +18,43 @@ from hypothesis import strategies as st
 
 from conftest import (DrawnDistModel, FixedDistModel, ScriptedModel, chain_template_model,
                       make_vocab, selection_ks, selection_rows)
-from heterospec.tree import (DEPTH, INDEX, NEG_VALUE, PARENT, STEP, TOKEN, TOKENS,
-                             DraftTree, TopK, expand, extend, path, rerank)
+from heterospec.tree import (NEG_VALUE, PARENT, ROOT, STEP, TOKENS, DraftTree, TopK,
+                             expand, extend, path, rerank)
 
 TRI = (0.7, 0.2, 0.1)
 
 
+def depth(node) -> int:
+    return len(node[TOKENS])
+
+
+def token(node) -> int:
+    return node[TOKENS][-1]
+
+
 def confidence(node) -> float:
     """Draft probability of the node's token, read from its step."""
-    return float(node[STEP].dist[node[TOKEN]])
+    return float(node[STEP].dist[token(node)])
 
 
-def sort_key(node) -> tuple[float, int, int]:
-    return (node[NEG_VALUE], node[DEPTH], node[INDEX])
+def oracle_order(nodes) -> list:
+    """``nodes``, a list in creation order, sorted on (value, depth,
+    creation index): the rank order spelled out in full."""
+    order = sorted(range(len(nodes)),
+                   key=lambda i: (nodes[i][NEG_VALUE], depth(nodes[i]), i))
+    return [nodes[i] for i in order]
+
+
+def layers(tree) -> list[list]:
+    """The tree's nodes grouped by depth, each layer in creation order;
+    checks that creation order never goes back up a layer."""
+    out = []
+    for node in tree.nodes:
+        if depth(node) > len(out):
+            out.append([])
+        assert depth(node) == len(out)
+        out[-1].append(node)
+    return out
 
 
 def rank_items(nodes) -> list[tuple[tuple[int, ...], int]]:
@@ -40,11 +66,11 @@ def test_single_layer_top_children():
     tree = expand(FixedDistModel(TRI), (5,), depth=1, top_k=2)
     assert tree.size() == 2
     a, b = tree.nodes
-    assert (a[TOKEN], a[DEPTH], a[INDEX]) == (0, 1, 0)
-    assert (b[TOKEN], b[DEPTH], b[INDEX]) == (1, 1, 1)
+    assert (a[TOKENS], b[TOKENS]) == ((0,), (1,))
+    assert a[PARENT] is b[PARENT] is ROOT
     assert confidence(a) == 0.7 and confidence(b) == 0.2
     assert math.exp(-a[NEG_VALUE]) == pytest.approx(0.7, rel=1e-12)
-    assert tree.deepest_layer() == [a, b]
+    assert tree.deepest == [a, b]
 
 
 @given(selection_rows(), st.data())
@@ -87,7 +113,8 @@ def test_tree_node_count():
     # depth 5, top_k 2: 2 first-layer nodes then 4 per layer
     tree = expand(FixedDistModel(TRI), (0,), depth=5, top_k=2)
     assert tree.size() == 18
-    assert [len(layer) for layer in tree.layers] == [2, 4, 4, 4, 4]
+    assert [len(layer) for layer in layers(tree)] == [2, 4, 4, 4, 4]
+    assert tree.deepest == layers(tree)[-1]
 
 
 def test_frontier_prefers_high_value_nodes():
@@ -96,7 +123,7 @@ def test_frontier_prefers_high_value_nodes():
     model = ScriptedModel({(9,): (0.6, 0.4, 0.0), (9, 0): (0.9, 0.1, 0.0),
                            (9, 1): (0.0, 0.6, 0.4)}, make_vocab(3))
     tree = expand(model, (9,), depth=3, top_k=2)
-    layer1, layer2, layer3 = tree.layers
+    layer1, layer2, layer3 = layers(tree)
     assert [n[TOKENS] for n in layer1] == [(0,), (1,)]
     assert [n[TOKENS] for n in layer2] == [(0, 0), (0, 1), (1, 1), (1, 2)]
     assert [round(math.exp(-n[NEG_VALUE]), 12) for n in layer2] == [
@@ -108,14 +135,14 @@ def test_frontier_prefers_high_value_nodes():
 def test_zero_probability_tokens_never_enter():
     tree = expand(FixedDistModel((0.7, 0.3, 0.0, 0.0)), (0,), depth=2, top_k=4)
     assert all(confidence(n) > 0.0 for n in tree.nodes)
-    assert [len(layer) for layer in tree.layers] == [2, 4]
+    assert [len(layer) for layer in layers(tree)] == [2, 4]
 
 
 def test_planted_chain_value_is_rho_power():
     model, template = chain_template_model(length=30, rho=0.97)
     prompt = template[:4]
     tree = expand(model, prompt, depth=4, top_k=1)
-    assert [n[TOKEN] for n in tree.nodes] == list(template[4:8])
+    assert [token(n) for n in tree.nodes] == list(template[4:8])
     leaf = tree.nodes[-1]
     assert confidence(leaf) == 0.97
     assert math.exp(-leaf[NEG_VALUE]) == pytest.approx(0.97 ** 4, rel=1e-12)
@@ -128,14 +155,18 @@ def test_truncated_expansion_survives_dead_frontier():
                           make_vocab(3))
     tree = expand(model, (), depth=3, top_k=2)
     assert tree.size() == 2
-    assert tree.depth_limit == 3
-    assert [n[DEPTH] for n in tree.deepest_layer()] == [1, 1]
+    assert tree.deepest == tree.nodes
+    assert [depth(n) for n in tree.deepest] == [1, 1]
+    # extending re-expands the dead frontier to nothing
+    nodes, deepest = list(tree.nodes), tree.deepest
+    assert extend(tree, model, extra_layers=2) is tree
+    assert tree.nodes == nodes and tree.deepest is deepest
 
 
 def test_all_zero_root_yields_empty_tree():
     tree = expand(FixedDistModel(np.zeros(3)), (0,), depth=3, top_k=2)
     assert tree.size() == 0
-    assert tree.deepest_layer() == []
+    assert tree.deepest == []
     assert len(rerank(tree, 5)) == 0
 
 
@@ -144,22 +175,24 @@ def test_extend_matches_single_expansion():
     prompt = template[:5]
 
     def shape(tree):
-        return [(n[TOKEN], n[DEPTH], n[INDEX], confidence(n), n[NEG_VALUE])
-                for n in tree.nodes]
+        return [(token(n), depth(n), index, confidence(n), n[NEG_VALUE])
+                for index, n in enumerate(tree.nodes)]
 
     grown = expand(model, prompt, depth=3, top_k=2)
     extend(grown, model, extra_layers=2)
     whole = expand(model, prompt, depth=5, top_k=2)
     assert shape(grown) == shape(whole)
-    assert grown.depth_limit == whole.depth_limit == 5
+    assert grown.size() == whole.size() == 2 + 4 * 4
+    assert [n[TOKENS] for n in grown.deepest] == [n[TOKENS] for n in whole.deepest]
+    assert {depth(n) for n in grown.deepest} == {5}
 
 
 def test_extend_with_zero_layers_adds_nothing():
     # control.step extends only by a positive number of layers; zero is a no-op
     tree = expand(FixedDistModel(TRI), (0,), depth=2, top_k=2)
-    nodes = list(tree.nodes)
+    nodes, deepest = list(tree.nodes), tree.deepest
     assert extend(tree, FixedDistModel(TRI), extra_layers=0) is tree
-    assert tree.depth_limit == 2
+    assert tree.deepest is deepest
     assert tree.nodes == nodes and tree.size() == 6
 
 
@@ -167,18 +200,19 @@ def test_path_excludes_root():
     tree = expand(FixedDistModel(TRI), (7,), depth=3, top_k=1)
     leaf = tree.nodes[-1]
     nodes = path(leaf)
-    assert [n[DEPTH] for n in nodes] == [1, 2, 3]
-    assert nodes[-1] is leaf
+    assert [depth(n) for n in nodes] == [1, 2, 3]
+    assert nodes[0][PARENT] is ROOT and nodes[-1] is leaf
     assert leaf[TOKENS] == (0, 0, 0)
 
 
 def test_node_order_breaks_value_ties_by_depth_then_index():
     model = ScriptedModel({(): (0.5, 0.5, 0.0), (0,): (0.0, 0.0, 1.0),
                            (1,): np.zeros(3)}, make_vocab(3))
-    a, b, c = expand(model, (), depth=2, top_k=2).nodes
+    tree = expand(model, (), depth=2, top_k=2)
+    a, b, c = tree.nodes
     assert c[PARENT] is a and c[NEG_VALUE] == a[NEG_VALUE]  # same value
-    assert sorted([c, b, a], key=sort_key) == [a, b, c]
-    assert sorted([c, b, a]) == [a, b, c]  # the tuple order is the rank order
+    assert oracle_order([a, b, c]) == [a, b, c]
+    assert list(rerank(tree, 3)) == [a[TOKENS], b[TOKENS], c[TOKENS]]
 
 
 def test_rerank_order_and_ranks():
@@ -197,7 +231,7 @@ def test_rerank_saturates_at_tree_size():
     tree = expand(FixedDistModel(TRI), (0,), depth=2, top_k=2)
     ranks = rerank(tree, 100)
     assert len(ranks) == tree.size()
-    assert list(ranks.items()) == rank_items(sorted(tree.nodes, key=sort_key))
+    assert list(ranks.items()) == rank_items(oracle_order(tree.nodes))
 
 
 def test_rerank_matches_sort_oracle_randomized():
@@ -210,7 +244,7 @@ def test_rerank_matches_sort_oracle_randomized():
         tree = expand(model, (0, 1), depth, top_k)
         budget = int(rng.integers(1, tree.size() + 4))
         ranks = rerank(tree, budget)
-        kept = sorted(tree.nodes, key=sort_key)[:budget]
+        kept = oracle_order(tree.nodes)[:budget]
         assert list(ranks.items()) == rank_items(kept)
         assert len(ranks) == min(budget, tree.size())
         # root-connected, ancestors first: every kept key's prefix is the
@@ -223,45 +257,45 @@ def test_rerank_matches_sort_oracle_randomized():
 
 @pytest.mark.parametrize("dist", [(0.25,) * 4, (0.5, 0.25, 0.25)],
                          ids=["uniform", "dyadic"])
-def test_value_sort_gives_the_tuple_order_under_ties(dist):
+def test_value_sort_gives_the_rank_order_under_ties(dist):
     # rerank and the frontier sort nodes by value alone, relying on
-    # creation order being (depth, index) order; under a uniform draft
+    # creation order being (depth, creation index) order; under a uniform draft
     # every layer is one tie, and dyadic values also tie across depths
     # (0.5 * 0.5 == 0.25 exactly in log domain)
     tree = expand(FixedDistModel(dist), (0,), depth=5, top_k=3)
     values = [n[NEG_VALUE] for n in tree.nodes]
     assert len(set(values)) <= len(values) // 4
     if len(dist) == 3:
-        assert {n[DEPTH] for n in tree.nodes
+        assert {depth(n) for n in tree.nodes
                 if n[NEG_VALUE] == -2 * math.log(0.5)} == {1, 2}
     for budget in range(1, tree.size() + 2):
         assert list(rerank(tree, budget).items()) == \
-            rank_items(sorted(tree.nodes)[:budget])
-    for layer, below in zip(tree.layers, tree.layers[1:]):
-        parents = list(dict.fromkeys(n[PARENT][INDEX] for n in below))
-        assert parents == [n[INDEX] for n in sorted(layer)[:3]]
+            rank_items(oracle_order(tree.nodes)[:budget])
+    grouped = layers(tree)
+    for layer, below in zip(grouped, grouped[1:]):
+        parents = list(dict.fromkeys(n[PARENT][TOKENS] for n in below))
+        assert parents == [n[TOKENS] for n in oracle_order(layer)[:3]]
 
 
 def render_tree(tree: DraftTree, symbols=None) -> str:
     """Deterministic text dump (token, confidence, value, depth) for
     golden-file comparisons."""
-    lines = [f"tree depth={tree.depth_limit} top_k={tree.top_k} "
-             f"nodes={tree.size()}"]
+    deepest = depth(tree.deepest[0]) if tree.deepest else 0
+    lines = [f"tree depth={deepest} top_k={tree.top_k} nodes={tree.size()}"]
 
-    children: dict[int, list] = {}
+    children: dict[tuple[int, ...], list] = {}
     for node in tree.nodes:
-        children.setdefault(node[PARENT][INDEX], []).append(node)
+        children.setdefault(node[PARENT][TOKENS], []).append(node)
 
-    def walk(index: int, indent: int):
-        for child in children.get(index, []):
-            token = child[TOKEN]
-            label = symbols[token] if symbols else str(token)
+    def walk(tokens: tuple[int, ...], indent: int):
+        for child in children.get(tokens, []):
+            label = symbols[token(child)] if symbols else str(token(child))
             lines.append("  " * indent +
                          f"{label} c={confidence(child):.6f} "
-                         f"v={math.exp(-child[NEG_VALUE]):.6f} d={child[DEPTH]}")
-            walk(child[INDEX], indent + 1)
+                         f"v={math.exp(-child[NEG_VALUE]):.6f} d={depth(child)}")
+            walk(child[TOKENS], indent + 1)
 
-    walk(tree.root[INDEX], 1)
+    walk(ROOT[TOKENS], 1)
     return "\n".join(lines) + "\n"
 
 
