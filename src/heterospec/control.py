@@ -35,12 +35,11 @@ import math
 from dataclasses import dataclass, replace
 
 from .binning import BinningModel
-from .entropy import tree_entropy_signal
 from .errors import ConfigError, OutputMismatchError, check_setting, finite
 from .metrics import (CostModel, IterationRecord, RunSummary, summarize,
                       validate_run)
 from .models import LanguageModel
-from .tree import expand, extend, rerank
+from .tree import expand, extend, rerank, tree_entropy_signal
 from .verify import argmax_token, verify_greedy
 from .vocab import Context
 
@@ -89,6 +88,11 @@ class HeteroConfig:
             and all(type(b) is int and b >= 0 for b in self.low_bins)),
             "controller.low_bins", "a list of non-negative integers",
             repr(self.low_bins))
+        # the upper bound, the vocabulary size, is checked once the model is
+        # loaded (pipeline.load_models)
+        check_setting(self.terminator is None or self.terminator >= 0,
+                      "controller.terminator", "a token id >= 0 or null",
+                      self.terminator)
 
     def resolved(self) -> "HeteroConfig":
         return replace(self, alpha=self.alpha if self.alpha is not None
@@ -140,7 +144,7 @@ def step(target_model: LanguageModel, draft_model: LanguageModel,
     hit = memo.get(dstate)
     if hit is None:
         tree = expand(draft_model, dstate, cfg.depth, cfg.top_k)
-        entropy = tree_entropy_signal(tree, cfg.top_k)
+        entropy = tree_entropy_signal(tree)
         bin_index = bins.assign_bin(entropy) if bins is not None else -1
         extra_layers, top_n = adapt(bin_index, cfg.alpha, cfg.top_n, low_bins)
         if extra_layers > 0:

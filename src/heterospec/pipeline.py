@@ -104,6 +104,10 @@ def load_models(config: ExperimentConfig) -> tuple[NGramModel, PerturbedDraftMod
     if order > target.order:
         raise ConfigError(f"{path}: model order {target.order} is below "
                           f"draft.order {order}, run train-model again")
+    terminator, v = config.controller.terminator, target.vocab.size
+    if terminator is not None and terminator >= v:
+        raise ConfigError(f"{path}: controller.terminator must be a token id "
+                          f"below the vocabulary size {v}, got {terminator}")
     draft = PerturbedDraftModel(target.lower_order(order), config.draft.noise)
     return target, draft
 

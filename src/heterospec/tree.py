@@ -29,6 +29,18 @@ under this order is guaranteed to return a root-connected subtree.
 ``rerank`` returns it as verification reads it: a map from each kept
 node's path tokens, unique within a tree, to its 1-based rank, in rank
 order.
+
+The draft-side uncertainty signal is the cumulative top-K entropy of the
+meta path. Each step's signal keeps the K largest probabilities of its
+distribution, K the tree's ``top_k``, renormalizes them and takes the
+Shannon entropy in nats; ``TopK`` computes it with the selection the
+step's children come from. The tree's signal sums it over the steps of
+the meta path: the root-to-leaf path ending at the node of the deepest
+layer whose final step distribution has the largest top-1 probability.
+Ties go to the higher-value node, then to the earlier-created one:
+``min`` keeps the first of equal keys, and the layer is in creation
+order. Every distribution involved was computed while the tree was built,
+so the signal costs no model call.
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from .errors import ConfigError
 from .models import LanguageModel, ProbDist
 from .vocab import Context
 
@@ -77,14 +90,13 @@ def top_tokens(dist: ProbDist, k: int) -> np.ndarray:
     most probable tokens, most probable first, ties to the smaller id; all
     V tokens, in that order, when k >= V.
 
-    For k < V only the entries above the k-th largest value are sorted,
-    and the ties at that value are filled in by lowest id. That value
-    comes from ``np.sort``: ``np.partition`` is about five times slower on
-    a smoothed row, whose unseen tokens all tie at the minimum.
+    Only the entries above the k-th largest value are sorted, and the ties
+    at that value are filled in by lowest id. That value comes from
+    ``np.sort``: ``np.partition`` is about five times slower on a smoothed
+    row, whose unseen tokens all tie at the minimum.
     """
     v = dist.shape[0]
-    if k >= v:
-        return np.argsort(-dist, kind="stable")
+    k = min(k, v)
     kth = np.sort(dist)[v - k]
     above = np.flatnonzero(dist > kth)  # fewer than k tokens
     ties = np.flatnonzero(dist == kth)[:k - above.size]
@@ -92,15 +104,30 @@ def top_tokens(dist: ProbDist, k: int) -> np.ndarray:
                            ties))
 
 
+def topk_step_entropy(dist: ProbDist, tokens: np.ndarray) -> float:
+    """Entropy in nats of the renormalized probabilities of ``tokens``, the
+    top-k selection of ``dist``.
+
+    k = 1 always gives exactly 0.0. Zero probabilities inside the slice
+    contribute nothing.
+    """
+    # ascending, the order of np.sort(dist)[-k:], so numpy sums the same
+    # bits as over a full sort; all of dist in index order when k >= V
+    arr = dist[tokens[::-1]] if tokens.size < dist.shape[0] else dist
+    total = arr.sum()
+    if total <= 0.0:
+        return 0.0
+    p = arr / total
+    nz = p[p > 0.0]
+    return float(-(nz * np.log(nz)).sum()) + 0.0
+
+
 class TopK:
     """The k most probable tokens of one distribution (``top_tokens``),
-    selected once per ``DistRecord`` and k as ``record.derive(TopK, k)``.
-
-    A node's children and the top-K step entropy both read this one
-    selection. ``children`` are (token, log p) of the tokens with positive
-    probability, in selection order; ``entropy`` is the top-K step entropy,
-    None until ``entropy.step_entropy`` first asks for it.
-    """
+    selected once per ``DistRecord`` and k as ``record.derive(TopK, k)``,
+    with what the tree reads of that selection: ``children``, (token,
+    log p) of the tokens with positive probability in selection order, and
+    ``entropy``, the top-k step entropy."""
 
     __slots__ = ("tokens", "children", "entropy")
 
@@ -109,7 +136,7 @@ class TopK:
         self.children = [(t, math.log(p))
                          for t, p in zip(self.tokens.tolist(),
                                          dist[self.tokens].tolist()) if p > 0.0]
-        self.entropy: float | None = None
+        self.entropy = topk_step_entropy(dist, self.tokens)
 
 
 def _grow_layers(tree: DraftTree, draft_model: LanguageModel, layers: int) -> None:
@@ -155,3 +182,35 @@ def rerank(tree: DraftTree, budget: int) -> dict[tuple[int, ...], int]:
     map from each kept node's path tokens to its 1-based rank."""
     kept = sorted(tree.nodes, key=_by_value)[:budget]
     return {node[TOKENS]: rank for rank, node in enumerate(kept, 1)}
+
+
+def top1_prob(dist: ProbDist) -> float:
+    # np.max rather than the TopK selection: a derive without arguments is
+    # keyed by the function alone, a cheaper lookup per candidate node than
+    # the tuple (TopK, k)
+    return float(np.max(dist))
+
+
+def select_meta_path(tree: DraftTree) -> DraftNode:
+    """Leaf of the meta path of a draft tree.
+
+    Candidates are the nodes of the deepest layer, in creation order. The
+    winner maximizes the top-1 probability of its final step distribution;
+    ties prefer the higher-value node, then the earlier-created one, the
+    first that ``min`` meets.
+    """
+    if not tree.deepest:
+        raise ConfigError("cannot select a meta path from an empty tree")
+
+    def key(node: DraftNode) -> tuple[float, float]:
+        return (-node[STEP].derive(top1_prob), node[NEG_VALUE])
+
+    return min(tree.deepest, key=key)
+
+
+def tree_entropy_signal(tree: DraftTree) -> float:
+    """Sum of the top-k step entropies along the meta path, k the tree's
+    ``top_k``."""
+    k = tree.top_k
+    return float(sum(node[STEP].derive(TopK, k).entropy
+                     for node in path(select_meta_path(tree))))

@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from heterospec.corpus import corpus_symbols
-from heterospec.entropy import topk_step_entropy
 from heterospec.errors import ConfigError
 from heterospec.metrics import IterationRecord
 from heterospec.models import DistRecord, LanguageModel, ProbDist
@@ -284,8 +283,8 @@ def selection_ks(v: int):
 
 
 def topk_entropy(dist: ProbDist, k: int) -> float:
-    """The top-k step entropy of ``dist`` through its ``TopK`` selection."""
-    return topk_step_entropy(dist, TopK(dist, k))
+    """The top-k step entropy of ``dist``, as its ``TopK`` selection holds it."""
+    return TopK(dist, k).entropy
 
 
 # small planted experiment: full pipeline runs in ~0.1 s

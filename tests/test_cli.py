@@ -25,6 +25,7 @@ from heterospec.config import load_config
 from heterospec.control import greedy_reference
 from heterospec.errors import OutputMismatchError
 from heterospec.metrics import validate_run
+from heterospec.models import load_model
 from heterospec.pipeline import REPORT_ARMS
 
 STDERR_RE = re.compile(
@@ -145,6 +146,33 @@ def test_exit_2_on_draft_order_outside_model_order(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_exit_2_on_a_terminator_past_the_vocabulary(tmp_path, capsys):
+    # no token can match an id of V or more, which used to run as if unset;
+    # calibrate refuses it once it loads the model, before it writes
+    out = tmp_path / "run"
+    cfg = tmp_path / "config.json"
+
+    def with_terminator(terminator):
+        cfg.write_text(json.dumps(dict(TINY_CONFIG, controller=dict(
+            TINY_CONFIG["controller"], terminator=terminator))), encoding="utf-8")
+        return ["--config", str(cfg), "--out", str(out)]
+
+    base = with_terminator(None)
+    assert main(["gen-corpus", *base]) == 0
+    assert main(["train-model", *base]) == 0
+    capsys.readouterr()
+    model = out / "model.bin"
+    v = load_model(str(model)).vocab.size
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    for terminator in (v, 1000000):
+        assert main(["calibrate", *with_terminator(terminator)]) == 2
+        assert _one_error_line(capsys.readouterr()) == (
+            f"heterospec: config: {model}: controller.terminator must be a "
+            f"token id below the vocabulary size {v}, got {terminator}\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+    assert main(["calibrate", *with_terminator(v - 1)]) == 0
+
+
 KEY_SPACE_RE = re.compile(r"model\.order 15 is too high for a vocabulary of "
                           r"(\d+) symbols: count keys need \1\^15 < 2\^63\n$")
 
@@ -251,8 +279,10 @@ def test_exit_2_on_empty_corpus_path(tmp_path, capsys):
     # OverflowError traceback on
     ("cost", "c_call", 10 ** 400), ("cost", "c_tok", 10 ** 400),
     ("cost", "c_draft", 10 ** 400), ("controller", "top_n", 10 ** 400),
+    # no token can match a negative id, which used to run as if unset
+    ("controller", "terminator", -1),
 ], ids=["order", "smoothing", "noise", "count", "prompt_tokens",
-        "huge-c_call", "huge-c_tok", "huge-c_draft", "huge-top_n"])
+        "huge-c_call", "huge-c_tok", "huge-c_draft", "huge-top_n", "terminator"])
 def test_gen_corpus_exits_2_on_out_of_range_setting(tmp_path, capsys, section,
                                                     key, value):
     # refused before any step writes, not steps later at train-model or
@@ -680,7 +710,9 @@ def small_planted_configs(draw):
             "vocab_size": vocab_size}},
         "model": {"order": 3, "smoothing": draw(st.one_of(
             st.floats(0.001, 2.0), st.integers(1, 3)))},
-        "draft": {"order": draw(st.integers(1, 3)),
+        # order 1 is refused at gen-corpus, as
+        # test_exit_2_on_draft_order_outside_model_order checks
+        "draft": {"order": draw(st.integers(2, 3)),
                   "noise": draw(st.floats(0.01, 0.3))},
         "controller": {"depth": draw(st.integers(1, 6)),
                        "top_k": draw(st.integers(1, 3)),
@@ -701,9 +733,18 @@ def _recorded(decode, arm, decodes):
 
 
 @pytest.fixture(scope="module")
-def run_ends() -> Counter:
-    """How each drawn run ended, 0 for complete, over every example."""
-    return Counter()
+def run_ends(request) -> Counter:
+    """How each drawn run ended, 0 for complete, over every example; the
+    counts are printed to the terminal once the module's tests are done."""
+    ends = Counter()
+    yield ends
+    plugins = request.config.pluginmanager
+    reporter = plugins.get_plugin("terminalreporter")
+    if reporter is not None:
+        counts = {end: ends[end] for end in sorted({0, *EXPECTED_EXITS, *ends})}
+        # teardown output is captured, and dropped when the test passes
+        with plugins.get_plugin("capturemanager").global_and_fixture_disabled():
+            reporter.write(f"\nproperty run ends: {counts}\n")
 
 
 @settings(max_examples=100)

@@ -186,6 +186,8 @@ OUT_OF_RANGE = [
     ({"controller": {"alpha": -1}}, "controller.alpha must be >= 0, got -1"),
     ({"controller": {"low_bins": [-1]}},
      "controller.low_bins must be a list of non-negative integers, got (-1,)"),
+    ({"controller": {"terminator": -1}},
+     "controller.terminator must be a token id >= 0 or null, got -1"),
     ({"cost": {"c_call": 0}}, "cost.c_call must be finite and > 0, got 0"),
     ({"cost": {"c_tok": -1}}, "cost.c_tok must be finite and >= 0, got -1"),
     ({"cost": {"c_draft": -1}}, "cost.c_draft must be finite and >= 0, got -1"),

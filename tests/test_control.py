@@ -26,11 +26,10 @@ from heterospec.control import (
     run_comparison,
     step,
 )
-from heterospec.entropy import tree_entropy_signal
 from heterospec.errors import ConfigError, OutputMismatchError
 from heterospec.metrics import validate_run
 from heterospec.models import DistRecord, LanguageModel, PerturbedDraftModel
-from heterospec.tree import expand
+from heterospec.tree import expand, tree_entropy_signal
 from heterospec.vocab import Vocabulary
 
 
@@ -177,7 +176,7 @@ def test_step_scores_a_held_out_position(monkeypatch):
     context = tpl[:70]
     free = decode_baseline(target, draft, tpl[:6], cfg)
     assert context not in _decode_states(draft, tpl[:6], free)
-    entropy = tree_entropy_signal(expand(draft, context, 5, 2), 2)
+    entropy = tree_entropy_signal(expand(draft, context, 5, 2))
 
     expanded = []
     real_expand = control.expand

@@ -14,14 +14,14 @@ from hypothesis import strategies as st
 
 from conftest import (FixedDistModel, ScriptedModel, make_vocab, prob_dists, selection_ks,
                       selection_rows, topk_entropy)
-from heterospec.entropy import select_meta_path, step_entropy, tree_entropy_signal
 from heterospec.errors import ConfigError
 from heterospec.models import DistRecord
-from heterospec.tree import NEG_VALUE, STEP, TOKENS, TopK, expand, path
+from heterospec.tree import (NEG_VALUE, STEP, TOKENS, TopK, expand, path, select_meta_path,
+                             tree_entropy_signal)
 
 
 def _entropy_full_sort(dist, k):
-    """topk_step_entropy with a full sort, as the selection oracle."""
+    """The top-k step entropy with a full sort, as the selection oracle."""
     top = np.sort(dist)[-k:] if k < dist.shape[0] else dist
     total = top.sum()
     if total <= 0.0:
@@ -41,11 +41,12 @@ def test_topk_entropy_bitwise_equals_full_sort(dist, data):
 def test_step_entropy_is_kept_in_the_records_selection():
     rec = DistRecord(np.asarray([0.5, 0.25, 0.125, 0.125]))
     for k in (2, 3):
-        value = step_entropy(rec, k)
+        top = rec.derive(TopK, k)
+        value = top.entropy
         assert value == topk_entropy(rec.dist, k)
-        assert rec.derive(TopK, k).entropy == value  # the one selection
-        assert step_entropy(rec, k) == value
-    assert step_entropy(rec, 2) != step_entropy(rec, 3)
+        assert rec.derive(TopK, k) is top  # the one selection
+        assert rec.derive(TopK, k).entropy == value
+    assert rec.derive(TopK, 2).entropy != rec.derive(TopK, 3).entropy
 
 
 def test_one_hot_entropy_is_zero():
@@ -106,14 +107,14 @@ def test_agrees_with_extended_precision():
 
 
 def test_cumulative_signal_adds_steps():
-    # two identical (0.7, 0.2, 0.1) steps along a chain
+    # two identical (0.7, 0.2, 0.1) steps along the meta path
     model = FixedDistModel((0.7, 0.2, 0.1))
-    tree = expand(model, (5,), depth=2, top_k=1)
+    tree = expand(model, (5,), depth=2, top_k=2)
     leaf = select_meta_path(tree)
     steps = [topk_entropy(n[STEP].dist, 2) for n in path(leaf)]
     assert len(steps) == 2
     assert steps == pytest.approx([0.52970619905765452117] * 2)
-    signal = tree_entropy_signal(tree, 2)
+    signal = tree_entropy_signal(tree)
     assert signal == pytest.approx(1.0594123981153090423, abs=1e-15)
     assert signal == sum(steps)
     assert np.max(leaf[STEP].dist) == 0.7
