@@ -17,6 +17,12 @@ workload. Per metric of the change tree's BENCHMARK.json:
   better or worse; ties count for neither;
 - ``runs``: every run's value, in pair order.
 
+Once ``--out`` is written, a verdict table of the workload goes to
+stdout: per metric the two medians, ``change_worse_by`` as a percent, the
+bound and the wins/losses, marked ``OVER`` where the change is worse by
+more than the bound; then the failed decodes of each side and whether the
+trace digests were equal.
+
 Nothing under either tree is changed. Run from anywhere:
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
@@ -138,6 +144,34 @@ def run_pairs(trees: dict[str, str], args) -> dict:
     return block
 
 
+def _number(value, fmt: str = ".6g") -> str:
+    # + 0 prints a tie of a higher-is-better metric, -0.0, as 0
+    return "-" if value is None else format(value + 0, fmt)
+
+
+def verdict_lines(block: dict) -> list[str]:
+    """The verdict table of a workload's block, one line per metric, then
+    the failed decodes per side and whether the trace digests were equal."""
+    lines = [f"{'metric':<30} {'parent':>12} {'change':>12} {'worse_by':>9} "
+             f"{'bound':>7} {'wins/losses':>11}"]
+    for name, m in block["metrics"].items():
+        medians = [m[side]["median"] if side in m else None for side in SIDES]
+        worse, bound = m.get("change_worse_by"), m.get("bound")
+        over = worse is not None and bound is not None and worse > bound
+        wins = (f"{m['change_wins']}/{m['change_losses']}"
+                if "change_wins" in m else "-")
+        lines.append(f"{name:<30} {_number(medians[0]):>12} "
+                     f"{_number(medians[1]):>12} {_number(worse, '+.1%'):>9} "
+                     f"{_number(bound, '.0%'):>7} {wins:>11}"
+                     + ("  OVER" if over else ""))
+    failed = block["failed"]
+    lines.append(f"failed decodes: parent {failed['parent']}, "
+                 f"change {failed['change']}")
+    lines.append("trace digests equal: "
+                 + ("yes" if block["trace_sha256_equal"] else "no"))
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="the parent's source tree")
@@ -172,6 +206,7 @@ def main(argv=None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
+    print("\n".join(verdict_lines(block)))
     return 0
 
 

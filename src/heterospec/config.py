@@ -51,8 +51,9 @@ class DraftSpec:
     noise: float = 0.01
 
     def __post_init__(self):
-        check_setting(0 <= self.noise <= 1,  # false for NaN
-                      "draft.noise", "in [0, 1]", self.noise)
+        # noise 1 is a uniform draft: every iteration scores the same entropy
+        check_setting(0 <= self.noise < 1,  # false for NaN
+                      "draft.noise", "in [0, 1)", self.noise)
 
 
 @dataclass(frozen=True)
@@ -116,8 +117,10 @@ class ExperimentConfig:
             check_setting(self.planted.num_docs > held, "corpus.planted.num_docs",
                           f"> prompts.calibration_count + prompts.count = {held}",
                           self.planted.num_docs)
-        # an order-1 draft has one state, whose entropy signal is the same
-        # in every iteration: calibration would have nothing to split
+        # a top-1 entropy is always 0 and an order-1 draft has one state:
+        # either signal is constant, so calibration would have nothing to split
+        check_setting(self.controller.top_k >= 2, "controller.top_k",
+                      ">= 2 in an experiment", self.controller.top_k)
         order = self.draft.order
         effective = self.model.order if order is None else order
         check_setting(2 <= effective <= self.model.order, "draft.order",

@@ -26,7 +26,12 @@ distribution the whole context would get. Everything before verification
 depends only on the draft state and on settings fixed for one decode, so
 each decode drafts a tree once per draft state and reuses it, with its
 entropy, bin and shape, whenever greedy decoding returns to that state.
-Verification against the target runs on every iteration.
+Verification against the target runs on every iteration: it walks the
+target's argmax from the root through the kept nodes, the map ``rerank``
+returns from each kept node's path tokens to its rank, so each step is
+one lookup of the path so far plus the target's token, derived once per
+target state from the ``DistRecord`` that ``next_dist`` returns. ``step``
+reads the terminal rank from the map once the emitted block is cut.
 """
 
 from __future__ import annotations
@@ -34,13 +39,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .binning import BinningModel
 from .errors import ConfigError, OutputMismatchError, check_setting, finite
 from .metrics import (CostModel, IterationRecord, RunSummary, summarize,
                       validate_run)
-from .models import LanguageModel
+from .models import LanguageModel, ProbDist
 from .tree import expand, extend, rerank, tree_entropy_signal
-from .verify import argmax_token, verify_greedy
 from .vocab import Context
 
 GAMMAS = (0.3, 0.6, 1.0)
@@ -124,9 +130,39 @@ def greedy_reference(target_model: LanguageModel, prompt: Context,
     return out
 
 
-def _check_pair(target_model: LanguageModel, draft_model: LanguageModel) -> None:
-    if target_model.vocab.symbols != draft_model.vocab.symbols:
-        raise ConfigError("target and draft models use different vocabularies")
+def argmax_token(dist: ProbDist) -> int:
+    # np.argmax returns the first maximum: ties go to the smaller token id.
+    return int(np.argmax(dist))
+
+
+@dataclass
+class AcceptResult:
+    accepted_tokens: list[int]
+    bonus_token: int
+
+    @property
+    def accepted_len(self) -> int:
+        return len(self.accepted_tokens)
+
+
+def verify_greedy(ranks: dict[tuple[int, ...], int],
+                  target_model: LanguageModel,
+                  context: Context) -> AcceptResult:
+    """Accept the longest root path of the kept nodes, ``ranks`` as
+    ``rerank`` returns them, that matches the target's greedy
+    continuation, then emit the target argmax as the bonus token."""
+    ctx = tuple(context)
+    # bound once per call through the instance, so a per-instance wrapper
+    # still sees every eval
+    next_dist = target_model.next_dist
+    accepted: tuple[int, ...] = ()
+    while True:
+        star = next_dist(ctx).derive(argmax_token)
+        walked = accepted + (star,)
+        if walked not in ranks:
+            return AcceptResult(list(accepted), star)
+        accepted = walked
+        ctx += (star,)
 
 
 def step(target_model: LanguageModel, draft_model: LanguageModel,
@@ -155,12 +191,13 @@ def step(target_model: LanguageModel, draft_model: LanguageModel,
                                       len(ranks)))
     ranks, shape = hit
     result = verify_greedy(ranks, target_model, tstate)
-    emit = result.emitted
+    emit = result.accepted_tokens + [result.bonus_token]
     if cfg.terminator in emit:
         emit = emit[:emit.index(cfg.terminator) + 1]
     emit = emit[:budget]
     k = len(emit) - 1
-    tcr = result.accepted_ranks[k - 1] if k >= 1 else len(ranks) + 1
+    # emit[:k] is an accepted root path, so a kept node, under either cut
+    tcr = ranks[tuple(emit[:k])] if k else len(ranks) + 1
     return emit, (*shape, k, len(emit), tcr)
 
 
@@ -171,7 +208,8 @@ def _decode(target_model: LanguageModel, draft_model: LanguageModel,
     state keys by each emitted block. Only iterations whose bin is in
     ``low_bins`` change the tree shape. bin = -1 means no binning model
     was consulted."""
-    _check_pair(target_model, draft_model)
+    if target_model.vocab.symbols != draft_model.vocab.symbols:
+        raise ConfigError("target and draft models use different vocabularies")
     cfg = config.resolved()
     tstate = target_model.state_key(prompt)
     dstate = draft_model.state_key(prompt)

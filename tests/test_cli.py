@@ -281,8 +281,11 @@ def test_exit_2_on_empty_corpus_path(tmp_path, capsys):
     ("cost", "c_draft", 10 ** 400), ("controller", "top_n", 10 ** 400),
     # no token can match a negative id, which used to run as if unset
     ("controller", "terminator", -1),
+    # a constant entropy signal, which calibrate used to exit 3 on
+    ("controller", "top_k", 1), ("draft", "noise", 1),
 ], ids=["order", "smoothing", "noise", "count", "prompt_tokens",
-        "huge-c_call", "huge-c_tok", "huge-c_draft", "huge-top_n", "terminator"])
+        "huge-c_call", "huge-c_tok", "huge-c_draft", "huge-top_n", "terminator",
+        "top_k-1", "noise-1"])
 def test_gen_corpus_exits_2_on_out_of_range_setting(tmp_path, capsys, section,
                                                     key, value):
     # refused before any step writes, not steps later at train-model or
@@ -715,7 +718,7 @@ def small_planted_configs(draw):
         "draft": {"order": draw(st.integers(2, 3)),
                   "noise": draw(st.floats(0.01, 0.3))},
         "controller": {"depth": draw(st.integers(1, 6)),
-                       "top_k": draw(st.integers(1, 3)),
+                       "top_k": draw(st.integers(2, 3)),
                        "top_n": draw(st.integers(1, 20)),
                        "max_new_tokens": 60},
         "prompts": {"count": 3, "calibration_count": 8,

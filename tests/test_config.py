@@ -155,9 +155,11 @@ OUT_OF_RANGE = [
     ({"model": {"smoothing": 0}}, "model.smoothing must be finite and > 0, got 0"),
     ({"model": {"smoothing": -0.1}}, "model.smoothing must be finite and > 0, got -0.1"),
     ({"model": {"smoothing": math.inf}}, "model.smoothing must be finite and > 0, got inf"),
-    ({"draft": {"noise": 1.5}}, "draft.noise must be in [0, 1], got 1.5"),
-    ({"draft": {"noise": -0.01}}, "draft.noise must be in [0, 1], got -0.01"),
-    ({"draft": {"noise": math.nan}}, "draft.noise must be in [0, 1], got nan"),
+    ({"draft": {"noise": 1.5}}, "draft.noise must be in [0, 1), got 1.5"),
+    ({"draft": {"noise": -0.01}}, "draft.noise must be in [0, 1), got -0.01"),
+    ({"draft": {"noise": math.nan}}, "draft.noise must be in [0, 1), got nan"),
+    # a uniform draft scores the same entropy in every iteration
+    ({"draft": {"noise": 1}}, "draft.noise must be in [0, 1), got 1"),
     ({"prompts": {"count": 0}}, "prompts.count must be >= 1, got 0"),
     ({"prompts": {"prompt_tokens": 0}}, "prompts.prompt_tokens must be >= 1, got 0"),
     ({"prompts": {"calibration_count": -1}},
@@ -180,6 +182,9 @@ OUT_OF_RANGE = [
      "corpus.planted.vocab_size must be >= 2, got 1"),
     ({"controller": {"depth": 0}}, "controller.depth must be >= 1, got 0"),
     ({"controller": {"top_k": 0}}, "controller.top_k must be >= 1, got 0"),
+    # a top-1 selection's entropy is always 0
+    ({"controller": {"top_k": 1}},
+     "controller.top_k must be >= 2 in an experiment, got 1"),
     ({"controller": {"top_n": 0}}, "controller.top_n must be >= 1, got 0"),
     ({"controller": {"max_new_tokens": 0}},
      "controller.max_new_tokens must be >= 1, got 0"),
@@ -207,10 +212,12 @@ def test_out_of_range_settings_are_refused_on_build(data, want):
 def test_range_limits_are_allowed():
     # order 2 is the lowest with a draft: an order-2 draft has V states
     cfg = config_from_dict({"model": {"order": 2, "smoothing": 1e-12},
-                            "draft": {"order": 2, "noise": 1},
+                            "draft": {"order": 2, "noise": 0.999},
+                            "controller": {"top_k": 2},
                             "prompts": {"count": 1, "prompt_tokens": 1,
                                         "calibration_count": 1}})
-    assert cfg.draft.noise == 1 and cfg.model.order == cfg.draft.order == 2
+    assert cfg.draft.noise == 0.999 and cfg.model.order == cfg.draft.order == 2
+    assert cfg.controller.top_k == 2
     # a model alone may have order 1
     assert ModelSpec(order=1, smoothing=1e-12).order == 1
 

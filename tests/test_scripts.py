@@ -3,8 +3,8 @@ start's CLI lines run in order, each exits 0, and together they print the
 README's seed-0 result block; the README's null-control recipe runs
 through the same CLI and prints its own result block; the artifact digest
 tool prints the default run's digests, and wide-tree's and zipf-word's at
-seed 0; the pairs tool aggregates synthetic runs and alternates which side
-runs first."""
+seed 0; the pairs tool aggregates synthetic runs, alternates which side
+runs first and flags a metric worse than its bound."""
 from __future__ import annotations
 
 import importlib.util
@@ -391,6 +391,27 @@ def test_bench_pairs_keeps_a_metric_a_run_did_not_report():
     assert (time["change_wins"], time["change_losses"]) == (1, 0)
 
 
+def test_bench_pairs_verdict_flags_only_the_metric_over_its_bound():
+    # compare_s is 50% worse against a 25% bound; the rate is 2% worse,
+    # within its bound, and the call count has no bound to exceed
+    parent = [_result(2.0, 50.0, calls=900)] * 3
+    change = [_result(3.0, 49.0, calls=1000, failed=f) for f in (0, 2, 0)]
+    block = _bench_pairs().aggregate(SPEC, {"parent": parent, "change": change})
+    block["trace_sha256_equal"] = False
+    lines = _bench_pairs().verdict_lines(block)
+    assert len(lines) == 1 + len(SPEC) + 2
+    assert [line.split()[0] for line in lines if line.endswith("OVER")] == \
+        ["compare_s"]
+    assert lines[1].split() == ["compare_s", "2", "3", "+50.0%", "25%", "0/3",
+                                "OVER"]
+    assert lines[2].split() == ["decode_tok_per_s", "50", "49", "+2.0%", "25%",
+                                "0/3"]
+    assert lines[3].split() == ["baseline_calls", "900", "1000", "+11.1%", "-",
+                                "0/3"]
+    assert lines[-2:] == ["failed decodes: parent 0, change 2",
+                          "trace digests equal: no"]
+
+
 FAKE_RUN = '''import json, os, sys
 side = os.path.basename(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..",
@@ -404,7 +425,7 @@ print(json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": {
 '''
 
 
-def test_bench_pairs_alternates_which_side_runs_first(tmp_path):
+def test_bench_pairs_alternates_which_side_runs_first(tmp_path, capsys):
     for side in ("parent", "change"):
         (tmp_path / side / "bench").mkdir(parents=True)
         (tmp_path / side / "bench" / "run.py").write_text(FAKE_RUN, encoding="utf-8")
@@ -418,6 +439,11 @@ def test_bench_pairs_alternates_which_side_runs_first(tmp_path):
         "--out", str(out)]) == 0
     assert (tmp_path / "order.log").read_text().split() == [
         "parent", "change", "change", "parent", "parent", "change"]
+    # the verdict table follows the pairs' lines
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "compare_s                                 2            1    -50.0%"
+        "     25%         3/0",
+        "failed decodes: parent 0, change 0", "trace digests equal: yes"]
     written = json.loads(out.read_text(encoding="utf-8"))
     assert written["notes"] == "kept"
     block = written["workloads"]["planted"]

@@ -14,7 +14,7 @@ from chain_sampling import (
 )
 from conftest import FixedDistModel, ScriptedModel, chain_template_model, make_vocab
 from heterospec.tree import expand, rerank
-from heterospec.verify import argmax_token, verify_greedy
+from heterospec.control import argmax_token, verify_greedy
 
 
 def test_argmax_token_tie_goes_to_smaller_id():
@@ -63,20 +63,21 @@ def test_verify_greedy_hand_walk():
                             (0, 2): (0.2, 0.7, 0.1)}, make_vocab(3))
     res = verify_greedy(ranks, target, ())
     assert res.accepted_tokens == [0, 2]
-    assert res.accepted_ranks == [1, 2]
+    assert ranks[tuple(res.accepted_tokens)] == 2
     assert res.bonus_token == 1
     assert res.accepted_len == 2
-    assert res.emitted == [0, 2, 1]
+    assert res.accepted_tokens + [res.bonus_token] == [0, 2, 1]
 
 
 def test_verify_greedy_immediate_mismatch():
     tree = expand(FixedDistModel((0.7, 0.2, 0.1)), (4,), depth=2, top_k=2)
     target = FixedDistModel((0.1, 0.1, 0.8))
-    res = verify_greedy(rerank(tree, 6), target, (4,))
+    ranks = rerank(tree, 6)
+    res = verify_greedy(ranks, target, (4,))
     assert res.accepted_tokens == []
-    assert res.accepted_ranks == []
+    assert (res.bonus_token,) not in ranks
     assert res.bonus_token == 2
-    assert res.emitted == [2]
+    assert res.accepted_tokens + [res.bonus_token] == [2]
 
 
 def test_verify_greedy_full_chain_acceptance():
@@ -87,7 +88,7 @@ def test_verify_greedy_full_chain_acceptance():
     assert res.accepted_tokens == list(template[3:7])
     assert res.bonus_token == template[7]
     # the planted chain occupies the first ranks, so its leaf sits at depth
-    assert res.accepted_ranks[-1] == 4
+    assert ranks[tuple(res.accepted_tokens)] == 4
 
 
 def test_verify_greedy_respects_pruned_children():
@@ -98,6 +99,7 @@ def test_verify_greedy_respects_pruned_children():
     assert res.accepted_tokens == [0]
     assert res.bonus_token == 0
     assert ranks == {(0,): 1}
+    assert res.accepted_tokens + [res.bonus_token] == [0, 0]
 
 
 def test_sample_from_seeded_and_supported():
