@@ -19,21 +19,20 @@ its right, the side training put it on.
 from __future__ import annotations
 
 import bisect
+import dataclasses
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BinsFileError, CalibrationError, ConfigError, utf8_errors
-from .metrics import fmt_float
+from .errors import (BinsFileError, CalibrationError, ConfigError, _build,
+                     check_setting, finite, read_json, utf8_errors)
 
-BINS_FORMAT_VERSION = 1
-
+BINS_FORMAT = "heterospec-bins v2"  # a bins file's format key
 # the split loss above, recorded in bins.txt; the only one load_bins accepts
 CRITERION = "normalized"
 CART_DEPTH = 3  # levels of splits in the regression tree
-# bins.txt metadata keys, one line each, in this order after the version line
-BINS_KEYS = ("criterion", "entropy_k", "base_depth", "num_bins")
 
 
 # which recorded iterations feed the calibration fit
@@ -152,8 +151,11 @@ class BinningModel:
             raise ConfigError("binning model needs one mean per bin")
         if len(self.counts) != len(self.means):
             raise ConfigError("binning model needs one count per bin")
-        if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
-            raise ConfigError("bin thresholds must be strictly increasing")
+        check_setting(all(map(finite, self.thresholds))
+                      and all(lo < hi for lo, hi in self.edges()), "thresholds",
+                      "finite, > 0 and strictly increasing", self.thresholds)
+        check_setting(all(map(finite, self.means)), "means", "finite", self.means)
+        check_setting(min(self.counts) >= 0, "counts", ">= 0", self.counts)
 
     @property
     def num_bins(self) -> int:
@@ -187,72 +189,25 @@ def fit_binning(xs: np.ndarray, ys: np.ndarray, entropy_k: int,
 
 
 def save_bins(model: BinningModel, path: str) -> None:
-    meta = (CRITERION, model.entropy_k, model.base_depth, model.num_bins)
-    lines = [f"heterospec-bins v{BINS_FORMAT_VERSION}"]
-    lines += [f"{key}: {value}" for key, value in zip(BINS_KEYS, meta)]
-    for (lo, hi), mean, count in zip(model.edges(), model.means, model.counts):
-        lines.append(f"bin {fmt_float(lo)} {fmt_float(hi)} {fmt_float(mean)} {count}")
+    """One JSON object on one line: ``format``, ``criterion``, then the
+    model's fields, floats as ``json`` writes them, which round-trip."""
+    data = {"format": BINS_FORMAT, "criterion": CRITERION,
+            **dataclasses.asdict(model)}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _bins_err(path: str, lineno: int, msg: str) -> BinsFileError:
-    return BinsFileError(f"{path}:{lineno}: {msg}")
+        fh.write(json.dumps(data) + "\n")
 
 
 def load_bins(path: str) -> BinningModel:
-    """The bins of a ``save_bins`` file: the version line, one line per
-    BINS_KEYS key in that order, then num_bins bin lines. Anything else is
-    refused with a BinsFileError at its line."""
-    with utf8_errors(path, BinsFileError), open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0] != f"heterospec-bins v{BINS_FORMAT_VERSION}":
-        raise _bins_err(path, 1, "missing or unsupported version line")
-    meta = []
-    for lineno, key in enumerate(BINS_KEYS, start=2):
-        line = raw[lineno - 1] if lineno <= len(raw) else ""
-        name, _, value = line.partition(": ")
-        if name != key:
-            raise _bins_err(path, lineno, f"expected {key}: ..., got {line!r}")
-        if key == "criterion":
-            if value != CRITERION:
-                raise _bins_err(path, lineno, f"unknown criterion {value!r}")
-            continue
-        try:
-            meta.append(int(value))
-        except ValueError:
-            raise _bins_err(path, lineno, f"bad {key}: {value!r}") from None
-    entropy_k, base_depth, num_bins = meta
-    rows = raw[len(BINS_KEYS) + 1:]
-    if not rows:
-        raise _bins_err(path, len(raw), "no bin lines")
-    if len(rows) != num_bins:
-        raise _bins_err(path, len(BINS_KEYS) + 1,
-                        "num_bins does not match bin line count")
-    hi_list, means, counts = [], [], []
-    for lineno, line in enumerate(rows, start=len(BINS_KEYS) + 2):
-        fields = line.split(" ")
-        if len(fields) != 5 or fields[0] != "bin":
-            raise _bins_err(path, lineno, "bin line needs lo hi mean count")
-        try:
-            lo, hi, mean = (float(fields[1]), float(fields[2]), float(fields[3]))
-            count = int(fields[4])
-        except ValueError as exc:
-            raise _bins_err(path, lineno, f"bad number: {exc}") from None
-        if not hi_list and lo != 0.0:
-            raise _bins_err(path, lineno, "first bin must start at 0")
-        if hi_list and lo != hi_list[-1]:
-            raise _bins_err(path, lineno, "bins must be contiguous: lo != previous hi")
-        if not lo < hi:  # with contiguity, thresholds strictly increase
-            raise _bins_err(path, lineno, "bin thresholds must be strictly "
-                            f"increasing: lo {lo} is not below hi {hi}")
-        if count < 0:
-            raise _bins_err(path, lineno, f"negative bin count {count}")
-        hi_list.append(hi)
-        means.append(mean)
-        counts.append(count)
-    if not math.isinf(hi_list[-1]):
-        raise _bins_err(path, len(raw), "last bin must end at inf")
-    return BinningModel(thresholds=tuple(hi_list[:-1]), means=tuple(means),
-                        counts=tuple(counts), entropy_k=entropy_k,
-                        base_depth=base_depth)
+    """The bins of a ``save_bins`` file, read by the ``BinningModel``
+    fields. Any other file, a v1 file among them, is refused with a
+    BinsFileError naming ``path``."""
+    try:  # a BinsFileError for non-UTF-8 bytes passes through
+        with utf8_errors(path, BinsFileError), open(path, encoding="utf-8") as fh:
+            data = read_json(fh.read(), "bins")
+        if type(data) is not dict or data.pop("format", None) != BINS_FORMAT:
+            raise ConfigError(f"not a {BINS_FORMAT} file")
+        if data.pop("criterion", None) != CRITERION:
+            raise ConfigError(f"criterion must be {CRITERION!r}")
+        return _build(BinningModel, data, "bins")
+    except ConfigError as exc:
+        raise BinsFileError(f"{path}: {exc}; run calibrate again") from None

@@ -1,20 +1,17 @@
 """Experiment configuration: JSON schema v1 plus named RNG substreams.
 
 A config file is one JSON object; every section and key is optional and
-falls back to the defaults below. The dataclasses are the schema: a JSON
-object is read by its class's field types, so a section is a nested
-object, a list is taken only by a tuple field and null only by a field
-that takes None. Unknown keys are rejected so typos fail fast. The one
-key that is no field is ``corpus``: it takes either a text file path or a
-planted generator spec, not both, and sets ``corpus_path`` or ``planted``.
+falls back to the defaults below. The dataclasses are the schema, read by
+``errors._build``; unknown and repeated keys are refused so typos fail
+fast. The one key that is no field is ``corpus``: it takes either a text
+file path or a planted generator spec, not both, and sets ``corpus_path``
+or ``planted``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import types
-import typing
 import zlib
 from dataclasses import dataclass, field
 
@@ -23,7 +20,7 @@ import numpy as np
 from .binning import CALIBRATION_FILTERS
 from .control import HeteroConfig
 from .corpus import PlantedCorpusSpec
-from .errors import ConfigError, check_setting, utf8_errors
+from .errors import ConfigError, _build, check_setting, read_json, utf8_errors
 from .metrics import CostModel
 from .models import check_model_settings
 
@@ -135,43 +132,6 @@ class _Corpus:
     planted: PlantedCorpusSpec | None = None
 
 
-# scalar field type -> (JSON value types it takes, name)
-_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-               str: ((str,), "a string")}
-
-
-def _value(hint, value, where: str):
-    """``value`` checked against the field type ``hint``: a dataclass is
-    built from its own object, a list is taken only by a tuple, and null
-    only where the type takes None."""
-    kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
-    if value is None and type(None) in kinds:
-        return None
-    kind = kinds[0]
-    if dataclasses.is_dataclass(kind):
-        return _build(kind, value, where)
-    if typing.get_origin(kind) is tuple:  # its items are checked by the class
-        return tuple(value) if type(value) is list else value
-    accepted, expected = _JSON_TYPES[kind]
-    # type() is exact, so a bool is taken for neither an int nor a float
-    if type(value) not in accepted:
-        raise ConfigError(f"{where}: expected {expected}, got {value!r}")
-    return value
-
-
-def _build(cls, data, where: str, **fixed):
-    """``cls`` built from the JSON object ``data`` by its field types; the
-    ``fixed`` fields are given, and take no JSON key."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where}: expected an object")
-    hints = typing.get_type_hints(cls)
-    unknown = sorted(set(data) - set(hints).difference(fixed))
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-    return cls(**fixed, **{name: _value(hints[name], value, f"{where}.{name}")
-                           for name, value in data.items()})
-
-
 def config_from_dict(data: dict, where: str = "config") -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: top level must be an object")
@@ -184,11 +144,8 @@ def config_from_dict(data: dict, where: str = "config") -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    try:
-        with utf8_errors(path), open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    with utf8_errors(path), open(path, "r", encoding="utf-8") as fh:
+        data = read_json(fh.read(), path)
     return config_from_dict(data, where=path)
 
 

@@ -89,11 +89,8 @@ class HeteroConfig:
                       "finite as a float", self.top_n)
         check_setting(self.alpha is None or self.alpha >= 0, "controller.alpha",
                       ">= 0", self.alpha)
-        check_setting(self.low_bins is None or (
-            isinstance(self.low_bins, tuple)
-            and all(type(b) is int and b >= 0 for b in self.low_bins)),
-            "controller.low_bins", "a list of non-negative integers",
-            repr(self.low_bins))
+        check_setting(self.low_bins is None or min(self.low_bins, default=0) >= 0,
+                      "controller.low_bins", ">= 0", self.low_bins)
         # the upper bound, the vocabulary size, is checked once the model is
         # loaded (pipeline.load_models)
         check_setting(self.terminator is None or self.terminator >= 0,

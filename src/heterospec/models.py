@@ -41,22 +41,24 @@ windows that lie inside one document.
 ``save_model`` writes a version line, one JSON header line (mode, order,
 smoothing, symbols, and ``sizes``, the record count per context length),
 then each length's keys and counts as raw little-endian int64.
-``load_model`` reads the file in one pass and refuses a header that is
-not exactly those keys with values of their JSON types, or whose order
-and smoothing break ``check_model_settings``, the rule the config's
+``load_model`` reads the file in one pass and the header as a
+``_Header``, refusing other keys, values of other types, and an order or
+smoothing that breaks ``check_model_settings``, the rule the config's
 ``model`` settings and ``NGramModel`` follow too. A body whose length is
-not the header's sizes, or whose tables ``NGramModel`` refuses, is refused
-as well; every refusal is a ``ConfigError`` naming the file.
+not the header's sizes, or whose tables ``NGramModel`` refuses, is
+refused as well; every refusal is a ``ConfigError`` naming the file.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigError, check_setting, finite, utf8_errors
+from .errors import (ConfigError, _build, check_setting, finite, read_json,
+                     utf8_errors)
 # encode_corpus is unused here but stays importable: bench/harness.py
 # patches it under this module's name
 from .vocab import (Context, SplitCorpus, Vocabulary, encode_corpus,  # noqa: F401
@@ -246,7 +248,7 @@ def train_ngram(corpus: list[str] | SplitCorpus, vocab: Vocabulary,
 def perturb(dist: ProbDist, noise: float) -> ProbDist:
     """Mix in uniform noise: normalize((1-noise) * softmax(log dist) +
     noise * uniform). noise=0 is an exact identity, returned without any
-    float round-trip. Expects noise in [0, 1], which ``DraftSpec``
+    float round-trip. Expects noise in [0, 1), which ``DraftSpec``
     checks."""
     if noise == 0.0:
         return dist.copy()
@@ -279,13 +281,28 @@ class PerturbedDraftModel(LanguageModel):
 
 
 MODEL_FORMAT = b"heterospec-ngram v2\n"  # a model file's first line
-_HEADER_KEYS = ("mode", "order", "smoothing", "symbols", "sizes")
+
+
+@dataclass(frozen=True)
+class _Header:
+    """A model file's JSON header; ``sizes``: records per context length."""
+
+    mode: str
+    order: int
+    smoothing: float
+    symbols: tuple[str, ...]
+    sizes: tuple[int, ...]
+
+    def __post_init__(self):
+        check_model_settings(self.order, self.smoothing)
+        check_key_space(self.order, len(self.symbols))
+        check_setting(len(self.sizes) == self.order and min(self.sizes) >= 0,
+                      "sizes", f"{self.order} record counts >= 0", self.sizes)
 
 
 def save_model(model: NGramModel, path) -> None:
     """The version line, one JSON header line, then each context length's
-    keys and counts as raw little-endian int64; the header's ``sizes`` is
-    the record count of each length."""
+    keys and counts as raw little-endian int64."""
     header = {"mode": model.vocab.mode, "order": model.order,
               "smoothing": model.smoothing, "symbols": list(model.vocab.symbols),
               "sizes": [keys.size for keys, _ in model._counts]}
@@ -293,32 +310,6 @@ def save_model(model: NGramModel, path) -> None:
         fh.write(b"".join([MODEL_FORMAT, json.dumps(header).encode(), b"\n",
                            *(a.astype("<i8").tobytes()
                              for table in model._counts for a in table)]))
-
-
-def _read_header(line: str) -> tuple[Vocabulary, int, float, list[int]]:
-    """The vocabulary, order, smoothing and table sizes of a header line."""
-    if not line.endswith("\n"):
-        raise ConfigError("no newline after it")
-    # an object with a repeated key reads as None, so it has not the keys
-    header = json.loads(line, object_pairs_hook=lambda pairs: (
-        dict(pairs) if len({key for key, _ in pairs}) == len(pairs) else None))
-    if type(header) is not dict or header.keys() != set(_HEADER_KEYS):
-        raise ConfigError(f"need exactly the keys {', '.join(_HEADER_KEYS)}")
-    mode, order, smoothing, symbols, sizes = map(header.get, _HEADER_KEYS)
-    # type() is exact, so a bool is taken for no number, as in a config
-    if not (type(mode) is str and type(order) is int
-            and type(smoothing) in (int, float)
-            and type(symbols) is list and {type(s) for s in symbols} <= {str}
-            and type(sizes) is list and {type(n) for n in sizes} <= {int}):
-        raise ConfigError("need a string mode, an integer order, a number "
-                          "smoothing, a list of string symbols and a list of "
-                          "integer sizes")
-    vocab = Vocabulary(tuple(symbols), mode)
-    check_model_settings(order, smoothing)
-    check_key_space(order, vocab.size)
-    check_setting(len(sizes) == order and min(sizes) >= 0, "sizes",
-                  f"{order} record counts >= 0", sizes)
-    return vocab, order, smoothing, sizes
 
 
 def load_model(path) -> NGramModel:
@@ -331,16 +322,19 @@ def load_model(path) -> NGramModel:
     with utf8_errors(path):
         line = line.decode("utf-8")
     try:
-        vocab, order, smoothing, sizes = _read_header(line)
-    except (ValueError, ConfigError) as exc:  # a JSONDecodeError is a ValueError
+        if not line.endswith("\n"):
+            raise ConfigError("no newline after it")
+        header = _build(_Header, read_json(line, "model"), "model")
+        vocab = Vocabulary(header.symbols, header.mode)
+    except ConfigError as exc:
         raise ConfigError(f"{path}: bad header: {exc}") from None
-    if len(body) != 16 * sum(sizes):
+    if len(body) != 16 * sum(header.sizes):
         raise ConfigError(f"{path}: {len(body)} bytes of count tables, the "
-                          f"header's sizes need {16 * sum(sizes)}")
+                          f"header's sizes need {16 * sum(header.sizes)}")
     flat = np.frombuffer(body, "<i8").astype(np.int64)
-    parts = np.split(flat, np.cumsum(np.repeat(sizes, 2))[:-1])
+    parts = np.split(flat, np.cumsum(np.repeat(header.sizes, 2))[:-1])
     try:
-        return NGramModel(vocab, order, smoothing,
+        return NGramModel(vocab, header.order, header.smoothing,
                           list(zip(parts[::2], parts[1::2])))
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None

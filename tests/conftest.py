@@ -340,7 +340,6 @@ def model_file(tables=GOLDEN_TABLES, version=MODEL_VERSION, header=None,
 _GOLDEN_V1 = (b"heterospec-ngram v1\nmode: char\norder: 2\nsmoothing: 0.5\n"
               b'symbols: ["a", "b", "c", "<unk>"]\ncounts:\nc 0 - 0 2\n'
               b"c 0 - 1 1\nc 0 - 2 2\nc 1 0 1 1\nc 1 2 0 2\n")
-_BAD_HEADER = "bad header: need a string mode, an integer order"
 _BAD_SIZES = "bad header: sizes must be 2 record counts >= 0"
 _BAD_TABLE = "need keys strictly ascending"
 
@@ -357,28 +356,37 @@ BAD_MODEL_FILES = {
     "header-not-utf8": (model_file(header=b'{"mode": "\xff"}\n'),
                         "not UTF-8 text"),
     "header-not-json": (model_file(header=b"mode: char\n"),
-                        "bad header: Expecting value"),
+                        "bad header: model: invalid JSON: Expecting value"),
     "header-not-object": (model_file(header=b"[]\n"),
-                          "bad header: need exactly the keys"),
+                          "bad header: model: expected an object"),
     "missing-key": (model_file(header=json.dumps(
         {k: v for k, v in GOLDEN_HEADER.items() if k != "sizes"}).encode() + b"\n"),
-        "bad header: need exactly the keys mode, order, smoothing, symbols, sizes"),
-    "extra-key": (model_file(seed=3), "bad header: need exactly the keys"),
+        "bad header: model: missing keys ['sizes']"),
+    "extra-key": (model_file(seed=3), "bad header: model: unknown keys ['seed']"),
     "repeated-key": (model_file(header=json.dumps(GOLDEN_HEADER).replace(
         '"order": 2', '"order": 1, "order": 2').encode() + b"\n"),
-        "bad header: need exactly the keys"),
-    "order-true": (model_file(order=True), _BAD_HEADER),
-    "order-float": (model_file(order=1.5), _BAD_HEADER),
+        "bad header: model: invalid JSON: repeated key 'order'"),
+    "order-true": (model_file(order=True),
+                   "bad header: model.order: expected an integer, got True"),
+    "order-float": (model_file(order=1.5),
+                    "bad header: model.order: expected an integer, got 1.5"),
     "order-0": (model_file(order=0), "bad header: model.order must be >= 1, got 0"),
-    "smoothing-string": (model_file(smoothing="0.1"), _BAD_HEADER),
+    "smoothing-string": (model_file(smoothing="0.1"),
+                         "bad header: model.smoothing: expected a number, got '0.1'"),
     "smoothing-nan": (model_file(smoothing=math.nan),
                       "bad header: model.smoothing must be finite and > 0, got nan"),
     "smoothing-0": (model_file(smoothing=0),
                     "bad header: model.smoothing must be finite and > 0, got 0"),
-    "symbols-not-strings": (model_file(symbols=["a", 1, "c", "<unk>"]), _BAD_HEADER),
+    "symbols-not-strings": (model_file(symbols=["a", 1, "c", "<unk>"]),
+                            "bad header: model.symbols[1]: expected a string, got 1"),
+    "symbols-not-a-list": (model_file(symbols="abc"),
+                           "bad header: model.symbols: expected a list, got 'abc'"),
     "symbols-without-unk": (model_file(symbols=["a", "b", "c", "d"]),
                             "bad header: vocabulary needs the unknown symbol"),
-    "sizes-not-integers": (model_file(sizes=[3.0, 2]), _BAD_HEADER),
+    "sizes-not-integers": (model_file(sizes=[3.0, 2]),
+                           "bad header: model.sizes[0]: expected an integer, got 3.0"),
+    "sizes-bool": (model_file(sizes=[3, True]),
+                   "bad header: model.sizes[1]: expected an integer, got True"),
     "sizes-too-few": (model_file(sizes=[5]), _BAD_SIZES),
     "sizes-too-many": (model_file(sizes=[3, 2, 0]), _BAD_SIZES),
     "sizes-negative": (model_file(sizes=[6, -1]), _BAD_SIZES),

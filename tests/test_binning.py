@@ -3,6 +3,7 @@ bins file format. The split search is checked against a plain exhaustive
 enumeration with fsum accumulation."""
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -237,15 +238,22 @@ def test_default_low_bins_caps_at_three():
     assert mk(7).default_low_bins() == (0, 1, 2)
 
 
-def test_binning_model_validation():
-    with pytest.raises(ConfigError):
-        BinningModel(thresholds=(1.0,), means=(0.0,), counts=(1,),
-                     entropy_k=2, base_depth=5)
-    with pytest.raises(ConfigError):
-        BinningModel(thresholds=(1.0,), means=(0.0, 0.0), counts=(1,),
-                     entropy_k=2, base_depth=5)
-    with pytest.raises(ConfigError):
-        BinningModel(thresholds=(2.0, 2.0), means=(0.0,) * 3, counts=(1,) * 3,
+@pytest.mark.parametrize("thresholds,means,counts,error", [
+    ((1.0,), (0.0,), (1,), "one mean per bin"),
+    ((1.0,), (0.0, 0.0), (1,), "one count per bin"),
+    ((2.0, 2.0), (0.0,) * 3, (1,) * 3, "strictly increasing"),
+    ((0.0,), (0.0,) * 2, (1,) * 2, "strictly increasing"),
+    ((math.inf,), (0.0,) * 2, (1,) * 2, "strictly increasing"),
+    ((math.nan,), (0.0,) * 2, (1,) * 2, "strictly increasing"),
+    # an int too large for a float, which report's %.4f edges overflowed on
+    ((10 ** 400,), (0.0,) * 2, (1,) * 2, "strictly increasing"),
+    ((1.0,), (0.0, math.nan), (1,) * 2, "means must be finite, got"),
+    ((1.0,), (-math.inf, 0.0), (1,) * 2, "means must be finite, got"),
+    ((1.0,), (0.0, 0.0), (1, -1), "counts must be >= 0, got"),
+])
+def test_binning_model_validation(thresholds, means, counts, error):
+    with pytest.raises(ConfigError, match=error):
+        BinningModel(thresholds=thresholds, means=means, counts=counts,
                      entropy_k=2, base_depth=5)
 
 
@@ -259,11 +267,14 @@ def test_bins_round_trip(tmp_path):
     path = str(tmp_path / "bins.txt")
     save_bins(model, path)
     loaded = load_bins(path)
-    assert loaded.thresholds == model.thresholds  # %.17g is lossless
+    assert loaded.thresholds == model.thresholds  # repr floats are lossless
     assert loaded.means == model.means
     assert loaded.counts == model.counts
-    assert open(path).read().splitlines()[1] == "criterion: normalized"
     assert loaded.entropy_k == 2 and loaded.base_depth == 5
+    text = open(path, encoding="utf-8").read()
+    assert text.startswith('{"format": "heterospec-bins v2", '
+                           '"criterion": "normalized", "thresholds": [')
+    assert text.endswith("}\n") and text.count("\n") == 1
     for x in rng.uniform(0.0, 6.0, 500):
         assert loaded.assign_bin(float(x)) == model.assign_bin(float(x))
 
@@ -271,14 +282,10 @@ def test_bins_round_trip(tmp_path):
 def test_bins_without_tree_shape_metadata_are_refused(tmp_path):
     # thresholds fitted on one tree shape bin another's signal differently,
     # so a file that does not say its shape is not read as any shape
-    model = fit_binning(np.asarray([0.0, 2.0]), np.asarray([1.0, 5.0]),
-                        entropy_k=2, base_depth=5)
     path = tmp_path / "bins.txt"
-    save_bins(model, str(path))
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    path.write_text("".join(line for line in lines if not line.startswith(
-        ("entropy_k:", "base_depth:"))), encoding="utf-8")
-    want = r"bins\.txt:3: expected entropy_k: \.\.\., got 'num_bins: 2'"
+    path.write_text(bins_text(drop=("entropy_k", "base_depth")), encoding="utf-8")
+    want = (rf"bins\.txt: bins: missing keys \['entropy_k', 'base_depth'\]; "
+            "run calibrate again")
     with pytest.raises(BinsFileError, match=want):
         load_bins(str(path))
 
@@ -309,63 +316,83 @@ def test_bins_file_round_trips_any_model(tmp_path_factory, model):
     assert (out / "bins.txt").read_bytes() == (out / "again.txt").read_bytes()
 
 
-V1 = "heterospec-bins v1\ncriterion: normalized\n"
+GOOD_BINS = {"format": "heterospec-bins v2", "criterion": "normalized",
+             "thresholds": [1.5], "means": [2.0, 4.0], "counts": [3, 5],
+             "entropy_k": 2, "base_depth": 5}
 
 
-def good_header(num_bins: int) -> str:
-    """The version line and the four key lines save_bins writes."""
-    return V1 + f"entropy_k: 2\nbase_depth: 5\nnum_bins: {num_bins}\n"
+def bins_text(drop=(), **changes) -> str:
+    """A bins file: GOOD_BINS with ``changes``, without the ``drop`` keys."""
+    data = {**GOOD_BINS, **changes}
+    return json.dumps({k: v for k, v in data.items() if k not in drop}) + "\n"
 
 
-@pytest.mark.parametrize("text,msg", [
-    ("heterospec-bins v2\nbin 0 inf 3 4\n", "version"),
-    (good_header(1) + "bin 0 inf 3\n", "lo hi mean count"),
-    (V1 + "what is this\nbin 0 inf 3 4\n", r"bins\.txt:3: expected entropy_k: "),
-    (good_header(1) + "bin 0 oops 3 4\n", "bad number"),
-    (good_header(1) + "bin 1 inf 3 4\n", "start at 0"),
-    (good_header(1) + "bin 0 5 3 4\n", "end at inf"),
-    (good_header(2) + "bin 0 1 3 4\nbin 2 inf 3 4\n", "contiguous"),
-    (V1 + "entropy_k: 2\nbase_depth: 5\nnum_bins: x\nbin 0 inf 3 4\n", "num_bins"),
-    ("heterospec-bins v1\ncriterion: gini\nbin 0 inf 3 4\n", "criterion"),
-    (good_header(1), "no bin lines"),
-    # a bin whose lo is not below its hi is reported at its own line
-    (good_header(3) + "bin 0 1 3 4\nbin 1 1 3 4\nbin 1 inf 3 4\n",
-     r"bins\.txt:7: bin thresholds must be strictly increasing"),
-    (good_header(3) + "bin 0 2 3 4\nbin 2 1 3 4\nbin 1 inf 3 4\n",
-     r"bins\.txt:7: bin thresholds must be strictly increasing"),
-    # a bin holds a number of calibration samples, never fewer than none
-    (good_header(2) + "bin 0 0.5 1.0 -4\nbin 0.5 inf 2 3\n",
-     r"bins\.txt:6: negative bin count -4"),
-    # metadata errors name the line that holds the key
-    (V1 + "entropy_k: two\nbase_depth: 5\nnum_bins: 1\nbin 0 inf 3 4\n",
-     r"bins\.txt:3: bad entropy_k"),
-    (V1 + "entropy_k: 2\nbase_depth: x\nnum_bins: 1\nbin 0 inf 3 4\n",
-     r"bins\.txt:4: bad base_depth"),
-    (good_header(3) + "bin 0 inf 3 4\n", r"bins\.txt:5: num_bins does not"),
-    ("heterospec-bins v1\ncriterion: gini\nbin 0 inf 3 4\n", r"bins\.txt:2: unknown"),
-    # each key has its line: a blank, misspelt, repeated, reordered or
-    # missing key line is refused where the key belongs
-    (V1 + "\nentropy_k: 2\nbase_depth: 5\nnum_bins: 1\nbin 0 inf 3 4\n",
-     r"bins\.txt:3: expected entropy_k: \.\.\., got ''"),
-    (V1 + "entropy-k: 4\nbin 0 inf 3 4\n",
-     r"bins\.txt:3: expected entropy_k: \.\.\., got 'entropy-k: 4'"),
-    (V1 + "entropy_k: 2\nentropy_k: 2\nnum_bins: 1\nbin 0 inf 3 4\n",
-     r"bins\.txt:4: expected base_depth: \.\.\., got 'entropy_k: 2'"),
-    (V1 + "base_depth: 5\nentropy_k: 2\nnum_bins: 1\nbin 0 inf 3 4\n",
-     r"bins\.txt:3: expected entropy_k: \.\.\., got 'base_depth: 5'"),
-    (V1 + "entropy_k: 2\nbase_depth: 5\nbin 0 inf 3 4\n",
-     r"bins\.txt:5: expected num_bins: \.\.\., got 'bin 0 inf 3 4'"),
-    (V1, r"bins\.txt:3: expected entropy_k: \.\.\., got ''"),
-    # the per-side normalized loss is the only split loss
-    ("heterospec-bins v1\ncriterion: sse\nbin 0 inf 3 4\n",
-     r"bins\.txt:2: unknown criterion 'sse'"),
-])
-def test_load_bins_rejects_malformed(tmp_path, text, msg):
+def test_good_bins_text_loads(tmp_path):
     path = tmp_path / "bins.txt"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(bins_text(), encoding="utf-8")
+    assert load_bins(str(path)) == BinningModel(
+        thresholds=(1.5,), means=(2.0, 4.0), counts=(3, 5), entropy_k=2,
+        base_depth=5)
+
+
+@pytest.mark.parametrize("data,msg", [
+    # a v1 file is not read as any v2 model
+    ("heterospec-bins v1\ncriterion: normalized\nentropy_k: 2\nbase_depth: 5\n"
+     "num_bins: 1\nbin 0 inf 3 4\n", "bins: invalid JSON: Expecting value"),
+    ("", "bins: invalid JSON: Expecting value"),
+    ("[]\n", "not a heterospec-bins v2 file"),
+    (bins_text(format="heterospec-bins v1"), "not a heterospec-bins v2 file"),
+    (bins_text(drop=("format",)), "not a heterospec-bins v2 file"),
+    # the per-side normalized loss is the only split loss
+    (bins_text(criterion="sse"), "criterion must be .normalized."),
+    (bins_text(drop=("criterion",)), "criterion must be .normalized."),
+    # every field has its key, and no other key is read
+    (bins_text(drop=("thresholds",)), r"bins: missing keys \['thresholds'\]"),
+    (bins_text(drop=("counts",)), r"bins: missing keys \['counts'\]"),
+    (bins_text(num_bins=2), r"bins: unknown keys \['num_bins'\]"),
+    (bins_text().replace('"entropy_k": 2', '"entropy_k": 2, "entropy_k": 3'),
+     "bins: invalid JSON: repeated key 'entropy_k'"),
+    # numbers are JSON numbers of the field's type
+    (bins_text(entropy_k="2"), "bins.entropy_k: expected an integer, got '2'"),
+    (bins_text(base_depth=5.0), "bins.base_depth: expected an integer, got 5.0"),
+    (bins_text(thresholds=["1.5"]),
+     r"bins.thresholds\[0\]: expected a number, got '1.5'"),
+    (bins_text(counts=[3, True]), r"bins.counts\[1\]: expected an integer, got True"),
+    (bins_text(means=[2.0, False]), r"bins.means\[1\]: expected a number, got False"),
+    (bins_text(means=2.0), "bins.means: expected a list, got 2.0"),
+    # the forms the v1 line parser took that save_bins never wrote
+    (bins_text().replace("[1.5]", "[1_0]"), "bins: invalid JSON"),
+    (bins_text().replace('"entropy_k": 2', '"entropy_k": +2'), "bins: invalid JSON"),
+    (bins_text().replace('"base_depth": 5', '"base_depth": \uff15'),
+     "bins: invalid JSON"),
+    # NaN and Infinity literals parse, and the model refuses them
+    (bins_text().replace("[1.5]", "[NaN]"), "strictly increasing"),
+    (bins_text().replace("[1.5]", "[Infinity]"), "strictly increasing"),
+    (bins_text(thresholds=[10 ** 400]), "strictly increasing"),
+    (bins_text(means=[2.0, 10 ** 400]), "means must be finite, got"),
+    (bins_text().replace("[2.0, 4.0]", "[NaN, 4.0]"), "means must be finite, got"),
+    (bins_text().replace("[2.0, 4.0]", "[2.0, -Infinity]"), "means must be finite, got"),
+    # thresholds strictly increase from above 0
+    (bins_text(thresholds=[0.0], means=[1.0, 2.0]), "strictly increasing"),
+    (bins_text(thresholds=[-1.0], means=[1.0, 2.0]), "strictly increasing"),
+    (bins_text(thresholds=[2.0, 1.0], means=[1.0] * 3, counts=[1] * 3),
+     "strictly increasing"),
+    (bins_text(thresholds=[1.0, 1.0], means=[1.0] * 3, counts=[1] * 3),
+     "strictly increasing"),
+    # one mean and one count per bin, never fewer than no samples
+    (bins_text(means=[2.0]), "one mean per bin"),
+    (bins_text(counts=[3, 5, 1]), "one count per bin"),
+    (bins_text(counts=[3, -4]), "counts must be >= 0, got"),
+    (b'{"format": "heterospec-bins v2\xff"}\n', "not UTF-8 text"),
+])
+def test_load_bins_rejects_malformed(tmp_path, data, msg):
+    path = tmp_path / "bins.txt"
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    path.write_bytes(data)
     with pytest.raises(BinsFileError, match=msg) as err:
         load_bins(str(path))
-    assert str(path) + ":" in str(err.value)  # path:line prefix
+    assert str(err.value).startswith(f"{path}: ")
 
 
 # ------------------------------------------------------------ calibration

@@ -231,10 +231,8 @@ def test_exit_2_on_non_integer_setting(tmp_path, capsys, section, field, value):
     cfg.write_text(json.dumps(dict(
         TINY_CONFIG, **{section: dict(TINY_CONFIG[section], **{field: value})})),
         encoding="utf-8")
-    want = (f"controller.low_bins must be a list of non-negative integers, "
-            f"got {value!r}"
-            if field == "low_bins" else
-            f"{cfg}.{section}.{field}: expected an integer, got {value!r}")
+    expected = "a list" if field == "low_bins" else "an integer"
+    want = f"{cfg}.{section}.{field}: expected {expected}, got {value!r}"
     out = str(tmp_path / "run")
     for command in ("train-model", "calibrate", "compare"):
         assert main([command, "--config", str(cfg), "--out", out]) == 2
@@ -299,6 +297,27 @@ def test_gen_corpus_exits_2_on_out_of_range_setting(tmp_path, capsys, section,
     assert main(["gen-corpus", "--config", str(cfg), "--out", out]) == 2
     assert _one_error_line(capsys.readouterr()).startswith(
         f"heterospec: config: {section}.{key} must be ")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("text,reason", [
+    # json.loads keeps a repeated key's last value, which the run used to
+    # take silently
+    ('{"seed": 1, "seed": 2}', "repeated key 'seed'"),
+    ('{"controller": {"depth": 5, "depth": 7}}', "repeated key 'depth'"),
+    # json.loads raises a ValueError that is no JSONDecodeError, or a
+    # RecursionError, either of which used to end in a traceback
+    ('{"seed": ' + "9" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+    ("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded"),
+], ids=["top-level", "nested", "int-over-4300-digits", "nested-100000-deep"])
+def test_gen_corpus_exits_2_on_json_the_reader_refuses(
+        tmp_path, capsys, text, reason):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text, encoding="utf-8")
+    out = str(tmp_path / "run")
+    assert main(["gen-corpus", "--config", str(cfg), "--out", out]) == 2
+    assert _one_error_line(capsys.readouterr()).startswith(
+        f"heterospec: config: {cfg}: invalid JSON: {reason}")
     assert not os.path.exists(out)
 
 
@@ -457,16 +476,18 @@ def test_exit_2_on_bins_for_another_tree_shape(tmp_path, capsys, controller):
     assert err.startswith("heterospec: config: " + os.path.join(out, "bins.txt"))
     assert "entropy_k 2, base_depth 4" in err
     assert "run calibrate again" in err
-    # without its entropy_k line the file says no shape to check, and is
-    # refused at the line the key belongs on rather than read as any shape
+    # without its entropy_k key the file says no shape to check, and is
+    # refused rather than read as any shape
     bins = os.path.join(out, "bins.txt")
-    lines = open(bins, encoding="utf-8").read().splitlines()
+    with open(bins, encoding="utf-8") as fh:
+        data = json.load(fh)
+    del data["entropy_k"]
     with open(bins, "w", encoding="utf-8") as fh:
-        fh.write("".join(line + "\n" for line in lines
-                         if not line.startswith("entropy_k:")))
+        fh.write(json.dumps(data) + "\n")
     assert main(["compare", "--config", str(other), "--out", out]) == 4
     err = _one_error_line(capsys.readouterr())
-    assert err.startswith(f"heterospec: bins-format: {bins}:3: expected entropy_k")
+    assert err.startswith(
+        f"heterospec: bins-format: {bins}: bins: missing keys ['entropy_k']")
 
 
 def test_refused_step_leaves_config_snapshot_alone(tmp_path, capsys):
@@ -633,7 +654,7 @@ def test_exit_4_on_corrupt_bins(tmp_path, capsys):
     assert main(["compare", *base]) == 4
     err = _one_error_line(capsys.readouterr())
     assert err.startswith("heterospec: bins-format:")
-    assert "bins.txt:1:" in err
+    assert "bins.txt: bins: invalid JSON" in err
 
 
 REPORT_TABLES = ("*-tcr-*.csv", "*-bin-occupancy.csv")
@@ -645,16 +666,14 @@ def test_report_refuses_a_negative_bin_count(tmp_path, capsys, cli_lab):
     out = tmp_path / "run"
     shutil.copytree(lab, out, ignore=shutil.ignore_patterns(*REPORT_TABLES))
     bins = out / "bins.txt"
-    lines = bins.read_text(encoding="utf-8").splitlines()
-    lineno = next(i for i, line in enumerate(lines, start=1)
-                  if line.startswith("bin "))
-    fields = lines[lineno - 1].split()
-    lines[lineno - 1] = " ".join(fields[:4] + ["-4"])
-    bins.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data = json.loads(bins.read_text(encoding="utf-8"))
+    data["counts"][0] = -4
+    bins.write_text(json.dumps(data) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert main(["report", base[0], base[1], "--out", str(out)]) == 4
-    assert _one_error_line(capsys.readouterr()) == \
-        f"heterospec: bins-format: {bins}:{lineno}: negative bin count -4\n"
+    assert _one_error_line(capsys.readouterr()) == (
+        f"heterospec: bins-format: {bins}: counts must be >= 0, got "
+        f"{tuple(data['counts'])}; run calibrate again\n")
     assert not [name for name in os.listdir(out) for pattern in REPORT_TABLES
                 if fnmatch.fnmatch(name, pattern)]  # and writes no table
 

@@ -190,7 +190,7 @@ OUT_OF_RANGE = [
      "controller.max_new_tokens must be >= 1, got 0"),
     ({"controller": {"alpha": -1}}, "controller.alpha must be >= 0, got -1"),
     ({"controller": {"low_bins": [-1]}},
-     "controller.low_bins must be a list of non-negative integers, got (-1,)"),
+     "controller.low_bins must be >= 0, got (-1,)"),
     ({"controller": {"terminator": -1}},
      "controller.terminator must be a token id >= 0 or null, got -1"),
     ({"cost": {"c_call": 0}}, "cost.c_call must be finite and > 0, got 0"),
@@ -283,11 +283,21 @@ def test_optional_integer_fields_take_null():
     assert cfg.controller.alpha is None and cfg.controller.terminator is None
 
 
-@pytest.mark.parametrize("low_bins", ["01", [-1], [1.0], [True], 5, [0, "1"]],
-                         ids=["string", "negative", "float", "bool", "scalar", "mixed"])
-def test_low_bins_must_be_non_negative_integers(low_bins):
-    with pytest.raises(ConfigError, match="low_bins must be a list of non-negative"):
+@pytest.mark.parametrize("low_bins,error", [
+    ("01", "config.controller.low_bins: expected a list, got '01'"),
+    ([-1], "controller.low_bins must be >= 0, got (-1,)"),
+    ([1.0], "config.controller.low_bins[0]: expected an integer, got 1.0"),
+    ([True], "config.controller.low_bins[0]: expected an integer, got True"),
+    ([0, False], "config.controller.low_bins[1]: expected an integer, got False"),
+    (5, "config.controller.low_bins: expected a list, got 5"),
+    ([0, "1"], "config.controller.low_bins[1]: expected an integer, got '1'"),
+], ids=["string", "negative", "float", "bool", "bool-after-int", "scalar", "mixed"])
+def test_low_bins_must_be_non_negative_integers(low_bins, error):
+    # each list item is read as an integer, so a bool is refused where JSON
+    # reads it, before HeteroConfig's own check could see it
+    with pytest.raises(ConfigError) as exc:
         config_from_dict({"controller": {"low_bins": low_bins}})
+    assert str(exc.value) == error
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -437,6 +447,19 @@ def test_load_config_invalid_json(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("text,key", [
+    ('{"seed": 1, "seed": 2}', "seed"),
+    ('{"controller": {"depth": 5, "depth": 7}}', "depth"),
+], ids=["top-level", "nested"])
+def test_load_config_refuses_a_repeated_key(tmp_path, text, key):
+    # json.loads keeps a repeated key's last value; the config refuses it
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(path))
+    assert str(exc.value) == f"{path}: invalid JSON: repeated key {key!r}"
 
 
 def test_load_config_missing_file_is_oserror(tmp_path):

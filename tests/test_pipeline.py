@@ -114,9 +114,10 @@ def test_bins_without_tree_shape_metadata_are_refused(tmp_path):
     cfg = _cfg(tmp_path / "run")
     os.makedirs(cfg.out_dir)
     with open(os.path.join(cfg.out_dir, "bins.txt"), "w", encoding="utf-8") as fh:
-        fh.write("heterospec-bins v1\ncriterion: normalized\nnum_bins: 2\n"
-                 "bin 0 1.5 2 3\nbin 1.5 inf 4 5\n")
-    with pytest.raises(BinsFileError, match=r"bins\.txt:3: expected entropy_k: "):
+        fh.write('{"format": "heterospec-bins v2", "criterion": "normalized", '
+                 '"thresholds": [1.5], "means": [2, 4], "counts": [3, 5]}\n')
+    with pytest.raises(BinsFileError, match=r"bins\.txt: bins: missing keys "
+                       r"\['entropy_k', 'base_depth'\]"):
         load_pipeline_bins(cfg)
 
 
@@ -202,7 +203,7 @@ def test_default_planted_experiment_matches_readme(tmp_path):
     # the traces and every table, byte for byte
     for name, digest in (
             ("bins.txt",
-             "15a03105e4f21f396b6fb8f39b7d17b4d70118f977f914f159965595408707df"),
+             "21d6491a71704986e270a647d33e2b2190221b99476f11d8c2f5323f7a6c85ff"),
             ("calibration.csv",
              "b65d4b2afcc3f2dde567ad8f1f51c78575e80d9b2ce3ccc174c72b4da891e749"),
             ("baseline-iterations.csv",

@@ -62,7 +62,7 @@ def test_artifact_digests_prints_the_default_runs_artifacts():
            for table in ("iterations", "tcr-histogram", "tcr-by-accepted",
                          "bin-occupancy")])
     assert out["sha256"]["bins.txt"] == \
-        "15a03105e4f21f396b6fb8f39b7d17b4d70118f977f914f159965595408707df"
+        "21d6491a71704986e270a647d33e2b2190221b99476f11d8c2f5323f7a6c85ff"
     assert out["sha256"]["model.bin"] == \
         "000335857b524c8b1c9653934e3fe1efedc8fc6f00e073eac67a085e48a079ad"
     assert sorted(out) == ["calls", "sha256", "speedup"]
@@ -91,7 +91,7 @@ ZIPF_WORD_SEED0_SHA256 = {
     "baseline-tcr-histogram.csv":
         "157c1ddb60f3f143038c4d4bb79fd3309b62440478baceaf62e7113e57af76aa",
     "bins.txt":
-        "33e69a4af203bce3a9e56315f44ff8361d029e948e286b4e89cfc8ea8e72dd94",
+        "cae3a2cdb207e7c69058948ef0c017e596054653c990ed650489a075fc9deda1",
     "calibration.csv":
         "97dcbd752192a5f5c0469982a50e11c15af45d4bb377b96f1a67e7948263e902",
     "compare.csv":
@@ -124,7 +124,7 @@ WIDE_TREE_SEED0_SHA256 = {
     "baseline-tcr-histogram.csv":
         "91e2aff00f381ec577e09ac63e329831047e11595c6dc5ce33cceae3550d6fb7",
     "bins.txt":
-        "963fcdb88ef16f71fef22902d58592d18d4034f7e97236c97e7e48c48d05b216",
+        "91ded809e688ef6545660fa67346d3cab998b20162bcb26e553c20e886f72e0a",
     "calibration.csv":
         "e5e69af499cc4aaf10cbfc9e76328f13e21a8b12d35bc74c745ba946d898f5f6",
     "compare.csv":
@@ -171,7 +171,7 @@ SEED3_DIGESTS = {
         "baseline-tcr-histogram.csv":
             "26b1d9c13d8feb0864e785466081d48ab5d716485f188912712168244e64d97e",
         "bins.txt":
-            "15a03105e4f21f396b6fb8f39b7d17b4d70118f977f914f159965595408707df",
+            "21d6491a71704986e270a647d33e2b2190221b99476f11d8c2f5323f7a6c85ff",
         "calibration.csv":
             "b65d4b2afcc3f2dde567ad8f1f51c78575e80d9b2ce3ccc174c72b4da891e749",
         "compare.csv":
@@ -199,7 +199,7 @@ SEED3_DIGESTS = {
         "baseline-tcr-histogram.csv":
             "358426f186bd28c327ec9018f514b71d464a6d16eacdc03b144fa81ce975d1d2",
         "bins.txt":
-            "963fcdb88ef16f71fef22902d58592d18d4034f7e97236c97e7e48c48d05b216",
+            "91ded809e688ef6545660fa67346d3cab998b20162bcb26e553c20e886f72e0a",
         "calibration.csv":
             "e5e69af499cc4aaf10cbfc9e76328f13e21a8b12d35bc74c745ba946d898f5f6",
         "compare.csv":
@@ -227,7 +227,7 @@ SEED3_DIGESTS = {
         "baseline-tcr-histogram.csv":
             "f078828edbf19f3fa89f4dec2b2cf7eca536056c4395df24899eb180632f806a",
         "bins.txt":
-            "33e69a4af203bce3a9e56315f44ff8361d029e948e286b4e89cfc8ea8e72dd94",
+            "cae3a2cdb207e7c69058948ef0c017e596054653c990ed650489a075fc9deda1",
         "calibration.csv":
             "97dcbd752192a5f5c0469982a50e11c15af45d4bb377b96f1a67e7948263e902",
         "compare.csv":
