@@ -20,8 +20,9 @@ workload. Per metric of the change tree's BENCHMARK.json:
 Once ``--out`` is written, a verdict table of the workload goes to
 stdout: per metric the two medians, ``change_worse_by`` as a percent, the
 bound and the wins/losses, marked ``OVER`` where the change is worse by
-more than the bound; then the failed decodes of each side and whether the
-trace digests were equal.
+more than the bound; then the failed decodes of each side, whether each
+side's trace digests repeated over its runs, and whether both repeated
+and agreed.
 
 Nothing under either tree is changed. Run from anywhere:
 
@@ -48,8 +49,10 @@ DESCRIPTION = (
     "one side; 'runs' lists every run in pair order; change_worse_by is the "
     "relative change of the median, positive when worse; change_wins and "
     "change_losses count pairs, ties counting for neither. 'json_lines' "
-    "holds the last stdout line of every run, 'passes' its first line and "
-    "'trace_sha256' the trace digests it printed.")
+    "holds the last stdout line of every run and 'passes' its first line; "
+    "'trace_sha256' holds each side's trace digests from its first run, "
+    "'trace_sha256_repeat' whether every run of the side printed the same, "
+    "and 'trace_sha256_equal' whether both sides repeat and agree.")
 
 
 def run_bench(tree: str, workload: str, seed: int, seconds: float,
@@ -120,7 +123,8 @@ def run_pairs(trees: dict[str, str], args) -> dict:
     with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)["per_layer" if args.trace else "end_to_end"]
     lines = {side: [] for side in SIDES}
-    passes, digests = [], []
+    digests = {side: [] for side in SIDES}
+    passes = []
     for pair in range(1, args.pairs + 1):
         order = SIDES if pair % 2 else SIDES[::-1]
         for side in order:
@@ -128,7 +132,7 @@ def run_pairs(trees: dict[str, str], args) -> dict:
                                          args.seconds, args.trace)
             print(f"pair {pair} {side}: {first}", flush=True)
             passes.append(f"pair {pair} {side}: {first}")
-            digests.append(sha)
+            digests[side].append(sha)
             lines[side].append(last)
     block = {"seed": args.seed, "seconds_per_run": args.seconds,
              "pairs": args.pairs,
@@ -137,8 +141,11 @@ def run_pairs(trees: dict[str, str], args) -> dict:
                         f"--trace {args.trace}"}
     block.update(aggregate(spec, {s: [json.loads(x) for x in lines[s]]
                                   for s in SIDES}))
-    block["trace_sha256_equal"] = all(d == digests[0] for d in digests)
-    block["trace_sha256"] = digests[0]
+    repeat = {s: all(d == digests[s][0] for d in digests[s]) for s in SIDES}
+    block["trace_sha256_repeat"] = repeat
+    block["trace_sha256_equal"] = (all(repeat.values())
+                                   and digests["parent"][0] == digests["change"][0])
+    block["trace_sha256"] = {s: digests[s][0] for s in SIDES}
     block["passes"] = passes
     block["json_lines"] = lines
     return block
@@ -151,7 +158,8 @@ def _number(value, fmt: str = ".6g") -> str:
 
 def verdict_lines(block: dict) -> list[str]:
     """The verdict table of a workload's block, one line per metric, then
-    the failed decodes per side and whether the trace digests were equal."""
+    the failed decodes per side, whether each side's trace digests
+    repeated, and whether both repeated and agreed."""
     lines = [f"{'metric':<30} {'parent':>12} {'change':>12} {'worse_by':>9} "
              f"{'bound':>7} {'wins/losses':>11}"]
     for name, m in block["metrics"].items():
@@ -165,10 +173,13 @@ def verdict_lines(block: dict) -> list[str]:
                      f"{_number(bound, '.0%'):>7} {wins:>11}"
                      + ("  OVER" if over else ""))
     failed = block["failed"]
+    yes = {True: "yes", False: "no"}
+    repeat = block["trace_sha256_repeat"]
     lines.append(f"failed decodes: parent {failed['parent']}, "
                  f"change {failed['change']}")
-    lines.append("trace digests equal: "
-                 + ("yes" if block["trace_sha256_equal"] else "no"))
+    lines.append(f"trace digests repeat: parent {yes[repeat['parent']]}, "
+                 f"change {yes[repeat['change']]}")
+    lines.append(f"trace digests equal: {yes[block['trace_sha256_equal']]}")
     return lines
 
 

@@ -29,9 +29,10 @@ entropy, bin and shape, whenever greedy decoding returns to that state.
 Verification against the target runs on every iteration: it walks the
 target's argmax from the root through the kept nodes, the map ``rerank``
 returns from each kept node's path tokens to its rank, so each step is
-one lookup of the path so far plus the target's token, derived once per
-target state from the ``DistRecord`` that ``next_dist`` returns. ``step``
-reads the terminal rank from the map once the emitted block is cut.
+one lookup of the path so far plus the target's token, the ``argmax`` of
+the ``DistRecord`` that ``next_dist`` returns, computed once per target
+state. ``step`` reads the terminal rank from the map once the emitted
+block is cut.
 """
 
 from __future__ import annotations
@@ -39,13 +40,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .binning import BinningModel
 from .errors import ConfigError, OutputMismatchError, check_setting, finite
 from .metrics import (CostModel, IterationRecord, RunSummary, summarize,
                       validate_run)
-from .models import LanguageModel, ProbDist
+from .models import LanguageModel, argmax_token
 from .tree import expand, extend, rerank, tree_entropy_signal
 from .vocab import Context
 
@@ -127,11 +126,6 @@ def greedy_reference(target_model: LanguageModel, prompt: Context,
     return out
 
 
-def argmax_token(dist: ProbDist) -> int:
-    # np.argmax returns the first maximum: ties go to the smaller token id.
-    return int(np.argmax(dist))
-
-
 @dataclass
 class AcceptResult:
     accepted_tokens: list[int]
@@ -154,7 +148,7 @@ def verify_greedy(ranks: dict[tuple[int, ...], int],
     next_dist = target_model.next_dist
     accepted: tuple[int, ...] = ()
     while True:
-        star = next_dist(ctx).derive(argmax_token)
+        star = next_dist(ctx).argmax
         walked = accepted + (star,)
         if walked not in ranks:
             return AcceptResult(list(accepted), star)
@@ -165,7 +159,7 @@ def verify_greedy(ranks: dict[tuple[int, ...], int],
 def step(target_model: LanguageModel, draft_model: LanguageModel,
          tstate: Context, dstate: Context, cfg: HeteroConfig,
          bins: BinningModel | None, low_bins: tuple[int, ...], memo: dict,
-         budget: int) -> tuple[list[int], tuple]:
+         budget: int) -> tuple[tuple[int, ...], tuple]:
     """One speculative iteration from a target state and a draft state, with
     ``cfg`` resolved: draft, rerank and verify, then cut the emitted block at
     the terminator or at ``budget`` tokens so emitted == accepted + 1 still
@@ -188,13 +182,13 @@ def step(target_model: LanguageModel, draft_model: LanguageModel,
                                       len(ranks)))
     ranks, shape = hit
     result = verify_greedy(ranks, target_model, tstate)
-    emit = result.accepted_tokens + [result.bonus_token]
+    emit = (*result.accepted_tokens, result.bonus_token)
     if cfg.terminator in emit:
         emit = emit[:emit.index(cfg.terminator) + 1]
     emit = emit[:budget]
     k = len(emit) - 1
     # emit[:k] is an accepted root path, so a kept node, under either cut
-    tcr = ranks[tuple(emit[:k])] if k else len(ranks) + 1
+    tcr = ranks[emit[:k]] if k else len(ranks) + 1
     return emit, (*shape, k, len(emit), tcr)
 
 
@@ -220,9 +214,8 @@ def _decode(target_model: LanguageModel, draft_model: LanguageModel,
         out.extend(emit)
         if emit[-1] == cfg.terminator:
             break
-        emitted = tuple(emit)
-        tstate = target_model.state_key(tstate + emitted)
-        dstate = draft_model.state_key(dstate + emitted)
+        tstate = target_model.state_key(tstate + emit)
+        dstate = draft_model.state_key(dstate + emit)
     return GenerationResult(tokens=out, records=records)
 
 

@@ -3,12 +3,13 @@
 All models share one contract: ``next_dist(context)`` returns the
 ``DistRecord`` of the state the context leaves the model in. Its ``dist``
 is a read-only length-V probability vector (entries >= 0, summing to 1
-within 1e-9), a deterministic function of (model state, context), and
-``derive`` computes each value taken from it (the top-k selection its
-children and top-K entropy come from, the top-1 probability, the argmax)
-once per record, so once per model state rather than once per draft node
-or verify step. Models are immutable after construction apart from their
-memo, which only ever grows.
+within 1e-9), a deterministic function of (model state, context); its
+``argmax``, the token greedy verification reads, is computed when the
+record is made, and ``derive`` computes each other value taken from it
+(the ``TopK`` selection a draft node's children, top-1 probability and
+top-K entropy come from) once per record, so once per model state rather
+than once per draft node or verify step. Models are immutable after
+construction apart from their memo, which only ever grows.
 
 ``state_key(context)`` names the state a context leaves the model in:
 contexts with equal state keys get equal distributions now and after any
@@ -108,21 +109,28 @@ def _check_tables(counts: Counts, order: int, v: int) -> None:
                               f"counts >= 0")
 
 
+def argmax_token(dist: ProbDist) -> int:
+    # np.argmax returns the first maximum: ties go to the smaller token id.
+    return int(np.argmax(dist))
+
+
 class DistRecord:
-    """One distribution and the values derived from it, each computed once.
+    """One distribution, its ``argmax_token`` and the values derived from
+    it, each computed once.
 
     ``derive(fn, *args)`` returns ``fn(dist, *args)``, calling ``fn`` only on
     the first request for that (fn, args).
     """
 
-    __slots__ = ("dist", "_derived")
+    __slots__ = ("dist", "argmax", "_derived")
 
     def __init__(self, dist: ProbDist):
         self.dist = dist
+        self.argmax = argmax_token(dist)
         self._derived: dict = {}
 
     def derive(self, fn, *args):
-        key = (fn, *args) if args else fn
+        key = (fn, *args)
         value = self._derived.get(key)
         if value is None:
             value = self._derived[key] = fn(self.dist, *args)
@@ -272,9 +280,8 @@ class PerturbedDraftModel(LanguageModel):
         self.base = base
         self.vocab = base.vocab
         self.noise = noise
-
-    def state_key(self, context: Context) -> tuple[int, ...]:
-        return self.base.state_key(context)
+        # the base's states, bound once so a state key is one call
+        self.state_key = base.state_key
 
     def _compute(self, context: Context) -> ProbDist:
         return perturb(self.base.next_dist(context).dist, self.noise)

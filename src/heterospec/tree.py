@@ -14,9 +14,10 @@ A node is one plain tuple:
     (-log value, parent, step, path tokens)
 
 Layer 1 hangs off the shared ``ROOT``, the one node whose parent is None.
-``step`` is the ``DistRecord`` of the draft state the token was drawn
-from, as the draft's ``next_dist`` returns it, and ``path tokens`` are the
-tokens below the root, this node's last; their length is the node's depth.
+``step`` is the ``TopK`` selection the token was drawn from, derived once
+from the ``DistRecord`` the draft's ``next_dist`` returns for the parent's
+state, and ``path tokens`` are the tokens below the root, this node's
+last; their length is the node's depth.
 A tree keeps its nodes in creation order, layer by layer, and its deepest
 non-empty layer, the only one the next layer and the meta path read.
 
@@ -33,14 +34,14 @@ order.
 The draft-side uncertainty signal is the cumulative top-K entropy of the
 meta path. Each step's signal keeps the K largest probabilities of its
 distribution, K the tree's ``top_k``, renormalizes them and takes the
-Shannon entropy in nats; ``TopK`` computes it with the selection the
-step's children come from. The tree's signal sums it over the steps of
-the meta path: the root-to-leaf path ending at the node of the deepest
-layer whose final step distribution has the largest top-1 probability.
-Ties go to the higher-value node, then to the earlier-created one:
-``min`` keeps the first of equal keys, and the layer is in creation
-order. Every distribution involved was computed while the tree was built,
-so the signal costs no model call.
+Shannon entropy in nats; ``TopK`` computes it, and the top-1
+probability, with the selection the step's children come from. The tree's
+signal sums it over the steps of the meta path: the root-to-leaf path
+ending at the node of the deepest layer whose final step has the largest
+top-1 probability. Ties go to the higher-value node, then to the
+earlier-created one: ``min`` keeps the first of equal keys, and the layer
+is in creation order. Every node carries its step's selection, so the
+signal costs no model call and no lookup.
 """
 
 from __future__ import annotations
@@ -126,16 +127,18 @@ class TopK:
     """The k most probable tokens of one distribution (``top_tokens``),
     selected once per ``DistRecord`` and k as ``record.derive(TopK, k)``,
     with what the tree reads of that selection: ``children``, (token,
-    log p) of the tokens with positive probability in selection order, and
-    ``entropy``, the top-k step entropy."""
+    log p) of the tokens with positive probability in selection order,
+    ``top1``, the probability of the first token, ``float(np.max(dist))``,
+    and ``entropy``, the top-k step entropy."""
 
-    __slots__ = ("tokens", "children", "entropy")
+    __slots__ = ("tokens", "children", "top1", "entropy")
 
     def __init__(self, dist: ProbDist, k: int):
         self.tokens = top_tokens(dist, k)
+        probs = dist[self.tokens].tolist()
         self.children = [(t, math.log(p))
-                         for t, p in zip(self.tokens.tolist(),
-                                         dist[self.tokens].tolist()) if p > 0.0]
+                         for t, p in zip(self.tokens.tolist(), probs) if p > 0.0]
+        self.top1 = probs[0]
         self.entropy = topk_step_entropy(dist, self.tokens)
 
 
@@ -150,10 +153,10 @@ def _grow_layers(tree: DraftTree, draft_model: LanguageModel, layers: int) -> No
         layer = []
         for parent in frontier:
             neg_value, tokens = parent[NEG_VALUE], parent[TOKENS]
-            step = next_dist(context + tokens)
+            step = next_dist(context + tokens).derive(TopK, top_k)
             # -(a + log p) == -a - log p exactly, so values and ties match
             # the sum of logs along the path
-            for token, logp in step.derive(TopK, top_k).children:
+            for token, logp in step.children:
                 layer.append((neg_value - logp, parent, step, tokens + (token,)))
         if not layer:  # a dead frontier: every deeper layer is empty too
             return
@@ -184,18 +187,11 @@ def rerank(tree: DraftTree, budget: int) -> dict[tuple[int, ...], int]:
     return {node[TOKENS]: rank for rank, node in enumerate(kept, 1)}
 
 
-def top1_prob(dist: ProbDist) -> float:
-    # np.max rather than the TopK selection: a derive without arguments is
-    # keyed by the function alone, a cheaper lookup per candidate node than
-    # the tuple (TopK, k)
-    return float(np.max(dist))
-
-
 def select_meta_path(tree: DraftTree) -> DraftNode:
     """Leaf of the meta path of a draft tree.
 
     Candidates are the nodes of the deepest layer, in creation order. The
-    winner maximizes the top-1 probability of its final step distribution;
+    winner maximizes the top-1 probability of its final step;
     ties prefer the higher-value node, then the earlier-created one, the
     first that ``min`` meets.
     """
@@ -203,7 +199,7 @@ def select_meta_path(tree: DraftTree) -> DraftNode:
         raise ConfigError("cannot select a meta path from an empty tree")
 
     def key(node: DraftNode) -> tuple[float, float]:
-        return (-node[STEP].derive(top1_prob), node[NEG_VALUE])
+        return (-node[STEP].top1, node[NEG_VALUE])
 
     return min(tree.deepest, key=key)
 
@@ -211,6 +207,4 @@ def select_meta_path(tree: DraftTree) -> DraftNode:
 def tree_entropy_signal(tree: DraftTree) -> float:
     """Sum of the top-k step entropies along the meta path, k the tree's
     ``top_k``."""
-    k = tree.top_k
-    return float(sum(node[STEP].derive(TopK, k).entropy
-                     for node in path(select_meta_path(tree))))
+    return float(sum(node[STEP].entropy for node in path(select_meta_path(tree))))

@@ -15,7 +15,7 @@ from heterospec.corpus import corpus_symbols
 from heterospec.errors import ConfigError
 from heterospec.metrics import IterationRecord
 from heterospec.models import DistRecord, LanguageModel, ProbDist
-from heterospec.tree import TopK
+from heterospec.tree import STEP, TOKENS, TopK
 from heterospec.vocab import UNK, Context, Vocabulary
 
 # deterministic hypothesis runs keep the suite byte-reproducible
@@ -128,19 +128,20 @@ class ScriptedModel(LanguageModel):
 
 
 class DrawnDistModel(LanguageModel):
-    """Fresh Dirichlet draw per call, in a fresh record. Not a function of
-    context, so it bypasses the memo and is only suitable for fuzzing tree
-    construction within a single expansion."""
+    """Fresh Dirichlet draw per context, memoized by the whole context. The
+    draws depend on the order contexts are first asked for, so the model
+    is only suitable for fuzzing tree construction within a single
+    expansion, which asks for each context once."""
 
     def __init__(self, vocab: Vocabulary, rng: np.random.Generator,
                  concentration: float = 0.8):
+        super().__init__()
         self.vocab = vocab
         self.rng = rng
         self.concentration = concentration
 
-    def next_dist(self, context):
-        return DistRecord(self.rng.dirichlet(np.full(self.vocab.size,
-                                                     self.concentration)))
+    def _compute(self, context):
+        return self.rng.dirichlet(np.full(self.vocab.size, self.concentration))
 
 
 class PlantedTemplateModel(LanguageModel):
@@ -280,6 +281,14 @@ def selection_ks(v: int):
     sums in numpy's 8 lanes), and k >= V."""
     return st.one_of(st.integers(1, 8), st.integers(1, v),
                      st.integers(v, v + 3))
+
+
+def step_record(model: LanguageModel, tree, node) -> DistRecord:
+    """The record of the draft state ``node``'s token was drawn from, its
+    parent's; the node's step must be that record's ``TopK`` selection."""
+    rec = model.next_dist(tree.context + node[TOKENS][:-1])
+    assert node[STEP] is rec.derive(TopK, tree.top_k)
+    return rec
 
 
 def topk_entropy(dist: ProbDist, k: int) -> float:

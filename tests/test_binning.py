@@ -383,6 +383,10 @@ def test_good_bins_text_loads(tmp_path):
     (bins_text(means=[2.0]), "one mean per bin"),
     (bins_text(counts=[3, 5, 1]), "one count per bin"),
     (bins_text(counts=[3, -4]), "counts must be >= 0, got"),
+    # the tree shape is a controller's top_k and depth, both >= 1
+    (bins_text(entropy_k=-1, base_depth=0), "entropy_k must be >= 1, got -1"),
+    (bins_text(entropy_k=0), "entropy_k must be >= 1, got 0"),
+    (bins_text(base_depth=0), "base_depth must be >= 1, got 0"),
     (b'{"format": "heterospec-bins v2\xff"}\n', "not UTF-8 text"),
 ])
 def test_load_bins_rejects_malformed(tmp_path, data, msg):

@@ -648,13 +648,23 @@ def test_exit_4_on_corrupt_bins(tmp_path, capsys):
     base = ["--config", str(cfg), "--out", out]
     for command in ("gen-corpus", "train-model", "calibrate"):
         assert main([command, *base]) == 0
-    with open(os.path.join(out, "bins.txt"), "w", encoding="utf-8") as fh:
+    bins = os.path.join(out, "bins.txt")
+    with open(bins, encoding="utf-8") as fh:
+        data = json.load(fh)
+    with open(bins, "w", encoding="utf-8") as fh:
         fh.write("not a bins file\n")
     capsys.readouterr()
     assert main(["compare", *base]) == 4
     err = _one_error_line(capsys.readouterr())
     assert err.startswith("heterospec: bins-format:")
     assert "bins.txt: bins: invalid JSON" in err
+    # a tree shape no controller has is a malformed file, not another shape
+    with open(bins, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(dict(data, entropy_k=-1, base_depth=0)) + "\n")
+    assert main(["compare", *base]) == 4
+    assert _one_error_line(capsys.readouterr()) == (
+        f"heterospec: bins-format: {bins}: entropy_k must be >= 1, got -1; "
+        f"run calibrate again\n")
 
 
 REPORT_TABLES = ("*-tcr-*.csv", "*-bin-occupancy.csv")

@@ -189,12 +189,12 @@ def test_step_scores_a_held_out_position(monkeypatch):
     memo = {}
     # the target walks 70, 71, 72 through the kept nodes of ranks 1-3; its
     # 73 is no child of 72 (those are 90 and 0), so 73 is the bonus
-    want = ([70, 71, 72, 73], (entropy, -1, 5, 8, 8, 3, 4, 3))
+    want = ((70, 71, 72, 73), (entropy, -1, 5, 8, 8, 3, 4, 3))
     assert step(target, draft, context, context, cfg, None, (), memo, 60) == want
     assert step(target, draft, context, context, cfg, None, (), memo, 60) == want
     # the budget cut restates the accounting: 2 emitted, 1 accepted at rank 1
     assert step(target, draft, context, context, cfg, None, (), memo, 2) == \
-        ([70, 71], (entropy, -1, 5, 8, 8, 1, 2, 1))
+        ((70, 71), (entropy, -1, 5, 8, 8, 1, 2, 1))
     assert expanded == [context]
 
 

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (FixedDistModel, ScriptedModel, make_vocab, prob_dists, selection_ks,
-                      selection_rows, topk_entropy)
+                      selection_rows, step_record, topk_entropy)
 from heterospec.errors import ConfigError
 from heterospec.models import DistRecord
 from heterospec.tree import (NEG_VALUE, STEP, TOKENS, TopK, expand, path, select_meta_path,
@@ -111,13 +111,14 @@ def test_cumulative_signal_adds_steps():
     model = FixedDistModel((0.7, 0.2, 0.1))
     tree = expand(model, (5,), depth=2, top_k=2)
     leaf = select_meta_path(tree)
-    steps = [topk_entropy(n[STEP].dist, 2) for n in path(leaf)]
+    steps = [topk_entropy(step_record(model, tree, n).dist, 2) for n in path(leaf)]
     assert len(steps) == 2
     assert steps == pytest.approx([0.52970619905765452117] * 2)
     signal = tree_entropy_signal(tree)
     assert signal == pytest.approx(1.0594123981153090423, abs=1e-15)
     assert signal == sum(steps)
-    assert np.max(leaf[STEP].dist) == 0.7
+    assert np.max(step_record(model, tree, leaf).dist) == 0.7
+    assert leaf[STEP].top1 == 0.7
     assert leaf is tree.deepest[0]
 
 
@@ -128,9 +129,11 @@ def test_meta_path_prefers_confident_final_step():
         (9, 0): (0.5, 0.25, 0.25),
         (9, 1): (0.9, 0.05, 0.05),
     }
-    tree = expand(ScriptedModel(table, make_vocab(3)), (9,), depth=2, top_k=2)
+    model = ScriptedModel(table, make_vocab(3))
+    tree = expand(model, (9,), depth=2, top_k=2)
     leaf = select_meta_path(tree)
-    assert np.max(leaf[STEP].dist) == 0.9
+    assert np.max(step_record(model, tree, leaf).dist) == 0.9
+    assert leaf[STEP].top1 == 0.9
     assert leaf[TOKENS][0] == 1
 
 

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import (BAD_MODEL_FILES, PlantedTemplateModel, count_dicts,
                       count_tables, is_valid_dist, make_vocab, model_file,
-                      prob_dists)
+                      prob_dists, selection_ks, smoothed_dists, tied_dists)
 from heterospec import models
 from heterospec.errors import ConfigError
-from heterospec.models import (LanguageModel, NGramModel, PerturbedDraftModel,
-                               load_model, perturb, save_model, train_ngram)
+from heterospec.models import (DistRecord, LanguageModel, NGramModel,
+                               PerturbedDraftModel, argmax_token, load_model,
+                               perturb, save_model, train_ngram)
+from heterospec.tree import TopK
 from heterospec.vocab import UNK, Vocabulary, build_vocab, encode_corpus, split_corpus
 
 
@@ -531,6 +533,19 @@ def test_derive_runs_once_per_fn_and_args_across_next_dist_calls():
                       rec.derive(counted, 3), rec.derive(counted, 2)]
             assert values == [float(rec.dist.max())] * 4
         assert calls == [(), (2,), (3,)]
+
+
+@given(st.one_of(smoothed_dists(), tied_dists()), st.sampled_from([0.02, 0.3]),
+       st.data())
+def test_records_keep_the_first_argmax_and_the_top1_probability(row, noise, data):
+    # an n-gram row and the draft's perturbed row of it; equal counts tie
+    # at the maximum, and perturbing keeps the ties
+    rows = [row, perturb(row, noise)] if row.sum() > 0.0 else [row]
+    for dist in rows:
+        first_max = int(np.flatnonzero(dist == dist.max())[0])
+        assert DistRecord(dist).argmax == argmax_token(dist) == first_max
+        k = data.draw(selection_ks(dist.shape[0]), label="k")
+        assert TopK(dist, k).top1 == float(np.max(dist))
 
 
 def test_memoized_values_bitwise_equal_uncached_formula():

@@ -14,7 +14,7 @@ from conftest import TINY_CONFIG
 from heterospec import pipeline
 from heterospec.config import ExperimentConfig, config_from_dict, load_config
 from heterospec.binning import save_bins
-from heterospec.errors import BinsFileError, ConfigError
+from heterospec.errors import ConfigError
 from heterospec.metrics import read_iterations_csv, read_summary_csv, validate_run
 from heterospec.pipeline import (
     load_models,
@@ -108,17 +108,6 @@ def test_bins_for_another_tree_shape_are_refused(lab, controller):
             rf"{other.controller.depth}; run calibrate again")
     with pytest.raises(ConfigError, match=want):
         load_pipeline_bins(other)
-
-
-def test_bins_without_tree_shape_metadata_are_refused(tmp_path):
-    cfg = _cfg(tmp_path / "run")
-    os.makedirs(cfg.out_dir)
-    with open(os.path.join(cfg.out_dir, "bins.txt"), "w", encoding="utf-8") as fh:
-        fh.write('{"format": "heterospec-bins v2", "criterion": "normalized", '
-                 '"thresholds": [1.5], "means": [2, 4], "counts": [3, 5]}\n')
-    with pytest.raises(BinsFileError, match=r"bins\.txt: bins: missing keys "
-                       r"\['entropy_k', 'base_depth'\]"):
-        load_pipeline_bins(cfg)
 
 
 def test_traces_account_for_all_tokens(lab):

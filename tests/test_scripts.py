@@ -7,6 +7,7 @@ seed 0; the pairs tool aggregates synthetic runs, alternates which side
 runs first and flags a metric worse than its bound."""
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import json
 import os
@@ -397,9 +398,10 @@ def test_bench_pairs_verdict_flags_only_the_metric_over_its_bound():
     parent = [_result(2.0, 50.0, calls=900)] * 3
     change = [_result(3.0, 49.0, calls=1000, failed=f) for f in (0, 2, 0)]
     block = _bench_pairs().aggregate(SPEC, {"parent": parent, "change": change})
+    block["trace_sha256_repeat"] = {"parent": True, "change": False}
     block["trace_sha256_equal"] = False
     lines = _bench_pairs().verdict_lines(block)
-    assert len(lines) == 1 + len(SPEC) + 2
+    assert len(lines) == 1 + len(SPEC) + 3
     assert [line.split()[0] for line in lines if line.endswith("OVER")] == \
         ["compare_s"]
     assert lines[1].split() == ["compare_s", "2", "3", "+50.0%", "25%", "0/3",
@@ -408,7 +410,8 @@ def test_bench_pairs_verdict_flags_only_the_metric_over_its_bound():
                                 "0/3"]
     assert lines[3].split() == ["baseline_calls", "900", "1000", "+11.1%", "-",
                                 "0/3"]
-    assert lines[-2:] == ["failed decodes: parent 0, change 2",
+    assert lines[-3:] == ["failed decodes: parent 0, change 2",
+                          "trace digests repeat: parent yes, change no",
                           "trace digests equal: no"]
 
 
@@ -419,6 +422,7 @@ with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..",
     fh.write(side + "\\n")
 print("workload planted seed 7 trace 0: 3 passes")
 print("sha256 bins.txt abc")
+print("sha256 baseline-iterations.csv " + side)
 value = {"parent": 2.0, "change": 1.0}[side]
 print(json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": {
     "compare_s": {"value": value, "unit": "s"}}}))
@@ -440,10 +444,12 @@ def test_bench_pairs_alternates_which_side_runs_first(tmp_path, capsys):
     assert (tmp_path / "order.log").read_text().split() == [
         "parent", "change", "change", "parent", "parent", "change"]
     # the verdict table follows the pairs' lines
-    assert capsys.readouterr().out.splitlines()[-3:] == [
+    assert capsys.readouterr().out.splitlines()[-4:] == [
         "compare_s                                 2            1    -50.0%"
         "     25%         3/0",
-        "failed decodes: parent 0, change 0", "trace digests equal: yes"]
+        "failed decodes: parent 0, change 0",
+        "trace digests repeat: parent yes, change yes",
+        "trace digests equal: no"]
     written = json.loads(out.read_text(encoding="utf-8"))
     assert written["notes"] == "kept"
     block = written["workloads"]["planted"]
@@ -452,8 +458,32 @@ def test_bench_pairs_alternates_which_side_runs_first(tmp_path, capsys):
     assert block["passes"][:2] == [
         "pair 1 parent: workload planted seed 7 trace 0: 3 passes",
         "pair 1 change: workload planted seed 7 trace 0: 3 passes"]
-    assert block["trace_sha256_equal"] and block["trace_sha256"] == {"bins.txt": "abc"}
+    # each side repeats its own digests, and one trace differs by side
+    assert block["trace_sha256"] == {
+        side: {"bins.txt": "abc", "baseline-iterations.csv": side}
+        for side in ("parent", "change")}
+    assert block["trace_sha256_repeat"] == {"parent": True, "change": True}
+    assert not block["trace_sha256_equal"]
     assert len(block["json_lines"]["change"]) == 3
     time = block["metrics"]["compare_s"]
     assert (time["change_wins"], time["change_losses"]) == (3, 0)
     assert time["change_worse_by"] == -0.5
+
+
+def test_bench_pairs_flags_a_side_whose_digests_do_not_repeat(tmp_path,
+                                                              monkeypatch):
+    module = _bench_pairs()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC}),
+                                             encoding="utf-8")
+    # the change's second run writes another bins.txt; the parent repeats
+    digests = iter([{"bins.txt": "p"}, {"bins.txt": "c1"},
+                    {"bins.txt": "c2"}, {"bins.txt": "p"}])
+    monkeypatch.setattr(module, "run_bench", lambda *args: (
+        "passes", next(digests), json.dumps(_result(1.0, 10.0))))
+    args = argparse.Namespace(workload="planted", seed=0, seconds=1.0,
+                              pairs=2, trace=0)
+    block = module.run_pairs({"parent": "p", "change": str(tmp_path)}, args)
+    assert block["trace_sha256"] == {"parent": {"bins.txt": "p"},
+                                     "change": {"bins.txt": "c1"}}
+    assert block["trace_sha256_repeat"] == {"parent": True, "change": False}
+    assert not block["trace_sha256_equal"]

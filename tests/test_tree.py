@@ -17,9 +17,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (DrawnDistModel, FixedDistModel, ScriptedModel, chain_template_model,
-                      make_vocab, selection_ks, selection_rows)
-from heterospec.tree import (NEG_VALUE, PARENT, ROOT, STEP, TOKENS, DraftTree, TopK,
-                             expand, extend, path, rerank)
+                      make_vocab, selection_ks, selection_rows, step_record)
+from heterospec.tree import (NEG_VALUE, PARENT, ROOT, TOKENS, DraftTree, TopK, expand,
+                             extend, path, rerank)
 
 TRI = (0.7, 0.2, 0.1)
 
@@ -32,9 +32,10 @@ def token(node) -> int:
     return node[TOKENS][-1]
 
 
-def confidence(node) -> float:
-    """Draft probability of the node's token, read from its step."""
-    return float(node[STEP].dist[token(node)])
+def confidence(model, tree, node) -> float:
+    """Draft probability of the node's token, read from the distribution
+    its step was selected from."""
+    return float(step_record(model, tree, node).dist[token(node)])
 
 
 def oracle_order(nodes) -> list:
@@ -63,12 +64,13 @@ def rank_items(nodes) -> list[tuple[tuple[int, ...], int]]:
 
 
 def test_single_layer_top_children():
-    tree = expand(FixedDistModel(TRI), (5,), depth=1, top_k=2)
+    model = FixedDistModel(TRI)
+    tree = expand(model, (5,), depth=1, top_k=2)
     assert tree.size() == 2
     a, b = tree.nodes
     assert (a[TOKENS], b[TOKENS]) == ((0,), (1,))
     assert a[PARENT] is b[PARENT] is ROOT
-    assert confidence(a) == 0.7 and confidence(b) == 0.2
+    assert confidence(model, tree, a) == 0.7 and confidence(model, tree, b) == 0.2
     assert math.exp(-a[NEG_VALUE]) == pytest.approx(0.7, rel=1e-12)
     assert tree.deepest == [a, b]
 
@@ -88,7 +90,7 @@ def test_leaf_value_is_confidence_product():
     model = ScriptedModel({(): (0.9, 0.1), (0,): (0.8, 0.2)}, make_vocab(2))
     tree = expand(model, (), depth=2, top_k=1)
     leaf = tree.nodes[-1]
-    assert confidence(leaf) == 0.8
+    assert confidence(model, tree, leaf) == 0.8
     assert -leaf[NEG_VALUE] == pytest.approx(math.log(0.9) + math.log(0.8))
     assert math.exp(-leaf[NEG_VALUE]) == pytest.approx(0.72, rel=1e-12)
     assert leaf[TOKENS] == (0, 0)
@@ -105,7 +107,7 @@ def test_value_is_the_negated_log_sum_bitwise():
         for node in tree.nodes:
             log_value = 0.0
             for step in path(node):
-                log_value = log_value + math.log(confidence(step))
+                log_value = log_value + math.log(confidence(model, tree, step))
             assert node[NEG_VALUE] == -log_value
 
 
@@ -133,8 +135,9 @@ def test_frontier_prefers_high_value_nodes():
 
 
 def test_zero_probability_tokens_never_enter():
-    tree = expand(FixedDistModel((0.7, 0.3, 0.0, 0.0)), (0,), depth=2, top_k=4)
-    assert all(confidence(n) > 0.0 for n in tree.nodes)
+    model = FixedDistModel((0.7, 0.3, 0.0, 0.0))
+    tree = expand(model, (0,), depth=2, top_k=4)
+    assert all(confidence(model, tree, n) > 0.0 for n in tree.nodes)
     assert [len(layer) for layer in layers(tree)] == [2, 4]
 
 
@@ -144,7 +147,7 @@ def test_planted_chain_value_is_rho_power():
     tree = expand(model, prompt, depth=4, top_k=1)
     assert [token(n) for n in tree.nodes] == list(template[4:8])
     leaf = tree.nodes[-1]
-    assert confidence(leaf) == 0.97
+    assert confidence(model, tree, leaf) == 0.97
     assert math.exp(-leaf[NEG_VALUE]) == pytest.approx(0.97 ** 4, rel=1e-12)
 
 
@@ -175,7 +178,8 @@ def test_extend_matches_single_expansion():
     prompt = template[:5]
 
     def shape(tree):
-        return [(token(n), depth(n), index, confidence(n), n[NEG_VALUE])
+        return [(token(n), depth(n), index, confidence(model, tree, n),
+                 n[NEG_VALUE])
                 for index, n in enumerate(tree.nodes)]
 
     grown = expand(model, prompt, depth=3, top_k=2)
@@ -277,7 +281,7 @@ def test_value_sort_gives_the_rank_order_under_ties(dist):
         assert parents == [n[TOKENS] for n in oracle_order(layer)[:3]]
 
 
-def render_tree(tree: DraftTree, symbols=None) -> str:
+def render_tree(model, tree: DraftTree, symbols=None) -> str:
     """Deterministic text dump (token, confidence, value, depth) for
     golden-file comparisons."""
     deepest = depth(tree.deepest[0]) if tree.deepest else 0
@@ -291,7 +295,7 @@ def render_tree(tree: DraftTree, symbols=None) -> str:
         for child in children.get(tokens, []):
             label = symbols[token(child)] if symbols else str(token(child))
             lines.append("  " * indent +
-                         f"{label} c={confidence(child):.6f} "
+                         f"{label} c={confidence(model, tree, child):.6f} "
                          f"v={math.exp(-child[NEG_VALUE]):.6f} d={depth(child)}")
             walk(child[TOKENS], indent + 1)
 
@@ -300,7 +304,8 @@ def render_tree(tree: DraftTree, symbols=None) -> str:
 
 
 def test_render_tree_golden():
-    tree = expand(FixedDistModel(TRI), (5,), depth=2, top_k=2)
+    model = FixedDistModel(TRI)
+    tree = expand(model, (5,), depth=2, top_k=2)
     expected = (
         "tree depth=2 top_k=2 nodes=6\n"
         "  0 c=0.700000 v=0.700000 d=1\n"
@@ -310,6 +315,6 @@ def test_render_tree_golden():
         "    0 c=0.700000 v=0.140000 d=2\n"
         "    1 c=0.200000 v=0.040000 d=2\n"
     )
-    assert render_tree(tree) == expected
-    labeled = render_tree(tree, symbols=["a", "b", "c"])
+    assert render_tree(model, tree) == expected
+    labeled = render_tree(model, tree, symbols=["a", "b", "c"])
     assert "a c=0.700000" in labeled and "b c=0.200000" in labeled
