@@ -156,9 +156,8 @@ class BinningModel:
                       "finite, > 0 and strictly increasing", self.thresholds)
         check_setting(all(map(finite, self.means)), "means", "finite", self.means)
         check_setting(min(self.counts) >= 0, "counts", ">= 0", self.counts)
-        for key in ("entropy_k", "base_depth"):  # a controller's top_k, depth
-            value = getattr(self, key)
-            check_setting(value >= 1, key, ">= 1", value)
+        check_setting(self.entropy_k >= 1, "entropy_k", ">= 1", self.entropy_k)
+        check_setting(self.base_depth >= 1, "base_depth", ">= 1", self.base_depth)
 
     @property
     def num_bins(self) -> int:

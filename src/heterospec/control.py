@@ -128,7 +128,7 @@ def greedy_reference(target_model: LanguageModel, prompt: Context,
 
 @dataclass
 class AcceptResult:
-    accepted_tokens: list[int]
+    accepted_tokens: tuple[int, ...]
     bonus_token: int
 
     @property
@@ -151,7 +151,7 @@ def verify_greedy(ranks: dict[tuple[int, ...], int],
         star = next_dist(ctx).argmax
         walked = accepted + (star,)
         if walked not in ranks:
-            return AcceptResult(list(accepted), star)
+            return AcceptResult(accepted, star)
         accepted = walked
         ctx += (star,)
 
@@ -182,7 +182,7 @@ def step(target_model: LanguageModel, draft_model: LanguageModel,
                                       len(ranks)))
     ranks, shape = hit
     result = verify_greedy(ranks, target_model, tstate)
-    emit = (*result.accepted_tokens, result.bonus_token)
+    emit = result.accepted_tokens + (result.bonus_token,)
     if cfg.terminator in emit:
         emit = emit[:emit.index(cfg.terminator) + 1]
     emit = emit[:budget]

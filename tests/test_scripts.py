@@ -422,7 +422,6 @@ with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "..",
     fh.write(side + "\\n")
 print("workload planted seed 7 trace 0: 3 passes")
 print("sha256 bins.txt abc")
-print("sha256 baseline-iterations.csv " + side)
 value = {"parent": 2.0, "change": 1.0}[side]
 print(json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": {
     "compare_s": {"value": value, "unit": "s"}}}))
@@ -449,7 +448,7 @@ def test_bench_pairs_alternates_which_side_runs_first(tmp_path, capsys):
         "     25%         3/0",
         "failed decodes: parent 0, change 0",
         "trace digests repeat: parent yes, change yes",
-        "trace digests equal: no"]
+        "trace digests equal: yes"]
     written = json.loads(out.read_text(encoding="utf-8"))
     assert written["notes"] == "kept"
     block = written["workloads"]["planted"]
@@ -458,32 +457,36 @@ def test_bench_pairs_alternates_which_side_runs_first(tmp_path, capsys):
     assert block["passes"][:2] == [
         "pair 1 parent: workload planted seed 7 trace 0: 3 passes",
         "pair 1 change: workload planted seed 7 trace 0: 3 passes"]
-    # each side repeats its own digests, and one trace differs by side
-    assert block["trace_sha256"] == {
-        side: {"bins.txt": "abc", "baseline-iterations.csv": side}
-        for side in ("parent", "change")}
+    assert block["trace_sha256"] == {"parent": {"bins.txt": "abc"},
+                                     "change": {"bins.txt": "abc"}}
     assert block["trace_sha256_repeat"] == {"parent": True, "change": True}
-    assert not block["trace_sha256_equal"]
+    assert block["trace_sha256_equal"]
     assert len(block["json_lines"]["change"]) == 3
     time = block["metrics"]["compare_s"]
     assert (time["change_wins"], time["change_losses"]) == (3, 0)
     assert time["change_worse_by"] == -0.5
 
 
-def test_bench_pairs_flags_a_side_whose_digests_do_not_repeat(tmp_path,
-                                                              monkeypatch):
+@pytest.mark.parametrize("runs, repeat, equal", [
+    # runs in pair order: parent, change, then change, parent
+    (("a", "a", "a", "a"), {"parent": True, "change": True}, True),
+    # each side repeats, but the change rewrote bins.txt
+    (("p", "c", "c", "p"), {"parent": True, "change": True}, False),
+    # the change's second run wrote another bins.txt than its first
+    (("a", "a", "b", "a"), {"parent": True, "change": False}, False),
+])
+def test_bench_pairs_keeps_trace_digests_per_side(tmp_path, monkeypatch,
+                                                  runs, repeat, equal):
     module = _bench_pairs()
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC}),
                                              encoding="utf-8")
-    # the change's second run writes another bins.txt; the parent repeats
-    digests = iter([{"bins.txt": "p"}, {"bins.txt": "c1"},
-                    {"bins.txt": "c2"}, {"bins.txt": "p"}])
+    digests = iter({"bins.txt": d} for d in runs)
     monkeypatch.setattr(module, "run_bench", lambda *args: (
         "passes", next(digests), json.dumps(_result(1.0, 10.0))))
     args = argparse.Namespace(workload="planted", seed=0, seconds=1.0,
                               pairs=2, trace=0)
     block = module.run_pairs({"parent": "p", "change": str(tmp_path)}, args)
-    assert block["trace_sha256"] == {"parent": {"bins.txt": "p"},
-                                     "change": {"bins.txt": "c1"}}
-    assert block["trace_sha256_repeat"] == {"parent": True, "change": False}
-    assert not block["trace_sha256_equal"]
+    assert block["trace_sha256"] == {"parent": {"bins.txt": runs[0]},
+                                     "change": {"bins.txt": runs[1]}}
+    assert block["trace_sha256_repeat"] == repeat
+    assert block["trace_sha256_equal"] is equal

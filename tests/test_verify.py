@@ -62,11 +62,11 @@ def test_verify_greedy_hand_walk():
                             (0,): (0.1, 0.2, 0.7),
                             (0, 2): (0.2, 0.7, 0.1)}, make_vocab(3))
     res = verify_greedy(ranks, target, ())
-    assert res.accepted_tokens == [0, 2]
-    assert ranks[tuple(res.accepted_tokens)] == 2
+    assert res.accepted_tokens == (0, 2)
+    assert ranks[res.accepted_tokens] == 2
     assert res.bonus_token == 1
     assert res.accepted_len == 2
-    assert res.accepted_tokens + [res.bonus_token] == [0, 2, 1]
+    assert res.accepted_tokens + (res.bonus_token,) == (0, 2, 1)
 
 
 def test_verify_greedy_immediate_mismatch():
@@ -74,10 +74,10 @@ def test_verify_greedy_immediate_mismatch():
     target = FixedDistModel((0.1, 0.1, 0.8))
     ranks = rerank(tree, 6)
     res = verify_greedy(ranks, target, (4,))
-    assert res.accepted_tokens == []
+    assert res.accepted_tokens == ()
     assert (res.bonus_token,) not in ranks
     assert res.bonus_token == 2
-    assert res.accepted_tokens + [res.bonus_token] == [2]
+    assert res.accepted_tokens + (res.bonus_token,) == (2,)
 
 
 def test_verify_greedy_full_chain_acceptance():
@@ -85,10 +85,10 @@ def test_verify_greedy_full_chain_acceptance():
     prompt = template[:3]
     ranks = rerank(expand(model, prompt, depth=4, top_k=2), 10)
     res = verify_greedy(ranks, model, prompt)
-    assert res.accepted_tokens == list(template[3:7])
+    assert res.accepted_tokens == template[3:7]
     assert res.bonus_token == template[7]
     # the planted chain occupies the first ranks, so its leaf sits at depth
-    assert ranks[tuple(res.accepted_tokens)] == 4
+    assert ranks[res.accepted_tokens] == 4
 
 
 def test_verify_greedy_respects_pruned_children():
@@ -96,10 +96,10 @@ def test_verify_greedy_respects_pruned_children():
     tree = expand(FixedDistModel((0.7, 0.2, 0.1)), (0,), depth=2, top_k=2)
     ranks = rerank(tree, 1)
     res = verify_greedy(ranks, FixedDistModel((0.7, 0.2, 0.1)), (0,))
-    assert res.accepted_tokens == [0]
+    assert res.accepted_tokens == (0,)
     assert res.bonus_token == 0
     assert ranks == {(0,): 1}
-    assert res.accepted_tokens + [res.bonus_token] == [0, 0]
+    assert res.accepted_tokens + (res.bonus_token,) == (0, 0)
 
 
 def test_sample_from_seeded_and_supported():
