@@ -17,11 +17,16 @@ Exit codes, one distinct status per failure class:
     6  filesystem error
 
 Failures print exactly one line to stderr of the form
-``heterospec: <kind>: <message>``. Bins that hold none of the low bins,
-say a fit of one bin, are not a failure, but leave the adaptive arm
-nothing to adapt: calibrate and compare then exit 0 and print one
-``heterospec: note: <message>`` line to stderr, judged on the bins the
-step fitted or loaded.
+``heterospec: <kind>: <message>``. Two things are not a failure, and a
+step that succeeds prints one ``heterospec: note: <message>`` line to
+stderr for each:
+
+- documents of a calibration or eval split shorter than
+  ``prompts.prompt_tokens``, which calibrate and compare skip; a split
+  with no document that long exits 2;
+- bins that hold none of the low bins, say a fit of one bin, which leave
+  the adaptive arm nothing to adapt, judged on the bins calibrate fitted
+  or compare loaded.
 """
 
 from __future__ import annotations
@@ -82,31 +87,33 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def _note_no_low_bin(config: ExperimentConfig, bins: BinningModel) -> None:
+def _note_no_low_bin(config: ExperimentConfig, bins: BinningModel,
+                     notes: list[str]) -> None:
     if not any(b in range(bins.num_bins) for b in config.controller.low_bins_for(bins)):
-        print(f"heterospec: note: no low bin is among bins 0..{bins.num_bins - 1},"
-              " so the adaptive arm equals the baseline", file=sys.stderr)
+        notes.append(f"no low bin is among bins 0..{bins.num_bins - 1}, so the "
+                     "adaptive arm equals the baseline")
 
 
 def _dispatch(args: argparse.Namespace) -> None:
     config = _resolve_config(args)
+    notes: list[str] = []  # printed once the step has succeeded
     if args.command == "gen-corpus":
         print(step_gen_corpus(config))
     elif args.command == "train-model":
         print(step_train_model(config))
     elif args.command == "calibrate":
-        out, bins = step_calibrate(config)
+        out, bins = step_calibrate(config, notes)
         print(out)
-        _note_no_low_bin(config, bins)
+        _note_no_low_bin(config, bins, notes)
     elif args.command == "compare":
-        out, result = step_compare(config)
+        out, result = step_compare(config, notes)
         print(out)
         for name, alpha, summary in result.rows():
             alpha_str = "-" if alpha is None else str(alpha)
             print(f"{name} alpha={alpha_str} calls={summary.calls} "
                   f"tokens={summary.tokens} tau={summary.tau:.4f} "
                   f"speedup={summary.speedup:.4f}")
-        _note_no_low_bin(config, result.bins)
+        _note_no_low_bin(config, result.bins, notes)
     elif args.command == "report":
         # bins.txt is parsed once, for both; the digest is rendered first,
         # so a failing report prints nothing and writes no table
@@ -114,6 +121,8 @@ def _dispatch(args: argparse.Namespace) -> None:
         digest = render_report(config, bins)
         paths = step_report(config, args.arm, bins)
         sys.stdout.write("".join(p + "\n" for p in paths) + digest)
+    for note in notes:
+        print(f"heterospec: note: {note}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:

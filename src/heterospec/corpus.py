@@ -1,6 +1,6 @@
 """Synthetic corpora with planted low-entropy structure.
 
-Each document mixes template blocks (copies of fixed symbol sequences,
+Each document mixes template blocks (copies of one fixed symbol sequence,
 each position corrupted with probability 1 - rho) into uniform filler
 tokens. The planned number of template-slot tokens per document is
 round(coverage * doc_len), so realized slot coverage is within half a
@@ -26,14 +26,13 @@ from .errors import ConfigError, check_setting
 class PlantedCorpusSpec:
     num_docs: int = 96
     doc_len: int = 140
-    num_templates: int = 1
     template_len: int = 21
     coverage: float = 0.72  # fraction of each document inside template blocks
     rho: float = 0.97  # per-position copy fidelity inside a block
     vocab_size: int = 27
 
     def __post_init__(self):
-        for key in ("num_docs", "doc_len", "num_templates"):
+        for key in ("num_docs", "doc_len"):
             value = getattr(self, key)
             check_setting(value >= 1, f"corpus.planted.{key}", ">= 1", value)
         check_setting(self.vocab_size >= 2, "corpus.planted.vocab_size",
@@ -82,20 +81,18 @@ def _lay_out(blocks: list[list[int]], fillers: list[int],
 
 
 def gen_corpus(spec: PlantedCorpusSpec,
-               rng: np.random.Generator) -> tuple[list[list[str]], list[list[str]]]:
-    """Returns (documents, templates), all as symbol lists."""
+               rng: np.random.Generator) -> tuple[list[list[str]], list[str]]:
+    """Returns (documents, template), all as symbol lists."""
     symbols = corpus_symbols(spec.vocab_size)
-    # each template is template_len distinct symbols in random order
-    templates = [rng.permutation(spec.vocab_size)[:spec.template_len].tolist()
-                 for _ in range(spec.num_templates)]
+    # template_len distinct symbols in random order
+    template = rng.permutation(spec.vocab_size)[:spec.template_len].tolist()
     docs: list[list[str]] = []
     for _ in range(spec.num_docs):
         planned = round(spec.coverage * spec.doc_len)
         nblocks, rem = divmod(planned, spec.template_len)
-        blocks = [list(templates[int(rng.integers(spec.num_templates))])
-                  for _ in range(nblocks)]
+        blocks = [template] * nblocks
         if rem:
-            blocks.append(templates[int(rng.integers(spec.num_templates))][:rem])
+            blocks.append(template[:rem])
         fillers = [int(t) for t in rng.integers(spec.vocab_size,
                                                 size=spec.doc_len - planned)]
         doc: list[int] = []
@@ -105,7 +102,7 @@ def gen_corpus(spec: PlantedCorpusSpec,
             else:
                 doc.extend(toks)
         docs.append([symbols[t] for t in doc])
-    return docs, [[symbols[t] for t in tpl] for tpl in templates]
+    return docs, [symbols[t] for t in template]
 
 
 def split_docs(docs: list, calibration_count: int,
@@ -123,10 +120,7 @@ def split_docs(docs: list, calibration_count: int,
 
 def prompts_from(encoded_docs: list[list[int]],
                  prompt_tokens: int) -> list[tuple[int, ...]]:
-    prompts = []
-    for i, doc in enumerate(encoded_docs):
-        if len(doc) < prompt_tokens:
-            raise ConfigError(f"doc {i} has {len(doc)} tokens, cannot take a "
-                              f"{prompt_tokens}-token prompt")
-        prompts.append(tuple(doc[:prompt_tokens]))
-    return prompts
+    """The first ``prompt_tokens`` tokens of each document that has that
+    many, in document order; shorter documents are skipped."""
+    return [tuple(doc[:prompt_tokens]) for doc in encoded_docs
+            if len(doc) >= prompt_tokens]

@@ -5,11 +5,12 @@ All models share one contract: ``next_dist(context)`` returns the
 is a read-only length-V probability vector (entries >= 0, summing to 1
 within 1e-9), a deterministic function of (model state, context); its
 ``argmax``, the token greedy verification reads, is computed when the
-record is made, and ``derive`` computes each other value taken from it
-(the ``TopK`` selection a draft node's children, top-1 probability and
-top-K entropy come from) once per record, so once per model state rather
-than once per draft node or verify step. Models are immutable after
-construction apart from their memo, which only ever grows.
+record is made, and its ``topk`` holds the ``TopK`` selection (a draft
+node's children, top-1 probability and top-K entropy) that the draft
+tree makes from it at its ``top_k``, so each is computed once per model
+state rather than once per draft node or verify step. Models are
+immutable after construction apart from their memo, which only ever
+grows, and their records' ``topk``.
 
 ``state_key(context)`` names the state a context leaves the model in:
 contexts with equal state keys get equal distributions now and after any
@@ -115,26 +116,17 @@ def argmax_token(dist: ProbDist) -> int:
 
 
 class DistRecord:
-    """One distribution, its ``argmax_token`` and the values derived from
-    it, each computed once.
+    """One distribution and the two values the decode loop reads of it:
+    ``argmax``, its ``argmax_token``, computed when the record is made, and
+    ``topk``, the ``TopK`` selection the draft tree makes the first time it
+    expands from the record, and again only at another k; None before."""
 
-    ``derive(fn, *args)`` returns ``fn(dist, *args)``, calling ``fn`` only on
-    the first request for that (fn, args).
-    """
-
-    __slots__ = ("dist", "argmax", "_derived")
+    __slots__ = ("dist", "argmax", "topk")
 
     def __init__(self, dist: ProbDist):
         self.dist = dist
         self.argmax = argmax_token(dist)
-        self._derived: dict = {}
-
-    def derive(self, fn, *args):
-        key = (fn, *args)
-        value = self._derived.get(key)
-        if value is None:
-            value = self._derived[key] = fn(self.dist, *args)
-        return value
+        self.topk = None
 
 
 class LanguageModel:

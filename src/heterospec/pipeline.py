@@ -63,9 +63,9 @@ def step_gen_corpus(config: ExperimentConfig) -> str:
         docs = read_corpus(config.corpus_path)
         write_corpus(out, docs)
         return out
-    docs, templates = gen_corpus(config.planted, rng_for(config.seed, "corpus"))
+    docs, template = gen_corpus(config.planted, rng_for(config.seed, "corpus"))
     write_corpus(out, [" ".join(doc) for doc in docs])
-    write_corpus(_path(config, TEMPLATE_FILE), [" ".join(t) for t in templates])
+    write_corpus(_path(config, TEMPLATE_FILE), [" ".join(template)])
     return out
 
 
@@ -112,21 +112,35 @@ def load_models(config: ExperimentConfig) -> tuple[NGramModel, PerturbedDraftMod
     return target, draft
 
 
-def _prompt_split(config: ExperimentConfig, target: NGramModel,
-                  which: str) -> list[tuple[int, ...]]:
+def _prompt_split(config: ExperimentConfig, target: NGramModel, which: str,
+                  notes: list[str] | None = None) -> list[tuple[int, ...]]:
+    """The prompts of the ``which`` split's documents that hold a whole
+    prompt. A split with none is refused; otherwise, when documents were
+    skipped, a line saying how many goes to ``notes``."""
     docs = _read_docs(config)
     _, cal_docs, eval_docs = _splits(config, docs)
     chosen = cal_docs if which == "calibration" else eval_docs
     encoded = encode_corpus(chosen, target.vocab)
-    return prompts_from(encoded, config.prompts.prompt_tokens)
+    size = config.prompts.prompt_tokens
+    prompts = prompts_from(encoded, size)
+    if not prompts:
+        raise ConfigError(f"no {which} document holds prompts.prompt_tokens "
+                          f"= {size} tokens")
+    if len(prompts) < len(encoded) and notes is not None:
+        notes.append(f"skipped {len(encoded) - len(prompts)} of "
+                     f"{len(encoded)} {which} documents shorter than "
+                     f"prompts.prompt_tokens = {size}")
+    return prompts
 
 
-def step_calibrate(config: ExperimentConfig) -> tuple[str, BinningModel]:
+def step_calibrate(config: ExperimentConfig,
+                   notes: list[str] | None = None) -> tuple[str, BinningModel]:
     """Run the static baseline on calibration prompts, fit entropy bins,
     write bins.txt plus the calibration trace; returns the bins path and
-    the fitted bins. Nothing is written until the fit succeeds."""
+    the fitted bins. Nothing is written until the fit succeeds. Skipped
+    short documents are noted in ``notes``, as by ``_prompt_split``."""
     target, draft = load_models(config)
-    prompts = _prompt_split(config, target, "calibration")
+    prompts = _prompt_split(config, target, "calibration", notes)
     arm = run_arm("calibration", decode_baseline, target, draft, prompts,
                   config.controller, cost_model=None)
     ctl = config.controller
@@ -157,13 +171,15 @@ def load_pipeline_bins(config: ExperimentConfig) -> BinningModel:
     return bins
 
 
-def step_compare(config: ExperimentConfig) -> tuple[str, ComparisonResult]:
+def step_compare(config: ExperimentConfig,
+                 notes: list[str] | None = None) -> tuple[str, ComparisonResult]:
     """Run the baseline and the adaptive arm at ``controller.alpha`` on the
     eval prompts, write both traces and the two-row compare CSV; returns
-    the compare CSV path and the in-memory result."""
+    the compare CSV path and the in-memory result. Skipped short documents
+    are noted in ``notes``, as by ``_prompt_split``."""
     target, draft = load_models(config)
     bins = load_pipeline_bins(config)
-    prompts = _prompt_split(config, target, "eval")
+    prompts = _prompt_split(config, target, "eval", notes)
     _prepare_out_dir(config)
     result = run_comparison(target, draft, prompts, config.controller, bins,
                             cost_model=config.cost)

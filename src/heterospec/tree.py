@@ -14,8 +14,8 @@ A node is one plain tuple:
     (-log value, parent, step, path tokens)
 
 Layer 1 hangs off the shared ``ROOT``, the one node whose parent is None.
-``step`` is the ``TopK`` selection the token was drawn from, derived once
-from the ``DistRecord`` the draft's ``next_dist`` returns for the parent's
+``step`` is the ``TopK`` selection the token was drawn from, the ``topk``
+of the ``DistRecord`` the draft's ``next_dist`` returns for the parent's
 state, and ``path tokens`` are the tokens below the root, this node's
 last; their length is the node's depth.
 A tree keeps its nodes in creation order, layer by layer, and its deepest
@@ -125,21 +125,22 @@ def topk_step_entropy(dist: ProbDist, tokens: np.ndarray) -> float:
 
 class TopK:
     """The k most probable tokens of one distribution (``top_tokens``),
-    selected once per ``DistRecord`` and k as ``record.derive(TopK, k)``,
-    with what the tree reads of that selection: ``children``, (token,
-    log p) of the tokens with positive probability in selection order,
-    ``top1``, the probability of the first token, ``float(np.max(dist))``,
-    and ``entropy``, the top-k step entropy."""
+    kept as a ``DistRecord``'s ``topk``, with what the tree reads of that
+    selection: ``children``, (token, log p) of the tokens with positive
+    probability in selection order, ``top1``, the probability of the first
+    token, ``float(np.max(dist))``, and ``entropy``, the top-k step
+    entropy."""
 
-    __slots__ = ("tokens", "children", "top1", "entropy")
+    __slots__ = ("k", "children", "top1", "entropy")
 
     def __init__(self, dist: ProbDist, k: int):
-        self.tokens = top_tokens(dist, k)
-        probs = dist[self.tokens].tolist()
+        self.k = k
+        tokens = top_tokens(dist, k)
+        probs = dist[tokens].tolist()
         self.children = [(t, math.log(p))
-                         for t, p in zip(self.tokens.tolist(), probs) if p > 0.0]
+                         for t, p in zip(tokens.tolist(), probs) if p > 0.0]
         self.top1 = probs[0]
-        self.entropy = topk_step_entropy(dist, self.tokens)
+        self.entropy = topk_step_entropy(dist, tokens)
 
 
 def _grow_layers(tree: DraftTree, draft_model: LanguageModel, layers: int) -> None:
@@ -153,7 +154,10 @@ def _grow_layers(tree: DraftTree, draft_model: LanguageModel, layers: int) -> No
         layer = []
         for parent in frontier:
             neg_value, tokens = parent[NEG_VALUE], parent[TOKENS]
-            step = next_dist(context + tokens).derive(TopK, top_k)
+            rec = next_dist(context + tokens)
+            step = rec.topk
+            if step is None or step.k != top_k:
+                step = rec.topk = TopK(rec.dist, top_k)
             # -(a + log p) == -a - log p exactly, so values and ties match
             # the sum of logs along the path
             for token, logp in step.children:

@@ -5,15 +5,19 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from heterospec import control, pipeline
+from heterospec.control import greedy_reference
 from heterospec.corpus import corpus_symbols
 from heterospec.errors import ConfigError
-from heterospec.metrics import IterationRecord
+from heterospec.metrics import IterationRecord, validate_run
 from heterospec.models import DistRecord, LanguageModel, ProbDist
 from heterospec.tree import STEP, TOKENS, TopK
 from heterospec.vocab import UNK, Context, Vocabulary
@@ -285,9 +289,10 @@ def selection_ks(v: int):
 
 def step_record(model: LanguageModel, tree, node) -> DistRecord:
     """The record of the draft state ``node``'s token was drawn from, its
-    parent's; the node's step must be that record's ``TopK`` selection."""
+    parent's; the node's step must be that record's ``TopK`` selection at
+    the tree's ``top_k``."""
     rec = model.next_dist(tree.context + node[TOKENS][:-1])
-    assert node[STEP] is rec.derive(TopK, tree.top_k)
+    assert node[STEP] is rec.topk and rec.topk.k == tree.top_k
     return rec
 
 
@@ -307,6 +312,39 @@ TINY_CONFIG = {
     "prompts": {"count": 3, "calibration_count": 8, "prompt_tokens": 6},
     "calibration": {"filter": "all"},
 }
+
+
+def _recorded(decode, arm, decodes):
+    def recording(target, draft, prompt, config, **kwargs):
+        result = decode(target, draft, prompt, config, **kwargs)
+        decodes.append((arm, target, prompt, config, result))
+        return result
+    return recording
+
+
+@contextmanager
+def recorded_decodes():
+    """Record every prompt decode the pipeline makes, calibration,
+    baseline and adaptive, as (arm, target, prompt, config, result)."""
+    decodes = []
+    with mock.patch.object(pipeline, "decode_baseline", _recorded(
+                pipeline.decode_baseline, "calibration", decodes)), \
+            mock.patch.object(control, "decode_baseline", _recorded(
+                control.decode_baseline, "baseline", decodes)), \
+            mock.patch.object(control, "decode_adaptive", _recorded(
+                control.decode_adaptive, "adaptive", decodes)):
+        yield decodes
+
+
+def check_decodes(decodes, where: str = "") -> None:
+    """Every recorded decode equals ``greedy_reference`` and passes
+    ``validate_run``."""
+    for arm, target, prompt, config, result in decodes:
+        met = f"{arm} decode of {prompt}; {where}"
+        assert result.tokens == greedy_reference(
+            target, prompt, config.max_new_tokens, config.terminator), met
+        assert validate_run(result.records,
+                            expected_emitted=len(result.tokens)) == [], met
 
 
 @pytest.fixture

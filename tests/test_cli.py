@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BAD_MODEL_FILES, TINY_CONFIG
+from conftest import (BAD_MODEL_FILES, TINY_CONFIG, _recorded, check_decodes,
+                      recorded_decodes)
 from heterospec import control, pipeline
 from heterospec.binning import CALIBRATION_FILTERS, load_bins, save_bins
 from heterospec.cli import main
@@ -613,6 +614,32 @@ def test_low_bins_outside_the_fit_are_noted(tmp_path, capsys, cli_lab):
     assert baseline_calls == adaptive_calls
 
 
+def test_short_eval_documents_are_skipped_with_a_note(tmp_path, capsys, cli_lab):
+    # compare reads the corpus copy in out_dir, whose last 3 documents are
+    # the eval split; a 5-token document cannot take a 6-token prompt
+    out = tmp_path / "run"
+    shutil.copytree(cli_lab[1], out)
+    corpus = out / "corpus.txt"
+    docs = corpus.read_text(encoding="utf-8").splitlines()
+    short = " ".join(docs[-1].split()[:5])
+    corpus.write_text("\n".join(docs[:-1] + [short]) + "\n", encoding="utf-8")
+    base = ["--config", cli_lab[0][1], "--out", str(out)]
+    capsys.readouterr()
+    with recorded_decodes() as decodes:
+        assert main(["compare", *base]) == 0
+    assert capsys.readouterr().err == (
+        "heterospec: note: skipped 1 of 3 eval documents shorter than "
+        "prompts.prompt_tokens = 6\n")
+    assert sorted(arm for arm, *_ in decodes) == ["adaptive"] * 2 + ["baseline"] * 2
+    check_decodes(decodes)
+    # a split with no document that long is refused
+    corpus.write_text("\n".join(docs[:-3] + [short] * 3) + "\n", encoding="utf-8")
+    assert main(["compare", *base]) == 2
+    assert _one_error_line(capsys.readouterr()) == (
+        "heterospec: config: no eval document holds prompts.prompt_tokens = 6 "
+        "tokens\n")
+
+
 @pytest.mark.parametrize("command,parses",
                          [("calibrate", 0), ("compare", 1), ("report", 1)])
 def test_bins_are_parsed_at_most_once_per_command(cli_lab, capsys, monkeypatch,
@@ -689,7 +716,7 @@ def test_report_refuses_a_negative_bin_count(tmp_path, capsys, cli_lab):
 
 
 def test_exit_5_on_arm_divergence(monkeypatch, capsys):
-    def boom(config):
+    def boom(config, notes):
         raise OutputMismatchError("prompt 0: adaptive arm diverged")
 
     monkeypatch.setattr("heterospec.cli.step_compare", boom)
@@ -754,14 +781,6 @@ def small_planted_configs(draw):
                     "prompt_tokens": draw(st.integers(1, 8))},
         "calibration": {"filter": draw(st.sampled_from(CALIBRATION_FILTERS))},
     }
-
-
-def _recorded(decode, arm, decodes):
-    def recording(target, draft, prompt, config, **kwargs):
-        result = decode(target, draft, prompt, config, **kwargs)
-        decodes.append((arm, target, prompt, config, result))
-        return result
-    return recording
 
 
 @pytest.fixture(scope="module")

@@ -62,12 +62,13 @@ def test_calibration_spec_validation():
     {"calibration": {"criterion": "sse"}},
     {"calibration": {"max_depth": 3}},
     {"corpus": {"planted": {"pivots": 0}}},
+    {"corpus": {"planted": {"num_templates": 1}}},
     {"draft": {"temperature": 1.0}},
 ], ids=["expand_width", "entropy_k", "criterion", "max_depth", "pivots",
-        "temperature"])
+        "num_templates", "temperature"])
 def test_removed_settings_are_unknown_keys(data):
-    # the tree shape, the split loss, the template shape and the draft's
-    # temperature are fixed
+    # the tree shape, the split loss, the template shape and count and the
+    # draft's temperature are fixed
     with pytest.raises(ConfigError, match="unknown keys"):
         config_from_dict(data)
 
@@ -170,8 +171,6 @@ OUT_OF_RANGE = [
      "corpus.planted.num_docs must be >= 1, got 0"),
     ({"corpus": {"planted": {"doc_len": 0}}},
      "corpus.planted.doc_len must be >= 1, got 0"),
-    ({"corpus": {"planted": {"num_templates": 0}}},
-     "corpus.planted.num_templates must be >= 1, got 0"),
     ({"corpus": {"planted": {"template_len": 28}}},
      "corpus.planted.template_len must be in [2, vocab_size = 27], got 28"),
     ({"corpus": {"planted": {"coverage": 2}}},

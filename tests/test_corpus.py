@@ -21,7 +21,6 @@ from heterospec.errors import ConfigError
 @pytest.mark.parametrize("kwargs", [
     dict(num_docs=0),
     dict(doc_len=0),
-    dict(num_templates=0),
     dict(template_len=1),
     dict(template_len=28),            # exceeds vocab_size=27
     dict(coverage=-0.1),
@@ -56,22 +55,21 @@ def test_corpus_symbols_zero_padded():
 def test_docs_have_requested_length_and_alphabet():
     spec = PlantedCorpusSpec(num_docs=12, doc_len=83, template_len=10,
                              coverage=0.55, rho=0.9, vocab_size=14)
-    docs, templates = gen_corpus(spec, np.random.default_rng(3))
+    docs, template = gen_corpus(spec, np.random.default_rng(3))
     alphabet = set(corpus_symbols(14))
     assert len(docs) == 12
     assert all(len(d) == 83 for d in docs)
     assert all(set(d) <= alphabet for d in docs)
-    assert len(templates) == 1 and len(templates[0]) == 10
+    assert len(template) == len(set(template)) == 10
 
 
 def test_zero_coverage_is_pure_filler():
     spec = PlantedCorpusSpec(num_docs=6, doc_len=60, template_len=12,
                              coverage=0.0, rho=0.97, vocab_size=20)
-    docs, templates = gen_corpus(spec, np.random.default_rng(0))
+    docs, tpl = gen_corpus(spec, np.random.default_rng(0))
     assert all(len(d) == 60 for d in docs)
-    # templates exist but are never planted
-    assert len(templates[0]) == 12
-    tpl = templates[0]
+    # the template exists but is never planted
+    assert len(tpl) == 12
     for doc in docs:
         for i in range(len(doc) - len(tpl) + 1):
             assert doc[i:i + len(tpl)] != tpl
@@ -81,8 +79,7 @@ def test_full_coverage_exact_copies():
     # coverage 1, rho 1, doc_len a block multiple: docs are template repeats
     spec = PlantedCorpusSpec(num_docs=5, doc_len=36, template_len=12,
                              coverage=1.0, rho=1.0, vocab_size=16)
-    docs, templates = gen_corpus(spec, np.random.default_rng(1))
-    tpl = templates[0]
+    docs, tpl = gen_corpus(spec, np.random.default_rng(1))
     for doc in docs:
         assert doc == tpl * 3
 
@@ -90,8 +87,7 @@ def test_full_coverage_exact_copies():
 def test_full_coverage_with_remainder_block():
     spec = PlantedCorpusSpec(num_docs=4, doc_len=50, template_len=20,
                              coverage=1.0, rho=1.0, vocab_size=24)
-    docs, templates = gen_corpus(spec, np.random.default_rng(5))
-    tpl = templates[0]
+    docs, tpl = gen_corpus(spec, np.random.default_rng(5))
     for doc in docs:
         # two full copies plus a 10-token prefix, order shuffled per doc
         assert sorted(doc) == sorted(tpl * 2 + tpl[:10])
@@ -113,8 +109,8 @@ def _greedy_template_coverage(doc: list[str], tpl: list[str]) -> float:
 def test_realized_coverage_matches_request():
     spec = PlantedCorpusSpec(num_docs=50, doc_len=200, template_len=20,
                              coverage=0.6, rho=1.0, vocab_size=24)
-    docs, templates = gen_corpus(spec, np.random.default_rng(11))
-    rates = [_greedy_template_coverage(d, templates[0]) for d in docs]
+    docs, tpl = gen_corpus(spec, np.random.default_rng(11))
+    rates = [_greedy_template_coverage(d, tpl) for d in docs]
     assert abs(float(np.mean(rates)) - 0.60) <= 0.02
 
 
@@ -122,8 +118,7 @@ def test_blocks_are_isolated_by_filler():
     # 2 blocks, 60 fillers: plenty of slots, so copies never touch
     spec = PlantedCorpusSpec(num_docs=30, doc_len=100, template_len=20,
                              coverage=0.4, rho=1.0, vocab_size=24)
-    docs, templates = gen_corpus(spec, np.random.default_rng(17))
-    tpl = templates[0]
+    docs, tpl = gen_corpus(spec, np.random.default_rng(17))
     for doc in docs:
         starts = []
         i = 0
@@ -167,6 +162,8 @@ def test_prompts_from_prefixes():
     assert all(isinstance(p, tuple) for p in prompts)
 
 
-def test_prompts_from_errors():
-    with pytest.raises(ConfigError, match="doc 1"):
-        prompts_from([[1, 2, 3, 4], [5, 6]], 4)
+def test_prompts_from_skips_short_documents():
+    # in document order; a document of exactly prompt_tokens is kept
+    docs = [[1, 2], [3, 4, 5, 6], [7], [8, 9, 10]]
+    assert prompts_from(docs, 3) == [(3, 4, 5), (8, 9, 10)]
+    assert prompts_from(docs, 5) == []

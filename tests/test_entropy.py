@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 from conftest import (FixedDistModel, ScriptedModel, make_vocab, prob_dists, selection_ks,
                       selection_rows, step_record, topk_entropy)
 from heterospec.errors import ConfigError
-from heterospec.models import DistRecord
-from heterospec.tree import (NEG_VALUE, STEP, TOKENS, TopK, expand, path, select_meta_path,
+from heterospec.tree import (NEG_VALUE, STEP, TOKENS, expand, path, select_meta_path,
                              tree_entropy_signal)
 
 
@@ -39,14 +38,27 @@ def test_topk_entropy_bitwise_equals_full_sort(dist, data):
 
 
 def test_step_entropy_is_kept_in_the_records_selection():
-    rec = DistRecord(np.asarray([0.5, 0.25, 0.125, 0.125]))
-    for k in (2, 3):
-        top = rec.derive(TopK, k)
-        value = top.entropy
-        assert value == topk_entropy(rec.dist, k)
-        assert rec.derive(TopK, k) is top  # the one selection
-        assert rec.derive(TopK, k).entropy == value
-    assert rec.derive(TopK, 2).entropy != rec.derive(TopK, 3).entropy
+    model = FixedDistModel([0.5, 0.25, 0.125, 0.125])
+    tree = expand(model, (), depth=2, top_k=2)
+    rec = model.next_dist(())
+    top = rec.topk
+    assert top.k == 2 and top.entropy == topk_entropy(rec.dist, 2)
+    assert all(node[STEP] is top for node in tree.nodes[:2])
+    again = expand(model, (), depth=2, top_k=2)
+    assert rec.topk is top and again.nodes[0][STEP] is top  # the one selection
+
+
+def test_a_record_asked_for_another_k_holds_that_ks_selection():
+    model = FixedDistModel([0.5, 0.25, 0.125, 0.125])
+    rec = model.next_dist(())
+    for k in (2, 3, 2):
+        tree = expand(model, (), depth=1, top_k=k)
+        top = rec.topk
+        assert top.k == k and all(node[STEP] is top for node in tree.nodes)
+        assert [node[TOKENS] for node in tree.nodes] == [(t,) for t in range(k)]
+        assert top.entropy == topk_entropy(rec.dist, k)
+        assert tree_entropy_signal(tree) == top.entropy
+    assert topk_entropy(rec.dist, 2) != topk_entropy(rec.dist, 3)
 
 
 def test_one_hot_entropy_is_zero():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import (BAD_MODEL_FILES, PlantedTemplateModel, count_dicts,
                       count_tables, is_valid_dist, make_vocab, model_file,
                       prob_dists, selection_ks, smoothed_dists, tied_dists)
-from heterospec import models
+from heterospec import models, tree
 from heterospec.errors import ConfigError
 from heterospec.models import (DistRecord, LanguageModel, NGramModel,
                                PerturbedDraftModel, argmax_token, load_model,
@@ -518,21 +518,25 @@ def test_same_key_shares_one_read_only_array():
     assert stub.computed == [ctx]  # one compute for its one state
 
 
-def test_derive_runs_once_per_fn_and_args_across_next_dist_calls():
-    calls = []
+def test_one_topk_is_made_per_state_across_equal_state_next_dist_calls(monkeypatch):
+    made = []
 
-    def counted(dist, *args):
-        calls.append(args)
-        return float(dist.max())
+    class CountedTopK(TopK):
+        __slots__ = ()
 
+        def __init__(self, dist, k):
+            made.append(k)
+            super().__init__(dist, k)
+
+    monkeypatch.setattr(tree, "TopK", CountedTopK)
     for model, ctx, same in _same_state_pairs():
-        calls.clear()
+        made.clear()
+        tops = []
         for c in (ctx, same, ctx):
-            rec = model.next_dist(c)
-            values = [rec.derive(counted), rec.derive(counted, 2),
-                      rec.derive(counted, 3), rec.derive(counted, 2)]
-            assert values == [float(rec.dist.max())] * 4
-        assert calls == [(), (2,), (3,)]
+            tree.expand(model, c, depth=1, top_k=2)
+            tops.append(model.next_dist(c).topk)
+        assert made == [2]
+        assert tops[0] is tops[1] is tops[2]
 
 
 @given(st.one_of(smoothed_dists(), tied_dists()), st.sampled_from([0.02, 0.3]),

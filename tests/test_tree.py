@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import (DrawnDistModel, FixedDistModel, ScriptedModel, chain_template_model,
                       make_vocab, selection_ks, selection_rows, step_record)
 from heterospec.tree import (NEG_VALUE, PARENT, ROOT, TOKENS, DraftTree, TopK, expand,
-                             extend, path, rerank)
+                             extend, path, rerank, top_tokens)
 
 TRI = (0.7, 0.2, 0.1)
 
@@ -80,8 +80,8 @@ def test_top_children_equals_full_stable_sort(dist, data):
     k = data.draw(selection_ks(dist.shape[0]), label="k")
     # the selection against a full stable argsort on -p, ties included
     order = np.argsort(-dist, kind="stable")[:k]
+    assert top_tokens(dist, k).tolist() == order.tolist()
     top = TopK(dist, k)
-    assert top.tokens.tolist() == order.tolist()
     assert top.children == [(int(t), math.log(dist[t]))
                             for t in order if dist[t] > 0.0]
 
