@@ -61,6 +61,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
+    if args.seed < 0:  # the workload's SeedSequence takes none
+        parser.error("argument --seed: expected a seed >= 0")
     print(json.dumps(digests(args.workload, args.seed), indent=1, sort_keys=True))
     return 0
 

@@ -19,10 +19,13 @@ workload. Per metric of the change tree's BENCHMARK.json:
 
 Once ``--out`` is written, a verdict table of the workload goes to
 stdout: per metric the two medians, ``change_worse_by`` as a percent, the
-bound and the wins/losses, marked ``OVER`` where the change is worse by
-more than the bound; then the failed decodes of each side, whether each
-side's trace digests repeated over its runs, and whether both repeated
-and agreed.
+bound, the wins/losses and ``gain``, marked ``OVER`` where the change is
+worse by more than the bound; then the failed decodes of each side,
+whether each side's trace digests repeated over its runs, and whether
+both repeated and agreed. ``gain`` is yes where the change may claim a
+gain on the metric: it won at least nine tenths of the pairs run, ties
+counting for neither, and its median is better than the parent's by
+more than the parent's q3 - q1.
 
 Nothing under either tree is changed. Run from anywhere:
 
@@ -156,12 +159,26 @@ def _number(value, fmt: str = ".6g") -> str:
     return "-" if value is None else format(value + 0, fmt)
 
 
+def gain(m: dict) -> bool | None:
+    """Whether a metric's block shows a gain: the change won at least nine
+    tenths of the pairs run and its median beats the parent's by more than
+    the parent's q3 - q1. None when a side reported no value."""
+    if "change_wins" not in m:
+        return None
+    parent = m["parent"]
+    sign = 1.0 if m["better"] == "lower" else -1.0
+    gap = sign * (parent["median"] - m["change"]["median"])
+    return (10 * m["change_wins"] >= 9 * len(m["runs"]["parent"])
+            and gap > parent["q3"] - parent["q1"])
+
+
 def verdict_lines(block: dict) -> list[str]:
     """The verdict table of a workload's block, one line per metric, then
     the failed decodes per side, whether each side's trace digests
     repeated, and whether both repeated and agreed."""
+    yes = {True: "yes", False: "no", None: "-"}
     lines = [f"{'metric':<30} {'parent':>12} {'change':>12} {'worse_by':>9} "
-             f"{'bound':>7} {'wins/losses':>11}"]
+             f"{'bound':>7} {'wins/losses':>11} {'gain':>4}"]
     for name, m in block["metrics"].items():
         medians = [m[side]["median"] if side in m else None for side in SIDES]
         worse, bound = m.get("change_worse_by"), m.get("bound")
@@ -170,10 +187,9 @@ def verdict_lines(block: dict) -> list[str]:
                 if "change_wins" in m else "-")
         lines.append(f"{name:<30} {_number(medians[0]):>12} "
                      f"{_number(medians[1]):>12} {_number(worse, '+.1%'):>9} "
-                     f"{_number(bound, '.0%'):>7} {wins:>11}"
-                     + ("  OVER" if over else ""))
+                     f"{_number(bound, '.0%'):>7} {wins:>11} "
+                     f"{yes[gain(m)]:>4}" + ("  OVER" if over else ""))
     failed = block["failed"]
-    yes = {True: "yes", False: "no"}
     repeat = block["trace_sha256_repeat"]
     lines.append(f"failed decodes: parent {failed['parent']}, "
                  f"change {failed['change']}")

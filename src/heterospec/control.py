@@ -33,12 +33,20 @@ one lookup of the path so far plus the target's token, the ``argmax`` of
 the ``DistRecord`` that ``next_dist`` returns, computed once per target
 state. ``step`` reads the terminal rank from the map once the emitted
 block is cut.
+
+The per-iteration values are named tuples built with ``tuple.__new__``:
+``verify_greedy``'s ``AcceptResult`` and the loop's ``IterationRecord``,
+the same objects the class call makes, without the Python frame of its
+generated ``__new__``. The loop takes a resolved config, whose ``alpha``
+is set; ``HeteroConfig.resolved()`` returns one as it is, so ``run_arm``
+resolves once per arm and each decode's own call copies nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .binning import BinningModel
 from .errors import ConfigError, OutputMismatchError, check_setting, finite
@@ -49,6 +57,7 @@ from .tree import expand, extend, rerank, tree_entropy_signal
 from .vocab import Context
 
 GAMMAS = (0.3, 0.6, 1.0)
+_new = tuple.__new__  # builds a NamedTuple from a tuple with no Python frame
 
 
 def round_half_up(x: float) -> int:
@@ -97,8 +106,11 @@ class HeteroConfig:
                       self.terminator)
 
     def resolved(self) -> "HeteroConfig":
-        return replace(self, alpha=self.alpha if self.alpha is not None
-                       else default_alpha(self.depth))
+        """This config with ``alpha`` set: itself once it is, so resolving
+        a resolved config costs no copy."""
+        if self.alpha is not None:
+            return self
+        return replace(self, alpha=default_alpha(self.depth))
 
     def low_bins_for(self, bins: BinningModel) -> tuple[int, ...]:
         """The configured low bins, or the binning model's default ones."""
@@ -126,8 +138,7 @@ def greedy_reference(target_model: LanguageModel, prompt: Context,
     return out
 
 
-@dataclass
-class AcceptResult:
+class AcceptResult(NamedTuple):
     accepted_tokens: tuple[int, ...]
     bonus_token: int
 
@@ -151,7 +162,7 @@ def verify_greedy(ranks: dict[tuple[int, ...], int],
         star = next_dist(ctx).argmax
         walked = accepted + (star,)
         if walked not in ranks:
-            return AcceptResult(accepted, star)
+            return _new(AcceptResult, (accepted, star))
         accepted = walked
         ctx += (star,)
 
@@ -181,8 +192,8 @@ def step(target_model: LanguageModel, draft_model: LanguageModel,
                                       cfg.depth + extra_layers, top_n,
                                       len(ranks)))
     ranks, shape = hit
-    result = verify_greedy(ranks, target_model, tstate)
-    emit = result.accepted_tokens + (result.bonus_token,)
+    accepted, bonus = verify_greedy(ranks, target_model, tstate)
+    emit = accepted + (bonus,)
     if cfg.terminator in emit:
         emit = emit[:emit.index(cfg.terminator) + 1]
     emit = emit[:budget]
@@ -199,23 +210,27 @@ def _decode(target_model: LanguageModel, draft_model: LanguageModel,
     state keys by each emitted block. Only iterations whose bin is in
     ``low_bins`` change the tree shape. bin = -1 means no binning model
     was consulted."""
-    if target_model.vocab.symbols != draft_model.vocab.symbols:
+    tvocab, dvocab = target_model.vocab, draft_model.vocab
+    if tvocab is not dvocab and tvocab.symbols != dvocab.symbols:
         raise ConfigError("target and draft models use different vocabularies")
     cfg = config.resolved()
-    tstate = target_model.state_key(prompt)
-    dstate = draft_model.state_key(prompt)
+    max_new, terminator = cfg.max_new_tokens, cfg.terminator
+    tkey, dkey = target_model.state_key, draft_model.state_key
+    tstate = tkey(prompt)
+    dstate = dkey(prompt)
     out: list[int] = []
     records: list[IterationRecord] = []
     memo: dict = {}  # one per decode, never shared across prompts or arms
-    while len(out) < cfg.max_new_tokens:
+    while len(out) < max_new:
         emit, fields = step(target_model, draft_model, tstate, dstate, cfg,
-                            bins, low_bins, memo, cfg.max_new_tokens - len(out))
-        records.append(IterationRecord(prompt_index, len(records), *fields))
+                            bins, low_bins, memo, max_new - len(out))
+        records.append(_new(IterationRecord,
+                            (prompt_index, len(records), *fields)))
         out.extend(emit)
-        if emit[-1] == cfg.terminator:
+        if emit[-1] == terminator:
             break
-        tstate = target_model.state_key(tstate + emit)
-        dstate = draft_model.state_key(dstate + emit)
+        tstate = tkey(tstate + emit)
+        dstate = dkey(dstate + emit)
     return GenerationResult(tokens=out, records=records)
 
 
@@ -254,10 +269,11 @@ def run_arm(name: str, decode, target_model: LanguageModel,
             **kwargs) -> ArmResult:
     """Decode every prompt with one arm. Each decode's records must pass
     ``validate_run`` against the tokens it emitted, or the arm raises."""
+    cfg = config.resolved()
     outputs: list[list[int]] = []
     records: list[IterationRecord] = []
     for i, prompt in enumerate(prompts):
-        result = decode(target_model, draft_model, prompt, config,
+        result = decode(target_model, draft_model, prompt, cfg,
                         prompt_index=i, **kwargs)
         problems = validate_run(result.records,
                                 expected_emitted=len(result.tokens))
@@ -266,7 +282,6 @@ def run_arm(name: str, decode, target_model: LanguageModel,
                 f"{name} arm, prompt {i}: {'; '.join(problems)}")
         outputs.append(result.tokens)
         records.extend(result.records)
-    cfg = config.resolved()
     return ArmResult(name=name, alpha=cfg.alpha, outputs=outputs,
                      records=records,
                      summary=summarize(records, cost_model))

@@ -5,7 +5,8 @@ All models share one contract: ``next_dist(context)`` returns the
 is a read-only length-V probability vector (entries >= 0, summing to 1
 within 1e-9), a deterministic function of (model state, context); its
 ``argmax``, the token greedy verification reads, is computed when the
-record is made, and its ``topk`` holds the ``TopK`` selection (a draft
+record is made, by the ndarray method rather than ``np.argmax``'s Python
+wrapper, and its ``topk`` holds the ``TopK`` selection (a draft
 node's children, top-1 probability and top-K entropy) that the draft
 tree makes from it at its ``top_k``, so each is computed once per model
 state rather than once per draft node or verify step. Models are
@@ -111,8 +112,9 @@ def _check_tables(counts: Counts, order: int, v: int) -> None:
 
 
 def argmax_token(dist: ProbDist) -> int:
-    # np.argmax returns the first maximum: ties go to the smaller token id.
-    return int(np.argmax(dist))
+    # the first maximum: ties go to the smaller token id. The ndarray method,
+    # not np.argmax, whose Python wrapper returns the same bits
+    return int(dist.argmax())
 
 
 class DistRecord:

@@ -92,16 +92,20 @@ def top_tokens(dist: ProbDist, k: int) -> np.ndarray:
     V tokens, in that order, when k >= V.
 
     Only the entries above the k-th largest value are sorted, and the ties
-    at that value are filled in by lowest id. That value comes from
-    ``np.sort``: ``np.partition`` is about five times slower on a smoothed
-    row, whose unseen tokens all tie at the minimum.
+    at that value are filled in by lowest id. That value comes from a full
+    sort: ``np.partition`` is about five times slower on a smoothed row,
+    whose unseen tokens all tie at the minimum. Each step is the ndarray
+    method that ``np.sort``, ``np.flatnonzero`` and ``np.argsort`` call,
+    without their Python wrappers.
     """
     v = dist.shape[0]
     k = min(k, v)
-    kth = np.sort(dist)[v - k]
-    above = np.flatnonzero(dist > kth)  # fewer than k tokens
-    ties = np.flatnonzero(dist == kth)[:k - above.size]
-    return np.concatenate((above[np.argsort(-dist[above], kind="stable")],
+    ascending = dist.copy()
+    ascending.sort()
+    kth = ascending[v - k]
+    above = (dist > kth).nonzero()[0]  # fewer than k tokens
+    ties = (dist == kth).nonzero()[0][:k - above.size]
+    return np.concatenate((above[(-dist[above]).argsort(kind="stable")],
                            ties))
 
 

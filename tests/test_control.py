@@ -15,6 +15,7 @@ from heterospec.binning import BinningModel
 from heterospec.config import config_from_dict
 from heterospec.control import (
     GAMMAS,
+    AcceptResult,
     HeteroConfig,
     adapt,
     decode_adaptive,
@@ -25,11 +26,12 @@ from heterospec.control import (
     run_arm,
     run_comparison,
     step,
+    verify_greedy,
 )
 from heterospec.errors import ConfigError, OutputMismatchError
-from heterospec.metrics import validate_run
+from heterospec.metrics import IterationRecord, validate_run
 from heterospec.models import DistRecord, LanguageModel, PerturbedDraftModel
-from heterospec.tree import expand, tree_entropy_signal
+from heterospec.tree import expand, rerank, tree_entropy_signal
 from heterospec.vocab import Vocabulary
 
 
@@ -101,7 +103,11 @@ def test_config_resolution_fills_derived_fields():
     explicit = HeteroConfig(depth=4, alpha=0)
     res = explicit.resolved()
     assert res.alpha == 0
-    assert res.resolved() == res
+    # a resolved config is returned as it is, with no copy
+    assert res is explicit
+    assert cfg.resolved() is cfg
+    for depth in range(1, 7):
+        assert HeteroConfig(depth=depth).resolved().alpha == (depth + 1) // 2
 
 
 # ------------------------------------------------------------- decoding
@@ -129,6 +135,14 @@ def test_baseline_perfect_draft_accepts_full_depth():
         assert r.tree_size <= 20
     assert [r.iteration for r in res.records] == list(range(10))
     assert validate_run(res.records, expected_emitted=60) == []
+    # the loop builds records with tuple.__new__, which checks no arity
+    assert all(type(r) is IterationRecord
+               and len(r) == len(IterationRecord._fields) for r in res.records)
+    ranks = rerank(expand(model, tpl[:6], 5, 2), 20)
+    result = verify_greedy(ranks, model, tpl[:6])
+    assert type(result) is AcceptResult
+    assert result == (tpl[6:11], tpl[11])
+    assert result.accepted_len == len(result.accepted_tokens) == 5
 
 
 def test_baseline_uniform_draft_still_exact():
@@ -203,6 +217,18 @@ def test_vocabulary_mismatch_rejected():
     with pytest.raises(ConfigError, match="vocabularies"):
         decode_baseline(model, FixedDistModel((0.5, 0.5)), tpl[:6],
                         HeteroConfig())
+    symbols = model.vocab.symbols
+    renamed = Vocabulary(symbols[1:-1] + symbols[:1] + symbols[-1:], "word")
+    with pytest.raises(ConfigError, match="vocabularies"):
+        decode_baseline(model, PlantedTemplateModel(renamed, [tpl], rho=0.97),
+                        tpl[:6], HeteroConfig())
+    # a distinct Vocabulary object with equal symbols is the same vocabulary
+    twin = Vocabulary(symbols, "word")
+    assert twin is not model.vocab
+    cfg = HeteroConfig(max_new_tokens=12)
+    res = decode_baseline(model, PlantedTemplateModel(twin, [tpl], rho=0.97),
+                          tpl[:6], cfg)
+    assert res.tokens == greedy_reference(model, tpl[:6], 12)
 
 
 def test_adaptive_with_no_low_bins_reduces_to_baseline():

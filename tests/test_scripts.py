@@ -256,6 +256,14 @@ def test_artifact_digests_refuses_an_unknown_workload():
     assert "invalid choice: 'nope'" in proc.stderr
 
 
+def test_artifact_digests_refuses_a_negative_seed():
+    proc = _run_script("artifact_digests.py", "--workload", "planted",
+                       "--seed", "-1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "argument --seed: expected a seed >= 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def _readme_block(marker: str, fence: str) -> list[str]:
     """Lines of the first ``fence`` code block of the README after
     ``marker``."""
@@ -405,14 +413,37 @@ def test_bench_pairs_verdict_flags_only_the_metric_over_its_bound():
     assert [line.split()[0] for line in lines if line.endswith("OVER")] == \
         ["compare_s"]
     assert lines[1].split() == ["compare_s", "2", "3", "+50.0%", "25%", "0/3",
-                                "OVER"]
+                                "no", "OVER"]
     assert lines[2].split() == ["decode_tok_per_s", "50", "49", "+2.0%", "25%",
-                                "0/3"]
+                                "0/3", "no"]
     assert lines[3].split() == ["baseline_calls", "900", "1000", "+11.1%", "-",
-                                "0/3"]
+                                "0/3", "no"]
     assert lines[-3:] == ["failed decodes: parent 0, change 2",
                           "trace digests repeat: parent yes, change no",
                           "trace digests equal: no"]
+
+
+@pytest.mark.parametrize("change, want", [
+    # 9 of 10 wins, the median 9 tok/s up against a parent q3 - q1 of 4.5
+    ([r + 10 for r in range(100, 109)] + [99], "yes"),
+    # 8 of 10 wins by the same margin: too few
+    ([r + 10 for r in range(100, 108)] + [99, 100], "no"),
+    # 10 of 10 wins, but the median 1 tok/s up, inside the parent's spread
+    ([r + 1 for r in range(100, 110)], "no"),
+])
+def test_bench_pairs_verdict_states_the_gain_rule(change, want):
+    parent = [_result(1.0, r) for r in range(100, 110)]
+    block = _bench_pairs().aggregate(SPEC, {
+        "parent": parent, "change": [_result(1.0, r) for r in change]})
+    rate = block["metrics"]["decode_tok_per_s"]
+    assert rate["parent"]["q3"] - rate["parent"]["q1"] == 4.5
+    block["trace_sha256_repeat"] = {"parent": True, "change": True}
+    block["trace_sha256_equal"] = True
+    line = _bench_pairs().verdict_lines(block)[2]
+    assert line.split()[0] == "decode_tok_per_s"
+    assert line.split()[-1] == want
+    # equal times win no pair, so they claim nothing either
+    assert _bench_pairs().verdict_lines(block)[1].split()[-1] == "no"
 
 
 FAKE_RUN = '''import json, os, sys
@@ -445,7 +476,7 @@ def test_bench_pairs_alternates_which_side_runs_first(tmp_path, capsys):
     # the verdict table follows the pairs' lines
     assert capsys.readouterr().out.splitlines()[-4:] == [
         "compare_s                                 2            1    -50.0%"
-        "     25%         3/0",
+        "     25%         3/0  yes",
         "failed decodes: parent 0, change 0",
         "trace digests repeat: parent yes, change yes",
         "trace digests equal: yes"]
