@@ -18,14 +18,15 @@ The baseline is the same loop with no low bins.
 One iteration is ``step``: from a target state and a draft state it
 drafts, reranks and verifies, and returns the emitted tokens with the
 iteration's record fields. The decode loop is ``step`` plus the state
-advance. Each model decodes on its own state (``state_key``), not on the
-growing context: the loop keeps the target's and the draft's state keys
-and after each iteration advances each by ``state_key(state + emitted)``.
-A state key is a context in its own state, so every model call sees the
-distribution the whole context would get. Everything before verification
-depends only on the draft state and on settings fixed for one decode, so
-each decode drafts a tree once per draft state and reuses it, with its
-entropy, bin and shape, whenever greedy decoding returns to that state.
+advance. Each model decodes on its own state, its ``_window`` of the
+context (see ``models``), not on the growing context: the loop keeps the
+target's and the draft's state keys and after each iteration advances
+each by slicing, ``(state + emitted)[window]``. A state key is a context
+in its own state, so every model call sees the distribution the whole
+context would get. Everything before verification depends only on the
+draft state and on settings fixed for one decode, so each decode drafts a
+tree once per draft state and reuses it, with its entropy, bin and shape,
+whenever greedy decoding returns to that state.
 Verification against the target runs on every iteration: it walks the
 target's argmax from the root through the kept nodes, the map ``rerank``
 returns from each kept node's path tokens to its rank, so each step is
@@ -215,9 +216,8 @@ def _decode(target_model: LanguageModel, draft_model: LanguageModel,
         raise ConfigError("target and draft models use different vocabularies")
     cfg = config.resolved()
     max_new, terminator = cfg.max_new_tokens, cfg.terminator
-    tkey, dkey = target_model.state_key, draft_model.state_key
-    tstate = tkey(prompt)
-    dstate = dkey(prompt)
+    twin, dwin = target_model._window, draft_model._window
+    tstate, dstate = tuple(prompt[twin]), tuple(prompt[dwin])
     out: list[int] = []
     records: list[IterationRecord] = []
     memo: dict = {}  # one per decode, never shared across prompts or arms
@@ -229,8 +229,8 @@ def _decode(target_model: LanguageModel, draft_model: LanguageModel,
         out.extend(emit)
         if emit[-1] == terminator:
             break
-        tstate = tkey(tstate + emit)
-        dstate = dkey(dstate + emit)
+        tstate = (tstate + emit)[twin]
+        dstate = (dstate + emit)[dwin]
     return GenerationResult(tokens=out, records=records)
 
 

@@ -13,18 +13,19 @@ state rather than once per draft node or verify step. Models are
 immutable after construction apart from their memo, which only ever
 grows, and their records' ``topk``.
 
-``state_key(context)`` names the state a context leaves the model in:
-contexts with equal state keys get equal distributions now and after any
-common continuation. A state key is itself a context in that state, so
-``state_key(state_key(c)) == state_key(c)`` and ``state_key(c) + e`` gets
-the distribution of ``c + e`` for any continuation ``e``; a caller may keep
-the key in place of the context and advance it with ``state_key(key + e)``.
-For an n-gram model it is the last order - 1 raw tokens; by default the
-whole context. ``LanguageModel.next_dist`` memoizes the record by it, so
-every context with the same key gets the same record, and the decode loop
-drafts and verifies from it and reuses draft trees by it. Subclasses
-implement ``_compute``, the distribution of one context, which runs once
-per state.
+A model's state is ``_window``, a suffix slice of its context: contexts
+that end in the same window get equal distributions now and after any
+common continuation. ``state_key(context)``, the window as a tuple, is a
+context in that state, so ``state_key(state_key(c)) == state_key(c)`` and
+``state_key(c) + e`` gets the distribution of ``c + e``; a caller may keep
+the key in place of the context and advance it by slicing,
+``(key + e)[model._window]``. The window is the last order - 1 raw tokens
+for an n-gram model, its base's for a perturbed draft, and by default the
+whole context. ``LanguageModel.next_dist`` memoizes the record by
+``tuple(context[self._window])``, so every context in the same state gets
+the same record, and the decode loop drafts and verifies from it and
+reuses draft trees by it. Subclasses implement ``_compute``, which runs
+once per state, and narrow ``_window``; defining ``state_key`` is refused.
 
 An n-gram model keeps one count table per context length L < order: two
 aligned int64 arrays, ``keys`` in strictly ascending order and ``counts``.
@@ -133,11 +134,17 @@ class DistRecord:
 
 class LanguageModel:
     """Base class: a vocabulary plus a deterministic next-token distribution,
-    memoized by ``state_key`` for as long as the model lives. The memo
-    trusts the ``state_key`` contract: a wrong key returns another
-    context's record. Subclasses implement ``_compute``."""
+    memoized by state, the ``_window`` of the context, for as long as the
+    model lives. A window too short returns another context's record."""
 
     vocab: Vocabulary
+    _window = slice(None)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "state_key" in vars(cls):  # next_dist would ignore it
+            raise TypeError(f"{cls.__name__} defines state_key, which "
+                            f"next_dist ignores: set _window instead")
 
     def __init__(self):
         self._memo: dict[tuple[int, ...], DistRecord] = {}
@@ -148,7 +155,7 @@ class LanguageModel:
     def next_dist(self, context: Context) -> DistRecord:
         """The record of the distribution after ``context``, shared by every
         context in the same state; its ``dist`` is read-only."""
-        key = self.state_key(context)
+        key = tuple(context[self._window])
         rec = self._memo.get(key)
         if rec is None:
             dist = self._compute(context)
@@ -157,11 +164,10 @@ class LanguageModel:
         return rec
 
     def state_key(self, context: Context) -> tuple[int, ...]:
-        """The state ``context`` leaves the model in: contexts with equal
-        keys get equal ``next_dist`` after any common continuation, and the
-        key is a context in the same state. The whole context by default,
-        so a generic model shares no state."""
-        return tuple(context)
+        """The state ``context`` leaves the model in, itself a context in
+        that state: equal keys get equal ``next_dist`` after any common
+        continuation."""
+        return tuple(context[self._window])
 
 
 class NGramModel(LanguageModel):
@@ -183,7 +189,9 @@ class NGramModel(LanguageModel):
         self.smoothing = smoothing
         # counts[L]: (keys, counts) of the records of length-L contexts
         self._counts = counts
-        # the last order - 1 tokens; slice(0, 0) keeps none at order 1
+        # the last order - 1 raw tokens (slice(0, 0) keeps none at order 1),
+        # not the backoff context: an unseen context and the empty one back
+        # off alike but can diverge once a token is appended
         self._window = slice(1 - order, None) if order > 1 else slice(0, 0)
 
     def lower_order(self, order: int) -> NGramModel:
@@ -193,14 +201,8 @@ class NGramModel(LanguageModel):
             return self
         return NGramModel(self.vocab, order, self.smoothing, self._counts[:order])
 
-    def state_key(self, context: Context) -> tuple[int, ...]:
-        """The last order - 1 tokens of ``context``, or all of a shorter one.
-        Not the backoff context: an unseen context and the empty one back
-        off alike but can diverge once a token is appended."""
-        return tuple(context[self._window])
-
     def _compute(self, context: Context) -> ProbDist:
-        key = self.state_key(context)
+        key = context[self._window]
         k, v = self.smoothing, self.vocab.size
         ctx = 0  # the context packed in radix V
         for tok in key:
@@ -267,15 +269,14 @@ def perturb(dist: ProbDist, noise: float) -> ProbDist:
 
 class PerturbedDraftModel(LanguageModel):
     """Draft surrogate: the target distribution mixed with uniform noise,
-    simulating draft/target mismatch."""
+    simulating draft/target mismatch. Its state is its base's window."""
 
     def __init__(self, base: LanguageModel, noise: float = 0.0):
         super().__init__()
         self.base = base
         self.vocab = base.vocab
         self.noise = noise
-        # the base's states, bound once so a state key is one call
-        self.state_key = base.state_key
+        self._window = base._window
 
     def _compute(self, context: Context) -> ProbDist:
         return perturb(self.base.next_dist(context).dist, self.noise)

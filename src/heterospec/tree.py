@@ -91,22 +91,21 @@ def top_tokens(dist: ProbDist, k: int) -> np.ndarray:
     most probable tokens, most probable first, ties to the smaller id; all
     V tokens, in that order, when k >= V.
 
-    Only the entries above the k-th largest value are sorted, and the ties
-    at that value are filled in by lowest id. That value comes from a full
-    sort: ``np.partition`` is about five times slower on a smoothed row,
-    whose unseen tokens all tie at the minimum. Each step is the ndarray
-    method that ``np.sort``, ``np.flatnonzero`` and ``np.argsort`` call,
-    without their Python wrappers.
+    While 16 * k^2 < V: k ``argmax`` passes over one copy of the row, each
+    pick overwritten with -1.0; ``argmax`` returns the first maximum, so
+    ties go to the smaller id. That is O(k*V) once per state, one C pass
+    per child, as many passes per layer as the layer's k^2 node tuples.
+    Otherwise the stable argsort cut to k, faster there: 1.2 us at V = 27
+    against 1.6 us for two passes, 9.8 us at V = 2000 against 2.4 us.
     """
-    v = dist.shape[0]
-    k = min(k, v)
-    ascending = dist.copy()
-    ascending.sort()
-    kth = ascending[v - k]
-    above = (dist > kth).nonzero()[0]  # fewer than k tokens
-    ties = (dist == kth).nonzero()[0][:k - above.size]
-    return np.concatenate((above[(-dist[above]).argsort(kind="stable")],
-                           ties))
+    if 16 * k * k >= dist.shape[0]:
+        return (-dist).argsort(kind="stable")[:k]
+    row = dist.copy()
+    out = np.empty(k, np.intp)
+    for i in range(k):
+        out[i] = t = row.argmax()
+        row[t] = -1.0
+    return out
 
 
 def topk_step_entropy(dist: ProbDist, tokens: np.ndarray) -> float:

@@ -18,7 +18,7 @@ from heterospec.control import greedy_reference
 from heterospec.corpus import corpus_symbols
 from heterospec.errors import ConfigError
 from heterospec.metrics import IterationRecord, validate_run
-from heterospec.models import DistRecord, LanguageModel, ProbDist
+from heterospec.models import DistRecord, LanguageModel, ProbDist, perturb
 from heterospec.tree import STEP, TOKENS, TopK
 from heterospec.vocab import UNK, Context, Vocabulary
 
@@ -251,7 +251,7 @@ def tied_dists(draw, sizes=(2, 28, 2000)):
 
 
 @st.composite
-def smoothed_dists(draw, v: int = 2000):
+def smoothed_dists(draw, v: int = 2000, smoothings=(0.0, 1e-3, 0.05, 0.5)):
     """A row shaped like an add-k smoothed n-gram's over ``v`` tokens: a
     few seen tokens (none to 80, their counts often equal) above a minimum
     that every other token shares. With smoothing 0 the unseen tokens are
@@ -260,9 +260,19 @@ def smoothed_dists(draw, v: int = 2000):
     seen = rng.choice(v, draw(st.integers(0, 80)), replace=False)
     row = np.zeros(v)
     row[seen] = rng.integers(1, 30, seen.size)
-    row += draw(st.sampled_from([0.0, 1e-3, 0.05, 0.5]))
+    row += draw(st.sampled_from(smoothings))
     total = row.sum()
     return row / total if total > 0.0 else row
+
+
+@st.composite
+def zipf_rows(draw):
+    """A draft row at the zipf-word workload's size: a smoothed n-gram row
+    over 1500 to 2500 tokens, its unseen tokens tied at the minimum, then
+    ``perturb``ed, which keeps the ties."""
+    v = draw(st.integers(1500, 2500))
+    row = draw(smoothed_dists(v, smoothings=(1e-3, 0.05, 0.5)))
+    return perturb(row, draw(st.sampled_from([0.01, 0.1, 0.3])))
 
 
 @st.composite
@@ -276,14 +286,16 @@ def distinct_dists(draw, sizes=(3, 28, 513, 2000)):
 
 def selection_rows():
     """Rows for the top-k selection: few distinct values with zeros,
-    smoothed n-gram rows, and all-distinct rows."""
-    return st.one_of(tied_dists(), smoothed_dists(), distinct_dists())
+    smoothed n-gram rows, all-distinct rows, and perturbed draft rows at
+    the zipf-word workload's size."""
+    return st.one_of(tied_dists(), smoothed_dists(), distinct_dists(),
+                     zipf_rows())
 
 
 def selection_ks(v: int):
     """k for a row of ``v`` tokens: the lab's small k, any k up to V (k >= 8
-    sums in numpy's 8 lanes), and k >= V."""
-    return st.one_of(st.integers(1, 8), st.integers(1, v),
+    sums in numpy's 8 lanes), V - 1, and k >= V."""
+    return st.one_of(st.integers(1, 8), st.integers(1, v), st.just(v - 1),
                      st.integers(v, v + 3))
 
 

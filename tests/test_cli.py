@@ -11,21 +11,18 @@ import shutil
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
-from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import (BAD_MODEL_FILES, TINY_CONFIG, _recorded, check_decodes,
+from conftest import (BAD_MODEL_FILES, TINY_CONFIG, check_decodes,
                       recorded_decodes)
 from heterospec import control, pipeline
 from heterospec.binning import CALIBRATION_FILTERS, load_bins, save_bins
 from heterospec.cli import main
 from heterospec.config import load_config
-from heterospec.control import greedy_reference
 from heterospec.errors import OutputMismatchError
-from heterospec.metrics import validate_run
 from heterospec.models import load_model
 from heterospec.pipeline import REPORT_ARMS
 
@@ -798,20 +795,22 @@ def run_ends(request) -> Counter:
             reporter.write(f"\nproperty run ends: {counts}\n")
 
 
+# the Random that the lab profile's derandomize drew this test's configs
+# from, int_from_bytes(function_digest(test)) of the body it had before the
+# seed was pinned; pinned, an edit to the body draws the same 100 configs
+PROPERTY_SEED = int(
+    "20798709658261224132679962549209836238384897315024903642160868056300"
+    "520730670340934101809614662513328927351434736654")
+
+
+@seed(PROPERTY_SEED)
 @settings(max_examples=100)
 @given(data=small_planted_configs())
 def test_small_planted_configs_complete_or_exit_as_documented(run_ends, data):
     """gen-corpus -> report through main() in process: each run completes
     with every decode greedy-exact and accounted for, or stops at one step
     with an expected exit and one stderr line."""
-    decodes = []
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(pipeline, "decode_baseline", _recorded(
-                pipeline.decode_baseline, "calibration", decodes)), \
-            mock.patch.object(control, "decode_baseline", _recorded(
-                control.decode_baseline, "baseline", decodes)), \
-            mock.patch.object(control, "decode_adaptive", _recorded(
-                control.decode_adaptive, "adaptive", decodes)):
+    with tempfile.TemporaryDirectory() as tmp, recorded_decodes() as decodes:
         path = os.path.join(tmp, "config.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(data, fh)
@@ -841,9 +840,4 @@ def test_small_planted_configs_complete_or_exit_as_documented(run_ends, data):
     eval_prompts = data["prompts"]["count"]
     assert sorted(arm for arm, *_ in decodes if arm != "calibration") == \
         ["adaptive"] * eval_prompts + ["baseline"] * eval_prompts
-    for arm, target, prompt, config, result in decodes:
-        met = f"{arm} decode of {prompt}; run ends met: {dict(run_ends)}"
-        assert result.tokens == greedy_reference(
-            target, prompt, config.max_new_tokens, config.terminator), met
-        assert validate_run(result.records,
-                            expected_emitted=len(result.tokens)) == [], met
+    check_decodes(decodes, f"run ends met: {dict(run_ends)}")

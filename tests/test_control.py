@@ -442,6 +442,31 @@ def test_draft_memo_expands_once_per_draft_state_per_decode(tiny_config,
             assert len(result.records) > len(states)
 
 
+def test_tiny_lab_comparison_makes_the_pinned_evals_and_computes(tiny_config):
+    # each instance's next_dist wrapped as the benchmark wraps it, and its
+    # _compute, the one memo miss per state; a change to the eval pattern
+    # moves these counts here before it moves the benchmark's
+    target, draft, bins, prompts = _tiny_lab(tiny_config)
+    counts = {}
+
+    def counted(name, fn):
+        counts[name] = 0
+
+        def wrapper(context):
+            counts[name] += 1
+            return fn(context)
+        return wrapper
+
+    for role, model in (("target", target), ("draft", draft),
+                        ("draft base", draft.base)):
+        model.next_dist = counted(f"{role} evals", model.next_dist)
+        model._compute = counted(f"{role} computes", model._compute)
+    run_comparison(target, draft, prompts, tiny_config.controller, bins)
+    assert counts == {"target evals": 370, "target computes": 13,
+                      "draft evals": 297, "draft computes": 15,
+                      "draft base evals": 15, "draft base computes": 15}
+
+
 def test_run_arm_rejects_records_that_break_accounting():
     model, tpl = chain_template_model()
     cfg = HeteroConfig(depth=3, top_k=2, top_n=8, max_new_tokens=12)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import (BAD_MODEL_FILES, PlantedTemplateModel, count_dicts,
-                      count_tables, is_valid_dist, make_vocab, model_file,
-                      prob_dists, selection_ks, smoothed_dists, tied_dists)
+from conftest import (BAD_MODEL_FILES, FixedDistModel, PlantedTemplateModel,
+                      count_dicts, count_tables, is_valid_dist, make_vocab,
+                      model_file, prob_dists, selection_ks, smoothed_dists,
+                      tied_dists)
 from heterospec import models, tree
 from heterospec.errors import ConfigError
 from heterospec.models import (DistRecord, LanguageModel, NGramModel,
@@ -478,15 +479,15 @@ def test_next_dist_backs_off_to_longest_seen_suffix():
 
 class _LastTokenModel(LanguageModel):
     """A minimal ``_compute`` model: one-hot on the token after the last
-    one, so its state is the last token. Counts its computes."""
+    one, so its state, its window, is the last token. Counts its
+    computes."""
+
+    _window = slice(-1, None)
 
     def __init__(self, vocab):
         super().__init__()
         self.vocab = vocab
         self.computed = []
-
-    def state_key(self, context):
-        return tuple(context[-1:])
 
     def _compute(self, context):
         self.computed.append(tuple(context))
@@ -516,6 +517,32 @@ def test_same_key_shares_one_read_only_array():
             rec.dist[0] = 1.0
     stub, ctx, _ = pairs[-1]
     assert stub.computed == [ctx]  # one compute for its one state
+
+
+def test_a_list_context_and_its_tuple_get_one_record():
+    vocab, target, draft = _memo_models()
+    stub = FixedDistModel(np.full(vocab.size, 1.0 / vocab.size), vocab)
+    ctx = vocab.encode("a the cat")
+    for model in (target, draft, stub):
+        rec = model.next_dist(list(ctx))
+        assert model.next_dist(tuple(ctx)) is rec
+        assert model.next_dist(list(ctx)) is rec
+        key = model.state_key(list(ctx))
+        assert type(key) is tuple and key == model.state_key(tuple(ctx))
+
+
+def test_a_model_that_defines_state_key_is_refused():
+    # next_dist keys its memo by _window, so a state_key override would be
+    # silently ignored
+    with pytest.raises(TypeError, match="_StateKeyModel defines state_key"):
+        class _StateKeyModel(LanguageModel):
+            def state_key(self, context):
+                return tuple(context[-1:])
+
+    class _Narrowed(_LastTokenModel):  # a window is how a state narrows
+        _window = slice(-2, None)
+
+    assert _Narrowed(make_vocab(3)).state_key((0, 1, 2)) == (1, 2)
 
 
 def test_one_topk_is_made_per_state_across_equal_state_next_dist_calls(monkeypatch):
