@@ -1,17 +1,21 @@
 """Surrogate language models: backoff n-grams and perturbed draft models.
 
 All models share one contract: ``next_dist(context)`` returns the
-``DistRecord`` of the state the context leaves the model in. Its ``dist``
-is a read-only length-V probability vector (entries >= 0, summing to 1
-within 1e-9), a deterministic function of (model state, context); its
-``argmax``, the token greedy verification reads, is computed when the
-record is made, by the ndarray method rather than ``np.argmax``'s Python
-wrapper, and its ``topk`` holds the ``TopK`` selection (a draft
-node's children, top-1 probability and top-K entropy) that the draft
-tree makes from it at its ``top_k``, so each is computed once per model
-state rather than once per draft node or verify step. Models are
-immutable after construction apart from their memo, which only ever
-grows, and their records' ``topk``.
+``DistRecord`` of the state the context leaves the model in, a
+deterministic function of (model state, context). A record is a row:
+``fill``, and two aligned arrays, ``idx``, token ids in ascending order,
+and ``vals``, their probabilities; every token outside ``idx`` has
+probability ``fill``. Its ``dist``, the read-only length-V probability
+vector of the row (entries >= 0, summing to 1 within 1e-9), is built
+only on first read, so a model state costs what its support costs, not
+what the vocabulary does. Its ``argmax``, the token greedy verification
+reads, is computed from the row when the record is made, and its
+``topk`` holds the ``TopK`` selection (a draft node's children, top-1
+probability and top-K entropy) that the draft tree makes from the row at
+its ``top_k``, so each is computed once per model state rather than once
+per draft node or verify step. A record holds no reference to its model.
+Models are immutable after construction apart from their memo, which
+only ever grows, and their records' ``topk`` and ``dist``.
 
 A model's state is ``_window``, a suffix slice of its context: contexts
 that end in the same window get equal distributions now and after any
@@ -24,28 +28,32 @@ for an n-gram model, its base's for a perturbed draft, and by default the
 whole context. ``LanguageModel.next_dist`` memoizes the record by
 ``tuple(context[self._window])``, so every context in the same state gets
 the same record, and the decode loop drafts and verifies from it and
-reuses draft trees by it. Subclasses implement ``_compute``, which runs
-once per state, and narrow ``_window``; defining ``state_key`` is refused.
+reuses draft trees by it. Subclasses implement ``_row``, which runs once
+per state, or only ``_compute``, a length-V vector, which the default
+``_row`` turns into its full-support row; and narrow ``_window``.
+Defining ``state_key`` is refused.
 
 An n-gram model keeps one count table per context length L < order: two
 aligned int64 arrays, ``keys`` in strictly ascending order and ``counts``.
 A key packs the context c1..cL and the next token in radix V, the
 vocabulary size: ``((c1*V + c2)*V + ...)*V + tok``, so a context's records
 are one run of keys, ``[ctx*V, ctx*V + V)``, and its tokens are the keys
-minus ``ctx*V``. Keys of the longest context need V^order < 2^63, which
-``train_ngram``, ``load_model`` and ``NGramModel`` check first; a larger
-``model.order`` is refused. ``NGramModel`` checks its tables in one
-vectorized pass: keys strictly ascending and in range, counts >= 0. Its
-first L tables are those an order-L model trains on the same corpus, so
-``lower_order`` derives the draft base instead of training one.
-``train_ngram`` counts each length with one ``np.unique`` over the rolling
-window keys of the corpus, ``win[i] = win[i-1]*V + tok[i]``, keeping the
-windows that lie inside one document.
+minus ``ctx*V``: the run is the row's support. Keys of the longest
+context need V^order < 2^63, which ``train_ngram``, ``load_model`` and
+``NGramModel`` check first; a larger ``model.order`` is refused.
+``NGramModel`` checks its tables in one vectorized pass: keys strictly
+ascending and in range, counts >= 0. Its first L tables are those an
+order-L model trains on the same corpus, so ``lower_order`` derives the
+draft base instead of training one. ``train_ngram`` counts each length
+with one ``np.unique`` over the rolling window keys of the corpus,
+``win[i] = win[i-1]*V + tok[i]``, keeping the windows that lie inside one
+document.
 
 ``save_model`` writes a version line, one JSON header line (mode, order,
 smoothing, symbols, and ``sizes``, the record count per context length),
-then each length's keys and counts as raw little-endian int64.
-``load_model`` reads the file in one pass and the header as a
+then each length's keys and counts as raw little-endian int64, each
+table's own buffer with no joined copy. ``load_model`` reads the file in
+one pass, the tables as views of its bytes, and the header as a
 ``_Header``, refusing other keys, values of other types, and an order or
 smoothing that breaks ``check_model_settings``, the rule the config's
 ``model`` settings and ``NGramModel`` follow too. A body whose length is
@@ -118,18 +126,66 @@ def argmax_token(dist: ProbDist) -> int:
     return int(dist.argmax())
 
 
+def fill_tokens(taken: np.ndarray, n: int, size: int) -> np.ndarray:
+    """The first ``n`` token ids below ``size`` that ``taken``, an
+    ascending id array, leaves out; all of them when fewer remain.
+    ``taken[j] - j`` counts the free ids below ``taken[j]``, so the free id
+    of rank r lies past each taken id with ``taken[j] - j <= r``."""
+    ranks = np.arange(min(n, size - taken.size))
+    return ranks + (taken - np.arange(taken.size)).searchsorted(ranks, "right")
+
+
+def _first_max(fill: float, idx: np.ndarray, vals: np.ndarray,
+               size: int) -> int:
+    """``argmax_token`` of the row's dense vector: the first maximum."""
+    if vals.size:
+        m = vals.argmax()  # the first maximum of the support
+        if vals[m] > fill or idx.size == size:
+            return int(idx[m])
+    gap = int(fill_tokens(idx, 1, size)[0])  # the first fill-valued token
+    return min(int(idx[m]), gap) if vals.size and vals[m] == fill else gap
+
+
 class DistRecord:
-    """One distribution and the two values the decode loop reads of it:
-    ``argmax``, its ``argmax_token``, computed when the record is made, and
-    ``topk``, the ``TopK`` selection the draft tree makes the first time it
-    expands from the record, and again only at another k; None before."""
+    """One distribution as a row, and the two values the decode loop reads
+    of it. Every token outside ``idx`` (ascending ids, aligned with
+    ``vals``) has probability ``fill``; ``size`` is V. ``argmax``, the
+    ``argmax_token`` of the row, is computed when the record is made;
+    ``topk``, the ``TopK`` selection the draft tree makes the first time
+    it expands from the record, and again only at another k, is None
+    before. ``dist``, the read-only length-V vector, is built on first
+    read and kept. The record holds arrays and numbers only, never its
+    model."""
 
-    __slots__ = ("dist", "argmax", "topk")
+    __slots__ = ("fill", "idx", "vals", "size", "argmax", "topk", "_dist")
 
-    def __init__(self, dist: ProbDist):
-        self.dist = dist
-        self.argmax = argmax_token(dist)
+    def __init__(self, fill: float, idx: np.ndarray, vals: np.ndarray,
+                 size: int):
+        self.fill = fill
+        self.idx = idx
+        self.vals = vals
+        self.size = size
+        self.argmax = _first_max(fill, idx, vals, size)
         self.topk = None
+        self._dist = None
+
+    @property
+    def dist(self) -> ProbDist:
+        dist = self._dist
+        if dist is None:
+            dist = self._dist = np.full(self.size, self.fill)
+            dist[self.idx] = self.vals
+            dist.flags.writeable = False
+        return dist
+
+
+def dense_row(dist: ProbDist) -> DistRecord:
+    """The full-support row of a length-V vector, which becomes its
+    read-only ``dist``; its ``fill`` belongs to no token."""
+    dist.flags.writeable = False
+    rec = DistRecord(0.0, np.arange(dist.shape[0]), dist, dist.shape[0])
+    rec._dist = dist
+    return rec
 
 
 class LanguageModel:
@@ -152,15 +208,18 @@ class LanguageModel:
     def _compute(self, context: Context) -> ProbDist:
         raise NotImplementedError
 
+    def _row(self, context: Context) -> DistRecord:
+        """The record of a state new to the memo: by default the
+        full-support row of ``_compute``'s vector."""
+        return dense_row(self._compute(context))
+
     def next_dist(self, context: Context) -> DistRecord:
         """The record of the distribution after ``context``, shared by every
         context in the same state; its ``dist`` is read-only."""
         key = tuple(context[self._window])
         rec = self._memo.get(key)
         if rec is None:
-            dist = self._compute(context)
-            dist.flags.writeable = False
-            rec = self._memo[key] = DistRecord(dist)
+            rec = self._memo[key] = self._row(context)
         return rec
 
     def state_key(self, context: Context) -> tuple[int, ...]:
@@ -201,7 +260,7 @@ class NGramModel(LanguageModel):
             return self
         return NGramModel(self.vocab, order, self.smoothing, self._counts[:order])
 
-    def _compute(self, context: Context) -> ProbDist:
+    def _row(self, context: Context) -> DistRecord:
         key = context[self._window]
         k, v = self.smoothing, self.vocab.size
         ctx = 0  # the context packed in radix V
@@ -216,12 +275,11 @@ class NGramModel(LanguageModel):
             if lo < hi or not length:
                 break
             ctx %= v ** (length - 1)
-        # bit-identical to (dense_counts + k) / (total + k * v)
-        dist = np.zeros(v)
+        # each value bit-identical to (dense_counts + k) / (total + k * v):
+        # an unseen token's 0 + k is k
         seen = counts[lo:hi]
-        dist[keys[lo:hi] - base] = seen
-        dist += k
-        return dist / (sum(seen.tolist()) + k * v)
+        total = sum(seen.tolist()) + k * v
+        return DistRecord(k / total, keys[lo:hi] - base, (seen + k) / total, v)
 
 
 def train_ngram(corpus: list[str] | SplitCorpus, vocab: Vocabulary,
@@ -249,22 +307,39 @@ def train_ngram(corpus: list[str] | SplitCorpus, vocab: Vocabulary,
     return NGramModel(vocab, order, smoothing, counts)
 
 
-def perturb(dist: ProbDist, noise: float) -> ProbDist:
+def _dense_sum(values: np.ndarray, idx: np.ndarray, out: np.ndarray) -> float:
+    """The sum, in numpy's order over ``out``, of the row whose fill is
+    ``values[0]`` and whose support values are ``values[1:]``, spread into
+    ``out``."""
+    out.fill(values[0])
+    out[idx] = values[1:]
+    return out.sum()
+
+
+def perturb(row: DistRecord, noise: float) -> DistRecord:
     """Mix in uniform noise: normalize((1-noise) * softmax(log dist) +
-    noise * uniform). noise=0 is an exact identity, returned without any
-    float round-trip. Expects noise in [0, 1), which ``DraftSpec``
-    checks."""
+    noise * uniform), as a row on the same support. noise=0 is an exact
+    identity, the row's own values without any float round-trip. Expects
+    noise in [0, 1), which ``DraftSpec`` checks.
+
+    ``log``, ``max``, ``exp`` and the mixture run on the row's distinct
+    values, ``fill`` first then ``vals``, each giving the bits the dense
+    vector's elementwise call gives; only the two normalizing sums run over
+    a V-vector, the row spread into one buffer in the dense order. The max
+    leaves out ``fill`` when no token holds it."""
+    idx, v = row.idx, row.size
     if noise == 0.0:
-        return dist.copy()
-    v = dist.shape[0]
+        return DistRecord(row.fill, idx, row.vals, v)
     # softmax(log dist) is dist up to rounding, which the draft's values keep
     with np.errstate(divide="ignore"):
-        logits = np.log(dist)
-    logits -= logits.max()
+        logits = np.log(np.concatenate(((row.fill,), row.vals)))
+    logits -= logits.max() if idx.size < v else logits[1:].max()
     shaped = np.exp(logits)
-    shaped /= shaped.sum()
+    dense = np.empty(v)
+    shaped /= _dense_sum(shaped, idx, dense)
     mixed = (1.0 - noise) * shaped + noise / v
-    return mixed / mixed.sum()
+    mixed /= _dense_sum(mixed, idx, dense)
+    return DistRecord(float(mixed[0]), idx, mixed[1:], v)
 
 
 class PerturbedDraftModel(LanguageModel):
@@ -278,8 +353,8 @@ class PerturbedDraftModel(LanguageModel):
         self.noise = noise
         self._window = base._window
 
-    def _compute(self, context: Context) -> ProbDist:
-        return perturb(self.base.next_dist(context).dist, self.noise)
+    def _row(self, context: Context) -> DistRecord:
+        return perturb(self.base.next_dist(context), self.noise)
 
 
 MODEL_FORMAT = b"heterospec-ngram v2\n"  # a model file's first line
@@ -309,9 +384,10 @@ def save_model(model: NGramModel, path) -> None:
               "smoothing": model.smoothing, "symbols": list(model.vocab.symbols),
               "sizes": [keys.size for keys, _ in model._counts]}
     with open(path, "wb") as fh:
-        fh.write(b"".join([MODEL_FORMAT, json.dumps(header).encode(), b"\n",
-                           *(a.astype("<i8").tobytes()
-                             for table in model._counts for a in table)]))
+        fh.write(MODEL_FORMAT + json.dumps(header).encode() + b"\n")
+        for table in model._counts:
+            for a in table:
+                fh.write(np.ascontiguousarray(a, "<i8").data)
 
 
 def load_model(path) -> NGramModel:
@@ -333,7 +409,9 @@ def load_model(path) -> NGramModel:
     if len(body) != 16 * sum(header.sizes):
         raise ConfigError(f"{path}: {len(body)} bytes of count tables, the "
                           f"header's sizes need {16 * sum(header.sizes)}")
-    flat = np.frombuffer(body, "<i8").astype(np.int64)
+    # a view of the file's bytes on a little-endian machine: read-only,
+    # as the tables are
+    flat = np.frombuffer(body, "<i8").astype(np.int64, copy=False)
     parts = np.split(flat, np.cumsum(np.repeat(header.sizes, 2))[:-1])
     try:
         return NGramModel(vocab, header.order, header.smoothing,

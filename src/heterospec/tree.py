@@ -52,7 +52,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import ConfigError
-from .models import LanguageModel, ProbDist
+from .models import DistRecord, LanguageModel, fill_tokens
 from .vocab import Context
 
 DraftNode = tuple  # (-log value, parent, step, path tokens)
@@ -86,64 +86,68 @@ class DraftTree:
         return len(self.nodes)
 
 
-def top_tokens(dist: ProbDist, k: int) -> np.ndarray:
-    """The first k entries of ``np.argsort(-dist, kind="stable")``: the k
-    most probable tokens, most probable first, ties to the smaller id; all
-    V tokens, in that order, when k >= V.
+def top_tokens(row: DistRecord, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first k entries of ``np.argsort(-row.dist, kind="stable")``, the
+    k most probable tokens, most probable first, ties to the smaller id,
+    and their probabilities; all V tokens, in that order, when k >= V.
 
-    While 16 * k^2 < V: k ``argmax`` passes over one copy of the row, each
-    pick overwritten with -1.0; ``argmax`` returns the first maximum, so
-    ties go to the smaller id. That is O(k*V) once per state, one C pass
-    per child, as many passes per layer as the layer's k^2 node tuples.
-    Otherwise the stable argsort cut to k, faster there: 1.2 us at V = 27
-    against 1.6 us for two passes, 9.8 us at V = 2000 against 2.4 us.
+    For k < V it reads the row, not the dense vector, so a state costs a
+    sort of its support: the support in stable order of its values, cut to
+    k, when its k-th value lies above ``fill``. Otherwise the first k
+    tokens outside the support (``fill_tokens``), all at ``fill``, join
+    it, sorted by value and then id.
     """
-    if 16 * k * k >= dist.shape[0]:
-        return (-dist).argsort(kind="stable")[:k]
-    row = dist.copy()
-    out = np.empty(k, np.intp)
-    for i in range(k):
-        out[i] = t = row.argmax()
-        row[t] = -1.0
-    return out
+    if k >= row.size:
+        dist = row.dist
+        tokens = (-dist).argsort(kind="stable")
+        return tokens, dist[tokens]
+    fill, idx, vals = row.fill, row.idx, row.vals
+    top = (-vals).argsort(kind="stable")[:k]
+    probs = vals[top]
+    if top.size == k and probs[-1] > fill:
+        return idx[top], probs
+    tokens = np.concatenate((idx, fill_tokens(idx, k, row.size)))
+    probs = np.concatenate((vals, np.full(tokens.size - idx.size, fill)))
+    top = np.lexsort((tokens, -probs))[:k]
+    return tokens[top], probs[top]
 
 
-def topk_step_entropy(dist: ProbDist, tokens: np.ndarray) -> float:
-    """Entropy in nats of the renormalized probabilities of ``tokens``, the
-    top-k selection of ``dist``.
+def topk_step_entropy(probs: np.ndarray) -> float:
+    """Entropy in nats of ``probs`` renormalized, summed in the order
+    given.
 
     k = 1 always gives exactly 0.0. Zero probabilities inside the slice
     contribute nothing.
     """
-    # ascending, the order of np.sort(dist)[-k:], so numpy sums the same
-    # bits as over a full sort; all of dist in index order when k >= V
-    arr = dist[tokens[::-1]] if tokens.size < dist.shape[0] else dist
-    total = arr.sum()
+    total = probs.sum()
     if total <= 0.0:
         return 0.0
-    p = arr / total
+    p = probs / total
     nz = p[p > 0.0]
     return float(-(nz * np.log(nz)).sum()) + 0.0
 
 
 class TopK:
-    """The k most probable tokens of one distribution (``top_tokens``),
-    kept as a ``DistRecord``'s ``topk``, with what the tree reads of that
-    selection: ``children``, (token, log p) of the tokens with positive
-    probability in selection order, ``top1``, the probability of the first
-    token, ``float(np.max(dist))``, and ``entropy``, the top-k step
-    entropy."""
+    """The k most probable tokens of one row (``top_tokens``), kept as the
+    ``DistRecord``'s ``topk``, with what the tree reads of that selection:
+    ``children``, (token, log p) of the tokens with positive probability in
+    selection order, ``top1``, the probability of the first token, the
+    maximum of ``dist``, and ``entropy``, the top-k step entropy. The
+    entropy sums the k probabilities in ascending order, the order of
+    ``np.sort(dist)[-k:]``, so numpy sums the same bits as over a full
+    sort; at k >= V all of ``dist`` in index order."""
 
     __slots__ = ("k", "children", "top1", "entropy")
 
-    def __init__(self, dist: ProbDist, k: int):
+    def __init__(self, row: DistRecord, k: int):
         self.k = k
-        tokens = top_tokens(dist, k)
-        probs = dist[tokens].tolist()
+        tokens, probs = top_tokens(row, k)
+        plist = probs.tolist()
         self.children = [(t, math.log(p))
-                         for t, p in zip(tokens.tolist(), probs) if p > 0.0]
-        self.top1 = probs[0]
-        self.entropy = topk_step_entropy(dist, tokens)
+                         for t, p in zip(tokens.tolist(), plist) if p > 0.0]
+        self.top1 = plist[0]
+        self.entropy = topk_step_entropy(probs[::-1] if k < row.size
+                                         else row.dist)
 
 
 def _grow_layers(tree: DraftTree, draft_model: LanguageModel, layers: int) -> None:
@@ -160,7 +164,7 @@ def _grow_layers(tree: DraftTree, draft_model: LanguageModel, layers: int) -> No
             rec = next_dist(context + tokens)
             step = rec.topk
             if step is None or step.k != top_k:
-                step = rec.topk = TopK(rec.dist, top_k)
+                step = rec.topk = TopK(rec, top_k)
             # -(a + log p) == -a - log p exactly, so values and ties match
             # the sum of logs along the path
             for token, logp in step.children:

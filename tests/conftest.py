@@ -13,12 +13,13 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+import dense_reference
 from heterospec import control, pipeline
 from heterospec.control import greedy_reference
 from heterospec.corpus import corpus_symbols
 from heterospec.errors import ConfigError
 from heterospec.metrics import IterationRecord, validate_run
-from heterospec.models import DistRecord, LanguageModel, ProbDist, perturb
+from heterospec.models import DistRecord, LanguageModel, ProbDist
 from heterospec.tree import STEP, TOKENS, TopK
 from heterospec.vocab import UNK, Context, Vocabulary
 
@@ -269,10 +270,10 @@ def smoothed_dists(draw, v: int = 2000, smoothings=(0.0, 1e-3, 0.05, 0.5)):
 def zipf_rows(draw):
     """A draft row at the zipf-word workload's size: a smoothed n-gram row
     over 1500 to 2500 tokens, its unseen tokens tied at the minimum, then
-    ``perturb``ed, which keeps the ties."""
+    perturbed, which keeps the ties."""
     v = draw(st.integers(1500, 2500))
     row = draw(smoothed_dists(v, smoothings=(1e-3, 0.05, 0.5)))
-    return perturb(row, draw(st.sampled_from([0.01, 0.1, 0.3])))
+    return dense_reference.perturb(row, draw(st.sampled_from([0.01, 0.1, 0.3])))
 
 
 @st.composite
@@ -308,9 +309,22 @@ def step_record(model: LanguageModel, tree, node) -> DistRecord:
     return rec
 
 
+def row_of(dist: ProbDist, fill: float | None = None) -> DistRecord:
+    """The record of ``dist`` as a row whose ``fill`` is one of its values,
+    by default the most frequent, the smallest of equally frequent ones,
+    so selections read the support, the fill-valued tokens and the support
+    on either side of them. The record's ``dist`` is built from the row."""
+    if fill is None:
+        values, counts = np.unique(dist, return_counts=True)
+        fill = float(values[counts.argmax()])
+    idx = np.flatnonzero(dist != fill)
+    return DistRecord(fill, idx, dist[idx], dist.shape[0])
+
+
 def topk_entropy(dist: ProbDist, k: int) -> float:
-    """The top-k step entropy of ``dist``, as its ``TopK`` selection holds it."""
-    return TopK(dist, k).entropy
+    """The top-k step entropy of ``dist``, as the ``TopK`` selection of its
+    ``row_of`` holds it."""
+    return TopK(row_of(dist), k).entropy
 
 
 # small planted experiment: full pipeline runs in ~0.1 s

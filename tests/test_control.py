@@ -5,6 +5,9 @@ a rho-0.97 template gives full 5-token acceptance each iteration, so call
 counts, ranks, and tau are known in closed form."""
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -30,7 +33,7 @@ from heterospec.control import (
 )
 from heterospec.errors import ConfigError, OutputMismatchError
 from heterospec.metrics import IterationRecord, validate_run
-from heterospec.models import DistRecord, LanguageModel, PerturbedDraftModel
+from heterospec.models import LanguageModel, PerturbedDraftModel, dense_row
 from heterospec.tree import expand, rerank, tree_entropy_signal
 from heterospec.vocab import Vocabulary
 
@@ -315,7 +318,7 @@ class _CountingDraft(LanguageModel):
         self.calls += 1
         dist = np.zeros(self.vocab.size)
         dist[0] = 1.0
-        return DistRecord(dist)
+        return dense_row(dist)
 
 
 class _SpitefulTarget(LanguageModel):
@@ -335,7 +338,7 @@ class _SpitefulTarget(LanguageModel):
         tok = 0 if self.draft.calls <= self.flip_after else 1
         dist = np.zeros(self.vocab.size)
         dist[tok] = 1.0
-        return DistRecord(dist)
+        return dense_row(dist)
 
 
 def test_run_comparison_detects_output_divergence():
@@ -444,8 +447,8 @@ def test_draft_memo_expands_once_per_draft_state_per_decode(tiny_config,
 
 def test_tiny_lab_comparison_makes_the_pinned_evals_and_computes(tiny_config):
     # each instance's next_dist wrapped as the benchmark wraps it, and its
-    # _compute, the one memo miss per state; a change to the eval pattern
-    # moves these counts here before it moves the benchmark's
+    # _row, the one row computed per state, on a memo miss; a change to the
+    # eval pattern moves these counts here before it moves the benchmark's
     target, draft, bins, prompts = _tiny_lab(tiny_config)
     counts = {}
 
@@ -460,11 +463,41 @@ def test_tiny_lab_comparison_makes_the_pinned_evals_and_computes(tiny_config):
     for role, model in (("target", target), ("draft", draft),
                         ("draft base", draft.base)):
         model.next_dist = counted(f"{role} evals", model.next_dist)
-        model._compute = counted(f"{role} computes", model._compute)
+        model._row = counted(f"{role} rows", model._row)
     run_comparison(target, draft, prompts, tiny_config.controller, bins)
-    assert counts == {"target evals": 370, "target computes": 13,
-                      "draft evals": 297, "draft computes": 15,
-                      "draft base evals": 15, "draft base computes": 15}
+    assert counts == {"target evals": 370, "target rows": 13,
+                      "draft evals": 297, "draft rows": 15,
+                      "draft base evals": 15, "draft base rows": 15}
+
+
+def test_a_comparison_builds_no_target_vector_and_no_record_holds_its_model(
+        tiny_config):
+    # verification reads only a target record's argmax, so the dense
+    # vector waits for greedy_reference; a record that kept its model (a
+    # lazy closure over it) would keep the model and its memo alive
+    target, draft, bins, prompts = _tiny_lab(tiny_config)
+    assert draft.base is not target  # the draft's order is below the target's
+    cfg = tiny_config.controller
+    run_comparison(target, draft, prompts, cfg, bins)
+    assert target._memo
+    assert all(rec._dist is None for rec in target._memo.values())
+    for prompt in prompts:
+        ctx = tuple(prompt)
+        for tok in greedy_reference(target, prompt, cfg.max_new_tokens):
+            rec = target._memo[target.state_key(ctx)]
+            assert rec._dist is not None and rec.dist.argmax() == tok
+            ctx += (tok,)
+    # the records stay alive while the models go
+    records = [rec for model in (target, draft, draft.base)
+               for rec in model._memo.values()]
+    assert records
+    models = [weakref.ref(model) for model in (target, draft, draft.base)]
+    gc.disable()  # freed by reference counts alone: no cycle through a record
+    try:
+        del target, draft
+        assert all(ref() is None for ref in models)
+    finally:
+        gc.enable()
 
 
 def test_run_arm_rejects_records_that_break_accounting():

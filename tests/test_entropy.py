@@ -14,27 +14,17 @@ from hypothesis import strategies as st
 
 from conftest import (FixedDistModel, ScriptedModel, make_vocab, prob_dists, selection_ks,
                       selection_rows, step_record, topk_entropy)
+from dense_reference import step_entropy
 from heterospec.errors import ConfigError
 from heterospec.tree import (NEG_VALUE, STEP, TOKENS, expand, path, select_meta_path,
                              tree_entropy_signal)
-
-
-def _entropy_full_sort(dist, k):
-    """The top-k step entropy with a full sort, as the selection oracle."""
-    top = np.sort(dist)[-k:] if k < dist.shape[0] else dist
-    total = top.sum()
-    if total <= 0.0:
-        return 0.0
-    p = top / total
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum()) + 0.0
 
 
 @given(selection_rows(), st.data())
 def test_topk_entropy_bitwise_equals_full_sort(dist, data):
     # k >= 8 reaches numpy's 8-lane summation, k >= V the index-order path
     k = data.draw(selection_ks(dist.shape[0]), label="k")
-    assert topk_entropy(dist, k).hex() == _entropy_full_sort(dist, k).hex()
+    assert topk_entropy(dist, k).hex() == step_entropy(dist, k).hex()
 
 
 def test_step_entropy_is_kept_in_the_records_selection():

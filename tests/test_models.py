@@ -5,15 +5,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import dense_reference
 from conftest import (BAD_MODEL_FILES, FixedDistModel, PlantedTemplateModel,
                       count_dicts, count_tables, is_valid_dist, make_vocab,
-                      model_file, prob_dists, selection_ks, smoothed_dists,
-                      tied_dists)
+                      model_file, prob_dists, row_of, selection_ks,
+                      smoothed_dists, tied_dists)
 from heterospec import models, tree
 from heterospec.errors import ConfigError
-from heterospec.models import (DistRecord, LanguageModel, NGramModel,
-                               PerturbedDraftModel, argmax_token, load_model,
-                               perturb, save_model, train_ngram)
+from heterospec.models import (LanguageModel, NGramModel, PerturbedDraftModel,
+                               argmax_token, dense_row, load_model, perturb,
+                               save_model, train_ngram)
 from heterospec.tree import TopK
 from heterospec.vocab import UNK, Vocabulary, build_vocab, encode_corpus, split_corpus
 
@@ -140,24 +141,25 @@ def test_planted_template_validation():
 
 def test_perturb_identity_is_exact():
     dist = np.array([0.3, 0.25, 0.45])
-    out = perturb(dist, noise=0.0)
-    assert np.array_equal(out, dist)
-    assert out is not dist
+    for row in (row_of(dist), dense_row(dist.copy())):
+        out = perturb(row, noise=0.0)
+        assert np.array_equal(out.dist, dist)
+        assert out is not row
 
 
 def test_perturb_mixture_arithmetic():
-    out = perturb(np.array([0.8, 0.2]), noise=0.5)
-    np.testing.assert_allclose(out, [0.65, 0.35], atol=1e-15)
+    out = perturb(row_of(np.array([0.8, 0.2])), noise=0.5)
+    np.testing.assert_allclose(out.dist, [0.65, 0.35], atol=1e-15)
 
 
 @given(prob_dists(max_size=12), st.floats(0.0, 1.0))
 def test_perturb_outputs_valid_dists(dist, noise):
-    assert is_valid_dist(perturb(dist, noise), dist.shape[0])
+    assert is_valid_dist(perturb(row_of(dist), noise).dist, dist.shape[0])
 
 
 @given(prob_dists(max_size=12, allow_zeros=False))
 def test_perturb_full_support_when_noisy(dist):
-    assert np.all(perturb(dist, 0.1) > 0.0)
+    assert np.all(perturb(row_of(dist), 0.1).dist > 0.0)
 
 
 def test_perturbed_draft_identity_equals_base():
@@ -454,12 +456,8 @@ def _uncached_dist(model, ctx):
     """The add-k distribution after ``ctx``, with no memo and no backoff
     code from the model under test."""
     key = _backoff_context(model, ctx)
-    vec = np.zeros(model.vocab.size, dtype=np.int64)
     seen = count_dicts(model._counts, model.vocab.size)[len(key)].get(key, {})
-    for tok, count in seen.items():
-        vec[tok] = count
-    k, v = model.smoothing, model.vocab.size
-    return (vec + k) / (vec.sum() + k * v)
+    return dense_reference.add_k(seen, model.smoothing, model.vocab.size)
 
 
 def test_next_dist_backs_off_to_longest_seen_suffix():
@@ -472,7 +470,7 @@ def test_next_dist_backs_off_to_longest_seen_suffix():
         want = _uncached_dist(target, ctx)
         assert target.next_dist(ctx).dist.tobytes() == want.tobytes()
         assert draft.next_dist(ctx).dist.tobytes() == \
-            perturb(want, draft.noise).tobytes()
+            dense_reference.perturb(want, draft.noise).tobytes()
     assert target.next_dist((unk, unk)).dist.tobytes() == \
         target.next_dist(()).dist.tobytes()
 
@@ -571,12 +569,14 @@ def test_one_topk_is_made_per_state_across_equal_state_next_dist_calls(monkeypat
 def test_records_keep_the_first_argmax_and_the_top1_probability(row, noise, data):
     # an n-gram row and the draft's perturbed row of it; equal counts tie
     # at the maximum, and perturbing keeps the ties
-    rows = [row, perturb(row, noise)] if row.sum() > 0.0 else [row]
+    rows = ([row, dense_reference.perturb(row, noise)] if row.sum() > 0.0
+            else [row])
     for dist in rows:
         first_max = int(np.flatnonzero(dist == dist.max())[0])
-        assert DistRecord(dist).argmax == argmax_token(dist) == first_max
+        assert row_of(dist).argmax == dense_row(dist.copy()).argmax == \
+            argmax_token(dist) == first_max
         k = data.draw(selection_ks(dist.shape[0]), label="k")
-        assert TopK(dist, k).top1 == float(np.max(dist))
+        assert TopK(row_of(dist), k).top1 == float(np.max(dist))
 
 
 def test_memoized_values_bitwise_equal_uncached_formula():
@@ -587,8 +587,77 @@ def test_memoized_values_bitwise_equal_uncached_formula():
         ctx = tuple(int(t) for t in rng.integers(v, size=rng.integers(0, 5)))
         want = _uncached_dist(target, ctx)
         assert target.next_dist(ctx).dist.tobytes() == want.tobytes()
-        want_draft = perturb(want, draft.noise)
+        want_draft = dense_reference.perturb(want, draft.noise)
         assert draft.next_dist(ctx).dist.tobytes() == want_draft.tobytes()
+
+
+@st.composite
+def _row_tables(draw):
+    """Order-2 count tables over V tokens whose rows have ties at the
+    maximum (counts 0 to 3), count-0 records, one context seen with every
+    token (full support), small supports that k can exceed, and, when the
+    unigram table is empty, an empty run for every context that backs off
+    to ()."""
+    v = draw(st.sampled_from([2, 3, 28, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def run(size):
+        toks = rng.choice(v, size, replace=False)
+        return {int(t): int(c) for t, c in zip(toks, rng.integers(0, 4, size))}
+
+    unigrams = {(): run(int(rng.integers(1, v + 1)))} if draw(st.booleans()) else {}
+    bigrams = {(0,): run(v)}
+    for ctx in range(1, min(v, 6)):
+        bigrams[(ctx,)] = run(int(rng.integers(1, min(v, 5) + 1)))
+    return v, count_tables([unigrams, bigrams], v)
+
+
+@given(_row_tables(), st.sampled_from([0.0, 0.01, 0.3]),
+       st.sampled_from([1e-3, 0.5]), st.data())
+def test_rows_bitwise_equal_the_dense_formulas(tables, noise, smoothing, data):
+    # the records never build a dense vector to make their values, argmax
+    # or selection; each must equal the dense formula's bits
+    v, counts = tables
+    target = NGramModel(make_vocab(v), 2, smoothing, counts)
+    draft = PerturbedDraftModel(target, noise)
+    for ctx in [(), *((c,) for c in range(min(v, 8)))]:
+        want = _uncached_dist(target, ctx)
+        for model, dense in ((target, want),
+                             (draft, dense_reference.perturb(want, noise))):
+            rec = model.next_dist(ctx)
+            k = data.draw(selection_ks(v), label="k")
+            top = TopK(rec, k)
+            order = dense_reference.top_tokens(dense, k)
+            assert tree.top_tokens(rec, k)[0].tolist() == order.tolist()
+            assert top.children == [(int(t), math.log(dense[t]))
+                                    for t in order if dense[t] > 0.0]
+            assert top.top1 == dense[order[0]]
+            assert top.entropy.hex() == \
+                dense_reference.step_entropy(dense, k).hex()
+            assert rec.argmax == int(np.flatnonzero(dense == dense.max())[0])
+            assert (rec._dist is None) == (k < v)  # only k >= V reads dist
+            assert rec.dist.tobytes() == dense.tobytes()
+
+
+def test_log_and_exp_of_a_rows_values_equal_the_dense_calls():
+    # perturb runs np.log and np.exp on a row's distinct values, fill first,
+    # where the dense formula runs them on the length-V vector: the draft's
+    # bits need each element's result not to depend on the array around it
+    rng = np.random.default_rng(0)
+    for _ in range(3000):
+        v = int(rng.integers(2, 2500))
+        idx = np.sort(rng.choice(v, int(rng.integers(0, v)), replace=False))
+        values = rng.random(idx.size + 1) * 10.0 ** rng.integers(-12, 1)
+        dense = np.full(v, values[0])
+        dense[idx] = values[1:]
+        gap = np.setdiff1d(np.arange(v), idx)[0]  # a token at the fill
+        logs, dense_logs = np.log(values), np.log(dense)
+        exps, dense_exps = np.exp(logs - 1.0), np.exp(dense_logs - 1.0)
+        for name, row, full in (("log", logs, dense_logs),
+                                ("exp", exps, dense_exps)):
+            assert row[1:].tobytes() == full[idx].tobytes() and \
+                row[0] == full[gap], \
+                f"np.{name} of a row's values differs from the dense call at V={v}"
 
 
 def test_reloaded_model_memo_bitwise_equal(tmp_path):
@@ -634,7 +703,7 @@ def _state_model(order, pruned, perturbed):
         # the model's memo and backoff both start from state_key, so only an
         # oracle without either can tell a wrong key from a right one
         dist = _uncached_dist(ngram, ctx)
-        return perturb(dist, 0.02) if perturbed else dist
+        return dense_reference.perturb(dist, 0.02) if perturbed else dist
 
     return model, oracle
 

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dense_reference
 from conftest import (DrawnDistModel, FixedDistModel, ScriptedModel, chain_template_model,
-                      make_vocab, selection_ks, selection_rows, step_record)
+                      make_vocab, row_of, selection_ks, selection_rows, step_record)
 from heterospec.tree import (NEG_VALUE, PARENT, ROOT, TOKENS, DraftTree, TopK, expand,
                              extend, path, rerank, top_tokens)
 
@@ -78,12 +79,16 @@ def test_single_layer_top_children():
 @given(selection_rows(), st.data())
 def test_top_children_equals_full_stable_sort(dist, data):
     k = data.draw(selection_ks(dist.shape[0]), label="k")
-    # the selection against a full stable argsort on -p, ties included
-    order = np.argsort(-dist, kind="stable")[:k]
-    assert top_tokens(dist, k).tolist() == order.tolist()
-    top = TopK(dist, k)
-    assert top.children == [(int(t), math.log(dist[t]))
-                            for t in order if dist[t] > 0.0]
+    # the selection against a full stable argsort on -p, ties included,
+    # from rows whose fill is the most frequent value and any value
+    order = dense_reference.top_tokens(dist, k)
+    fill = data.draw(st.sampled_from(np.unique(dist).tolist()), label="fill")
+    for row in (row_of(dist), row_of(dist, fill)):
+        tokens, probs = top_tokens(row, k)
+        assert tokens.tolist() == order.tolist()
+        assert probs.tobytes() == dist[order].tobytes()
+        assert TopK(row, k).children == [(int(t), math.log(dist[t]))
+                                         for t in order if dist[t] > 0.0]
 
 
 def test_leaf_value_is_confidence_product():
