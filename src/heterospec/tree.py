@@ -91,16 +91,12 @@ def top_tokens(row: DistRecord, k: int) -> tuple[np.ndarray, np.ndarray]:
     k most probable tokens, most probable first, ties to the smaller id,
     and their probabilities; all V tokens, in that order, when k >= V.
 
-    For k < V it reads the row, not the dense vector, so a state costs a
-    sort of its support: the support in stable order of its values, cut to
-    k, when its k-th value lies above ``fill``. Otherwise the first k
-    tokens outside the support (``fill_tokens``), all at ``fill``, join
-    it, sorted by value and then id.
+    It reads the row, not the dense vector, so a state costs a sort of its
+    support: the support in stable order of its values, cut to k, when its
+    k-th value lies above ``fill``. Otherwise the first k tokens outside
+    the support (``fill_tokens``), all at ``fill``, join it, sorted by
+    value and then id.
     """
-    if k >= row.size:
-        dist = row.dist
-        tokens = (-dist).argsort(kind="stable")
-        return tokens, dist[tokens]
     fill, idx, vals = row.fill, row.idx, row.vals
     top = (-vals).argsort(kind="stable")[:k]
     probs = vals[top]
